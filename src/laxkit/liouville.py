@@ -40,6 +40,8 @@ __all__ = [
     "fit_first_charge",
     "check_linear_algebra",
     "evolve",
+    "ABORT_NON_FINITE",
+    "ABORT_THRESHOLD",
     "CANONICAL_BRACKET_SCALE",
     "derivative_x",
     "second_derivative_x",
@@ -185,12 +187,15 @@ def gauged_U(phi, pi, phi_x, lam: complex) -> np.ndarray:
 
     1/2 [[i(phi_x - pi), -2 e^-lambda],
          [2 e^{lambda - 2i phi} - 2 e^-lambda, -i(phi_x - pi)]].
+
+    ``lam`` broadcasts against the fields: lam[:, None] with fields of
+    shape (n,) gives an (m, n, 2, 2) stack.
     """
     phi = np.asarray(phi, dtype=complex)
     d = 0.5j * (np.asarray(phi_x, dtype=complex) - np.asarray(pi, dtype=complex))
-    out = np.empty(phi.shape + (2, 2), dtype=complex)
+    out = np.empty(np.broadcast_shapes(phi.shape, d.shape, np.shape(lam)) + (2, 2), dtype=complex)
     out[..., 0, 0] = d
-    out[..., 0, 1] = -np.exp(-lam) * np.ones_like(phi)
+    out[..., 0, 1] = -np.exp(-lam)
     out[..., 1, 0] = np.exp(lam - 2j * phi) - np.exp(-lam)
     out[..., 1, 1] = -d
     return out
@@ -260,72 +265,111 @@ def dual_charges(c: FieldConfig) -> tuple[complex, complex]:
 _GAUSS_OFFSETS = (0.5 - np.sqrt(3.0) / 6.0, 0.5 + np.sqrt(3.0) / 6.0)
 
 
-def _fourier_eval(arr: np.ndarray, frac: np.ndarray) -> np.ndarray:
-    """Evaluate the trigonometric interpolant of periodic samples at
-    fractional positions (in units of the full period)."""
-    n = arr.shape[0]
-    spec = np.fft.fft(arr) / n
-    k = np.fft.fftfreq(n, d=1.0 / n)
-    if n % 2 == 0:
-        # split the Nyquist mode symmetrically so the interpolant is smooth
-        spec = np.concatenate([spec, [0.5 * spec[n // 2]]])
-        spec[n // 2] *= 0.5
-        k = np.concatenate([k, [n / 2.0]])
-        k[n // 2] = -n / 2.0
-    return np.exp(2j * np.pi * np.outer(frac, k)) @ spec
-
-
 def _gauss_node_fields(c: FieldConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """phi, pi, phi_x interpolated at the two Gauss nodes of every cell."""
-    j = np.arange(c.n, dtype=float)
-    frac = np.concatenate([(j + off) / c.n for off in _GAUSS_OFFSETS])
-    phi = _fourier_eval(c.phi, frac)
-    pi = _fourier_eval(c.pi, frac)
-    phi_x = _fourier_eval(derivative_x(c.phi, c.h), frac)
+    """phi, pi, phi_x interpolated at the two Gauss nodes of every cell.
+
+    Each result has shape (2, n); row q holds the trigonometric interpolant
+    at x_j + off_q h.  The shift is a spectral phase e^{2 pi i k off / n}
+    followed by an inverse FFT; for even n the Nyquist mode is split
+    symmetrically between k = +-n/2, which makes its factor cos(pi off).
+    """
+    n = c.n
+    offs = np.array(_GAUSS_OFFSETS)[:, None]
+    shift = np.exp(2j * np.pi * offs * np.fft.fftfreq(n))
+    if n % 2 == 0:
+        shift[:, n // 2] = np.cos(np.pi * offs[:, 0])
+    spec = np.fft.fft(np.stack([c.phi, c.pi, derivative_x(c.phi, c.h)]), axis=-1)
+    phi, pi, phi_x = np.fft.ifft(spec[:, None, :] * shift, axis=-1)
     return phi, pi, phi_x
 
 
+def _mul2x2(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b for stacks of 2x2 matrices, entry by entry: ten times faster
+    than np.matmul, which loops over the stack one tiny product at a time."""
+    out = np.empty(np.broadcast_shapes(a.shape, b.shape), dtype=complex)
+    for i in range(2):
+        for k in range(2):
+            out[..., i, k] = a[..., i, 0] * b[..., 0, k] + a[..., i, 1] * b[..., 1, k]
+    return out
+
+
 def _expm_traceless(m: np.ndarray) -> np.ndarray:
-    """Exact exponential of a traceless 2x2 matrix."""
-    mu2 = -(m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0])
-    mu = np.sqrt(mu2)
-    if abs(mu) < 1e-12:
-        return np.eye(2, dtype=complex) + m + 0.5 * (m @ m)
-    return np.cosh(mu) * np.eye(2, dtype=complex) + (np.sinh(mu) / mu) * m
+    """Exact exponential of a stack of traceless 2x2 matrices (shape (..., 2, 2))."""
+    mu = np.sqrt(-(m[..., 0, 0] * m[..., 1, 1] - m[..., 0, 1] * m[..., 1, 0]))
+    small = np.abs(mu) < 1e-12
+    mu_safe = np.where(small, 1.0, mu)
+    eye = np.eye(2, dtype=complex)
+    out = np.cosh(mu)[..., None, None] * eye + (np.sinh(mu) / mu_safe)[..., None, None] * m
+    if np.any(small):
+        ms = m[small]
+        out[small] = eye + ms + 0.5 * (ms @ ms)
+    return out
 
 
-def monodromy_ode(c: FieldConfig, lam: complex) -> tuple[np.ndarray, complex]:
+def _ordered_product(e: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Ordered products e[..., k-1, :, :] ... e[..., 0, :, :], reduced pairwise.
+
+    Every level divides each matrix by its largest entry and accumulates the
+    logs of those normalizations; an odd count is padded with the identity.
+    Returns (product normalized, log scale) with the trailing product axis
+    removed.
+    """
+    log_scale = np.zeros(e.shape[:-3])
+    while True:
+        top = np.max(np.abs(e), axis=(-2, -1))
+        if not np.all(np.isfinite(top)) or np.any(top == 0.0):
+            raise OverflowError("monodromy integration lost normalization")
+        e = e / top[..., None, None]
+        log_scale += np.sum(np.log(top), axis=-1)
+        if e.shape[-3] == 1:
+            return e[..., 0, :, :], log_scale
+        if e.shape[-3] % 2:
+            pad = np.broadcast_to(np.eye(2, dtype=complex), e.shape[:-3] + (1, 2, 2))
+            e = np.concatenate([e, pad], axis=-3)
+        e = _mul2x2(e[..., 1::2, :, :], e[..., 0::2, :, :])
+
+
+def monodromy_ode(c: FieldConfig, lam) -> tuple[np.ndarray, np.ndarray]:
     """Path-ordered integration of T_x = U_gauged T across [-L, L].
 
     Uses the fourth-order two-node Magnus scheme per grid cell with the
     analytic 2x2 exponential, so the stiff constant part of the gauged
-    operator at small u is propagated exactly.  Every step the matrix is
-    renormalized by its largest entry and the logs of the normalizations
-    accumulate; returns (T_normalized, log_scale) with
-    T = T_normalized * exp(log_scale).
+    operator at small u is propagated exactly.  ``lam`` is a scalar or a 1-d
+    array of spectral points; all cells of all points are exponentiated at
+    once and the ordered product of the cells is reduced pairwise, each
+    level renormalized by its largest entries with the logs of the
+    normalizations accumulated.  Returns (T_normalized, log_scale) with
+    T = T_normalized * exp(log_scale): shapes (2, 2) and () for a scalar
+    ``lam``, (m, 2, 2) and (m,) for m points.  Raises OverflowError when a
+    normalization is not finite or vanishes.
     """
+    lam = np.asarray(lam)
+    if lam.ndim > 1:
+        raise ValueError("lam must be a scalar or a 1-d array")
     phi, pi, phi_x = _gauss_node_fields(c)
-    a1 = gauged_U(phi[: c.n], pi[: c.n], phi_x[: c.n], lam)
-    a2 = gauged_U(phi[c.n :], pi[c.n :], phi_x[c.n :], lam)
+    lams = np.atleast_1d(lam)[:, None]
     h = c.h
-    t = np.eye(2, dtype=complex)
-    log_scale = 0.0 + 0.0j
     c2 = np.sqrt(3.0) * h * h / 12.0
-    for j in range(c.n):
-        omega = 0.5 * h * (a1[j] + a2[j]) + c2 * (a2[j] @ a1[j] - a1[j] @ a2[j])
-        t = _expm_traceless(omega) @ t
-        top = np.max(np.abs(t))
-        if not np.isfinite(top) or top == 0.0:
-            raise OverflowError("monodromy integration lost normalization")
-        t = t / top
-        log_scale += np.log(top)
+    # an overflow reaches the normalization guard as inf or nan
+    with np.errstate(over="ignore", invalid="ignore"):
+        a1 = gauged_U(phi[0], pi[0], phi_x[0], lams)
+        a2 = gauged_U(phi[1], pi[1], phi_x[1], lams)
+        omega = 0.5 * h * (a1 + a2) + c2 * (_mul2x2(a2, a1) - _mul2x2(a1, a2))
+        t, log_scale = _ordered_product(_expm_traceless(omega))
+    log_scale = log_scale.astype(complex)
+    if lam.ndim == 0:
+        return t[0], log_scale[0]
     return t, log_scale
 
 
-def trace_log(c: FieldConfig, lam: complex) -> complex:
-    """log tr T at the given spectral point (branch of the principal log)."""
+def trace_log(c: FieldConfig, lam):
+    """log tr T at the given spectral point(s) (branch of the principal log).
+
+    ``lam`` is a scalar or a 1-d array; one batched ``monodromy_ode`` call
+    covers every point.
+    """
     t, log_scale = monodromy_ode(c, lam)
-    return np.log(np.trace(t)) + log_scale
+    return np.log(np.trace(t, axis1=-2, axis2=-1)) + log_scale
 
 
 FIT_WINDOW = (0.01, 0.04)
@@ -336,15 +380,17 @@ def fit_first_charge(c: FieldConfig, window: tuple[float, float] = FIT_WINDOW,
                      points: int = FIT_POINTS) -> complex:
     """First charge extracted from the small-u behaviour of log tr T.
 
-    Samples u in the window, fits log tr T against {u^-1, 1, u, u^2, u^3}
-    by least squares and returns the u-coefficient.  The cubic term guards
+    Samples u in the window, evaluates log tr T at every sample with one
+    batched ``monodromy_ode`` call (lambda = log u as an array, ordered
+    product reduced pairwise), fits it against {u^-1, 1, u, u^2, u^3} by
+    least squares and returns the u-coefficient.  The cubic term guards
     the linear coefficient against truncation bias, and the window sits
     deep enough in the small-u regime that the neglected orders stay below
     the percent level for moderate field amplitudes (the Magnus propagation
     is exact on the stiff part, so small u costs nothing in accuracy).
     """
     us = np.linspace(window[0], window[1], points)
-    values = np.array([trace_log(c, np.log(u)) for u in us])
+    values = trace_log(c, np.log(us))
     basis = np.stack([1.0 / us, np.ones_like(us), us, us**2, us**3], axis=1)
     coeff, *_ = np.linalg.lstsq(basis, values, rcond=None)
     return complex(coeff[2])
@@ -385,6 +431,10 @@ def check_linear_algebra(phi: complex, pi: complex, lam: complex, mu: complex) -
 # -- evolution ---------------------------------------------------------------------
 
 
+ABORT_NON_FINITE = "non-finite RK stage"
+ABORT_THRESHOLD = "field exceeded the pole threshold"
+
+
 @dataclass
 class LiouvilleTrajectory:
     times: np.ndarray
@@ -392,7 +442,11 @@ class LiouvilleTrajectory:
     hamiltonians: np.ndarray
     momenta: np.ndarray
     first_charges: np.ndarray
-    aborted: bool = False
+    abort_reason: str | None = None  # ABORT_NON_FINITE or ABORT_THRESHOLD
+
+    @property
+    def aborted(self) -> bool:
+        return self.abort_reason is not None
 
     def drift(self, which: str = "hamiltonian") -> float:
         series = {
@@ -413,10 +467,12 @@ def evolve(
     """Fourth-order method-of-lines evolution with conservation monitoring.
 
     Aborts (returning the partial trajectory flagged ``aborted``) when the
-    fields of a step exceed the blow-up threshold or stop being finite; the
+    fields of a step stop being finite or exceed the blow-up threshold; the
     complex Liouville flow has genuine finite-time poles.  The RK stages are
     evaluated on raw arrays, so a pole that overflows an intermediate stage
-    also ends in an abort rather than an exception.
+    also ends in an abort rather than an exception.  ``abort_reason`` names
+    the guard that fired (``ABORT_NON_FINITE`` or ``ABORT_THRESHOLD``); the
+    overflow that leads to an abort raises no numpy warning.
     """
     if dt <= 0 or dt > t_end:
         raise ValueError("require 0 < dt <= t_end")
@@ -438,19 +494,22 @@ def evolve(
 
     record(c)
     y = (c.phi, c.pi)
-    aborted = False
-    for k in range(steps):
-        y = rk4_step(rhs, y, dt)
-        if np.max(np.abs(y[0])) > blowup or np.max(np.abs(y[1])) > blowup or not (
-            np.all(np.isfinite(y[0])) and np.all(np.isfinite(y[1]))
-        ):
-            aborted = True
-            break
-        if (k + 1) % record_every == 0 or k == steps - 1:
-            cfg = FieldConfig(c.L, y[0], y[1])
-            times.append((k + 1) * dt)
-            configs.append(cfg)
-            record(cfg)
+    reason = None
+    # a pole overflows before the guard sees it; the abort reports it
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(steps):
+            y = rk4_step(rhs, y, dt)
+            if not (np.all(np.isfinite(y[0])) and np.all(np.isfinite(y[1]))):
+                reason = ABORT_NON_FINITE
+                break
+            if np.max(np.abs(y[0])) > blowup or np.max(np.abs(y[1])) > blowup:
+                reason = ABORT_THRESHOLD
+                break
+            if (k + 1) % record_every == 0 or k == steps - 1:
+                cfg = FieldConfig(c.L, y[0], y[1])
+                times.append((k + 1) * dt)
+                configs.append(cfg)
+                record(cfg)
     return LiouvilleTrajectory(
-        np.array(times), configs, np.array(hs), np.array(ps), np.array(o1s), aborted
+        np.array(times), configs, np.array(hs), np.array(ps), np.array(o1s), reason
     )

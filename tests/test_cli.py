@@ -150,6 +150,8 @@ class TestRun:
         assert code == 1
         report = json.loads((tmp_path / "out" / "report.json").read_text())
         assert report["aborted"] is True
+        [record] = [r for r in report["records"] if r["name"] == "blow-up"]
+        assert record["anchor"] == lv.ABORT_NON_FINITE
 
     def test_suite_subcommand_via_main(self, tmp_path):
         assert cli.main(["suite", "--out", str(tmp_path / "s"), "--seed", "0",

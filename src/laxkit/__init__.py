@@ -10,10 +10,10 @@ from .laurent import (
     matrix_product_chain,
     series_inverse,
 )
+from .stepping import Abort, Aborted, march
 from .lattice import (
     LatticeState,
     SingularStateError,
-    SingularTrajectoryError,
     build_lax,
     bulk_eom,
     charges_closed_form,

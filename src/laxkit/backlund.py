@@ -32,6 +32,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .stepping import count_steps, finite_guard, march
+
 __all__ = [
     "DarbouxState",
     "HeteroParams",
@@ -50,16 +52,7 @@ __all__ = [
     "free_field_closed_form",
     "select_hetero_variant",
     "HETERO_VARIANTS",
-    "BlowUpError",
 ]
-
-
-class BlowUpError(RuntimeError):
-    """The generated field hit a pole; carries the light-cone location."""
-
-    def __init__(self, message, location=None):
-        super().__init__(message)
-        self.location = location
 
 
 @dataclass(frozen=True)
@@ -188,14 +181,15 @@ def bt_initial_data(background, x: np.ndarray, t0: float, theta: complex,
                     phi_tilde_seed: complex, y_seed: complex, z_seed: complex):
     """Integrate the space half of the transformation along the initial slice.
 
-    Starting from seed values at x[0], marches (phi~, Y, Z) in x so that the
-    diagonal pair and the space-flow equations all hold at t = t0.  The
-    result is admissible Cauchy data for :func:`bt_evolve`; arbitrary
-    profiles are not, because the transformation determines its image up to
-    constants only.
+    Starting from seed values at x[0], marches (phi~, Y, Z) across the
+    uniform grid x so that the diagonal pair and the space-flow equations
+    all hold at t = t0.  The result is admissible Cauchy data for
+    :func:`bt_evolve`; arbitrary profiles are not, because the
+    transformation determines its image up to constants only.  A non-finite
+    stage raises :class:`~laxkit.stepping.Aborted` (its t is the x position).
     """
 
-    def rhs_at(xv, state):
+    def rhs(xv, state):
         pt, yv, zv = state
         phi = background.phi(xv, t0)
         phi_t = background.phi_t(xv, t0)
@@ -209,27 +203,12 @@ def bt_initial_data(background, x: np.ndarray, t0: float, theta: complex,
         dz = drag * zv + (et * em - eti * ep) * s
         return (phi_x + delta_x, dy, dz)
 
-    n = x.shape[0]
-    phi_tilde = np.empty(n, dtype=complex)
-    ys = np.empty(n, dtype=complex)
-    zs = np.empty(n, dtype=complex)
-    state = (complex(phi_tilde_seed), complex(y_seed), complex(z_seed))
-    phi_tilde[0], ys[0], zs[0] = state
-    for j in range(n - 1):
-        h = x[j + 1] - x[j]
-        k1 = rhs_at(x[j], state)
-        mid = tuple(s + 0.5 * h * k for s, k in zip(state, k1))
-        k2 = rhs_at(x[j] + 0.5 * h, mid)
-        mid = tuple(s + 0.5 * h * k for s, k in zip(state, k2))
-        k3 = rhs_at(x[j] + 0.5 * h, mid)
-        end = tuple(s + h * k for s, k in zip(state, k3))
-        k4 = rhs_at(x[j + 1], end)
-        state = tuple(
-            s + (h / 6.0) * (a + 2 * b + 2 * c + d)
-            for s, a, b, c, d in zip(state, k1, k2, k3, k4)
-        )
-        phi_tilde[j + 1], ys[j + 1], zs[j + 1] = state
-    return phi_tilde, ys, zs
+    rows = [(complex(phi_tilde_seed), complex(y_seed), complex(z_seed))]
+    return march(
+        rhs, rows[0], (x[-1] - x[0]) / (len(x) - 1), len(x) - 1,
+        finite_guard(("phi~", "Y", "Z")), lambda k, xv, y: rows.append(y),
+        lambda: tuple(np.array(col, dtype=complex) for col in zip(*rows)), t0=x[0],
+    )
 
 
 @dataclass
@@ -323,19 +302,21 @@ def bt_evolve(
 ) -> BTTrajectory:
     """Evolve the transformation image of a known solution.
 
-    The state (phi~, X, Y, Z) on the grid moves by the time half of the
-    intertwining relations: the diagonal equation supplies phi~_t and dX/dt,
-    the anti-diagonal flow moves (Y, Z).  Initial data comes from
+    The state (phi~, X, Y, Z) on the uniform grid x moves by the time half
+    of the intertwining relations: the diagonal equation supplies phi~_t and
+    dX/dt, the anti-diagonal flow moves (Y, Z).  Initial data comes from
     :func:`bt_initial_data`; the background must solve the field equation.
+    A non-finite stage raises :class:`~laxkit.stepping.Aborted` with the
+    partial trajectory.
     """
+    steps = count_steps(dt, t_end)
     phi_tilde0, y0, z0 = bt_initial_data(
         background, x, t0, theta, phi_tilde_seed, y_seed, z_seed
     )
     x0_rel = np.exp(0.5j * (phi_tilde0 - background.phi(x, t0)))
     h = x[1] - x[0]
-    steps = int(round(t_end / dt))
 
-    def rhs(y_state, t):
+    def rhs(t, y_state):
         pt, xx, yv, zv = y_state
         phi = background.phi(x, t)
         phi_t = background.phi_t(x, t)
@@ -350,30 +331,16 @@ def bt_evolve(
         dx_entry = -0.5j * (pt_x - phi_x) * xx - 2.0 * yv * et * np.exp(-1j * phi)
         return (pt_t, dx_entry, dy, dz)
 
-    times = [t0]
-    pts, xs, ys, zs = [phi_tilde0], [x0_rel], [y0], [z0]
-    state = (phi_tilde0, x0_rel, y0, z0)
-    t = t0
-    for _ in range(steps):
-        k1 = rhs(state, t)
-        mid = tuple(s + 0.5 * dt * k for s, k in zip(state, k1))
-        k2 = rhs(mid, t + 0.5 * dt)
-        mid = tuple(s + 0.5 * dt * k for s, k in zip(state, k2))
-        k3 = rhs(mid, t + 0.5 * dt)
-        end = tuple(s + dt * k for s, k in zip(state, k3))
-        k4 = rhs(end, t + dt)
-        state = tuple(
-            s + (dt / 6.0) * (a + 2 * b + 2 * c + d)
-            for s, a, b, c, d in zip(state, k1, k2, k3, k4)
-        )
-        t += dt
+    times, rows = [t0], [(phi_tilde0, x0_rel, y0, z0)]
+
+    def record(k, t, y):
         times.append(t)
-        pts.append(state[0])
-        xs.append(state[1])
-        ys.append(state[2])
-        zs.append(state[3])
-    return BTTrajectory(
-        np.array(times), x, np.array(pts), np.array(xs), np.array(ys), np.array(zs)
+        rows.append(y)
+
+    return march(
+        rhs, rows[0], dt, steps, finite_guard(("phi~", "X", "Y", "Z")), record,
+        lambda: BTTrajectory(np.array(times), x, *(np.array(col) for col in zip(*rows))),
+        t0=t0,
     )
 
 
@@ -519,14 +486,20 @@ def interface_residual(
     return float(np.max(np.abs(res[1:-1, 1:-1])))
 
 
-def _hits_pole(values, blowup: float) -> bool:
-    # the generated solution is i log w; the pole w -> 0 shows up as a large
-    # |e^{i phi~}| = e^{-Im phi~} (or as a non-finite value when a node lands
-    # on the pole)
-    arr = np.atleast_1d(np.asarray(values))
-    if not np.all(np.isfinite(arr)):
-        return True
-    return bool(np.max(np.exp(np.abs(arr.imag))) > blowup)
+def _pole_guard(reason: str, field: str, phi_tilde, blowup: float):
+    """Guard for the pole w -> 0 of the generated solution i log w, where
+    |e^{i phi~}| = e^{-Im phi~} passes ``blowup`` (or phi~ stops being
+    finite when a node lands on the pole); ``phi_tilde(t, y)`` maps the
+    march state to phi~."""
+    limit = np.log(blowup)
+
+    def guard(t, y):
+        pt = np.asarray(phi_tilde(t, y))
+        if np.abs(pt.imag).max() <= limit and np.isfinite(pt.real).all():
+            return None
+        return reason, field, int(np.argmax(np.where(np.isfinite(pt), np.abs(pt.imag), np.inf)))
+
+    return guard
 
 
 def hetero_bt_generate(
@@ -543,66 +516,42 @@ def hetero_bt_generate(
     Integrates i d(phi~ - phi)/dz = -2 c e^Theta e^{i(phi~ + phi)} along the
     seed line zbar = zbar[0], then i d(phi~ + phi)/dzbar = -2 c e^-Theta
     e^{i(phi~ - phi)} along every zbar characteristic, fourth order in both
-    sweeps.  Returns (phi~ field, phi field) on the rectangle.  A growing
-    |phi~| signals the pole of the generated solution and raises
-    :class:`BlowUpError` with the light-cone location.
+    sweeps over the uniform axes.  Returns (phi~ field, phi field) on the
+    rectangle.  A growing |e^{i phi~}| signals the pole of the generated
+    solution and raises :class:`~laxkit.stepping.Aborted`, whose t is the
+    sweep coordinate and whose index runs over the other axis: the pole is
+    near (t, zbar[0]) on the seed line and near (z[index], t) in the fill.
     """
     c, th = params.c, params.Theta
-    nz, nb = z.shape[0], zbar.shape[0]
-    zb0 = zbar[0]
+    zb0, g0, fz = zbar[0], g(zbar[0]), f(z)
 
     # seed sweep in z for psi = phi~ - phi
-    def seed_rhs(zv, psi):
-        phi = f(zv) + g(zb0)
-        return 2j * c * np.exp(th) * np.exp(1j * (psi + 2.0 * phi))
+    def seed_rhs(zv, y):
+        phi = f(zv) + g0
+        return (2j * c * np.exp(th) * np.exp(1j * (y[0] + 2.0 * phi)),)
 
-    psi_line = np.empty(nz, dtype=complex)
-    psi_line[0] = phi_tilde_corner - (f(z[0]) + g(zb0))
-    psi = psi_line[0]
-    for i in range(nz - 1):
-        hzi = z[i + 1] - z[i]
-        k1 = seed_rhs(z[i], psi)
-        k2 = seed_rhs(z[i] + 0.5 * hzi, psi + 0.5 * hzi * k1)
-        k3 = seed_rhs(z[i] + 0.5 * hzi, psi + 0.5 * hzi * k2)
-        k4 = seed_rhs(z[i + 1], psi + hzi * k3)
-        psi = psi + (hzi / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-        if _hits_pole(psi + (f(z[i + 1]) + g(zb0)), blowup):
-            raise BlowUpError(
-                f"pole on the seed line near z = {z[i + 1]:.4f}", (float(z[i + 1]), float(zb0))
-            )
-        psi_line[i + 1] = psi
+    seed = [phi_tilde_corner - (f(z[0]) + g0)]
+    psi_line = march(
+        seed_rhs, (seed[0],), (z[-1] - z[0]) / (len(z) - 1), len(z) - 1,
+        _pole_guard("pole in the z sweep", "phi~ at zbar", lambda t, y: y[0] + (f(t) + g0),
+                    blowup),
+        lambda k, t, y: seed.append(y[0]), lambda: np.array(seed, dtype=complex), t0=z[0],
+    )
 
     # fill sweep in zbar for chi = phi~ + phi, all z columns at once
-    def fill_rhs(bv, chi):
-        phi = f(z) + g(bv)
-        return 2j * c * np.exp(-th) * np.exp(1j * (chi - 2.0 * phi))
+    def fill_rhs(bv, y):
+        phi = fz + g(bv)
+        return (2j * c * np.exp(-th) * np.exp(1j * (y[0] - 2.0 * phi)),)
 
-    values = np.empty((nz, nb), dtype=complex)
-    phi0 = f(z) + g(zb0)
-    values[:, 0] = psi_line + phi0  # phi~ on the seed line
-    chi = values[:, 0] + phi0       # phi~ + phi there
-    for jdx in range(nb - 1):
-        hb = zbar[jdx + 1] - zbar[jdx]
-        k1 = fill_rhs(zbar[jdx], chi)
-        k2 = fill_rhs(zbar[jdx] + 0.5 * hb, chi + 0.5 * hb * k1)
-        k3 = fill_rhs(zbar[jdx] + 0.5 * hb, chi + 0.5 * hb * k2)
-        k4 = fill_rhs(zbar[jdx + 1], chi + hb * k3)
-        chi = chi + (hb / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-        phi_col = f(z) + g(zbar[jdx + 1])
-        col = chi - phi_col
-        if _hits_pole(col, blowup):
-            finite = np.isfinite(col)
-            score = np.where(finite, np.abs(col.imag), np.inf)
-            i_bad = int(np.argmax(score))
-            raise BlowUpError(
-                f"pole near (z, zbar) = ({z[i_bad]:.4f}, {zbar[jdx + 1]:.4f})",
-                (float(z[i_bad]), float(zbar[jdx + 1])),
-            )
-        values[:, jdx + 1] = col
-    phi_field = LightConeField.from_function(
-        lambda zz, bb: f(zz) + g(bb), z, zbar
+    columns = [psi_line + (fz + g0)]  # phi~ on the seed line
+    phi_tilde = march(
+        fill_rhs, (columns[0] + (fz + g0),), (zbar[-1] - zb0) / (len(zbar) - 1), len(zbar) - 1,
+        _pole_guard("pole in the zbar sweep", "phi~ at z", lambda t, y: y[0] - (fz + g(t)),
+                    blowup),
+        lambda k, t, y: columns.append(y[0] - (fz + g(zbar[k]))),
+        lambda: LightConeField(z, zbar[: len(columns)], np.stack(columns, axis=1)), t0=zb0,
     )
-    return LightConeField(z, zbar, values), phi_field
+    return phi_tilde, LightConeField.from_function(lambda zz, bb: f(zz) + g(bb), z, zbar)
 
 
 def free_field_closed_form(params: HeteroParams, z, zbar, z0: float, zbar0: float,

@@ -27,6 +27,7 @@ from . import exact
 from . import lattice as lat
 from . import lattice_defect as ld
 from . import liouville as lv
+from .stepping import Aborted
 
 MODES = (
     "lattice-sim",
@@ -128,6 +129,17 @@ def write_csv(path: Path, header: list[str], rows) -> None:
         writer.writerow(header)
         for row in rows:
             writer.writerow([repr(v) if isinstance(v, float) else v for v in row])
+
+
+def _time_params(p: dict, dt: float, t_end: float, coarse=lambda dt: dt):
+    """(dt, coarse step, t_end) from the params; ``coarse(dt)`` is the
+    largest step the mode runs at, and every step must fit in t_end."""
+    dt, t_end = float(p.get("dt", dt)), float(p.get("t_end", t_end))
+    dt_coarse = coarse(dt)
+    if not (0 < dt and 0 < dt_coarse <= t_end):
+        raise ConfigError(f"need 0 < dt <= t_end for every run of the mode (dt = {dt:g}, "
+                          f"largest step = {dt_coarse:g}, t_end = {t_end:g})")
+    return dt, dt_coarse, t_end
 
 
 def _series_rows(times, columns):
@@ -295,9 +307,9 @@ def _mode_lattice_sim(cfg: RunConfig, report: Report, outdir: Path, with_defect=
     rng = np.random.default_rng(cfg.seed)
     p = cfg.params
     n = int(p.get("N", 8))
-    dt = float(p.get("dt", 5e-3))
-    dt_coarse = float(p.get("dt_coarse", 2 * dt))
-    t_end = float(p.get("t_end", 5.0))
+    dt, dt_coarse, t_end = _time_params(
+        p, 5e-3, 5.0, lambda dt: float(p.get("dt_coarse", 2 * dt))
+    )
     # the complex flow is not globally bounded; keep drawing seeded
     # candidates until one stays regular over the full window
     amplitude = float(p.get("amplitude", 0.15 if with_defect else 0.12))
@@ -326,10 +338,9 @@ def _mode_lattice_sim(cfg: RunConfig, report: Report, outdir: Path, with_defect=
     for _ in range(attempts):
         runner = draw()
         try:
-            with np.errstate(over="ignore", invalid="ignore"):
-                cand_fine = runner(dt)
-                cand_coarse = runner(dt_coarse)
-        except lat.SingularTrajectoryError:
+            cand_fine = runner(dt)
+            cand_coarse = runner(dt_coarse)
+        except Aborted:
             continue
         d_fine = cand_fine.drift("2")
         d_coarse = cand_coarse.drift("2")
@@ -393,17 +404,11 @@ def _mode_liouville_evolve(cfg: RunConfig, report: Report, outdir: Path):
     p = cfg.params
     n = int(p.get("points", 64))
     L = float(p.get("L", 1.0))
-    dt = float(p.get("dt", 2e-3))
-    t_end = float(p.get("t_end", 0.5))
+    dt, dt_coarse, t_end = _time_params(p, 2e-3, 0.5, lambda dt: 2 * dt)
     amplitude = float(p.get("amplitude", 0.15))
     c = lv.random_config(L, n, rng, amplitude=amplitude)
     fine = lv.evolve(c, dt, t_end)
-    coarse = lv.evolve(c, 2 * dt, t_end)
-    if fine.aborted or coarse.aborted:
-        report.aborted = True
-        reason = fine.abort_reason if fine.aborted else coarse.abort_reason
-        report.add("blow-up", reason, 1.0, 0.0)
-        return
+    coarse = lv.evolve(c, dt_coarse, t_end)
     scale = max(1.0, abs(fine.hamiltonians[0]))
     report.add("energy-drift", "discrete energy conservation along the flow",
                fine.drift("hamiltonian") / scale, 1e-5 * cfg.tolerance_scale)
@@ -459,9 +464,8 @@ def _mode_monodromy_check(cfg: RunConfig, report: Report, outdir: Path):
 def _mode_bt_evolve(cfg: RunConfig, report: Report, outdir: Path):
     p = cfg.params
     theta = complex(p.get("theta", 0.2))
-    t_end = float(p.get("t_end", 0.4))
+    dt, _, t_end = _time_params(p, 2.5e-3, 0.4)
     nx = int(p.get("points", 65))
-    dt = float(p.get("dt", 2.5e-3))
     sol = exact.periodic_solution_for_length(float(p.get("L", 1.0)))
 
     def run(n, step):
@@ -545,12 +549,22 @@ _HANDLERS = {
 
 
 def run(config: RunConfig, outdir: str | Path = ".") -> Report:
-    """Dispatch one mode; writes report.json (and series.csv for sims)."""
+    """Dispatch one mode; writes report.json (and series.csv for sims).
+
+    A trajectory that aborts in any mode ends the mode with an aborted
+    report and a failed ``blow-up`` record whose anchor is the abort record,
+    e.g. ``non-finite at RK stage 3 of step 1 (t = 0.0025), phi[17]``.
+    Raises ConfigError on invalid mode parameters.
+    """
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     report = Report(config.mode, config.echo())
     start = time.perf_counter()
-    _HANDLERS[config.mode](config, report, outdir)
+    try:
+        _HANDLERS[config.mode](config, report, outdir)
+    except Aborted as err:
+        report.aborted = True
+        report.add("blow-up", str(err.record), 1.0, 0.0)
     report.elapsed = time.perf_counter() - start
     (outdir / "report.json").write_text(report.to_json())
     return report
@@ -627,10 +641,10 @@ def main(argv=None) -> int:
             if args.tolerance_scale is not None:
                 raw["tolerance_scale"] = args.tolerance_scale
             config = RunConfig.from_dict(raw)
+            report = run(config, args.out)
         except ConfigError as err:
             print(f"config error: {err}", file=sys.stderr)
             return 2
-        report = run(config, args.out)
     else:
         report = suite(args.out, seed=args.seed, tolerance_scale=args.tolerance_scale)
 

@@ -17,7 +17,7 @@ of motion, and a fixed-step integrator with conservation monitoring.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -29,12 +29,11 @@ from .laurent import (
     series_inverse,
 )
 from .rmatrix import bracket_lhs, quadratic_rhs
-from .stepping import rk4_step
+from .stepping import count_steps, locate, march
 
 __all__ = [
     "LatticeState",
     "SingularStateError",
-    "SingularTrajectoryError",
     "build_lax",
     "lax_value",
     "monodromy",
@@ -59,14 +58,6 @@ __all__ = [
 
 class SingularStateError(ValueError):
     """A site field v_j (or a defect field X) vanished; v^-1 is undefined."""
-
-
-class SingularTrajectoryError(RuntimeError):
-    """Time integration hit a singular configuration; carries the partial run."""
-
-    def __init__(self, message, trajectory=None):
-        super().__init__(message)
-        self.trajectory = trajectory
 
 
 @dataclass(frozen=True)
@@ -276,15 +267,21 @@ class LatticeDerivative:
         )
 
 
-def bulk_eom(s: LatticeState) -> LatticeDerivative:
-    """Time derivatives of (a, abar, v) generated by the order-2 charge flow."""
-    b, bbar, v = s.b, s.b_bar, s.v
+def _vector_field(a, abar, v):
+    # raw arrays, unvalidated: the RK stages of a march are never wrapped in
+    # a LatticeState
+    b, bbar = a / v, abar / v
     bm = np.roll(b, 1)       # b_{j-1}
     bbp = np.roll(bbar, -1)  # bbar_{j+1}
-    da = 2.0 * bm * v - 2.0 * b / v + bbp * b * s.a + bbar * bm * s.a
-    dabar = -2.0 * bbp * v + 2.0 * bbar / v - bbp * b * s.a_bar - bbar * bm * s.a_bar
-    dv = bbp * s.a - s.a_bar * bm
-    return LatticeDerivative(da, dabar, dv)
+    da = 2.0 * bm * v - 2.0 * b / v + bbp * b * a + bbar * bm * a
+    dabar = -2.0 * bbp * v + 2.0 * bbar / v - bbp * b * abar - bbar * bm * abar
+    dv = bbp * a - abar * bm
+    return da, dabar, dv
+
+
+def bulk_eom(s: LatticeState) -> LatticeDerivative:
+    """Time derivatives of (a, abar, v) generated by the order-2 charge flow."""
+    return LatticeDerivative(*_vector_field(s.a, s.a_bar, s.v))
 
 
 def charge2_gradient(s: LatticeState) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -479,6 +476,21 @@ class LatticeTrajectory:
     charges2: np.ndarray
     traces: dict[float, np.ndarray]
 
+    def keep(self, t, st, c0, c2, monodromies):
+        """Append one monitored state (the fields are lists while marching)."""
+        self.times.append(t)
+        self.states.append(st)
+        self.charges0.append(c0)
+        self.charges2.append(c2)
+        for tr, m in zip(self.traces.values(), monodromies):
+            tr.append(np.trace(m))
+
+    def finished(self):
+        """Copy with the monitored series as arrays."""
+        arrays = {k: np.array(getattr(self, k)) for k in ("times", "charges0", "charges2")}
+        traces = {u: np.array(tr) for u, tr in self.traces.items()}
+        return replace(self, **arrays, traces=traces)
+
     def drift(self, which: str = "2") -> float:
         series = self.charges2 if which == "2" else self.charges0
         return float(np.max(np.abs(series - series[0])))
@@ -492,14 +504,24 @@ V_FLOOR = 1e-8
 FIELD_CEILING = 1e8
 
 
-def _state_singular(arrays) -> bool:
-    """v near zero, anything non-finite, or a runaway field magnitude."""
-    if np.any(np.abs(arrays[2]) < V_FLOOR):
-        return True
-    for arr in arrays:
-        if not np.all(np.isfinite(arr)) or np.max(np.abs(arr)) > FIELD_CEILING:
-            return True
-    return False
+def _singular(names, y):
+    """Guard of the chain integrators: None, or (reason, field, index) of a
+    non-finite entry, a field above FIELD_CEILING, or a v_j (or defect X)
+    below V_FLOOR in modulus."""
+    floored = [(name, np.abs(arr)) for name, arr in zip(names, y) if name in ("v", "X")]
+    if (
+        all(mag.min() >= V_FLOOR for _, mag in floored)
+        and np.abs(np.concatenate(y)).max() <= FIELD_CEILING
+    ):
+        return None
+    fault = locate(names, y, FIELD_CEILING, "field above the ceiling")
+    if fault is None:
+        name, mag = min(floored, key=lambda p: p[1].min())
+        fault = ("field below the floor", name, int(np.argmin(mag)))
+    return fault
+
+
+_FIELDS = ("a", "a_bar", "v")
 
 
 def integrate(
@@ -511,54 +533,18 @@ def integrate(
     """Classic fourth-order fixed-step integration of the bulk flow.
 
     Records the order-0/order-2 charges and tr T at the probe spectral points
-    every step.  Aborts with :class:`SingularTrajectoryError` (carrying the
-    partial trajectory) when any |v_j| falls below a small floor or the
-    fields run away; the complex flow has no global bound.
+    every step.  The complex flow has no global bound: when any field stops
+    being finite or exceeds FIELD_CEILING, or any |v_j| falls below V_FLOOR,
+    at an RK stage or an accepted step, the march raises
+    :class:`~laxkit.stepping.Aborted` carrying the partial trajectory.
     """
-    if dt <= 0 or dt > t_end:
-        raise ValueError("require 0 < dt <= t_end")
-    steps = int(round(t_end / dt))
+    traj = LatticeTrajectory([], [], [], [], {u: [] for u in probes})
 
-    def rhs(y):
-        st = LatticeState(*y)
-        d = bulk_eom(st)
-        return (d.a, d.a_bar, d.v)
-
-    times = [0.0]
-    states = [s]
-    c0s, c2s = [], []
-    traces = {u: [] for u in probes}
-
-    def record(st):
+    def keep(t, st):
         c0, _, c2 = charges_closed_form(st)
-        c0s.append(c0)
-        c2s.append(c2)
-        for u in probes:
-            traces[u].append(np.trace(monodromy_value(st, u)))
+        traj.keep(t, st, c0, c2, [monodromy_value(st, u) for u in probes])
 
-    record(s)
-    y = (s.a, s.a_bar, s.v)
-    for k in range(steps):
-        y = rk4_step(rhs, y, dt)
-        if _state_singular(y):
-            partial = LatticeTrajectory(
-                np.array(times),
-                states,
-                np.array(c0s),
-                np.array(c2s),
-                {u: np.array(tr) for u, tr in traces.items()},
-            )
-            raise SingularTrajectoryError(
-                f"singular configuration near t = {(k + 1) * dt:g}", partial
-            )
-        st = LatticeState(*y)
-        times.append((k + 1) * dt)
-        states.append(st)
-        record(st)
-    return LatticeTrajectory(
-        np.array(times),
-        states,
-        np.array(c0s),
-        np.array(c2s),
-        {u: np.array(tr) for u, tr in traces.items()},
-    )
+    keep(0.0, s)
+    return march(lambda t, y: _vector_field(*y), (s.a, s.a_bar, s.v), dt,
+                 count_steps(dt, t_end), lambda t, y: _singular(_FIELDS, y),
+                 lambda k, t, y: keep(t, LatticeState(*y)), traj.finished)

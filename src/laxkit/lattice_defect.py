@@ -19,7 +19,7 @@ Around the defect the time-Lax matrices deform through the combinations
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -27,18 +27,17 @@ from .laurent import LaurentMatrix, LaurentSeries, log_expand, matrix_product_ch
 from .lattice import (
     LatticeDerivative,
     LatticeState,
+    LatticeTrajectory,
     SingularStateError,
-    SingularTrajectoryError,
-    V_FLOOR,
     _lax_time_derivative,
-    _state_singular,
+    _singular,
+    _vector_field,
     build_lax,
-    bulk_eom,
     lax_value,
     time_lax_order2,
 )
 from .rmatrix import bracket_lhs, quadratic_rhs
-from .stepping import rk4_step
+from .stepping import count_steps, march
 
 __all__ = [
     "DefectSite",
@@ -264,24 +263,16 @@ def _require_interior(s: LatticeState, d: DefectSite):
         )
 
 
-def defect_eom(
-    s: LatticeState, d: DefectSite
-) -> tuple[LatticeDerivative, complex, complex, complex]:
-    """Coupled equations of motion: bulk fields plus (dz, dzbar, dX).
-
-    Sites away from n, n-1, n+1 follow the bulk flow; the neighbours use the
-    deformed combinations; slot n's bulk derivatives are zero (the defect
-    replaces that site).  Returns (bulk derivative, dz, dzbar, dX).
-    """
-    _require_interior(s, d)
-    bulk = bulk_eom(s)
-    da, dabar, dv = bulk.a.copy(), bulk.a_bar.copy(), bulk.v.copy()
-    n0 = (d.n - 1) % s.N
-    b, bbar, v = s.b, s.b_bar, s.v
-    a, abar = s.a, s.a_bar
-    bt = tilde_b(s, d)
-    bbt = tilde_b_bar(s, d)
-    et = np.exp(d.theta)
+def _defect_vector_field(a, abar, v, n, theta, z, zbar, X):
+    # raw arrays and scalars, unvalidated: the RK stages of a march are never
+    # wrapped in a LatticeState or DefectSite
+    da, dabar, dv = _vector_field(a, abar, v)
+    N = a.shape[0]
+    n0 = (n - 1) % N
+    b, bbar = a / v, abar / v
+    et = np.exp(theta)
+    bt = et * (z / X) + b[(n - 2) % N] / X**2      # tilde_b
+    bbt = et * (zbar / X) + bbar[n % N] / X**2     # tilde_b_bar
 
     # site n-1: bbar_n -> bbartilde
     i = n0 - 1
@@ -292,9 +283,9 @@ def defect_eom(
     dv[i] = bbt * a[i] - abar[i] * bm2
 
     # site n+1: b_n -> btilde
-    i = (n0 + 1) % s.N
+    i = (n0 + 1) % N
     bp1 = b[i]
-    bb2 = bbar[(i + 1) % s.N]
+    bb2 = bbar[(i + 1) % N]
     bb1 = bbar[i]
     da[i] = 2.0 * bt * v[i] - 2.0 * bp1 / v[i] + bb2 * bp1 * a[i] + bb1 * bt * a[i]
     dabar[i] = -2.0 * bb2 * v[i] + 2.0 * bb1 / v[i] - bb2 * bp1 * abar[i] - bb1 * bt * abar[i]
@@ -303,20 +294,26 @@ def defect_eom(
     # defect site: frozen bulk slot, its own fields move instead
     da[n0] = dabar[n0] = dv[n0] = 0.0
     bm = b[n0 - 1]
-    bbp = bbar[(n0 + 1) % s.N]
-    dz = (
-        2.0 * et * bm * d.X
-        - 2.0 * et * bt / d.X
-        + bbp * bt * d.z
-        + bbt * bm * d.z
+    bbp = bbar[(n0 + 1) % N]
+    dz = 2.0 * et * bm * X - 2.0 * et * bt / X + bbp * bt * z + bbt * bm * z
+    dzbar = -2.0 * et * bbp * X + 2.0 * et * bbt / X - bbp * bt * zbar - bbt * bm * zbar
+    dX = et * (bbp * z - zbar * bm)
+    return da, dabar, dv, dz, dzbar, dX
+
+
+def defect_eom(
+    s: LatticeState, d: DefectSite
+) -> tuple[LatticeDerivative, complex, complex, complex]:
+    """Coupled equations of motion: bulk fields plus (dz, dzbar, dX).
+
+    Sites away from n, n-1, n+1 follow the bulk flow; the neighbours use the
+    deformed combinations; slot n's bulk derivatives are zero (the defect
+    replaces that site).  Returns (bulk derivative, dz, dzbar, dX).
+    """
+    _require_interior(s, d)
+    da, dabar, dv, dz, dzbar, dX = _defect_vector_field(
+        s.a, s.a_bar, s.v, d.n, d.theta, d.z, d.z_bar, d.X
     )
-    dzbar = (
-        -2.0 * et * bbp * d.X
-        + 2.0 * et * bbt / d.X
-        - bbp * bt * d.z_bar
-        - bbt * bm * d.z_bar
-    )
-    dX = et * (bbp * d.z - d.z_bar * bm)
     return LatticeDerivative(da, dabar, dv), dz, dzbar, dX
 
 
@@ -365,21 +362,11 @@ def defect_zero_curvature_residuals(
 
 
 @dataclass
-class DefectTrajectory:
-    times: np.ndarray
-    states: list[LatticeState]
-    defects: list[DefectSite]
-    charges0: np.ndarray
-    charges2: np.ndarray
-    traces: dict[float, np.ndarray]
+class DefectTrajectory(LatticeTrajectory):
+    defects: list[DefectSite] = field(default_factory=list)
 
-    def drift(self, which: str = "2") -> float:
-        series = self.charges2 if which == "2" else self.charges0
-        return float(np.max(np.abs(series - series[0])))
 
-    def trace_drift(self, u: float) -> float:
-        tr = self.traces[u]
-        return float(np.max(np.abs(tr - tr[0])))
+_FIELDS = ("a", "a_bar", "v", "z", "z_bar", "X")
 
 
 def integrate_with_defect(
@@ -392,62 +379,31 @@ def integrate_with_defect(
     """Fourth-order integration of the coupled bulk + defect flow.
 
     Monitors the modified charges and the defect monodromy trace at the
-    probe points; aborts on singular configurations like :func:`integrate`.
+    probe points, and aborts like :func:`~laxkit.lattice.integrate`; the
+    guard covers all six components (|X| has the floor of |v_j|).
     """
     _require_interior(s, d)
-    if dt <= 0 or dt > t_end:
-        raise ValueError("require 0 < dt <= t_end")
-    steps = int(round(t_end / dt))
+    traj = DefectTrajectory([], [], [], [], {u: [] for u in probes})
 
-    def rhs(y):
+    def rhs(t, y):
         a, abar, v, zf, zbf, xf = y
-        st = LatticeState(a, abar, v)
-        # numpy scalars keep inf semantics on overflow so diverging stages
-        # reach the post-step singularity check instead of raising
-        df = d.replace(z=zf[0], z_bar=zbf[0], X=np.complex128(xf[0]))
-        bulk, dz, dzbar, dX = defect_eom(st, df)
-        return (
-            bulk.a,
-            bulk.a_bar,
-            bulk.v,
-            np.array([dz]),
-            np.array([dzbar]),
-            np.array([dX]),
+        # numpy scalars keep inf semantics on overflow, so a diverging stage
+        # reaches the guard instead of raising
+        da, dabar, dv, dz, dzbar, dX = _defect_vector_field(
+            a, abar, v, d.n, d.theta, zf[0], zbf[0], np.complex128(xf[0])
         )
+        return da, dabar, dv, np.array([dz]), np.array([dzbar]), np.array([dX])
 
-    times = [0.0]
-    states, defects = [s], [d]
-    c0s, c2s = [], []
-    traces = {u: [] for u in probes}
+    def keep(t, st, df):
+        traj.defects.append(df)
+        traj.keep(t, st, *defect_charges(st, df),
+                  [defect_monodromy_value(st, df, u) for u in probes])
 
-    def record(st, df):
-        c0, c2 = defect_charges(st, df)
-        c0s.append(c0)
-        c2s.append(c2)
-        for u in probes:
-            traces[u].append(np.trace(defect_monodromy_value(st, df, u)))
-
-    record(s, d)
-    y = (s.a, s.a_bar, s.v, np.array([d.z]), np.array([d.z_bar]), np.array([d.X]))
-    for k in range(steps):
-        y = rk4_step(rhs, y, dt)
-        if _state_singular(y[:3]) or abs(y[5][0]) < V_FLOOR or not all(
-            np.all(np.isfinite(arr)) and np.max(np.abs(arr)) < 1e8 for arr in y[3:]
-        ):
-            partial = DefectTrajectory(
-                np.array(times), states, defects, np.array(c0s), np.array(c2s),
-                {u: np.array(tr) for u, tr in traces.items()},
-            )
-            raise SingularTrajectoryError(
-                f"singular configuration near t = {(k + 1) * dt:g}", partial
-            )
-        st = LatticeState(y[0], y[1], y[2])
+    def record(k, t, y):
         df = d.replace(z=complex(y[3][0]), z_bar=complex(y[4][0]), X=complex(y[5][0]))
-        times.append((k + 1) * dt)
-        states.append(st)
-        defects.append(df)
-        record(st, df)
-    return DefectTrajectory(
-        np.array(times), states, defects, np.array(c0s), np.array(c2s),
-        {u: np.array(tr) for u, tr in traces.items()},
-    )
+        keep(t, LatticeState(y[0], y[1], y[2]), df)
+
+    keep(0.0, s, d)
+    y0 = (s.a, s.a_bar, s.v, np.array([d.z]), np.array([d.z_bar]), np.array([d.X]))
+    return march(rhs, y0, dt, count_steps(dt, t_end), lambda t, y: _singular(_FIELDS, y),
+                 record, traj.finished)

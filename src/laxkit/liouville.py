@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .rmatrix import bracket_lhs, linear_rhs
-from .stepping import rk4_step
+from .stepping import count_steps, locate, march
 
 __all__ = [
     "FieldConfig",
@@ -40,8 +40,6 @@ __all__ = [
     "fit_first_charge",
     "check_linear_algebra",
     "evolve",
-    "ABORT_NON_FINITE",
-    "ABORT_THRESHOLD",
     "CANONICAL_BRACKET_SCALE",
     "derivative_x",
     "second_derivative_x",
@@ -431,10 +429,6 @@ def check_linear_algebra(phi: complex, pi: complex, lam: complex, mu: complex) -
 # -- evolution ---------------------------------------------------------------------
 
 
-ABORT_NON_FINITE = "non-finite RK stage"
-ABORT_THRESHOLD = "field exceeded the pole threshold"
-
-
 @dataclass
 class LiouvilleTrajectory:
     times: np.ndarray
@@ -442,11 +436,6 @@ class LiouvilleTrajectory:
     hamiltonians: np.ndarray
     momenta: np.ndarray
     first_charges: np.ndarray
-    abort_reason: str | None = None  # ABORT_NON_FINITE or ABORT_THRESHOLD
-
-    @property
-    def aborted(self) -> bool:
-        return self.abort_reason is not None
 
     def drift(self, which: str = "hamiltonian") -> float:
         series = {
@@ -466,50 +455,44 @@ def evolve(
 ) -> LiouvilleTrajectory:
     """Fourth-order method-of-lines evolution with conservation monitoring.
 
-    Aborts (returning the partial trajectory flagged ``aborted``) when the
-    fields of a step stop being finite or exceed the blow-up threshold; the
-    complex Liouville flow has genuine finite-time poles.  The RK stages are
-    evaluated on raw arrays, so a pole that overflows an intermediate stage
-    also ends in an abort rather than an exception.  ``abort_reason`` names
-    the guard that fired (``ABORT_NON_FINITE`` or ``ABORT_THRESHOLD``); the
-    overflow that leads to an abort raises no numpy warning.
+    Records every ``record_every``-th step and the last one.  The complex
+    Liouville flow has genuine finite-time poles: when phi or pi stops being
+    finite or exceeds ``blowup`` in modulus, at an RK stage or an accepted
+    step, the march raises :class:`~laxkit.stepping.Aborted`, whose record
+    names the stage, step, time, field and grid index, and whose trajectory
+    holds the steps recorded before.  The stages are evaluated on raw
+    arrays, and the overflow that leads to an abort raises no numpy warning.
     """
-    if dt <= 0 or dt > t_end:
-        raise ValueError("require 0 < dt <= t_end")
-    steps = int(round(t_end / dt))
+    steps = count_steps(dt, t_end)
     h = c.h
+    times, configs, hs, ps, o1s = [], [], [], [], []
 
-    def rhs(y):
-        return _vector_field(y[0], y[1], h)
-
-    times = [0.0]
-    configs = [c]
-    hs, ps, o1s = [], [], []
-
-    def record(cfg):
+    def keep(t, cfg):
+        times.append(t)
+        configs.append(cfg)
         ch = charges(cfg)
         hs.append(ch.hamiltonian)
         ps.append(ch.momentum)
         o1s.append(ch.order1)
 
-    record(c)
-    y = (c.phi, c.pi)
-    reason = None
-    # a pole overflows before the guard sees it; the abort reports it
-    with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(steps):
-            y = rk4_step(rhs, y, dt)
-            if not (np.all(np.isfinite(y[0])) and np.all(np.isfinite(y[1]))):
-                reason = ABORT_NON_FINITE
-                break
-            if np.max(np.abs(y[0])) > blowup or np.max(np.abs(y[1])) > blowup:
-                reason = ABORT_THRESHOLD
-                break
-            if (k + 1) % record_every == 0 or k == steps - 1:
-                cfg = FieldConfig(c.L, y[0], y[1])
-                times.append((k + 1) * dt)
-                configs.append(cfg)
-                record(cfg)
-    return LiouvilleTrajectory(
-        np.array(times), configs, np.array(hs), np.array(ps), np.array(o1s), reason
+    def guard(t, y):
+        if np.abs(y[0]).max() <= blowup and np.abs(y[1]).max() <= blowup:
+            return None
+        return locate(("phi", "pi"), y, blowup, "above the blow-up threshold")
+
+    def record(k, t, y):
+        if k % record_every == 0 or k == steps:
+            keep(t, FieldConfig(c.L, y[0], y[1]))
+
+    keep(0.0, c)
+    return march(
+        lambda t, y: _vector_field(y[0], y[1], h),
+        (c.phi, c.pi),
+        dt,
+        steps,
+        guard,
+        record,
+        lambda: LiouvilleTrajectory(
+            np.array(times), configs, np.array(hs), np.array(ps), np.array(o1s)
+        ),
     )

@@ -4,6 +4,7 @@ import pytest
 from laxkit import backlund as bt
 from laxkit import exact
 from laxkit import lattice_defect as ld
+from laxkit import stepping
 
 
 L = 1.0
@@ -306,28 +307,34 @@ class TestHeteroGenerate:
 
     def test_blowup_detection(self):
         # e^{-i phi~} = 1 + 2c(z + zbar) with c = -2 crosses zero at
-        # z + zbar = 1/4, which the grid hits exactly
+        # z + zbar = 1/4, which the grid hits exactly; on the seed line
+        # zbar = 0 the pole sits at z = 1/4
         strong = bt.HeteroParams(-2.0, 0.0)
         z = np.linspace(0.0, 1.0, 129)
         zbar = np.linspace(0.0, 0.5, 65)
-        with pytest.raises(bt.BlowUpError) as err:
-            with np.errstate(all="ignore"):
-                bt.hetero_bt_generate(
-                    lambda w: 0.0 * w, lambda w: 0.0 * w, strong, z, zbar
-                )
-        assert err.value.location is not None
+        with pytest.raises(stepping.Aborted) as err:
+            bt.hetero_bt_generate(
+                lambda w: 0.0 * w, lambda w: 0.0 * w, strong, z, zbar
+            )
+        rec = err.value.record
+        assert rec.field == "phi~ at zbar" and rec.index == 0
+        assert abs(rec.t - 0.25) <= z[1] - z[0]
 
     def test_blowup_detection_in_fill_sweep(self):
         # short seed line stays regular; the pole is reached while filling
         strong = bt.HeteroParams(-2.0, 0.0)
         z = np.linspace(0.0, 0.05, 3)
         zbar = np.linspace(0.0, 0.5, 21)
-        with pytest.raises(bt.BlowUpError) as err:
-            with np.errstate(all="ignore"):
-                bt.hetero_bt_generate(
-                    lambda w: 0.0 * w, lambda w: 0.0 * w, strong, z, zbar
-                )
-        assert err.value.location[1] > 0.0
+        with pytest.raises(stepping.Aborted) as err:
+            bt.hetero_bt_generate(
+                lambda w: 0.0 * w, lambda w: 0.0 * w, strong, z, zbar
+            )
+        rec = err.value.record
+        assert rec.t > 0.0
+        # the light-cone point (z[index], zbar = t) lies on z + zbar = 1/4
+        assert rec.field == "phi~ at z"
+        assert abs(z[rec.index] + rec.t - 0.25) <= zbar[1] - zbar[0]
+        assert err.value.trajectory.values.shape[1] == rec.step
 
 
 class TestInterfaceResidual:

@@ -138,9 +138,10 @@ class TestRun:
         assert report["aborted"] is True
 
     def test_liouville_stage_overflow_reports_failure(self, tmp_path):
-        # max Im phi(0) = 12.09 at this seed: the local pole time
-        # pi e^{-12.09} / 4 ~ 4e-6 is far below dt, so the first step's RK
-        # stages overflow before any accepted step can be checked
+        # max Im phi = 12.09 at grid index 0 at this seed: the local pole
+        # time pi e^{-12.09} / 4 ~ 4e-6 is far below dt, so the input of RK
+        # stage 2 of the first step is past the blow-up threshold there
+        # before any accepted step can be checked
         path = write_config(
             tmp_path,
             {"mode": "liouville-evolve", "seed": 3,
@@ -151,7 +152,51 @@ class TestRun:
         report = json.loads((tmp_path / "out" / "report.json").read_text())
         assert report["aborted"] is True
         [record] = [r for r in report["records"] if r["name"] == "blow-up"]
-        assert record["anchor"] == lv.ABORT_NON_FINITE
+        assert record["anchor"] == (
+            "above the blow-up threshold at RK stage 2 of step 1 (t = 0.0025), pi[0]"
+        )
+
+    def test_hetero_pole_reports_failure(self, tmp_path, capsys):
+        # c = -2, Theta = 0 puts the pole of the vanishing free field on
+        # z + zbar = 1/4 inside the default rectangle; the small free field
+        # of the mode moves it only slightly, to (z[9], zbar) = (0.1125, 0.15)
+        path = write_config(tmp_path, {"mode": "hetero-bt", "params": {"c": -2.0, "Theta": 0.0}})
+        code = cli.main(["run", "--config", str(path), "--out", str(tmp_path / "out")])
+        assert code == 1
+        report = json.loads((tmp_path / "out" / "report.json").read_text())
+        assert report["aborted"] is True
+        [record] = report["records"]
+        assert record["name"] == "blow-up"
+        assert record["anchor"] == (
+            "pole in the zbar sweep at RK stage 4 of step 12 (t = 0.15), phi~ at z[9]"
+        )
+        assert "Traceback" not in capsys.readouterr().err
+
+    def test_bt_evolve_non_finite_reports_failure(self, tmp_path, capsys):
+        # the refined run (129 points, dt = 1.25e-3) of this config loses
+        # finiteness near t = 2.8175; the guard stops it at the RK stage
+        path = write_config(tmp_path, {"mode": "bt-evolve",
+                                       "params": {"t_end": 3.0, "seed_offset": 2.0}})
+        code = cli.main(["run", "--config", str(path), "--out", str(tmp_path / "out")])
+        assert code == 1
+        report = json.loads((tmp_path / "out" / "report.json").read_text())
+        assert report["aborted"] is True
+        [record] = report["records"]
+        assert record["anchor"] == "non-finite at RK stage 3 of step 2254 (t = 2.81688), phi~[6]"
+        assert "Warning" not in capsys.readouterr().err
+
+    @pytest.mark.parametrize("mode", ["liouville-evolve", "lattice-sim", "bt-evolve"])
+    def test_step_above_t_end_is_config_error(self, tmp_path, mode, capsys):
+        path = write_config(tmp_path, {"mode": mode, "params": {"dt": 1.0, "t_end": 0.5}})
+        assert cli.main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+        assert "config error: need 0 < dt <= t_end" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "report.json").exists()
+
+    def test_coarse_step_above_t_end_is_config_error(self, tmp_path):
+        # dt fits, but the coarse companion run at 2 dt would not
+        path = write_config(tmp_path, {"mode": "liouville-evolve",
+                                       "params": {"dt": 0.3, "t_end": 0.5}})
+        assert cli.main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
 
     def test_suite_subcommand_via_main(self, tmp_path):
         assert cli.main(["suite", "--out", str(tmp_path / "s"), "--seed", "0",
@@ -164,8 +209,7 @@ class TestRun:
             {"mode": "lattice-sim", "seed": 2,
              "params": {"N": 6, "dt": 0.02, "t_end": 5.0, "amplitude": 3.0}},
         )
-        with np.errstate(all="ignore"):
-            code = cli.main(["run", "--config", str(path), "--out", str(tmp_path / "out")])
+        code = cli.main(["run", "--config", str(path), "--out", str(tmp_path / "out")])
         assert code == 1
         report = json.loads((tmp_path / "out" / "report.json").read_text())
         assert report["aborted"] is True

@@ -3,6 +3,7 @@ import pytest
 
 from laxkit import lattice as lat
 from laxkit import lattice_defect as ld
+from laxkit import stepping
 from laxkit.laurent import LaurentSeries, matrix_product_chain
 
 
@@ -288,10 +289,12 @@ class TestIntegrateWithDefect:
         rng = np.random.default_rng(55)
         s = lat.random_state(6, rng, amplitude=3.0)
         d = ld.DefectSite(3, 0.1, 1.5, 1.2, np.exp(0.4))
-        with np.errstate(all="ignore"):
-            with pytest.raises(lat.SingularTrajectoryError) as err:
-                ld.integrate_with_defect(s, d, dt=2e-2, t_end=5.0)
+        with pytest.raises(stepping.Aborted) as err:
+            ld.integrate_with_defect(s, d, dt=2e-2, t_end=5.0)
         assert err.value.trajectory is not None
+        rec = err.value.record
+        assert rec.field in ("a", "a_bar", "v", "z", "z_bar", "X")
+        assert len(err.value.trajectory.times) == rec.step
 
 
 class TestValidation:

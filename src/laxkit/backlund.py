@@ -32,6 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .liouville import derivative_closed
 from .stepping import count_steps, finite_guard, march
 
 __all__ = [
@@ -169,14 +170,6 @@ def _tilde_time_derivative(phi_t, Y, Z, em, ep, et, eti):
     return np.asarray(phi_t) - 1j * rhs
 
 
-def _one_sided_derivative(arr, h):
-    out = np.empty_like(arr)
-    out[1:-1] = (arr[2:] - arr[:-2]) / (2.0 * h)
-    out[0] = (-3.0 * arr[0] + 4.0 * arr[1] - arr[2]) / (2.0 * h)
-    out[-1] = (3.0 * arr[-1] - 4.0 * arr[-2] + arr[-3]) / (2.0 * h)
-    return out
-
-
 def bt_initial_data(background, x: np.ndarray, t0: float, theta: complex,
                     phi_tilde_seed: complex, y_seed: complex, z_seed: complex):
     """Integrate the space half of the transformation along the initial slice.
@@ -191,9 +184,7 @@ def bt_initial_data(background, x: np.ndarray, t0: float, theta: complex,
 
     def rhs(xv, state):
         pt, yv, zv = state
-        phi = background.phi(xv, t0)
-        phi_t = background.phi_t(xv, t0)
-        phi_x = background.phi_x(xv, t0)
+        phi, phi_t, phi_x = background.fields(xv, t0)
         em, ep, et, eti = _exponentials(phi, pt, theta)
         s = np.sinh(1j * (pt - phi))
         delta_x = 2j * yv * (et * em - eti * ep) + 2j * zv * eti * em
@@ -269,16 +260,15 @@ class BTTrajectory:
             keep = self._causal(t)
             if not np.any(keep):
                 break
-            phi = background.phi(self.x, t)
-            phi_t = background.phi_t(self.x, t)
+            phi, phi_t, _ = background.fields(self.x, t)
             pt = self.phi_tilde[k]
             em, ep, et, eti = _exponentials(phi, pt, theta)
             ptt = _tilde_time_derivative(phi_t, self.Y[k], self.Z[k], em, ep, et, eti)
             ry, rz = bt_residual_x(
                 phi, pt, phi_t, ptt,
                 self.Y[k], self.Z[k],
-                _one_sided_derivative(self.Y[k], h),
-                _one_sided_derivative(self.Z[k], h),
+                derivative_closed(self.Y[k], h),
+                derivative_closed(self.Z[k], h),
                 theta,
             )
             worst = max(
@@ -305,7 +295,9 @@ def bt_evolve(
     The state (phi~, X, Y, Z) on the uniform grid x moves by the time half
     of the intertwining relations: the diagonal equation supplies phi~_t and
     dX/dt, the anti-diagonal flow moves (Y, Z).  Initial data comes from
-    :func:`bt_initial_data`; the background must solve the field equation.
+    :func:`bt_initial_data`; the background must solve the field equation
+    and give ``fields(x, t) -> (phi, phi_t, phi_x)``, as
+    :class:`~laxkit.exact.PeriodicSolution` does.
     A non-finite stage raises :class:`~laxkit.stepping.Aborted` with the
     partial trajectory.
     """
@@ -318,12 +310,10 @@ def bt_evolve(
 
     def rhs(t, y_state):
         pt, xx, yv, zv = y_state
-        phi = background.phi(x, t)
-        phi_t = background.phi_t(x, t)
-        phi_x = background.phi_x(x, t)
+        phi, phi_t, phi_x = background.fields(x, t)
         em, ep, et, eti = _exponentials(phi, pt, theta)
         s = np.sinh(1j * (pt - phi))
-        pt_x = _one_sided_derivative(pt, h)
+        pt_x = derivative_closed(pt, h)
         pt_t = _tilde_time_derivative(phi_t, yv, zv, em, ep, et, eti)
         drag = 0.5j * (phi_x + pt_x)
         dy = -drag * yv - eti * em * s
@@ -379,20 +369,10 @@ class LightConeField:
         return LightConeField(z, zbar, fn(zz, bb))
 
     def derivative_z(self) -> np.ndarray:
-        out = np.empty_like(self.values)
-        out[1:-1] = (self.values[2:] - self.values[:-2]) / (2 * self.dz)
-        out[0] = (-3 * self.values[0] + 4 * self.values[1] - self.values[2]) / (2 * self.dz)
-        out[-1] = (3 * self.values[-1] - 4 * self.values[-2] + self.values[-3]) / (2 * self.dz)
-        return out
+        return derivative_closed(self.values, self.dz, axis=0)
 
     def derivative_zbar(self) -> np.ndarray:
-        v = self.values.T
-        d = self.dzbar
-        out = np.empty_like(v)
-        out[1:-1] = (v[2:] - v[:-2]) / (2 * d)
-        out[0] = (-3 * v[0] + 4 * v[1] - v[2]) / (2 * d)
-        out[-1] = (3 * v[-1] - 4 * v[-2] + v[-3]) / (2 * d)
-        return out.T
+        return derivative_closed(self.values, self.dzbar, axis=1)
 
     def derivative_t(self) -> np.ndarray:
         return 0.5 * (self.derivative_z() - self.derivative_zbar())

@@ -18,6 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .liouville import derivative_closed
+
 __all__ = [
     "IntervalField",
     "SplitFieldConfig",
@@ -72,11 +74,7 @@ class IntervalField:
         return complex(self.h * (np.sum(values) - 0.5 * (values[0] + values[-1])))
 
     def phi_x(self) -> np.ndarray:
-        out = np.empty_like(self.phi)
-        out[1:-1] = (self.phi[2:] - self.phi[:-2]) / (2.0 * self.h)
-        out[0] = (-3.0 * self.phi[0] + 4.0 * self.phi[1] - self.phi[2]) / (2.0 * self.h)
-        out[-1] = (3.0 * self.phi[-1] - 4.0 * self.phi[-2] + self.phi[-3]) / (2.0 * self.h)
-        return out
+        return derivative_closed(self.phi, self.h)
 
     def boundary(self, side: str) -> tuple[complex, complex, complex]:
         """(phi, pi, phi_x) at the left or right end, one-sided second order."""

@@ -76,23 +76,24 @@ class PeriodicSolution:
         gb = self.B * np.exp(-1j * self.kappa * zb)
         return fa, gb
 
-    def phi(self, x, t):
+    def fields(self, x, t):
+        """(phi, phi_t, phi_x) at (x, t) from one evaluation of the chiral parts."""
         fa, gb = self._parts(x, t)
         w = self.c0 + fa + gb
         const = 0.5j * np.log(-self.kappa**2 * self.A * self.B / 4.0)
-        return -1j * np.log(w / self.c0) - 1j * np.log(self.c0) + const - 0.5 * self.kappa * t
+        phi = -1j * np.log(w / self.c0) - 1j * np.log(self.c0) + const - 0.5 * self.kappa * t
+        wt = 0.5j * self.kappa * (fa + gb)
+        wx = 0.5j * self.kappa * (fa - gb)
+        return phi, -1j * wt / w - 0.5 * self.kappa, -1j * wx / w
+
+    def phi(self, x, t):
+        return self.fields(x, t)[0]
 
     def phi_t(self, x, t):
-        fa, gb = self._parts(x, t)
-        w = self.c0 + fa + gb
-        wt = 0.5j * self.kappa * (fa + gb)
-        return -1j * wt / w - 0.5 * self.kappa
+        return self.fields(x, t)[1]
 
     def phi_x(self, x, t):
-        fa, gb = self._parts(x, t)
-        w = self.c0 + fa + gb
-        wx = 0.5j * self.kappa * (fa - gb)
-        return -1j * wx / w
+        return self.fields(x, t)[2]
 
 
 def periodic_solution_for_length(

@@ -45,11 +45,10 @@ __all__ = [
     "check_quadratic_algebra",
     "bulk_eom",
     "bracket_flow",
-    "flow_sign",
+    "FLOW_SIGN",
     "time_lax_order0",
     "time_lax_order2",
     "time_lax_from_rmatrix",
-    "time_lax_normalization",
     "zero_curvature_residual",
     "integrate",
     "random_state",
@@ -295,53 +294,22 @@ def charge2_gradient(s: LatticeState) -> tuple[np.ndarray, np.ndarray, np.ndarra
     return d_a, d_abar, d_v
 
 
-def bracket_flow(s: LatticeState) -> LatticeDerivative:
-    """Hamiltonian flow of the order-2 charge through the bracket table.
+# Orientation of the order-2 charge flow, df/dt = FLOW_SIGN * {f, charge}:
+# the bracket convention leaves the sign open, and -1 is the one for which
+# bracket_flow reproduces bulk_eom (the tests check that it still does).
+FLOW_SIGN = -1
 
-    The overall orientation (which argument of the bracket carries the
-    charge) is fixed once by :func:`flow_sign` so the flow reproduces
-    :func:`bulk_eom` exactly.
-    """
-    sign = flow_sign()
+
+def bracket_flow(s: LatticeState) -> LatticeDerivative:
+    """Hamiltonian flow of the order-2 charge through the bracket table,
+    oriented by :data:`FLOW_SIGN` so it reproduces :func:`bulk_eom`."""
     d_a, d_abar, d_v = charge2_gradient(s)
     a, abar, v = s.a, s.a_bar, s.v
     # {a_j, I} = dI/da_bar {a,a_bar} + dI/dv {a,v}, etc., site-diagonal.
-    da = sign * (d_abar * (-2.0 * v * v) + d_v * (a * v))
-    dabar = sign * (d_a * (2.0 * v * v) + d_v * (-abar * v))
-    dv = sign * (d_a * (-a * v) + d_abar * (abar * v))
+    da = FLOW_SIGN * (d_abar * (-2.0 * v * v) + d_v * (a * v))
+    dabar = FLOW_SIGN * (d_a * (2.0 * v * v) + d_v * (-abar * v))
+    dv = FLOW_SIGN * (d_a * (-a * v) + d_abar * (abar * v))
     return LatticeDerivative(da, dabar, dv)
-
-
-_FLOW_SIGN: int | None = None
-
-
-def _reference_state() -> LatticeState:
-    return LatticeState(
-        np.array([0.31 + 0.12j, -0.22 + 0.4j, 0.05 - 0.33j]),
-        np.array([0.17 - 0.28j, 0.44 + 0.09j, -0.39 + 0.21j]),
-        np.exp(np.array([0.11 + 0.23j, -0.19 - 0.07j, 0.31 - 0.14j])),
-    )
-
-
-def flow_sign() -> int:
-    """Orientation of the charge flow, calibrated once on a reference state.
-
-    The bracket convention leaves the sign of df/dt = +-{f, charge} open; it
-    is fixed by matching dv_j/dt against :func:`bulk_eom` and cached.
-    """
-    global _FLOW_SIGN
-    if _FLOW_SIGN is None:
-        s = _reference_state()
-        d_a, d_abar, _ = charge2_gradient(s)
-        raw_dv = d_a * (-s.a * s.v) + d_abar * (s.a_bar * s.v)
-        target = bulk_eom(s).v
-        plus = np.max(np.abs(raw_dv - target))
-        minus = np.max(np.abs(-raw_dv - target))
-        _FLOW_SIGN = 1 if plus < minus else -1
-        residual = min(plus, minus)
-        if residual > 1e-12 * max(1.0, np.max(np.abs(target))):
-            raise AssertionError(f"flow-sign calibration failed, residual {residual:g}")
-    return _FLOW_SIGN
 
 
 # -- time half of the Lax pair -------------------------------------------------
@@ -386,7 +354,7 @@ def _csch_series(w: complex, depth: int) -> LaurentSeries:
 
 
 def time_lax_from_rmatrix(
-    s: LatticeState, j: int, mu: complex, depth: int = 2, normalized: bool = True
+    s: LatticeState, j: int, mu: complex, depth: int = 2
 ) -> list[np.ndarray]:
     """Time-Lax coefficient matrices from the r-matrix trace formula.
 
@@ -397,8 +365,9 @@ def time_lax_from_rmatrix(
         diagonal entries:      coth(lambda - mu) * (T_j)_kk / t(lambda)
         off-diagonal entries:  (T_j)_{12 or 21} / (sinh(lambda - mu) t(lambda))
 
-    Returns the coefficient matrices of u^0 .. u^-depth, divided by the
-    global normalization constant unless ``normalized`` is False.
+    Returns the coefficient matrices of u^0 .. u^-depth.  The formula needs
+    no normalization constant: its order-2 matrix is
+    :func:`time_lax_order2` itself (the tests check the ratio is 1).
     """
     if depth < 2:
         raise ValueError("depth must be at least 2")
@@ -422,25 +391,7 @@ def time_lax_from_rmatrix(
             dtype=complex,
         )
         coeff_mats.append(mat)
-    if normalized:
-        coeff_mats = [m / time_lax_normalization() for m in coeff_mats]
     return coeff_mats
-
-
-_TIME_LAX_NORM: complex | None = None
-
-
-def time_lax_normalization() -> complex:
-    """Proportionality between the trace-formula expansion and the printed
-    order-2 matrix, measured once on a reference state via the (1,2) entry."""
-    global _TIME_LAX_NORM
-    if _TIME_LAX_NORM is None:
-        s = _reference_state()
-        mu = 0.17 - 0.08j
-        raw = time_lax_from_rmatrix(s, 2, mu, depth=2, normalized=False)
-        printed = time_lax_order2(s, 2, mu)
-        _TIME_LAX_NORM = complex(raw[2][0, 1] / printed[0, 1])
-    return _TIME_LAX_NORM
 
 
 def _lax_time_derivative(s: LatticeState, d: LatticeDerivative, j: int, u: complex) -> np.ndarray:

@@ -42,6 +42,7 @@ __all__ = [
     "evolve",
     "CANONICAL_BRACKET_SCALE",
     "derivative_x",
+    "derivative_closed",
     "second_derivative_x",
     "random_config",
     "config_from_solution",
@@ -146,6 +147,18 @@ def lax_V(phi: complex, phi_x: complex, lam: complex) -> np.ndarray:
 def derivative_x(arr: np.ndarray, h: float) -> np.ndarray:
     """Second-order central difference on the periodic grid."""
     return (np.roll(arr, -1) - np.roll(arr, 1)) / (2.0 * h)
+
+
+def derivative_closed(arr: np.ndarray, h: float, axis: int = 0) -> np.ndarray:
+    """Second-order derivative along ``axis`` of a closed (non-periodic)
+    uniform grid: central in the interior, one-sided at both ends."""
+    f = np.moveaxis(arr, axis, 0)
+    out = np.empty_like(arr)
+    d = np.moveaxis(out, axis, 0)
+    d[1:-1] = (f[2:] - f[:-2]) / (2.0 * h)
+    d[0] = (-3.0 * f[0] + 4.0 * f[1] - f[2]) / (2.0 * h)
+    d[-1] = (3.0 * f[-1] - 4.0 * f[-2] + f[-3]) / (2.0 * h)
+    return out
 
 
 def second_derivative_x(arr: np.ndarray, h: float) -> np.ndarray:

@@ -220,6 +220,21 @@ class TestEvolve:
             worst = max(worst, float(np.max(np.abs(traj.phi_tilde[k] - sol.phi(x, t)))))
         assert worst < 1e-6
 
+    def test_non_finite_stage_aborts_with_record(self):
+        # the refined run of the bt-evolve config {t_end: 3, seed_offset: 2},
+        # which the CLI now rejects as past the causal horizon: the edge
+        # stencils lose finiteness near t = 2.8175 and the guard stops the
+        # march at the RK stage, with the partial trajectory attached
+        sol = exact.periodic_solution_for_length(L)
+        x = np.linspace(-0.9, 0.9, 129)
+        with pytest.raises(stepping.Aborted) as err:
+            bt.bt_evolve(sol, x, THETA, 1.25e-3, 3.0,
+                         phi_tilde_seed=sol.phi(x[0], 0.0) + 2.0, y_seed=0.02, z_seed=0.01)
+        assert str(err.value.record) == (
+            "non-finite at RK stage 3 of step 2254 (t = 2.81688), phi~[6]"
+        )
+        assert len(err.value.trajectory.times) == 2254
+
 
 class TestHeteroDarboux:
     def test_zero_fields(self):

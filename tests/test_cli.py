@@ -173,17 +173,15 @@ class TestRun:
         assert "Traceback" not in capsys.readouterr().err
 
     def test_bt_evolve_non_finite_reports_failure(self, tmp_path, capsys):
-        # the refined run (129 points, dt = 1.25e-3) of this config loses
-        # finiteness near t = 2.8175; the guard stops it at the RK stage
+        # past t = 0.9 the grid x in [-0.9, 0.9] keeps no causal point, and
+        # the run would only abort on its edge stencils (near t = 2.8175,
+        # see test_backlund); the mode rejects such a t_end up front
         path = write_config(tmp_path, {"mode": "bt-evolve",
                                        "params": {"t_end": 3.0, "seed_offset": 2.0}})
         code = cli.main(["run", "--config", str(path), "--out", str(tmp_path / "out")])
-        assert code == 1
-        report = json.loads((tmp_path / "out" / "report.json").read_text())
-        assert report["aborted"] is True
-        [record] = report["records"]
-        assert record["anchor"] == "non-finite at RK stage 3 of step 2254 (t = 2.81688), phi~[6]"
-        assert "Warning" not in capsys.readouterr().err
+        assert code == 2
+        assert "config error: need t_end < 0.9" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "report.json").exists()
 
     @pytest.mark.parametrize("mode", ["liouville-evolve", "lattice-sim", "bt-evolve"])
     def test_step_above_t_end_is_config_error(self, tmp_path, mode, capsys):

@@ -14,6 +14,16 @@ def random_spectral_pair(rng, min_sep=0.1):
             return lam, mu
 
 
+def reference_state():
+    """Fixed three-site state on which the flow orientation and the
+    time-Lax normalization are checked."""
+    return lat.LatticeState(
+        np.array([0.31 + 0.12j, -0.22 + 0.4j, 0.05 - 0.33j]),
+        np.array([0.17 - 0.28j, 0.44 + 0.09j, -0.39 + 0.21j]),
+        np.exp(np.array([0.11 + 0.23j, -0.19 - 0.07j, 0.31 - 0.14j])),
+    )
+
+
 def zero_amplitude_state(n, v=None):
     z = np.zeros(n, dtype=complex)
     vv = np.ones(n, dtype=complex) if v is None else np.asarray(v, dtype=complex)
@@ -266,7 +276,16 @@ class TestBulkEom:
                 assert np.max(np.abs(got - want)) <= 1e-12
 
     def test_flow_sign_is_calibrated(self):
-        assert lat.flow_sign() in (-1, 1)
+        # the bracket convention leaves the orientation open: FLOW_SIGN = -1
+        # reproduces bulk_eom on the reference state, the other sign does not
+        s = reference_state()
+        d_a, d_abar, _ = lat.charge2_gradient(s)
+        raw_dv = d_a * (-s.a * s.v) + d_abar * (s.a_bar * s.v)
+        target = lat.bulk_eom(s).v
+        scale = max(1.0, float(np.max(np.abs(target))))
+        assert lat.FLOW_SIGN == -1
+        assert np.max(np.abs(lat.FLOW_SIGN * raw_dv - target)) <= 1e-12 * scale
+        assert np.max(np.abs(-lat.FLOW_SIGN * raw_dv - target)) >= 0.1 * scale
 
 
 class TestTimeLax:
@@ -314,9 +333,14 @@ class TestTimeLaxFromRMatrix:
             printed = lat.time_lax_order2(s, j, mu)
             assert np.max(np.abs(mats[2] - printed)) <= 1e-10 * max(1.0, np.max(np.abs(printed)))
 
-    def test_normalization_constant_is_stable(self):
-        k = lat.time_lax_normalization()
-        assert abs(k - lat.time_lax_normalization()) == 0.0
+    def test_trace_formula_is_normalized(self):
+        # the (1,2) entry of the order-2 matrix equals the printed one on the
+        # reference state: the trace formula needs no normalization constant
+        s = reference_state()
+        mu = 0.17 - 0.08j
+        raw = lat.time_lax_from_rmatrix(s, 2, mu, depth=2)
+        ratio = raw[2][0, 1] / lat.time_lax_order2(s, 2, mu)[0, 1]
+        assert abs(ratio - 1.0) <= 1e-12
 
     def test_deeper_expansion_keeps_low_orders(self):
         rng = np.random.default_rng(34)
@@ -341,7 +365,7 @@ class TestOrderZeroFlow:
         # with L matches the flow generated by the order-0 charge
         rng = np.random.default_rng(33)
         s = lat.random_state(5, rng)
-        sign = lat.flow_sign()
+        sign = lat.FLOW_SIGN
         proj = lat.time_lax_order0()
         u = 1.3 - 0.4j
         for j in range(1, s.N + 1):

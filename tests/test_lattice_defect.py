@@ -297,6 +297,34 @@ class TestIntegrateWithDefect:
         assert len(err.value.trajectory.times) == rec.step
 
 
+class TestHigherCharges:
+    """The trace charges above c2 are conserved too, with and without the
+    defect: c3 vanishes identically, and the c4 drift along a run falls at
+    fourth order in dt, like that of c2."""
+
+    @staticmethod
+    def trace_charges(with_defect, dt):
+        s = lat.random_state(6, np.random.default_rng(3), amplitude=0.5)
+        if with_defect:
+            d = ld.random_defect(3, np.random.default_rng(4))
+            traj = ld.integrate_with_defect(s, d, dt, 1.0)
+            rows = [ld.defect_charges_from_trace(st, dk, 4)[1]
+                    for st, dk in zip(traj.states, traj.defects)]
+        else:
+            traj = lat.integrate(s, dt, 1.0)
+            rows = [lat.charges_from_trace(st, 4)[1] for st in traj.states]
+        return np.array(rows)
+
+    @pytest.mark.parametrize("with_defect", [False, True], ids=["bulk", "defect"])
+    def test_c3_vanishes_and_c4_drift_is_fourth_order(self, with_defect):
+        drift = []
+        for dt in (0.01, 0.005):
+            cs = self.trace_charges(with_defect, dt)
+            assert np.all(cs[:, 3] == 0)
+            drift.append(np.max(np.abs(cs[:, 4] - cs[0, 4])))
+        assert 12.0 <= drift[0] / drift[1] <= 20.0
+
+
 class TestValidation:
     def test_defect_site_index_positive(self):
         with pytest.raises(ValueError, match="positive"):

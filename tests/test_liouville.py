@@ -42,11 +42,35 @@ class TestExactSolutions:
         assert np.max(np.abs(dt - sol.phi_t(x, 0.2))) < 1e-8
         assert np.max(np.abs(dx - sol.phi_x(x, 0.2))) < 1e-8
 
+    def test_fields_bundle_the_three_evaluations(self):
+        sol = exact.periodic_solution_for_length(L)
+        x = np.linspace(-L, L, 9)
+        phi, phi_t, phi_x = sol.fields(x, 0.2)
+        assert np.array_equal(phi, sol.phi(x, 0.2))
+        assert np.array_equal(phi_t, sol.phi_t(x, 0.2))
+        assert np.array_equal(phi_x, sol.phi_x(x, 0.2))
+
     def test_parameter_validation(self):
         with pytest.raises(ValueError):
             exact.LogLinearSolution(1.0, 0.0, 1.0)
         with pytest.raises(ValueError):
             exact.PeriodicSolution(1.0, 0.9, 0.9, 2.0)
+
+
+class TestClosedDerivative:
+    def test_exact_on_quadratics_up_to_the_edges(self):
+        x = np.linspace(-0.7, 1.1, 10)
+        f = (0.3 - 1.2j) * x**2 + 2.0 * x - 0.5j
+        d = lv.derivative_closed(f, x[1] - x[0])
+        assert np.max(np.abs(d - ((0.6 - 2.4j) * x + 2.0))) < 1e-13
+
+    def test_axis_matches_transpose_bit_for_bit(self):
+        rng = np.random.default_rng(61)
+        v = rng.normal(size=(7, 5)) + 1j * rng.normal(size=(7, 5))
+        assert np.array_equal(lv.derivative_closed(v, 0.1, axis=1),
+                              lv.derivative_closed(v.T, 0.1).T)
+        assert np.array_equal(lv.derivative_closed(v, 0.1, axis=0)[:, 2],
+                              lv.derivative_closed(v[:, 2], 0.1))
 
 
 class TestLaxPair:

@@ -187,11 +187,20 @@ def charges_from_trace(s: LatticeState, depth: int = 4) -> tuple[int, list[compl
     """Charges read off the log-trace expansion of the monodromy.
 
     Returns (leading exponent, [c0, ..., c_depth]); the leading exponent is
-    the site count and exp(c0) equals the product of the v_j.
+    the site count and exp(c0) equals the product of the v_j.  Raises
+    OverflowError when that product or the coefficients read leave double range.
     """
     if depth < 2:
         raise ValueError("depth must be at least 2")
-    return log_expand(monodromy(s).trace, depth)
+    return log_expand(_checked_trace(monodromy(s), s.N), depth)
+
+
+def _checked_trace(t: LaurentMatrix, n: int) -> LaurentSeries:
+    """tr t of an n-site monodromy, which must lead with u^n times a product of site fields."""
+    tr = t.trace
+    if tr.is_zero() or tr.degree != n:
+        raise OverflowError(f"tr T does not lead with u^{n}: site fields out of double range")
+    return tr
 
 
 # -- Poisson structure ---------------------------------------------------------
@@ -326,14 +335,15 @@ def time_lax_order2(s: LatticeState, j: int, mu: complex) -> np.ndarray:
     [[2 e^{2 mu} - bbar_j b_{j-1}, 2 e^mu bbar_j],
      [2 e^mu b_{j-1},              bbar_j b_{j-1}]]
     """
-    b, bbar = s.b, s.b_bar
     i = (j - 1) % s.N
-    bj_1 = b[(i - 1) % s.N]
-    bbj = bbar[i]
-    w = np.exp(mu)
+    return _time_lax_matrix(np.exp(mu), s.b_bar[i], s.b[(i - 1) % s.N])
+
+
+def _time_lax_matrix(w: complex, bbar: complex, b: complex) -> np.ndarray:
+    """Order-2 time-Lax matrix [[2 w^2 - bbar b, 2 w bbar], [2 w b, bbar b]],
+    w = e^mu, from the one bbar and the one b it couples."""
     return np.array(
-        [[2.0 * w * w - bbj * bj_1, 2.0 * w * bbj], [2.0 * w * bj_1, bbj * bj_1]],
-        dtype=complex,
+        [[2.0 * w * w - bbar * b, 2.0 * w * bbar], [2.0 * w * b, bbar * b]], dtype=complex
     )
 
 
@@ -375,23 +385,16 @@ def time_lax_from_rmatrix(
     factors = [build_lax(s, k) for k in range(j - 1, 0, -1)]
     factors += [build_lax(s, k) for k in range(n, j - 1, -1)]
     tj = matrix_product_chain(factors)
-    t_inv = series_inverse(tj.trace, depth + 2 * n + 4)
+    # t^-1 is reliable down to u^(-n - depth - 2) and the entries of T_j have
+    # degree <= n, so each ratio (T_j)_ik / t is reliable down to u^(-depth - 2)
+    t_inv = series_inverse(_checked_trace(tj, n), depth + 2)
     w = np.exp(mu)
     coth = _coth_series(w, depth + 2)
     csch = _csch_series(w, depth + 2)
-    entries = [[None, None], [None, None]]
-    for i in range(2):
-        for k in range(2):
-            ratio = t_inv * tj[i, k]
-            entries[i][k] = ratio * (coth if i == k else csch)
-    coeff_mats = []
-    for m in range(depth + 1):
-        mat = np.array(
-            [[entries[i][k].coefficient(-m) for k in range(2)] for i in range(2)],
-            dtype=complex,
-        )
-        coeff_mats.append(mat)
-    return coeff_mats
+    ratios = LaurentMatrix.from_rows(
+        [[t_inv * tj[i, k] * (coth if i == k else csch) for k in range(2)] for i in range(2)]
+    )
+    return [ratios.coefficient_matrix(-m) for m in range(depth + 1)]
 
 
 def _lax_time_derivative(s: LatticeState, d: LatticeDerivative, j: int, u: complex) -> np.ndarray:

@@ -29,8 +29,10 @@ from .lattice import (
     LatticeState,
     LatticeTrajectory,
     SingularStateError,
+    _checked_trace,
     _lax_time_derivative,
     _singular,
+    _time_lax_matrix,
     _vector_field,
     build_lax,
     lax_value,
@@ -233,7 +235,7 @@ def defect_charges_from_trace(
 ) -> tuple[int, list[complex]]:
     if depth < 2:
         raise ValueError("depth must be at least 2")
-    return log_expand(defect_monodromy(s, d).trace, depth)
+    return log_expand(_checked_trace(defect_monodromy(s, d), s.N), depth)
 
 
 def defect_time_lax(s: LatticeState, d: DefectSite, mu: complex) -> tuple[np.ndarray, np.ndarray]:
@@ -247,13 +249,7 @@ def defect_time_lax(s: LatticeState, d: DefectSite, mu: complex) -> tuple[np.nda
     bm = s.b[(d.n - 2) % s.N]
     bbp = s.b_bar[d.n % s.N]
     w = np.exp(mu)
-    a_n = np.array(
-        [[2.0 * w * w - bbt * bm, 2.0 * w * bbt], [2.0 * w * bm, bbt * bm]], dtype=complex
-    )
-    a_np1 = np.array(
-        [[2.0 * w * w - bbp * bt, 2.0 * w * bbp], [2.0 * w * bt, bbp * bt]], dtype=complex
-    )
-    return a_n, a_np1
+    return _time_lax_matrix(w, bbt, bm), _time_lax_matrix(w, bbp, bt)
 
 
 def _require_interior(s: LatticeState, d: DefectSite):

@@ -3,31 +3,30 @@
 Values are either exact Laurent polynomials (finitely many terms, no
 truncation) or truncated Laurent series that are reliable down to a lowest
 retained exponent.  Coefficients are double-precision complex numbers;
-"exact" means the algebra itself introduces no truncation.
+"exact" means the algebra introduces no truncation and the normal form
+drops only exact zeros, however small a coefficient is next to the others.
+:func:`log_expand` and :func:`series_inverse` read only the leading
+coefficient and the ``depth`` below it, and raise ``OverflowError`` when one
+of those is not finite or the leading one is subnormal.
 """
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass, field
 from functools import reduce
 
 import numpy as np
 
-# Relative magnitude below which a coefficient is treated as rounding noise
-# and dropped from the normal form.  Keeps degree bookkeeping meaningful.
-PRUNE_REL = 1e-15
+__all__ = [
+    "LaurentSeries", "LaurentMatrix", "matrix_product_chain",
+    "log_expand", "log_reconstruct", "series_exp", "series_inverse",
+]
 
 
 def _normalize(coeffs: dict[int, complex], truncation_order: int | None) -> dict[int, complex]:
-    if truncation_order is not None:
-        coeffs = {e: c for e, c in coeffs.items() if e >= truncation_order}
-    if not coeffs:
-        return {}
-    top = max(abs(c) for c in coeffs.values())
-    if top == 0.0:
-        return {}
-    cut = PRUNE_REL * top
-    return {e: complex(c) for e, c in coeffs.items() if abs(c) > cut}
+    lowest = -np.inf if truncation_order is None else truncation_order
+    return {e: complex(c) for e, c in coeffs.items() if e >= lowest and c != 0}
 
 
 @dataclass(frozen=True)
@@ -177,19 +176,34 @@ def _mul_trunc(a: LaurentSeries, b: LaurentSeries) -> int | None:
     return max(cands) if cands else None
 
 
-def series_mul(a: LaurentSeries, b: LaurentSeries) -> LaurentSeries:
-    return a * b
+def _powers(x: LaurentSeries, depth: int) -> list[LaurentSeries]:
+    """x, x^2, ..., x^depth truncated at u^-depth, up to the first that vanishes."""
+    out, power = [], LaurentSeries.one()
+    for _ in range(depth):
+        power = (power * x).truncated(-depth)
+        if power.is_zero():
+            break
+        out.append(power)
+    return out
 
 
-def series_add(a: LaurentSeries, b: LaurentSeries) -> LaurentSeries:
-    return a + b
+def _remainder_powers(p: LaurentSeries, depth: int) -> tuple[int, complex, list[LaurentSeries]]:
+    """n, lead and the powers of x, where p = lead u^n (1 + x) + O(u^(n-depth-1)).
 
-
-def _leading(p: LaurentSeries) -> tuple[int, complex]:
+    x is read off the ``depth`` coefficients below the leading one, which is
+    dropped rather than 1 subtracted (no rounding residue at u^0); no lower,
+    possibly overflowed, coefficient of p is read."""
     if p.is_zero():
         raise ValueError("empty generating functional")
     n = p.degree
-    return n, p.coeffs[n]
+    lead = p.coeffs[n]
+    if not (cmath.isfinite(lead) and abs(lead) >= np.finfo(float).tiny):
+        raise OverflowError(f"leading coefficient {lead} of u^{n} is out of double range")
+    inv = 1.0 / lead
+    x = LaurentSeries({-m: p.coefficient(n - m) * inv for m in range(1, depth + 1)}, -depth)
+    if not all(cmath.isfinite(c) for c in x.coeffs.values()):
+        raise OverflowError(f"coefficients below u^{n} are out of double range")
+    return n, lead, _powers(x, depth)
 
 
 def log_expand(p: LaurentSeries, depth: int = 4) -> tuple[int, list[complex]]:
@@ -203,14 +217,9 @@ def log_expand(p: LaurentSeries, depth: int = 4) -> tuple[int, list[complex]]:
     truncated series in the remainder x, which contains only negative powers.
     ``c0`` uses the principal branch of the complex logarithm.
     """
-    n, lead = _leading(p)
-    x = (p.shifted(-n) * (1.0 / lead) - 1.0).truncated(-depth)
+    n, lead, powers = _remainder_powers(p, depth)
     coeffs = [complex(np.log(lead))] + [0.0j] * depth
-    power = LaurentSeries.one()
-    for k in range(1, depth + 1):
-        power = (power * x).truncated(-depth)
-        if power.is_zero():
-            break
+    for k, power in enumerate(powers, start=1):
         sign = 1.0 if k % 2 == 1 else -1.0
         for e, c in power.coeffs.items():
             coeffs[-e] += sign * c / k
@@ -233,12 +242,8 @@ def series_exp(p: LaurentSeries, depth: int) -> LaurentSeries:
     if not p.is_zero() and p.degree >= 0:
         raise ValueError("series_exp expects strictly negative exponents")
     out = LaurentSeries.one()
-    power = LaurentSeries.one()
     fact = 1.0
-    for k in range(1, depth + 1):
-        power = (power * p).truncated(-depth)
-        if power.is_zero():
-            break
+    for k, power in enumerate(_powers(p, depth), start=1):
         fact *= k
         out = out + power * (1.0 / fact)
     return out.truncated(-depth)
@@ -247,17 +252,12 @@ def series_exp(p: LaurentSeries, depth: int) -> LaurentSeries:
 def series_inverse(p: LaurentSeries, depth: int = 4) -> LaurentSeries:
     """Truncated reciprocal: p * series_inverse(p) = 1 + O(u^{-depth-1}).
 
-    Requires a nonzero leading coefficient.  The result is a truncated series
-    whose lowest reliable exponent is -(degree of p) - depth.
+    Requires a finite, normal leading coefficient.  The result is a truncated
+    series whose lowest reliable exponent is -(degree of p) - depth.
     """
-    n, lead = _leading(p)
-    x = (p.shifted(-n) * (1.0 / lead) - 1.0).truncated(-depth)
+    n, lead, powers = _remainder_powers(p, depth)
     geom = LaurentSeries.one()
-    power = LaurentSeries.one()
-    for k in range(1, depth + 1):
-        power = (power * x).truncated(-depth)
-        if power.is_zero():
-            break
+    for k, power in enumerate(powers, start=1):
         geom = geom + power * ((-1.0) ** k)
     return (geom * (1.0 / lead)).shifted(-n).truncated(-n - depth)
 

@@ -24,6 +24,12 @@ def reference_state():
     )
 
 
+def out_of_range_state(scale):
+    """N = 40 sample whose product of v_j (about scale^40) leaves double range."""
+    s = lat.random_state(40, np.random.default_rng(0))
+    return lat.LatticeState(s.a, s.a_bar, s.v * scale)
+
+
 def zero_amplitude_state(n, v=None):
     z = np.zeros(n, dtype=complex)
     vv = np.ones(n, dtype=complex) if v is None else np.asarray(v, dtype=complex)
@@ -122,12 +128,18 @@ class TestCharges:
 
     def test_order2_matches_closed_form(self):
         rng = np.random.default_rng(16)
-        for n in range(2, 7):
+        for n in (2, 3, 4, 5, 6, 64, 96):
             for _ in range(10):
                 s = lat.random_state(n, rng)
                 _, _, c2 = lat.charges_closed_form(s)
-                _, cs = lat.charges_from_trace(s)
+                lead, cs = lat.charges_from_trace(s)
+                assert lead == n
                 assert abs(cs[2] - c2) <= 1e-12 * max(1.0, abs(c2))
+
+    @pytest.mark.parametrize("scale", [1e10, 1e-10])
+    def test_out_of_range_fields_raise(self, scale):
+        with pytest.raises(OverflowError):
+            lat.charges_from_trace(out_of_range_state(scale))
 
     def test_order0_matches_product_through_exp(self):
         rng = np.random.default_rng(17)
@@ -324,8 +336,9 @@ class TestTimeLaxFromRMatrix:
 
     def test_order2_matches_printed_form(self):
         rng = np.random.default_rng(28)
-        for _ in range(10):
-            n = int(rng.integers(2, 6))
+        # ten draws of a random size 2-5 (None), then fixed sizes from N = 10 up
+        for n in [None] * 10 + [10, 12, 24]:
+            n = n or int(rng.integers(2, 6))
             s = lat.random_state(n, rng)
             j = int(rng.integers(1, n + 1))
             mu = complex(0.5 * rng.normal(), 0.5 * rng.normal())
@@ -357,6 +370,11 @@ class TestTimeLaxFromRMatrix:
         s = lat.random_state(3, rng)
         with pytest.raises(ValueError):
             lat.time_lax_from_rmatrix(s, 1, 0.2, depth=1)
+
+    @pytest.mark.parametrize("scale", [1e10, 1e-10])
+    def test_out_of_range_fields_raise(self, scale):
+        with pytest.raises(OverflowError):
+            lat.time_lax_from_rmatrix(out_of_range_state(scale), 2, 0.2 + 0.1j)
 
 
 class TestOrderZeroFlow:

@@ -114,14 +114,24 @@ class TestDefectMonodromy:
 class TestDefectCharges:
     def test_closed_form_matches_trace(self):
         rng = np.random.default_rng(46)
-        for n in range(3, 7):
+        for n in (3, 4, 5, 6, 64, 96):
             for _ in range(10):
                 s = lat.random_state(n, rng)
                 d = ld.random_defect(int(rng.integers(1, n + 1)), rng)
                 c0, c2 = ld.defect_charges(s, d)
-                _, cs = ld.defect_charges_from_trace(s, d)
+                lead, cs = ld.defect_charges_from_trace(s, d)
+                assert lead == n
                 assert abs(np.exp(cs[0]) - np.exp(c0)) <= 1e-12 * abs(np.exp(c0))
                 assert abs(cs[2] - c2) <= 1e-12 * max(1.0, abs(c2))
+
+    @pytest.mark.parametrize("scale", [1e10, 1e-10])
+    def test_out_of_range_fields_raise(self, scale):
+        # N = 40: the product of the v_j (about scale^39) leaves double range
+        s = lat.random_state(40, np.random.default_rng(0))
+        s = lat.LatticeState(s.a, s.a_bar, s.v * scale)
+        d = ld.DefectSite(2, 0.1, 0.2 - 0.1j, 0.3j, 1.1)
+        with pytest.raises(OverflowError):
+            ld.defect_charges_from_trace(s, d)
 
     def test_order1_vanishes(self):
         rng = np.random.default_rng(47)

@@ -8,7 +8,6 @@ from laxkit.laurent import (
     log_reconstruct,
     matrix_product_chain,
     series_inverse,
-    series_mul,
 )
 
 
@@ -50,7 +49,7 @@ class TestSeriesMul:
         for _ in range(50):
             a, b = random_poly(rng), random_poly(rng)
             expect = brute_force_mul(dict(a.coeffs), dict(b.coeffs))
-            got = series_mul(a, b)
+            got = a * b
             assert_series_close(got, LaurentSeries(expect))
 
     def test_zero_is_absorbing(self):
@@ -147,6 +146,28 @@ class TestLogExpand:
         with pytest.raises(ValueError, match="empty generating functional"):
             log_expand(LaurentSeries.zero())
 
+    def test_leading_term_dropped_exactly(self):
+        # lead * (1/lead) != 1 in doubles for this lead: the remainder drops the
+        # leading term instead of subtracting 1, so no rounding residue reaches c0
+        lead = 3.0000000000000004
+        n, cs = log_expand(LaurentSeries({2: lead, 1: 1e-3}), depth=2)
+        assert n == 2 and cs[0] == complex(np.log(lead))
+
+    def test_out_of_range_coefficients_raise(self):
+        # the leading coefficient and the depth below it must be finite and
+        # the leading one normal (1e-308 is subnormal, its reciprocal is not)
+        for bad in ({3: np.inf, 2: 1.0}, {3: 1.0, 1: np.nan}, {3: 1e-308, 2: 1e-309}):
+            with pytest.raises(OverflowError):
+                log_expand(LaurentSeries(bad), depth=2)
+            with pytest.raises(OverflowError):
+                series_inverse(LaurentSeries(bad), depth=2)
+
+    def test_lower_coefficients_not_read(self):
+        p = LaurentSeries({3: 2.0, 2: 1.0, -5: np.inf})
+        n, cs = log_expand(p, depth=2)
+        assert n == 3 and np.all(np.isfinite(cs))
+        assert all(np.isfinite(c) for c in series_inverse(p, depth=2).coeffs.values())
+
     def test_roundtrip(self):
         rng = np.random.default_rng(6)
         for _ in range(20):
@@ -190,9 +211,12 @@ class TestSeriesInverse:
             series_inverse(LaurentSeries.zero())
 
 
-def test_normal_form_drops_noise():
-    p = LaurentSeries({5: 1.0, -3: 1e-17})
-    assert -3 not in p.coeffs
+def test_normal_form_drops_only_exact_zeros():
+    # a coefficient 1e-17 times the largest may be the one that carries a
+    # charge, so only an exact zero leaves the normal form
+    p = LaurentSeries({5: 1.0, -3: 1e-17, 0: 0.0})
+    assert p.coeffs == {5: 1.0, -3: 1e-17}
+    assert (p - p).is_zero()
 
 
 def test_truncated_factor_keeps_reliable_coefficients():

@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 import time
 from dataclasses import dataclass, field, asdict
@@ -92,6 +93,14 @@ class RunConfig:
     tolerance_scale: float = 1.0
     params: dict = field(default_factory=dict)
 
+    def __post_init__(self):
+        # an infinite scale would pass every check, a negative one fail them all
+        scale = self.tolerance_scale
+        if not (isinstance(scale, (int, float)) and not isinstance(scale, bool)
+                and math.isfinite(scale) and scale > 0):
+            raise ConfigError(f"tolerance_scale must be finite and positive (got {scale!r})")
+        self.tolerance_scale = float(scale)
+
     @staticmethod
     def from_dict(raw: dict) -> "RunConfig":
         if not isinstance(raw, dict) or "mode" not in raw:
@@ -100,15 +109,12 @@ class RunConfig:
         if mode not in MODES:
             raise ConfigError(f"invalid mode {mode!r}; choose one of {', '.join(MODES)}")
         seed = raw.get("seed", 0)
-        scale = raw.get("tolerance_scale", 1.0)
         if not isinstance(seed, int):
             raise ConfigError("seed must be an integer")
-        if not (isinstance(scale, (int, float)) and scale > 0):
-            raise ConfigError("tolerance_scale must be positive")
         params = raw.get("params", {})
         if not isinstance(params, dict):
             raise ConfigError("params must be an object")
-        return RunConfig(mode, seed, float(scale), params)
+        return RunConfig(mode, seed, raw.get("tolerance_scale", 1.0), params)
 
     def echo(self) -> dict:
         return {
@@ -117,6 +123,27 @@ class RunConfig:
             "tolerance_scale": self.tolerance_scale,
             "params": self.params,
         }
+
+
+def _integer(key: str, value, least: int, most: float = math.inf) -> int:
+    """A count or index parameter, an integer in [least, most]."""
+    if not (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and float(value).is_integer() and least <= value <= most):
+        span = f">= {least}" if most == math.inf else f"in [{least}, {most}]"
+        raise ConfigError(f"{key} must be an integer {span}; got {value!r}")
+    return int(value)
+
+
+def _count(p: dict, key: str, default: int, least: int = 1, most: float = math.inf) -> int:
+    return _integer(key, p.get(key, default), least, most)
+
+
+def _sizes(p: dict, default: list[int], least: int) -> list[int]:
+    """The chain sizes of a charge battery: a non-empty list of integers."""
+    sizes = p.get("sizes", default)
+    if not (isinstance(sizes, list) and sizes):
+        raise ConfigError(f"sizes must be a non-empty list of integers; got {sizes!r}")
+    return [_integer("sizes", n, least) for n in sizes]
 
 
 def _complex_columns(label: str) -> list[str]:
@@ -164,13 +191,14 @@ def _spectral_pair(rng, min_sep=0.15):
 
 def _mode_verify_charges(cfg: RunConfig, report: Report, outdir: Path):
     rng = np.random.default_rng(cfg.seed)
-    samples = int(cfg.params.get("samples", 100))
-    sizes = cfg.params.get("sizes", [2, 3, 4, 5, 6])
+    samples = _count(cfg.params, "samples", 100)
+    # the charge formulas assume N >= 2
+    sizes = _sizes(cfg.params, [2, 3, 4, 5, 6], least=2)
     worst_c1 = worst_c2 = worst_c0 = 0.0
     per = max(1, samples // len(sizes))
     for n in sizes:
         for _ in range(per):
-            s = lat.random_state(int(n), rng)
+            s = lat.random_state(n, rng)
             _, _, c2 = lat.charges_closed_form(s)
             _, cs = lat.charges_from_trace(s)
             prod = np.prod(s.v)
@@ -185,13 +213,14 @@ def _mode_verify_charges(cfg: RunConfig, report: Report, outdir: Path):
 
 def _mode_defect_charges(cfg: RunConfig, report: Report, outdir: Path):
     rng = np.random.default_rng(cfg.seed)
-    samples = int(cfg.params.get("samples", 100))
-    sizes = cfg.params.get("sizes", [3, 4, 5, 6])
+    samples = _count(cfg.params, "samples", 100)
+    # the deformed closed form needs both neighbours of the defect: N >= 3
+    sizes = _sizes(cfg.params, [3, 4, 5, 6], least=3)
     worst_c0 = worst_c1 = worst_c2 = 0.0
     per = max(1, samples // len(sizes))
     for n in sizes:
         for _ in range(per):
-            s = lat.random_state(int(n), rng)
+            s = lat.random_state(n, rng)
             d = ld.random_defect(int(rng.integers(1, n + 1)), rng)
             c0, c2 = ld.defect_charges(s, d)
             _, cs = ld.defect_charges_from_trace(s, d)
@@ -248,7 +277,7 @@ def _probe_pairs(cfg: RunConfig, rng, samples: int):
 
 def _mode_verify_poisson(cfg: RunConfig, report: Report, outdir: Path):
     rng = np.random.default_rng(cfg.seed)
-    samples = int(cfg.params.get("samples", 100))
+    samples = _count(cfg.params, "samples", 100)
     worst_bulk = worst_defect = worst_field = 0.0
     for lam, mu in _probe_pairs(cfg, rng, samples):
         s = lat.random_state(int(rng.integers(2, 6)), rng)
@@ -267,7 +296,7 @@ def _mode_verify_poisson(cfg: RunConfig, report: Report, outdir: Path):
 
 def _mode_verify_zero_curvature(cfg: RunConfig, report: Report, outdir: Path):
     rng = np.random.default_rng(cfg.seed)
-    samples = int(cfg.params.get("samples", 100))
+    samples = _count(cfg.params, "samples", 100)
     worst_bulk = worst_flow = 0.0
     worst_defect = {"left": 0.0, "defect": 0.0, "right": 0.0}
     explicit = [complex(m) for m in cfg.params.get("mu_probes", [])]
@@ -306,7 +335,8 @@ def _mode_verify_zero_curvature(cfg: RunConfig, report: Report, outdir: Path):
 def _mode_lattice_sim(cfg: RunConfig, report: Report, outdir: Path, with_defect=False):
     rng = np.random.default_rng(cfg.seed)
     p = cfg.params
-    n = int(p.get("N", 8))
+    # a defect needs an interior site, 2 <= defect_site <= N - 1
+    n = _count(p, "N", 8, least=3 if with_defect else 2)
     dt, dt_coarse, t_end = _time_params(
         p, 5e-3, 5.0, lambda dt: float(p.get("dt_coarse", 2 * dt))
     )
@@ -314,13 +344,13 @@ def _mode_lattice_sim(cfg: RunConfig, report: Report, outdir: Path, with_defect=
     # candidates until one stays regular over the full window
     amplitude = float(p.get("amplitude", 0.15 if with_defect else 0.12))
     probes = tuple(p.get("probes", [2.0, 3.0]))
-    attempts = int(p.get("candidate_attempts", 20))
+    attempts = _count(p, "candidate_attempts", 20)
+    site = _count(p, "defect_site", max(2, n // 2), least=2, most=n - 1) if with_defect else None
 
     def draw():
         s = lat.random_state(n, rng, amplitude=amplitude)
         if not with_defect:
             return lambda step: lat.integrate(s, step, t_end, probes)
-        site = int(p.get("defect_site", max(2, n // 2)))
         d = ld.DefectSite(
             site,
             complex(p.get("theta", 0.1)),
@@ -402,7 +432,7 @@ def _mode_lattice_sim(cfg: RunConfig, report: Report, outdir: Path, with_defect=
 def _mode_liouville_evolve(cfg: RunConfig, report: Report, outdir: Path):
     rng = np.random.default_rng(cfg.seed)
     p = cfg.params
-    n = int(p.get("points", 64))
+    n = _count(p, "points", 64, least=3)
     L = float(p.get("L", 1.0))
     dt, dt_coarse, t_end = _time_params(p, 2e-3, 0.5, lambda dt: 2 * dt)
     amplitude = float(p.get("amplitude", 0.15))
@@ -434,9 +464,9 @@ def _mode_liouville_evolve(cfg: RunConfig, report: Report, outdir: Path):
 def _mode_monodromy_check(cfg: RunConfig, report: Report, outdir: Path):
     rng = np.random.default_rng(cfg.seed)
     p = cfg.params
-    n = int(p.get("points", 64))
+    n = _count(p, "points", 64, least=3)
     L = float(p.get("L", 1.0))
-    count = int(p.get("configs", 10))
+    count = _count(p, "configs", 10)
     amplitude = float(p.get("amplitude", 0.2))
     zero = lv.FieldConfig.zero(L, n)
     ch = lv.charges(zero)
@@ -471,7 +501,7 @@ def _mode_bt_evolve(cfg: RunConfig, report: Report, outdir: Path):
     if t_end >= half:
         raise ConfigError(f"need t_end < {half:g}, the causal horizon of the grid "
                           f"x in [-{half:g}, {half:g}] (t_end = {t_end:g})")
-    nx = int(p.get("points", 65))
+    nx = _count(p, "points", 65, least=3)
     sol = exact.periodic_solution_for_length(float(p.get("L", 1.0)))
 
     def run(n, step):
@@ -498,7 +528,7 @@ def _mode_bt_evolve(cfg: RunConfig, report: Report, outdir: Path):
 def _mode_hetero_bt(cfg: RunConfig, report: Report, outdir: Path):
     p = cfg.params
     params = bt.HeteroParams(complex(p.get("c", 0.35)), complex(p.get("Theta", 0.15)))
-    nz, nb = int(p.get("nz", 49)), int(p.get("nzbar", 41))
+    nz, nb = _count(p, "nz", 49, least=3), _count(p, "nzbar", 41, least=3)
 
     def gen(kz, kb):
         z = np.linspace(0.0, 0.6, kz)
@@ -583,21 +613,21 @@ def suite(outdir: str | Path = ".", seed: int = 0, tolerance_scale: float = 1.0)
     (identical seed twice must serialize identically), and writes
     suite_report.json plus per-mode artifacts in subdirectories.
     """
+    configs = [RunConfig(mode, seed=seed, tolerance_scale=tolerance_scale) for mode in MODES]
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     overall = Report("suite", {"seed": seed, "tolerance_scale": tolerance_scale})
     start = time.perf_counter()
-    for mode in MODES:
-        cfg = RunConfig(mode, seed=seed, tolerance_scale=tolerance_scale)
-        sub = run(cfg, outdir / mode)
+    for cfg in configs:
+        sub = run(cfg, outdir / cfg.mode)
         for rec in sub.records:
             overall.records.append(
-                CheckRecord(f"{mode}/{rec.name}", rec.anchor, rec.value,
+                CheckRecord(f"{cfg.mode}/{rec.name}", rec.anchor, rec.value,
                             rec.tolerance, rec.criterion, rec.passed)
             )
         if sub.aborted:
             overall.aborted = True
-        print(f"[{'pass' if sub.passed else 'FAIL'}] {mode}", file=sys.stderr)
+        print(f"[{'pass' if sub.passed else 'FAIL'}] {cfg.mode}", file=sys.stderr)
 
     twice = [
         run(RunConfig("verify-charges", seed=seed), outdir / f"determinism-{k}").to_json()
@@ -635,24 +665,22 @@ def main(argv=None) -> int:
 
     args = parser.parse_args(argv)
 
-    if args.command == "run":
-        try:
-            raw = json.loads(Path(args.config).read_text())
-        except (OSError, json.JSONDecodeError) as err:
-            print(f"config error: {err}", file=sys.stderr)
-            return 2
-        try:
+    try:
+        if args.command == "run":
+            try:
+                raw = json.loads(Path(args.config).read_text())
+            except (OSError, json.JSONDecodeError) as err:
+                raise ConfigError(err) from err
             if args.seed is not None:
                 raw["seed"] = args.seed
             if args.tolerance_scale is not None:
                 raw["tolerance_scale"] = args.tolerance_scale
-            config = RunConfig.from_dict(raw)
-            report = run(config, args.out)
-        except ConfigError as err:
-            print(f"config error: {err}", file=sys.stderr)
-            return 2
-    else:
-        report = suite(args.out, seed=args.seed, tolerance_scale=args.tolerance_scale)
+            report = run(RunConfig.from_dict(raw), args.out)
+        else:
+            report = suite(args.out, seed=args.seed, tolerance_scale=args.tolerance_scale)
+    except ConfigError as err:
+        print(f"config error: {err}", file=sys.stderr)
+        return 2
 
     for rec in report.records:
         status = "pass" if rec.passed else "FAIL"

@@ -24,6 +24,7 @@ import numpy as np
 from .laurent import (
     LaurentMatrix,
     LaurentSeries,
+    _tconv,
     log_expand,
     matrix_product_chain,
     series_inverse,
@@ -269,6 +270,11 @@ class LatticeDerivative:
     a_bar: np.ndarray
     v: np.ndarray
 
+    def site(self, j: int) -> tuple[complex, complex, complex]:
+        """Velocities at 1-based periodic site index j."""
+        i = (j - 1) % self.a.shape[0]
+        return self.a[i], self.a_bar[i], self.v[i]
+
     def max_abs(self) -> float:
         return float(
             max(np.max(np.abs(self.a)), np.max(np.abs(self.a_bar)), np.max(np.abs(self.v)))
@@ -347,22 +353,6 @@ def _time_lax_matrix(w: complex, bbar: complex, b: complex) -> np.ndarray:
     )
 
 
-def _coth_series(w: complex, depth: int) -> LaurentSeries:
-    # coth(lambda - mu) = 1 + 2 sum_{k>=1} w^{2k} u^{-2k},  w = e^mu
-    coeffs = {0: 1.0 + 0.0j}
-    for k in range(1, depth // 2 + 1):
-        coeffs[-2 * k] = 2.0 * w ** (2 * k)
-    return LaurentSeries(coeffs, -depth)
-
-
-def _csch_series(w: complex, depth: int) -> LaurentSeries:
-    # 1/sinh(lambda - mu) = 2 sum_{k>=0} w^{2k+1} u^{-2k-1}
-    coeffs = {}
-    for k in range(0, (depth + 1) // 2):
-        coeffs[-2 * k - 1] = 2.0 * w ** (2 * k + 1)
-    return LaurentSeries(coeffs, -depth)
-
-
 def time_lax_from_rmatrix(
     s: LatticeState, j: int, mu: complex, depth: int = 2
 ) -> list[np.ndarray]:
@@ -385,34 +375,32 @@ def time_lax_from_rmatrix(
     factors = [build_lax(s, k) for k in range(j - 1, 0, -1)]
     factors += [build_lax(s, k) for k in range(n, j - 1, -1)]
     tj = matrix_product_chain(factors)
-    # t^-1 is reliable down to u^(-n - depth - 2) and the entries of T_j have
-    # degree <= n, so each ratio (T_j)_ik / t is reliable down to u^(-depth - 2)
-    t_inv = series_inverse(_checked_trace(tj, n), depth + 2)
-    w = np.exp(mu)
-    coth = _coth_series(w, depth + 2)
-    csch = _csch_series(w, depth + 2)
-    ratios = LaurentMatrix.from_rows(
-        [[t_inv * tj[i, k] * (coth if i == k else csch) for k in range(2)] for i in range(2)]
+    # each series is dense from its top exponent down: t^-1 from u^-n, the
+    # entries of T_j (degree <= n) from u^n, coth and 1/sinh from u^0, so
+    # depth + 1 coefficients of each factor fix those of every product
+    _, t_inv = series_inverse(_checked_trace(tj, n), depth)
+    m = np.arange(depth + 1)
+    w_pow = 2.0 * np.exp(mu) ** m
+    coth = np.where(m % 2 == 0, w_pow, 0.0)  # 1 + 2 sum_k w^2k u^-2k,  w = e^mu
+    coth[0] = 1.0
+    csch = np.where(m % 2 == 1, w_pow, 0.0)  # 2 sum_k w^(2k+1) u^-(2k+1)
+    ratios = np.array(
+        [[_tconv(_tconv(tj[i, k].dense(n, depth + 1), t_inv), coth if i == k else csch)
+          for k in range(2)] for i in range(2)]
     )
-    return [ratios.coefficient_matrix(-m) for m in range(depth + 1)]
+    return list(np.moveaxis(ratios, -1, 0))
 
 
-def _lax_time_derivative(s: LatticeState, d: LatticeDerivative, j: int, u: complex) -> np.ndarray:
-    """d/dt of L_j at fixed u, assembled by the chain rule."""
-    i = (j - 1) % s.N
-    da, dabar, dv = d.a[i], d.a_bar[i], d.v[i]
-    v = s.v[i]
-    return np.array(
-        [[u * dv + dv / (u * v * v), dabar], [da, -dv / u]],
-        dtype=complex,
-    )
+def _rate(partials: dict[str, np.ndarray], velocities) -> np.ndarray:
+    """d/dt of a site matrix at fixed u: its field partials contracted with
+    the field velocities, given in the order of the partials."""
+    return sum(dm * vel for dm, vel in zip(partials.values(), velocities))
 
 
 def zero_curvature_residual(s: LatticeState, j: int, mu: complex) -> float:
     """Max-entry residual of dL_j/dt = A_{j+1} L_j - L_j A_j at u = e^mu."""
     u = np.exp(mu)
-    d = bulk_eom(s)
-    ldot = _lax_time_derivative(s, d, j, u)
+    ldot = _rate(_lax_partials(s, j, u), bulk_eom(s).site(j))
     aj = time_lax_order2(s, j, mu)
     ajp = time_lax_order2(s, j + 1, mu)
     lj = lax_value(s, j, u)

@@ -30,7 +30,8 @@ from .lattice import (
     LatticeTrajectory,
     SingularStateError,
     _checked_trace,
-    _lax_time_derivative,
+    _lax_partials,
+    _rate,
     _singular,
     _time_lax_matrix,
     _vector_field,
@@ -102,14 +103,21 @@ def random_defect(n: int, rng: np.random.Generator) -> DefectSite:
     return DefectSite(n, 0.5 * disk(1.0), disk(1.0), disk(1.0), np.exp(disk(0.5)))
 
 
+def _require_on_chain(s: LatticeState, d: DefectSite):
+    if not (1 <= d.n <= s.N):
+        raise ValueError("defect site outside the chain")
+
+
 def tilde_b(s: LatticeState, d: DefectSite) -> complex:
     """btilde_{n,n-1} = e^theta y + b_{n-1} X^-2 (needs the left neighbour)."""
+    _require_on_chain(s, d)
     bm = s.b[(d.n - 2) % s.N]
     return np.exp(d.theta) * d.y + bm / d.X**2
 
 
 def tilde_b_bar(s: LatticeState, d: DefectSite) -> complex:
     """bbartilde_{n,n+1} = e^theta ybar + bbar_{n+1} X^-2 (right neighbour)."""
+    _require_on_chain(s, d)
     bbp = s.b_bar[d.n % s.N]
     return np.exp(d.theta) * d.y_bar + bbp / d.X**2
 
@@ -184,8 +192,7 @@ def check_defect_algebra(d: DefectSite, lam: complex, mu: complex) -> float:
 
 def defect_monodromy(s: LatticeState, d: DefectSite) -> LaurentMatrix:
     """Ordered product with Ltilde in place of L at the defect site."""
-    if not (1 <= d.n <= s.N):
-        raise ValueError("defect site outside the chain")
+    _require_on_chain(s, d)
     factors = []
     for j in range(s.N, 0, -1):
         factors.append(build_defect_lax(d) if j == d.n else build_lax(s, j))
@@ -193,6 +200,7 @@ def defect_monodromy(s: LatticeState, d: DefectSite) -> LaurentMatrix:
 
 
 def defect_monodromy_value(s: LatticeState, d: DefectSite, u: complex) -> np.ndarray:
+    _require_on_chain(s, d)
     out = np.eye(2, dtype=complex)
     for j in range(s.N, 0, -1):
         out = out @ (defect_lax_value(d, u) if j == d.n else lax_value(s, j, u))
@@ -207,6 +215,7 @@ def defect_charges(s: LatticeState, d: DefectSite) -> tuple[complex, complex]:
              + e^theta (ybar b_{n-1} + bbar_{n+1} y)
              + bbar_{n+1} b_{n-1} X^-2 - e^{2 theta} X^-2
     """
+    _require_on_chain(s, d)
     n0 = (d.n - 1) % s.N
     b, bbar, v = s.b, s.b_bar, s.v
     keep = np.ones(s.N, dtype=bool)
@@ -313,17 +322,6 @@ def defect_eom(
     return LatticeDerivative(da, dabar, dv), dz, dzbar, dX
 
 
-def _defect_lax_time_derivative(d: DefectSite, dz, dzbar, dX, u: complex) -> np.ndarray:
-    em, ep = np.exp(-d.theta), np.exp(d.theta)
-    return np.array(
-        [
-            [u * em * dX + ep * dX / (u * d.X**2), dzbar],
-            [dz, -u * em * dX / d.X**2 - ep * dX / u],
-        ],
-        dtype=complex,
-    )
-
-
 def defect_zero_curvature_residuals(
     s: LatticeState, d: DefectSite, mu: complex
 ) -> dict[str, float]:
@@ -338,23 +336,19 @@ def defect_zero_curvature_residuals(
     bulk, dz, dzbar, dX = defect_eom(s, d)
     at_n, at_np1 = defect_time_lax(s, d, mu)
 
-    out = {}
-    j = d.n - 1
-    ldot = _lax_time_derivative(s, bulk, j, u)
-    lj = lax_value(s, j, u)
-    out["left"] = float(np.max(np.abs(ldot - (at_n @ lj - lj @ time_lax_order2(s, j, mu)))))
+    def residual(ldot, a_next, lj, a_here):
+        return float(np.max(np.abs(ldot - (a_next @ lj - lj @ a_here))))
 
-    ltdot = _defect_lax_time_derivative(d, dz, dzbar, dX, u)
-    lt = defect_lax_value(d, u)
-    out["defect"] = float(np.max(np.abs(ltdot - (at_np1 @ lt - lt @ at_n))))
+    def bulk_stencil(j, a_next, a_here):
+        ldot = _rate(_lax_partials(s, j, u), bulk.site(j))
+        return residual(ldot, a_next, lax_value(s, j, u), a_here)
 
-    j = d.n + 1
-    ldot = _lax_time_derivative(s, bulk, j, u)
-    lj = lax_value(s, j, u)
-    out["right"] = float(
-        np.max(np.abs(ldot - (time_lax_order2(s, j + 1, mu) @ lj - lj @ at_np1)))
-    )
-    return out
+    ltdot = _rate(_defect_partials(d, u), (dz, dzbar, dX))
+    return {
+        "left": bulk_stencil(d.n - 1, at_n, time_lax_order2(s, d.n - 1, mu)),
+        "defect": residual(ltdot, at_np1, defect_lax_value(d, u), at_n),
+        "right": bulk_stencil(d.n + 1, time_lax_order2(s, d.n + 2, mu), at_np1),
+    }
 
 
 @dataclass

@@ -1,13 +1,16 @@
 """Exact Laurent-polynomial arithmetic in the spectral variable u.
 
-Values are either exact Laurent polynomials (finitely many terms, no
-truncation) or truncated Laurent series that are reliable down to a lowest
-retained exponent.  Coefficients are double-precision complex numbers;
-"exact" means the algebra introduces no truncation and the normal form
-drops only exact zeros, however small a coefficient is next to the others.
-:func:`log_expand` and :func:`series_inverse` read only the leading
-coefficient and the ``depth`` below it, and raise ``OverflowError`` when one
-of those is not finite or the leading one is subnormal.
+A :class:`LaurentSeries` is an exact Laurent polynomial: finitely many
+terms with double-precision complex coefficients, on which the algebra
+introduces no truncation.  Its normal form drops only exact zeros, however
+small a coefficient is next to the others.
+
+A truncated series is a pair ``(n, c)``: a top exponent n and a dense complex
+array c, meaning sum_m c[m] u^(n-m) + O(u^(n-len(c))).  Truncated products
+are one truncated convolution.  :func:`log_expand` and
+:func:`series_inverse` read only the leading coefficient of a polynomial and
+the ``depth`` below it, and raise ``OverflowError`` when one of those is not
+finite or the leading one is subnormal.
 """
 
 from __future__ import annotations
@@ -24,26 +27,21 @@ __all__ = [
 ]
 
 
-def _normalize(coeffs: dict[int, complex], truncation_order: int | None) -> dict[int, complex]:
-    lowest = -np.inf if truncation_order is None else truncation_order
-    return {e: complex(c) for e, c in coeffs.items() if e >= lowest and c != 0}
-
-
 @dataclass(frozen=True)
 class LaurentSeries:
-    """A Laurent polynomial or truncated Laurent series in u.
+    """An exact Laurent polynomial in u.
 
     ``coeffs`` maps integer exponents to complex coefficients and is kept in
-    normal form (no stored zeros).  ``truncation_order`` is the lowest
-    exponent whose coefficient is still reliable; ``None`` marks an exact
-    polynomial.  Instances are immutable; all operations return new values.
+    normal form (no stored zeros).  Instances are immutable; all operations
+    return new values.
     """
 
     coeffs: dict[int, complex] = field(default_factory=dict)
-    truncation_order: int | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "coeffs", _normalize(dict(self.coeffs), self.truncation_order))
+        object.__setattr__(
+            self, "coeffs", {e: complex(c) for e, c in self.coeffs.items() if c != 0}
+        )
 
     # -- constructors ------------------------------------------------------
 
@@ -71,35 +69,29 @@ class LaurentSeries:
             raise ValueError("zero polynomial has no degree")
         return max(self.coeffs)
 
-    @property
-    def min_exponent(self) -> int:
-        if not self.coeffs:
-            raise ValueError("zero polynomial has no exponents")
-        return min(self.coeffs)
-
     def coefficient(self, exponent: int) -> complex:
         return self.coeffs.get(exponent, 0.0 + 0.0j)
+
+    def dense(self, top: int, count: int) -> np.ndarray:
+        """Coefficients of u^top, u^(top-1), ..., u^(top-count+1) as an array."""
+        return np.array([self.coefficient(top - m) for m in range(count)], dtype=complex)
 
     def evaluate(self, u: complex) -> complex:
         return sum(c * u**e for e, c in self.coeffs.items())
 
     # -- arithmetic --------------------------------------------------------
 
-    def _add_trunc(self, other: "LaurentSeries") -> int | None:
-        orders = [t for t in (self.truncation_order, other.truncation_order) if t is not None]
-        return max(orders) if orders else None
-
     def __add__(self, other):
         other = _coerce(other)
         out = dict(self.coeffs)
         for e, c in other.coeffs.items():
             out[e] = out.get(e, 0.0) + c
-        return LaurentSeries(out, self._add_trunc(other))
+        return LaurentSeries(out)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return LaurentSeries({e: -c for e, c in self.coeffs.items()}, self.truncation_order)
+        return LaurentSeries({e: -c for e, c in self.coeffs.items()})
 
     def __sub__(self, other):
         return self + (-_coerce(other))
@@ -109,38 +101,22 @@ class LaurentSeries:
 
     def __mul__(self, other):
         if isinstance(other, (int, float, complex)):
-            return LaurentSeries(
-                {e: c * other for e, c in self.coeffs.items()}, self.truncation_order
-            )
+            return LaurentSeries({e: c * other for e, c in self.coeffs.items()})
         other = _coerce(other)
-        trunc = _mul_trunc(self, other)
         out: dict[int, complex] = {}
         for ea, ca in self.coeffs.items():
             for eb, cb in other.coeffs.items():
                 e = ea + eb
-                if trunc is not None and e < trunc:
-                    continue
                 out[e] = out.get(e, 0.0) + ca * cb
-        return LaurentSeries(out, trunc)
+        return LaurentSeries(out)
 
     __rmul__ = __mul__
-
-    def shifted(self, k: int) -> "LaurentSeries":
-        """Multiply by u**k."""
-        t = None if self.truncation_order is None else self.truncation_order + k
-        return LaurentSeries({e + k: c for e, c in self.coeffs.items()}, t)
-
-    def truncated(self, order: int) -> "LaurentSeries":
-        """Drop all exponents below ``order`` and record the truncation."""
-        t = order if self.truncation_order is None else max(order, self.truncation_order)
-        return LaurentSeries({e: c for e, c in self.coeffs.items() if e >= t}, t)
 
     def __repr__(self):
         if not self.coeffs:
             return "LaurentSeries(0)"
         terms = ", ".join(f"u^{e}: {c:.6g}" for e, c in sorted(self.coeffs.items(), reverse=True))
-        tail = "" if self.truncation_order is None else f" + O(u^{self.truncation_order - 1})"
-        return f"LaurentSeries({terms}{tail})"
+        return f"LaurentSeries({terms})"
 
 
 def _coerce(x) -> LaurentSeries:
@@ -151,48 +127,31 @@ def _coerce(x) -> LaurentSeries:
     raise TypeError(f"cannot interpret {type(x).__name__} as a Laurent series")
 
 
-def _mul_trunc(a: LaurentSeries, b: LaurentSeries) -> int | None:
-    """Reliable lowest exponent of a product.
-
-    Unknown terms of a truncated factor (below its truncation order) multiply
-    the other factor's top content, so the product is reliable only down to
-    truncation + top of the partner.  An exact zero annihilates; a truncated
-    zero (no retained terms) still carries unknown content strictly below its
-    truncation order.
-    """
-    if (a.is_zero() and a.truncation_order is None) or (
-        b.is_zero() and b.truncation_order is None
-    ):
-        return None
-
-    def top(p: LaurentSeries) -> int:
-        return p.degree if p.coeffs else p.truncation_order - 1
-
-    cands = []
-    if a.truncation_order is not None:
-        cands.append(a.truncation_order + top(b))
-    if b.truncation_order is not None:
-        cands.append(b.truncation_order + top(a))
-    return max(cands) if cands else None
+# -- truncated series: dense arrays ------------------------------------------
 
 
-def _powers(x: LaurentSeries, depth: int) -> list[LaurentSeries]:
-    """x, x^2, ..., x^depth truncated at u^-depth, up to the first that vanishes."""
-    out, power = [], LaurentSeries.one()
-    for _ in range(depth):
-        power = (power * x).truncated(-depth)
-        if power.is_zero():
-            break
-        out.append(power)
-    return out
+def _tconv(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The first len(a) coefficients of the product of two dense series."""
+    return np.convolve(a, b)[: len(a)]
 
 
-def _remainder_powers(p: LaurentSeries, depth: int) -> tuple[int, complex, list[LaurentSeries]]:
-    """n, lead and the powers of x, where p = lead u^n (1 + x) + O(u^(n-depth-1)).
+def _powers(x: np.ndarray):
+    """x, x^2, ..., x^(len(x)-1), each truncated to len(x) coefficients.
 
-    x is read off the ``depth`` coefficients below the leading one, which is
-    dropped rather than 1 subtracted (no rounding residue at u^0); no lower,
-    possibly overflowed, coefficient of p is read."""
+    x[0] must be 0, so every higher power vanishes at this length."""
+    power = x
+    for _ in range(len(x) - 1):
+        yield power
+        power = _tconv(power, x)
+
+
+def _leading(p: LaurentSeries, depth: int) -> tuple[int, complex, np.ndarray]:
+    """n, lead and x, where p = lead u^n (1 + sum_m x[m] u^-m) + O(u^(n-depth-1)).
+
+    x[0] = 0 and x[1..depth] are the ``depth`` coefficients below the leading
+    one, over it.  The leading term is dropped rather than 1 subtracted (no
+    rounding residue at u^0), and no lower, possibly overflowed, coefficient
+    of p is read."""
     if p.is_zero():
         raise ValueError("empty generating functional")
     n = p.degree
@@ -200,10 +159,10 @@ def _remainder_powers(p: LaurentSeries, depth: int) -> tuple[int, complex, list[
     if not (cmath.isfinite(lead) and abs(lead) >= np.finfo(float).tiny):
         raise OverflowError(f"leading coefficient {lead} of u^{n} is out of double range")
     inv = 1.0 / lead
-    x = LaurentSeries({-m: p.coefficient(n - m) * inv for m in range(1, depth + 1)}, -depth)
-    if not all(cmath.isfinite(c) for c in x.coeffs.values()):
+    x = np.array([0.0] + [p.coefficient(n - m) * inv for m in range(1, depth + 1)], dtype=complex)
+    if not np.all(np.isfinite(x)):
         raise OverflowError(f"coefficients below u^{n} are out of double range")
-    return n, lead, _powers(x, depth)
+    return n, lead, x
 
 
 def log_expand(p: LaurentSeries, depth: int = 4) -> tuple[int, list[complex]]:
@@ -213,53 +172,59 @@ def log_expand(p: LaurentSeries, depth: int = 4) -> tuple[int, list[complex]]:
 
         log p(u) = n log u + c0 + sum_{m=1..depth} c_m u^{-m} + O(u^{-depth-1}).
 
-    The leading monomial is factored out and log(1 + x) is expanded as a
-    truncated series in the remainder x, which contains only negative powers.
-    ``c0`` uses the principal branch of the complex logarithm.
+    The leading monomial is factored out and log(1 + x) = -sum_k (-x)^k / k
+    is summed as a truncated series in the remainder x, which contains only
+    negative powers.  ``c0`` uses the principal branch of the complex
+    logarithm.
     """
-    n, lead, powers = _remainder_powers(p, depth)
-    coeffs = [complex(np.log(lead))] + [0.0j] * depth
-    for k, power in enumerate(powers, start=1):
-        sign = 1.0 if k % 2 == 1 else -1.0
-        for e, c in power.coeffs.items():
-            coeffs[-e] += sign * c / k
-    return n, coeffs
+    n, lead, x = _leading(p, depth)
+    log1p = np.zeros(depth + 1, dtype=complex)
+    for k, power in enumerate(_powers(-x), start=1):
+        # divide both parts by k: numpy's complex division multiplies by 1/k,
+        # which rounds twice
+        log1p -= (power.view(float) / k).view(complex)
+    return n, [complex(np.log(lead))] + [complex(c) for c in log1p[1:]]
 
 
-def log_reconstruct(n: int, coeffs: list[complex], depth: int | None = None) -> LaurentSeries:
+def log_reconstruct(n: int, coeffs: list[complex]) -> tuple[int, np.ndarray]:
     """Inverse of :func:`log_expand` up to the retained order.
 
-    Rebuilds u^n exp(c0) exp(sum c_m u^-m) as a truncated series.
+    Returns the truncated series ``(n, c)`` of u^n exp(c0) exp(sum c_m u^-m),
+    with as many coefficients as ``coeffs`` has.
     """
-    if depth is None:
-        depth = len(coeffs) - 1
-    tail = LaurentSeries({-m: c for m, c in enumerate(coeffs) if m >= 1})
-    return (series_exp(tail, depth) * np.exp(coeffs[0])).shifted(n)
+    tail = np.array(coeffs, dtype=complex)
+    tail[0] = 0.0
+    return n, series_exp(tail) * np.exp(coeffs[0])
 
 
-def series_exp(p: LaurentSeries, depth: int) -> LaurentSeries:
-    """exp of a series with strictly negative exponents, truncated at u^-depth."""
-    if not p.is_zero() and p.degree >= 0:
+def series_exp(x: np.ndarray) -> np.ndarray:
+    """exp of the dense series sum_m x[m] u^-m, to len(x) coefficients.
+
+    x[0] must be 0: the series has strictly negative exponents."""
+    x = np.asarray(x, dtype=complex)
+    if x[0] != 0:
         raise ValueError("series_exp expects strictly negative exponents")
-    out = LaurentSeries.one()
+    out = np.zeros_like(x)
+    out[0] = 1.0
     fact = 1.0
-    for k, power in enumerate(_powers(p, depth), start=1):
+    for k, power in enumerate(_powers(x), start=1):
         fact *= k
-        out = out + power * (1.0 / fact)
-    return out.truncated(-depth)
+        out += power * (1.0 / fact)
+    return out
 
 
-def series_inverse(p: LaurentSeries, depth: int = 4) -> LaurentSeries:
-    """Truncated reciprocal: p * series_inverse(p) = 1 + O(u^{-depth-1}).
+def series_inverse(p: LaurentSeries, depth: int = 4) -> tuple[int, np.ndarray]:
+    """Truncated reciprocal of a polynomial of degree n.
 
-    Requires a finite, normal leading coefficient.  The result is a truncated
-    series whose lowest reliable exponent is -(degree of p) - depth.
+    Returns ``(-n, c)`` with p(u) * sum_m c[m] u^(-n-m) = 1 + O(u^{-depth-1}),
+    c of length depth + 1.  Requires a finite, normal leading coefficient.
     """
-    n, lead, powers = _remainder_powers(p, depth)
-    geom = LaurentSeries.one()
-    for k, power in enumerate(powers, start=1):
-        geom = geom + power * ((-1.0) ** k)
-    return (geom * (1.0 / lead)).shifted(-n).truncated(-n - depth)
+    n, lead, x = _leading(p, depth)
+    geom = np.zeros(depth + 1, dtype=complex)
+    geom[0] = 1.0
+    for power in _powers(-x):
+        geom += power
+    return -n, geom * (1.0 / lead)
 
 
 @dataclass(frozen=True)
@@ -315,12 +280,6 @@ class LaurentMatrix:
     def evaluate(self, u: complex) -> np.ndarray:
         return np.array(
             [[self.entries[i][j].evaluate(u) for j in range(2)] for i in range(2)],
-            dtype=complex,
-        )
-
-    def coefficient_matrix(self, exponent: int) -> np.ndarray:
-        return np.array(
-            [[self.entries[i][j].coefficient(exponent) for j in range(2)] for i in range(2)],
             dtype=complex,
         )
 

@@ -43,6 +43,38 @@ class TestConfig:
     def test_cli_exit_code_2_on_unreadable_config(self, tmp_path):
         assert cli.main(["run", "--config", str(tmp_path / "missing.json")]) == 2
 
+    def test_infinite_tolerance_scale_rejected(self, tmp_path):
+        # JSON Infinity would scale every tolerance to inf and pass every check
+        path = write_config(tmp_path, {"mode": "verify-poisson",
+                                       "tolerance_scale": float("inf")})
+        assert "Infinity" in path.read_text()
+        with pytest.raises(cli.ConfigError, match="finite and positive"):
+            cli.RunConfig.from_dict(json.loads(path.read_text()))
+        assert cli.main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+        assert not (tmp_path / "out" / "report.json").exists()
+
+    @pytest.mark.parametrize("scale", ["inf", "nan", "-1", "0"])
+    def test_suite_tolerance_scale_validated(self, tmp_path, scale, capsys):
+        out = tmp_path / "s"
+        assert cli.main(["suite", "--out", str(out), "--tolerance-scale", scale]) == 2
+        assert "config error: tolerance_scale must be finite and positive" in (
+            capsys.readouterr().err
+        )
+        assert not (out / "suite_report.json").exists()
+
+    @pytest.mark.parametrize("payload", [
+        {"mode": "verify-charges", "params": {"sizes": []}},
+        {"mode": "lattice-sim", "params": {"N": 0}},
+        {"mode": "verify-poisson", "params": {"samples": "x"}},
+        {"mode": "lattice-defect-sim", "params": {"N": 5, "defect_site": 5}},
+        {"mode": "hetero-bt", "params": {"nz": 2}},
+    ])
+    def test_malformed_counts_are_config_errors(self, tmp_path, payload, capsys):
+        path = write_config(tmp_path, payload)
+        assert cli.main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+        assert "config error: " in capsys.readouterr().err
+        assert not (tmp_path / "out" / "report.json").exists()
+
 
 class TestRun:
     def test_verify_poisson_passes(self, tmp_path):

@@ -1,7 +1,9 @@
+import mpmath
 import numpy as np
 import pytest
 
 from laxkit import lattice as lat
+from laxkit import lattice_defect as ld
 from laxkit.laurent import LaurentSeries
 from laxkit.rmatrix import r_matrix
 
@@ -28,6 +30,39 @@ def out_of_range_state(scale):
     """N = 40 sample whose product of v_j (about scale^40) leaves double range."""
     s = lat.random_state(40, np.random.default_rng(0))
     return lat.LatticeState(s.a, s.a_bar, s.v * scale)
+
+
+def mp_log_trace(factors, depth, dps=60):
+    """[c0, ..., c_depth] of log tr(F_1 F_2 ...) in ``dps``-digit arithmetic.
+
+    An oracle independent of laxkit.laurent: the factors' coefficients go to
+    mpmath, the product is a plain polynomial convolution, and log(1 + x)
+    comes from the recurrence m c_m = m x_m - sum_{k<m} k c_k x_{m-k}."""
+
+    def mul(p, q):
+        out = {}
+        for ea, ca in p.items():
+            for eb, cb in q.items():
+                out[ea + eb] = out.get(ea + eb, 0) + ca * cb
+        return out
+
+    def add(p, q):
+        return {e: p.get(e, 0) + q.get(e, 0) for e in set(p) | set(q)}
+
+    with mpmath.workdps(dps):
+        t = [[{0: mpmath.mpc(1)}, {}], [{}, {0: mpmath.mpc(1)}]]
+        for f in factors:
+            m = [[{e: mpmath.mpc(c) for e, c in f[i, k].coeffs.items()} for k in range(2)]
+                 for i in range(2)]
+            t = [[add(mul(t[i][0], m[0][k]), mul(t[i][1], m[1][k])) for k in range(2)]
+                 for i in range(2)]
+        tr = add(t[0][0], t[1][1])
+        n = max(e for e, c in tr.items() if c != 0)
+        x = [tr.get(n - m, 0) / tr[n] for m in range(depth + 1)]
+        cs = [mpmath.log(tr[n])]
+        for m in range(1, depth + 1):
+            cs.append(x[m] - sum(k * cs[k] * x[m - k] for k in range(1, m)) / m)
+        return [complex(c) for c in cs]
 
 
 def zero_amplitude_state(n, v=None):
@@ -140,6 +175,21 @@ class TestCharges:
     def test_out_of_range_fields_raise(self, scale):
         with pytest.raises(OverflowError):
             lat.charges_from_trace(out_of_range_state(scale))
+
+    @pytest.mark.parametrize("with_defect", [False, True])
+    def test_deep_charges_match_mpmath_oracle(self, with_defect):
+        # c3..c6 at N = 40 (c2 is checked against the closed form above);
+        # the worst error on this draw is 5e-13 (c6), so 1e-11 has a margin
+        # of 20 while a wrong order, or a dropped term, is off by O(1)
+        s = lat.random_state(40, np.random.default_rng(1))
+        d = ld.random_defect(3, np.random.default_rng(2))
+        factors = [ld.build_defect_lax(d) if with_defect and j == d.n else lat.build_lax(s, j)
+                   for j in range(s.N, 0, -1)]
+        want = mp_log_trace(factors, 6)
+        got = (ld.defect_charges_from_trace(s, d, depth=6) if with_defect
+               else lat.charges_from_trace(s, depth=6))[1]
+        for m in range(3, 7):
+            assert abs(got[m] - want[m]) <= 1e-11 * max(1.0, abs(want[m])), f"c{m}"
 
     def test_order0_matches_product_through_exp(self):
         rng = np.random.default_rng(17)
@@ -364,6 +414,28 @@ class TestTimeLaxFromRMatrix:
         for m in range(3):
             assert np.max(np.abs(shallow[m] - deep[m])) < 1e-12
         assert len(deep) == 5
+
+    def test_depth4_matches_trace_formula_at_large_u(self):
+        # independent of the series code: evaluate the trace formula
+        # coth or 1/sinh(lambda - mu) (T_j)_ik / t at u = e^lambda on a ray and
+        # subtract sum_m C_m u^-m.  The remainder must fall at least as
+        # |u|^-5; C_5 vanishes like every odd order, so it falls as |u|^-6
+        # (a ratio of 64 per doubling; a wrong C_4 would give 16)
+        s = lat.random_state(6, np.random.default_rng(36))
+        j, mu = 3, 0.2 - 0.3j
+        mats = lat.time_lax_from_rmatrix(s, j, mu, depth=4)
+        order = list(range(j - 1, 0, -1)) + list(range(s.N, j - 1, -1))
+
+        def remainder(u):
+            tj = np.linalg.multi_dot([lat.lax_value(s, k, u) for k in order])
+            x = np.log(u) - mu
+            exact = np.array([[np.cosh(x), 1.0], [1.0, np.cosh(x)]]) / np.sinh(x) * tj
+            exact /= np.trace(tj)
+            return np.max(np.abs(exact - sum(c * u**-m for m, c in enumerate(mats))))
+
+        rs = [remainder(r * np.exp(0.7j)) for r in (8.0, 16.0, 32.0, 64.0)]
+        for coarse, fine in zip(rs, rs[1:]):
+            assert 48.0 <= coarse / fine <= 80.0, rs
 
     def test_depth_validation(self):
         rng = np.random.default_rng(35)

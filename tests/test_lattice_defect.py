@@ -347,6 +347,21 @@ class TestValidation:
         with pytest.raises(ValueError, match="outside"):
             ld.defect_monodromy(s, d)
 
+    @pytest.mark.parametrize("call", [
+        ld.defect_charges_from_trace,
+        ld.defect_charges,
+        ld.tilde_b,
+        ld.tilde_b_bar,
+        lambda s, d: ld.defect_time_lax(s, d, 0.2 + 0.1j),
+        lambda s, d: ld.defect_monodromy_value(s, d, 1.7),
+    ])
+    def test_every_defect_reader_rejects_a_site_outside_the_chain(self, call):
+        # site 6 on a 5-site chain would wrap to site 1 in the index arithmetic
+        s = lat.random_state(5, np.random.default_rng(59))
+        d = ld.DefectSite(6, 0.1, 0.2, 0.3, 1.1)
+        with pytest.raises(ValueError, match="defect site outside the chain"):
+            call(s, d)
+
     def test_trace_depth_validation(self):
         rng = np.random.default_rng(57)
         s = lat.random_state(3, rng)

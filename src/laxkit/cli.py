@@ -12,6 +12,7 @@ trajectory aborted, 2 configuration error.
 from __future__ import annotations
 
 import argparse
+import cmath
 import csv
 import json
 import math
@@ -138,6 +139,29 @@ def _count(p: dict, key: str, default: int, least: int = 1, most: float = math.i
     return _integer(key, p.get(key, default), least, most)
 
 
+def _number(key: str, value, kind=float):
+    """A finite real parameter, or a complex one with ``kind=complex`` (given
+    as a number or a string such as "0.1+0.2j")."""
+    try:
+        number = None if isinstance(value, bool) else kind(value)
+    except (TypeError, ValueError):
+        number = None
+    if number is None or not cmath.isfinite(number):
+        kind_name = "real" if kind is float else "complex"
+        raise ConfigError(f"{key} must be a finite {kind_name} number; got {value!r}")
+    return number
+
+
+def _numbers(p: dict, key: str, default: list, kind=float, least: int = 0,
+             most: float = math.inf) -> list:
+    """A list parameter of least..most numbers, each read by :func:`_number`."""
+    value = p.get(key, default)
+    if not (isinstance(value, list) and least <= len(value) <= most):
+        count = f"{least} " if least == most else f"at least {least} " if least else ""
+        raise ConfigError(f"{key} must be a list of {count}numbers; got {value!r}")
+    return [_number(key, x, kind) for x in value]
+
+
 def _sizes(p: dict, default: list[int], least: int) -> list[int]:
     """The chain sizes of a charge battery: a non-empty list of integers."""
     sizes = p.get("sizes", default)
@@ -161,7 +185,7 @@ def write_csv(path: Path, header: list[str], rows) -> None:
 def _time_params(p: dict, dt: float, t_end: float, coarse=lambda dt: dt):
     """(dt, coarse step, t_end) from the params; ``coarse(dt)`` is the
     largest step the mode runs at, and every step must fit in t_end."""
-    dt, t_end = float(p.get("dt", dt)), float(p.get("t_end", t_end))
+    dt, t_end = _number("dt", p.get("dt", dt)), _number("t_end", p.get("t_end", t_end))
     dt_coarse = coarse(dt)
     if not (0 < dt and 0 < dt_coarse <= t_end):
         raise ConfigError(f"need 0 < dt <= t_end for every run of the mode (dt = {dt:g}, "
@@ -265,12 +289,8 @@ def _mode_defect_charges(cfg: RunConfig, report: Report, outdir: Path):
 
 def _probe_pairs(cfg: RunConfig, rng, samples: int):
     """Random spectral pairs, preceded by any explicitly configured probes."""
-    explicit = [
-        (complex(l), complex(m))
-        for l, m in zip(cfg.params.get("lambda_probes", []), cfg.params.get("mu_probes", []))
-    ]
-    for pair in explicit:
-        yield pair
+    yield from zip(_numbers(cfg.params, "lambda_probes", [], complex),
+                   _numbers(cfg.params, "mu_probes", [], complex))
     for _ in range(samples):
         yield _spectral_pair(rng)
 
@@ -299,8 +319,7 @@ def _mode_verify_zero_curvature(cfg: RunConfig, report: Report, outdir: Path):
     samples = _count(cfg.params, "samples", 100)
     worst_bulk = worst_flow = 0.0
     worst_defect = {"left": 0.0, "defect": 0.0, "right": 0.0}
-    explicit = [complex(m) for m in cfg.params.get("mu_probes", [])]
-    probes = explicit + [None] * samples
+    probes = _numbers(cfg.params, "mu_probes", [], complex) + [None] * samples
     for mu_probe in probes:
         s = lat.random_state(int(rng.integers(2, 7)), rng)
         mu = mu_probe if mu_probe is not None else complex(
@@ -338,12 +357,12 @@ def _mode_lattice_sim(cfg: RunConfig, report: Report, outdir: Path, with_defect=
     # a defect needs an interior site, 2 <= defect_site <= N - 1
     n = _count(p, "N", 8, least=3 if with_defect else 2)
     dt, dt_coarse, t_end = _time_params(
-        p, 5e-3, 5.0, lambda dt: float(p.get("dt_coarse", 2 * dt))
+        p, 5e-3, 5.0, lambda dt: _number("dt_coarse", p.get("dt_coarse", 2 * dt))
     )
     # the complex flow is not globally bounded; keep drawing seeded
     # candidates until one stays regular over the full window
-    amplitude = float(p.get("amplitude", 0.15 if with_defect else 0.12))
-    probes = tuple(p.get("probes", [2.0, 3.0]))
+    amplitude = _number("amplitude", p.get("amplitude", 0.15 if with_defect else 0.12))
+    probes = tuple(_numbers(p, "probes", [2.0, 3.0], least=1))
     attempts = _count(p, "candidate_attempts", 20)
     site = _count(p, "defect_site", max(2, n // 2), least=2, most=n - 1) if with_defect else None
 
@@ -353,7 +372,7 @@ def _mode_lattice_sim(cfg: RunConfig, report: Report, outdir: Path, with_defect=
             return lambda step: lat.integrate(s, step, t_end, probes)
         d = ld.DefectSite(
             site,
-            complex(p.get("theta", 0.1)),
+            _number("theta", p.get("theta", 0.1), complex),
             0.1 * amplitude * complex(rng.normal(), rng.normal()),
             0.1 * amplitude * complex(rng.normal(), rng.normal()),
             np.exp(0.2 * complex(rng.normal(), rng.normal())),
@@ -363,7 +382,10 @@ def _mode_lattice_sim(cfg: RunConfig, report: Report, outdir: Path, with_defect=
     # a candidate is usable when both runs complete and the fine drift sits
     # in the window where the step error is both above roundoff accumulation
     # and still in the asymptotic regime of the scheme
-    drift_window = p.get("drift_window", [1e-10, 5e-3])
+    drift_window = _numbers(p, "drift_window", [1e-10, 5e-3], least=2, most=2)
+    ratio_low = _number("ratio_low", p.get("ratio_low", 12.0))
+    ratio_high = _number("ratio_high", p.get("ratio_high", 40.0))
+    trace_ratio_low = _number("trace_ratio_low", p.get("trace_ratio_low", 10.0))
     fine = coarse = None
     for _ in range(attempts):
         runner = draw()
@@ -394,7 +416,7 @@ def _mode_lattice_sim(cfg: RunConfig, report: Report, outdir: Path, with_defect=
         f"{label}-charge-drift-ratio",
         "order-2 charge drift ratio under halved step (fourth-order band)",
         ratio,
-        float(p.get("ratio_low", 12.0)),
+        ratio_low,
         criterion="min",
     )
     # default upper edge leaves slack over the nominal 16 for pre-asymptotic
@@ -403,7 +425,7 @@ def _mode_lattice_sim(cfg: RunConfig, report: Report, outdir: Path, with_defect=
     report.add(
         f"{label}-charge-drift-ratio-upper",
         "same ratio against the upper band edge",
-        float(p.get("ratio_high", 40.0)) - ratio,
+        ratio_high - ratio,
         0.0,
         criterion="min",
     )
@@ -412,7 +434,7 @@ def _mode_lattice_sim(cfg: RunConfig, report: Report, outdir: Path, with_defect=
         f"{label}-trace-drift-ratio",
         "monodromy trace drift tracks the charge drift order",
         tr_ratio,
-        float(p.get("trace_ratio_low", 10.0)),
+        trace_ratio_low,
         criterion="min",
     )
     header = ["t", "c0_re", "c0_im", "c2_re", "c2_im"]
@@ -433,9 +455,9 @@ def _mode_liouville_evolve(cfg: RunConfig, report: Report, outdir: Path):
     rng = np.random.default_rng(cfg.seed)
     p = cfg.params
     n = _count(p, "points", 64, least=3)
-    L = float(p.get("L", 1.0))
+    L = _number("L", p.get("L", 1.0))
     dt, dt_coarse, t_end = _time_params(p, 2e-3, 0.5, lambda dt: 2 * dt)
-    amplitude = float(p.get("amplitude", 0.15))
+    amplitude = _number("amplitude", p.get("amplitude", 0.15))
     c = lv.random_config(L, n, rng, amplitude=amplitude)
     fine = lv.evolve(c, dt, t_end)
     coarse = lv.evolve(c, dt_coarse, t_end)
@@ -465,9 +487,9 @@ def _mode_monodromy_check(cfg: RunConfig, report: Report, outdir: Path):
     rng = np.random.default_rng(cfg.seed)
     p = cfg.params
     n = _count(p, "points", 64, least=3)
-    L = float(p.get("L", 1.0))
+    L = _number("L", p.get("L", 1.0))
     count = _count(p, "configs", 10)
-    amplitude = float(p.get("amplitude", 0.2))
+    amplitude = _number("amplitude", p.get("amplitude", 0.2))
     zero = lv.FieldConfig.zero(L, n)
     ch = lv.charges(zero)
     pt, ht = lv.dual_charges(zero)
@@ -493,7 +515,7 @@ def _mode_monodromy_check(cfg: RunConfig, report: Report, outdir: Path):
 
 def _mode_bt_evolve(cfg: RunConfig, report: Report, outdir: Path):
     p = cfg.params
-    theta = complex(p.get("theta", 0.2))
+    theta = _number("theta", p.get("theta", 0.2), complex)
     dt, _, t_end = _time_params(p, 2.5e-3, 0.4)
     # with unit characteristic speed and no boundary conditions, the checks
     # read only the causal interior |x| <= half - t, which is gone at t = half
@@ -502,15 +524,16 @@ def _mode_bt_evolve(cfg: RunConfig, report: Report, outdir: Path):
         raise ConfigError(f"need t_end < {half:g}, the causal horizon of the grid "
                           f"x in [-{half:g}, {half:g}] (t_end = {t_end:g})")
     nx = _count(p, "points", 65, least=3)
-    sol = exact.periodic_solution_for_length(float(p.get("L", 1.0)))
+    offset = _number("seed_offset", p.get("seed_offset", 0.15), complex)
+    y_seed = _number("y_seed", p.get("y_seed", 0.02), complex)
+    z_seed = _number("z_seed", p.get("z_seed", 0.01), complex)
+    sol = exact.periodic_solution_for_length(_number("L", p.get("L", 1.0)))
 
     def run(n, step):
         x = np.linspace(-half, half, n)
         return bt.bt_evolve(
             sol, x, theta, step, t_end,
-            phi_tilde_seed=sol.phi(x[0], 0.0) + complex(p.get("seed_offset", 0.15)),
-            y_seed=complex(p.get("y_seed", 0.02)),
-            z_seed=complex(p.get("z_seed", 0.01)),
+            phi_tilde_seed=sol.phi(x[0], 0.0) + offset, y_seed=y_seed, z_seed=z_seed,
         )
 
     t1 = run(nx, dt)
@@ -527,7 +550,8 @@ def _mode_bt_evolve(cfg: RunConfig, report: Report, outdir: Path):
 
 def _mode_hetero_bt(cfg: RunConfig, report: Report, outdir: Path):
     p = cfg.params
-    params = bt.HeteroParams(complex(p.get("c", 0.35)), complex(p.get("Theta", 0.15)))
+    params = bt.HeteroParams(_number("c", p.get("c", 0.35), complex),
+                             _number("Theta", p.get("Theta", 0.15), complex))
     nz, nb = _count(p, "nz", 49, least=3), _count(p, "nzbar", 41, least=3)
 
     def gen(kz, kb):

@@ -18,6 +18,7 @@ of motion, and a fixed-step integrator with conservation monitoring.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from itertools import accumulate
 
 import numpy as np
 
@@ -143,8 +144,20 @@ def build_lax(s: LatticeState, j: int) -> LaurentMatrix:
 
 def lax_value(s: LatticeState, j: int, u: complex) -> np.ndarray:
     """L_j evaluated numerically at the spectral point u."""
-    a, abar, v = s.site(j)
-    return np.array([[u * v - 1.0 / (u * v), abar], [a, -v / u]], dtype=complex)
+    return _lax_values(*s.site(j), u)
+
+
+def _lax_values(a, abar, v, u) -> np.ndarray:
+    """Site matrices [[u v - 1/(u v), abar], [a, -v/u]], broadcast over the
+    fields and the spectral points: shape + (2, 2)."""
+    return _matrices(u * v - 1.0 / (u * v), abar, a, -v / u)
+
+
+def _matrices(m00, m01, m10, m11) -> np.ndarray:
+    """Complex 2x2 matrices from their entries, broadcast together: shape + (2, 2)."""
+    out = np.empty(np.broadcast(m00, m01, m10, m11).shape + (2, 2), dtype=complex)
+    out[..., 0, 0], out[..., 0, 1], out[..., 1, 0], out[..., 1, 1] = m00, m01, m10, m11
+    return out
 
 
 def _lax_partials(s: LatticeState, j: int, u: complex) -> dict[str, np.ndarray]:
@@ -162,11 +175,20 @@ def monodromy(s: LatticeState) -> LaurentMatrix:
     return matrix_product_chain([build_lax(s, j) for j in range(s.N, 0, -1)])
 
 
-def monodromy_value(s: LatticeState, u: complex) -> np.ndarray:
-    out = np.eye(2, dtype=complex)
-    for j in range(s.N, 0, -1):
-        out = out @ lax_value(s, j, u)
-    return out
+def monodromy_value(s: LatticeState, u) -> np.ndarray:
+    """T = L_N ... L_1 at the spectral point u, shape (2, 2).  An array of P
+    points gives shape u.shape + (2, 2), from one (P, N, 2, 2) stack of site
+    matrices and one batched matmul per site."""
+    w = np.asarray(u, dtype=complex).reshape(-1, 1)
+    return _stack_product(_lax_values(s.a, s.a_bar, s.v, w), np.shape(u))
+
+
+def _stack_product(stack: np.ndarray, shape: tuple) -> np.ndarray:
+    """L_N ... L_1 of every chain in a (P, N, 2, 2) stack, as shape + (2, 2)."""
+    out = stack[:, -1]
+    for j in range(stack.shape[1] - 2, -1, -1):
+        out = out @ stack[:, j]
+    return out.reshape(shape + (2, 2))
 
 
 # -- charges -----------------------------------------------------------------
@@ -180,7 +202,7 @@ def charges_closed_form(s: LatticeState) -> tuple[complex, complex, complex]:
     """
     b, bbar = s.b, s.b_bar
     c0 = complex(np.sum(np.log(s.v)))
-    c2 = complex(np.sum(np.roll(bbar, -1) * b) - np.sum(s.v**-2))
+    c2 = complex(np.sum(np.concatenate((bbar[1:], bbar[:1])) * b) - np.sum(s.v**-2))
     return c0, 0.0j, c2
 
 
@@ -285,8 +307,8 @@ def _vector_field(a, abar, v):
     # raw arrays, unvalidated: the RK stages of a march are never wrapped in
     # a LatticeState
     b, bbar = a / v, abar / v
-    bm = np.roll(b, 1)       # b_{j-1}
-    bbp = np.roll(bbar, -1)  # bbar_{j+1}
+    bm = np.concatenate((b[-1:], b[:-1]))        # b_{j-1}
+    bbp = np.concatenate((bbar[1:], bbar[:1]))   # bbar_{j+1}
     da = 2.0 * bm * v - 2.0 * b / v + bbp * b * a + bbar * bm * a
     dabar = -2.0 * bbp * v + 2.0 * bbar / v - bbp * b * abar - bbar * bm * abar
     dv = bbp * a - abar * bm
@@ -301,8 +323,8 @@ def bulk_eom(s: LatticeState) -> LatticeDerivative:
 def charge2_gradient(s: LatticeState) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Analytic partials of the order-2 charge with respect to each field."""
     a, abar, v = s.a, s.a_bar, s.v
-    ap, vp = np.roll(a, 1), np.roll(v, 1)          # site j-1
-    abarn, vn = np.roll(abar, -1), np.roll(v, -1)  # site j+1
+    ap, vp = (np.concatenate((x[-1:], x[:-1])) for x in (a, v))        # site j-1
+    abarn, vn = (np.concatenate((x[1:], x[:1])) for x in (abar, v))    # site j+1
     d_a = abarn / (vn * v)
     d_abar = ap / (v * vp)
     d_v = -abarn * a / (vn * v**2) - abar * ap / (v**2 * vp) + 2.0 / v**3
@@ -372,6 +394,7 @@ def time_lax_from_rmatrix(
     if depth < 2:
         raise ValueError("depth must be at least 2")
     n = s.N
+    j = (j - 1) % n + 1  # periodic, like LatticeState.site
     factors = [build_lax(s, k) for k in range(j - 1, 0, -1)]
     factors += [build_lax(s, k) for k in range(n, j - 1, -1)]
     tj = matrix_product_chain(factors)
@@ -424,8 +447,8 @@ class LatticeTrajectory:
         self.states.append(st)
         self.charges0.append(c0)
         self.charges2.append(c2)
-        for tr, m in zip(self.traces.values(), monodromies):
-            tr.append(np.trace(m))
+        for series, tr in zip(self.traces.values(), np.trace(monodromies, axis1=1, axis2=2)):
+            series.append(tr)
 
     def finished(self):
         """Copy with the monitored series as arrays."""
@@ -449,15 +472,16 @@ FIELD_CEILING = 1e8
 def _singular(names, y):
     """Guard of the chain integrators: None, or (reason, field, index) of a
     non-finite entry, a field above FIELD_CEILING, or a v_j (or defect X)
-    below V_FLOOR in modulus."""
-    floored = [(name, np.abs(arr)) for name, arr in zip(names, y) if name in ("v", "X")]
-    if (
-        all(mag.min() >= V_FLOOR for _, mag in floored)
-        and np.abs(np.concatenate(y)).max() <= FIELD_CEILING
-    ):
+    below V_FLOOR in modulus.  One pass over all the moduli decides; only a
+    state that trips it is searched for the offending entry."""
+    mag = np.abs(np.concatenate(y))
+    floor = min(mag[end - len(arr):end].min()
+                for name, arr, end in zip(names, y, accumulate(map(len, y))) if name in ("v", "X"))
+    if floor >= V_FLOOR and mag.max() <= FIELD_CEILING:
         return None
     fault = locate(names, y, FIELD_CEILING, "field above the ceiling")
     if fault is None:
+        floored = [(name, np.abs(arr)) for name, arr in zip(names, y) if name in ("v", "X")]
         name, mag = min(floored, key=lambda p: p[1].min())
         fault = ("field below the floor", name, int(np.argmin(mag)))
     return fault
@@ -484,7 +508,7 @@ def integrate(
 
     def keep(t, st):
         c0, _, c2 = charges_closed_form(st)
-        traj.keep(t, st, c0, c2, [monodromy_value(st, u) for u in probes])
+        traj.keep(t, st, c0, c2, monodromy_value(st, probes))
 
     keep(0.0, s)
     return march(lambda t, y: _vector_field(*y), (s.a, s.a_bar, s.v), dt,

@@ -31,8 +31,11 @@ from .lattice import (
     SingularStateError,
     _checked_trace,
     _lax_partials,
+    _lax_values,
+    _matrices,
     _rate,
     _singular,
+    _stack_product,
     _time_lax_matrix,
     _vector_field,
     build_lax,
@@ -133,15 +136,11 @@ def build_defect_lax(d: DefectSite) -> LaurentMatrix:
     )
 
 
-def defect_lax_value(d: DefectSite, u: complex) -> np.ndarray:
+def defect_lax_value(d: DefectSite, u) -> np.ndarray:
+    """Ltilde at the spectral point u; an array u gives shape u.shape + (2, 2)."""
     em, ep = np.exp(-d.theta), np.exp(d.theta)
-    return np.array(
-        [
-            [u * em * d.X - ep / (u * d.X), d.z_bar],
-            [d.z, u * em / d.X - ep * d.X / u],
-        ],
-        dtype=complex,
-    )
+    return _matrices(u * em * d.X - ep / (u * d.X), d.z_bar,
+                     d.z, u * em / d.X - ep * d.X / u)
 
 
 # Elementary brackets among the defect fields; ultralocality makes every
@@ -199,12 +198,14 @@ def defect_monodromy(s: LatticeState, d: DefectSite) -> LaurentMatrix:
     return matrix_product_chain(factors)
 
 
-def defect_monodromy_value(s: LatticeState, d: DefectSite, u: complex) -> np.ndarray:
+def defect_monodromy_value(s: LatticeState, d: DefectSite, u) -> np.ndarray:
+    """Like :func:`~laxkit.lattice.monodromy_value`, with Ltilde in place of L
+    at the defect site: (2, 2) at a scalar u, u.shape + (2, 2) at an array."""
     _require_on_chain(s, d)
-    out = np.eye(2, dtype=complex)
-    for j in range(s.N, 0, -1):
-        out = out @ (defect_lax_value(d, u) if j == d.n else lax_value(s, j, u))
-    return out
+    w = np.asarray(u, dtype=complex).reshape(-1, 1)
+    stack = _lax_values(s.a, s.a_bar, s.v, w)
+    stack[:, d.n - 1] = defect_lax_value(d, w[:, 0])
+    return _stack_product(stack, np.shape(u))
 
 
 def defect_charges(s: LatticeState, d: DefectSite) -> tuple[complex, complex]:
@@ -222,7 +223,7 @@ def defect_charges(s: LatticeState, d: DefectSite) -> tuple[complex, complex]:
     keep[n0] = False
     c0 = complex(np.sum(np.log(v[keep])) + np.log(d.X) - d.theta)
 
-    hop = np.roll(bbar, -1) * b
+    hop = np.concatenate((bbar[1:], bbar[:1])) * b
     keep_hop = np.ones(s.N, dtype=bool)
     keep_hop[n0] = False
     keep_hop[(n0 - 1) % s.N] = False
@@ -386,8 +387,7 @@ def integrate_with_defect(
 
     def keep(t, st, df):
         traj.defects.append(df)
-        traj.keep(t, st, *defect_charges(st, df),
-                  [defect_monodromy_value(st, df, u) for u in probes])
+        traj.keep(t, st, *defect_charges(st, df), defect_monodromy_value(st, df, probes))
 
     def record(k, t, y):
         df = d.replace(z=complex(y[3][0]), z_bar=complex(y[4][0]), X=complex(y[5][0]))

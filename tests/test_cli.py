@@ -76,6 +76,36 @@ class TestConfig:
         assert not (tmp_path / "out" / "report.json").exists()
 
 
+    @pytest.mark.parametrize("payload", [
+        {"mode": "lattice-sim", "params": {"dt": "x"}},
+        {"mode": "lattice-sim", "params": {"probes": ["x"]}},
+        {"mode": "lattice-sim", "params": {"probes": []}},
+        {"mode": "lattice-sim", "params": {"drift_window": [1e-10]}},
+        {"mode": "lattice-defect-sim", "params": {"theta": "0.1+"}},
+        {"mode": "lattice-defect-sim", "params": {"ratio_low": None}},
+        {"mode": "verify-zero-curvature", "params": {"mu_probes": ["x"]}},
+        {"mode": "verify-poisson", "params": {"lambda_probes": ["x"], "mu_probes": [0.1]}},
+        {"mode": "verify-poisson", "params": {"mu_probes": 0.1}},
+        {"mode": "liouville-evolve", "params": {"L": "nan"}},
+        {"mode": "monodromy-check", "params": {"amplitude": True}},
+        {"mode": "bt-evolve", "params": {"y_seed": [0.1]}},
+        {"mode": "hetero-bt", "params": {"Theta": "inf"}},
+    ])
+    def test_malformed_numbers_are_config_errors(self, tmp_path, payload, capsys):
+        path = write_config(tmp_path, payload)
+        assert cli.main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        key = next(iter(payload["params"]))
+        assert f"config error: {key} must be" in err and "Traceback" not in err
+        assert not (tmp_path / "out" / "report.json").exists()
+
+    def test_numeric_strings_still_parse(self, tmp_path):
+        # complex parameters arrive from JSON as strings
+        path = write_config(tmp_path, {"mode": "verify-zero-curvature",
+                                       "params": {"samples": 2, "mu_probes": ["0.1+0.2j", 0.3]}})
+        assert cli.main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 0
+
+
 class TestRun:
     def test_verify_poisson_passes(self, tmp_path):
         path = write_config(tmp_path, {"mode": "verify-poisson", "seed": 7})

@@ -104,7 +104,41 @@ class TestBuildLax:
             lat.LatticeState(np.zeros(2), np.zeros(2), np.array([1.0, 0.0]))
 
 
+PROBES = np.array([2.0, 3.0, 0.7 + 0.3j, -1.1j, 0.5])
+
+
+def normwise_gap(got, want):
+    """Largest entry gap of each matrix over its largest entry, maximized over the stack."""
+    return float(np.max(np.max(np.abs(got - want), axis=(-2, -1))
+                        / np.max(np.abs(want), axis=(-2, -1))))
+
+
 class TestMonodromy:
+    @pytest.mark.parametrize("n", [3, 8, 40])
+    def test_probe_array_matches_scalar_calls(self, n):
+        for seed in range(50):
+            s = lat.random_state(n, np.random.default_rng(seed))
+            batched = lat.monodromy_value(s, PROBES)
+            assert batched.shape == (len(PROBES), 2, 2)
+            single = np.array([lat.monodromy_value(s, u) for u in PROBES])
+            assert single.shape == batched.shape
+            assert normwise_gap(batched, single) <= 1e-14
+            # reference: the ordered product of the site matrices, one by one
+            loop = []
+            for u in PROBES:
+                m = np.eye(2, dtype=complex)
+                for j in range(n, 0, -1):
+                    m = m @ lat.lax_value(s, j, u)
+                loop.append(m)
+            assert normwise_gap(batched, np.array(loop)) <= 1e-13
+
+    def test_probe_array_keeps_its_shape(self):
+        s = lat.random_state(4, np.random.default_rng(5))
+        grid = PROBES[:4].reshape(2, 2)
+        assert lat.monodromy_value(s, grid).shape == (2, 2, 2, 2)
+        np.testing.assert_array_equal(lat.monodromy_value(s, grid)[1, 0],
+                                      lat.monodromy_value(s, grid[1, 0]))
+
     def test_single_site(self):
         rng = np.random.default_rng(12)
         s = lat.random_state(1, rng)
@@ -447,6 +481,57 @@ class TestTimeLaxFromRMatrix:
     def test_out_of_range_fields_raise(self, scale):
         with pytest.raises(OverflowError):
             lat.time_lax_from_rmatrix(out_of_range_state(scale), 2, 0.2 + 0.1j)
+
+    def test_site_index_is_periodic(self):
+        # like LatticeState.site and time_lax_order2: j = 0 is site N, j = N + 1 is site 1
+        s = lat.random_state(5, np.random.default_rng(0))
+        mu = 0.3 - 0.1j
+        for j, same in ((0, 5), (6, 1), (-4, 1)):
+            got = lat.time_lax_from_rmatrix(s, j, mu, depth=3)
+            want = lat.time_lax_from_rmatrix(s, same, mu, depth=3)
+            assert all(np.array_equal(g, w) for g, w in zip(got, want))
+
+
+BULK_FIELDS = ("a", "a_bar", "v")
+DEFECT_FIELDS = BULK_FIELDS + ("z", "z_bar", "X")
+
+
+def crafted_fields(names, **entries):
+    """Regular field arrays (5 bulk sites, one entry per defect field) with
+    the given (index, value) entries written in."""
+    y = {"a": np.full(5, 0.1 + 0.2j), "a_bar": np.full(5, -0.3j), "v": np.full(5, 1.0 + 0j),
+         "z": np.array([0.2 + 0j]), "z_bar": np.array([0.1j]), "X": np.array([1.5 + 0j])}
+    for name, (i, value) in entries.items():
+        y[name][i] = value
+    return tuple(y[name] for name in names)
+
+
+class TestGuard:
+    """The chain integrators' guard: None on a regular state, else the
+    (reason, field, index) of the first non-finite entry, of the largest entry
+    above FIELD_CEILING, or of the smallest |v_j| or |X| below V_FLOOR."""
+
+    @pytest.mark.parametrize("names, entries, verdict", [
+        (BULK_FIELDS, {}, None),
+        (BULK_FIELDS, {"v": (3, 1e-9j)}, ("field below the floor", "v", 3)),
+        (BULK_FIELDS, {"a_bar": (2, np.nan)}, ("non-finite", "a_bar", 2)),
+        (BULK_FIELDS, {"a": (4, -2e8)}, ("field above the ceiling", "a", 4)),
+        (BULK_FIELDS, {"v": (1, 1e-9), "a_bar": (2, np.nan)}, ("non-finite", "a_bar", 2)),
+        (BULK_FIELDS, {"v": (1, 1e-9), "a": (0, 1e9)}, ("field above the ceiling", "a", 0)),
+        (DEFECT_FIELDS, {}, None),
+        (DEFECT_FIELDS, {"v": (3, 1e-9j)}, ("field below the floor", "v", 3)),
+        (DEFECT_FIELDS, {"X": (0, 2e-9)}, ("field below the floor", "X", 0)),
+        (DEFECT_FIELDS, {"v": (0, 5e-9), "X": (0, 2e-9)}, ("field below the floor", "X", 0)),
+        (DEFECT_FIELDS, {"a_bar": (2, np.nan)}, ("non-finite", "a_bar", 2)),
+        (DEFECT_FIELDS, {"X": (0, np.inf)}, ("non-finite", "X", 0)),
+        (DEFECT_FIELDS, {"z_bar": (0, 3e8j)}, ("field above the ceiling", "z_bar", 0)),
+        # only v and X have a floor
+        (DEFECT_FIELDS, {"z": (0, 1e-12), "z_bar": (0, 1e-12j)}, None),
+        (BULK_FIELDS, {"a": (0, 1e-12), "a_bar": (1, 0.0)}, None),
+    ])
+    def test_verdict(self, names, entries, verdict):
+        y = crafted_fields(names, **entries)
+        assert lat._singular(names, y) == verdict
 
 
 class TestOrderZeroFlow:

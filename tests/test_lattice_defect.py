@@ -110,6 +110,26 @@ class TestDefectMonodromy:
         exps = [e for i in range(2) for j in range(2) for e in t[i, j].coeffs]
         assert max(exps) == 5 and min(exps) == -5
 
+    @pytest.mark.parametrize("n", [3, 8, 40])
+    def test_probe_array_matches_scalar_calls(self, n):
+        probes = np.array([2.0, 3.0, 0.7 + 0.3j, -1.1j, 0.5])
+        for seed in range(50):
+            rng = np.random.default_rng(seed)
+            s = lat.random_state(n, rng)
+            d = ld.random_defect(int(rng.integers(1, n + 1)), rng)
+            batched = ld.defect_monodromy_value(s, d, probes)
+            single = np.array([ld.defect_monodromy_value(s, d, u) for u in probes])
+            # reference: the ordered product of the site matrices, one by one
+            loop = []
+            for u in probes:
+                m = np.eye(2, dtype=complex)
+                for j in range(n, 0, -1):
+                    m = m @ (ld.defect_lax_value(d, u) if j == d.n else lat.lax_value(s, j, u))
+                loop.append(m)
+            scale = np.max(np.abs(single), axis=(-2, -1))
+            assert np.all(np.max(np.abs(batched - single), axis=(-2, -1)) <= 1e-14 * scale)
+            assert np.all(np.max(np.abs(batched - np.array(loop)), axis=(-2, -1)) <= 1e-13 * scale)
+
 
 class TestDefectCharges:
     def test_closed_form_matches_trace(self):

@@ -9,6 +9,13 @@ flow equations is (i/2)(phi_x + phi~_x); the factor 1/2 is forced by the
 u-power matching and is what makes the flow compatible with the diagonal
 system (tests drive a full evolution through it).
 
+Each of these equations is written once: the t and x halves of the diagonal
+pair in ``_tilde_t`` and ``_tilde_x``, the (Y, Z) flows in ``_time_flow`` and
+``_space_flow``.  The residuals :func:`bt_residual_t` and
+:func:`bt_residual_x` are derivative minus flow, and :func:`bt_evolve` and
+:func:`bt_initial_data` march the same flows.  The matrix itself is the
+lattice defect matrix, :func:`~laxkit.lattice_defect.defect_lax_value`.
+
 Hetero picture: a triangular-free Darboux matrix interfaces the Liouville
 theory (coupling c, modified sign convention with potential +4i c^2 e^{2i
 phi~}) with the free massless field.  In half-sum light-cone coordinates
@@ -32,6 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .lattice_defect import _type2_matrix
 from .liouville import derivative_closed
 from .stepping import count_steps, finite_guard, march
 
@@ -83,15 +91,9 @@ class HeteroParams:
 
 
 def darboux_matrix_type2(d: DarbouxState, u: complex) -> np.ndarray:
-    """[[u e^-th X - u^-1 e^th / X, Y], [Z, u e^-th / X - u^-1 e^th X]]."""
-    em, ep = np.exp(-d.theta), np.exp(d.theta)
-    return np.array(
-        [
-            [u * em * d.X - ep / (u * d.X), d.Y],
-            [d.Z, u * em / d.X - ep * d.X / u],
-        ],
-        dtype=complex,
-    )
+    """[[u e^-th X - u^-1 e^th / X, Y], [Z, u e^-th / X - u^-1 e^th X]], the
+    lattice defect matrix with (Y, Z) in place of (zbar, z)."""
+    return _type2_matrix(d.theta, d.X, d.Y, d.Z, u)
 
 
 # -- auto transformation: algebraic layer ---------------------------------------
@@ -126,48 +128,63 @@ def bt_solve_YZ(phi, phi_tilde, phi_t, phi_tilde_t, phi_x, phi_tilde_x, theta):
     return y, z
 
 
-def _sinh_gap(phi, phi_tilde):
-    return np.sinh(1j * (np.asarray(phi_tilde) - np.asarray(phi)))
+def _tilde_t(phi_t, Y, Z, e):
+    """phi~_t from the t half of the diagonal pair,
+    i(phi~_t - phi_t) = -2Y (e^th em + e^-th ep) + 2Z e^-th em,
+    with e = (em, ep, e^th, e^-th) from :func:`_exponentials`."""
+    em, ep, et, eti = e
+    return np.asarray(phi_t) - 1j * (-2.0 * Y * (et * em + eti * ep) + 2.0 * Z * eti * em)
+
+
+def _tilde_x(phi_x, Y, Z, e):
+    """phi~_x from the x half of the diagonal pair,
+    i(phi~_x - phi_x) = -2Y (e^th em - e^-th ep) - 2Z e^-th em."""
+    em, ep, et, eti = e
+    return phi_x + (2j * Y * (et * em - eti * ep) + 2j * Z * eti * em)
+
+
+def _time_flow(phi, phi_tilde, phi_x, phi_tilde_x, Y, Z, e):
+    """(Y_t, Z_t) from the anti-diagonal entries of the time half:
+
+    Y_t = -(i/2)(phi_x + phi~_x) Y - e^-th em sinh(i(phi~ - phi))
+    Z_t =  (i/2)(phi_x + phi~_x) Z + (e^th em + e^-th ep) sinh(i(phi~ - phi))
+    """
+    em, ep, et, eti = e
+    s = np.sinh(1j * (phi_tilde - phi))
+    drag = 0.5j * (phi_x + phi_tilde_x)
+    return -drag * Y - eti * em * s, drag * Z + (et * em + eti * ep) * s
+
+
+def _space_flow(phi, phi_tilde, phi_t, phi_tilde_t, Y, Z, e):
+    """(Y_x, Z_x) from the anti-diagonal entries of the space half, where the
+    Y source flips sign and the drag takes time derivatives:
+
+    Y_x = -(i/2)(phi_t + phi~_t) Y + e^-th em sinh(i(phi~ - phi))
+    Z_x =  (i/2)(phi_t + phi~_t) Z + (e^th em - e^-th ep) sinh(i(phi~ - phi))
+    """
+    em, ep, et, eti = e
+    s = np.sinh(1j * (phi_tilde - phi))
+    drag = 0.5j * (phi_t + phi_tilde_t)
+    return -drag * Y + eti * em * s, drag * Z + (et * em - eti * ep) * s
 
 
 def bt_residual_t(phi, phi_tilde, phi_x, phi_tilde_x, Y, Z, Y_t, Z_t, theta):
-    """Residuals of the time-flow equations for the off-diagonal entries.
-
-    r_Y = Y_t + (i/2)(phi_x + phi~_x) Y + e^-th em sinh(i(phi~ - phi))
-    r_Z = Z_t - (i/2)(phi_x + phi~_x) Z - (e^th em + e^-th ep) sinh(i(phi~ - phi))
-    """
-    em, ep, et, eti = _exponentials(phi, phi_tilde, theta)
-    s = _sinh_gap(phi, phi_tilde)
-    drag = 0.5j * (np.asarray(phi_x) + np.asarray(phi_tilde_x))
-    r_y = np.asarray(Y_t) + drag * Y + eti * em * s
-    r_z = np.asarray(Z_t) - drag * Z - (et * em + eti * ep) * s
-    return r_y, r_z
+    """Residuals (Y_t, Z_t) minus the time flow of the off-diagonal entries
+    (:func:`_time_flow`)."""
+    f_y, f_z = _time_flow(phi, phi_tilde, phi_x, phi_tilde_x, Y, Z,
+                          _exponentials(phi, phi_tilde, theta))
+    return np.asarray(Y_t) - f_y, np.asarray(Z_t) - f_z
 
 
 def bt_residual_x(phi, phi_tilde, phi_t, phi_tilde_t, Y, Z, Y_x, Z_x, theta):
-    """Residuals of the space-flow equations (time-like defect picture).
-
-    Relative to the time flow the source of r_Y flips sign and the drag uses
-    time derivatives:
-
-    r_Y = Y_x + (i/2)(phi_t + phi~_t) Y - e^-th em sinh(i(phi~ - phi))
-    r_Z = Z_x - (i/2)(phi_t + phi~_t) Z - (e^th em - e^-th ep) sinh(i(phi~ - phi))
-    """
-    em, ep, et, eti = _exponentials(phi, phi_tilde, theta)
-    s = _sinh_gap(phi, phi_tilde)
-    drag = 0.5j * (np.asarray(phi_t) + np.asarray(phi_tilde_t))
-    r_y = np.asarray(Y_x) + drag * Y - eti * em * s
-    r_z = np.asarray(Z_x) - drag * Z - (et * em - eti * ep) * s
-    return r_y, r_z
+    """Residuals (Y_x, Z_x) minus the space flow of the off-diagonal entries
+    (:func:`_space_flow`, the time-like defect picture)."""
+    f_y, f_z = _space_flow(phi, phi_tilde, phi_t, phi_tilde_t, Y, Z,
+                           _exponentials(phi, phi_tilde, theta))
+    return np.asarray(Y_x) - f_y, np.asarray(Z_x) - f_z
 
 
 # -- auto transformation: evolution ----------------------------------------------
-
-
-def _tilde_time_derivative(phi_t, Y, Z, em, ep, et, eti):
-    # diagonal equation solved for phi~_t
-    rhs = -2.0 * Y * (et * em + eti * ep) + 2.0 * Z * eti * em
-    return np.asarray(phi_t) - 1j * rhs
 
 
 def bt_initial_data(background, x: np.ndarray, t0: float, theta: complex,
@@ -185,14 +202,9 @@ def bt_initial_data(background, x: np.ndarray, t0: float, theta: complex,
     def rhs(xv, state):
         pt, yv, zv = state
         phi, phi_t, phi_x = background.fields(xv, t0)
-        em, ep, et, eti = _exponentials(phi, pt, theta)
-        s = np.sinh(1j * (pt - phi))
-        delta_x = 2j * yv * (et * em - eti * ep) + 2j * zv * eti * em
-        pt_t = _tilde_time_derivative(phi_t, yv, zv, em, ep, et, eti)
-        drag = 0.5j * (phi_t + pt_t)
-        dy = -drag * yv + eti * em * s
-        dz = drag * zv + (et * em - eti * ep) * s
-        return (phi_x + delta_x, dy, dz)
+        e = _exponentials(phi, pt, theta)
+        pt_t = _tilde_t(phi_t, yv, zv, e)
+        return (_tilde_x(phi_x, yv, zv, e), *_space_flow(phi, pt, phi_t, pt_t, yv, zv, e))
 
     rows = [(complex(phi_tilde_seed), complex(y_seed), complex(z_seed))]
     return march(
@@ -262,8 +274,7 @@ class BTTrajectory:
                 break
             phi, phi_t, _ = background.fields(self.x, t)
             pt = self.phi_tilde[k]
-            em, ep, et, eti = _exponentials(phi, pt, theta)
-            ptt = _tilde_time_derivative(phi_t, self.Y[k], self.Z[k], em, ep, et, eti)
+            ptt = _tilde_t(phi_t, self.Y[k], self.Z[k], _exponentials(phi, pt, theta))
             ry, rz = bt_residual_x(
                 phi, pt, phi_t, ptt,
                 self.Y[k], self.Z[k],
@@ -307,19 +318,16 @@ def bt_evolve(
     )
     x0_rel = np.exp(0.5j * (phi_tilde0 - background.phi(x, t0)))
     h = x[1] - x[0]
+    et = np.exp(theta)
 
     def rhs(t, y_state):
         pt, xx, yv, zv = y_state
         phi, phi_t, phi_x = background.fields(x, t)
-        em, ep, et, eti = _exponentials(phi, pt, theta)
-        s = np.sinh(1j * (pt - phi))
+        e = _exponentials(phi, pt, theta)
         pt_x = derivative_closed(pt, h)
-        pt_t = _tilde_time_derivative(phi_t, yv, zv, em, ep, et, eti)
-        drag = 0.5j * (phi_x + pt_x)
-        dy = -drag * yv - eti * em * s
-        dz = drag * zv + (et * em + eti * ep) * s
         dx_entry = -0.5j * (pt_x - phi_x) * xx - 2.0 * yv * et * np.exp(-1j * phi)
-        return (pt_t, dx_entry, dy, dz)
+        dy, dz = _time_flow(phi, pt, phi_x, pt_x, yv, zv, e)
+        return (_tilde_t(phi_t, yv, zv, e), dx_entry, dy, dz)
 
     times, rows = [t0], [(phi_tilde0, x0_rel, y0, z0)]
 

@@ -101,6 +101,9 @@ class RunConfig:
                 and math.isfinite(scale) and scale > 0):
             raise ConfigError(f"tolerance_scale must be finite and positive (got {scale!r})")
         self.tolerance_scale = float(scale)
+        # numpy's generators take only non-negative integer seeds
+        if not (isinstance(self.seed, int) and not isinstance(self.seed, bool) and self.seed >= 0):
+            raise ConfigError(f"seed must be a non-negative integer (got {self.seed!r})")
 
     @staticmethod
     def from_dict(raw: dict) -> "RunConfig":
@@ -109,13 +112,10 @@ class RunConfig:
         mode = raw["mode"]
         if mode not in MODES:
             raise ConfigError(f"invalid mode {mode!r}; choose one of {', '.join(MODES)}")
-        seed = raw.get("seed", 0)
-        if not isinstance(seed, int):
-            raise ConfigError("seed must be an integer")
         params = raw.get("params", {})
         if not isinstance(params, dict):
             raise ConfigError("params must be an object")
-        return RunConfig(mode, seed, raw.get("tolerance_scale", 1.0), params)
+        return RunConfig(mode, raw.get("seed", 0), raw.get("tolerance_scale", 1.0), params)
 
     def echo(self) -> dict:
         return {
@@ -184,12 +184,18 @@ def write_csv(path: Path, header: list[str], rows) -> None:
 
 def _time_params(p: dict, dt: float, t_end: float, coarse=lambda dt: dt):
     """(dt, coarse step, t_end) from the params; ``coarse(dt)`` is the
-    largest step the mode runs at, and every step must fit in t_end."""
+    largest step the mode runs at.  Every step must fit in t_end a whole
+    number of times, so that every run of the mode ends at t_end."""
     dt, t_end = _number("dt", p.get("dt", dt)), _number("t_end", p.get("t_end", t_end))
     dt_coarse = coarse(dt)
     if not (0 < dt and 0 < dt_coarse <= t_end):
         raise ConfigError(f"need 0 < dt <= t_end for every run of the mode (dt = {dt:g}, "
                           f"largest step = {dt_coarse:g}, t_end = {t_end:g})")
+    for step in (dt, dt_coarse):
+        steps = t_end / step
+        if abs(steps - round(steps)) > 1e-9 * steps:
+            raise ConfigError(f"t_end must be a whole multiple of every step of the mode "
+                              f"(t_end = {t_end:g}, step = {step:g})")
     return dt, dt_coarse, t_end
 
 
@@ -289,8 +295,12 @@ def _mode_defect_charges(cfg: RunConfig, report: Report, outdir: Path):
 
 def _probe_pairs(cfg: RunConfig, rng, samples: int):
     """Random spectral pairs, preceded by any explicitly configured probes."""
-    yield from zip(_numbers(cfg.params, "lambda_probes", [], complex),
-                   _numbers(cfg.params, "mu_probes", [], complex))
+    lams = _numbers(cfg.params, "lambda_probes", [], complex)
+    mus = _numbers(cfg.params, "mu_probes", [], complex)
+    if len(lams) != len(mus):
+        raise ConfigError(f"lambda_probes and mu_probes must be of equal length "
+                          f"(got {len(lams)} and {len(mus)})")
+    yield from zip(lams, mus)
     for _ in range(samples):
         yield _spectral_pair(rng)
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .liouville import derivative_closed
+from .liouville import LiouvilleCharges, _densities, derivative_closed
 
 __all__ = [
     "IntervalField",
@@ -151,14 +151,12 @@ def random_split_config(
     return SplitFieldConfig(left, right, z, zbar, x_val)
 
 
-def _bulk_pieces(c: SplitFieldConfig, sign: float):
-    """Half-line integrals of 1/4 (phi_x -+ pi)^2 + e^{-2i phi} and friends."""
-    out = []
-    for part in (c.right, c.left):
-        px = part.phi_x()
-        integrand = 0.25 * (px + sign * part.pi) ** 2 + np.exp(-2j * part.phi)
-        out.append(part.quad(integrand))
-    return out  # [plus side, minus side]
+def _bulk_charges(c: SplitFieldConfig) -> LiouvilleCharges:
+    """Bulk Liouville charges of both half-lines, each density integrated by
+    the closed trapezoid rule, the plus side first."""
+    integrals = [[part.quad(d) for d in _densities(part.phi, part.pi, part.phi_x())]
+                 for part in (c.right, c.left)]
+    return LiouvilleCharges(*(plus + minus for plus, minus in zip(*integrals)))
 
 
 def _defect_exponentials(c: SplitFieldConfig):
@@ -172,10 +170,8 @@ def defect_charge_order1(c: SplitFieldConfig) -> complex:
     """First charge of the split system including the printed defect terms."""
     dd, a = c.defect_combinations()
     (phim, pim, pxm), (phip, pip, pxp), zterm = _defect_exponentials(c)
-    plus, minus = _bulk_pieces(c, sign=-1.0)
     return (
-        -0.5 * plus
-        - 0.5 * minus
+        _bulk_charges(c).order1
         + zterm / dd
         - 0.5j * a / dd * (pxp - pip + pxm - pim)
         + 0.5j * (pxp - pip)
@@ -186,10 +182,8 @@ def defect_charge_order1_mirror(c: SplitFieldConfig) -> complex:
     """The pi-reflected partner charge (gradient and pi enter with + signs)."""
     dd, a = c.defect_combinations()
     (phim, pim, pxm), (phip, pip, pxp), zterm = _defect_exponentials(c)
-    plus, minus = _bulk_pieces(c, sign=+1.0)
     return (
-        -0.5 * plus
-        - 0.5 * minus
+        _bulk_charges(c).order1_mirror
         + zterm / dd
         - 0.5j / (a * dd) * (pxp + pip + pxm + pim)
         + 0.5j * (pxp + pip)
@@ -205,18 +199,11 @@ def defect_momentum_hamiltonian(c: SplitFieldConfig) -> tuple[complex, complex]:
     """
     dd, a = c.defect_combinations()
     (phim, pim, pxm), (phip, pip, pxp), zterm = _defect_exponentials(c)
-
-    p_bulk = 0.0j
-    h_bulk = 0.0j
-    for part in (c.right, c.left):
-        px = part.phi_x()
-        p_bulk += part.quad(px * part.pi)
-        h_bulk += part.quad(0.5 * (px**2 + part.pi**2) + 2.0 * np.exp(-2j * part.phi))
-
+    bulk = _bulk_charges(c)
     coupling = 1j * (a - 1.0 / a) / dd
-    momentum = p_bulk - 1j * (pip - pim) - coupling * (pxp + pxm)
+    momentum = bulk.momentum - 1j * (pip - pim) - coupling * (pxp + pxm)
     hamiltonian = (
-        h_bulk - 4.0 * zterm / dd - 1j * (pxp - pxm) - coupling * (pip + pim)
+        bulk.hamiltonian - 4.0 * zterm / dd - 1j * (pxp - pxm) - coupling * (pip + pim)
     )
     return momentum, hamiltonian
 

@@ -303,10 +303,11 @@ class LatticeDerivative:
         )
 
 
-def _vector_field(a, abar, v):
+def _vector_field(a, abar, v, b, bbar):
+    """Velocities of (a, abar, v) with the hopping fields b = a / v and
+    bbar = abar / v passed in: site j reads b_{j-1}, b_j, bbar_j, bbar_{j+1}."""
     # raw arrays, unvalidated: the RK stages of a march are never wrapped in
     # a LatticeState
-    b, bbar = a / v, abar / v
     bm = np.concatenate((b[-1:], b[:-1]))        # b_{j-1}
     bbp = np.concatenate((bbar[1:], bbar[:1]))   # bbar_{j+1}
     da = 2.0 * bm * v - 2.0 * b / v + bbp * b * a + bbar * bm * a
@@ -317,7 +318,7 @@ def _vector_field(a, abar, v):
 
 def bulk_eom(s: LatticeState) -> LatticeDerivative:
     """Time derivatives of (a, abar, v) generated by the order-2 charge flow."""
-    return LatticeDerivative(*_vector_field(s.a, s.a_bar, s.v))
+    return LatticeDerivative(*_vector_field(s.a, s.a_bar, s.v, s.b, s.b_bar))
 
 
 def charge2_gradient(s: LatticeState) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -511,6 +512,7 @@ def integrate(
         traj.keep(t, st, c0, c2, monodromy_value(st, probes))
 
     keep(0.0, s)
-    return march(lambda t, y: _vector_field(*y), (s.a, s.a_bar, s.v), dt,
-                 count_steps(dt, t_end), lambda t, y: _singular(_FIELDS, y),
+    return march(lambda t, y: _vector_field(*y, y[0] / y[2], y[1] / y[2]),
+                 (s.a, s.a_bar, s.v), dt, count_steps(dt, t_end),
+                 lambda t, y: _singular(_FIELDS, y),
                  lambda k, t, y: keep(t, LatticeState(*y)), traj.finished)

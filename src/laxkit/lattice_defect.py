@@ -138,9 +138,14 @@ def build_defect_lax(d: DefectSite) -> LaurentMatrix:
 
 def defect_lax_value(d: DefectSite, u) -> np.ndarray:
     """Ltilde at the spectral point u; an array u gives shape u.shape + (2, 2)."""
-    em, ep = np.exp(-d.theta), np.exp(d.theta)
-    return _matrices(u * em * d.X - ep / (u * d.X), d.z_bar,
-                     d.z, u * em / d.X - ep * d.X / u)
+    return _type2_matrix(d.theta, d.X, d.z_bar, d.z, u)
+
+
+def _type2_matrix(theta, X, upper, lower, u) -> np.ndarray:
+    """Type-II matrix [[u e^-theta X - u^-1 e^theta X^-1, upper], [lower, u e^-theta
+    X^-1 - u^-1 e^theta X]] at u: the defect site matrix and the Darboux matrix."""
+    em, ep = np.exp(-theta), np.exp(theta)
+    return _matrices(u * em * X - ep / (u * X), upper, lower, u * em / X - ep * X / u)
 
 
 # Elementary brackets among the defect fields; ultralocality makes every
@@ -271,36 +276,21 @@ def _require_interior(s: LatticeState, d: DefectSite):
 
 def _defect_vector_field(a, abar, v, n, theta, z, zbar, X):
     # raw arrays and scalars, unvalidated: the RK stages of a march are never
-    # wrapped in a LatticeState or DefectSite
-    da, dabar, dv = _vector_field(a, abar, v)
-    N = a.shape[0]
-    n0 = (n - 1) % N
+    # wrapped in a LatticeState or DefectSite; n is interior, 2 <= n <= N-1
+    n0 = n - 1
     b, bbar = a / v, abar / v
+    bm, bbp = b[n0 - 1], bbar[n0 + 1]
     et = np.exp(theta)
-    bt = et * (z / X) + b[(n - 2) % N] / X**2      # tilde_b
-    bbt = et * (zbar / X) + bbar[n % N] / X**2     # tilde_b_bar
+    bt = et * (z / X) + bm / X**2      # tilde_b
+    bbt = et * (zbar / X) + bbp / X**2  # tilde_b_bar
 
-    # site n-1: bbar_n -> bbartilde
-    i = n0 - 1
-    bm2, bm1 = b[i - 1], b[i]
-    bb1 = bbar[i]
-    da[i] = 2.0 * bm2 * v[i] - 2.0 * bm1 / v[i] + bbt * bm1 * a[i] + bb1 * bm2 * a[i]
-    dabar[i] = -2.0 * bbt * v[i] + 2.0 * bb1 / v[i] - bbt * bm1 * abar[i] - bb1 * bm2 * abar[i]
-    dv[i] = bbt * a[i] - abar[i] * bm2
-
-    # site n+1: b_n -> btilde
-    i = (n0 + 1) % N
-    bp1 = b[i]
-    bb2 = bbar[(i + 1) % N]
-    bb1 = bbar[i]
-    da[i] = 2.0 * bt * v[i] - 2.0 * bp1 / v[i] + bb2 * bp1 * a[i] + bb1 * bt * a[i]
-    dabar[i] = -2.0 * bb2 * v[i] + 2.0 * bb1 / v[i] - bb2 * bp1 * abar[i] - bb1 * bt * abar[i]
-    dv[i] = bb2 * a[i] - abar[i] * bt
+    # the neighbours n-1 and n+1 move by the bulk flow with btilde and
+    # bbartilde at slot n; slot n's b and bbar reach no other site
+    b[n0], bbar[n0] = bt, bbt
+    da, dabar, dv = _vector_field(a, abar, v, b, bbar)
 
     # defect site: frozen bulk slot, its own fields move instead
     da[n0] = dabar[n0] = dv[n0] = 0.0
-    bm = b[n0 - 1]
-    bbp = bbar[(n0 + 1) % N]
     dz = 2.0 * et * bm * X - 2.0 * et * bt / X + bbp * bt * z + bbt * bm * z
     dzbar = -2.0 * et * bbp * X + 2.0 * et * bbt / X - bbp * bt * zbar - bbt * bm * zbar
     dX = et * (bbp * z - zbar * bm)

@@ -230,32 +230,39 @@ class LiouvilleCharges:
     hamiltonian: complex
 
 
+def _densities(phi, pi, phi_x, time_like=False):
+    """Pointwise densities of (order1, order1_mirror, momentum, hamiltonian):
+
+    order1        = -1/2 (1/4 (phi_x - pi)^2 + e^{-2i phi})
+    order1_mirror = -1/2 (1/4 (phi_x + pi)^2 + e^{-2i phi})
+    momentum      = phi_x pi
+    hamiltonian   = 1/2 (phi_x^2 + pi^2) + 2 e^{-2i phi}
+
+    ``time_like`` flips the sign of the potential e^{-2i phi}, which turns
+    the last two into the time-like momentum and hamiltonian.
+    """
+    pot = -np.exp(-2j * phi) if time_like else np.exp(-2j * phi)
+    return (-0.5 * (0.25 * (phi_x - pi) ** 2 + pot),
+            -0.5 * (0.25 * (phi_x + pi) ** 2 + pot),
+            phi_x * pi,
+            0.5 * (phi_x**2 + pi**2) + 2.0 * pot)
+
+
 def _quad(arr: np.ndarray, h: float) -> complex:
     # periodic trapezoid = plain sum times spacing
     return complex(h * np.sum(arr))
 
 
 def charges(c: FieldConfig) -> LiouvilleCharges:
-    """First charge, its pi-mirrored partner, and the momentum/Hamiltonian.
-
-    order1        = -1/2 int (1/4 (phi_x^2 + pi^2 - 2 phi_x pi) + e^{-2i phi})
-    order1_mirror = same with + 2 phi_x pi
-    momentum      = int phi_x pi
-    hamiltonian   = int (1/2 (phi_x^2 + pi^2) + 2 e^{-2i phi})
+    """First charge, its pi-mirrored partner, and the momentum/Hamiltonian:
+    the integrals of the densities of :func:`_densities`.
 
     mirror - order1 and mirror + order1 are proportional to momentum and
     hamiltonian respectively (factor -1/2 in both cases, checked in tests).
     """
     h = c.h
-    px = derivative_x(c.phi, h)
-    pot = np.exp(-2j * c.phi)
-    grad = px**2 + c.pi**2
-    cross = px * c.pi
-    order1 = -0.5 * _quad(0.25 * (grad - 2.0 * cross) + pot, h)
-    mirror = -0.5 * _quad(0.25 * (grad + 2.0 * cross) + pot, h)
-    momentum = _quad(cross, h)
-    hamiltonian = _quad(0.5 * grad + 2.0 * pot, h)
-    return LiouvilleCharges(order1, mirror, momentum, hamiltonian)
+    densities = _densities(c.phi, c.pi, derivative_x(c.phi, h))
+    return LiouvilleCharges(*(_quad(d, h) for d in densities))
 
 
 def dual_charges(c: FieldConfig) -> tuple[complex, complex]:
@@ -265,10 +272,8 @@ def dual_charges(c: FieldConfig) -> tuple[complex, complex]:
     momentum coincides with the space-like one.
     """
     h = c.h
-    px = derivative_x(c.phi, h)
-    momentum_t = _quad(px * c.pi, h)
-    hamiltonian_t = _quad(0.5 * (px**2 + c.pi**2) - 2.0 * np.exp(-2j * c.phi), h)
-    return momentum_t, hamiltonian_t
+    _, _, momentum, hamiltonian = _densities(c.phi, c.pi, derivative_x(c.phi, h), time_like=True)
+    return _quad(momentum, h), _quad(hamiltonian, h)
 
 
 # -- monodromy -------------------------------------------------------------------

@@ -28,6 +28,25 @@ class TestConfig:
         with pytest.raises(cli.ConfigError):
             cli.RunConfig.from_dict({"mode": "verify-poisson", "seed": "x"})
 
+    @pytest.mark.parametrize("seed", [-1, True, 1.0])
+    def test_seed_must_be_a_non_negative_integer(self, seed):
+        with pytest.raises(cli.ConfigError, match="seed must be a non-negative integer"):
+            cli.RunConfig.from_dict({"mode": "verify-poisson", "seed": seed})
+
+    def test_negative_seed_override_is_config_error(self, tmp_path, capsys):
+        path = write_config(tmp_path, {"mode": "verify-charges"})
+        out = tmp_path / "out"
+        assert cli.main(["run", "--config", str(path), "--seed", "-1", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "config error: seed must be" in err and "Traceback" not in err
+        assert not out.exists()
+
+    def test_negative_suite_seed_is_config_error(self, tmp_path, capsys):
+        out = tmp_path / "s"
+        assert cli.main(["suite", "--out", str(out), "--seed", "-1"]) == 2
+        assert "config error: seed must be" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_bad_tolerance_scale_rejected(self):
         with pytest.raises(cli.ConfigError):
             cli.RunConfig.from_dict({"mode": "verify-poisson", "tolerance_scale": -1})
@@ -99,6 +118,31 @@ class TestConfig:
         assert f"config error: {key} must be" in err and "Traceback" not in err
         assert not (tmp_path / "out" / "report.json").exists()
 
+    def test_probe_lists_of_unequal_length_are_config_errors(self, tmp_path, capsys):
+        # zip would drop the probes 1.0 and 1.5 without a word
+        path = write_config(tmp_path, {"mode": "verify-poisson", "params": {
+            "samples": 1, "lambda_probes": [0.5, 1.0, 1.5], "mu_probes": [0.2]}})
+        assert cli.main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+        assert "config error: lambda_probes and mu_probes must be of equal length" in (
+            capsys.readouterr().err
+        )
+        assert not (tmp_path / "out" / "report.json").exists()
+
+    @pytest.mark.parametrize("payload", [
+        # the coarse run (2 dt) would end at 1.002, the fine one at 0.999
+        {"mode": "lattice-sim", "params": {"dt": 0.003, "t_end": 1.0}},
+        {"mode": "lattice-defect-sim", "params": {"dt_coarse": 0.03, "t_end": 1.0}},
+        {"mode": "liouville-evolve", "params": {"dt": 0.003, "t_end": 0.5}},
+        {"mode": "bt-evolve", "params": {"dt": 0.003, "t_end": 0.4}},
+    ])
+    def test_t_end_off_the_step_grid_is_config_error(self, tmp_path, payload, capsys):
+        path = write_config(tmp_path, payload)
+        assert cli.main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+        assert "config error: t_end must be a whole multiple of every step" in (
+            capsys.readouterr().err
+        )
+        assert not (tmp_path / "out" / "report.json").exists()
+
     def test_numeric_strings_still_parse(self, tmp_path):
         # complex parameters arrive from JSON as strings
         path = write_config(tmp_path, {"mode": "verify-zero-curvature",
@@ -137,7 +181,7 @@ class TestRun:
         path = write_config(
             tmp_path,
             {"mode": "lattice-sim", "seed": 1,
-             "params": {"N": 4, "dt": 0.02, "t_end": 0.5, "amplitude": 0.0,
+             "params": {"N": 4, "dt": 0.02, "t_end": 0.52, "amplitude": 0.0,
                         "ratio_low": 0.0, "trace_ratio_low": 0.0,
                         "drift_window": [0.0, 1.0]}},
         )

@@ -280,6 +280,25 @@ class TestDefectEom:
         assert abs(bulk.a[far] - ref.a[far]) < 1e-14
         assert abs(bulk.v[far] - ref.v[far]) < 1e-14
 
+    @pytest.mark.parametrize("N", [4, 8, 40])
+    def test_neighbours_move_like_bulk_sites_carrying_tilde_fields(self, N):
+        # the defect acts on sites n-1 and n+1 like a bulk site n whose
+        # hopping fields are b_n = btilde and bbar_n = bbartilde
+        for seed in range(50):
+            rng = np.random.default_rng(seed)
+            s = lat.random_state(N, rng)
+            sites = range(2, N) if N <= 8 else [int(rng.integers(2, N))]
+            for n in sites:
+                d = ld.random_defect(n, rng)
+                a, abar = s.a.copy(), s.a_bar.copy()
+                a[n - 1] = ld.tilde_b(s, d) * s.v[n - 1]
+                abar[n - 1] = ld.tilde_b_bar(s, d) * s.v[n - 1]
+                want = lat.bulk_eom(s.replace(a=a, a_bar=abar))
+                got, *_ = ld.defect_eom(s, d)
+                for j in (n - 1, n + 1):
+                    w, g = np.array(want.site(j)), np.array(got.site(j))
+                    assert np.max(np.abs(g - w)) <= 1e-13 * np.max(np.abs(w))
+
     def test_boundary_adjacent_defect_rejected(self):
         rng = np.random.default_rng(53)
         s = lat.random_state(4, rng)

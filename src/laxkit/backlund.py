@@ -310,7 +310,9 @@ def bt_evolve(
     and give ``fields(x, t) -> (phi, phi_t, phi_x)``, as
     :class:`~laxkit.exact.PeriodicSolution` does.
     A non-finite stage raises :class:`~laxkit.stepping.Aborted` with the
-    partial trajectory.
+    partial trajectory.  t_end must be a whole multiple of dt.  The
+    background is evaluated once per distinct stage time: stages 2 and 3
+    share theirs, and stage 4 usually shares the next step's first.
     """
     steps = count_steps(dt, t_end)
     phi_tilde0, y0, z0 = bt_initial_data(
@@ -320,9 +322,13 @@ def bt_evolve(
     h = x[1] - x[0]
     et = np.exp(theta)
 
+    last = [None, None]  # (t, background.fields(x, t)) of the latest stage time
+
     def rhs(t, y_state):
         pt, xx, yv, zv = y_state
-        phi, phi_t, phi_x = background.fields(x, t)
+        if t != last[0]:
+            last[:] = t, background.fields(x, t)
+        phi, phi_t, phi_x = last[1]
         e = _exponentials(phi, pt, theta)
         pt_x = derivative_closed(pt, h)
         dx_entry = -0.5j * (pt_x - phi_x) * xx - 2.0 * yv * et * np.exp(-1j * phi)

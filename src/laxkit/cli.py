@@ -29,7 +29,7 @@ from . import exact
 from . import lattice as lat
 from . import lattice_defect as ld
 from . import liouville as lv
-from .stepping import Aborted
+from .stepping import Aborted, count_steps
 
 MODES = (
     "lattice-sim",
@@ -188,14 +188,11 @@ def _time_params(p: dict, dt: float, t_end: float, coarse=lambda dt: dt):
     number of times, so that every run of the mode ends at t_end."""
     dt, t_end = _number("dt", p.get("dt", dt)), _number("t_end", p.get("t_end", t_end))
     dt_coarse = coarse(dt)
-    if not (0 < dt and 0 < dt_coarse <= t_end):
-        raise ConfigError(f"need 0 < dt <= t_end for every run of the mode (dt = {dt:g}, "
-                          f"largest step = {dt_coarse:g}, t_end = {t_end:g})")
     for step in (dt, dt_coarse):
-        steps = t_end / step
-        if abs(steps - round(steps)) > 1e-9 * steps:
-            raise ConfigError(f"t_end must be a whole multiple of every step of the mode "
-                              f"(t_end = {t_end:g}, step = {step:g})")
+        try:
+            count_steps(step, t_end)
+        except ValueError as err:
+            raise ConfigError(f"{err}, in a run of the mode") from err
     return dt, dt_coarse, t_end
 
 

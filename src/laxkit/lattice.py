@@ -17,7 +17,7 @@ of motion, and a fixed-step integrator with conservation monitoring.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from itertools import accumulate
 
 import numpy as np
@@ -66,7 +66,10 @@ class LatticeState:
     """Immutable snapshot of the periodic chain (site count N >= 1).
 
     Charge formulas assume N >= 2; a single-site chain is still accepted so
-    the monodromy reduces to its one factor.
+    the monodromy reduces to its one factor.  Fields of shape (T, N) make a
+    stack of T snapshots along a leading time axis, as a trajectory keeps
+    them: :func:`monodromy_value` and :func:`charges_closed_form` broadcast
+    over it; the site-by-site functions take single snapshots only.
     """
 
     a: np.ndarray
@@ -78,8 +81,8 @@ class LatticeState:
             arr = np.array(getattr(self, name), dtype=complex)
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
-        if not (self.a.shape == self.a_bar.shape == self.v.shape) or self.a.ndim != 1:
-            raise ValueError("field arrays must be 1-d and of equal length")
+        if not (self.a.shape == self.a_bar.shape == self.v.shape) or self.a.ndim not in (1, 2):
+            raise ValueError("field arrays must be of equal shape (N,) or (T, N)")
         if self.N < 1:
             raise ValueError("need at least one site")
         if np.any(np.abs(self.v) == 0.0):
@@ -87,7 +90,7 @@ class LatticeState:
 
     @property
     def N(self) -> int:
-        return self.a.shape[0]
+        return self.a.shape[-1]
 
     @property
     def b(self) -> np.ndarray:
@@ -177,17 +180,24 @@ def monodromy(s: LatticeState) -> LaurentMatrix:
 
 def monodromy_value(s: LatticeState, u) -> np.ndarray:
     """T = L_N ... L_1 at the spectral point u, shape (2, 2).  An array of P
-    points gives shape u.shape + (2, 2), from one (P, N, 2, 2) stack of site
-    matrices and one batched matmul per site."""
-    w = np.asarray(u, dtype=complex).reshape(-1, 1)
-    return _stack_product(_lax_values(s.a, s.a_bar, s.v, w), np.shape(u))
+    points gives shape u.shape + (2, 2), from one (N, P, 2, 2) stack of site
+    matrices and one batched matmul per site; a stack of T states puts its
+    time axis first, (T,) + u.shape + (2, 2)."""
+    w = np.asarray(u, dtype=complex).ravel()
+    return _stack_product(_site_stack(s, w), s.a.shape[:-1] + np.shape(u))
+
+
+def _site_stack(s: LatticeState, w: np.ndarray) -> np.ndarray:
+    """Site matrices at the P points w, site-major: (N, P, 2, 2) for one
+    state, (N, T, P, 2, 2) for a stack of T."""
+    return _lax_values(s.a.T[..., None], s.a_bar.T[..., None], s.v.T[..., None], w)
 
 
 def _stack_product(stack: np.ndarray, shape: tuple) -> np.ndarray:
-    """L_N ... L_1 of every chain in a (P, N, 2, 2) stack, as shape + (2, 2)."""
-    out = stack[:, -1]
-    for j in range(stack.shape[1] - 2, -1, -1):
-        out = out @ stack[:, j]
+    """L_N ... L_1 of a site-major stack (N, ..., 2, 2), as shape + (2, 2)."""
+    out = stack[-1]
+    for j in range(stack.shape[0] - 2, -1, -1):
+        out = out @ stack[j]
     return out.reshape(shape + (2, 2))
 
 
@@ -195,15 +205,24 @@ def _stack_product(stack: np.ndarray, shape: tuple) -> np.ndarray:
 
 
 def charges_closed_form(s: LatticeState) -> tuple[complex, complex, complex]:
-    """(order-0, order-1, order-2) charges in closed form.
+    """(order-0, order-1, order-2) charges in closed form; a stack of states
+    gives three arrays over its time axis.
 
     order-0 uses the principal branch of log v_j; comparisons should go
-    through exp to stay branch-insensitive.  order-1 vanishes identically.
+    through exp to stay branch-insensitive.  order-1 vanishes identically
+    and is 0j for a stack too.
     """
     b, bbar = s.b, s.b_bar
-    c0 = complex(np.sum(np.log(s.v)))
-    c2 = complex(np.sum(np.concatenate((bbar[1:], bbar[:1])) * b) - np.sum(s.v**-2))
-    return c0, 0.0j, c2
+    c0 = np.sum(np.log(s.v), axis=-1)
+    c2 = (np.sum(np.concatenate((bbar[..., 1:], bbar[..., :1]), axis=-1) * b, axis=-1)
+          - np.sum(s.v**-2, axis=-1))
+    return _value(c0), 0.0j, _value(c2)
+
+
+def _value(x):
+    """A complex number for a single state (a numpy scalar), the array over
+    the time axis of a stack."""
+    return complex(x) if isinstance(x, np.generic) else x
 
 
 def charges_from_trace(s: LatticeState, depth: int = 4) -> tuple[int, list[complex]]:
@@ -436,26 +455,21 @@ def zero_curvature_residual(s: LatticeState, j: int, mu: complex) -> float:
 
 @dataclass
 class LatticeTrajectory:
+    """The recorded states of a march as one stack of shape (T, N), and the
+    monitors computed from it: the charges and tr T at each probe point,
+    each an array over the T recorded times."""
+
     times: np.ndarray
-    states: list[LatticeState]
+    stack: LatticeState
     charges0: np.ndarray
     charges2: np.ndarray
     traces: dict[float, np.ndarray]
 
-    def keep(self, t, st, c0, c2, monodromies):
-        """Append one monitored state (the fields are lists while marching)."""
-        self.times.append(t)
-        self.states.append(st)
-        self.charges0.append(c0)
-        self.charges2.append(c2)
-        for series, tr in zip(self.traces.values(), np.trace(monodromies, axis1=1, axis2=2)):
-            series.append(tr)
-
-    def finished(self):
-        """Copy with the monitored series as arrays."""
-        arrays = {k: np.array(getattr(self, k)) for k in ("times", "charges0", "charges2")}
-        traces = {u: np.array(tr) for u, tr in self.traces.items()}
-        return replace(self, **arrays, traces=traces)
+    @property
+    def states(self) -> list[LatticeState]:
+        """The recorded states one by one, built from :attr:`stack` on each read."""
+        st = self.stack
+        return [LatticeState(*row) for row in zip(st.a, st.a_bar, st.v)]
 
     def drift(self, which: str = "2") -> float:
         series = self.charges2 if which == "2" else self.charges0
@@ -491,6 +505,11 @@ def _singular(names, y):
 _FIELDS = ("a", "a_bar", "v")
 
 
+def _probe_traces(monodromies: np.ndarray, probes) -> dict[float, np.ndarray]:
+    """{u: tr T(u) over time} from monodromies of shape (T, len(probes), 2, 2)."""
+    return dict(zip(probes, np.trace(monodromies, axis1=-2, axis2=-1).T))
+
+
 def integrate(
     s: LatticeState,
     dt: float,
@@ -499,20 +518,27 @@ def integrate(
 ) -> LatticeTrajectory:
     """Classic fourth-order fixed-step integration of the bulk flow.
 
-    Records the order-0/order-2 charges and tr T at the probe spectral points
-    every step.  The complex flow has no global bound: when any field stops
-    being finite or exceeds FIELD_CEILING, or any |v_j| falls below V_FLOOR,
-    at an RK stage or an accepted step, the march raises
-    :class:`~laxkit.stepping.Aborted` carrying the partial trajectory.
+    Records the state at every step.  The monitors, the order-0/order-2
+    charges and tr T at the probe spectral points, are computed after the
+    march, each in one call over the stack of recorded states.  The complex
+    flow has no global bound: when any field stops being finite or exceeds
+    FIELD_CEILING, or any |v_j| falls below V_FLOOR, at an RK stage or an
+    accepted step, the march raises :class:`~laxkit.stepping.Aborted`
+    carrying the partial trajectory, monitors included.  t_end must be a
+    whole multiple of dt.
     """
-    traj = LatticeTrajectory([], [], [], [], {u: [] for u in probes})
+    times, rows = [0.0], [(s.a, s.a_bar, s.v)]
 
-    def keep(t, st):
-        c0, _, c2 = charges_closed_form(st)
-        traj.keep(t, st, c0, c2, monodromy_value(st, probes))
+    def record(k, t, y):
+        times.append(t)
+        rows.append(y)
 
-    keep(0.0, s)
+    def finish():
+        stack = LatticeState(*(np.stack(col) for col in zip(*rows)))
+        c0, _, c2 = charges_closed_form(stack)
+        return LatticeTrajectory(np.array(times), stack, c0, c2,
+                                 _probe_traces(monodromy_value(stack, probes), probes))
+
     return march(lambda t, y: _vector_field(*y, y[0] / y[2], y[1] / y[2]),
                  (s.a, s.a_bar, s.v), dt, count_steps(dt, t_end),
-                 lambda t, y: _singular(_FIELDS, y),
-                 lambda k, t, y: keep(t, LatticeState(*y)), traj.finished)
+                 lambda t, y: _singular(_FIELDS, y), record, finish)

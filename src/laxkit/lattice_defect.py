@@ -19,7 +19,7 @@ Around the defect the time-Lax matrices deform through the combinations
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -31,12 +31,14 @@ from .lattice import (
     SingularStateError,
     _checked_trace,
     _lax_partials,
-    _lax_values,
     _matrices,
+    _probe_traces,
     _rate,
     _singular,
+    _site_stack,
     _stack_product,
     _time_lax_matrix,
+    _value,
     _vector_field,
     build_lax,
     lax_value,
@@ -66,7 +68,13 @@ __all__ = [
 
 @dataclass(frozen=True)
 class DefectSite:
-    """Defect degrees of freedom at 1-based site n with rapidity theta."""
+    """Defect degrees of freedom at 1-based site n with rapidity theta.
+
+    z, z_bar and X may be arrays of shape (T,): a stack of T defect states
+    along a leading time axis, as a trajectory keeps them, which
+    :func:`defect_charges` and :func:`defect_monodromy_value` take together
+    with a stack of bulk states.
+    """
 
     n: int
     theta: complex
@@ -75,7 +83,7 @@ class DefectSite:
     X: complex
 
     def __post_init__(self):
-        if self.X == 0:
+        if np.any(np.asarray(self.X) == 0):
             raise SingularStateError("defect field X must be nonzero")
         if self.n < 1:
             raise ValueError("defect site index must be positive")
@@ -111,18 +119,38 @@ def _require_on_chain(s: LatticeState, d: DefectSite):
         raise ValueError("defect site outside the chain")
 
 
+def _neighbours(b, bbar, n0):
+    """(b_{n-1}, bbar_{n+1}) of the defect at 0-based slot n0, from raw arrays
+    with the sites on the last axis: numpy scalars for one state (b.T[j] is
+    site j), arrays over the time axis for a stack."""
+    return b.T[n0 - 1], bbar.T[(n0 + 1) % b.shape[-1]]
+
+
+def _tilde(bm, bbp, et, z, zbar, X):
+    """(btilde, bbartilde) from the neighbours b_{n-1}, bbar_{n+1} and the raw
+    defect fields, et = e^theta:
+
+        btilde    = e^theta z X^-1 + b_{n-1} X^-2,
+        bbartilde = e^theta zbar X^-1 + bbar_{n+1} X^-2.
+    """
+    return et * (z / X) + bm / X**2, et * (zbar / X) + bbp / X**2
+
+
+def _tilde_of(s: LatticeState, d: DefectSite):
+    """(b_{n-1}, bbar_{n+1}, btilde, bbartilde) of a state and a defect on it."""
+    _require_on_chain(s, d)
+    bm, bbp = _neighbours(s.b, s.b_bar, d.n - 1)
+    return bm, bbp, *_tilde(bm, bbp, np.exp(d.theta), d.z, d.z_bar, d.X)
+
+
 def tilde_b(s: LatticeState, d: DefectSite) -> complex:
     """btilde_{n,n-1} = e^theta y + b_{n-1} X^-2 (needs the left neighbour)."""
-    _require_on_chain(s, d)
-    bm = s.b[(d.n - 2) % s.N]
-    return np.exp(d.theta) * d.y + bm / d.X**2
+    return _tilde_of(s, d)[2]
 
 
 def tilde_b_bar(s: LatticeState, d: DefectSite) -> complex:
     """bbartilde_{n,n+1} = e^theta ybar + bbar_{n+1} X^-2 (right neighbour)."""
-    _require_on_chain(s, d)
-    bbp = s.b_bar[d.n % s.N]
-    return np.exp(d.theta) * d.y_bar + bbp / d.X**2
+    return _tilde_of(s, d)[3]
 
 
 def build_defect_lax(d: DefectSite) -> LaurentMatrix:
@@ -205,16 +233,21 @@ def defect_monodromy(s: LatticeState, d: DefectSite) -> LaurentMatrix:
 
 def defect_monodromy_value(s: LatticeState, d: DefectSite, u) -> np.ndarray:
     """Like :func:`~laxkit.lattice.monodromy_value`, with Ltilde in place of L
-    at the defect site: (2, 2) at a scalar u, u.shape + (2, 2) at an array."""
+    at the defect site: (2, 2) at a scalar u, u.shape + (2, 2) at an array,
+    and (T,) + u.shape + (2, 2) for stacks of T bulk and defect states."""
     _require_on_chain(s, d)
-    w = np.asarray(u, dtype=complex).reshape(-1, 1)
-    stack = _lax_values(s.a, s.a_bar, s.v, w)
-    stack[:, d.n - 1] = defect_lax_value(d, w[:, 0])
-    return _stack_product(stack, np.shape(u))
+    w = np.asarray(u, dtype=complex).ravel()
+    stack = _site_stack(s, w)
+    z, z_bar, X = d.z, d.z_bar, d.X
+    if np.ndim(X):  # a stack's defect fields run along the time axis, across the points
+        z, z_bar, X = z[:, None], z_bar[:, None], X[:, None]
+    stack[d.n - 1] = _type2_matrix(d.theta, X, z_bar, z, w)
+    return _stack_product(stack, s.a.shape[:-1] + np.shape(u))
 
 
 def defect_charges(s: LatticeState, d: DefectSite) -> tuple[complex, complex]:
-    """Closed-form order-0 and order-2 charges of the chain with defect.
+    """Closed-form order-0 and order-2 charges of the chain with defect; stacks
+    of bulk and defect states give two arrays over their time axis.
 
     order0 = sum_{j != n} log v_j + log X - theta
     order2 = sum_{j != n, n-1} bbar_{j+1} b_j - sum_{j != n} v_j^-2
@@ -222,27 +255,19 @@ def defect_charges(s: LatticeState, d: DefectSite) -> tuple[complex, complex]:
              + bbar_{n+1} b_{n-1} X^-2 - e^{2 theta} X^-2
     """
     _require_on_chain(s, d)
-    n0 = (d.n - 1) % s.N
+    n0 = d.n - 1
     b, bbar, v = s.b, s.b_bar, s.v
-    keep = np.ones(s.N, dtype=bool)
-    keep[n0] = False
-    c0 = complex(np.sum(np.log(v[keep])) + np.log(d.X) - d.theta)
-
-    hop = np.concatenate((bbar[1:], bbar[:1])) * b
-    keep_hop = np.ones(s.N, dtype=bool)
-    keep_hop[n0] = False
-    keep_hop[(n0 - 1) % s.N] = False
-    bm = b[(n0 - 1) % s.N]
-    bbp = bbar[(n0 + 1) % s.N]
+    bm, bbp = _neighbours(b, bbar, n0)
+    sites = np.arange(s.N)
+    keep = sites != n0
+    v_kept = v[..., keep]
+    c0 = np.sum(np.log(v_kept), axis=-1) + np.log(d.X) - d.theta
+    hop = np.concatenate((bbar[..., 1:], bbar[..., :1]), axis=-1) * b
+    keep_hop = keep & (sites != (n0 - 1) % s.N)
     et = np.exp(d.theta)
-    c2 = complex(
-        np.sum(hop[keep_hop])
-        - np.sum(v[keep] ** -2)
-        + et * (d.y_bar * bm + bbp * d.y)
-        + bbp * bm / d.X**2
-        - et**2 / d.X**2
-    )
-    return c0, c2
+    c2 = (np.sum(hop[..., keep_hop], axis=-1) - np.sum(v_kept**-2, axis=-1)
+          + et * (d.y_bar * bm + bbp * d.y) + bbp * bm / d.X**2 - et**2 / d.X**2)
+    return _value(c0), _value(c2)
 
 
 def defect_charges_from_trace(
@@ -259,10 +284,7 @@ def defect_time_lax(s: LatticeState, d: DefectSite, mu: complex) -> tuple[np.nda
     The matrix at n carries bbartilde in place of bbar_n; the matrix at n+1
     carries btilde in place of b_n.  All other sites keep the bulk form.
     """
-    bt = tilde_b(s, d)
-    bbt = tilde_b_bar(s, d)
-    bm = s.b[(d.n - 2) % s.N]
-    bbp = s.b_bar[d.n % s.N]
+    bm, bbp, bt, bbt = _tilde_of(s, d)
     w = np.exp(mu)
     return _time_lax_matrix(w, bbt, bm), _time_lax_matrix(w, bbp, bt)
 
@@ -279,13 +301,11 @@ def _defect_vector_field(a, abar, v, n, theta, z, zbar, X):
     # wrapped in a LatticeState or DefectSite; n is interior, 2 <= n <= N-1
     n0 = n - 1
     b, bbar = a / v, abar / v
-    bm, bbp = b[n0 - 1], bbar[n0 + 1]
     et = np.exp(theta)
-    bt = et * (z / X) + bm / X**2      # tilde_b
-    bbt = et * (zbar / X) + bbp / X**2  # tilde_b_bar
-
     # the neighbours n-1 and n+1 move by the bulk flow with btilde and
     # bbartilde at slot n; slot n's b and bbar reach no other site
+    bm, bbp = _neighbours(b, bbar, n0)
+    bt, bbt = _tilde(bm, bbp, et, z, zbar, X)
     b[n0], bbar[n0] = bt, bbt
     da, dabar, dv = _vector_field(a, abar, v, b, bbar)
 
@@ -344,7 +364,18 @@ def defect_zero_curvature_residuals(
 
 @dataclass
 class DefectTrajectory(LatticeTrajectory):
-    defects: list[DefectSite] = field(default_factory=list)
+    """A :class:`~laxkit.lattice.LatticeTrajectory` whose charges and traces
+    are those of the chain with defect, plus the recorded defect states as
+    one stack of shape (T,)."""
+
+    defect_stack: DefectSite
+
+    @property
+    def defects(self) -> list[DefectSite]:
+        """The recorded defect states one by one, built from :attr:`defect_stack`."""
+        d = self.defect_stack
+        return [DefectSite(d.n, d.theta, complex(z), complex(z_bar), complex(X))
+                for z, z_bar, X in zip(d.z, d.z_bar, d.X)]
 
 
 _FIELDS = ("a", "a_bar", "v", "z", "z_bar", "X")
@@ -359,12 +390,13 @@ def integrate_with_defect(
 ) -> DefectTrajectory:
     """Fourth-order integration of the coupled bulk + defect flow.
 
-    Monitors the modified charges and the defect monodromy trace at the
-    probe points, and aborts like :func:`~laxkit.lattice.integrate`; the
-    guard covers all six components (|X| has the floor of |v_j|).
+    Records the bulk and defect states at every step; after the march, one
+    call each computes the modified charges and the defect monodromy trace
+    at the probe points over the recorded stack.  Aborts like
+    :func:`~laxkit.lattice.integrate`; the guard covers all six components
+    (|X| has the floor of |v_j|).
     """
     _require_interior(s, d)
-    traj = DefectTrajectory([], [], [], [], {u: [] for u in probes})
 
     def rhs(t, y):
         a, abar, v, zf, zbf, xf = y
@@ -375,15 +407,20 @@ def integrate_with_defect(
         )
         return da, dabar, dv, np.array([dz]), np.array([dzbar]), np.array([dX])
 
-    def keep(t, st, df):
-        traj.defects.append(df)
-        traj.keep(t, st, *defect_charges(st, df), defect_monodromy_value(st, df, probes))
+    y0 = (s.a, s.a_bar, s.v, np.array([d.z]), np.array([d.z_bar]), np.array([d.X]))
+    times, rows = [0.0], [y0]
 
     def record(k, t, y):
-        df = d.replace(z=complex(y[3][0]), z_bar=complex(y[4][0]), X=complex(y[5][0]))
-        keep(t, LatticeState(y[0], y[1], y[2]), df)
+        times.append(t)
+        rows.append(y)
 
-    keep(0.0, s, d)
-    y0 = (s.a, s.a_bar, s.v, np.array([d.z]), np.array([d.z_bar]), np.array([d.X]))
+    def finish():
+        a, a_bar, v, z, z_bar, X = (np.stack(col) for col in zip(*rows))
+        stack = LatticeState(a, a_bar, v)
+        ds = d.replace(z=z[:, 0], z_bar=z_bar[:, 0], X=X[:, 0])
+        c0, c2 = defect_charges(stack, ds)
+        traces = _probe_traces(defect_monodromy_value(stack, ds, probes), probes)
+        return DefectTrajectory(np.array(times), stack, c0, c2, traces, ds)
+
     return march(rhs, y0, dt, count_steps(dt, t_end), lambda t, y: _singular(_FIELDS, y),
-                 record, traj.finished)
+                 record, finish)

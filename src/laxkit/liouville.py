@@ -59,7 +59,9 @@ class FieldConfig:
     """Sampled (phi, pi) on a uniform periodic grid over [-L, L].
 
     The grid holds n points x_j = -L + j h with h = 2L/n; the point x = L is
-    identified with x = -L.
+    identified with x = -L.  Fields of shape (T, n) make a stack of T
+    configurations along a leading time axis, as a trajectory keeps them;
+    :func:`charges` broadcasts over it.
     """
 
     L: float
@@ -71,14 +73,14 @@ class FieldConfig:
             arr = np.array(getattr(self, name), dtype=complex)
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
-        if self.phi.shape != self.pi.shape or self.phi.ndim != 1:
-            raise ValueError("phi and pi must be 1-d arrays of equal length")
+        if self.phi.shape != self.pi.shape or self.phi.ndim not in (1, 2):
+            raise ValueError("phi and pi must be arrays of equal shape (n,) or (T, n)")
         if not np.all(np.isfinite(self.phi)) or not np.all(np.isfinite(self.pi)):
             raise ValueError("fields must be finite")
 
     @property
     def n(self) -> int:
-        return self.phi.shape[0]
+        return self.phi.shape[-1]
 
     @property
     def h(self) -> float:
@@ -145,8 +147,10 @@ def lax_V(phi: complex, phi_x: complex, lam: complex) -> np.ndarray:
 
 
 def derivative_x(arr: np.ndarray, h: float) -> np.ndarray:
-    """Second-order central difference on the periodic grid."""
-    return (np.concatenate((arr[1:], arr[:1])) - np.concatenate((arr[-1:], arr[:-1]))) / (2.0 * h)
+    """Second-order central difference on the periodic grid (the last axis)."""
+    fwd = np.concatenate((arr[..., 1:], arr[..., :1]), axis=-1)
+    back = np.concatenate((arr[..., -1:], arr[..., :-1]), axis=-1)
+    return (fwd - back) / (2.0 * h)
 
 
 def derivative_closed(arr: np.ndarray, h: float, axis: int = 0) -> np.ndarray:
@@ -249,13 +253,16 @@ def _densities(phi, pi, phi_x, time_like=False):
 
 
 def _quad(arr: np.ndarray, h: float) -> complex:
-    # periodic trapezoid = plain sum times spacing
-    return complex(h * np.sum(arr))
+    """Periodic trapezoid rule over the last axis: the plain sum times the
+    spacing; a complex number for one configuration, an array for a stack."""
+    q = h * np.sum(arr, axis=-1)
+    return complex(q) if isinstance(q, np.generic) else q
 
 
 def charges(c: FieldConfig) -> LiouvilleCharges:
     """First charge, its pi-mirrored partner, and the momentum/Hamiltonian:
-    the integrals of the densities of :func:`_densities`.
+    the integrals of the densities of :func:`_densities`; for a stack of
+    configurations, each an array over its time axis.
 
     mirror - order1 and mirror + order1 are proportional to momentum and
     hamiltonian respectively (factor -1/2 in both cases, checked in tests).
@@ -450,11 +457,20 @@ def check_linear_algebra(phi: complex, pi: complex, lam: complex, mu: complex) -
 
 @dataclass
 class LiouvilleTrajectory:
+    """The recorded configurations of a march as one stack of shape (T, n),
+    and the charges computed from it, each an array over the T times."""
+
     times: np.ndarray
-    configs: list[FieldConfig]
+    stack: FieldConfig
     hamiltonians: np.ndarray
     momenta: np.ndarray
     first_charges: np.ndarray
+
+    @property
+    def configs(self) -> list[FieldConfig]:
+        """The recorded configurations one by one, built from :attr:`stack` on each read."""
+        st = self.stack
+        return [FieldConfig(st.L, phi, pi) for phi, pi in zip(st.phi, st.pi)]
 
     def drift(self, which: str = "hamiltonian") -> float:
         series = {
@@ -474,7 +490,9 @@ def evolve(
 ) -> LiouvilleTrajectory:
     """Fourth-order method-of-lines evolution with conservation monitoring.
 
-    Records every ``record_every``-th step and the last one.  The complex
+    Records every ``record_every``-th step and the last one; the charges of
+    the recorded configurations are computed after the march, in one call
+    over their stack.  t_end must be a whole multiple of dt.  The complex
     Liouville flow has genuine finite-time poles: when phi or pi stops being
     finite or exceeds ``blowup`` in modulus, at an RK stage or an accepted
     step, the march raises :class:`~laxkit.stepping.Aborted`, whose record
@@ -484,15 +502,7 @@ def evolve(
     """
     steps = count_steps(dt, t_end)
     h = c.h
-    times, configs, hs, ps, o1s = [], [], [], [], []
-
-    def keep(t, cfg):
-        times.append(t)
-        configs.append(cfg)
-        ch = charges(cfg)
-        hs.append(ch.hamiltonian)
-        ps.append(ch.momentum)
-        o1s.append(ch.order1)
+    times, rows = [0.0], [(c.phi, c.pi)]
 
     def guard(t, y):
         if np.abs(y[0]).max() <= blowup and np.abs(y[1]).max() <= blowup:
@@ -501,17 +511,14 @@ def evolve(
 
     def record(k, t, y):
         if k % record_every == 0 or k == steps:
-            keep(t, FieldConfig(c.L, y[0], y[1]))
+            times.append(t)
+            rows.append(y)
 
-    keep(0.0, c)
-    return march(
-        lambda t, y: _vector_field(y[0], y[1], h),
-        (c.phi, c.pi),
-        dt,
-        steps,
-        guard,
-        record,
-        lambda: LiouvilleTrajectory(
-            np.array(times), configs, np.array(hs), np.array(ps), np.array(o1s)
-        ),
-    )
+    def finish():
+        stack = FieldConfig(c.L, *(np.stack(col) for col in zip(*rows)))
+        ch = charges(stack)
+        return LiouvilleTrajectory(np.array(times), stack, ch.hamiltonian, ch.momentum,
+                                   ch.order1)
+
+    return march(lambda t, y: _vector_field(y[0], y[1], h), (c.phi, c.pi), dt, steps, guard,
+                 record, finish)

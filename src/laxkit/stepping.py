@@ -44,9 +44,16 @@ class Aborted(RuntimeError):
 
 
 def count_steps(dt: float, t_end: float) -> int:
+    """Number of steps of size dt in a march of length t_end.  Raises
+    ValueError unless 0 < dt <= t_end and t_end is a whole multiple of dt to
+    1e-9 relative, so that the last step ends where it was asked to."""
     if not 0 < dt <= t_end:
-        raise ValueError("require 0 < dt <= t_end")
-    return int(round(t_end / dt))
+        raise ValueError(f"need 0 < dt <= t_end, got dt = {dt:g} and t_end = {t_end:g}")
+    steps = t_end / dt
+    if abs(steps - round(steps)) > 1e-9 * steps:
+        raise ValueError(f"t_end must be a whole multiple of every step, "
+                         f"got dt = {dt:g} and t_end = {t_end:g}")
+    return round(steps)
 
 
 def locate(names, y, limit=np.inf, above="above the limit"):

@@ -220,6 +220,33 @@ class TestEvolve:
             worst = max(worst, float(np.max(np.abs(traj.phi_tilde[k] - sol.phi(x, t)))))
         assert worst < 1e-6
 
+    def test_background_evaluated_once_per_stage_time(self):
+        # stages 2 and 3 share their time, and stage 4 mostly shares the
+        # next step's first: no time is evaluated twice in a row
+        sol = exact.periodic_solution_for_length(L)
+        x = np.linspace(-0.9, 0.9, 33)
+        seen = []
+
+        class Counting:
+            phi = staticmethod(sol.phi)
+
+            @staticmethod
+            def fields(xv, t):
+                seen.append(t)
+                return sol.fields(xv, t)
+
+        traj = bt.bt_evolve(Counting, x, THETA, 2.5e-3, 0.1, phi_tilde_seed=sol.phi(x[0], 0.0))
+        evolved = seen[len(x) * 4 - 4:]  # after the RK4 march of the initial slice
+        assert evolved[0] == 0.0 and len(traj.times) == 41
+        assert all(a != b for a, b in zip(evolved, evolved[1:]))
+        assert 2 * 40 < len(evolved) <= 3 * 40 + 1  # 4 * 40 before the cache
+
+    def test_t_end_off_the_step_grid_rejected(self):
+        sol = exact.periodic_solution_for_length(L)
+        x = np.linspace(-0.9, 0.9, 33)
+        with pytest.raises(ValueError, match="whole multiple"):
+            bt.bt_evolve(sol, x, THETA, 0.003, 0.4, phi_tilde_seed=sol.phi(x[0], 0.0))
+
     def test_non_finite_stage_aborts_with_record(self):
         # the refined run of the bt-evolve config {t_end: 3, seed_offset: 2},
         # which the CLI now rejects as past the causal horizon: the edge

@@ -4,6 +4,7 @@ import pytest
 
 from laxkit import lattice as lat
 from laxkit import lattice_defect as ld
+from laxkit import stepping
 from laxkit.laurent import LaurentSeries
 from laxkit.rmatrix import r_matrix
 
@@ -616,3 +617,35 @@ class TestIntegrate:
         s = zero_amplitude_state(3)
         with pytest.raises(ValueError):
             lat.integrate(s, dt=0.5, t_end=0.1)
+
+    def test_t_end_off_the_step_grid_rejected(self):
+        # 0.3 fits three times into 1.0, so the march would end at 0.9
+        s = lat.random_state(4, np.random.default_rng(0), 0.1)
+        with pytest.raises(ValueError, match="whole multiple"):
+            lat.integrate(s, 0.3, 1.0)
+
+    def test_monitors_equal_the_single_state_functions(self):
+        # the monitors come from one call over the stacked states after the
+        # march; row by row they are the functions of traj.states[k], exactly
+        s = lat.random_state(6, np.random.default_rng(32), amplitude=0.3)
+        probes = (2.0, 3.0, 0.7)
+        traj = lat.integrate(s, 2e-2, 0.4, probes)
+        states = traj.states
+        assert len(states) == len(traj.times) == 21
+        assert np.array_equal(states[0].a, s.a)
+        for k, st in enumerate(states):
+            c0, _, c2 = lat.charges_closed_form(st)
+            assert (traj.charges0[k], traj.charges2[k]) == (c0, c2)
+            tr = np.trace(lat.monodromy_value(st, probes), axis1=1, axis2=2)
+            assert [traj.traces[u][k] for u in probes] == list(tr)
+
+    def test_aborted_march_carries_monitored_rows(self):
+        rng = np.random.default_rng(33)
+        s = lat.random_state(6, rng, amplitude=3.0)
+        with pytest.raises(stepping.Aborted) as err:
+            lat.integrate(s, dt=2e-2, t_end=5.0)
+        traj, rec = err.value.trajectory, err.value.record
+        assert len(traj.times) == len(traj.states) == rec.step
+        for series in (traj.charges0, traj.charges2, *traj.traces.values()):
+            assert len(series) == rec.step and np.all(np.isfinite(series))
+        assert traj.charges2[-1] == lat.charges_closed_form(traj.states[-1])[2]

@@ -340,10 +340,36 @@ class TestIntegrateWithDefect:
         d = ld.DefectSite(3, 0.1, 1.5, 1.2, np.exp(0.4))
         with pytest.raises(stepping.Aborted) as err:
             ld.integrate_with_defect(s, d, dt=2e-2, t_end=5.0)
-        assert err.value.trajectory is not None
+        traj = err.value.trajectory
+        assert traj is not None
         rec = err.value.record
         assert rec.field in ("a", "a_bar", "v", "z", "z_bar", "X")
-        assert len(err.value.trajectory.times) == rec.step
+        assert len(traj.times) == len(traj.states) == len(traj.defects) == rec.step
+        # the monitors were computed over the partial stack, one per row
+        for series in (traj.charges0, traj.charges2, *traj.traces.values()):
+            assert len(series) == rec.step and np.all(np.isfinite(series))
+
+    def test_monitors_equal_the_single_state_functions(self):
+        # the batched monitors agree with the one-state functions applied to
+        # traj.states[k] and traj.defects[k], up to the last bits that array
+        # arithmetic on the stack may round differently
+        rng = np.random.default_rng(54)
+        s = lat.random_state(6, rng, amplitude=0.3)
+        d = ld.DefectSite(3, 0.1, 0.05 + 0.02j, 0.04 - 0.01j, np.exp(0.1))
+        probes = (2.0, 3.0)
+        traj = ld.integrate_with_defect(s, d, 2e-2, 0.4, probes)
+        assert len(traj.states) == len(traj.defects) == len(traj.times) == 21
+        assert (traj.defects[0].z, traj.defects[0].X) == (d.z, d.X)
+        for k, (st, dk) in enumerate(zip(traj.states, traj.defects)):
+            want = [*ld.defect_charges(st, dk),
+                    *np.trace(ld.defect_monodromy_value(st, dk, probes), axis1=1, axis2=2)]
+            got = [traj.charges0[k], traj.charges2[k], *(traj.traces[u][k] for u in probes)]
+            assert np.allclose(got, want, rtol=1e-14, atol=0)
+
+    def test_t_end_off_the_step_grid_rejected(self):
+        s = lat.random_state(4, np.random.default_rng(0), 0.1)
+        with pytest.raises(ValueError, match="whole multiple"):
+            ld.integrate_with_defect(s, transparent_defect(), 0.3, 1.0)
 
 
 class TestHigherCharges:

@@ -451,3 +451,18 @@ class TestEvolve:
         c = lv.FieldConfig.zero(L, 16)
         with pytest.raises(ValueError):
             lv.evolve(c, dt=1.0, t_end=0.5)
+        with pytest.raises(ValueError, match="whole multiple"):
+            lv.evolve(c, dt=0.3, t_end=1.0)
+
+    def test_monitors_equal_the_single_state_charges(self):
+        rng = np.random.default_rng(69)
+        c = lv.random_config(L, 32, rng, amplitude=0.3)
+        traj = lv.evolve(c, dt=5e-3, t_end=0.1, record_every=3)
+        configs = traj.configs
+        assert len(configs) == len(traj.times) == 8  # t = 0, steps 3, 6, ..., 18 and 20
+        assert np.array_equal(configs[0].phi, c.phi)
+        for k, cfg in enumerate(configs):
+            ch = lv.charges(cfg)
+            want = [ch.hamiltonian, ch.momentum, ch.order1]
+            got = [traj.hamiltonians[k], traj.momenta[k], traj.first_charges[k]]
+            assert np.allclose(got, want, rtol=1e-14, atol=0)

@@ -72,6 +72,11 @@ class TestRecord:
         for dt, t_end in ((0.0, 1.0), (-0.1, 1.0), (1.0, 0.5)):
             with pytest.raises(ValueError, match="0 < dt <= t_end"):
                 stepping.count_steps(dt, t_end)
+        # the last step must end at t_end: 0.3 steps would stop at 0.9
+        assert stepping.count_steps(0.003, 0.999) == 333
+        for dt, t_end in ((0.3, 1.0), (0.4, 1.0), (0.003, 1.0)):
+            with pytest.raises(ValueError, match="whole multiple"):
+                stepping.count_steps(dt, t_end)
 
 
 class TestAbort:

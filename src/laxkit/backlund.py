@@ -206,11 +206,10 @@ def bt_initial_data(background, x: np.ndarray, t0: float, theta: complex,
         pt_t = _tilde_t(phi_t, yv, zv, e)
         return (_tilde_x(phi_x, yv, zv, e), *_space_flow(phi, pt, phi_t, pt_t, yv, zv, e))
 
-    rows = [(complex(phi_tilde_seed), complex(y_seed), complex(z_seed))]
     return march(
-        rhs, rows[0], (x[-1] - x[0]) / (len(x) - 1), len(x) - 1,
-        finite_guard(("phi~", "Y", "Z")), lambda k, xv, y: rows.append(y),
-        lambda: tuple(np.array(col, dtype=complex) for col in zip(*rows)), t0=x[0],
+        rhs, (complex(phi_tilde_seed), complex(y_seed), complex(z_seed)),
+        (x[-1] - x[0]) / (len(x) - 1), len(x) - 1, finite_guard(("phi~", "Y", "Z")),
+        lambda xs, ys: ys, t0=x[0],
     )
 
 
@@ -335,16 +334,9 @@ def bt_evolve(
         dy, dz = _time_flow(phi, pt, phi_x, pt_x, yv, zv, e)
         return (_tilde_t(phi_t, yv, zv, e), dx_entry, dy, dz)
 
-    times, rows = [t0], [(phi_tilde0, x0_rel, y0, z0)]
-
-    def record(k, t, y):
-        times.append(t)
-        rows.append(y)
-
     return march(
-        rhs, rows[0], dt, steps, finite_guard(("phi~", "X", "Y", "Z")), record,
-        lambda: BTTrajectory(np.array(times), x, *(np.array(col) for col in zip(*rows))),
-        t0=t0,
+        rhs, (phi_tilde0, x0_rel, y0, z0), dt, steps, finite_guard(("phi~", "X", "Y", "Z")),
+        lambda times, ys: BTTrajectory(times, x, *ys), t0=t0,
     )
 
 
@@ -524,12 +516,11 @@ def hetero_bt_generate(
         phi = f(zv) + g0
         return (2j * c * np.exp(th) * np.exp(1j * (y[0] + 2.0 * phi)),)
 
-    seed = [phi_tilde_corner - (f(z[0]) + g0)]
     psi_line = march(
-        seed_rhs, (seed[0],), (z[-1] - z[0]) / (len(z) - 1), len(z) - 1,
+        seed_rhs, (phi_tilde_corner - (f(z[0]) + g0),), (z[-1] - z[0]) / (len(z) - 1), len(z) - 1,
         _pole_guard("pole in the z sweep", "phi~ at zbar", lambda t, y: y[0] + (f(t) + g0),
                     blowup),
-        lambda k, t, y: seed.append(y[0]), lambda: np.array(seed, dtype=complex), t0=z[0],
+        lambda zs, ys: ys[0], t0=z[0],
     )
 
     # fill sweep in zbar for chi = phi~ + phi, all z columns at once
@@ -537,13 +528,18 @@ def hetero_bt_generate(
         phi = fz + g(bv)
         return (2j * c * np.exp(-th) * np.exp(1j * (y[0] - 2.0 * phi)),)
 
-    columns = [psi_line + (fz + g0)]  # phi~ on the seed line
+    seed_line = psi_line + (fz + g0)  # phi~ on the seed line
+
+    def fill_finish(bs, ys):
+        # phi~ = chi - phi on each later line; the seed line keeps its own bits
+        columns = [seed_line] + [chi - (fz + g(b)) for chi, b in zip(ys[0][1:], zbar[1:])]
+        return LightConeField(z, zbar[: len(columns)], np.stack(columns, axis=1))
+
     phi_tilde = march(
-        fill_rhs, (columns[0] + (fz + g0),), (zbar[-1] - zb0) / (len(zbar) - 1), len(zbar) - 1,
+        fill_rhs, (seed_line + (fz + g0),), (zbar[-1] - zb0) / (len(zbar) - 1), len(zbar) - 1,
         _pole_guard("pole in the zbar sweep", "phi~ at z", lambda t, y: y[0] - (fz + g(t)),
                     blowup),
-        lambda k, t, y: columns.append(y[0] - (fz + g(zbar[k]))),
-        lambda: LightConeField(z, zbar[: len(columns)], np.stack(columns, axis=1)), t0=zb0,
+        fill_finish, t0=zb0,
     )
     return phi_tilde, LightConeField.from_function(lambda zz, bb: f(zz) + g(bb), z, zbar)
 

@@ -65,11 +65,12 @@ class SingularStateError(ValueError):
 class LatticeState:
     """Immutable snapshot of the periodic chain (site count N >= 1).
 
-    Charge formulas assume N >= 2; a single-site chain is still accepted so
-    the monodromy reduces to its one factor.  Fields of shape (T, N) make a
-    stack of T snapshots along a leading time axis, as a trajectory keeps
-    them: :func:`monodromy_value` and :func:`charges_closed_form` broadcast
-    over it; the site-by-site functions take single snapshots only.
+    A single site is accepted so the monodromy reduces to its one factor;
+    the closed-form charges raise ValueError below N = 2 (N = 3 with a
+    defect).  Fields of shape (T, N) make a stack of T snapshots along a
+    leading time axis, as a trajectory keeps them: :func:`monodromy_value`
+    and :func:`charges_closed_form` broadcast over it; the site-by-site
+    functions take single snapshots only.
     """
 
     a: np.ndarray
@@ -210,13 +211,19 @@ def charges_closed_form(s: LatticeState) -> tuple[complex, complex, complex]:
 
     order-0 uses the principal branch of log v_j; comparisons should go
     through exp to stay branch-insensitive.  order-1 vanishes identically
-    and is 0j for a stack too.
+    and is 0j for a stack too.  Raises ValueError for N < 2.
     """
+    _require_charges(s.N)
     b, bbar = s.b, s.b_bar
     c0 = np.sum(np.log(s.v), axis=-1)
     c2 = (np.sum(np.concatenate((bbar[..., 1:], bbar[..., :1]), axis=-1) * b, axis=-1)
           - np.sum(s.v**-2, axis=-1))
     return _value(c0), 0.0j, _value(c2)
+
+
+def _require_charges(n: int):
+    if n < 2:
+        raise ValueError(f"the closed-form charges need N >= 2 sites, got N = {n}")
 
 
 def _value(x):
@@ -518,27 +525,23 @@ def integrate(
 ) -> LatticeTrajectory:
     """Classic fourth-order fixed-step integration of the bulk flow.
 
-    Records the state at every step.  The monitors, the order-0/order-2
+    Keeps the state at every step.  The monitors, the order-0/order-2
     charges and tr T at the probe spectral points, are computed after the
-    march, each in one call over the stack of recorded states.  The complex
+    march, each in one call over the stack of kept states.  The complex
     flow has no global bound: when any field stops being finite or exceeds
     FIELD_CEILING, or any |v_j| falls below V_FLOOR, at an RK stage or an
     accepted step, the march raises :class:`~laxkit.stepping.Aborted`
     carrying the partial trajectory, monitors included.  t_end must be a
-    whole multiple of dt.
+    whole multiple of dt, and N >= 2 as for :func:`charges_closed_form`.
     """
-    times, rows = [0.0], [(s.a, s.a_bar, s.v)]
+    _require_charges(s.N)
 
-    def record(k, t, y):
-        times.append(t)
-        rows.append(y)
-
-    def finish():
-        stack = LatticeState(*(np.stack(col) for col in zip(*rows)))
+    def finish(times, ys):
+        stack = LatticeState(*ys)
         c0, _, c2 = charges_closed_form(stack)
-        return LatticeTrajectory(np.array(times), stack, c0, c2,
+        return LatticeTrajectory(times, stack, c0, c2,
                                  _probe_traces(monodromy_value(stack, probes), probes))
 
     return march(lambda t, y: _vector_field(*y, y[0] / y[2], y[1] / y[2]),
                  (s.a, s.a_bar, s.v), dt, count_steps(dt, t_end),
-                 lambda t, y: _singular(_FIELDS, y), record, finish)
+                 lambda t, y: _singular(_FIELDS, y), finish)

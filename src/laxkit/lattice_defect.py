@@ -253,7 +253,11 @@ def defect_charges(s: LatticeState, d: DefectSite) -> tuple[complex, complex]:
     order2 = sum_{j != n, n-1} bbar_{j+1} b_j - sum_{j != n} v_j^-2
              + e^theta (ybar b_{n-1} + bbar_{n+1} y)
              + bbar_{n+1} b_{n-1} X^-2 - e^{2 theta} X^-2
+
+    Raises ValueError for N < 3, where the neighbours n-1 and n+1 coincide.
     """
+    if s.N < 3:
+        raise ValueError(f"the closed-form defect charges need N >= 3 sites, got N = {s.N}")
     _require_on_chain(s, d)
     n0 = d.n - 1
     b, bbar, v = s.b, s.b_bar, s.v
@@ -390,9 +394,9 @@ def integrate_with_defect(
 ) -> DefectTrajectory:
     """Fourth-order integration of the coupled bulk + defect flow.
 
-    Records the bulk and defect states at every step; after the march, one
+    Keeps the bulk and defect states at every step; after the march, one
     call each computes the modified charges and the defect monodromy trace
-    at the probe points over the recorded stack.  Aborts like
+    at the probe points over the kept stack.  Aborts like
     :func:`~laxkit.lattice.integrate`; the guard covers all six components
     (|X| has the floor of |v_j|).
     """
@@ -407,20 +411,14 @@ def integrate_with_defect(
         )
         return da, dabar, dv, np.array([dz]), np.array([dzbar]), np.array([dX])
 
-    y0 = (s.a, s.a_bar, s.v, np.array([d.z]), np.array([d.z_bar]), np.array([d.X]))
-    times, rows = [0.0], [y0]
-
-    def record(k, t, y):
-        times.append(t)
-        rows.append(y)
-
-    def finish():
-        a, a_bar, v, z, z_bar, X = (np.stack(col) for col in zip(*rows))
+    def finish(times, ys):
+        a, a_bar, v, z, z_bar, X = ys
         stack = LatticeState(a, a_bar, v)
         ds = d.replace(z=z[:, 0], z_bar=z_bar[:, 0], X=X[:, 0])
         c0, c2 = defect_charges(stack, ds)
         traces = _probe_traces(defect_monodromy_value(stack, ds, probes), probes)
-        return DefectTrajectory(np.array(times), stack, c0, c2, traces, ds)
+        return DefectTrajectory(times, stack, c0, c2, traces, ds)
 
+    y0 = (s.a, s.a_bar, s.v, np.array([d.z]), np.array([d.z_bar]), np.array([d.X]))
     return march(rhs, y0, dt, count_steps(dt, t_end), lambda t, y: _singular(_FIELDS, y),
-                 record, finish)
+                 finish)

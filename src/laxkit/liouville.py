@@ -486,39 +486,30 @@ def evolve(
     dt: float,
     t_end: float,
     blowup: float = 1e6,
-    record_every: int = 1,
 ) -> LiouvilleTrajectory:
     """Fourth-order method-of-lines evolution with conservation monitoring.
 
-    Records every ``record_every``-th step and the last one; the charges of
-    the recorded configurations are computed after the march, in one call
-    over their stack.  t_end must be a whole multiple of dt.  The complex
-    Liouville flow has genuine finite-time poles: when phi or pi stops being
-    finite or exceeds ``blowup`` in modulus, at an RK stage or an accepted
-    step, the march raises :class:`~laxkit.stepping.Aborted`, whose record
-    names the stage, step, time, field and grid index, and whose trajectory
-    holds the steps recorded before.  The stages are evaluated on raw
-    arrays, and the overflow that leads to an abort raises no numpy warning.
+    Keeps the configuration at every step; the charges of the kept
+    configurations are computed after the march, in one call over their
+    stack.  t_end must be a whole multiple of dt.  The complex Liouville
+    flow has genuine finite-time poles: when phi or pi stops being finite or
+    exceeds ``blowup`` in modulus, at an RK stage or an accepted step, the
+    march raises :class:`~laxkit.stepping.Aborted`, whose record names the
+    stage, step, time, field and grid index, and whose trajectory holds the
+    steps taken before.  The stages are evaluated on raw arrays, and the
+    overflow that leads to an abort raises no numpy warning.
     """
-    steps = count_steps(dt, t_end)
     h = c.h
-    times, rows = [0.0], [(c.phi, c.pi)]
 
     def guard(t, y):
         if np.abs(y[0]).max() <= blowup and np.abs(y[1]).max() <= blowup:
             return None
         return locate(("phi", "pi"), y, blowup, "above the blow-up threshold")
 
-    def record(k, t, y):
-        if k % record_every == 0 or k == steps:
-            times.append(t)
-            rows.append(y)
-
-    def finish():
-        stack = FieldConfig(c.L, *(np.stack(col) for col in zip(*rows)))
+    def finish(times, ys):
+        stack = FieldConfig(c.L, *ys)
         ch = charges(stack)
-        return LiouvilleTrajectory(np.array(times), stack, ch.hamiltonian, ch.momentum,
-                                   ch.order1)
+        return LiouvilleTrajectory(times, stack, ch.hamiltonian, ch.momentum, ch.order1)
 
-    return march(lambda t, y: _vector_field(y[0], y[1], h), (c.phi, c.pi), dt, steps, guard,
-                 record, finish)
+    return march(lambda t, y: _vector_field(y[0], y[1], h), (c.phi, c.pi), dt,
+                 count_steps(dt, t_end), guard, finish)

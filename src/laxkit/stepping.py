@@ -1,8 +1,9 @@
 """The one fixed-step RK4 driver and the one abort contract.
 
-Every integrator marches through :func:`march` with a guard on every RK
-stage input and every accepted step.  A guard that fires raises
-:class:`Aborted`, carrying an :class:`Abort` record and the partial run.
+Every integrator marches through :func:`march`, which keeps the accepted
+states and hands their stacks to the caller's ``finish``.  A guard runs on
+every RK stage input and every accepted step; when it fires, :class:`Aborted`
+carries an :class:`Abort` record and the partial run.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ class Abort:
 
 class Aborted(RuntimeError):
     """A march stopped on its guard; ``.record`` says where, ``.trajectory``
-    holds everything recorded before."""
+    holds ``finish`` of the states kept before."""
 
     def __init__(self, record: Abort, trajectory):
         super().__init__(str(record))
@@ -90,15 +91,23 @@ def rk4_step(rhs, t, y, dt, guard):
     ), None
 
 
-def march(rhs, y0, dt, steps, guard, record, finish, t0=0.0):
+def march(rhs, y0, dt, steps, guard, finish, t0=0.0):
     """Take ``steps`` RK4 steps of y' = rhs(t, y) from y(t0) = y0; step k
     ends at t0 + k dt.  ``guard(t, y)`` returns None or (reason, field,
-    index) and runs on every RK stage input and accepted step;
-    ``record(k, t, y)`` runs after each accepted step.  Returns
-    ``finish()``, or raises :class:`Aborted` with ``finish()`` of the steps
-    recorded so far.  Overflow and invalid-value warnings are off: a
-    blow-up reaches the guard as inf or nan.
+    index) and runs on every RK stage input and accepted step.  The march
+    keeps y0 and every accepted state and returns ``finish(times, ys)``:
+    ``times`` of shape (T,) and ``ys`` one stack of shape (T, ...) per
+    component of the state.  A guard that fires raises :class:`Aborted` with
+    ``finish`` of the states kept before the fault.  Overflow and
+    invalid-value warnings are off: a blow-up reaches the guard as inf or nan.
     """
+    times, rows = [t0], [y0]
+
+    def done():
+        ys = tuple(np.array(col) for col in zip(*rows))
+        rows.clear()  # drop the per-step arrays before finish copies the stacks again
+        return finish(np.array(times), ys)
+
     y = y0
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(1, steps + 1):
@@ -108,6 +117,7 @@ def march(rhs, y0, dt, steps, guard, record, finish, t0=0.0):
                 fault = (None, t, verdict)
             if fault is not None:
                 stage, ts, verdict = fault
-                raise Aborted(Abort(float(ts), k, stage, *verdict), finish())
-            record(k, t, y)
-        return finish()
+                raise Aborted(Abort(float(ts), k, stage, *verdict), done())
+            times.append(t)
+            rows.append(y)
+        return done()

@@ -262,6 +262,30 @@ class TestEvolve:
         )
         assert len(err.value.trajectory.times) == 2254
 
+    def test_aborted_initial_data_carries_its_rows(self):
+        # a background whose phi_x turns nan from x = 0.1 on stops the space
+        # march there; the abort carries the rows of the clean run before it
+        sol = exact.periodic_solution_for_length(L)
+        x = np.linspace(-0.9, 0.9, 33)
+        seeds = (sol.phi(x[0], 0.0), 0.02, 0.01)
+        clean = bt.bt_initial_data(sol, x, 0.0, THETA, *seeds)
+
+        class Poisoned:
+            def fields(self, xv, t):
+                phi, phi_t, phi_x = sol.fields(xv, t)
+                return phi, phi_t, phi_x if xv < 0.1 else np.nan
+
+        with pytest.raises(stepping.Aborted) as err:
+            bt.bt_initial_data(Poisoned(), x, 0.0, THETA, *seeds)
+        rec = err.value.record
+        assert rec.reason == "non-finite" and rec.field == "phi~"
+        assert x[rec.step - 1] < 0.1 <= x[rec.step]
+        rows = err.value.trajectory
+        assert len(rows) == 3
+        for got, want in zip(rows, clean):
+            assert got.shape == (rec.step,)
+            assert np.array_equal(got, want[: rec.step])
+
 
 class TestHeteroDarboux:
     def test_zero_fields(self):
@@ -361,6 +385,12 @@ class TestHeteroGenerate:
         rec = err.value.record
         assert rec.field == "phi~ at zbar" and rec.index == 0
         assert abs(rec.t - 0.25) <= z[1] - z[0]
+        # the abort carries psi = phi~ - phi at z[0] .. z[rec.step - 1]; away
+        # from the pole it is the closed-form image (phi vanishes here)
+        psi = err.value.trajectory
+        assert psi.shape == (rec.step,) and np.all(np.isfinite(psi))
+        exact_psi = bt.free_field_closed_form(strong, z[:16], zbar[:1], 0.0, 0.0)[:, 0]
+        assert np.max(np.abs(psi[:16] - exact_psi)) <= 1e-7
 
     def test_blowup_detection_in_fill_sweep(self):
         # short seed line stays regular; the pole is reached while filling

@@ -206,6 +206,14 @@ class TestCharges:
                 assert lead == n
                 assert abs(cs[2] - c2) <= 1e-12 * max(1.0, abs(c2))
 
+    def test_closed_form_rejects_one_site(self):
+        # at N = 1 the hopping sum has no second site: c2 misses the trace by
+        # about 1, so the closed form refuses; the trace itself still works
+        s = lat.random_state(1, np.random.default_rng(3), 0.3)
+        with pytest.raises(ValueError, match="N >= 2"):
+            lat.charges_closed_form(s)
+        assert lat.charges_from_trace(s)[0] == 1
+
     @pytest.mark.parametrize("scale", [1e10, 1e-10])
     def test_out_of_range_fields_raise(self, scale):
         with pytest.raises(OverflowError):
@@ -578,6 +586,12 @@ class TestZeroCurvature:
 
 
 class TestIntegrate:
+    def test_one_site_chain_rejected_before_the_march(self, monkeypatch):
+        monkeypatch.setattr(lat, "march", lambda *args, **kw: pytest.fail("marched"))
+        s = lat.random_state(1, np.random.default_rng(3), 0.3)
+        with pytest.raises(ValueError, match="N >= 2"):
+            lat.integrate(s, dt=0.1, t_end=1.0)
+
     def test_fixed_point_stays_constant(self):
         s = zero_amplitude_state(4)
         traj = lat.integrate(s, dt=0.05, t_end=1.0)

@@ -144,6 +144,14 @@ class TestDefectCharges:
                 assert abs(np.exp(cs[0]) - np.exp(c0)) <= 1e-12 * abs(np.exp(c0))
                 assert abs(cs[2] - c2) <= 1e-12 * max(1.0, abs(c2))
 
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_closed_form_rejects_fewer_than_three_sites(self, n):
+        # below N = 3 the defect's neighbours n-1 and n+1 coincide (or are the
+        # defect itself) and the deformed hopping sum misses the trace
+        s = lat.random_state(n, np.random.default_rng(3), 0.3)
+        with pytest.raises(ValueError, match="N >= 3"):
+            ld.defect_charges(s, ld.DefectSite(1, 0.1, 0.2 - 0.1j, 0.3j, 1.1))
+
     @pytest.mark.parametrize("scale", [1e10, 1e-10])
     def test_out_of_range_fields_raise(self, scale):
         # N = 40: the product of the v_j (about scale^39) leaves double range

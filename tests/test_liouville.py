@@ -457,9 +457,9 @@ class TestEvolve:
     def test_monitors_equal_the_single_state_charges(self):
         rng = np.random.default_rng(69)
         c = lv.random_config(L, 32, rng, amplitude=0.3)
-        traj = lv.evolve(c, dt=5e-3, t_end=0.1, record_every=3)
+        traj = lv.evolve(c, dt=5e-3, t_end=0.1)
         configs = traj.configs
-        assert len(configs) == len(traj.times) == 8  # t = 0, steps 3, 6, ..., 18 and 20
+        assert len(configs) == len(traj.times) == 21  # t = 0 and each of the 20 steps
         assert np.array_equal(configs[0].phi, c.phi)
         for k, cfg in enumerate(configs):
             ch = lv.charges(cfg)

@@ -1,4 +1,4 @@
-"""The shared RK4 driver: order, recording cadence and the abort contract."""
+"""The shared RK4 driver: order, the kept trajectory and the abort contract."""
 
 import numpy as np
 import pytest
@@ -7,21 +7,14 @@ from laxkit import stepping
 
 
 def _march_scalar(rhs, y0, dt, steps, guard=None, t0=0.0):
-    """March a scalar ODE; returns (times, values) of the accepted steps."""
-    times, values = [t0], [y0]
-
-    def record(k, t, y):
-        times.append(t)
-        values.append(y[0][0])
-
+    """March a scalar ODE; returns (times, values) of y0 and the accepted steps."""
     return stepping.march(
         lambda t, y: (rhs(t, y[0]),),
         (np.array([y0]),),
         dt,
         steps,
         guard or stepping.finite_guard(("y",)),
-        record,
-        lambda: (np.array(times), np.array(values)),
+        lambda times, ys: (times, ys[0][:, 0]),
         t0=t0,
     )
 
@@ -49,23 +42,47 @@ class TestOrder:
         assert y[0] == pytest.approx(2.0 + (1.0**3 - 0.3**3) + 0.7, abs=1e-14)
 
 
-class TestRecord:
-    def test_record_fires_on_every_accepted_step(self):
-        calls = []
-        out = stepping.march(
+class TestTrajectory:
+    def test_finish_sees_every_accepted_step(self):
+        times, ys = stepping.march(
             lambda t, y: (np.ones(2),),
             (np.zeros(2),),
             0.25,
             7,
             stepping.finite_guard(("y",)),
-            lambda k, t, y: calls.append((k, t, y[0].copy())),
-            lambda: "done",
+            lambda times, ys: (times, ys),
             t0=1.0,
         )
-        assert out == "done"
-        assert [k for k, _, _ in calls] == list(range(1, 8))
-        assert [t for _, t, _ in calls] == [1.0 + k * 0.25 for k in range(1, 8)]
-        assert np.allclose(calls[-1][2], 7 * 0.25)
+        assert times.shape == (8,)
+        assert list(times) == [1.0 + k * 0.25 for k in range(8)]
+        assert len(ys) == 1 and ys[0].shape == (8, 2)
+        assert np.allclose(ys[0], 0.25 * np.arange(8)[:, None], rtol=0, atol=1e-15)
+
+    def test_finish_stacks_scalar_and_array_components(self):
+        # state (s, a) with s' = 1 and a' = -a: a scalar and a 3-vector
+        # component stack to (T,) and (T, 3), on success and on abort alike
+        def rhs(t, y):
+            return 1.0, -y[1]
+
+        def finish(times, ys):
+            s, a = ys
+            assert times.shape == s.shape == (len(times),)
+            assert a.shape == (len(times), 3)
+            return times, s, a
+
+        times, s, a = stepping.march(rhs, (0.0, np.ones(3)), 0.5, 4, lambda t, y: None, finish)
+        assert list(times) == [0.0, 0.5, 1.0, 1.5, 2.0]
+        assert np.allclose(s, times, rtol=0, atol=1e-15)
+        assert np.array_equal(a[0], np.ones(3))
+        assert np.allclose(a[-1], np.exp(-2.0), rtol=5e-3, atol=0)
+
+        with pytest.raises(stepping.Aborted) as err:
+            stepping.march(rhs, (0.0, np.ones(3)), 0.5, 4,
+                           lambda t, y: ("late", "a", 0) if t > 1.2 else None, finish)
+        assert (err.value.record.step, err.value.record.stage) == (3, 2)
+        ab_times, ab_s, ab_a = err.value.trajectory
+        assert list(ab_times) == [0.0, 0.5, 1.0]
+        assert np.array_equal(ab_s, s[:3]) and np.array_equal(ab_a, a[:3])
 
     def test_count_steps(self):
         assert stepping.count_steps(0.1, 1.0) == 10

@@ -99,11 +99,11 @@ def darboux_matrix_type2(d: DarbouxState, u: complex) -> np.ndarray:
 # -- auto transformation: algebraic layer ---------------------------------------
 
 
-def _exponentials(phi, phi_tilde, theta):
+def _exponentials(phi, phi_tilde, rapidity):
+    """(em, ep, e^theta, e^-theta); rapidity = np.exp((theta, -theta)), once per march."""
     em = np.exp(-0.5j * (phi + phi_tilde))  # e^{-i(phi + phi~)/2}
     ep = np.exp(+0.5j * (phi + phi_tilde))
-    et, eti = np.exp(theta), np.exp(-theta)
-    return em, ep, et, eti
+    return em, ep, *rapidity
 
 
 def bt_solve_YZ(phi, phi_tilde, phi_t, phi_tilde_t, phi_x, phi_tilde_x, theta):
@@ -116,7 +116,7 @@ def bt_solve_YZ(phi, phi_tilde, phi_t, phi_tilde_t, phi_x, phi_tilde_x, theta):
     the system is 8 em^2, which never vanishes for finite fields; the guard
     stays for ill-conditioned extreme inputs.
     """
-    em, ep, et, eti = _exponentials(phi, phi_tilde, theta)
+    em, ep, et, eti = _exponentials(phi, phi_tilde, np.exp((theta, -theta)))
     rhs_t = 1j * (np.asarray(phi_tilde_t) - np.asarray(phi_t))
     rhs_x = 1j * (np.asarray(phi_tilde_x) - np.asarray(phi_x))
     det = 8.0 * em * em
@@ -172,7 +172,7 @@ def bt_residual_t(phi, phi_tilde, phi_x, phi_tilde_x, Y, Z, Y_t, Z_t, theta):
     """Residuals (Y_t, Z_t) minus the time flow of the off-diagonal entries
     (:func:`_time_flow`)."""
     f_y, f_z = _time_flow(phi, phi_tilde, phi_x, phi_tilde_x, Y, Z,
-                          _exponentials(phi, phi_tilde, theta))
+                          _exponentials(phi, phi_tilde, np.exp((theta, -theta))))
     return np.asarray(Y_t) - f_y, np.asarray(Z_t) - f_z
 
 
@@ -180,7 +180,7 @@ def bt_residual_x(phi, phi_tilde, phi_t, phi_tilde_t, Y, Z, Y_x, Z_x, theta):
     """Residuals (Y_x, Z_x) minus the space flow of the off-diagonal entries
     (:func:`_space_flow`, the time-like defect picture)."""
     f_y, f_z = _space_flow(phi, phi_tilde, phi_t, phi_tilde_t, Y, Z,
-                           _exponentials(phi, phi_tilde, theta))
+                           _exponentials(phi, phi_tilde, np.exp((theta, -theta))))
     return np.asarray(Y_x) - f_y, np.asarray(Z_x) - f_z
 
 
@@ -198,19 +198,18 @@ def bt_initial_data(background, x: np.ndarray, t0: float, theta: complex,
     transformation determines its image up to constants only.  A non-finite
     stage raises :class:`~laxkit.stepping.Aborted` (its t is the x position).
     """
+    rapidity = np.exp((theta, -theta))
 
     def rhs(xv, state):
         pt, yv, zv = state
         phi, phi_t, phi_x = background.fields(xv, t0)
-        e = _exponentials(phi, pt, theta)
+        e = _exponentials(phi, pt, rapidity)
         pt_t = _tilde_t(phi_t, yv, zv, e)
-        return (_tilde_x(phi_x, yv, zv, e), *_space_flow(phi, pt, phi_t, pt_t, yv, zv, e))
+        return np.array((_tilde_x(phi_x, yv, zv, e), *_space_flow(phi, pt, phi_t, pt_t, yv, zv, e)))
 
-    return march(
-        rhs, (complex(phi_tilde_seed), complex(y_seed), complex(z_seed)),
-        (x[-1] - x[0]) / (len(x) - 1), len(x) - 1, finite_guard(("phi~", "Y", "Z")),
-        lambda xs, ys: ys, t0=x[0],
-    )
+    return march(rhs, np.array((phi_tilde_seed, y_seed, z_seed), dtype=complex),
+                 (x[-1] - x[0]) / (len(x) - 1), len(x) - 1,
+                 finite_guard((("phi~", 1), ("Y", 1), ("Z", 1))), lambda xs, ys: ys.T, t0=x[0])
 
 
 @dataclass
@@ -266,14 +265,14 @@ class BTTrajectory:
     def x_flow_residual(self, background, theta: complex) -> float:
         """Causal-interior residual of the space-flow equations."""
         worst = 0.0
-        h = self.x[1] - self.x[0]
+        h, rapidity = self.x[1] - self.x[0], np.exp((theta, -theta))
         for k, t in enumerate(self.times):
             keep = self._causal(t)
             if not np.any(keep):
                 break
             phi, phi_t, _ = background.fields(self.x, t)
             pt = self.phi_tilde[k]
-            ptt = _tilde_t(phi_t, self.Y[k], self.Z[k], _exponentials(phi, pt, theta))
+            ptt = _tilde_t(phi_t, self.Y[k], self.Z[k], _exponentials(phi, pt, rapidity))
             ry, rz = bt_residual_x(
                 phi, pt, phi_t, ptt,
                 self.Y[k], self.Z[k],
@@ -314,30 +313,28 @@ def bt_evolve(
     share theirs, and stage 4 usually shares the next step's first.
     """
     steps = count_steps(dt, t_end)
-    phi_tilde0, y0, z0 = bt_initial_data(
-        background, x, t0, theta, phi_tilde_seed, y_seed, z_seed
-    )
+    phi_tilde0, y0, z0 = bt_initial_data(background, x, t0, theta, phi_tilde_seed, y_seed, z_seed)
     x0_rel = np.exp(0.5j * (phi_tilde0 - background.phi(x, t0)))
-    h = x[1] - x[0]
-    et = np.exp(theta)
+    h, nx = x[1] - x[0], len(x)
+    rapidity = np.exp((theta, -theta))
 
     last = [None, None]  # (t, background.fields(x, t)) of the latest stage time
 
-    def rhs(t, y_state):
-        pt, xx, yv, zv = y_state
+    def rhs(t, y):
+        pt, xx, yv, zv = y.reshape(4, nx)
         if t != last[0]:
             last[:] = t, background.fields(x, t)
         phi, phi_t, phi_x = last[1]
-        e = _exponentials(phi, pt, theta)
+        e = _exponentials(phi, pt, rapidity)
         pt_x = derivative_closed(pt, h)
-        dx_entry = -0.5j * (pt_x - phi_x) * xx - 2.0 * yv * et * np.exp(-1j * phi)
+        dx_entry = -0.5j * (pt_x - phi_x) * xx - 2.0 * yv * rapidity[0] * np.exp(-1j * phi)
         dy, dz = _time_flow(phi, pt, phi_x, pt_x, yv, zv, e)
-        return (_tilde_t(phi_t, yv, zv, e), dx_entry, dy, dz)
+        return np.concatenate((_tilde_t(phi_t, yv, zv, e), dx_entry, dy, dz))
 
-    return march(
-        rhs, (phi_tilde0, x0_rel, y0, z0), dt, steps, finite_guard(("phi~", "X", "Y", "Z")),
-        lambda times, ys: BTTrajectory(times, x, *ys), t0=t0,
-    )
+    return march(rhs, np.concatenate((phi_tilde0, x0_rel, y0, z0)), dt, steps,
+                 finite_guard(tuple((name, nx) for name in ("phi~", "X", "Y", "Z"))),
+                 lambda times, ys: BTTrajectory(times, x, *ys.reshape(-1, 4, nx).swapaxes(0, 1)),
+                 t0=t0)
 
 
 # -- hetero transformation --------------------------------------------------------
@@ -480,7 +477,7 @@ def _pole_guard(reason: str, field: str, phi_tilde, blowup: float):
     limit = np.log(blowup)
 
     def guard(t, y):
-        pt = np.asarray(phi_tilde(t, y))
+        pt = phi_tilde(t, y)
         if np.abs(pt.imag).max() <= limit and np.isfinite(pt.real).all():
             return None
         return reason, field, int(np.argmax(np.where(np.isfinite(pt), np.abs(pt.imag), np.inf)))
@@ -514,30 +511,29 @@ def hetero_bt_generate(
     # seed sweep in z for psi = phi~ - phi
     def seed_rhs(zv, y):
         phi = f(zv) + g0
-        return (2j * c * np.exp(th) * np.exp(1j * (y[0] + 2.0 * phi)),)
+        return 2j * c * np.exp(th) * np.exp(1j * (y + 2.0 * phi))
 
     psi_line = march(
-        seed_rhs, (phi_tilde_corner - (f(z[0]) + g0),), (z[-1] - z[0]) / (len(z) - 1), len(z) - 1,
-        _pole_guard("pole in the z sweep", "phi~ at zbar", lambda t, y: y[0] + (f(t) + g0),
-                    blowup),
-        lambda zs, ys: ys[0], t0=z[0],
+        seed_rhs, phi_tilde_corner - (f(z[:1]) + g0), (z[-1] - z[0]) / (len(z) - 1), len(z) - 1,
+        _pole_guard("pole in the z sweep", "phi~ at zbar", lambda t, y: y + (f(t) + g0), blowup),
+        lambda zs, ys: ys[:, 0], t0=z[0],
     )
 
     # fill sweep in zbar for chi = phi~ + phi, all z columns at once
     def fill_rhs(bv, y):
         phi = fz + g(bv)
-        return (2j * c * np.exp(-th) * np.exp(1j * (y[0] - 2.0 * phi)),)
+        return 2j * c * np.exp(-th) * np.exp(1j * (y - 2.0 * phi))
 
     seed_line = psi_line + (fz + g0)  # phi~ on the seed line
 
     def fill_finish(bs, ys):
         # phi~ = chi - phi on each later line; the seed line keeps its own bits
-        columns = [seed_line] + [chi - (fz + g(b)) for chi, b in zip(ys[0][1:], zbar[1:])]
+        columns = [seed_line] + [chi - (fz + g(b)) for chi, b in zip(ys[1:], zbar[1:])]
         return LightConeField(z, zbar[: len(columns)], np.stack(columns, axis=1))
 
     phi_tilde = march(
-        fill_rhs, (seed_line + (fz + g0),), (zbar[-1] - zb0) / (len(zbar) - 1), len(zbar) - 1,
-        _pole_guard("pole in the zbar sweep", "phi~ at z", lambda t, y: y[0] - (fz + g(t)),
+        fill_rhs, seed_line + (fz + g0), (zbar[-1] - zb0) / (len(zbar) - 1), len(zbar) - 1,
+        _pole_guard("pole in the zbar sweep", "phi~ at z", lambda t, y: y - (fz + g(t)),
                     blowup),
         fill_finish, t0=zb0,
     )

@@ -2,8 +2,8 @@
 
 Runs seeded check batteries or simulations described by a JSON config and
 writes a machine-readable report plus CSV time series.  Reports are
-deterministic: identical config and seed give byte-identical JSON (wall
-clock timing is printed to stderr only, never serialized).
+deterministic: identical config and seed give byte-identical JSON; wall clock
+timing goes to stderr and to timing.json beside the report, never into it.
 
 Exit codes: 0 all checks passed, 1 at least one check failed or a
 trajectory aborted, 2 configuration error.
@@ -65,7 +65,7 @@ class Report:
     config: dict
     records: list[CheckRecord] = field(default_factory=list)
     aborted: bool = False
-    elapsed: float | None = None  # stderr display only, never serialized
+    elapsed: float | None = None  # written to timing.json, never into the report
 
     @property
     def passed(self) -> bool:
@@ -616,7 +616,7 @@ _HANDLERS = {
 
 
 def run(config: RunConfig, outdir: str | Path = ".") -> Report:
-    """Dispatch one mode; writes report.json (and series.csv for sims).
+    """Dispatch one mode; writes report.json, timing.json (elapsed_s) and series.csv for sims.
 
     A trajectory that aborts in any mode ends the mode with an aborted
     report and a failed ``blow-up`` record whose anchor is the abort record,
@@ -634,6 +634,7 @@ def run(config: RunConfig, outdir: str | Path = ".") -> Report:
         report.add("blow-up", str(err.record), 1.0, 0.0)
     report.elapsed = time.perf_counter() - start
     (outdir / "report.json").write_text(report.to_json())
+    (outdir / "timing.json").write_text(json.dumps({"elapsed_s": report.elapsed}, indent=2) + "\n")
     return report
 
 
@@ -642,15 +643,16 @@ def suite(outdir: str | Path = ".", seed: int = 0, tolerance_scale: float = 1.0)
 
     Aggregates every mode's records, adds the determinism self-check
     (identical seed twice must serialize identically), and writes
-    suite_report.json plus per-mode artifacts in subdirectories.
+    suite_report.json, timing.json and per-mode artifacts in subdirectories.
     """
     configs = [RunConfig(mode, seed=seed, tolerance_scale=tolerance_scale) for mode in MODES]
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     overall = Report("suite", {"seed": seed, "tolerance_scale": tolerance_scale})
-    start = time.perf_counter()
+    start, modes = time.perf_counter(), {}
     for cfg in configs:
         sub = run(cfg, outdir / cfg.mode)
+        modes[cfg.mode] = sub.elapsed
         for rec in sub.records:
             overall.records.append(
                 CheckRecord(f"{cfg.mode}/{rec.name}", rec.anchor, rec.value,
@@ -660,18 +662,19 @@ def suite(outdir: str | Path = ".", seed: int = 0, tolerance_scale: float = 1.0)
             overall.aborted = True
         print(f"[{'pass' if sub.passed else 'FAIL'}] {cfg.mode}", file=sys.stderr)
 
-    twice = [
-        run(RunConfig("verify-charges", seed=seed), outdir / f"determinism-{k}").to_json()
-        for k in (1, 2)
-    ]
+    twice = [run(RunConfig("verify-charges", seed=seed), outdir / f"determinism-{k}")
+             for k in (1, 2)]
+    modes.update((f"determinism-{k}", r.elapsed) for k, r in zip((1, 2), twice))
     overall.add(
         "determinism",
         "identical seed gives byte-identical reports",
-        0.0 if twice[0] == twice[1] else 1.0,
+        0.0 if twice[0].to_json() == twice[1].to_json() else 1.0,
         0.0,
     )
     overall.elapsed = time.perf_counter() - start
     (outdir / "suite_report.json").write_text(overall.to_json())
+    timing = {"elapsed_s": overall.elapsed, "modes": modes}
+    (outdir / "timing.json").write_text(json.dumps(timing, indent=2) + "\n")
     return overall
 
 
@@ -717,8 +720,7 @@ def main(argv=None) -> int:
         status = "pass" if rec.passed else "FAIL"
         op = "<=" if rec.criterion == "max" else ">="
         print(f"[{status}] {rec.name}: {rec.value:.3e} {op} {rec.tolerance:g}")
-    if report.elapsed is not None:
-        print(f"elapsed: {report.elapsed:.2f}s", file=sys.stderr)
+    print(f"elapsed: {report.elapsed:.2f}s", file=sys.stderr)
     print("overall:", "pass" if report.passed else "FAIL")
     return 0 if report.passed else 1
 

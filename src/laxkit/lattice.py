@@ -18,7 +18,6 @@ of motion, and a fixed-step integrator with conservation monitoring.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import accumulate
 
 import numpy as np
 
@@ -31,7 +30,7 @@ from .laurent import (
     series_inverse,
 )
 from .rmatrix import bracket_lhs, quadratic_rhs
-from .stepping import count_steps, locate, march
+from .stepping import _field_at, count_steps, locate, march
 
 __all__ = [
     "LatticeState",
@@ -491,25 +490,22 @@ V_FLOOR = 1e-8
 FIELD_CEILING = 1e8
 
 
-def _singular(names, y):
-    """Guard of the chain integrators: None, or (reason, field, index) of a
-    non-finite entry, a field above FIELD_CEILING, or a v_j (or defect X)
-    below V_FLOOR in modulus.  One pass over all the moduli decides; only a
-    state that trips it is searched for the offending entry."""
-    mag = np.abs(np.concatenate(y))
-    floor = min(mag[end - len(arr):end].min()
-                for name, arr, end in zip(names, y, accumulate(map(len, y))) if name in ("v", "X"))
-    if floor >= V_FLOOR and mag.max() <= FIELD_CEILING:
-        return None
-    fault = locate(names, y, FIELD_CEILING, "field above the ceiling")
-    if fault is None:
-        floored = [(name, np.abs(arr)) for name, arr in zip(names, y) if name in ("v", "X")]
-        name, mag = min(floored, key=lambda p: p[1].min())
-        fault = ("field below the floor", name, int(np.argmin(mag)))
-    return fault
+def _chain_guard(layout):
+    """Chain integrators' guard on a flat state of this layout: None, or the
+    (reason, field, index) of a non-finite entry, a field above FIELD_CEILING,
+    or a v_j (or defect X) below V_FLOOR in modulus.  One pass over the moduli
+    decides; only a state that trips it is searched for the offending entry."""
+    floored = np.flatnonzero([name in ("v", "X") for name, length in layout for _ in range(length)])
 
+    def guard(t, y):
+        mag = np.abs(y)
+        if mag.max() <= FIELD_CEILING and mag[floored].min() >= V_FLOOR:
+            return None
+        lowest = int(floored[np.argmin(mag[floored])])
+        return (locate(layout, y, FIELD_CEILING, "field above the ceiling")
+                or ("field below the floor", *_field_at(layout, lowest)))
 
-_FIELDS = ("a", "a_bar", "v")
+    return guard
 
 
 def _probe_traces(monodromies: np.ndarray, probes) -> dict[float, np.ndarray]:
@@ -537,11 +533,14 @@ def integrate(
     _require_charges(s.N)
 
     def finish(times, ys):
-        stack = LatticeState(*ys)
+        stack = LatticeState(*ys.reshape(len(times), 3, s.N).swapaxes(0, 1))
         c0, _, c2 = charges_closed_form(stack)
         return LatticeTrajectory(times, stack, c0, c2,
                                  _probe_traces(monodromy_value(stack, probes), probes))
 
-    return march(lambda t, y: _vector_field(*y, y[0] / y[2], y[1] / y[2]),
-                 (s.a, s.a_bar, s.v), dt, count_steps(dt, t_end),
-                 lambda t, y: _singular(_FIELDS, y), finish)
+    def rhs(t, y):
+        a, abar, v = y.reshape(3, s.N)
+        return np.concatenate(_vector_field(a, abar, v, a / v, abar / v))
+
+    return march(rhs, np.concatenate((s.a, s.a_bar, s.v)), dt, count_steps(dt, t_end),
+                 _chain_guard(tuple((name, s.N) for name in FIELD_NAMES)), finish)

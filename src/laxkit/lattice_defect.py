@@ -25,16 +25,17 @@ import numpy as np
 
 from .laurent import LaurentMatrix, LaurentSeries, log_expand, matrix_product_chain
 from .lattice import (
+    FIELD_NAMES,
     LatticeDerivative,
     LatticeState,
     LatticeTrajectory,
     SingularStateError,
     _checked_trace,
+    _chain_guard,
     _lax_partials,
     _matrices,
     _probe_traces,
     _rate,
-    _singular,
     _site_stack,
     _stack_product,
     _time_lax_matrix,
@@ -300,12 +301,11 @@ def _require_interior(s: LatticeState, d: DefectSite):
         )
 
 
-def _defect_vector_field(a, abar, v, n, theta, z, zbar, X):
+def _defect_vector_field(a, abar, v, n, et, z, zbar, X):
     # raw arrays and scalars, unvalidated: the RK stages of a march are never
-    # wrapped in a LatticeState or DefectSite; n is interior, 2 <= n <= N-1
+    # wrapped in a LatticeState or DefectSite; 2 <= n <= N-1 and et = e^theta
     n0 = n - 1
     b, bbar = a / v, abar / v
-    et = np.exp(theta)
     # the neighbours n-1 and n+1 move by the bulk flow with btilde and
     # bbartilde at slot n; slot n's b and bbar reach no other site
     bm, bbp = _neighbours(b, bbar, n0)
@@ -332,7 +332,7 @@ def defect_eom(
     """
     _require_interior(s, d)
     da, dabar, dv, dz, dzbar, dX = _defect_vector_field(
-        s.a, s.a_bar, s.v, d.n, d.theta, d.z, d.z_bar, d.X
+        s.a, s.a_bar, s.v, d.n, np.exp(d.theta), d.z, d.z_bar, d.X
     )
     return LatticeDerivative(da, dabar, dv), dz, dzbar, dX
 
@@ -382,9 +382,6 @@ class DefectTrajectory(LatticeTrajectory):
                 for z, z_bar, X in zip(d.z, d.z_bar, d.X)]
 
 
-_FIELDS = ("a", "a_bar", "v", "z", "z_bar", "X")
-
-
 def integrate_with_defect(
     s: LatticeState,
     d: DefectSite,
@@ -397,28 +394,25 @@ def integrate_with_defect(
     Keeps the bulk and defect states at every step; after the march, one
     call each computes the modified charges and the defect monodromy trace
     at the probe points over the kept stack.  Aborts like
-    :func:`~laxkit.lattice.integrate`; the guard covers all six components
+    :func:`~laxkit.lattice.integrate`; the guard covers all six fields
     (|X| has the floor of |v_j|).
     """
     _require_interior(s, d)
+    bulk, et = 3 * s.N, np.exp(d.theta)
 
     def rhs(t, y):
-        a, abar, v, zf, zbf, xf = y
-        # numpy scalars keep inf semantics on overflow, so a diverging stage
-        # reaches the guard instead of raising
-        da, dabar, dv, dz, dzbar, dX = _defect_vector_field(
-            a, abar, v, d.n, d.theta, zf[0], zbf[0], np.complex128(xf[0])
-        )
-        return da, dabar, dv, np.array([dz]), np.array([dzbar]), np.array([dX])
+        # a, a_bar, v, then z, z_bar, X as numpy scalars: these keep inf
+        # semantics on overflow, so a diverging stage reaches the guard
+        da, dabar, dv, *moves = _defect_vector_field(*y[:bulk].reshape(3, s.N), d.n, et, *y[bulk:])
+        return np.concatenate((da, dabar, dv, moves))
 
     def finish(times, ys):
-        a, a_bar, v, z, z_bar, X = ys
-        stack = LatticeState(a, a_bar, v)
-        ds = d.replace(z=z[:, 0], z_bar=z_bar[:, 0], X=X[:, 0])
+        stack = LatticeState(*ys[:, :bulk].reshape(len(times), 3, s.N).swapaxes(0, 1))
+        ds = d.replace(*ys[:, bulk:].T.copy())  # a copy, so ys can go
         c0, c2 = defect_charges(stack, ds)
         traces = _probe_traces(defect_monodromy_value(stack, ds, probes), probes)
         return DefectTrajectory(times, stack, c0, c2, traces, ds)
 
-    y0 = (s.a, s.a_bar, s.v, np.array([d.z]), np.array([d.z_bar]), np.array([d.X]))
-    return march(rhs, y0, dt, count_steps(dt, t_end), lambda t, y: _singular(_FIELDS, y),
-                 finish)
+    y0 = np.concatenate((s.a, s.a_bar, s.v, (d.z, d.z_bar, d.X)))
+    layout = tuple((name, s.N) for name in FIELD_NAMES) + (("z", 1), ("z_bar", 1), ("X", 1))
+    return march(rhs, y0, dt, count_steps(dt, t_end), _chain_guard(layout), finish)

@@ -499,17 +499,17 @@ def evolve(
     steps taken before.  The stages are evaluated on raw arrays, and the
     overflow that leads to an abort raises no numpy warning.
     """
-    h = c.h
+    h, n = c.h, c.n
 
     def guard(t, y):
-        if np.abs(y[0]).max() <= blowup and np.abs(y[1]).max() <= blowup:
+        if np.abs(y).max() <= blowup:
             return None
-        return locate(("phi", "pi"), y, blowup, "above the blow-up threshold")
+        return locate((("phi", n), ("pi", n)), y, blowup, "above the blow-up threshold")
 
     def finish(times, ys):
-        stack = FieldConfig(c.L, *ys)
+        stack = FieldConfig(c.L, *ys.reshape(len(times), 2, n).swapaxes(0, 1))
         ch = charges(stack)
         return LiouvilleTrajectory(times, stack, ch.hamiltonian, ch.momentum, ch.order1)
 
-    return march(lambda t, y: _vector_field(y[0], y[1], h), (c.phi, c.pi), dt,
-                 count_steps(dt, t_end), guard, finish)
+    return march(lambda t, y: np.concatenate(_vector_field(*y.reshape(2, n), h)),
+                 np.concatenate((c.phi, c.pi)), dt, count_steps(dt, t_end), guard, finish)

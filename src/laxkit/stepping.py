@@ -1,9 +1,9 @@
 """The one fixed-step RK4 driver and the one abort contract.
 
-Every integrator marches through :func:`march`, which keeps the accepted
-states and hands their stacks to the caller's ``finish``.  A guard runs on
-every RK stage input and every accepted step; when it fires, :class:`Aborted`
-carries an :class:`Abort` record and the partial run.
+Every integrator marches one flat state vector, laid out as ((name, length),
+...), through :func:`march`, which hands the (T, L) stack of accepted states to
+the caller's ``finish``.  A guard runs on every RK stage input and accepted
+step; if it fires, :class:`Aborted` carries an :class:`Abort` and the partial run.
 """
 
 from __future__ import annotations
@@ -57,38 +57,44 @@ def count_steps(dt: float, t_end: float) -> int:
     return round(steps)
 
 
-def locate(names, y, limit=np.inf, above="above the limit"):
-    """(reason, field, index) of the first non-finite entry of the named
-    state, else of the entry of largest modulus if that exceeds ``limit``;
-    None when there is neither."""
-    for name, arr in zip(names, y):
-        bad = np.flatnonzero(~np.isfinite(arr))
-        if bad.size:
-            return "non-finite", name, int(bad[0])
-    name, mag = max(((n, np.abs(arr)) for n, arr in zip(names, y)), key=lambda p: p[1].max())
-    return (above, name, int(np.argmax(mag))) if mag.max() > limit else None
+def _field_at(layout, i):
+    """(field, index within the field) of flat index i of a layout."""
+    for name, length in layout:
+        if i < length:
+            return name, i
+        i -= length
 
 
-def finite_guard(names):
-    """Guard firing on a non-finite entry; the components share one shape."""
-    return lambda t, y: None if np.isfinite(np.array(y)).all() else locate(names, y)
+def locate(layout, y, limit=np.inf, above="above the limit"):
+    """(reason, field, index) of the first non-finite entry of the flat state y,
+    else of its first entry of largest modulus if above ``limit``, else None.
+    ``layout`` is ((name, length), ...) in the order of y."""
+    bad = np.flatnonzero(~np.isfinite(y))
+    if bad.size:
+        return ("non-finite", *_field_at(layout, int(bad[0])))
+    mag = np.abs(y)
+    worst = int(np.argmax(mag))
+    return (above, *_field_at(layout, worst)) if mag[worst] > limit else None
+
+
+def finite_guard(layout):
+    """Guard firing on a non-finite entry of a flat state of this layout."""
+    return lambda t, y: None if np.isfinite(y).all() else locate(layout, y)
 
 
 def rk4_step(rhs, t, y, dt, guard):
-    """One classic fourth-order step of y' = rhs(t, y), y a tuple of arrays.
+    """One classic fourth-order step of y' = rhs(t, y), y a flat vector.
 
     ``guard(t, y)`` sees the inputs of stages 2-4.  Returns (new state, None),
     or (None, (stage, stage time, guard verdict)) when the guard fires.
     """
     ks = [rhs(t, y)]
     for stage, c in ((2, 0.5), (3, 0.5), (4, 1.0)):
-        ts, ys = t + c * dt, tuple(a + c * dt * b for a, b in zip(y, ks[-1]))
+        ts, ys = t + c * dt, y + c * dt * ks[-1]
         if (verdict := guard(ts, ys)) is not None:
             return None, (stage, ts, verdict)
         ks.append(rhs(ts, ys))
-    return tuple(
-        a + (dt / 6.0) * (b1 + 2.0 * b2 + 2.0 * b3 + b4) for a, b1, b2, b3, b4 in zip(y, *ks)
-    ), None
+    return y + (dt / 6.0) * (ks[0] + 2.0 * ks[1] + 2.0 * ks[2] + ks[3]), None
 
 
 def march(rhs, y0, dt, steps, guard, finish, t0=0.0):
@@ -96,16 +102,17 @@ def march(rhs, y0, dt, steps, guard, finish, t0=0.0):
     ends at t0 + k dt.  ``guard(t, y)`` returns None or (reason, field,
     index) and runs on every RK stage input and accepted step.  The march
     keeps y0 and every accepted state and returns ``finish(times, ys)``:
-    ``times`` of shape (T,) and ``ys`` one stack of shape (T, ...) per
-    component of the state.  A guard that fires raises :class:`Aborted` with
-    ``finish`` of the states kept before the fault.  Overflow and
-    invalid-value warnings are off: a blow-up reaches the guard as inf or nan.
+    ``times`` of shape (T,) and ``ys`` their stack of shape (T, L), where y0
+    and every ``rhs`` output are flat vectors of length L.  A guard that
+    fires raises :class:`Aborted` with ``finish`` of the states kept before
+    the fault.  Overflow and invalid-value warnings are off: a blow-up
+    reaches the guard as inf or nan.
     """
     times, rows = [t0], [y0]
 
     def done():
-        ys = tuple(np.array(col) for col in zip(*rows))
-        rows.clear()  # drop the per-step arrays before finish copies the stacks again
+        ys = np.array(rows)
+        rows.clear()  # drop the per-step arrays before finish copies the stack again
         return finish(np.array(times), ys)
 
     y = y0

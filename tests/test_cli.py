@@ -1,5 +1,7 @@
 import csv
+import itertools
 import json
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -327,6 +329,35 @@ class TestSuite:
         assert data["passed"] is True
         names = {r["name"] for r in data["records"]}
         assert "determinism" in names
+        timing = json.loads((tmp_path / "suite" / "timing.json").read_text())
+        runs = list(cli.MODES) + ["determinism-1", "determinism-2"]
+        assert list(timing["modes"]) == runs
+        assert sum(timing["modes"].values()) <= timing["elapsed_s"]
+        for name in runs:
+            assert (tmp_path / "suite" / name / "report.json").exists()
+            assert (tmp_path / "suite" / name / "timing.json").exists()
+
+    def test_reports_do_not_depend_on_the_clock(self, tmp_path, monkeypatch):
+        # the same battery under two clocks ticking 1 s and 250 s per read:
+        # every report is byte-identical, and timing.json holds the ticks
+        monkeypatch.setattr(cli, "MODES", ("verify-charges", "verify-poisson"))
+        for tick in (1.0, 250.0):
+            clock = itertools.count(0.0, tick)
+            monkeypatch.setattr(cli, "time", SimpleNamespace(perf_counter=lambda: next(clock)))
+            cli.suite(tmp_path / str(tick), seed=3)
+            timing = json.loads((tmp_path / str(tick) / "timing.json").read_text())
+            # the battery reads the clock 2 times, each of its 4 runs 2 times
+            assert timing["elapsed_s"] == 9 * tick
+            assert set(timing["modes"].values()) == {tick}
+            run_timing = json.loads((tmp_path / str(tick) / "verify-poisson" / "timing.json")
+                                    .read_text())
+            assert run_timing == {"elapsed_s": tick}
+        reports = [path.relative_to(tmp_path / "1.0") for path in (tmp_path / "1.0").rglob("*")
+                   if path.is_file() and path.name != "timing.json"]
+        assert "suite_report.json" in map(str, reports) and len(reports) == 5
+        for path in reports:
+            assert (tmp_path / "1.0" / path).read_bytes() == (
+                tmp_path / "250.0" / path).read_bytes()
 
     def test_mutation_is_detected(self, tmp_path, monkeypatch):
         # flip a sign in the bulk equations of motion: conservation and

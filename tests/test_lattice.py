@@ -506,13 +506,14 @@ DEFECT_FIELDS = BULK_FIELDS + ("z", "z_bar", "X")
 
 
 def crafted_fields(names, **entries):
-    """Regular field arrays (5 bulk sites, one entry per defect field) with
-    the given (index, value) entries written in."""
+    """A regular flat chain state (5 bulk sites, one slot per defect field)
+    with the given (index, value) entries written in, and its layout."""
     y = {"a": np.full(5, 0.1 + 0.2j), "a_bar": np.full(5, -0.3j), "v": np.full(5, 1.0 + 0j),
          "z": np.array([0.2 + 0j]), "z_bar": np.array([0.1j]), "X": np.array([1.5 + 0j])}
     for name, (i, value) in entries.items():
         y[name][i] = value
-    return tuple(y[name] for name in names)
+    layout = tuple((name, len(y[name])) for name in names)
+    return np.concatenate([y[name] for name in names]), layout
 
 
 class TestGuard:
@@ -539,8 +540,8 @@ class TestGuard:
         (BULK_FIELDS, {"a": (0, 1e-12), "a_bar": (1, 0.0)}, None),
     ])
     def test_verdict(self, names, entries, verdict):
-        y = crafted_fields(names, **entries)
-        assert lat._singular(names, y) == verdict
+        y, layout = crafted_fields(names, **entries)
+        assert lat._chain_guard(layout)(0.0, y) == verdict
 
 
 class TestOrderZeroFlow:

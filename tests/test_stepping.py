@@ -1,20 +1,27 @@
-"""The shared RK4 driver: order, the kept trajectory and the abort contract."""
+"""The shared RK4 driver: order, the kept trajectory, the abort contract,
+and bit identity of every integrator's flat march with the tuple-state RK4."""
 
 import numpy as np
 import pytest
 
+from laxkit import backlund as bt
+from laxkit import exact
+from laxkit import lattice as lat
+from laxkit import lattice_defect as ld
+from laxkit import liouville as lv
 from laxkit import stepping
 
 
 def _march_scalar(rhs, y0, dt, steps, guard=None, t0=0.0):
-    """March a scalar ODE; returns (times, values) of y0 and the accepted steps."""
+    """March a scalar ODE as a flat state of one slot; returns (times, values)
+    of y0 and the accepted steps."""
     return stepping.march(
-        lambda t, y: (rhs(t, y[0]),),
-        (np.array([y0]),),
+        rhs,
+        np.array([y0]),
         dt,
         steps,
-        guard or stepping.finite_guard(("y",)),
-        lambda times, ys: (times, ys[0][:, 0]),
+        guard or stepping.finite_guard((("y", 1),)),
+        lambda times, ys: (times, ys[:, 0]),
         t0=t0,
     )
 
@@ -36,7 +43,8 @@ class TestOrder:
     def test_rk4_step_is_exact_on_cubics(self):
         # y' = 3 t^2 + 1: RK4 integrates polynomials of degree <= 3 exactly
         y, fault = stepping.rk4_step(
-            lambda t, y: (3 * t**2 + 1.0,), 0.3, (2.0,), 0.7, lambda t, y: None
+            lambda t, y: np.array([3 * t**2 + 1.0]), 0.3, np.array([2.0]), 0.7,
+            lambda t, y: None
         )
         assert fault is None
         assert y[0] == pytest.approx(2.0 + (1.0**3 - 0.3**3) + 0.7, abs=1e-14)
@@ -45,44 +53,43 @@ class TestOrder:
 class TestTrajectory:
     def test_finish_sees_every_accepted_step(self):
         times, ys = stepping.march(
-            lambda t, y: (np.ones(2),),
-            (np.zeros(2),),
+            lambda t, y: np.ones(2),
+            np.zeros(2),
             0.25,
             7,
-            stepping.finite_guard(("y",)),
+            stepping.finite_guard((("y", 2),)),
             lambda times, ys: (times, ys),
             t0=1.0,
         )
         assert times.shape == (8,)
         assert list(times) == [1.0 + k * 0.25 for k in range(8)]
-        assert len(ys) == 1 and ys[0].shape == (8, 2)
-        assert np.allclose(ys[0], 0.25 * np.arange(8)[:, None], rtol=0, atol=1e-15)
+        assert ys.shape == (8, 2)
+        assert np.allclose(ys, 0.25 * np.arange(8)[:, None], rtol=0, atol=1e-15)
 
-    def test_finish_stacks_scalar_and_array_components(self):
-        # state (s, a) with s' = 1 and a' = -a: a scalar and a 3-vector
-        # component stack to (T,) and (T, 3), on success and on abort alike
+    def test_finish_gets_one_stack_of_the_flat_states(self):
+        # flat state (s, a_0, a_1, a_2) with s' = 1 and a' = -a: finish gets
+        # one (T, 4) stack, on success and on abort alike
         def rhs(t, y):
-            return 1.0, -y[1]
+            return np.concatenate(([1.0], -y[1:]))
 
         def finish(times, ys):
-            s, a = ys
-            assert times.shape == s.shape == (len(times),)
-            assert a.shape == (len(times), 3)
-            return times, s, a
+            assert ys.shape == (len(times), 4)
+            return times, ys
 
-        times, s, a = stepping.march(rhs, (0.0, np.ones(3)), 0.5, 4, lambda t, y: None, finish)
+        y0 = np.array([0.0, 1.0, 1.0, 1.0])
+        times, ys = stepping.march(rhs, y0, 0.5, 4, lambda t, y: None, finish)
         assert list(times) == [0.0, 0.5, 1.0, 1.5, 2.0]
-        assert np.allclose(s, times, rtol=0, atol=1e-15)
-        assert np.array_equal(a[0], np.ones(3))
-        assert np.allclose(a[-1], np.exp(-2.0), rtol=5e-3, atol=0)
+        assert np.allclose(ys[:, 0], times, rtol=0, atol=1e-15)
+        assert np.array_equal(ys[0], y0)
+        assert np.allclose(ys[-1, 1:], np.exp(-2.0), rtol=5e-3, atol=0)
 
         with pytest.raises(stepping.Aborted) as err:
-            stepping.march(rhs, (0.0, np.ones(3)), 0.5, 4,
+            stepping.march(rhs, y0, 0.5, 4,
                            lambda t, y: ("late", "a", 0) if t > 1.2 else None, finish)
         assert (err.value.record.step, err.value.record.stage) == (3, 2)
-        ab_times, ab_s, ab_a = err.value.trajectory
+        ab_times, ab_ys = err.value.trajectory
         assert list(ab_times) == [0.0, 0.5, 1.0]
-        assert np.array_equal(ab_s, s[:3]) and np.array_equal(ab_a, a[:3])
+        assert np.array_equal(ab_ys, ys[:3])
 
     def test_count_steps(self):
         assert stepping.count_steps(0.1, 1.0) == 10
@@ -123,7 +130,7 @@ class TestAbort:
         limit = 1e3
 
         def guard(t, y):
-            return stepping.locate(("y",), y, limit, "above the limit")
+            return stepping.locate((("y", 1),), y, limit, "above the limit")
 
         with pytest.raises(stepping.Aborted) as err:
             _march_scalar(lambda t, y: y * y, 1.0, 1e-3, 2000, guard=guard)
@@ -152,7 +159,7 @@ class TestAbort:
         # y' = 3 t^2 from y(0) = 0 with dt = 1: the stage inputs are 0, 0.375
         # and 0.75, the accepted step is exactly 1
         def guard(t, y):
-            return ("past 0.9", "y", 0) if y[0][0] > 0.9 else None
+            return ("past 0.9", "y", 0) if y[0] > 0.9 else None
 
         with pytest.raises(stepping.Aborted) as err:
             _march_scalar(lambda t, y: 3.0 * t**2 + 0.0 * y, 0.0, 1.0, 3, guard=guard)
@@ -161,8 +168,120 @@ class TestAbort:
         assert str(rec) == "past 0.9 after step 1 (t = 1), y[0]"
 
     def test_locate_names_the_worst_entry(self):
-        y = (np.array([1.0, 2.0]), np.array([3.0, -7.0, 5.0]))
-        assert stepping.locate(("a", "b"), y) is None
-        assert stepping.locate(("a", "b"), y, 6.0, "big") == ("big", "b", 1)
-        y = (np.array([1.0, np.inf]), np.array([np.nan, 1e9]))
-        assert stepping.locate(("a", "b"), y, 6.0, "big") == ("non-finite", "a", 1)
+        layout = (("a", 2), ("b", 3))
+        y = np.array([1.0, 2.0, 3.0, -7.0, 5.0])
+        assert stepping.locate(layout, y) is None
+        assert stepping.locate(layout, y, 6.0, "big") == ("big", "b", 1)
+        y = np.array([1.0, np.inf, np.nan, 1e9, 0.0])
+        assert stepping.locate(layout, y, 6.0, "big") == ("non-finite", "a", 1)
+        # a tie goes to the first entry, in field order
+        y = np.array([1.0, -7.0, 3.0, 7.0, 5.0])
+        assert stepping.locate(layout, y, 6.0, "big") == ("big", "a", 1)
+
+    def test_locate_names_a_defect_slot(self):
+        # the defect chain's layout ends in three one-slot fields; the worst
+        # entry in the last slot is X[0]
+        layout = tuple((name, 4) for name in ("a", "a_bar", "v")) + (
+            ("z", 1), ("z_bar", 1), ("X", 1))
+        y = np.full(15, 0.5 + 0j)
+        y[-1] = 3e8j
+        assert stepping.locate(layout, y, 1e8, "big") == ("big", "X", 0)
+        assert lat._chain_guard(layout)(0.0, y) == ("field above the ceiling", "X", 0)
+
+
+def _tuple_rk4(rhs, y0, dt, steps, t0=0.0):
+    """The tuple-state RK4 the flat march replaced, kept as its reference:
+    y0 and every rhs output are tuples of components, each combination runs
+    component by component in the same operand order.  Returns one (T, ...)
+    stack per component."""
+    rows, y = [y0], y0
+    for k in range(1, steps + 1):
+        t = t0 + (k - 1) * dt
+        ks = [rhs(t, y)]
+        for c in (0.5, 0.5, 1.0):
+            ks.append(rhs(t + c * dt, tuple(a + c * dt * b for a, b in zip(y, ks[-1]))))
+        y = tuple(a + (dt / 6.0) * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
+                  for a, b1, b2, b3, b4 in zip(y, *ks))
+        rows.append(y)
+    return [np.array(col) for col in zip(*rows)]
+
+
+def _assert_same(got, want):
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert np.array_equal(g, w)
+
+
+class TestFlatMatchesTuples:
+    """Each integrator's flat march gives bit for bit the states of the tuple
+    RK4 on the same vector field, over 100 steps."""
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_bulk_chain(self, seed):
+        s = lat.random_state(8, np.random.default_rng(seed), 0.3)
+        traj = lat.integrate(s, 0.01, 1.0)
+        want = _tuple_rk4(lambda t, y: lat._vector_field(*y, y[0] / y[2], y[1] / y[2]),
+                          (s.a, s.a_bar, s.v), 0.01, 100)
+        _assert_same((traj.stack.a, traj.stack.a_bar, traj.stack.v), want)
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_defect_chain_at_every_interior_site(self, seed):
+        rng = np.random.default_rng(seed)
+        s = lat.random_state(8, rng, 0.3)
+        for n in range(2, 8):
+            d = ld.random_defect(n, rng)
+
+            def rhs(t, y):
+                a, abar, v, z, zbar, X = y
+                da, dabar, dv, dz, dzbar, dX = ld._defect_vector_field(
+                    a, abar, v, d.n, np.exp(d.theta), z[0], zbar[0], X[0])
+                return da, dabar, dv, np.array([dz]), np.array([dzbar]), np.array([dX])
+
+            traj = ld.integrate_with_defect(s, d, 0.005, 0.5)
+            want = _tuple_rk4(rhs, (s.a, s.a_bar, s.v, np.array([d.z]), np.array([d.z_bar]),
+                                    np.array([d.X])), 0.005, 100)
+            ds = traj.defect_stack
+            _assert_same((traj.stack.a, traj.stack.a_bar, traj.stack.v, ds.z, ds.z_bar, ds.X),
+                         want[:3] + [col[:, 0] for col in want[3:]])
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_liouville(self, seed):
+        c = lv.random_config(1.0, 32, np.random.default_rng(seed))
+        traj = lv.evolve(c, 2e-3, 0.2)
+        want = _tuple_rk4(lambda t, y: lv._vector_field(*y, c.h), (c.phi, c.pi), 2e-3, 100)
+        _assert_same((traj.stack.phi, traj.stack.pi), want)
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_backlund_image(self, seed):
+        # bt_initial_data marches Python complex seeds, bt_evolve its image
+        rng = np.random.default_rng(seed)
+        sol, theta = exact.periodic_solution_for_length(1.0), 0.2
+        x = np.linspace(-0.9, 0.9, 33)
+        h = x[1] - x[0]
+        seeds = (sol.phi(x[0], 0.0) + 0.2 * rng.normal(), 0.02 * rng.normal(),
+                 0.02 * rng.normal())
+
+        def space_rhs(xv, y):
+            pt, yv, zv = y
+            phi, phi_t, phi_x = sol.fields(xv, 0.0)
+            e = bt._exponentials(phi, pt, np.exp((theta, -theta)))
+            pt_t = bt._tilde_t(phi_t, yv, zv, e)
+            return (bt._tilde_x(phi_x, yv, zv, e), *bt._space_flow(phi, pt, phi_t, pt_t, yv, zv, e))
+
+        def time_rhs(t, y):
+            pt, xx, yv, zv = y
+            phi, phi_t, phi_x = sol.fields(x, t)
+            e = bt._exponentials(phi, pt, np.exp((theta, -theta)))
+            pt_x = lv.derivative_closed(pt, h)
+            dx = -0.5j * (pt_x - phi_x) * xx - 2.0 * yv * np.exp(theta) * np.exp(-1j * phi)
+            dy, dz = bt._time_flow(phi, pt, phi_x, pt_x, yv, zv, e)
+            return bt._tilde_t(phi_t, yv, zv, e), dx, dy, dz
+
+        initial = _tuple_rk4(space_rhs, tuple(complex(v) for v in seeds), (x[-1] - x[0]) / 32,
+                             32, t0=x[0])
+        _assert_same(bt.bt_initial_data(sol, x, 0.0, theta, *seeds), initial)
+        pt0, y0, z0 = initial
+        traj = bt.bt_evolve(sol, x, theta, 2.5e-3, 0.25, *seeds)
+        want = _tuple_rk4(time_rhs, (pt0, np.exp(0.5j * (pt0 - sol.phi(x, 0.0))), y0, z0),
+                          2.5e-3, 100)
+        _assert_same((traj.phi_tilde, traj.X, traj.Y, traj.Z), want)

@@ -187,6 +187,11 @@ def bt_residual_x(phi, phi_tilde, phi_t, phi_tilde_t, Y, Z, Y_x, Z_x, theta):
 # -- auto transformation: evolution ----------------------------------------------
 
 
+# stage times (or recorded rows) per background evaluation: a block of 64 at
+# 129 grid points keeps each background table near 130 KB
+STAGE_BLOCK = 64
+
+
 def bt_initial_data(background, x: np.ndarray, t0: float, theta: complex,
                     phi_tilde_seed: complex, y_seed: complex, z_seed: complex):
     """Integrate the space half of the transformation along the initial slice.
@@ -230,20 +235,23 @@ class BTTrajectory:
     Y: np.ndarray
     Z: np.ndarray
 
-    def _causal(self, t: float) -> np.ndarray:
+    def _causal(self, t) -> np.ndarray:
+        """Mask of the causal interior at time t, or at a (B, 1) column of times."""
         elapsed = t - self.times[0]
         return (self.x >= self.x[0] + elapsed) & (self.x <= self.x[-1] - elapsed)
 
     def x_relation_error(self, background) -> float:
-        """Max gap between the evolved X and e^{i(phi~ - phi)/2}."""
+        """Max gap between the evolved X and e^{i(phi~ - phi)/2}, with phi read
+        from one ``background.phi`` call per block of STAGE_BLOCK rows."""
         worst = 0.0
-        for k, t in enumerate(self.times):
-            keep = self._causal(t)
+        for start in range(0, len(self.times), STAGE_BLOCK):
+            rows = slice(start, start + STAGE_BLOCK)
+            ts = self.times[rows, None]
+            keep = self._causal(ts)
             if not np.any(keep):
                 break
-            phi = background.phi(self.x[keep], t)
-            target = np.exp(0.5j * (self.phi_tilde[k][keep] - phi))
-            worst = max(worst, float(np.max(np.abs(self.X[k][keep] - target))))
+            target = np.exp(0.5j * (self.phi_tilde[rows] - background.phi(self.x[None, :], ts)))
+            worst = max(worst, float(np.max(np.abs(self.X[rows] - target)[keep])))
         return worst
 
     def pde_residual(self) -> float:
@@ -305,12 +313,15 @@ def bt_evolve(
     of the intertwining relations: the diagonal equation supplies phi~_t and
     dX/dt, the anti-diagonal flow moves (Y, Z).  Initial data comes from
     :func:`bt_initial_data`; the background must solve the field equation
-    and give ``fields(x, t) -> (phi, phi_t, phi_x)``, as
+    and give ``fields(x, t) -> (phi, phi_t, phi_x)``, broadcasting a (B, 1)
+    column of times t against the row x[None, :] to (B, len(x)) arrays, as
     :class:`~laxkit.exact.PeriodicSolution` does.
     A non-finite stage raises :class:`~laxkit.stepping.Aborted` with the
     partial trajectory.  t_end must be a whole multiple of dt.  The
-    background is evaluated once per distinct stage time: stages 2 and 3
-    share theirs, and stage 4 usually shares the next step's first.
+    background is evaluated once per distinct stage time (stages 2 and 3
+    share theirs, and stage 4 usually shares the next step's first), in one
+    ``fields`` call per block of STAGE_BLOCK stage times, which also gives
+    e^{-i phi} for the X entry.
     """
     steps = count_steps(dt, t_end)
     phi_tilde0, y0, z0 = bt_initial_data(background, x, t0, theta, phi_tilde_seed, y_seed, z_seed)
@@ -318,16 +329,28 @@ def bt_evolve(
     h, nx = x[1] - x[0], len(x)
     rapidity = np.exp((theta, -theta))
 
-    last = [None, None]  # (t, background.fields(x, t)) of the latest stage time
+    # the distinct stage times in the order the march reaches them, formed
+    # as rk4_step forms them, so that each rhs call finds its own exactly
+    stage_times = []
+    for k in range(steps):
+        t = t0 + k * dt
+        for ts in (t, t + 0.5 * dt, t + 1.0 * dt):
+            if not stage_times or ts != stage_times[-1]:
+                stage_times.append(ts)
+    slot = {t: i for i, t in enumerate(stage_times)}
+    block = [-1, None]  # (number, (phi, phi_t, phi_x, e^{-i phi})) of the latest block
 
     def rhs(t, y):
         pt, xx, yv, zv = y.reshape(4, nx)
-        if t != last[0]:
-            last[:] = t, background.fields(x, t)
-        phi, phi_t, phi_x = last[1]
+        b, row = divmod(slot[t], STAGE_BLOCK)
+        if b != block[0]:
+            ts = np.array(stage_times[b * STAGE_BLOCK:(b + 1) * STAGE_BLOCK])
+            phi, phi_t, phi_x = background.fields(x[None, :], ts[:, None])
+            block[:] = b, (phi, phi_t, phi_x, np.exp(-1j * phi))
+        phi, phi_t, phi_x, e_phi = (f[row] for f in block[1])
         e = _exponentials(phi, pt, rapidity)
         pt_x = derivative_closed(pt, h)
-        dx_entry = -0.5j * (pt_x - phi_x) * xx - 2.0 * yv * rapidity[0] * np.exp(-1j * phi)
+        dx_entry = -0.5j * (pt_x - phi_x) * xx - 2.0 * yv * rapidity[0] * e_phi
         dy, dz = _time_flow(phi, pt, phi_x, pt_x, yv, zv, e)
         return np.concatenate((_tilde_t(phi_t, yv, zv, e), dx_entry, dy, dz))
 

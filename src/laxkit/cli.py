@@ -196,13 +196,11 @@ def _time_params(p: dict, dt: float, t_end: float, coarse=lambda dt: dt):
     return dt, dt_coarse, t_end
 
 
-def _series_rows(times, columns):
-    for k, t in enumerate(times):
-        row = [float(t)]
-        for col in columns:
-            v = col[k]
-            row.extend([float(np.real(v)), float(np.imag(v))])
-        yield row
+def _series_rows(times, columns, drift):
+    """Rows of t, then the real and imaginary part of each column, then the
+    drift, as Python floats."""
+    parts = [times] + [f(col) for col in columns for f in (np.real, np.imag)] + [drift]
+    return np.column_stack(parts).tolist()
 
 
 # -- mode handlers ---------------------------------------------------------------
@@ -450,11 +448,7 @@ def _mode_lattice_sim(cfg: RunConfig, report: Report, outdir: Path, with_defect=
         header.extend(_complex_columns(f"trace_u{u:g}"))
         cols.append(fine.traces[u])
     header.append("c2_drift")
-    drift_col = np.abs(fine.charges2 - fine.charges2[0])
-    rows = (
-        base + [float(d)]
-        for base, d in zip(_series_rows(fine.times, cols), drift_col)
-    )
+    rows = _series_rows(fine.times, cols, np.abs(fine.charges2 - fine.charges2[0]))
     write_csv(outdir / "series.csv", header, rows)
 
 
@@ -482,11 +476,7 @@ def _mode_liouville_evolve(cfg: RunConfig, report: Report, outdir: Path):
                fine.drift("order1") / scale, 1e-2 * cfg.tolerance_scale)
     header = ["t", "H_re", "H_im", "P_re", "P_im", "I1_re", "I1_im", "H_drift"]
     cols = [fine.hamiltonians, fine.momenta, fine.first_charges]
-    drift_col = np.abs(fine.hamiltonians - fine.hamiltonians[0])
-    rows = (
-        base + [float(d)]
-        for base, d in zip(_series_rows(fine.times, cols), drift_col)
-    )
+    rows = _series_rows(fine.times, cols, np.abs(fine.hamiltonians - fine.hamiltonians[0]))
     write_csv(outdir / "series.csv", header, rows)
 
 

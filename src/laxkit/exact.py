@@ -72,9 +72,11 @@ class PeriodicSolution:
         x = np.asarray(x, dtype=complex)
         z = 0.5 * (x + t)
         zb = 0.5 * (x - t)
-        fa = self.A * np.exp(1j * self.kappa * z)
-        gb = self.B * np.exp(-1j * self.kappa * zb)
-        return fa, gb
+        # named, so numpy cannot reuse a large exponential in place as
+        # ``exp *= A``, which swaps the operands and changes the last bits
+        ea = np.exp(1j * self.kappa * z)
+        eb = np.exp(-1j * self.kappa * zb)
+        return self.A * ea, self.B * eb
 
     def fields(self, x, t):
         """(phi, phi_t, phi_x) at (x, t) from one evaluation of the chiral parts."""

@@ -328,22 +328,51 @@ class LatticeDerivative:
         )
 
 
-def _vector_field(a, abar, v, b, bbar):
-    """Velocities of (a, abar, v) with the hopping fields b = a / v and
-    bbar = abar / v passed in: site j reads b_{j-1}, b_j, bbar_j, bbar_{j+1}."""
-    # raw arrays, unvalidated: the RK stages of a march are never wrapped in
-    # a LatticeState
-    bm = np.concatenate((b[-1:], b[:-1]))        # b_{j-1}
-    bbp = np.concatenate((bbar[1:], bbar[:1]))   # bbar_{j+1}
-    da = 2.0 * bm * v - 2.0 * b / v + bbp * b * a + bbar * bm * a
-    dabar = -2.0 * bbp * v + 2.0 * bbar / v - bbp * b * abar - bbar * bm * abar
-    dv = bbp * a - abar * bm
-    return da, dabar, dv
+class _ChainField:
+    """The bulk flow of an n-site chain on flat states y = (a, abar, v), with
+    its gather indices built once: ``field(t, y)`` is the flat velocity
+    (da, dabar, dv), the rhs of a march.  Raw arrays, unvalidated: the RK
+    stages of a march are never wrapped in a LatticeState."""
+
+    def __init__(self, n: int):
+        i = np.arange(n)
+        shift = np.concatenate(((i - 1) % n, n + (i + 1) % n))
+        self.n = n
+        self._tile = np.concatenate((i, i)) + 2 * n  # v under a and under abar
+        # from q = (b, bbar): (b_{j-1}, bbar_{j+1}), then the factors of
+        # (bbar_{j+1} b_j, twice) and (bbar_j b_{j-1}, twice), left ones first
+        self._gather = np.concatenate((shift, shift[n:], shift[n:], i + n, i + n,
+                                       i, i, shift[:n], shift[:n]))
+
+    def hopping(self, y):
+        """(v, v) and the hopping fields q = (b, bbar) = (a, abar) / v of y."""
+        vv = y.take(self._tile)
+        return vv, y[:2 * self.n] / vv
+
+    def velocities(self, y, vv, q, tail=()):
+        """Flat (da, dabar, dv, *tail) of y with the hopping fields q passed
+        in: site j reads b_{j-1}, b_j, bbar_j and bbar_{j+1}.
+
+        The a and abar rows are one length-2n expression; the abar row comes
+        out as the exact negative of dabar (up to the sign of an exact zero)
+        and is negated once.  Every product keeps its operand order, so the
+        result matches the per-component formulas bit for bit."""
+        n, two = self.n, 2 * self.n
+        ab = y[:two]
+        g = q.take(self._gather)
+        p = g[:two]                              # (b_{j-1}, bbar_{j+1})
+        c = g[two:3 * two] * g[3 * two:]         # (bbp b, bbp b, bbar bm, bbar bm)
+        row = 2.0 * p * vv - 2.0 * q / vv + c[:two] * ab + c[two:] * ab
+        return np.concatenate((row[:n], -row[n:], p[n:] * y[:n] - y[n:two] * p[:n], tail))
+
+    def __call__(self, t, y):
+        return self.velocities(y, *self.hopping(y))
 
 
 def bulk_eom(s: LatticeState) -> LatticeDerivative:
     """Time derivatives of (a, abar, v) generated by the order-2 charge flow."""
-    return LatticeDerivative(*_vector_field(s.a, s.a_bar, s.v, s.b, s.b_bar))
+    y = np.concatenate((s.a, s.a_bar, s.v))
+    return LatticeDerivative(*_ChainField(s.N)(0.0, y).reshape(3, s.N))
 
 
 def charge2_gradient(s: LatticeState) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -538,9 +567,6 @@ def integrate(
         return LatticeTrajectory(times, stack, c0, c2,
                                  _probe_traces(monodromy_value(stack, probes), probes))
 
-    def rhs(t, y):
-        a, abar, v = y.reshape(3, s.N)
-        return np.concatenate(_vector_field(a, abar, v, a / v, abar / v))
-
-    return march(rhs, np.concatenate((s.a, s.a_bar, s.v)), dt, count_steps(dt, t_end),
-                 _chain_guard(tuple((name, s.N) for name in FIELD_NAMES)), finish)
+    layout = tuple((name, s.N) for name in FIELD_NAMES)
+    return march(_ChainField(s.N), np.concatenate((s.a, s.a_bar, s.v)), dt,
+                 count_steps(dt, t_end), _chain_guard(layout), finish)

@@ -30,6 +30,7 @@ from .lattice import (
     LatticeState,
     LatticeTrajectory,
     SingularStateError,
+    _ChainField,
     _checked_trace,
     _chain_guard,
     _lax_partials,
@@ -40,7 +41,6 @@ from .lattice import (
     _stack_product,
     _time_lax_matrix,
     _value,
-    _vector_field,
     build_lax,
     lax_value,
     time_lax_order2,
@@ -301,24 +301,24 @@ def _require_interior(s: LatticeState, d: DefectSite):
         )
 
 
-def _defect_vector_field(a, abar, v, n, et, z, zbar, X):
+def _defect_vector_field(field, y, n, et, z, zbar, X):
+    """Flat (da, dabar, dv, dz, dzbar, dX) of a defect at site n with fields
+    (z, zbar, X) on ``field``'s chain, whose flat state (a, abar, v) leads y."""
     # raw arrays and scalars, unvalidated: the RK stages of a march are never
     # wrapped in a LatticeState or DefectSite; 2 <= n <= N-1 and et = e^theta
-    n0 = n - 1
-    b, bbar = a / v, abar / v
+    n0, N = n - 1, field.n
+    vv, q = field.hopping(y)
     # the neighbours n-1 and n+1 move by the bulk flow with btilde and
     # bbartilde at slot n; slot n's b and bbar reach no other site
-    bm, bbp = _neighbours(b, bbar, n0)
+    bm, bbp = q[n0 - 1], q[N + n0 + 1]
     bt, bbt = _tilde(bm, bbp, et, z, zbar, X)
-    b[n0], bbar[n0] = bt, bbt
-    da, dabar, dv = _vector_field(a, abar, v, b, bbar)
-
-    # defect site: frozen bulk slot, its own fields move instead
-    da[n0] = dabar[n0] = dv[n0] = 0.0
+    q[n0], q[N + n0] = bt, bbt
     dz = 2.0 * et * bm * X - 2.0 * et * bt / X + bbp * bt * z + bbt * bm * z
     dzbar = -2.0 * et * bbp * X + 2.0 * et * bbt / X - bbp * bt * zbar - bbt * bm * zbar
     dX = et * (bbp * z - zbar * bm)
-    return da, dabar, dv, dz, dzbar, dX
+    out = field.velocities(y, vv, q, (dz, dzbar, dX))
+    out[n0:3 * N:N] = 0.0  # defect site: frozen bulk slot, its own fields move instead
+    return out
 
 
 def defect_eom(
@@ -331,10 +331,9 @@ def defect_eom(
     replaces that site).  Returns (bulk derivative, dz, dzbar, dX).
     """
     _require_interior(s, d)
-    da, dabar, dv, dz, dzbar, dX = _defect_vector_field(
-        s.a, s.a_bar, s.v, d.n, np.exp(d.theta), d.z, d.z_bar, d.X
-    )
-    return LatticeDerivative(da, dabar, dv), dz, dzbar, dX
+    out = _defect_vector_field(_ChainField(s.N), np.concatenate((s.a, s.a_bar, s.v)), d.n,
+                               np.exp(d.theta), d.z, d.z_bar, d.X)
+    return LatticeDerivative(*out[:3 * s.N].reshape(3, s.N)), *out[3 * s.N:]
 
 
 def defect_zero_curvature_residuals(
@@ -398,13 +397,12 @@ def integrate_with_defect(
     (|X| has the floor of |v_j|).
     """
     _require_interior(s, d)
-    bulk, et = 3 * s.N, np.exp(d.theta)
+    bulk, et, field = 3 * s.N, np.exp(d.theta), _ChainField(s.N)
 
     def rhs(t, y):
-        # a, a_bar, v, then z, z_bar, X as numpy scalars: these keep inf
-        # semantics on overflow, so a diverging stage reaches the guard
-        da, dabar, dv, *moves = _defect_vector_field(*y[:bulk].reshape(3, s.N), d.n, et, *y[bulk:])
-        return np.concatenate((da, dabar, dv, moves))
+        # z, z_bar and X as numpy scalars: these keep inf semantics on
+        # overflow, so a diverging stage reaches the guard
+        return _defect_vector_field(field, y, d.n, et, *y[bulk:])
 
     def finish(times, ys):
         stack = LatticeState(*ys[:, :bulk].reshape(len(times), 3, s.N).swapaxes(0, 1))

@@ -156,9 +156,9 @@ def derivative_x(arr: np.ndarray, h: float) -> np.ndarray:
 def derivative_closed(arr: np.ndarray, h: float, axis: int = 0) -> np.ndarray:
     """Second-order derivative along ``axis`` of a closed (non-periodic)
     uniform grid: central in the interior, one-sided at both ends."""
-    f = np.moveaxis(arr, axis, 0)
+    f = arr.swapaxes(0, axis)  # views with the derivative axis first
     out = np.empty_like(arr)
-    d = np.moveaxis(out, axis, 0)
+    d = out.swapaxes(0, axis)
     d[1:-1] = (f[2:] - f[:-2]) / (2.0 * h)
     d[0] = (-3.0 * f[0] + 4.0 * f[1] - f[2]) / (2.0 * h)
     d[-1] = (3.0 * f[-1] - 4.0 * f[-2] + f[-3]) / (2.0 * h)

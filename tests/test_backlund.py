@@ -222,9 +222,11 @@ class TestEvolve:
 
     def test_background_evaluated_once_per_stage_time(self):
         # stages 2 and 3 share their time, and stage 4 mostly shares the
-        # next step's first: no time is evaluated twice in a row
+        # next step's first: every distinct stage time the march forms is
+        # evaluated exactly once, in blocks of STAGE_BLOCK times per call
         sol = exact.periodic_solution_for_length(L)
         x = np.linspace(-0.9, 0.9, 33)
+        dt, steps = 2.5e-3, 120
         seen = []
 
         class Counting:
@@ -232,14 +234,38 @@ class TestEvolve:
 
             @staticmethod
             def fields(xv, t):
-                seen.append(t)
+                seen.append((xv, t))
                 return sol.fields(xv, t)
 
-        traj = bt.bt_evolve(Counting, x, THETA, 2.5e-3, 0.1, phi_tilde_seed=sol.phi(x[0], 0.0))
-        evolved = seen[len(x) * 4 - 4:]  # after the RK4 march of the initial slice
-        assert evolved[0] == 0.0 and len(traj.times) == 41
-        assert all(a != b for a, b in zip(evolved, evolved[1:]))
-        assert 2 * 40 < len(evolved) <= 3 * 40 + 1  # 4 * 40 before the cache
+        traj = bt.bt_evolve(Counting, x, THETA, dt, steps * dt,
+                            phi_tilde_seed=sol.phi(x[0], 0.0))
+        assert len(traj.times) == steps + 1
+        calls = seen[len(x) * 4 - 4:]  # after the RK4 march of the initial slice
+        assert all(np.array_equal(xv, x[None, :]) for xv, _ in calls)
+        assert all(t.shape == (bt.STAGE_BLOCK, 1) for _, t in calls[:-1])
+        times = [float(v) for _, t in calls for v in t[:, 0]]
+        assert times[0] == 0.0 and len(set(times)) == len(times)
+        assert len(calls) == -(-len(times) // bt.STAGE_BLOCK)
+        # the stage times as rk4_step forms them, each exactly
+        assert set(times) == {k * dt + c * dt for k in range(steps) for c in (0.0, 0.5, 1.0)}
+        assert 2 * steps < len(times) <= 3 * steps + 1  # 4 * steps without sharing
+
+    def test_entry_relation_blocks_match_rows(self):
+        # x_relation_error reads phi in blocks of rows; the per-row loop it
+        # replaced gives the same float
+        sol = exact.periodic_solution_for_length(L)
+        x = np.linspace(-0.9, 0.9, 65)
+        traj = bt.bt_evolve(sol, x, THETA, 2.5e-3, 0.4,
+                            phi_tilde_seed=sol.phi(x[0], 0.0) + 0.15, y_seed=0.02, z_seed=0.01)
+        assert len(traj.times) > 2 * bt.STAGE_BLOCK
+        worst = 0.0
+        for k, t in enumerate(traj.times):
+            keep = traj._causal(t)
+            if not np.any(keep):
+                break
+            target = np.exp(0.5j * (traj.phi_tilde[k][keep] - sol.phi(x[keep], t)))
+            worst = max(worst, float(np.max(np.abs(traj.X[k][keep] - target))))
+        assert traj.x_relation_error(sol) == worst
 
     def test_t_end_off_the_step_grid_rejected(self):
         sol = exact.periodic_solution_for_length(L)

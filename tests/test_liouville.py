@@ -50,6 +50,17 @@ class TestExactSolutions:
         assert np.array_equal(phi_t, sol.phi_t(x, 0.2))
         assert np.array_equal(phi_x, sol.phi_x(x, 0.2))
 
+    def test_grid_matches_row_by_row(self):
+        # a (641, 129) (t, x) grid is large enough for numpy to reuse
+        # temporaries in place; every row must still equal the 1-D evaluation
+        sol = exact.periodic_solution_for_length(L)
+        x = np.linspace(-0.9, 0.9, 129)
+        ts = np.arange(641) * 2.5e-3
+        grid = sol.fields(x[None, :], ts[:, None])
+        for k, t in enumerate(ts):
+            for got, want in zip(grid, sol.fields(x, t)):
+                assert np.array_equal(got[k], want)
+
     def test_parameter_validation(self):
         with pytest.raises(ValueError):
             exact.LogLinearSolution(1.0, 0.0, 1.0)

@@ -1,5 +1,6 @@
 """The shared RK4 driver: order, the kept trajectory, the abort contract,
-and bit identity of every integrator's flat march with the tuple-state RK4."""
+bit identity of the flat chain kernels with the per-component ones, and of
+every integrator's flat march with the tuple-state RK4."""
 
 import numpy as np
 import pytest
@@ -206,6 +207,67 @@ def _tuple_rk4(rhs, y0, dt, steps, t0=0.0):
     return [np.array(col) for col in zip(*rows)]
 
 
+def _component_chain_field(a, abar, v, b, bbar):
+    """The per-component chain kernel the flat one replaced, kept as its
+    reference: velocities of (a, abar, v) with b = a / v and bbar = abar / v
+    passed in, each row its own expression."""
+    bm = np.concatenate((b[-1:], b[:-1]))        # b_{j-1}
+    bbp = np.concatenate((bbar[1:], bbar[:1]))   # bbar_{j+1}
+    da = 2.0 * bm * v - 2.0 * b / v + bbp * b * a + bbar * bm * a
+    dabar = -2.0 * bbp * v + 2.0 * bbar / v - bbp * b * abar - bbar * bm * abar
+    dv = bbp * a - abar * bm
+    return da, dabar, dv
+
+
+def _component_defect_field(a, abar, v, n, et, z, zbar, X):
+    """The per-component defect kernel the flat one replaced, kept as its
+    reference: (da, dabar, dv, dz, dzbar, dX) of a defect at site n."""
+    n0 = n - 1
+    b, bbar = a / v, abar / v
+    bm, bbp = b[n0 - 1], bbar[n0 + 1]
+    bt, bbt = et * (z / X) + bm / X**2, et * (zbar / X) + bbp / X**2
+    b[n0], bbar[n0] = bt, bbt
+    da, dabar, dv = _component_chain_field(a, abar, v, b, bbar)
+    da[n0] = dabar[n0] = dv[n0] = 0.0
+    dz = 2.0 * et * bm * X - 2.0 * et * bt / X + bbp * bt * z + bbt * bm * z
+    dzbar = -2.0 * et * bbp * X + 2.0 * et * bbt / X - bbp * bt * zbar - bbt * bm * zbar
+    dX = et * (bbp * z - zbar * bm)
+    return da, dabar, dv, dz, dzbar, dX
+
+
+class TestFlatKernelMatchesComponents:
+    """The flat chain kernels give bit for bit the per-component velocities."""
+
+    @pytest.mark.parametrize("N", [2, 3, 8, 64])
+    def test_bulk(self, N):
+        field = lat._ChainField(N)
+        for seed in range(10):
+            s = lat.random_state(N, np.random.default_rng(seed), 0.3)
+            want = np.concatenate(_component_chain_field(s.a, s.a_bar, s.v, s.b, s.b_bar))
+            assert np.array_equal(field(0.0, np.concatenate((s.a, s.a_bar, s.v))), want)
+            d = lat.bulk_eom(s)
+            assert np.array_equal(np.concatenate((d.a, d.a_bar, d.v)), want)
+
+    @pytest.mark.parametrize("N", [3, 8, 64])
+    def test_defect_at_every_interior_site(self, N):
+        # the march passes the defect fields as numpy scalars, defect_eom as
+        # the Python complex values of the DefectSite
+        field = lat._ChainField(N)
+        for seed in range(10):
+            rng = np.random.default_rng(seed)
+            s = lat.random_state(N, rng, 0.3)
+            for n in range(2, N):
+                d = ld.random_defect(n, rng)
+                et = np.exp(d.theta)
+                y = np.concatenate((s.a, s.a_bar, s.v, (d.z, d.z_bar, d.X)))
+                want = _component_defect_field(s.a, s.a_bar, s.v, n, et, *y[3 * N:])
+                got = ld._defect_vector_field(field, y, n, et, *y[3 * N:])
+                assert np.array_equal(got, np.concatenate((*want[:3], want[3:])))
+                want = _component_defect_field(s.a, s.a_bar, s.v, n, et, d.z, d.z_bar, d.X)
+                bulk, *moves = ld.defect_eom(s, d)
+                _assert_same((bulk.a, bulk.a_bar, bulk.v, *moves), want)
+
+
 def _assert_same(got, want):
     assert len(got) == len(want)
     for g, w in zip(got, want):
@@ -214,13 +276,13 @@ def _assert_same(got, want):
 
 class TestFlatMatchesTuples:
     """Each integrator's flat march gives bit for bit the states of the tuple
-    RK4 on the same vector field, over 100 steps."""
+    RK4 on the per-component vector field, over 100 steps."""
 
     @pytest.mark.parametrize("seed", range(10))
     def test_bulk_chain(self, seed):
         s = lat.random_state(8, np.random.default_rng(seed), 0.3)
         traj = lat.integrate(s, 0.01, 1.0)
-        want = _tuple_rk4(lambda t, y: lat._vector_field(*y, y[0] / y[2], y[1] / y[2]),
+        want = _tuple_rk4(lambda t, y: _component_chain_field(*y, y[0] / y[2], y[1] / y[2]),
                           (s.a, s.a_bar, s.v), 0.01, 100)
         _assert_same((traj.stack.a, traj.stack.a_bar, traj.stack.v), want)
 
@@ -233,7 +295,7 @@ class TestFlatMatchesTuples:
 
             def rhs(t, y):
                 a, abar, v, z, zbar, X = y
-                da, dabar, dv, dz, dzbar, dX = ld._defect_vector_field(
+                da, dabar, dv, dz, dzbar, dX = _component_defect_field(
                     a, abar, v, d.n, np.exp(d.theta), z[0], zbar[0], X[0])
                 return da, dabar, dv, np.array([dz]), np.array([dzbar]), np.array([dX])
 

@@ -27,10 +27,9 @@ z = (x + t)/2, zbar = (x - t)/2 the intertwining relation is equivalent to
 whose cross-derivatives reproduce both field equations.  The matrix entries
 that realize this are A = X = e^{i(phi~ - phi)/2} and Z = B =
 e^{i(phi~ + phi)/2}, paired with the time-Lax of the modified pair whose
-upper-right sign is fixed by its own zero-curvature relation; the module
-also carries the variants with the entry roles swapped (sum on the
-diagonal, difference off it, real or imaginary exponent) so the selection
-can be made by measurement, and a scan helper that does exactly that.
+upper-right sign is fixed by its own zero-curvature relation.
+:func:`select_hetero_variant` measures the intertwining residual of these
+entries against two refuted assignments with the entry roles swapped.
 """
 
 from __future__ import annotations
@@ -41,6 +40,7 @@ import numpy as np
 
 from .lattice_defect import _type2_matrix
 from .liouville import derivative_closed
+from .rmatrix import _matrices
 from .stepping import count_steps, finite_guard, march
 
 __all__ = [
@@ -60,7 +60,6 @@ __all__ = [
     "hetero_bt_generate",
     "free_field_closed_form",
     "select_hetero_variant",
-    "HETERO_VARIANTS",
 ]
 
 
@@ -305,9 +304,8 @@ def bt_evolve(
     phi_tilde_seed: complex,
     y_seed: complex = 0.0,
     z_seed: complex = 0.0,
-    t0: float = 0.0,
 ) -> BTTrajectory:
-    """Evolve the transformation image of a known solution.
+    """Evolve the transformation image of a known solution from t = 0.
 
     The state (phi~, X, Y, Z) on the uniform grid x moves by the time half
     of the intertwining relations: the diagonal equation supplies phi~_t and
@@ -324,8 +322,8 @@ def bt_evolve(
     e^{-i phi} for the X entry.
     """
     steps = count_steps(dt, t_end)
-    phi_tilde0, y0, z0 = bt_initial_data(background, x, t0, theta, phi_tilde_seed, y_seed, z_seed)
-    x0_rel = np.exp(0.5j * (phi_tilde0 - background.phi(x, t0)))
+    phi_tilde0, y0, z0 = bt_initial_data(background, x, 0.0, theta, phi_tilde_seed, y_seed, z_seed)
+    x0_rel = np.exp(0.5j * (phi_tilde0 - background.phi(x, 0.0)))
     h, nx = x[1] - x[0], len(x)
     rapidity = np.exp((theta, -theta))
 
@@ -333,7 +331,7 @@ def bt_evolve(
     # as rk4_step forms them, so that each rhs call finds its own exactly
     stage_times = []
     for k in range(steps):
-        t = t0 + k * dt
+        t = k * dt
         for ts in (t, t + 0.5 * dt, t + 1.0 * dt):
             if not stage_times or ts != stage_times[-1]:
                 stage_times.append(ts)
@@ -356,8 +354,7 @@ def bt_evolve(
 
     return march(rhs, np.concatenate((phi_tilde0, x0_rel, y0, z0)), dt, steps,
                  finite_guard(tuple((name, nx) for name in ("phi~", "X", "Y", "Z"))),
-                 lambda times, ys: BTTrajectory(times, x, *ys.reshape(-1, 4, nx).swapaxes(0, 1)),
-                 t0=t0)
+                 lambda times, ys: BTTrajectory(times, x, *ys.reshape(-1, 4, nx).swapaxes(0, 1)))
 
 
 # -- hetero transformation --------------------------------------------------------
@@ -400,52 +397,31 @@ class LightConeField:
     def derivative_zbar(self) -> np.ndarray:
         return derivative_closed(self.values, self.dzbar, axis=1)
 
-    def derivative_t(self) -> np.ndarray:
-        return 0.5 * (self.derivative_z() - self.derivative_zbar())
-
     def derivative_x(self) -> np.ndarray:
         return 0.5 * (self.derivative_z() + self.derivative_zbar())
 
 
-HETERO_VARIANTS = ("difference-imag", "printed-imag", "printed-real")
+def hetero_darboux(phi, phi_tilde):
+    """Entries (A, B, X, Z) of the interface Darboux matrix:
 
-
-def hetero_darboux(phi, phi_tilde, variant: str = "difference-imag"):
-    """Entries (A, B, X, Z) of the interface Darboux matrix.
-
-    difference-imag (selected by the residual scan):
         A = X = e^{i(phi~ - phi)/2},   Z = B = e^{i(phi~ + phi)/2}
-    printed-imag:
-        A = X = e^{i(phi~ + phi)/2},   Z = B = e^{i(phi~ - phi)/2}
-    printed-real:
-        A = X = e^{i(phi~ + phi)/2},   Z = B = e^{(phi~ - phi)/2}
     """
     phi = np.asarray(phi, dtype=complex)
     phi_tilde = np.asarray(phi_tilde, dtype=complex)
-    if variant == "difference-imag":
-        a = np.exp(0.5j * (phi_tilde - phi))
-        zb = np.exp(0.5j * (phi_tilde + phi))
-    elif variant == "printed-imag":
-        a = np.exp(0.5j * (phi_tilde + phi))
-        zb = np.exp(0.5j * (phi_tilde - phi))
-    elif variant == "printed-real":
-        a = np.exp(0.5j * (phi_tilde + phi))
-        zb = np.exp(0.5 * (phi_tilde - phi))
-    else:
-        raise ValueError(f"unknown variant {variant!r}")
-    return a, zb, a, zb  # (A, B, X, Z) with A = X and Z = B
+    a = np.exp(0.5j * (phi_tilde - phi))
+    zb = np.exp(0.5j * (phi_tilde + phi))
+    return a, zb, a, zb
 
 
-def hetero_darboux_matrix(phi, phi_tilde, params: HeteroParams, lam: complex,
-                          variant: str = "difference-imag") -> np.ndarray:
-    a, b, xx, zz = hetero_darboux(phi, phi_tilde, variant)
-    shape = np.broadcast(np.asarray(phi), np.asarray(phi_tilde)).shape
-    out = np.empty(shape + (2, 2), dtype=complex)
-    out[..., 0, 0] = a
-    out[..., 0, 1] = xx * np.exp(-lam - params.Theta)
-    out[..., 1, 0] = zz * np.exp(lam + params.Theta)
-    out[..., 1, 1] = b
-    return out
+def _interface_matrix(ax, zb, params: HeteroParams, lam: complex) -> np.ndarray:
+    """[[A, X e^{-lam - Theta}], [Z e^{lam + Theta}, B]] with A = X = ax and Z = B = zb."""
+    return _matrices(ax, ax * np.exp(-lam - params.Theta), zb * np.exp(lam + params.Theta), zb)
+
+
+def hetero_darboux_matrix(phi, phi_tilde, params: HeteroParams, lam: complex) -> np.ndarray:
+    """The interface Darboux matrix at lam, with the entries of :func:`hetero_darboux`."""
+    a, b, _, _ = hetero_darboux(phi, phi_tilde)
+    return _interface_matrix(a, b, params, lam)
 
 
 def _modified_liouville_V(phi_tilde, phi_tilde_x, c: complex, lam: complex) -> np.ndarray:
@@ -457,47 +433,38 @@ def _modified_liouville_V(phi_tilde, phi_tilde_x, c: complex, lam: complex) -> n
     potential, and no other sign assignment does.
     """
     phi_tilde = np.asarray(phi_tilde, dtype=complex)
-    out = np.empty(phi_tilde.shape + (2, 2), dtype=complex)
-    out[..., 0, 0] = -0.5j * phi_tilde_x
-    out[..., 0, 1] = -c * np.exp(-lam + 1j * phi_tilde)
-    out[..., 1, 0] = c * np.exp(lam + 1j * phi_tilde)
-    out[..., 1, 1] = 0.5j * phi_tilde_x
-    return out
+    return _matrices(-0.5j * phi_tilde_x, -c * np.exp(-lam + 1j * phi_tilde),
+                     c * np.exp(lam + 1j * phi_tilde), 0.5j * phi_tilde_x)
 
 
-def interface_residual(
-    phi: LightConeField,
-    phi_tilde: LightConeField,
-    params: HeteroParams,
-    lam: complex,
-    variant: str = "difference-imag",
-) -> float:
+def interface_residual(phi: LightConeField, phi_tilde: LightConeField, params: HeteroParams,
+                       lam: complex) -> float:
     """Max-norm of d Ltilde/dt - (V+ Ltilde - Ltilde V-) over the interior.
 
     V+ is the modified Liouville time-Lax built from phi~, V- the scalar
     free-field one from phi; the time derivative of the entries is taken by
     finite differences on the light-cone grid.
     """
-    lt = hetero_darboux_matrix(phi.values, phi_tilde.values, params, lam, variant)
-    lt_field = [
-        [LightConeField(phi.z, phi.zbar, lt[..., i, j]) for j in range(2)] for i in range(2)
-    ]
-    dlt = np.empty_like(lt)
-    for i in range(2):
-        for j in range(2):
-            dlt[..., i, j] = lt_field[i][j].derivative_t()
+    lt = hetero_darboux_matrix(phi.values, phi_tilde.values, params, lam)
+    return _intertwining_residual(lt, phi, phi_tilde, params, lam)
+
+
+def _intertwining_residual(lt: np.ndarray, phi: LightConeField, phi_tilde: LightConeField,
+                           params: HeteroParams, lam: complex) -> float:
+    """:func:`interface_residual` of the (nz, nzbar, 2, 2) matrix stack lt."""
+    dlt = 0.5 * (derivative_closed(lt, phi.dz, axis=0) - derivative_closed(lt, phi.dzbar, axis=1))
     vp = _modified_liouville_V(phi_tilde.values, phi_tilde.derivative_x(), params.c, lam)
     vm = -0.5j * phi.derivative_x()  # scalar multiple of the identity per point
     res = dlt - (vp @ lt - lt * vm[..., None, None])
     return float(np.max(np.abs(res[1:-1, 1:-1])))
 
 
-def _pole_guard(reason: str, field: str, phi_tilde, blowup: float):
+def _pole_guard(reason: str, field: str, phi_tilde):
     """Guard for the pole w -> 0 of the generated solution i log w, where
-    |e^{i phi~}| = e^{-Im phi~} passes ``blowup`` (or phi~ stops being
-    finite when a node lands on the pole); ``phi_tilde(t, y)`` maps the
-    march state to phi~."""
-    limit = np.log(blowup)
+    |e^{i phi~}| = e^{-Im phi~} passes 1e8 (or phi~ stops being finite when
+    a node lands on the pole); ``phi_tilde(t, y)`` maps the march state to
+    phi~."""
+    limit = np.log(1e8)
 
     def guard(t, y):
         pt = phi_tilde(t, y)
@@ -514,16 +481,15 @@ def hetero_bt_generate(
     params: HeteroParams,
     z: np.ndarray,
     zbar: np.ndarray,
-    phi_tilde_corner: complex = 0.0,
-    blowup: float = 1e8,
 ) -> tuple[LightConeField, LightConeField]:
-    """Generate a Liouville solution from a free field phi = f(z) + g(zbar).
+    """Generate a Liouville solution from a free field phi = f(z) + g(zbar),
+    with phi~ = 0 at the corner (z[0], zbar[0]).
 
     Integrates i d(phi~ - phi)/dz = -2 c e^Theta e^{i(phi~ + phi)} along the
     seed line zbar = zbar[0], then i d(phi~ + phi)/dzbar = -2 c e^-Theta
     e^{i(phi~ - phi)} along every zbar characteristic, fourth order in both
     sweeps over the uniform axes.  Returns (phi~ field, phi field) on the
-    rectangle.  A growing |e^{i phi~}| signals the pole of the generated
+    rectangle.  |e^{i phi~}| above 1e8 signals the pole of the generated
     solution and raises :class:`~laxkit.stepping.Aborted`, whose t is the
     sweep coordinate and whose index runs over the other axis: the pole is
     near (t, zbar[0]) on the seed line and near (z[index], t) in the fill.
@@ -531,14 +497,14 @@ def hetero_bt_generate(
     c, th = params.c, params.Theta
     zb0, g0, fz = zbar[0], g(zbar[0]), f(z)
 
-    # seed sweep in z for psi = phi~ - phi
+    # seed sweep in z for psi = phi~ - phi, from phi~ = 0 at the corner
     def seed_rhs(zv, y):
         phi = f(zv) + g0
         return 2j * c * np.exp(th) * np.exp(1j * (y + 2.0 * phi))
 
     psi_line = march(
-        seed_rhs, phi_tilde_corner - (f(z[:1]) + g0), (z[-1] - z[0]) / (len(z) - 1), len(z) - 1,
-        _pole_guard("pole in the z sweep", "phi~ at zbar", lambda t, y: y + (f(t) + g0), blowup),
+        seed_rhs, 0.0 - (f(z[:1]) + g0), (z[-1] - z[0]) / (len(z) - 1), len(z) - 1,
+        _pole_guard("pole in the z sweep", "phi~ at zbar", lambda t, y: y + (f(t) + g0)),
         lambda zs, ys: ys[:, 0], t0=z[0],
     )
 
@@ -556,24 +522,22 @@ def hetero_bt_generate(
 
     phi_tilde = march(
         fill_rhs, seed_line + (fz + g0), (zbar[-1] - zb0) / (len(zbar) - 1), len(zbar) - 1,
-        _pole_guard("pole in the zbar sweep", "phi~ at z", lambda t, y: y - (fz + g(t)),
-                    blowup),
+        _pole_guard("pole in the zbar sweep", "phi~ at z", lambda t, y: y - (fz + g(t))),
         fill_finish, t0=zb0,
     )
     return phi_tilde, LightConeField.from_function(lambda zz, bb: f(zz) + g(bb), z, zbar)
 
 
-def free_field_closed_form(params: HeteroParams, z, zbar, z0: float, zbar0: float,
-                           phi_tilde_corner: complex = 0.0):
-    """Exact image of the vanishing free field:
+def free_field_closed_form(params: HeteroParams, z, zbar, z0: float, zbar0: float):
+    """Exact image of the vanishing free field with phi~ = 0 at (z0, zbar0):
 
-    e^{-i phi~} = e^{-i phi~(corner)} + 2 c e^Theta (z - z0)
-                  + 2 c e^-Theta (zbar - zbar0).
+    e^{-i phi~} = 1 + 2 c e^Theta (z - z0) + 2 c e^-Theta (zbar - zbar0).
     """
     zz, bb = np.meshgrid(np.asarray(z, dtype=float), np.asarray(zbar, dtype=float),
                          indexing="ij")
+    # complex from the start, so that real c and Theta still take the complex log
     w = (
-        np.exp(-1j * phi_tilde_corner)
+        1.0 + 0.0j
         + 2.0 * params.c * np.exp(params.Theta) * (zz - z0)
         + 2.0 * params.c * np.exp(-params.Theta) * (bb - zbar0)
     )
@@ -609,23 +573,30 @@ def z_equation_residual(phi_tilde: LightConeField, phi: LightConeField,
     return float(np.max(np.abs(res[1:-1, 1:-1])))
 
 
-def select_hetero_variant(params: HeteroParams | None = None) -> tuple[str, dict[str, float]]:
-    """Pick the Darboux entry variant by measuring the interface residual.
+def select_hetero_variant(params: HeteroParams) -> tuple[str, dict[str, float]]:
+    """Score the Darboux entries of :func:`hetero_darboux` against the two
+    refuted assignments with the entry roles swapped:
+
+        difference-imag:  A = X = e^{i(phi~ - phi)/2},   Z = B = e^{i(phi~ + phi)/2}
+        printed-imag:     A = X = e^{i(phi~ + phi)/2},   Z = B = e^{i(phi~ - phi)/2}
+        printed-real:     A = X = e^{i(phi~ + phi)/2},   Z = B = e^{(phi~ - phi)/2}
 
     Generates a reference transformation pair and evaluates the intertwining
-    residual for every known variant.  Returns (winner, per-variant
-    residuals); the module default is the winner of this scan, and the tests
-    assert that it stays so.
+    residual of each.  Returns (winner, residual per assignment).
     """
-    if params is None:
-        params = HeteroParams(0.35, 0.15)
     z = np.linspace(0.0, 0.6, 49)
     zbar = np.linspace(0.0, 0.5, 41)
     pt, phi = hetero_bt_generate(
         lambda zz: 0.2 * np.sin(zz), lambda bb: 0.15 * np.cos(bb), params, z, zbar
     )
-    scores = {
-        v: interface_residual(phi, pt, params, 0.3, variant=v) for v in HETERO_VARIANTS
+    lam, total, diff = 0.3, pt.values + phi.values, pt.values - phi.values
+    entries = {
+        "difference-imag": hetero_darboux(phi.values, pt.values)[:2],
+        "printed-imag": (np.exp(0.5j * total), np.exp(0.5j * diff)),
+        "printed-real": (np.exp(0.5j * total), np.exp(0.5 * diff)),
     }
+    scores = {name: _intertwining_residual(_interface_matrix(ax, zb, params, lam),
+                                           phi, pt, params, lam)
+              for name, (ax, zb) in entries.items()}
     winner = min(scores, key=scores.get)
     return winner, scores

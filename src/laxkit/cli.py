@@ -206,11 +206,12 @@ def _series_rows(times, columns, drift):
 # -- mode handlers ---------------------------------------------------------------
 
 
-def _spectral_pair(rng, min_sep=0.15):
+def _spectral_pair(rng):
+    """Random (lambda, mu) kept clear of the r-matrix pole: |sinh(lambda - mu)| > 0.15."""
     while True:
         lam = complex(rng.normal(), rng.normal())
         mu = complex(rng.normal(), rng.normal())
-        if abs(np.sinh(lam - mu)) > min_sep:
+        if abs(np.sinh(lam - mu)) > 0.15:
             return lam, mu
 
 
@@ -610,7 +611,9 @@ def run(config: RunConfig, outdir: str | Path = ".") -> Report:
 
     A trajectory that aborts in any mode ends the mode with an aborted
     report and a failed ``blow-up`` record whose anchor is the abort record,
-    e.g. ``non-finite at RK stage 3 of step 1 (t = 0.0025), phi[17]``.
+    e.g. ``non-finite at RK stage 3 of step 1 (t = 0.0025), phi[17]``.  An
+    OverflowError (a monodromy or Laurent product leaving double range) ends
+    it the same way, with the anchor ``overflow: <message>``.
     Raises ConfigError on invalid mode parameters.
     """
     outdir = Path(outdir)
@@ -622,6 +625,9 @@ def run(config: RunConfig, outdir: str | Path = ".") -> Report:
     except Aborted as err:
         report.aborted = True
         report.add("blow-up", str(err.record), 1.0, 0.0)
+    except OverflowError as err:
+        report.aborted = True
+        report.add("blow-up", f"overflow: {err}", 1.0, 0.0)
     report.elapsed = time.perf_counter() - start
     (outdir / "report.json").write_text(report.to_json())
     (outdir / "timing.json").write_text(json.dumps({"elapsed_s": report.elapsed}, indent=2) + "\n")

@@ -124,12 +124,11 @@ def random_split_config(
     L: float,
     x0: float,
     rng: np.random.Generator,
-    n_left: int = 41,
-    n_right: int = 49,
-    amplitude: float = 0.4,
     sewing: bool = False,
 ) -> SplitFieldConfig:
-    """Random smooth fields on both halves; ``sewing`` imposes S1 = 0."""
+    """Random smooth fields of amplitude 0.4 on both halves, sampled at 41
+    points on the left and 49 on the right; ``sewing`` imposes S1 = 0."""
+    amplitude = 0.4
 
     def smooth(x, lo, hi):
         s = np.zeros_like(x, dtype=complex)
@@ -138,8 +137,8 @@ def random_split_config(
             s = s + c * np.sin(np.pi * k * (x - lo) / (hi - lo) + rng.uniform(0, 2 * np.pi))
         return s + amplitude * complex(rng.normal(), rng.normal())
 
-    xl = np.linspace(-L, x0, n_left)
-    xr = np.linspace(x0, L, n_right)
+    xl = np.linspace(-L, x0, 41)
+    xr = np.linspace(x0, L, 49)
     left = IntervalField(-L, x0, smooth(xl, -L, x0), smooth(xl, -L, x0))
     right = IntervalField(x0, L, smooth(xr, x0, L), smooth(xr, x0, L))
     if sewing:

@@ -98,8 +98,7 @@ class PeriodicSolution:
         return self.fields(x, t)[2]
 
 
-def periodic_solution_for_length(
-    L: float, c0: complex = 4.0, A: complex = 0.9 + 0.3j, B: complex = 0.7 - 0.2j
-) -> PeriodicSolution:
-    """A periodic solution whose x-period equals 2 L."""
-    return PeriodicSolution(c0, A, B, kappa=2.0 * np.pi / L)
+def periodic_solution_for_length(L: float) -> PeriodicSolution:
+    """The periodic solution with c0 = 4, A = 0.9 + 0.3i, B = 0.7 - 0.2i whose
+    x-period equals 2 L."""
+    return PeriodicSolution(4.0, 0.9 + 0.3j, 0.7 - 0.2j, kappa=2.0 * np.pi / L)

@@ -29,7 +29,7 @@ from .laurent import (
     matrix_product_chain,
     series_inverse,
 )
-from .rmatrix import bracket_lhs, quadratic_rhs
+from .rmatrix import _matrices, bracket_lhs, quadratic_rhs
 from .stepping import _field_at, count_steps, locate, march
 
 __all__ = [
@@ -154,13 +154,6 @@ def _lax_values(a, abar, v, u) -> np.ndarray:
     """Site matrices [[u v - 1/(u v), abar], [a, -v/u]], broadcast over the
     fields and the spectral points: shape + (2, 2)."""
     return _matrices(u * v - 1.0 / (u * v), abar, a, -v / u)
-
-
-def _matrices(m00, m01, m10, m11) -> np.ndarray:
-    """Complex 2x2 matrices from their entries, broadcast together: shape + (2, 2)."""
-    out = np.empty(np.broadcast(m00, m01, m10, m11).shape + (2, 2), dtype=complex)
-    out[..., 0, 0], out[..., 0, 1], out[..., 1, 0], out[..., 1, 1] = m00, m01, m10, m11
-    return out
 
 
 def _lax_partials(s: LatticeState, j: int, u: complex) -> dict[str, np.ndarray]:

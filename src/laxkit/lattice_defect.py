@@ -34,7 +34,6 @@ from .lattice import (
     _checked_trace,
     _chain_guard,
     _lax_partials,
-    _matrices,
     _probe_traces,
     _rate,
     _site_stack,
@@ -45,7 +44,7 @@ from .lattice import (
     lax_value,
     time_lax_order2,
 )
-from .rmatrix import bracket_lhs, quadratic_rhs
+from .rmatrix import _matrices, bracket_lhs, quadratic_rhs
 from .stepping import count_steps, march
 
 __all__ = [

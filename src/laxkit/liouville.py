@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .rmatrix import bracket_lhs, linear_rhs
+from .rmatrix import _matrices, bracket_lhs, linear_rhs
 from .stepping import count_steps, locate, march
 
 __all__ = [
@@ -98,13 +98,13 @@ class FieldConfig:
         return FieldConfig(self.L, self.phi if phi is None else phi, self.pi if pi is None else pi)
 
 
-def random_config(L: float, n: int, rng: np.random.Generator, amplitude: float = 0.2,
-                  modes: int = 3) -> FieldConfig:
-    """Smooth periodic sample built from a handful of Fourier modes."""
+def random_config(L: float, n: int, rng: np.random.Generator,
+                  amplitude: float = 0.2) -> FieldConfig:
+    """Smooth periodic sample built from the first three Fourier modes."""
     x = FieldConfig.zero(L, n).x
     phi = np.zeros(n, dtype=complex)
     pi = np.zeros(n, dtype=complex)
-    for k in range(1, modes + 1):
+    for k in range(1, 4):
         for arr in (phi, pi):
             c = amplitude / k * complex(rng.normal(), rng.normal())
             s = amplitude / k * complex(rng.normal(), rng.normal())
@@ -124,23 +124,15 @@ def config_from_solution(sol, L: float, n: int, t: float) -> FieldConfig:
 def lax_U(phi: complex, pi: complex, lam: complex) -> np.ndarray:
     """Spatial Lax operator at a point (accepts arrays, returns ...x2x2)."""
     phi, pi = np.asarray(phi, dtype=complex), np.asarray(pi, dtype=complex)
-    out = np.empty(np.broadcast(phi, pi).shape + (2, 2), dtype=complex)
-    out[..., 0, 0] = -0.5j * pi
-    out[..., 0, 1] = -np.exp(-lam - 1j * phi)
-    out[..., 1, 0] = 2.0 * np.sinh(lam - 1j * phi)
-    out[..., 1, 1] = 0.5j * pi
-    return out
+    return _matrices(-0.5j * pi, -np.exp(-lam - 1j * phi), 2.0 * np.sinh(lam - 1j * phi),
+                     0.5j * pi)
 
 
 def lax_V(phi: complex, phi_x: complex, lam: complex) -> np.ndarray:
     """Temporal Lax operator at a point."""
     phi, phi_x = np.asarray(phi, dtype=complex), np.asarray(phi_x, dtype=complex)
-    out = np.empty(np.broadcast(phi, phi_x).shape + (2, 2), dtype=complex)
-    out[..., 0, 0] = -0.5j * phi_x
-    out[..., 0, 1] = np.exp(-lam - 1j * phi)
-    out[..., 1, 0] = 2.0 * np.cosh(lam - 1j * phi)
-    out[..., 1, 1] = 0.5j * phi_x
-    return out
+    return _matrices(-0.5j * phi_x, np.exp(-lam - 1j * phi), 2.0 * np.cosh(lam - 1j * phi),
+                     0.5j * phi_x)
 
 
 # -- spatial derivatives ---------------------------------------------------------
@@ -192,10 +184,7 @@ def liouville_rhs(c: FieldConfig) -> tuple[np.ndarray, np.ndarray]:
 def gauge_matrix(phi) -> np.ndarray:
     """g = exp(-i phi sigma_z / 2) pointwise."""
     phi = np.asarray(phi, dtype=complex)
-    out = np.zeros(phi.shape + (2, 2), dtype=complex)
-    out[..., 0, 0] = np.exp(-0.5j * phi)
-    out[..., 1, 1] = np.exp(0.5j * phi)
-    return out
+    return _matrices(np.exp(-0.5j * phi), 0.0, 0.0, np.exp(0.5j * phi))
 
 
 def gauged_U(phi, pi, phi_x, lam: complex) -> np.ndarray:
@@ -209,12 +198,7 @@ def gauged_U(phi, pi, phi_x, lam: complex) -> np.ndarray:
     """
     phi = np.asarray(phi, dtype=complex)
     d = 0.5j * (np.asarray(phi_x, dtype=complex) - np.asarray(pi, dtype=complex))
-    out = np.empty(np.broadcast_shapes(phi.shape, d.shape, np.shape(lam)) + (2, 2), dtype=complex)
-    out[..., 0, 0] = d
-    out[..., 0, 1] = -np.exp(-lam)
-    out[..., 1, 0] = np.exp(lam - 2j * phi) - np.exp(-lam)
-    out[..., 1, 1] = -d
-    return out
+    return _matrices(d, -np.exp(-lam), np.exp(lam - 2j * phi) - np.exp(-lam), -d)
 
 
 def gauge_transform(c: FieldConfig, lam: complex) -> tuple[np.ndarray, np.ndarray]:
@@ -400,20 +384,20 @@ FIT_WINDOW = (0.01, 0.04)
 FIT_POINTS = 8
 
 
-def fit_first_charge(c: FieldConfig, window: tuple[float, float] = FIT_WINDOW,
-                     points: int = FIT_POINTS) -> complex:
+def fit_first_charge(c: FieldConfig) -> complex:
     """First charge extracted from the small-u behaviour of log tr T.
 
-    Samples u in the window, evaluates log tr T at every sample with one
-    batched ``monodromy_ode`` call (lambda = log u as an array, ordered
-    product reduced pairwise), fits it against {u^-1, 1, u, u^2, u^3} by
-    least squares and returns the u-coefficient.  The cubic term guards
-    the linear coefficient against truncation bias, and the window sits
-    deep enough in the small-u regime that the neglected orders stay below
-    the percent level for moderate field amplitudes (the Magnus propagation
-    is exact on the stiff part, so small u costs nothing in accuracy).
+    Samples u at FIT_POINTS points across FIT_WINDOW, evaluates log tr T at
+    every sample with one batched ``monodromy_ode`` call (lambda = log u as
+    an array, ordered product reduced pairwise), fits it against {u^-1, 1,
+    u, u^2, u^3} by least squares and returns the u-coefficient.  The cubic
+    term guards the linear coefficient against truncation bias, and the
+    window sits deep enough in the small-u regime that the neglected orders
+    stay below the percent level for moderate field amplitudes (the Magnus
+    propagation is exact on the stiff part, so small u costs nothing in
+    accuracy).
     """
-    us = np.linspace(window[0], window[1], points)
+    us = np.linspace(FIT_WINDOW[0], FIT_WINDOW[1], FIT_POINTS)
     values = trace_log(c, np.log(us))
     basis = np.stack([1.0 / us, np.ones_like(us), us, us**2, us**3], axis=1)
     coeff, *_ = np.linalg.lstsq(basis, values, rcond=None)

@@ -1,4 +1,5 @@
-"""The trigonometric classical r-matrix and bracket-identity assemblers.
+"""The trigonometric classical r-matrix, bracket-identity assemblers and the
+2x2 assembler behind every Lax, gauge and Darboux matrix.
 
 The same 4x4 r-matrix governs the quadratic exchange algebra of the lattice
 site matrices and the linear algebra of the continuum spatial Lax operator.
@@ -9,6 +10,13 @@ factors ("a" first, "b" second).
 from __future__ import annotations
 
 import numpy as np
+
+
+def _matrices(m00, m01, m10, m11) -> np.ndarray:
+    """Complex 2x2 matrices from their entries, broadcast together: shape + (2, 2)."""
+    out = np.empty(np.broadcast(m00, m01, m10, m11).shape + (2, 2), dtype=complex)
+    out[..., 0, 0], out[..., 0, 1], out[..., 1, 0], out[..., 1, 1] = m00, m01, m10, m11
+    return out
 
 
 def r_matrix(separation: complex) -> np.ndarray:

@@ -324,14 +324,10 @@ class TestHeteroDarboux:
         assert abs(abs(a) - 1.0) < 1e-14
 
     def test_variant_scan_selects_difference_imag(self):
-        winner, scores = bt.select_hetero_variant()
+        winner, scores = bt.select_hetero_variant(PARAMS)
         assert winner == "difference-imag"
         others = [v for v in scores if v != winner]
         assert all(scores[winner] < 1e-2 * scores[v] for v in others)
-
-    def test_unknown_variant_rejected(self):
-        with pytest.raises(ValueError):
-            bt.hetero_darboux(0.0, 0.0, variant="bogus")
 
     def test_parameter_validation(self):
         with pytest.raises(ValueError, match="coupling"):

@@ -264,6 +264,19 @@ class TestRun:
             "above the blow-up threshold at RK stage 2 of step 1 (t = 0.0025), pi[0]"
         )
 
+    def test_monodromy_overflow_reports_failure(self, tmp_path, capsys):
+        # at amplitude 2 the ninth seed-0 field drives the ordered cell
+        # product of the monodromy out of double range
+        path = write_config(tmp_path, {"mode": "monodromy-check", "params": {"amplitude": 2}})
+        code = cli.main(["run", "--config", str(path), "--out", str(tmp_path / "out")])
+        assert code == 1
+        assert "Traceback" not in capsys.readouterr().err
+        report = json.loads((tmp_path / "out" / "report.json").read_text())
+        assert report["aborted"] is True
+        [record] = [r for r in report["records"] if r["name"] == "blow-up"]
+        assert record["anchor"] == "overflow: monodromy integration lost normalization"
+        assert record["passed"] is False
+
     def test_hetero_pole_reports_failure(self, tmp_path, capsys):
         # c = -2, Theta = 0 puts the pole of the vanishing free field on
         # z + zbar = 1/4 inside the default rectangle; the small free field

@@ -41,7 +41,7 @@ import numpy as np
 from .lattice_defect import _type2_matrix
 from .liouville import derivative_closed
 from .rmatrix import _matrices
-from .stepping import count_steps, finite_guard, march
+from .stepping import count_steps, finite_guard, march, rowwise
 
 __all__ = [
     "DarbouxState",
@@ -99,10 +99,14 @@ def darboux_matrix_type2(d: DarbouxState, u: complex) -> np.ndarray:
 
 
 def _exponentials(phi, phi_tilde, rapidity):
-    """(em, ep, e^theta, e^-theta); rapidity = np.exp((theta, -theta)), once per march."""
-    em = np.exp(-0.5j * (phi + phi_tilde))  # e^{-i(phi + phi~)/2}
-    ep = np.exp(+0.5j * (phi + phi_tilde))
-    return em, ep, *rapidity
+    """(em, ep, e^theta, e^-theta, e^theta em + e^-theta ep), the last the
+    term that both :func:`_tilde_t` and :func:`_time_flow` read; rapidity =
+    np.exp((theta, -theta)), once per march."""
+    total = phi + phi_tilde
+    em = np.exp(-0.5j * total)  # e^{-i(phi + phi~)/2}
+    ep = np.exp(+0.5j * total)
+    et, eti = rapidity
+    return em, ep, et, eti, et * em + eti * ep
 
 
 def bt_solve_YZ(phi, phi_tilde, phi_t, phi_tilde_t, phi_x, phi_tilde_x, theta):
@@ -115,7 +119,7 @@ def bt_solve_YZ(phi, phi_tilde, phi_t, phi_tilde_t, phi_x, phi_tilde_x, theta):
     the system is 8 em^2, which never vanishes for finite fields; the guard
     stays for ill-conditioned extreme inputs.
     """
-    em, ep, et, eti = _exponentials(phi, phi_tilde, np.exp((theta, -theta)))
+    em, ep, et, eti, sum_t = _exponentials(phi, phi_tilde, np.exp((theta, -theta)))
     rhs_t = 1j * (np.asarray(phi_tilde_t) - np.asarray(phi_t))
     rhs_x = 1j * (np.asarray(phi_tilde_x) - np.asarray(phi_x))
     det = 8.0 * em * em
@@ -123,22 +127,22 @@ def bt_solve_YZ(phi, phi_tilde, phi_t, phi_tilde_t, phi_x, phi_tilde_x, theta):
         raise ValueError("degenerate configuration: diagonal system is singular")
     # add the equations to eliminate Z, then back-substitute
     y = (rhs_t + rhs_x) / (-4.0 * et * em)
-    z = (rhs_t + 2.0 * y * (et * em + eti * ep)) / (2.0 * eti * em)
+    z = (rhs_t + 2.0 * y * sum_t) / (2.0 * eti * em)
     return y, z
 
 
 def _tilde_t(phi_t, Y, Z, e):
     """phi~_t from the t half of the diagonal pair,
     i(phi~_t - phi_t) = -2Y (e^th em + e^-th ep) + 2Z e^-th em,
-    with e = (em, ep, e^th, e^-th) from :func:`_exponentials`."""
-    em, ep, et, eti = e
-    return np.asarray(phi_t) - 1j * (-2.0 * Y * (et * em + eti * ep) + 2.0 * Z * eti * em)
+    with e = (em, ep, e^th, e^-th, e^th em + e^-th ep) from :func:`_exponentials`."""
+    em, _, _, eti, sum_t = e
+    return np.asarray(phi_t) - 1j * (-2.0 * Y * sum_t + 2.0 * Z * eti * em)
 
 
 def _tilde_x(phi_x, Y, Z, e):
     """phi~_x from the x half of the diagonal pair,
     i(phi~_x - phi_x) = -2Y (e^th em - e^-th ep) - 2Z e^-th em."""
-    em, ep, et, eti = e
+    em, ep, et, eti, _ = e
     return phi_x + (2j * Y * (et * em - eti * ep) + 2j * Z * eti * em)
 
 
@@ -148,10 +152,10 @@ def _time_flow(phi, phi_tilde, phi_x, phi_tilde_x, Y, Z, e):
     Y_t = -(i/2)(phi_x + phi~_x) Y - e^-th em sinh(i(phi~ - phi))
     Z_t =  (i/2)(phi_x + phi~_x) Z + (e^th em + e^-th ep) sinh(i(phi~ - phi))
     """
-    em, ep, et, eti = e
+    em, _, _, eti, sum_t = e
     s = np.sinh(1j * (phi_tilde - phi))
     drag = 0.5j * (phi_x + phi_tilde_x)
-    return -drag * Y - eti * em * s, drag * Z + (et * em + eti * ep) * s
+    return -drag * Y - eti * em * s, drag * Z + sum_t * s
 
 
 def _space_flow(phi, phi_tilde, phi_t, phi_tilde_t, Y, Z, e):
@@ -161,7 +165,7 @@ def _space_flow(phi, phi_tilde, phi_t, phi_tilde_t, Y, Z, e):
     Y_x = -(i/2)(phi_t + phi~_t) Y + e^-th em sinh(i(phi~ - phi))
     Z_x =  (i/2)(phi_t + phi~_t) Z + (e^th em - e^-th ep) sinh(i(phi~ - phi))
     """
-    em, ep, et, eti = e
+    em, ep, et, eti, _ = e
     s = np.sinh(1j * (phi_tilde - phi))
     drag = 0.5j * (phi_t + phi_tilde_t)
     return -drag * Y + eti * em * s, drag * Z + (et * em - eti * ep) * s
@@ -462,15 +466,25 @@ def _intertwining_residual(lt: np.ndarray, phi: LightConeField, phi_tilde: Light
 def _pole_guard(reason: str, field: str, phi_tilde):
     """Guard for the pole w -> 0 of the generated solution i log w, where
     |e^{i phi~}| = e^{-Im phi~} passes 1e8 (or phi~ stops being finite when
-    a node lands on the pole); ``phi_tilde(t, y)`` maps the march state to
-    phi~."""
+    a node lands on the pole); ``phi_tilde(t, y)`` maps one march state to
+    phi~, and the whole stack is tested at once."""
     limit = np.log(1e8)
 
-    def guard(t, y):
+    def clear(pt):
+        return np.abs(pt.imag).max() <= limit and np.isfinite(pt.real).all()
+
+    def check(t, y):
         pt = phi_tilde(t, y)
-        if np.abs(pt.imag).max() <= limit and np.isfinite(pt.real).all():
+        if clear(pt):
             return None
         return reason, field, int(np.argmax(np.where(np.isfinite(pt), np.abs(pt.imag), np.inf)))
+
+    slow = rowwise(check)
+
+    def guard(ts, ys):
+        if clear(np.array([phi_tilde(t, y) for t, y in zip(ts, ys)])):
+            return None
+        return slow(ts, ys)
 
     return guard
 

@@ -178,8 +178,7 @@ def write_csv(path: Path, header: list[str], rows) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
-        for row in rows:
-            writer.writerow([repr(v) if isinstance(v, float) else v for v in row])
+        writer.writerows(rows)  # a float is written as its repr
 
 
 def _time_params(p: dict, dt: float, t_end: float, coarse=lambda dt: dt):
@@ -637,17 +636,18 @@ def run(config: RunConfig, outdir: str | Path = ".") -> Report:
 def suite(outdir: str | Path = ".", seed: int = 0, tolerance_scale: float = 1.0) -> Report:
     """Full acceptance battery with default parameters.
 
-    Aggregates every mode's records, adds the determinism self-check
-    (identical seed twice must serialize identically), and writes
-    suite_report.json, timing.json and per-mode artifacts in subdirectories.
+    Aggregates every mode's records, adds the determinism self-check (the
+    battery's verify-charges report and one re-run of its config, written to
+    determinism/, must serialize identically), and writes suite_report.json,
+    timing.json and per-mode artifacts in subdirectories.
     """
     configs = [RunConfig(mode, seed=seed, tolerance_scale=tolerance_scale) for mode in MODES]
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     overall = Report("suite", {"seed": seed, "tolerance_scale": tolerance_scale})
-    start, modes = time.perf_counter(), {}
+    start, modes, reports = time.perf_counter(), {}, {}
     for cfg in configs:
-        sub = run(cfg, outdir / cfg.mode)
+        sub = reports[cfg.mode] = run(cfg, outdir / cfg.mode)
         modes[cfg.mode] = sub.elapsed
         for rec in sub.records:
             overall.records.append(
@@ -658,13 +658,13 @@ def suite(outdir: str | Path = ".", seed: int = 0, tolerance_scale: float = 1.0)
             overall.aborted = True
         print(f"[{'pass' if sub.passed else 'FAIL'}] {cfg.mode}", file=sys.stderr)
 
-    twice = [run(RunConfig("verify-charges", seed=seed), outdir / f"determinism-{k}")
-             for k in (1, 2)]
-    modes.update((f"determinism-{k}", r.elapsed) for k, r in zip((1, 2), twice))
+    charges = next(cfg for cfg in configs if cfg.mode == "verify-charges")
+    again = run(charges, outdir / "determinism")
+    modes["determinism"] = again.elapsed
     overall.add(
         "determinism",
         "identical seed gives byte-identical reports",
-        0.0 if twice[0].to_json() == twice[1].to_json() else 1.0,
+        0.0 if again.to_json() == reports[charges.mode].to_json() else 1.0,
         0.0,
     )
     overall.elapsed = time.perf_counter() - start

@@ -17,6 +17,7 @@ of motion, and a fixed-step integrator with conservation monitoring.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,7 +31,7 @@ from .laurent import (
     series_inverse,
 )
 from .rmatrix import _matrices, bracket_lhs, quadratic_rhs
-from .stepping import _field_at, count_steps, locate, march
+from .stepping import _field_at, count_steps, locate, march, read_only, rowwise
 
 __all__ = [
     "LatticeState",
@@ -78,9 +79,7 @@ class LatticeState:
 
     def __post_init__(self):
         for name in ("a", "a_bar", "v"):
-            arr = np.array(getattr(self, name), dtype=complex)
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+            object.__setattr__(self, name, read_only(getattr(self, name)))
         if not (self.a.shape == self.a_bar.shape == self.v.shape) or self.a.ndim not in (1, 2):
             raise ValueError("field arrays must be of equal shape (N,) or (T, N)")
         if self.N < 1:
@@ -332,10 +331,14 @@ class _ChainField:
         shift = np.concatenate(((i - 1) % n, n + (i + 1) % n))
         self.n = n
         self._tile = np.concatenate((i, i)) + 2 * n  # v under a and under abar
-        # from q = (b, bbar): (b_{j-1}, bbar_{j+1}), then the factors of
-        # (bbar_{j+1} b_j, twice) and (bbar_j b_{j-1}, twice), left ones first
-        self._gather = np.concatenate((shift, shift[n:], shift[n:], i + n, i + n,
-                                       i, i, shift[:n], shift[:n]))
+        # from (q, 2q, y), q = (b, bbar): the left, then the right factors of
+        # (2 b_{j-1}, 2 bbar_{j+1}) (v, v), of (bbar_{j+1} b_j, twice) and
+        # (bbar_j b_{j-1}, twice), of bbar_{j+1} a_j and of abar_j b_{j-1}
+        bm, bbp, y = shift[:n], shift[n:], 4 * n
+        self._gather = np.concatenate((shift + 2 * n, bbp, bbp, i + n, i + n, bbp, y + n + i,
+                                       y + self._tile, i, i, bm, bm, y + i, bm))
+        self._tile.setflags(write=False)
+        self._gather.setflags(write=False)
 
     def hopping(self, y):
         """(v, v) and the hopping fields q = (b, bbar) = (a, abar) / v of y."""
@@ -346,26 +349,35 @@ class _ChainField:
         """Flat (da, dabar, dv, *tail) of y with the hopping fields q passed
         in: site j reads b_{j-1}, b_j, bbar_j and bbar_{j+1}.
 
-        The a and abar rows are one length-2n expression; the abar row comes
-        out as the exact negative of dabar (up to the sign of an exact zero)
-        and is negated once.  Every product keeps its operand order, so the
+        One gather and one multiply form every product of two fields, and
+        one broadcast multiply both hopping products times (a, abar).  The
+        a and abar rows are one length-2n expression; the abar row comes out
+        as the exact negative of dabar (up to the sign of an exact zero) and
+        is negated once.  Every product keeps its operand order, so the
         result matches the per-component formulas bit for bit."""
         n, two = self.n, 2 * self.n
-        ab = y[:two]
-        g = q.take(self._gather)
-        p = g[:two]                              # (b_{j-1}, bbar_{j+1})
-        c = g[two:3 * two] * g[3 * two:]         # (bbp b, bbp b, bbar bm, bbar bm)
-        row = 2.0 * p * vv - 2.0 * q / vv + c[:two] * ab + c[two:] * ab
-        return np.concatenate((row[:n], -row[n:], p[n:] * y[:n] - y[n:two] * p[:n], tail))
+        q2 = 2.0 * q
+        g = np.concatenate((q, q2, y)).take(self._gather)
+        prod = g[:4 * two] * g[4 * two:]   # (2p vv, bbp b, bbp b, bbar bm, bbar bm, bbp a, abar bm)
+        hop = prod[two:3 * two].reshape(2, two) * y[:two]
+        row = prod[:two] - q2 / vv + hop[0] + hop[1]
+        return np.concatenate((row[:n], -row[n:], prod[3 * two:7 * n] - prod[7 * n:], tail))
 
     def __call__(self, t, y):
         return self.velocities(y, *self.hopping(y))
 
 
+@functools.lru_cache(maxsize=32)
+def _chain_field(n: int) -> _ChainField:
+    """The :class:`_ChainField` of an n-site chain, shared by every caller:
+    its index arrays are read-only."""
+    return _ChainField(n)
+
+
 def bulk_eom(s: LatticeState) -> LatticeDerivative:
     """Time derivatives of (a, abar, v) generated by the order-2 charge flow."""
     y = np.concatenate((s.a, s.a_bar, s.v))
-    return LatticeDerivative(*_ChainField(s.N)(0.0, y).reshape(3, s.N))
+    return LatticeDerivative(*_chain_field(s.N)(0.0, y).reshape(3, s.N))
 
 
 def charge2_gradient(s: LatticeState) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -513,19 +525,29 @@ FIELD_CEILING = 1e8
 
 
 def _chain_guard(layout):
-    """Chain integrators' guard on a flat state of this layout: None, or the
-    (reason, field, index) of a non-finite entry, a field above FIELD_CEILING,
-    or a v_j (or defect X) below V_FLOOR in modulus.  One pass over the moduli
-    decides; only a state that trips it is searched for the offending entry."""
+    """Chain integrators' guard on a stack of flat states of this layout: None,
+    or the (row, verdict) of the first row with a non-finite entry, a field
+    above FIELD_CEILING, or a v_j (or defect X) below V_FLOOR in modulus, the
+    verdict (reason, field, index) naming that entry.  One pass over the
+    moduli of the stack decides; only a stack that trips it is searched row
+    by row for the offending entry."""
     floored = np.flatnonzero([name in ("v", "X") for name, length in layout for _ in range(length)])
 
-    def guard(t, y):
+    def check(t, y):
         mag = np.abs(y)
         if mag.max() <= FIELD_CEILING and mag[floored].min() >= V_FLOOR:
             return None
         lowest = int(floored[np.argmin(mag[floored])])
         return (locate(layout, y, FIELD_CEILING, "field above the ceiling")
                 or ("field below the floor", *_field_at(layout, lowest)))
+
+    slow = rowwise(check)
+
+    def guard(ts, ys):
+        mag = np.abs(ys)
+        if mag.max() <= FIELD_CEILING and mag.take(floored, axis=1).min() >= V_FLOOR:
+            return None
+        return slow(ts, ys)
 
     return guard
 
@@ -561,5 +583,5 @@ def integrate(
                                  _probe_traces(monodromy_value(stack, probes), probes))
 
     layout = tuple((name, s.N) for name in FIELD_NAMES)
-    return march(_ChainField(s.N), np.concatenate((s.a, s.a_bar, s.v)), dt,
+    return march(_chain_field(s.N), np.concatenate((s.a, s.a_bar, s.v)), dt,
                  count_steps(dt, t_end), _chain_guard(layout), finish)

@@ -30,7 +30,7 @@ from .lattice import (
     LatticeState,
     LatticeTrajectory,
     SingularStateError,
-    _ChainField,
+    _chain_field,
     _checked_trace,
     _chain_guard,
     _lax_partials,
@@ -330,7 +330,7 @@ def defect_eom(
     replaces that site).  Returns (bulk derivative, dz, dzbar, dX).
     """
     _require_interior(s, d)
-    out = _defect_vector_field(_ChainField(s.N), np.concatenate((s.a, s.a_bar, s.v)), d.n,
+    out = _defect_vector_field(_chain_field(s.N), np.concatenate((s.a, s.a_bar, s.v)), d.n,
                                np.exp(d.theta), d.z, d.z_bar, d.X)
     return LatticeDerivative(*out[:3 * s.N].reshape(3, s.N)), *out[3 * s.N:]
 
@@ -396,7 +396,7 @@ def integrate_with_defect(
     (|X| has the floor of |v_j|).
     """
     _require_interior(s, d)
-    bulk, et, field = 3 * s.N, np.exp(d.theta), _ChainField(s.N)
+    bulk, et, field = 3 * s.N, np.exp(d.theta), _chain_field(s.N)
 
     def rhs(t, y):
         # z, z_bar and X as numpy scalars: these keep inf semantics on
@@ -405,7 +405,7 @@ def integrate_with_defect(
 
     def finish(times, ys):
         stack = LatticeState(*ys[:, :bulk].reshape(len(times), 3, s.N).swapaxes(0, 1))
-        ds = d.replace(*ys[:, bulk:].T.copy())  # a copy, so ys can go
+        ds = d.replace(*ys[:, bulk:].T)
         c0, c2 = defect_charges(stack, ds)
         traces = _probe_traces(defect_monodromy_value(stack, ds, probes), probes)
         return DefectTrajectory(times, stack, c0, c2, traces, ds)

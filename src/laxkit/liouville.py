@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .rmatrix import _matrices, bracket_lhs, linear_rhs
-from .stepping import count_steps, locate, march
+from .stepping import count_steps, locate, march, read_only, rowwise
 
 __all__ = [
     "FieldConfig",
@@ -70,9 +70,7 @@ class FieldConfig:
 
     def __post_init__(self):
         for name in ("phi", "pi"):
-            arr = np.array(getattr(self, name), dtype=complex)
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+            object.__setattr__(self, name, read_only(getattr(self, name)))
         if self.phi.shape != self.pi.shape or self.phi.ndim not in (1, 2):
             raise ValueError("phi and pi must be arrays of equal shape (n,) or (T, n)")
         if not np.all(np.isfinite(self.phi)) or not np.all(np.isfinite(self.pi)):
@@ -485,10 +483,11 @@ def evolve(
     """
     h, n = c.h, c.n
 
-    def guard(t, y):
-        if np.abs(y).max() <= blowup:
-            return None
-        return locate((("phi", n), ("pi", n)), y, blowup, "above the blow-up threshold")
+    slow = rowwise(lambda t, y: locate((("phi", n), ("pi", n)), y, blowup,
+                                       "above the blow-up threshold"))
+
+    def guard(ts, ys):
+        return None if np.abs(ys).max() <= blowup else slow(ts, ys)
 
     def finish(times, ys):
         stack = FieldConfig(c.L, *ys.reshape(len(times), 2, n).swapaxes(0, 1))

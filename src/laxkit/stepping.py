@@ -1,9 +1,10 @@
 """The one fixed-step RK4 driver and the one abort contract.
 
 Every integrator marches one flat state vector, laid out as ((name, length),
-...), through :func:`march`, which hands the (T, L) stack of accepted states to
-the caller's ``finish``.  A guard runs on every RK stage input and accepted
-step; if it fires, :class:`Aborted` carries an :class:`Abort` and the partial run.
+...), through :func:`march`, which hands the read-only (T, L) stack of
+accepted states to the caller's ``finish``.  A guard sees every RK stage input
+and accepted step, once per step as one stack; if it fires, :class:`Aborted`
+carries an :class:`Abort` and the partial run.
 """
 
 from __future__ import annotations
@@ -77,54 +78,97 @@ def locate(layout, y, limit=np.inf, above="above the limit"):
     return (above, *_field_at(layout, worst)) if mag[worst] > limit else None
 
 
+def rowwise(check):
+    """The guard ``guard(ts, ys)`` of a per-state ``check(t, y)``: the (row,
+    verdict) of the first row of the stack ys, at its time in ts, for which
+    the check returns a verdict, else None.  A guard with a whole-stack fast
+    test calls it only on a stack that fails the test."""
+
+    def guard(ts, ys):
+        for row, (t, y) in enumerate(zip(ts, ys)):
+            if (verdict := check(t, y)) is not None:
+                return row, verdict
+        return None
+
+    return guard
+
+
 def finite_guard(layout):
-    """Guard firing on a non-finite entry of a flat state of this layout."""
-    return lambda t, y: None if np.isfinite(y).all() else locate(layout, y)
+    """Guard firing on a non-finite entry of a stack of flat states of this layout."""
+    slow = rowwise(lambda t, y: locate(layout, y))
+    return lambda ts, ys: None if np.isfinite(ys).all() else slow(ts, ys)
 
 
-def rk4_step(rhs, t, y, dt, guard):
+def read_only(x):
+    """x as a read-only complex array: x itself when it already is one and
+    every array in its ``base`` chain is read-only too, so that no holder of
+    a view can change it (the stacks :func:`march` hands to ``finish``), else
+    a read-only copy."""
+    if isinstance(x, np.ndarray) and x.dtype == complex and not x.flags.writeable:
+        base = x.base
+        while isinstance(base, np.ndarray) and not base.flags.writeable:
+            base = base.base
+        if base is None:
+            return x
+    arr = np.array(x, dtype=complex)
+    arr.setflags(write=False)
+    return arr
+
+
+def rk4_step(rhs, t, y, dt, guard, t_next):
     """One classic fourth-order step of y' = rhs(t, y), y a flat vector.
 
-    ``guard(t, y)`` sees the inputs of stages 2-4.  Returns (new state, None),
-    or (None, (stage, stage time, guard verdict)) when the guard fires.
+    The inputs of stages 2-4 and the new state, at time ``t_next``, are the
+    rows of one (4, L) stack that ``guard(ts, ys)`` sees once, after every
+    stage has run.  Returns (new state, None), or (None, (stage, time, guard
+    verdict)) for the first row the guard names, where the stage is None for
+    the new state.
     """
-    ks = [rhs(t, y)]
-    for stage, c in ((2, 0.5), (3, 0.5), (4, 1.0)):
-        ts, ys = t + c * dt, y + c * dt * ks[-1]
-        if (verdict := guard(ts, ys)) is not None:
-            return None, (stage, ts, verdict)
-        ks.append(rhs(ts, ys))
-    return y + (dt / 6.0) * (ks[0] + 2.0 * ks[1] + 2.0 * ks[2] + ks[3]), None
+    k1 = rhs(t, y)
+    t2, t4 = t + 0.5 * dt, t + 1.0 * dt
+    y2 = y + 0.5 * dt * k1
+    k2 = rhs(t2, y2)
+    y3 = y + 0.5 * dt * k2
+    k3 = rhs(t2, y3)
+    y4 = y + 1.0 * dt * k3
+    k4 = rhs(t4, y4)
+    y_new = y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    ts = (t2, t2, t4, t_next)
+    if (fault := guard(ts, np.array((y2, y3, y4, y_new)))) is not None:
+        row, verdict = fault
+        return None, (row + 2 if row < 3 else None, ts[row], verdict)
+    return y_new, None
 
 
 def march(rhs, y0, dt, steps, guard, finish, t0=0.0):
     """Take ``steps`` RK4 steps of y' = rhs(t, y) from y(t0) = y0; step k
-    ends at t0 + k dt.  ``guard(t, y)`` returns None or (reason, field,
-    index) and runs on every RK stage input and accepted step.  The march
-    keeps y0 and every accepted state and returns ``finish(times, ys)``:
-    ``times`` of shape (T,) and ``ys`` their stack of shape (T, L), where y0
-    and every ``rhs`` output are flat vectors of length L.  A guard that
-    fires raises :class:`Aborted` with ``finish`` of the states kept before
-    the fault.  Overflow and invalid-value warnings are off: a blow-up
-    reaches the guard as inf or nan.
+    ends at t0 + k dt.  Every step makes one ``guard(ts, ys)`` call on the
+    (4, L) stack of its stage 2-4 inputs and its new state, at their times
+    ts; the guard returns None or (row, (reason, field, index)) of the first
+    row that trips, and :func:`rowwise` builds one from a per-state check.
+    The march keeps y0 and every accepted state and returns ``finish(times,
+    ys)``: ``times`` of shape (T,) and ``ys`` their read-only stack of shape
+    (T, L), where y0 and every ``rhs`` output are flat vectors of length L.
+    A guard that fires raises :class:`Aborted` with ``finish`` of the states
+    kept before the fault.  Floating-point warnings are off: ``rhs`` runs on
+    every stage input before the guard sees it, and a blow-up reaches the
+    guard as inf or nan.
     """
-    times, rows = [t0], [y0]
+    times = [t0] + [t0 + k * dt for k in range(1, steps + 1)]
+    kept = np.empty((steps + 1,) + y0.shape, y0.dtype)
+    kept[0] = y = y0
 
-    def done():
-        ys = np.array(rows)
-        rows.clear()  # drop the per-step arrays before finish copies the stack again
-        return finish(np.array(times), ys)
+    def done(count):
+        kept.setflags(write=False)
+        return finish(np.array(times[:count]), kept[:count])
 
-    y = y0
-    with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(all="ignore"):
         for k in range(1, steps + 1):
-            y, fault = rk4_step(rhs, t0 + (k - 1) * dt, y, dt, guard)
-            t = t0 + k * dt
-            if fault is None and (verdict := guard(t, y)) is not None:
-                fault = (None, t, verdict)
+            y, fault = rk4_step(rhs, times[k - 1], y, dt, guard, times[k])
             if fault is not None:
                 stage, ts, verdict = fault
-                raise Aborted(Abort(float(ts), k, stage, *verdict), done())
-            times.append(t)
-            rows.append(y)
-        return done()
+                raise Aborted(Abort(float(ts), k, stage, *verdict), done(k))
+            if y.dtype != kept.dtype:  # a real start whose flow is complex
+                kept = kept.astype(np.result_type(kept, y))
+            kept[k] = y
+        return done(steps + 1)

@@ -230,8 +230,8 @@ class TestAcceptance:
     def test_10_harness_determinism(self, tmp_path):
         start = time.perf_counter()
         report = cli.suite(tmp_path / "suite", seed=0)
-        a = (tmp_path / "suite" / "determinism-1" / "report.json").read_bytes()
-        b = (tmp_path / "suite" / "determinism-2" / "report.json").read_bytes()
+        a = (tmp_path / "suite" / "verify-charges" / "report.json").read_bytes()
+        b = (tmp_path / "suite" / "determinism" / "report.json").read_bytes()
         elapsed = time.perf_counter() - start
         data = json.loads((tmp_path / "suite" / "suite_report.json").read_text())
         ok = report.passed and a == b and elapsed < 300 and data["passed"]

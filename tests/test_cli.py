@@ -343,7 +343,7 @@ class TestSuite:
         names = {r["name"] for r in data["records"]}
         assert "determinism" in names
         timing = json.loads((tmp_path / "suite" / "timing.json").read_text())
-        runs = list(cli.MODES) + ["determinism-1", "determinism-2"]
+        runs = list(cli.MODES) + ["determinism"]
         assert list(timing["modes"]) == runs
         assert sum(timing["modes"].values()) <= timing["elapsed_s"]
         for name in runs:
@@ -359,15 +359,15 @@ class TestSuite:
             monkeypatch.setattr(cli, "time", SimpleNamespace(perf_counter=lambda: next(clock)))
             cli.suite(tmp_path / str(tick), seed=3)
             timing = json.loads((tmp_path / str(tick) / "timing.json").read_text())
-            # the battery reads the clock 2 times, each of its 4 runs 2 times
-            assert timing["elapsed_s"] == 9 * tick
+            # the battery reads the clock 2 times, each of its 3 runs 2 times
+            assert timing["elapsed_s"] == 7 * tick
             assert set(timing["modes"].values()) == {tick}
             run_timing = json.loads((tmp_path / str(tick) / "verify-poisson" / "timing.json")
                                     .read_text())
             assert run_timing == {"elapsed_s": tick}
         reports = [path.relative_to(tmp_path / "1.0") for path in (tmp_path / "1.0").rglob("*")
                    if path.is_file() and path.name != "timing.json"]
-        assert "suite_report.json" in map(str, reports) and len(reports) == 5
+        assert "suite_report.json" in map(str, reports) and len(reports) == 4
         for path in reports:
             assert (tmp_path / "1.0" / path).read_bytes() == (
                 tmp_path / "250.0" / path).read_bytes()

@@ -1,3 +1,5 @@
+import warnings
+
 import mpmath
 import numpy as np
 import pytest
@@ -6,7 +8,7 @@ from laxkit import lattice as lat
 from laxkit import lattice_defect as ld
 from laxkit import stepping
 from laxkit.laurent import LaurentSeries
-from laxkit.rmatrix import r_matrix
+from laxkit.rmatrix import _kron, r_matrix
 
 
 def random_spectral_pair(rng, min_sep=0.1):
@@ -355,6 +357,17 @@ class TestQuadraticAlgebra:
         with pytest.raises(ValueError):
             r_matrix(0.0)
 
+    def test_kron_is_numpys_bit_for_bit(self):
+        # signed zeros included: the bytes match, on random complex pairs and
+        # on the pairs with the real identity that linear_rhs forms
+        rng = np.random.default_rng(23)
+        eye = np.eye(2)
+        for _ in range(50):
+            a, b = (rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)) for _ in range(2))
+            for x, y in ((a, b), (b, a), (a, eye), (eye, b)):
+                got, want = _kron(x, y), np.kron(x, y)
+                assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
 
 class TestBulkEom:
     def test_zero_amplitude_fixed_point(self):
@@ -541,7 +554,21 @@ class TestGuard:
     ])
     def test_verdict(self, names, entries, verdict):
         y, layout = crafted_fields(names, **entries)
-        assert lat._chain_guard(layout)(0.0, y) == verdict
+        assert lat._chain_guard(layout)((0.0,), y[None]) == (
+            None if verdict is None else (0, verdict))
+
+    def test_stack_names_its_first_tripping_row(self):
+        # rows 1 and 3 of a stack trip, for different reasons: the guard names
+        # row 1, and the reversed stack row 0
+        regular, layout = crafted_fields(DEFECT_FIELDS)
+        low, _ = crafted_fields(DEFECT_FIELDS, X=(0, 2e-9))
+        high, _ = crafted_fields(DEFECT_FIELDS, a=(4, -2e8))
+        guard = lat._chain_guard(layout)
+        ts = (0.5, 0.5, 1.0, 1.0)
+        ys = np.stack((regular, low, regular, high))
+        assert guard(ts, ys) == (1, ("field below the floor", "X", 0))
+        assert guard(ts, ys[::-1]) == (0, ("field above the ceiling", "a", 4))
+        assert guard(ts, np.stack((regular,) * 4)) is None
 
 
 class TestOrderZeroFlow:
@@ -653,6 +680,27 @@ class TestIntegrate:
             assert (traj.charges0[k], traj.charges2[k]) == (c0, c2)
             tr = np.trace(lat.monodromy_value(st, probes), axis1=1, axis2=2)
             assert [traj.traces[u][k] for u in probes] == list(tr)
+
+    def test_vanishing_v_at_a_stage_aborts_without_warnings(self):
+        # dv_0 = abar_1 a_0 - abar_0 a_2 = -4, so with dt = 0.5 the input of
+        # stage 2 holds v_0 = 1 + 0.25 (-4) = 0 exactly; the rhs runs on it,
+        # dividing by zero, before the guard names it
+        s = lat.LatticeState(np.array([2.0, 0, 0]), np.array([0, -2.0, 0]), np.ones(3))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(stepping.Aborted) as err:
+                lat.integrate(s, 0.5, 0.5)
+        rec = err.value.record
+        assert (rec.step, rec.stage, rec.t) == (1, 2, 0.25)
+        assert (rec.reason, rec.field, rec.index) == ("field below the floor", "v", 0)
+
+    def test_stack_is_the_march_buffer(self):
+        # the kept states reach the trajectory without a copy: all three
+        # fields are read-only views of the one buffer the march filled
+        traj = lat.integrate(lat.random_state(4, np.random.default_rng(34), 0.1), 0.1, 0.5)
+        st = traj.stack
+        assert st.a.shape == (6, 4) and not st.a.flags.writeable
+        assert st.a.base is not None and st.a.base is st.a_bar.base is st.v.base
 
     def test_aborted_march_carries_monitored_rows(self):
         rng = np.random.default_rng(33)

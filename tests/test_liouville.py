@@ -465,6 +465,13 @@ class TestEvolve:
         with pytest.raises(ValueError, match="whole multiple"):
             lv.evolve(c, dt=0.3, t_end=1.0)
 
+    def test_stack_is_the_march_buffer(self):
+        # the kept configurations reach the trajectory without a copy
+        c = lv.random_config(L, 16, np.random.default_rng(70))
+        st = lv.evolve(c, dt=5e-3, t_end=0.02).stack
+        assert st.phi.shape == (5, 16) and not st.phi.flags.writeable
+        assert st.phi.base is not None and st.phi.base is st.pi.base
+
     def test_monitors_equal_the_single_state_charges(self):
         rng = np.random.default_rng(69)
         c = lv.random_config(L, 32, rng, amplitude=0.3)

@@ -45,7 +45,7 @@ class TestOrder:
         # y' = 3 t^2 + 1: RK4 integrates polynomials of degree <= 3 exactly
         y, fault = stepping.rk4_step(
             lambda t, y: np.array([3 * t**2 + 1.0]), 0.3, np.array([2.0]), 0.7,
-            lambda t, y: None
+            lambda ts, ys: None, 1.0
         )
         assert fault is None
         assert y[0] == pytest.approx(2.0 + (1.0**3 - 0.3**3) + 0.7, abs=1e-14)
@@ -78,7 +78,7 @@ class TestTrajectory:
             return times, ys
 
         y0 = np.array([0.0, 1.0, 1.0, 1.0])
-        times, ys = stepping.march(rhs, y0, 0.5, 4, lambda t, y: None, finish)
+        times, ys = stepping.march(rhs, y0, 0.5, 4, lambda ts, ys: None, finish)
         assert list(times) == [0.0, 0.5, 1.0, 1.5, 2.0]
         assert np.allclose(ys[:, 0], times, rtol=0, atol=1e-15)
         assert np.array_equal(ys[0], y0)
@@ -86,7 +86,8 @@ class TestTrajectory:
 
         with pytest.raises(stepping.Aborted) as err:
             stepping.march(rhs, y0, 0.5, 4,
-                           lambda t, y: ("late", "a", 0) if t > 1.2 else None, finish)
+                           stepping.rowwise(lambda t, y: ("late", "a", 0) if t > 1.2 else None),
+                           finish)
         assert (err.value.record.step, err.value.record.stage) == (3, 2)
         ab_times, ab_ys = err.value.trajectory
         assert list(ab_times) == [0.0, 0.5, 1.0]
@@ -134,7 +135,7 @@ class TestAbort:
             return stepping.locate((("y", 1),), y, limit, "above the limit")
 
         with pytest.raises(stepping.Aborted) as err:
-            _march_scalar(lambda t, y: y * y, 1.0, 1e-3, 2000, guard=guard)
+            _march_scalar(lambda t, y: y * y, 1.0, 1e-3, 2000, guard=stepping.rowwise(guard))
         rec = err.value.record
         assert rec.reason == "above the limit"
         assert abs(rec.t - 1.0) <= 2e-3
@@ -148,7 +149,7 @@ class TestAbort:
             return ("late", "y", 0) if t > 0.24 else None
 
         with pytest.raises(stepping.Aborted) as err:
-            _march_scalar(lambda t, y: -y, 1.0, 0.1, 10, guard=guard)
+            _march_scalar(lambda t, y: -y, 1.0, 0.1, 10, guard=stepping.rowwise(guard))
         rec = err.value.record
         assert (rec.step, rec.stage) == (3, 2)
         assert rec.t == pytest.approx(0.25)
@@ -163,7 +164,8 @@ class TestAbort:
             return ("past 0.9", "y", 0) if y[0] > 0.9 else None
 
         with pytest.raises(stepping.Aborted) as err:
-            _march_scalar(lambda t, y: 3.0 * t**2 + 0.0 * y, 0.0, 1.0, 3, guard=guard)
+            _march_scalar(lambda t, y: 3.0 * t**2 + 0.0 * y, 0.0, 1.0, 3,
+                          guard=stepping.rowwise(guard))
         rec = err.value.record
         assert (rec.step, rec.stage, rec.t) == (1, None, 1.0)
         assert str(rec) == "past 0.9 after step 1 (t = 1), y[0]"
@@ -179,6 +181,13 @@ class TestAbort:
         y = np.array([1.0, -7.0, 3.0, 7.0, 5.0])
         assert stepping.locate(layout, y, 6.0, "big") == ("big", "a", 1)
 
+    def test_finite_guard_names_the_first_tripping_row(self):
+        guard = stepping.finite_guard((("a", 2), ("b", 1)))
+        ys = np.ones((4, 3))
+        assert guard((0.5, 0.5, 1.0, 1.0), ys) is None
+        ys[3, 0], ys[2, 2] = np.nan, np.inf
+        assert guard((0.5, 0.5, 1.0, 1.0), ys) == (2, ("non-finite", "b", 0))
+
     def test_locate_names_a_defect_slot(self):
         # the defect chain's layout ends in three one-slot fields; the worst
         # entry in the last slot is X[0]
@@ -187,7 +196,31 @@ class TestAbort:
         y = np.full(15, 0.5 + 0j)
         y[-1] = 3e8j
         assert stepping.locate(layout, y, 1e8, "big") == ("big", "X", 0)
-        assert lat._chain_guard(layout)(0.0, y) == ("field above the ceiling", "X", 0)
+        assert lat._chain_guard(layout)((0.0,), y[None]) == (
+            0, ("field above the ceiling", "X", 0))
+
+
+class TestReadOnly:
+    def test_frozen_arrays_are_kept(self):
+        # read-only complex, and read-only down its base chain: no copy
+        owner = np.arange(6, dtype=complex)
+        owner.setflags(write=False)
+        for x in (owner, owner[::2], owner.reshape(2, 3).T):
+            assert stepping.read_only(x) is x
+
+    def test_anything_else_is_copied(self):
+        owner = np.arange(6, dtype=complex)
+        view = owner[1:]
+        view.setflags(write=False)  # read-only, but its base is not
+        real = np.arange(6.0)
+        real.setflags(write=False)
+        for x in (owner, view, real, [1.0, 2.0], np.frombuffer(owner.tobytes(), complex)):
+            got = stepping.read_only(x)
+            assert got is not x and not got.flags.writeable and got.dtype == complex
+            assert not np.shares_memory(got, owner)
+        got = stepping.read_only(view)
+        owner[1] = 99.0
+        assert got[0] == 1.0
 
 
 def _tuple_rk4(rhs, y0, dt, steps, t0=0.0):

@@ -41,7 +41,7 @@ import numpy as np
 from .lattice_defect import _type2_matrix
 from .liouville import derivative_closed
 from .rmatrix import _matrices
-from .stepping import count_steps, finite_guard, march, rowwise
+from .stepping import count_steps, finite_guard, march, nan_max, rowwise
 
 __all__ = [
     "DarbouxState",
@@ -103,10 +103,19 @@ def _exponentials(phi, phi_tilde, rapidity):
     term that both :func:`_tilde_t` and :func:`_time_flow` read; rapidity =
     np.exp((theta, -theta)), once per march."""
     total = phi + phi_tilde
-    em = np.exp(-0.5j * total)  # e^{-i(phi + phi~)/2}
-    ep = np.exp(+0.5j * total)
+    return _with_rapidity(np.exp(-0.5j * total), np.exp(+0.5j * total), rapidity)
+
+
+def _with_rapidity(em, ep, rapidity):
+    """The tuple of :func:`_exponentials` from em = e^{-i(phi + phi~)/2} and
+    ep = e^{i(phi + phi~)/2}."""
     et, eti = rapidity
     return em, ep, et, eti, et * em + eti * ep
+
+
+# the exponents of (em, ep) in units of phi + phi~, as a column, so that one
+# np.exp forms both rows of a grid
+_HALF_PHASES = np.array([[-0.5j], [0.5j]])
 
 
 def bt_solve_YZ(phi, phi_tilde, phi_t, phi_tilde_t, phi_x, phi_tilde_x, theta):
@@ -205,12 +214,17 @@ def bt_initial_data(background, x: np.ndarray, t0: float, theta: complex,
     :func:`bt_evolve`; arbitrary profiles are not, because the
     transformation determines its image up to constants only.  A non-finite
     stage raises :class:`~laxkit.stepping.Aborted` (its t is the x position).
+    The background is evaluated by one scalar ``fields(x, t0)`` call per
+    distinct stage position.
     """
     rapidity = np.exp((theta, -theta))
+    last = [None, None]  # (position, background.fields there) of the latest stage
 
     def rhs(xv, state):
         pt, yv, zv = state
-        phi, phi_t, phi_x = background.fields(xv, t0)
+        if xv != last[0]:  # stages 2 and 3 share theirs, stage 4 at times the next step's first
+            last[:] = xv, background.fields(xv, t0)
+        phi, phi_t, phi_x = last[1]
         e = _exponentials(phi, pt, rapidity)
         pt_t = _tilde_t(phi_t, yv, zv, e)
         return np.array((_tilde_x(phi_x, yv, zv, e), *_space_flow(phi, pt, phi_t, pt_t, yv, zv, e)))
@@ -254,23 +268,26 @@ class BTTrajectory:
             if not np.any(keep):
                 break
             target = np.exp(0.5j * (self.phi_tilde[rows] - background.phi(self.x[None, :], ts)))
-            worst = max(worst, float(np.max(np.abs(self.X[rows] - target)[keep])))
+            worst = nan_max(worst, float(np.max(np.abs(self.X[rows] - target)[keep])))
         return worst
 
     def pde_residual(self) -> float:
-        """Causal-interior finite-difference residual of the field equation."""
+        """Causal-interior finite-difference residual of the field equation,
+        one masked max per block of STAGE_BLOCK interior rows."""
         pt = self.phi_tilde
         dt = self.times[1] - self.times[0]
         h = self.x[1] - self.x[0]
-        inner = pt[1:-1, 1:-1]
-        ptt = (pt[2:, 1:-1] - 2 * inner + pt[:-2, 1:-1]) / dt**2
-        pxx = (pt[1:-1, 2:] - 2 * inner + pt[1:-1, :-2]) / h**2
-        res = np.abs(ptt - pxx - 4j * np.exp(-2j * inner))
         worst = 0.0
-        for k, t in enumerate(self.times[1:-1], start=1):
-            keep = self._causal(t)[1:-1]
-            if np.any(keep):
-                worst = max(worst, float(np.max(res[k - 1][keep])))
+        for start in range(1, len(self.times) - 1, STAGE_BLOCK):
+            stop = min(start + STAGE_BLOCK, len(self.times) - 1)
+            keep = self._causal(self.times[start:stop, None])[:, 1:-1]
+            if not np.any(keep):
+                break
+            inner = pt[start:stop, 1:-1]
+            ptt = (pt[start + 1:stop + 1, 1:-1] - 2 * inner + pt[start - 1:stop - 1, 1:-1]) / dt**2
+            pxx = (pt[start:stop, 2:] - 2 * inner + pt[start:stop, :-2]) / h**2
+            res = np.abs(ptt - pxx - 4j * np.exp(-2j * inner))
+            worst = nan_max(worst, float(np.max(res[keep])))
         return worst
 
     def x_flow_residual(self, background, theta: complex) -> float:
@@ -291,7 +308,7 @@ class BTTrajectory:
                 derivative_closed(self.Z[k], h),
                 theta,
             )
-            worst = max(
+            worst = nan_max(
                 worst,
                 float(np.max(np.abs(ry[keep]))),
                 float(np.max(np.abs(rz[keep]))),
@@ -350,7 +367,7 @@ def bt_evolve(
             phi, phi_t, phi_x = background.fields(x[None, :], ts[:, None])
             block[:] = b, (phi, phi_t, phi_x, np.exp(-1j * phi))
         phi, phi_t, phi_x, e_phi = (f[row] for f in block[1])
-        e = _exponentials(phi, pt, rapidity)
+        e = _with_rapidity(*np.exp(_HALF_PHASES * (phi + pt)), rapidity)
         pt_x = derivative_closed(pt, h)
         dx_entry = -0.5j * (pt_x - phi_x) * xx - 2.0 * yv * rapidity[0] * e_phi
         dy, dz = _time_flow(phi, pt, phi_x, pt_x, yv, zv, e)
@@ -466,23 +483,26 @@ def _intertwining_residual(lt: np.ndarray, phi: LightConeField, phi_tilde: Light
 def _pole_guard(reason: str, field: str, phi_tilde):
     """Guard for the pole w -> 0 of the generated solution i log w, where
     |e^{i phi~}| = e^{-Im phi~} passes 1e8 (or phi~ stops being finite when
-    a node lands on the pole); ``phi_tilde(t, y)`` maps one march state to
-    phi~, and the whole stack is tested at once."""
+    a node lands on the pole).  ``phi_tilde(t, y)`` maps one march state to
+    phi~, or the whole (4, L) stack at a (4, 1) column of times.  A stack
+    whose phi~ stays 0.1 % inside the limit passes at once, so the rounding
+    of the stacked evaluation cannot pass a state the per-state check would
+    stop; any other stack goes to the per-state search."""
     limit = np.log(1e8)
 
-    def clear(pt):
-        return np.abs(pt.imag).max() <= limit and np.isfinite(pt.real).all()
+    def clear(pt, bound):
+        return np.abs(pt.imag).max() <= bound and np.isfinite(pt.real).all()
 
     def check(t, y):
         pt = phi_tilde(t, y)
-        if clear(pt):
+        if clear(pt, limit):
             return None
         return reason, field, int(np.argmax(np.where(np.isfinite(pt), np.abs(pt.imag), np.inf)))
 
     slow = rowwise(check)
 
     def guard(ts, ys):
-        if clear(np.array([phi_tilde(t, y) for t, y in zip(ts, ys)])):
+        if clear(phi_tilde(np.array(ts)[:, None], ys), 0.999 * limit):
             return None
         return slow(ts, ys)
 
@@ -507,14 +527,17 @@ def hetero_bt_generate(
     solution and raises :class:`~laxkit.stepping.Aborted`, whose t is the
     sweep coordinate and whose index runs over the other axis: the pole is
     near (t, zbar[0]) on the seed line and near (z[index], t) in the fill.
+    f and g must broadcast over arrays, a (4, 1) column of sweep coordinates
+    included: the pole guard evaluates phi at a step's stage coordinates at once.
     """
     c, th = params.c, params.Theta
     zb0, g0, fz = zbar[0], g(zbar[0]), f(z)
+    seed_coef, fill_coef = 2j * c * np.exp(th), 2j * c * np.exp(-th)
 
     # seed sweep in z for psi = phi~ - phi, from phi~ = 0 at the corner
     def seed_rhs(zv, y):
         phi = f(zv) + g0
-        return 2j * c * np.exp(th) * np.exp(1j * (y + 2.0 * phi))
+        return seed_coef * np.exp(1j * (y + 2.0 * phi))
 
     psi_line = march(
         seed_rhs, 0.0 - (f(z[:1]) + g0), (z[-1] - z[0]) / (len(z) - 1), len(z) - 1,
@@ -525,7 +548,7 @@ def hetero_bt_generate(
     # fill sweep in zbar for chi = phi~ + phi, all z columns at once
     def fill_rhs(bv, y):
         phi = fz + g(bv)
-        return 2j * c * np.exp(-th) * np.exp(1j * (y - 2.0 * phi))
+        return fill_coef * np.exp(1j * (y - 2.0 * phi))
 
     seed_line = psi_line + (fz + g0)  # phi~ on the seed line
 
@@ -587,7 +610,8 @@ def z_equation_residual(phi_tilde: LightConeField, phi: LightConeField,
     return float(np.max(np.abs(res[1:-1, 1:-1])))
 
 
-def select_hetero_variant(params: HeteroParams) -> tuple[str, dict[str, float]]:
+def select_hetero_variant(phi_tilde: LightConeField, phi: LightConeField,
+                          params: HeteroParams) -> tuple[str, dict[str, float]]:
     """Score the Darboux entries of :func:`hetero_darboux` against the two
     refuted assignments with the entry roles swapped:
 
@@ -595,22 +619,19 @@ def select_hetero_variant(params: HeteroParams) -> tuple[str, dict[str, float]]:
         printed-imag:     A = X = e^{i(phi~ + phi)/2},   Z = B = e^{i(phi~ - phi)/2}
         printed-real:     A = X = e^{i(phi~ + phi)/2},   Z = B = e^{(phi~ - phi)/2}
 
-    Generates a reference transformation pair and evaluates the intertwining
-    residual of each.  Returns (winner, residual per assignment).
+    Evaluates the intertwining residual of each on the transformation pair
+    (phi~, phi) of :func:`hetero_bt_generate` at lam = 0.3; the
+    difference-imag score is ``interface_residual(phi, phi_tilde, params,
+    0.3)``.  Returns (winner, residual per assignment).
     """
-    z = np.linspace(0.0, 0.6, 49)
-    zbar = np.linspace(0.0, 0.5, 41)
-    pt, phi = hetero_bt_generate(
-        lambda zz: 0.2 * np.sin(zz), lambda bb: 0.15 * np.cos(bb), params, z, zbar
-    )
-    lam, total, diff = 0.3, pt.values + phi.values, pt.values - phi.values
+    lam, total, diff = 0.3, phi_tilde.values + phi.values, phi_tilde.values - phi.values
     entries = {
-        "difference-imag": hetero_darboux(phi.values, pt.values)[:2],
+        "difference-imag": hetero_darboux(phi.values, phi_tilde.values)[:2],
         "printed-imag": (np.exp(0.5j * total), np.exp(0.5j * diff)),
         "printed-real": (np.exp(0.5j * total), np.exp(0.5 * diff)),
     }
     scores = {name: _intertwining_residual(_interface_matrix(ax, zb, params, lam),
-                                           phi, pt, params, lam)
+                                           phi, phi_tilde, params, lam)
               for name, (ax, zb) in entries.items()}
     winner = min(scores, key=scores.get)
     return winner, scores

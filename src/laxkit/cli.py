@@ -29,7 +29,7 @@ from . import exact
 from . import lattice as lat
 from . import lattice_defect as ld
 from . import liouville as lv
-from .stepping import Aborted, count_steps
+from .stepping import Aborted, count_steps, nan_max
 
 MODES = (
     "lattice-sim",
@@ -227,9 +227,9 @@ def _mode_verify_charges(cfg: RunConfig, report: Report, outdir: Path):
             _, _, c2 = lat.charges_closed_form(s)
             _, cs = lat.charges_from_trace(s)
             prod = np.prod(s.v)
-            worst_c0 = max(worst_c0, abs(np.exp(cs[0]) - prod) / abs(prod))
-            worst_c1 = max(worst_c1, abs(cs[1]) / max(1.0, abs(cs[0])))
-            worst_c2 = max(worst_c2, abs(cs[2] - c2) / max(1.0, abs(c2)))
+            worst_c0 = nan_max(worst_c0, abs(np.exp(cs[0]) - prod) / abs(prod))
+            worst_c1 = nan_max(worst_c1, abs(cs[1]) / max(1.0, abs(cs[0])))
+            worst_c2 = nan_max(worst_c2, abs(cs[2] - c2) / max(1.0, abs(c2)))
     tol = 1e-12 * cfg.tolerance_scale
     report.add("charge-order1-vanishes", "u^-1 coefficient of log tr T", worst_c1, tol)
     report.add("charge-order2-closed-form", "u^-2 coefficient vs hopping sum", worst_c2, tol)
@@ -249,9 +249,9 @@ def _mode_defect_charges(cfg: RunConfig, report: Report, outdir: Path):
             d = ld.random_defect(int(rng.integers(1, n + 1)), rng)
             c0, c2 = ld.defect_charges(s, d)
             _, cs = ld.defect_charges_from_trace(s, d)
-            worst_c0 = max(worst_c0, abs(np.exp(cs[0]) - np.exp(c0)) / abs(np.exp(c0)))
-            worst_c1 = max(worst_c1, abs(cs[1]) / max(1.0, abs(cs[0])))
-            worst_c2 = max(worst_c2, abs(cs[2] - c2) / max(1.0, abs(c2)))
+            worst_c0 = nan_max(worst_c0, abs(np.exp(cs[0]) - np.exp(c0)) / abs(np.exp(c0)))
+            worst_c1 = nan_max(worst_c1, abs(cs[1]) / max(1.0, abs(cs[0])))
+            worst_c2 = nan_max(worst_c2, abs(cs[2] - c2) / max(1.0, abs(c2)))
     tol = 1e-12 * cfg.tolerance_scale
     report.add("defect-charge-order1-vanishes", "u^-1 coefficient with defect insertion", worst_c1, tol)
     report.add("defect-charge-order2-closed-form", "u^-2 coefficient vs deformed hopping sum", worst_c2, tol)
@@ -279,7 +279,7 @@ def _mode_defect_charges(cfg: RunConfig, report: Report, outdir: Path):
         i1 = cdf.defect_charge_order1(c)
         i1m = cdf.defect_charge_order1_mirror(c)
         p, h = cdf.defect_momentum_hamiltonian(c)
-        worst = max(worst, abs(p + 2.0 * (i1m - i1)), abs(h + 2.0 * (i1m + i1)))
+        worst = nan_max(worst, abs(p + 2.0 * (i1m - i1)), abs(h + 2.0 * (i1m + i1)))
     report.add(
         "defect-charge-combinations",
         "momentum and energy as -2 times difference/sum of the first charges",
@@ -306,13 +306,13 @@ def _mode_verify_poisson(cfg: RunConfig, report: Report, outdir: Path):
     worst_bulk = worst_defect = worst_field = 0.0
     for lam, mu in _probe_pairs(cfg, rng, samples):
         s = lat.random_state(int(rng.integers(2, 6)), rng)
-        worst_bulk = max(
+        worst_bulk = nan_max(
             worst_bulk, lat.check_quadratic_algebra(s, lam, mu, int(rng.integers(1, s.N + 1)))
         )
         d = ld.random_defect(2, rng)
-        worst_defect = max(worst_defect, ld.check_defect_algebra(d, lam, mu))
+        worst_defect = nan_max(worst_defect, ld.check_defect_algebra(d, lam, mu))
         phi, pi = complex(rng.normal(), rng.normal()), complex(rng.normal(), rng.normal())
-        worst_field = max(worst_field, lv.check_linear_algebra(phi, pi, lam, mu))
+        worst_field = nan_max(worst_field, lv.check_linear_algebra(phi, pi, lam, mu))
     tol = 1e-10 * cfg.tolerance_scale
     report.add("quadratic-exchange-bulk", "site-matrix exchange relation", worst_bulk, tol)
     report.add("quadratic-exchange-defect", "defect-matrix exchange relation", worst_defect, tol)
@@ -330,19 +330,19 @@ def _mode_verify_zero_curvature(cfg: RunConfig, report: Report, outdir: Path):
         mu = mu_probe if mu_probe is not None else complex(
             0.5 * rng.normal(), 0.5 * rng.normal()
         )
-        worst_bulk = max(
+        worst_bulk = nan_max(
             worst_bulk, lat.zero_curvature_residual(s, int(rng.integers(1, s.N + 1)), mu)
         )
         d = lat.bulk_eom(s)
         bf = lat.bracket_flow(s)
         for got, want in ((bf.a, d.a), (bf.a_bar, d.a_bar), (bf.v, d.v)):
-            worst_flow = max(worst_flow, float(np.max(np.abs(got - want))))
+            worst_flow = nan_max(worst_flow, float(np.max(np.abs(got - want))))
         n = int(rng.integers(4, 8))
         s2 = lat.random_state(n, rng)
         dd = ld.random_defect(int(rng.integers(2, n)), rng)
         res = ld.defect_zero_curvature_residuals(s2, dd, mu)
         for k, v in res.items():
-            worst_defect[k] = max(worst_defect[k], v)
+            worst_defect[k] = nan_max(worst_defect[k], v)
     report.add("zero-curvature-bulk", "site update vs time-Lax commutator", worst_bulk,
                1e-10 * cfg.tolerance_scale)
     for k in ("left", "defect", "right"):
@@ -505,7 +505,7 @@ def _mode_monodromy_check(cfg: RunConfig, report: Report, outdir: Path):
         c = lv.random_config(L, n, rng, amplitude=amplitude)
         i1 = lv.charges(c).order1
         fit = lv.fit_first_charge(c)
-        worst = max(worst, abs(fit - i1) / abs(i1))
+        worst = nan_max(worst, abs(fit - i1) / abs(i1))
     report.add("monodromy-fit", "first charge from the small-u trace fit",
                worst, 0.01 * cfg.tolerance_scale)
 
@@ -581,7 +581,7 @@ def _mode_hetero_bt(cfg: RunConfig, report: Report, outdir: Path):
                "intertwining residual separates pairs from non-pairs",
                res_non / max(res_pair, 1e-300), 100.0, criterion="min")
 
-    winner, scores = bt.select_hetero_variant(params)
+    winner, scores = bt.select_hetero_variant(pt1, phi1, params)
     runner_up = min(v for k, v in scores.items() if k != winner)
     report.add(
         "darboux-variant-selection",

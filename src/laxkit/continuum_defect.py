@@ -19,6 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .liouville import LiouvilleCharges, _densities, derivative_closed
+from .stepping import nan_max
 
 __all__ = [
     "IntervalField",
@@ -258,5 +259,5 @@ def sewing_mismatch(c: SplitFieldConfig, mu: complex) -> float:
     worst = 0.0
     for bulk, tilde in ((vp, vtp), (vm, vtm)):
         for i, j in ((0, 1), (1, 0)):
-            worst = max(worst, abs(tilde[i, j] - bulk[i, j] / 4.0))
+            worst = nan_max(worst, abs(tilde[i, j] - bulk[i, j] / 4.0))
     return worst

@@ -78,18 +78,23 @@ class PeriodicSolution:
         eb = np.exp(-1j * self.kappa * zb)
         return self.A * ea, self.B * eb
 
+    def _phi(self, w, t):
+        """phi from W = c0 + F + G at time t."""
+        const = 0.5j * np.log(-self.kappa**2 * self.A * self.B / 4.0)
+        return -1j * np.log(w / self.c0) - 1j * np.log(self.c0) + const - 0.5 * self.kappa * t
+
     def fields(self, x, t):
         """(phi, phi_t, phi_x) at (x, t) from one evaluation of the chiral parts."""
         fa, gb = self._parts(x, t)
         w = self.c0 + fa + gb
-        const = 0.5j * np.log(-self.kappa**2 * self.A * self.B / 4.0)
-        phi = -1j * np.log(w / self.c0) - 1j * np.log(self.c0) + const - 0.5 * self.kappa * t
         wt = 0.5j * self.kappa * (fa + gb)
         wx = 0.5j * self.kappa * (fa - gb)
-        return phi, -1j * wt / w - 0.5 * self.kappa, -1j * wx / w
+        return self._phi(w, t), -1j * wt / w - 0.5 * self.kappa, -1j * wx / w
 
     def phi(self, x, t):
-        return self.fields(x, t)[0]
+        """phi alone, without the derivatives of :meth:`fields`."""
+        fa, gb = self._parts(x, t)
+        return self._phi(self.c0 + fa + gb, t)
 
     def phi_t(self, x, t):
         return self.fields(x, t)[1]

@@ -120,12 +120,14 @@ def random_state(n: int, rng: np.random.Generator, amplitude: float = 1.0) -> La
     not globally bounded.
     """
 
-    def disk(scale):
-        r = np.sqrt(rng.uniform(0, 1, n)) * scale
-        th = rng.uniform(0, 2 * np.pi, n)
-        return r * np.exp(1j * th)
-
-    return LatticeState(disk(amplitude), disk(amplitude), np.exp(disk(0.5)))
+    # one draw of 6n uniforms: radius then angle for a, abar and w, each n
+    # long, the order of one disk at a time; uniform(0, 2 pi) is 2 pi u
+    u = rng.random((3, 2, n))
+    th = (2 * np.pi) * u[:, 1]
+    fields = np.sqrt(u[:, 0]) * np.array([[amplitude], [amplitude], [0.5]]) * np.exp(1j * th)
+    fields[2] = np.exp(fields[2])
+    fields.setflags(write=False)  # kept by LatticeState without a copy
+    return LatticeState(*fields)
 
 
 # -- Lax matrix and monodromy ------------------------------------------------

@@ -107,11 +107,10 @@ class DefectSite:
 
 
 def random_defect(n: int, rng: np.random.Generator) -> DefectSite:
-    def disk(scale):
-        r = np.sqrt(rng.uniform()) * scale
-        return r * np.exp(2j * np.pi * rng.uniform())
-
-    return DefectSite(n, 0.5 * disk(1.0), disk(1.0), disk(1.0), np.exp(disk(0.5)))
+    # one draw of 8 uniforms, (radius, angle) for theta, z, zbar and log X
+    u = rng.random((4, 2))
+    disks = np.sqrt(u[:, 0]) * np.array([1.0, 1.0, 1.0, 0.5]) * np.exp(1j * ((2 * np.pi) * u[:, 1]))
+    return DefectSite(n, 0.5 * disks[0], disks[1], disks[2], np.exp(disks[3]))
 
 
 def _require_on_chain(s: LatticeState, d: DefectSite):

@@ -9,6 +9,7 @@ carries an :class:`Abort` and the partial run.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -76,6 +77,13 @@ def locate(layout, y, limit=np.inf, above="above the limit"):
     mag = np.abs(y)
     worst = int(np.argmax(mag))
     return (above, *_field_at(layout, worst)) if mag[worst] > limit else None
+
+
+def nan_max(*values):
+    """The largest of the values, or nan if any of them is nan: the worst case
+    of a check, which a nan must fail rather than drop, as ``max(0.0, nan)``
+    does."""
+    return math.nan if any(math.isnan(v) for v in values) else max(values)
 
 
 def rowwise(check):

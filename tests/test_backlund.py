@@ -240,7 +240,8 @@ class TestEvolve:
         traj = bt.bt_evolve(Counting, x, THETA, dt, steps * dt,
                             phi_tilde_seed=sol.phi(x[0], 0.0))
         assert len(traj.times) == steps + 1
-        calls = seen[len(x) * 4 - 4:]  # after the RK4 march of the initial slice
+        # the march of the initial slice calls at a scalar position
+        calls = [(xv, t) for xv, t in seen if np.ndim(xv)]
         assert all(np.array_equal(xv, x[None, :]) for xv, _ in calls)
         assert all(t.shape == (bt.STAGE_BLOCK, 1) for _, t in calls[:-1])
         times = [float(v) for _, t in calls for v in t[:, 0]]
@@ -249,6 +250,68 @@ class TestEvolve:
         # the stage times as rk4_step forms them, each exactly
         assert set(times) == {k * dt + c * dt for k in range(steps) for c in (0.0, 0.5, 1.0)}
         assert 2 * steps < len(times) <= 3 * steps + 1  # 4 * steps without sharing
+
+    def test_initial_data_evaluates_each_stage_position_once(self):
+        # stages 2 and 3 share their position and stage 4 at times the next
+        # step's first: one scalar fields call per distinct position
+        sol = exact.periodic_solution_for_length(L)
+        x = np.linspace(-0.9, 0.9, 33)
+        seen = []
+
+        class Counting:
+            @staticmethod
+            def fields(xv, t):
+                seen.append(xv)
+                return sol.fields(xv, t)
+
+        got = bt.bt_initial_data(Counting, x, 0.0, THETA, sol.phi(x[0], 0.0) + 0.15, 0.02, 0.01)
+        assert all(np.ndim(xv) == 0 for xv in seen)
+        assert len(set(seen)) == len(seen)
+        h, x0 = (x[-1] - x[0]) / (len(x) - 1), x[0]
+        formed = {t + c * h for t in [x0] + [x0 + k * h for k in range(1, len(x) - 1)]
+                  for c in (0.0, 0.5, 1.0)}
+        assert set(seen) == formed
+        assert 2 * (len(x) - 1) < len(seen) < 4 * (len(x) - 1)
+        # and the image is the one of a background without the sharing
+        want = bt.bt_initial_data(sol, x, 0.0, THETA, sol.phi(x[0], 0.0) + 0.15, 0.02, 0.01)
+        for g, w in zip(got, want):
+            assert np.array_equal(g, w)
+
+    def test_pde_residual_blocks_match_rows(self):
+        # pde_residual takes one masked max per block of STAGE_BLOCK rows;
+        # the per-row loop it replaced gives the same float, also when the
+        # causal interior of the last rows is empty (t_end past 0.9)
+        sol = exact.periodic_solution_for_length(L)
+        x = np.linspace(-0.9, 0.9, 17)
+        traj = bt.bt_evolve(sol, x, THETA, 5e-3, 1.0,
+                            phi_tilde_seed=sol.phi(x[0], 0.0) + 0.15, y_seed=0.02, z_seed=0.01)
+        assert len(traj.times) > 2 * bt.STAGE_BLOCK
+        assert not np.any(traj._causal(traj.times[-2])[1:-1])
+        pt, dt, h = traj.phi_tilde, traj.times[1] - traj.times[0], x[1] - x[0]
+        inner = pt[1:-1, 1:-1]
+        ptt = (pt[2:, 1:-1] - 2 * inner + pt[:-2, 1:-1]) / dt**2
+        pxx = (pt[1:-1, 2:] - 2 * inner + pt[1:-1, :-2]) / h**2
+        res = np.abs(ptt - pxx - 4j * np.exp(-2j * inner))
+        worst = 0.0
+        for k, t in enumerate(traj.times[1:-1], start=1):
+            keep = traj._causal(t)[1:-1]
+            if np.any(keep):
+                worst = max(worst, float(np.max(res[k - 1][keep])))
+        assert traj.pde_residual() == worst
+
+    def test_nan_fails_the_residuals(self):
+        # a nan in the causal interior of the first row must not be dropped
+        # by the running max
+        sol = exact.periodic_solution_for_length(L)
+        x = np.linspace(-0.9, 0.9, 33)
+        traj = bt.bt_evolve(sol, x, THETA, 2.5e-3, 0.1,
+                            phi_tilde_seed=sol.phi(x[0], 0.0) + 0.15, y_seed=0.02, z_seed=0.01)
+        assert np.isfinite(traj.pde_residual()) and np.isfinite(traj.x_relation_error(sol))
+        pt, xx = traj.phi_tilde.copy(), traj.X.copy()
+        pt[1, 16] = xx[0, 16] = np.nan
+        broken = bt.BTTrajectory(traj.times, x, pt, xx, traj.Y, traj.Z)
+        assert np.isnan(broken.pde_residual())
+        assert np.isnan(broken.x_relation_error(sol))
 
     def test_entry_relation_blocks_match_rows(self):
         # x_relation_error reads phi in blocks of rows; the per-row loop it
@@ -313,6 +376,15 @@ class TestEvolve:
             assert np.array_equal(got, want[: rec.step])
 
 
+class TestPeriodicSolution:
+    def test_phi_alone_is_the_phi_of_fields(self):
+        sol = exact.periodic_solution_for_length(L)
+        x = np.linspace(-0.9, 0.9, 33)
+        for xv, t in ((x[0], 0.0), (0.37, 0.21), (x, 0.0), (x, 0.3),
+                      (x[None, :], np.linspace(0.0, 0.4, 7)[:, None])):
+            assert np.array_equal(sol.phi(xv, t), sol.fields(xv, t)[0])
+
+
 class TestHeteroDarboux:
     def test_zero_fields(self):
         a, b, xv, zv = bt.hetero_darboux(0.0, 0.0)
@@ -324,10 +396,19 @@ class TestHeteroDarboux:
         assert abs(abs(a) - 1.0) < 1e-14
 
     def test_variant_scan_selects_difference_imag(self):
-        winner, scores = bt.select_hetero_variant(PARAMS)
+        pt, phi = generate_pair(49, 41)
+        winner, scores = bt.select_hetero_variant(pt, phi, PARAMS)
         assert winner == "difference-imag"
         others = [v for v in scores if v != winner]
         assert all(scores[winner] < 1e-2 * scores[v] for v in others)
+
+    def test_variant_scan_scores_the_given_pair(self):
+        # the difference-imag score is the interface residual of the pair
+        # at lam = 0.3, on whatever grid the pair was generated
+        for nz, nb in ((49, 41), (25, 21)):
+            pt, phi = generate_pair(nz, nb)
+            _, scores = bt.select_hetero_variant(pt, phi, PARAMS)
+            assert scores["difference-imag"] == bt.interface_residual(phi, pt, PARAMS, 0.3)
 
     def test_parameter_validation(self):
         with pytest.raises(ValueError, match="coupling"):
@@ -429,6 +510,75 @@ class TestHeteroGenerate:
         assert rec.field == "phi~ at z"
         assert abs(z[rec.index] + rec.t - 0.25) <= zbar[1] - zbar[0]
         assert err.value.trajectory.values.shape[1] == rec.step
+
+
+def rowwise_pole_guard(reason, field, phi_tilde):
+    """The pole guard as a per-state check on every row, without the
+    whole-stack test, kept as the reference for the records."""
+    limit = np.log(1e8)
+
+    def check(t, y):
+        pt = phi_tilde(t, y)
+        if np.abs(pt.imag).max() <= limit and np.isfinite(pt.real).all():
+            return None
+        return reason, field, int(np.argmax(np.where(np.isfinite(pt), np.abs(pt.imag), np.inf)))
+
+    return stepping.rowwise(check)
+
+
+class TestPoleGuard:
+    LIMIT = np.log(1e8)
+
+    def guard_and_calls(self, im):
+        calls = []
+
+        def phi_tilde(t, y):
+            calls.append(np.shape(t))
+            return y + 0.0 * t
+
+        guard = bt._pole_guard("pole", "phi~", phi_tilde)
+        ys = np.zeros((4, 3), complex)
+        ys[2, 1] = 1j * im
+        return guard((0.1, 0.1, 0.2, 0.2), ys), calls
+
+    def test_stack_inside_the_margin_passes_at_once(self):
+        verdict, calls = self.guard_and_calls(0.998 * self.LIMIT)
+        assert verdict is None and calls == [(4, 1)]
+
+    def test_stack_within_the_margin_takes_the_row_path(self):
+        # 0.1 % inside the limit: the per-state check decides, and passes
+        verdict, calls = self.guard_and_calls(0.9995 * self.LIMIT)
+        assert verdict is None and calls == [(4, 1), (), (), (), ()]
+
+    def test_stack_past_the_limit_names_the_first_row(self):
+        verdict, calls = self.guard_and_calls(-1.001 * self.LIMIT)
+        assert verdict == (2, ("pole", "phi~", 1)) and calls == [(4, 1), (), (), ()]
+
+    def test_nan_takes_the_row_path(self):
+        verdict, _ = self.guard_and_calls(np.nan)
+        assert verdict == (2, ("pole", "phi~", 1))
+
+    @pytest.mark.parametrize("c, theta", [(-6.0, 0.15), (-2.0, 0.15), (-3.0, 0.15),
+                                          (-1.2, 0.15), (-5.0, 3.0)])
+    def test_pole_abort_matches_rowwise_guard(self, c, theta, monkeypatch):
+        # a hetero pole in either sweep gives the record and partial field
+        # of the per-state guard
+        z = np.linspace(0.0, 0.6, 49)
+        zbar = np.linspace(0.0, 0.5, 41)
+        params = bt.HeteroParams(c, theta)
+
+        def generate():
+            with pytest.raises(stepping.Aborted) as err:
+                bt.hetero_bt_generate(lambda w: 0.2 * np.sin(w), lambda w: 0.15 * np.cos(w),
+                                      params, z, zbar)
+            return err.value
+
+        got = generate()
+        monkeypatch.setattr(bt, "_pole_guard", rowwise_pole_guard)
+        want = generate()
+        assert got.record == want.record and str(got.record) == str(want.record)
+        traj = getattr(got.trajectory, "values", got.trajectory)
+        assert np.array_equal(traj, getattr(want.trajectory, "values", want.trajectory))
 
 
 class TestInterfaceResidual:

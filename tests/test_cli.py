@@ -153,6 +153,23 @@ class TestConfig:
 
 
 class TestRun:
+    @pytest.mark.parametrize("bad_draw", [1, 6])
+    def test_nan_draw_fails_the_record(self, tmp_path, monkeypatch, bad_draw):
+        # a running max from 0.0 drops a nan; the record must read nan and fail
+        draws = []
+        residual = lat.zero_curvature_residual
+
+        def poisoned(s, j, mu):
+            draws.append(None)
+            return np.nan if len(draws) == bad_draw else residual(s, j, mu)
+
+        monkeypatch.setattr(lat, "zero_curvature_residual", poisoned)
+        report = cli.run(cli.RunConfig("verify-zero-curvature", params={"samples": 8}), tmp_path)
+        rec = next(r for r in report.records if r.name == "zero-curvature-bulk")
+        assert np.isnan(rec.value) and not rec.passed and not report.passed
+        assert all(r.passed for r in report.records if r is not rec)
+        assert json.loads((tmp_path / "report.json").read_text())["passed"] is False
+
     def test_verify_poisson_passes(self, tmp_path):
         path = write_config(tmp_path, {"mode": "verify-poisson", "seed": 7})
         code = cli.main(["run", "--config", str(path), "--out", str(tmp_path / "out")])

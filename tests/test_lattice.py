@@ -74,6 +74,36 @@ def zero_amplitude_state(n, v=None):
     return lat.LatticeState(z, z.copy(), vv)
 
 
+def _disk_draw_state(n, rng, amplitude=1.0):
+    """The fields of random_state as it drew them, one disk at a time with
+    two uniform calls each; kept as the reference for the one-call draw."""
+
+    def disk(scale):
+        r = np.sqrt(rng.uniform(0, 1, n)) * scale
+        th = rng.uniform(0, 2 * np.pi, n)
+        return r * np.exp(1j * th)
+
+    return disk(amplitude), disk(amplitude), np.exp(disk(0.5))
+
+
+class TestRandomState:
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 8, 40])
+    def test_one_call_draw_matches_disk_draws(self, n):
+        for seed in range(50):
+            for amplitude in (1.0, 0.12, 0.15):
+                got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+                s = lat.random_state(n, got_rng, amplitude)
+                for got, want in zip((s.a, s.a_bar, s.v), _disk_draw_state(n, want_rng, amplitude)):
+                    assert np.array_equal(got, want)
+                # the generator is left where the disk draws left it
+                assert got_rng.random() == want_rng.random()
+
+    def test_fields_are_kept_without_copies(self):
+        s = lat.random_state(5, np.random.default_rng(0))
+        assert s.a.base is s.a_bar.base is s.v.base
+        assert not any(f.flags.writeable for f in (s.a, s.a_bar, s.v, s.a.base))
+
+
 class TestBuildLax:
     def test_zero_amplitude_site(self):
         s = zero_amplitude_state(3)

@@ -19,6 +19,28 @@ def transparent_defect(n=2):
     return ld.DefectSite(n, 0.0, 0.0, 0.0, 1.0)
 
 
+def _disk_draw_defect(n, rng):
+    """random_defect as it drew its fields, two scalar uniform calls per
+    disk; kept as the reference for the one-call draw."""
+
+    def disk(scale):
+        r = np.sqrt(rng.uniform()) * scale
+        return r * np.exp(2j * np.pi * rng.uniform())
+
+    return ld.DefectSite(n, 0.5 * disk(1.0), disk(1.0), disk(1.0), np.exp(disk(0.5)))
+
+
+class TestRandomDefect:
+    def test_one_call_draw_matches_disk_draws(self):
+        for seed in range(300):
+            got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            got, want = ld.random_defect(3, got_rng), _disk_draw_defect(3, want_rng)
+            for name in ("theta", "z", "z_bar", "X"):
+                g, w = getattr(got, name), getattr(want, name)
+                assert np.array_equal(g, w) and type(g) is type(w)
+            assert got.n == 3 and got_rng.random() == want_rng.random()
+
+
 class TestDefectLax:
     def test_transparent_is_scalar_identity(self):
         m = ld.build_defect_lax(transparent_defect())

@@ -223,6 +223,17 @@ class TestReadOnly:
         assert got[0] == 1.0
 
 
+class TestNanMax:
+    def test_is_max_without_nan(self):
+        assert stepping.nan_max(0.0, 3.0, 2.0) == 3.0
+        assert stepping.nan_max(1.5) == 1.5
+
+    def test_nan_anywhere_gives_nan(self):
+        # max(0.0, nan) is 0.0: a running max would drop it
+        for values in ((0.0, np.nan), (np.nan, 1.0), (0.0, 1.0, np.float64(np.nan))):
+            assert np.isnan(stepping.nan_max(*values))
+
+
 def _tuple_rk4(rhs, y0, dt, steps, t0=0.0):
     """The tuple-state RK4 the flat march replaced, kept as its reference:
     y0 and every rhs output are tuples of components, each combination runs

@@ -35,6 +35,7 @@ entries against two refuted assignments with the entry roles swapped.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -101,21 +102,10 @@ def darboux_matrix_type2(d: DarbouxState, u: complex) -> np.ndarray:
 def _exponentials(phi, phi_tilde, rapidity):
     """(em, ep, e^theta, e^-theta, e^theta em + e^-theta ep), the last the
     term that both :func:`_tilde_t` and :func:`_time_flow` read; rapidity =
-    np.exp((theta, -theta)), once per march."""
-    total = phi + phi_tilde
-    return _with_rapidity(np.exp(-0.5j * total), np.exp(+0.5j * total), rapidity)
-
-
-def _with_rapidity(em, ep, rapidity):
-    """The tuple of :func:`_exponentials` from em = e^{-i(phi + phi~)/2} and
-    ep = e^{i(phi + phi~)/2}."""
+    np.exp((theta, -theta)), once per march.  One np.exp forms em and ep."""
+    em, ep = np.exp(np.multiply.outer((-0.5j, 0.5j), phi + phi_tilde))
     et, eti = rapidity
     return em, ep, et, eti, et * em + eti * ep
-
-
-# the exponents of (em, ep) in units of phi + phi~, as a column, so that one
-# np.exp forms both rows of a grid
-_HALF_PHASES = np.array([[-0.5j], [0.5j]])
 
 
 def bt_solve_YZ(phi, phi_tilde, phi_t, phi_tilde_t, phi_x, phi_tilde_x, theta):
@@ -218,13 +208,12 @@ def bt_initial_data(background, x: np.ndarray, t0: float, theta: complex,
     distinct stage position.
     """
     rapidity = np.exp((theta, -theta))
-    last = [None, None]  # (position, background.fields there) of the latest stage
+    # stages 2 and 3 share their position, stage 4 at times the next step's first
+    fields_at = lru_cache(maxsize=1)(lambda xv: background.fields(xv, t0))
 
     def rhs(xv, state):
         pt, yv, zv = state
-        if xv != last[0]:  # stages 2 and 3 share theirs, stage 4 at times the next step's first
-            last[:] = xv, background.fields(xv, t0)
-        phi, phi_t, phi_x = last[1]
+        phi, phi_t, phi_x = fields_at(xv)
         e = _exponentials(phi, pt, rapidity)
         pt_t = _tilde_t(phi_t, yv, zv, e)
         return np.array((_tilde_x(phi_x, yv, zv, e), *_space_flow(phi, pt, phi_t, pt_t, yv, zv, e)))
@@ -367,7 +356,7 @@ def bt_evolve(
             phi, phi_t, phi_x = background.fields(x[None, :], ts[:, None])
             block[:] = b, (phi, phi_t, phi_x, np.exp(-1j * phi))
         phi, phi_t, phi_x, e_phi = (f[row] for f in block[1])
-        e = _with_rapidity(*np.exp(_HALF_PHASES * (phi + pt)), rapidity)
+        e = _exponentials(phi, pt, rapidity)
         pt_x = derivative_closed(pt, h)
         dx_entry = -0.5j * (pt_x - phi_x) * xx - 2.0 * yv * rapidity[0] * e_phi
         dy, dz = _time_flow(phi, pt, phi_x, pt_x, yv, zv, e)

@@ -84,7 +84,19 @@ class Report:
             "aborted": self.aborted,
             "passed": self.passed,
         }
-        return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+        return json.dumps(_strict_json(payload), sort_keys=True, indent=2, allow_nan=False) + "\n"
+
+
+def _strict_json(obj):
+    """obj with each non-finite float written as the string of its repr
+    ("nan", "inf", "-inf"): the bare NaN and Infinity tokens are not JSON."""
+    if isinstance(obj, float) and not math.isfinite(obj):
+        return repr(obj)
+    if isinstance(obj, dict):
+        return {k: _strict_json(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_strict_json(v) for v in obj]
+    return obj
 
 
 @dataclass
@@ -574,14 +586,14 @@ def _mode_hetero_bt(cfg: RunConfig, report: Report, outdir: Path):
                "generated field matches the separable solution",
                float(np.max(np.abs(pt0.values - closed))), 1e-8 * cfg.tolerance_scale)
 
-    res_pair = bt.interface_residual(phi1, pt1, params, 0.3)
+    winner, scores = bt.select_hetero_variant(pt1, phi1, params)
+    res_pair = scores["difference-imag"]  # interface_residual(phi1, pt1, params, 0.3)
     shuffled = bt.LightConeField(pt1.z, pt1.zbar, pt1.values[::-1].copy())
     res_non = bt.interface_residual(phi1, shuffled, params, 0.3)
     report.add("interface-discrimination",
                "intertwining residual separates pairs from non-pairs",
                res_non / max(res_pair, 1e-300), 100.0, criterion="min")
 
-    winner, scores = bt.select_hetero_variant(pt1, phi1, params)
     runner_up = min(v for k, v in scores.items() if k != winner)
     report.add(
         "darboux-variant-selection",

@@ -168,7 +168,21 @@ class TestRun:
         rec = next(r for r in report.records if r.name == "zero-curvature-bulk")
         assert np.isnan(rec.value) and not rec.passed and not report.passed
         assert all(r.passed for r in report.records if r is not rec)
-        assert json.loads((tmp_path / "report.json").read_text())["passed"] is False
+        # strict JSON: the bare NaN token is rejected
+        written = json.loads((tmp_path / "report.json").read_text(),
+                             parse_constant=lambda token: pytest.fail(f"{token} in report.json"))
+        assert written["passed"] is False
+        assert next(r for r in written["records"] if r["name"] == rec.name)["value"] == "nan"
+
+    def test_non_finite_values_are_strict_json(self):
+        report = cli.Report("m", {"scale": float("inf"), "grid": (1.0, float("-inf"))})
+        report.add("a", "anchor", np.inf, 1.0, criterion="min")
+        report.add("b", "anchor", 0.5, 1.0)
+        written = json.loads(report.to_json(),
+                             parse_constant=lambda token: pytest.fail(f"{token} in the report"))
+        assert written["config"] == {"scale": "inf", "grid": [1.0, "-inf"]}
+        assert [r["value"] for r in written["records"]] == ["inf", 0.5]
+        assert written["records"][0]["passed"] is True
 
     def test_verify_poisson_passes(self, tmp_path):
         path = write_config(tmp_path, {"mode": "verify-poisson", "seed": 7})

@@ -42,7 +42,7 @@ import numpy as np
 from .lattice_defect import _type2_matrix
 from .liouville import derivative_closed
 from .rmatrix import _matrices
-from .stepping import count_steps, finite_guard, march, nan_max, rowwise
+from .stepping import bound_guard, count_steps, march, nan_max, rowwise
 
 __all__ = [
     "DarbouxState",
@@ -220,7 +220,7 @@ def bt_initial_data(background, x: np.ndarray, t0: float, theta: complex,
 
     return march(rhs, np.array((phi_tilde_seed, y_seed, z_seed), dtype=complex),
                  (x[-1] - x[0]) / (len(x) - 1), len(x) - 1,
-                 finite_guard((("phi~", 1), ("Y", 1), ("Z", 1))), lambda xs, ys: ys.T, t0=x[0])
+                 bound_guard((("phi~", 1), ("Y", 1), ("Z", 1))), lambda xs, ys: ys.T, t0=x[0])
 
 
 @dataclass
@@ -363,7 +363,7 @@ def bt_evolve(
         return np.concatenate((_tilde_t(phi_t, yv, zv, e), dx_entry, dy, dz))
 
     return march(rhs, np.concatenate((phi_tilde0, x0_rel, y0, z0)), dt, steps,
-                 finite_guard(tuple((name, nx) for name in ("phi~", "X", "Y", "Z"))),
+                 bound_guard(tuple((name, nx) for name in ("phi~", "X", "Y", "Z"))),
                  lambda times, ys: BTTrajectory(times, x, *ys.reshape(-1, 4, nx).swapaxes(0, 1)))
 
 

@@ -29,20 +29,23 @@ from . import exact
 from . import lattice as lat
 from . import lattice_defect as ld
 from . import liouville as lv
+from .rmatrix import r_matrix
 from .stepping import Aborted, count_steps, nan_max
 
-MODES = (
-    "lattice-sim",
-    "lattice-defect-sim",
-    "verify-poisson",
-    "verify-zero-curvature",
-    "verify-charges",
-    "liouville-evolve",
-    "monodromy-check",
-    "bt-evolve",
-    "hetero-bt",
-    "defect-charges",
-)
+# the params each mode reads, in battery order; any other key is a config error
+PARAMS = {
+    "lattice-sim": ("N", "dt", "t_end", "amplitude", "probes"),
+    "lattice-defect-sim": ("N", "dt", "t_end", "amplitude", "probes", "defect_site", "theta"),
+    "verify-poisson": ("samples", "lambda_probes", "mu_probes"),
+    "verify-zero-curvature": ("samples", "mu_probes"),
+    "verify-charges": ("samples", "sizes"),
+    "liouville-evolve": ("points", "L", "dt", "t_end", "amplitude"),
+    "monodromy-check": ("points", "L", "configs", "amplitude"),
+    "bt-evolve": ("theta", "dt", "t_end", "points", "seed_offset", "y_seed", "z_seed", "L"),
+    "hetero-bt": ("c", "Theta", "nz", "nzbar"),
+    "defect-charges": ("samples", "sizes"),
+}
+MODES = tuple(PARAMS)
 
 
 class ConfigError(ValueError):
@@ -99,6 +102,9 @@ def _strict_json(obj):
     return obj
 
 
+CONFIG_KEYS = ("mode", "seed", "tolerance_scale", "params")
+
+
 @dataclass
 class RunConfig:
     mode: str
@@ -107,6 +113,15 @@ class RunConfig:
     params: dict = field(default_factory=dict)
 
     def __post_init__(self):
+        if self.mode not in MODES:
+            raise ConfigError(f"invalid mode {self.mode!r}; choose one of {', '.join(MODES)}")
+        if not isinstance(self.params, dict):
+            raise ConfigError("params must be an object")
+        # a misspelt or removed key would otherwise run silently on its default
+        unknown = [key for key in self.params if key not in PARAMS[self.mode]]
+        if unknown:
+            raise ConfigError(f"unknown params {', '.join(map(repr, unknown))} for mode "
+                              f"{self.mode}; it reads {', '.join(PARAMS[self.mode])}")
         # an infinite scale would pass every check, a negative one fail them all
         scale = self.tolerance_scale
         if not (isinstance(scale, (int, float)) and not isinstance(scale, bool)
@@ -121,13 +136,12 @@ class RunConfig:
     def from_dict(raw: dict) -> "RunConfig":
         if not isinstance(raw, dict) or "mode" not in raw:
             raise ConfigError("config must be an object with a 'mode' key")
-        mode = raw["mode"]
-        if mode not in MODES:
-            raise ConfigError(f"invalid mode {mode!r}; choose one of {', '.join(MODES)}")
-        params = raw.get("params", {})
-        if not isinstance(params, dict):
-            raise ConfigError("params must be an object")
-        return RunConfig(mode, raw.get("seed", 0), raw.get("tolerance_scale", 1.0), params)
+        unknown = [key for key in raw if key not in CONFIG_KEYS]
+        if unknown:
+            raise ConfigError(f"unknown config keys {', '.join(map(repr, unknown))}; "
+                              f"a config reads {', '.join(CONFIG_KEYS)}")
+        return RunConfig(raw["mode"], raw.get("seed", 0), raw.get("tolerance_scale", 1.0),
+                         raw.get("params", {}))
 
     def echo(self) -> dict:
         return {
@@ -164,14 +178,21 @@ def _number(key: str, value, kind=float):
     return number
 
 
-def _numbers(p: dict, key: str, default: list, kind=float, least: int = 0,
-             most: float = math.inf) -> list:
-    """A list parameter of least..most numbers, each read by :func:`_number`."""
+def _numbers(p: dict, key: str, default: list, kind=float, least: int = 0) -> list:
+    """A list parameter of at least ``least`` numbers, each read by :func:`_number`."""
     value = p.get(key, default)
-    if not (isinstance(value, list) and least <= len(value) <= most):
-        count = f"{least} " if least == most else f"at least {least} " if least else ""
+    if not (isinstance(value, list) and len(value) >= least):
+        count = f"at least {least} " if least else ""
         raise ConfigError(f"{key} must be a list of {count}numbers; got {value!r}")
     return [_number(key, x, kind) for x in value]
+
+
+def _half_length(p: dict) -> float:
+    """L, the half-length of a periodic grid: a finite positive number."""
+    L = _number("L", p.get("L", 1.0))
+    if L <= 0:
+        raise ConfigError(f"L must be positive; got {L!r}")
+    return L
 
 
 def _sizes(p: dict, default: list[int], least: int) -> list[int]:
@@ -307,6 +328,12 @@ def _probe_pairs(cfg: RunConfig, rng, samples: int):
     if len(lams) != len(mus):
         raise ConfigError(f"lambda_probes and mu_probes must be of equal length "
                           f"(got {len(lams)} and {len(mus)})")
+    for lam, mu in zip(lams, mus):
+        try:
+            r_matrix(lam - mu)
+        except ValueError as err:
+            raise ConfigError(f"lambda_probes must be off the r-matrix pole of mu_probes; "
+                              f"{err} at (lambda, mu) = ({lam}, {mu})") from err
     yield from zip(lams, mus)
     for _ in range(samples):
         yield _spectral_pair(rng)
@@ -368,19 +395,29 @@ def _mode_verify_zero_curvature(cfg: RunConfig, report: Report, outdir: Path):
                worst_flow, 1e-12 * cfg.tolerance_scale)
 
 
+# The lattice modes' criteria.  A candidate is usable when its fine and
+# coarse (2 dt) runs both complete and the fine drift sits in DRIFT_WINDOW,
+# where the step error is both above roundoff accumulation and still in the
+# asymptotic regime of the scheme.  Halving the step cuts a fourth-order
+# drift by 16; the upper band edge leaves slack for pre-asymptotic
+# contamination on livelier seeded configurations, and the acceptance
+# battery pins the tight band at the canonical configuration.
+DRIFT_WINDOW = (1e-10, 5e-3)
+RATIO_BAND = (12.0, 40.0)  # order-2 charge drift, coarse over fine
+TRACE_RATIO_MIN = 10.0  # monodromy trace drift, coarse over fine
+CANDIDATE_ATTEMPTS = 20
+
+
 def _mode_lattice_sim(cfg: RunConfig, report: Report, outdir: Path, with_defect=False):
     rng = np.random.default_rng(cfg.seed)
     p = cfg.params
     # a defect needs an interior site, 2 <= defect_site <= N - 1
     n = _count(p, "N", 8, least=3 if with_defect else 2)
-    dt, dt_coarse, t_end = _time_params(
-        p, 5e-3, 5.0, lambda dt: _number("dt_coarse", p.get("dt_coarse", 2 * dt))
-    )
+    dt, dt_coarse, t_end = _time_params(p, 5e-3, 5.0, lambda dt: 2 * dt)
     # the complex flow is not globally bounded; keep drawing seeded
     # candidates until one stays regular over the full window
     amplitude = _number("amplitude", p.get("amplitude", 0.15 if with_defect else 0.12))
     probes = tuple(_numbers(p, "probes", [2.0, 3.0], least=1))
-    attempts = _count(p, "candidate_attempts", 20)
     site = _count(p, "defect_site", max(2, n // 2), least=2, most=n - 1) if with_defect else None
 
     def draw():
@@ -396,15 +433,9 @@ def _mode_lattice_sim(cfg: RunConfig, report: Report, outdir: Path, with_defect=
         )
         return lambda step: ld.integrate_with_defect(s, d, step, t_end, probes)
 
-    # a candidate is usable when both runs complete and the fine drift sits
-    # in the window where the step error is both above roundoff accumulation
-    # and still in the asymptotic regime of the scheme
-    drift_window = _numbers(p, "drift_window", [1e-10, 5e-3], least=2, most=2)
-    ratio_low = _number("ratio_low", p.get("ratio_low", 12.0))
-    ratio_high = _number("ratio_high", p.get("ratio_high", 40.0))
-    trace_ratio_low = _number("trace_ratio_low", p.get("trace_ratio_low", 10.0))
+    low, high = DRIFT_WINDOW
     fine = coarse = None
-    for _ in range(attempts):
+    for _ in range(CANDIDATE_ATTEMPTS):
         runner = draw()
         try:
             cand_fine = runner(dt)
@@ -415,11 +446,7 @@ def _mode_lattice_sim(cfg: RunConfig, report: Report, outdir: Path, with_defect=
         d_coarse = cand_coarse.drift("2")
         # the coarse bound only rejects runs that left the smooth regime
         # entirely (near-singular excursions), not ordinary step error
-        if (
-            drift_window[0] <= d_fine <= drift_window[1]
-            and np.isfinite(d_coarse)
-            and d_coarse <= 100.0 * drift_window[1]
-        ):
+        if low <= d_fine <= high and np.isfinite(d_coarse) and d_coarse <= 100.0 * high:
             fine, coarse = cand_fine, cand_coarse
             break
     if fine is None:
@@ -433,16 +460,13 @@ def _mode_lattice_sim(cfg: RunConfig, report: Report, outdir: Path, with_defect=
         f"{label}-charge-drift-ratio",
         "order-2 charge drift ratio under halved step (fourth-order band)",
         ratio,
-        ratio_low,
+        RATIO_BAND[0],
         criterion="min",
     )
-    # default upper edge leaves slack over the nominal 16 for pre-asymptotic
-    # contamination on livelier seeded configurations; the acceptance battery
-    # pins the tight band at the canonical configuration
     report.add(
         f"{label}-charge-drift-ratio-upper",
         "same ratio against the upper band edge",
-        ratio_high - ratio,
+        RATIO_BAND[1] - ratio,
         0.0,
         criterion="min",
     )
@@ -451,7 +475,7 @@ def _mode_lattice_sim(cfg: RunConfig, report: Report, outdir: Path, with_defect=
         f"{label}-trace-drift-ratio",
         "monodromy trace drift tracks the charge drift order",
         tr_ratio,
-        trace_ratio_low,
+        TRACE_RATIO_MIN,
         criterion="min",
     )
     header = ["t", "c0_re", "c0_im", "c2_re", "c2_im"]
@@ -468,7 +492,7 @@ def _mode_liouville_evolve(cfg: RunConfig, report: Report, outdir: Path):
     rng = np.random.default_rng(cfg.seed)
     p = cfg.params
     n = _count(p, "points", 64, least=3)
-    L = _number("L", p.get("L", 1.0))
+    L = _half_length(p)
     dt, dt_coarse, t_end = _time_params(p, 2e-3, 0.5, lambda dt: 2 * dt)
     amplitude = _number("amplitude", p.get("amplitude", 0.15))
     c = lv.random_config(L, n, rng, amplitude=amplitude)
@@ -496,7 +520,7 @@ def _mode_monodromy_check(cfg: RunConfig, report: Report, outdir: Path):
     rng = np.random.default_rng(cfg.seed)
     p = cfg.params
     n = _count(p, "points", 64, least=3)
-    L = _number("L", p.get("L", 1.0))
+    L = _half_length(p)
     count = _count(p, "configs", 10)
     amplitude = _number("amplitude", p.get("amplitude", 0.2))
     zero = lv.FieldConfig.zero(L, n)
@@ -536,7 +560,7 @@ def _mode_bt_evolve(cfg: RunConfig, report: Report, outdir: Path):
     offset = _number("seed_offset", p.get("seed_offset", 0.15), complex)
     y_seed = _number("y_seed", p.get("y_seed", 0.02), complex)
     z_seed = _number("z_seed", p.get("z_seed", 0.01), complex)
-    sol = exact.periodic_solution_for_length(_number("L", p.get("L", 1.0)))
+    sol = exact.periodic_solution_for_length(_half_length(p))
 
     def run(n, step):
         x = np.linspace(-half, half, n)
@@ -559,8 +583,12 @@ def _mode_bt_evolve(cfg: RunConfig, report: Report, outdir: Path):
 
 def _mode_hetero_bt(cfg: RunConfig, report: Report, outdir: Path):
     p = cfg.params
-    params = bt.HeteroParams(_number("c", p.get("c", 0.35), complex),
-                             _number("Theta", p.get("Theta", 0.15), complex))
+    c = _number("c", p.get("c", 0.35), complex)
+    theta = _number("Theta", p.get("Theta", 0.15), complex)
+    try:
+        params = bt.HeteroParams(c, theta)
+    except ValueError as err:
+        raise ConfigError(f"c must be nonzero: {err}") from err
     nz, nb = _count(p, "nz", 49, least=3), _count(p, "nzbar", 41, least=3)
 
     def gen(kz, kb):

@@ -31,7 +31,7 @@ from .laurent import (
     series_inverse,
 )
 from .rmatrix import _matrices, bracket_lhs, quadratic_rhs
-from .stepping import _field_at, count_steps, locate, march, read_only, rowwise
+from .stepping import bound_guard, count_steps, march, read_only
 
 __all__ = [
     "LatticeState",
@@ -524,34 +524,10 @@ class LatticeTrajectory:
 
 V_FLOOR = 1e-8
 FIELD_CEILING = 1e8
-
-
-def _chain_guard(layout):
-    """Chain integrators' guard on a stack of flat states of this layout: None,
-    or the (row, verdict) of the first row with a non-finite entry, a field
-    above FIELD_CEILING, or a v_j (or defect X) below V_FLOOR in modulus, the
-    verdict (reason, field, index) naming that entry.  One pass over the
-    moduli of the stack decides; only a stack that trips it is searched row
-    by row for the offending entry."""
-    floored = np.flatnonzero([name in ("v", "X") for name, length in layout for _ in range(length)])
-
-    def check(t, y):
-        mag = np.abs(y)
-        if mag.max() <= FIELD_CEILING and mag[floored].min() >= V_FLOOR:
-            return None
-        lowest = int(floored[np.argmin(mag[floored])])
-        return (locate(layout, y, FIELD_CEILING, "field above the ceiling")
-                or ("field below the floor", *_field_at(layout, lowest)))
-
-    slow = rowwise(check)
-
-    def guard(ts, ys):
-        mag = np.abs(ys)
-        if mag.max() <= FIELD_CEILING and mag.take(floored, axis=1).min() >= V_FLOOR:
-            return None
-        return slow(ts, ys)
-
-    return guard
+# the chain integrators' guard: no field above FIELD_CEILING, no v_j (or
+# defect X) below V_FLOOR in modulus
+CHAIN_BOUNDS = dict(ceiling=FIELD_CEILING, above="field above the ceiling",
+                    floor=V_FLOOR, floored=("v", "X"))
 
 
 def _probe_traces(monodromies: np.ndarray, probes) -> dict[float, np.ndarray]:
@@ -586,4 +562,4 @@ def integrate(
 
     layout = tuple((name, s.N) for name in FIELD_NAMES)
     return march(_chain_field(s.N), np.concatenate((s.a, s.a_bar, s.v)), dt,
-                 count_steps(dt, t_end), _chain_guard(layout), finish)
+                 count_steps(dt, t_end), bound_guard(layout, **CHAIN_BOUNDS), finish)

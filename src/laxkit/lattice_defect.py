@@ -25,6 +25,7 @@ import numpy as np
 
 from .laurent import LaurentMatrix, LaurentSeries, log_expand, matrix_product_chain
 from .lattice import (
+    CHAIN_BOUNDS,
     FIELD_NAMES,
     LatticeDerivative,
     LatticeState,
@@ -32,7 +33,6 @@ from .lattice import (
     SingularStateError,
     _chain_field,
     _checked_trace,
-    _chain_guard,
     _lax_partials,
     _probe_traces,
     _rate,
@@ -45,7 +45,7 @@ from .lattice import (
     time_lax_order2,
 )
 from .rmatrix import _matrices, bracket_lhs, quadratic_rhs
-from .stepping import count_steps, march
+from .stepping import bound_guard, count_steps, march
 
 __all__ = [
     "DefectSite",
@@ -411,4 +411,5 @@ def integrate_with_defect(
 
     y0 = np.concatenate((s.a, s.a_bar, s.v, (d.z, d.z_bar, d.X)))
     layout = tuple((name, s.N) for name in FIELD_NAMES) + (("z", 1), ("z_bar", 1), ("X", 1))
-    return march(rhs, y0, dt, count_steps(dt, t_end), _chain_guard(layout), finish)
+    return march(rhs, y0, dt, count_steps(dt, t_end), bound_guard(layout, **CHAIN_BOUNDS),
+                 finish)

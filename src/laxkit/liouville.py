@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .rmatrix import _matrices, bracket_lhs, linear_rhs
-from .stepping import count_steps, locate, march, read_only, rowwise
+from .stepping import bound_guard, count_steps, march, read_only
 
 __all__ = [
     "FieldConfig",
@@ -463,31 +463,24 @@ class LiouvilleTrajectory:
         return float(np.max(np.abs(series - series[0])))
 
 
-def evolve(
-    c: FieldConfig,
-    dt: float,
-    t_end: float,
-    blowup: float = 1e6,
-) -> LiouvilleTrajectory:
+BLOWUP = 1e6  # |phi| or |pi| above it aborts an evolution
+
+
+def evolve(c: FieldConfig, dt: float, t_end: float) -> LiouvilleTrajectory:
     """Fourth-order method-of-lines evolution with conservation monitoring.
 
     Keeps the configuration at every step; the charges of the kept
     configurations are computed after the march, in one call over their
     stack.  t_end must be a whole multiple of dt.  The complex Liouville
     flow has genuine finite-time poles: when phi or pi stops being finite or
-    exceeds ``blowup`` in modulus, at an RK stage or an accepted step, the
+    exceeds BLOWUP in modulus, at an RK stage or an accepted step, the
     march raises :class:`~laxkit.stepping.Aborted`, whose record names the
     stage, step, time, field and grid index, and whose trajectory holds the
     steps taken before.  The stages are evaluated on raw arrays, and the
     overflow that leads to an abort raises no numpy warning.
     """
     h, n = c.h, c.n
-
-    slow = rowwise(lambda t, y: locate((("phi", n), ("pi", n)), y, blowup,
-                                       "above the blow-up threshold"))
-
-    def guard(ts, ys):
-        return None if np.abs(ys).max() <= blowup else slow(ts, ys)
+    guard = bound_guard((("phi", n), ("pi", n)), BLOWUP, "above the blow-up threshold")
 
     def finish(times, ys):
         stack = FieldConfig(c.L, *ys.reshape(len(times), 2, n).swapaxes(0, 1))

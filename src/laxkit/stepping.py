@@ -101,10 +101,41 @@ def rowwise(check):
     return guard
 
 
-def finite_guard(layout):
-    """Guard firing on a non-finite entry of a stack of flat states of this layout."""
-    slow = rowwise(lambda t, y: locate(layout, y))
-    return lambda ts, ys: None if np.isfinite(ys).all() else slow(ts, ys)
+def bound_guard(layout, ceiling=math.inf, above=None, floor=0.0, floored=()):
+    """The guard on a stack of flat states of this layout: None, or the (row,
+    verdict) of the first row with a non-finite entry, an entry above
+    ``ceiling`` in modulus (the largest, reason ``above``), or an entry of a
+    field named in ``floored`` below ``floor`` in modulus (the smallest,
+    reason "field below the floor"), checked in that order.  One whole-stack
+    test passes a regular step: finiteness alone when there is neither a
+    ceiling nor a floor, else the largest and smallest moduli, so a floor
+    needs a finite ceiling for an inf entry to fail the test.  Only a stack
+    that fails it is searched row by row, with :func:`locate` and the floor
+    check, for the offending entry."""
+    low = np.flatnonzero([name in floored for name, length in layout for _ in range(length)])
+
+    def check(t, y):
+        verdict = locate(layout, y, ceiling, above)
+        if verdict is None and low.size:
+            mag = np.abs(y[low])
+            i = int(np.argmin(mag))
+            if mag[i] < floor:
+                verdict = ("field below the floor", *_field_at(layout, int(low[i])))
+        return verdict
+
+    slow = rowwise(check)
+    if ceiling == math.inf:
+        if low.size:
+            raise ValueError("a floor needs a finite ceiling")
+        return lambda ts, ys: None if np.isfinite(ys).all() else slow(ts, ys)
+
+    def guard(ts, ys):
+        mag = np.abs(ys)
+        if mag.max() <= ceiling and (not low.size or mag.take(low, axis=1).min() >= floor):
+            return None
+        return slow(ts, ys)
+
+    return guard
 
 
 def read_only(x):
@@ -153,7 +184,8 @@ def march(rhs, y0, dt, steps, guard, finish, t0=0.0):
     ends at t0 + k dt.  Every step makes one ``guard(ts, ys)`` call on the
     (4, L) stack of its stage 2-4 inputs and its new state, at their times
     ts; the guard returns None or (row, (reason, field, index)) of the first
-    row that trips, and :func:`rowwise` builds one from a per-state check.
+    row that trips; :func:`bound_guard` builds one from bounds on the state,
+    :func:`rowwise` from a per-state check.
     The march keeps y0 and every accepted state and returns ``finish(times,
     ys)``: ``times`` of shape (T,) and ``ys`` their read-only stack of shape
     (T, L), where y0 and every ``rhs`` output are flat vectors of length L.

@@ -101,9 +101,9 @@ class TestConfig:
         {"mode": "lattice-sim", "params": {"dt": "x"}},
         {"mode": "lattice-sim", "params": {"probes": ["x"]}},
         {"mode": "lattice-sim", "params": {"probes": []}},
-        {"mode": "lattice-sim", "params": {"drift_window": [1e-10]}},
+        {"mode": "lattice-sim", "params": {"probes": [2.0, None]}},
         {"mode": "lattice-defect-sim", "params": {"theta": "0.1+"}},
-        {"mode": "lattice-defect-sim", "params": {"ratio_low": None}},
+        {"mode": "lattice-defect-sim", "params": {"amplitude": None}},
         {"mode": "verify-zero-curvature", "params": {"mu_probes": ["x"]}},
         {"mode": "verify-poisson", "params": {"lambda_probes": ["x"], "mu_probes": [0.1]}},
         {"mode": "verify-poisson", "params": {"mu_probes": 0.1}},
@@ -111,6 +111,13 @@ class TestConfig:
         {"mode": "monodromy-check", "params": {"amplitude": True}},
         {"mode": "bt-evolve", "params": {"y_seed": [0.1]}},
         {"mode": "hetero-bt", "params": {"Theta": "inf"}},
+        # numbers outside the model: no grid, no coupling, a probe on the pole
+        {"mode": "liouville-evolve", "params": {"L": 0}},
+        {"mode": "liouville-evolve", "params": {"L": -1}},
+        {"mode": "monodromy-check", "params": {"L": 0}},
+        {"mode": "bt-evolve", "params": {"L": 0}},
+        {"mode": "hetero-bt", "params": {"c": 0}},
+        {"mode": "verify-poisson", "params": {"lambda_probes": [0.5], "mu_probes": [0.5]}},
     ])
     def test_malformed_numbers_are_config_errors(self, tmp_path, payload, capsys):
         path = write_config(tmp_path, payload)
@@ -118,6 +125,39 @@ class TestConfig:
         err = capsys.readouterr().err
         key = next(iter(payload["params"]))
         assert f"config error: {key} must be" in err and "Traceback" not in err
+        assert not (tmp_path / "out" / "report.json").exists()
+
+    @pytest.mark.parametrize("mode, key", [
+        ("verify-poisson", "sampels"),
+        # the lattice criteria are constants now, not params
+        *((mode, key) for mode in ("lattice-sim", "lattice-defect-sim")
+          for key in ("drift_window", "ratio_low", "ratio_high", "trace_ratio_low",
+                      "candidate_attempts", "dt_coarse")),
+    ])
+    def test_unknown_params_are_config_errors(self, tmp_path, mode, key, capsys):
+        path = write_config(tmp_path, {"mode": mode, "params": {"samples": 3, key: 1.0}
+                                       if mode == "verify-poisson" else {key: 1.0}})
+        assert cli.main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert f"config error: unknown params {key!r} for mode {mode}" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "out" / "report.json").exists()
+
+    def test_unknown_config_keys_are_config_errors(self, tmp_path, capsys):
+        # a misspelt "params" would run 100 samples on the defaults
+        path = write_config(tmp_path, {"mode": "verify-poisson", "parmas": {"samples": 3}})
+        assert cli.main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert "config error: unknown config keys 'parmas'" in err and "Traceback" not in err
+        assert not (tmp_path / "out" / "report.json").exists()
+
+    @pytest.mark.parametrize("mode, key", [
+        (mode, key) for mode, keys in cli.PARAMS.items() for key in keys])
+    def test_every_accepted_param_is_read(self, tmp_path, mode, key, capsys):
+        # a key the mode accepts but never reads would be ignored silently
+        path = write_config(tmp_path, {"mode": mode, "params": {key: "not a number"}})
+        assert cli.main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+        assert f"config error: {key} must be" in capsys.readouterr().err
         assert not (tmp_path / "out" / "report.json").exists()
 
     def test_probe_lists_of_unequal_length_are_config_errors(self, tmp_path, capsys):
@@ -133,7 +173,8 @@ class TestConfig:
     @pytest.mark.parametrize("payload", [
         # the coarse run (2 dt) would end at 1.002, the fine one at 0.999
         {"mode": "lattice-sim", "params": {"dt": 0.003, "t_end": 1.0}},
-        {"mode": "lattice-defect-sim", "params": {"dt_coarse": 0.03, "t_end": 1.0}},
+        # dt fits, the coarse run (2 dt) would end at 0.48
+        {"mode": "lattice-defect-sim", "params": {"dt": 0.02, "t_end": 0.5}},
         {"mode": "liouville-evolve", "params": {"dt": 0.003, "t_end": 0.5}},
         {"mode": "bt-evolve", "params": {"dt": 0.003, "t_end": 0.4}},
     ])
@@ -210,13 +251,13 @@ class TestRun:
         b = (tmp_path / "b" / "report.json").read_bytes()
         assert a == b
 
-    def test_lattice_sim_fixed_point_flat_series(self, tmp_path):
+    def test_lattice_sim_fixed_point_flat_series(self, tmp_path, monkeypatch):
+        # a fixed point has no drift, below the window of a usable candidate
+        monkeypatch.setattr(cli, "DRIFT_WINDOW", (0.0, 1.0))
         path = write_config(
             tmp_path,
             {"mode": "lattice-sim", "seed": 1,
-             "params": {"N": 4, "dt": 0.02, "t_end": 0.52, "amplitude": 0.0,
-                        "ratio_low": 0.0, "trace_ratio_low": 0.0,
-                        "drift_window": [0.0, 1.0]}},
+             "params": {"N": 4, "dt": 0.02, "t_end": 0.52, "amplitude": 0.0}},
         )
         cli.main(["run", "--config", str(path), "--out", str(tmp_path / "out")])
         with open(tmp_path / "out" / "series.csv", newline="") as fh:
@@ -231,8 +272,7 @@ class TestRun:
         path = write_config(
             tmp_path,
             {"mode": "lattice-sim", "seed": 1,
-             "params": {"N": 4, "dt": 0.02, "t_end": 0.2, "amplitude": 0.1,
-                        "ratio_low": 0.0, "trace_ratio_low": 0.0}},
+             "params": {"N": 4, "dt": 0.02, "t_end": 0.2, "amplitude": 0.1}},
         )
         cli.main(["run", "--config", str(path), "--out", str(tmp_path / "out")])
         raw = (tmp_path / "out" / "series.csv").read_bytes()

@@ -584,7 +584,7 @@ class TestGuard:
     ])
     def test_verdict(self, names, entries, verdict):
         y, layout = crafted_fields(names, **entries)
-        assert lat._chain_guard(layout)((0.0,), y[None]) == (
+        assert stepping.bound_guard(layout, **lat.CHAIN_BOUNDS)((0.0,), y[None]) == (
             None if verdict is None else (0, verdict))
 
     def test_stack_names_its_first_tripping_row(self):
@@ -593,7 +593,7 @@ class TestGuard:
         regular, layout = crafted_fields(DEFECT_FIELDS)
         low, _ = crafted_fields(DEFECT_FIELDS, X=(0, 2e-9))
         high, _ = crafted_fields(DEFECT_FIELDS, a=(4, -2e8))
-        guard = lat._chain_guard(layout)
+        guard = stepping.bound_guard(layout, **lat.CHAIN_BOUNDS)
         ts = (0.5, 0.5, 1.0, 1.0)
         ys = np.stack((regular, low, regular, high))
         assert guard(ts, ys) == (1, ("field below the floor", "X", 0))

@@ -4,6 +4,8 @@ every integrator's flat march with the tuple-state RK4."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from laxkit import backlund as bt
 from laxkit import exact
@@ -21,7 +23,7 @@ def _march_scalar(rhs, y0, dt, steps, guard=None, t0=0.0):
         np.array([y0]),
         dt,
         steps,
-        guard or stepping.finite_guard((("y", 1),)),
+        guard or stepping.bound_guard((("y", 1),)),
         lambda times, ys: (times, ys[:, 0]),
         t0=t0,
     )
@@ -58,7 +60,7 @@ class TestTrajectory:
             np.zeros(2),
             0.25,
             7,
-            stepping.finite_guard((("y", 2),)),
+            stepping.bound_guard((("y", 2),)),
             lambda times, ys: (times, ys),
             t0=1.0,
         )
@@ -181,8 +183,13 @@ class TestAbort:
         y = np.array([1.0, -7.0, 3.0, 7.0, 5.0])
         assert stepping.locate(layout, y, 6.0, "big") == ("big", "a", 1)
 
+    def test_a_floor_needs_a_finite_ceiling(self):
+        # the whole-stack test would pass an inf entry under an infinite ceiling
+        with pytest.raises(ValueError, match="finite ceiling"):
+            stepping.bound_guard((("v", 2),), floor=1e-8, floored=("v",))
+
     def test_finite_guard_names_the_first_tripping_row(self):
-        guard = stepping.finite_guard((("a", 2), ("b", 1)))
+        guard = stepping.bound_guard((("a", 2), ("b", 1)))
         ys = np.ones((4, 3))
         assert guard((0.5, 0.5, 1.0, 1.0), ys) is None
         ys[3, 0], ys[2, 2] = np.nan, np.inf
@@ -196,8 +203,73 @@ class TestAbort:
         y = np.full(15, 0.5 + 0j)
         y[-1] = 3e8j
         assert stepping.locate(layout, y, 1e8, "big") == ("big", "X", 0)
-        assert lat._chain_guard(layout)((0.0,), y[None]) == (
+        assert stepping.bound_guard(layout, **lat.CHAIN_BOUNDS)((0.0,), y[None]) == (
             0, ("field above the ceiling", "X", 0))
+
+
+def _chain_check(layout):
+    """The chain integrators' per-state check as it stood before the one
+    guard builder: the reference for the chain layouts."""
+    floored = np.flatnonzero([name in ("v", "X") for name, length in layout for _ in range(length)])
+
+    def check(t, y):
+        mag = np.abs(y)
+        if mag.max() <= lat.FIELD_CEILING and mag[floored].min() >= lat.V_FLOOR:
+            return None
+        lowest = int(floored[np.argmin(mag[floored])])
+        return (stepping.locate(layout, y, lat.FIELD_CEILING, "field above the ceiling")
+                or ("field below the floor", *stepping._field_at(layout, lowest)))
+
+    return check
+
+
+# layout of n sites or grid points -> (guard under test, per-state reference)
+GUARD_CASES = {
+    "bulk chain": lambda n: (
+        layout := tuple((name, n) for name in lat.FIELD_NAMES),
+        stepping.bound_guard(layout, **lat.CHAIN_BOUNDS), _chain_check(layout)),
+    "defect chain": lambda n: (
+        layout := tuple((name, n) for name in lat.FIELD_NAMES) + (
+            ("z", 1), ("z_bar", 1), ("X", 1)),
+        stepping.bound_guard(layout, **lat.CHAIN_BOUNDS), _chain_check(layout)),
+    "liouville": lambda n: (
+        layout := (("phi", n), ("pi", n)),
+        stepping.bound_guard(layout, lv.BLOWUP, "above the blow-up threshold"),
+        lambda t, y: stepping.locate(layout, y, lv.BLOWUP, "above the blow-up threshold")),
+    # bt_evolve's layout: its X has no floor
+    "finite only": lambda n: (
+        layout := tuple((name, n) for name in ("phi~", "X", "Y", "Z")),
+        stepping.bound_guard(layout), lambda t, y: stepping.locate(layout, y)),
+}
+
+# moduli on both sides of, and exactly at, every bound: the chain floor 1e-8
+# and ceiling 1e8, the Liouville threshold 1e6; then overflow and nan
+INJECTED = st.tuples(
+    st.integers(0, 3),
+    st.integers(0, 10**6),
+    st.sampled_from([0.0, 1e-12, 9.9e-9, 1e-8, 1.01e-8, 1e6, 1.01e6, 1e8, 1.01e8, 1e300,
+                     np.inf, np.nan]),
+    st.sampled_from([1, -1, 1j, -1j, np.exp(0.7j)]),
+)
+
+
+class TestBoundGuard:
+    """bound_guard against the per-state checks of the guards it replaced,
+    run row by row: the same (row, verdict) on every stack."""
+
+    @pytest.mark.parametrize("case", GUARD_CASES)
+    @settings(max_examples=150, deadline=None)
+    @given(n=st.integers(2, 6), seed=st.integers(0, 2**32 - 1),
+           injected=st.lists(INJECTED, max_size=5))
+    def test_matches_the_rowwise_reference(self, case, n, seed, injected):
+        layout, guard, reference = GUARD_CASES[case](n)
+        width = sum(length for _, length in layout)
+        rng = np.random.default_rng(seed)
+        ys = rng.uniform(0.5, 2.0, (4, width)) * np.exp(2j * np.pi * rng.uniform(size=(4, width)))
+        for row, slot, modulus, phase in injected:
+            ys[row, slot % width] = modulus * phase
+        ts = (0.5, 0.5, 1.0, 1.0)
+        assert guard(ts, ys) == stepping.rowwise(reference)(ts, ys)
 
 
 class TestReadOnly:

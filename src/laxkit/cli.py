@@ -30,7 +30,7 @@ from . import lattice as lat
 from . import lattice_defect as ld
 from . import liouville as lv
 from .rmatrix import r_matrix
-from .stepping import Aborted, count_steps, nan_max
+from .stepping import Aborted, count_steps, nan_max, step_tally
 
 # the params each mode reads, in battery order; any other key is a config error
 PARAMS = {
@@ -413,7 +413,7 @@ def _mode_lattice_sim(cfg: RunConfig, report: Report, outdir: Path, with_defect=
     p = cfg.params
     # a defect needs an interior site, 2 <= defect_site <= N - 1
     n = _count(p, "N", 8, least=3 if with_defect else 2)
-    dt, dt_coarse, t_end = _time_params(p, 5e-3, 5.0, lambda dt: 2 * dt)
+    dt, _, t_end = _time_params(p, 5e-3, 5.0, lambda dt: 2 * dt)
     # the complex flow is not globally bounded; keep drawing seeded
     # candidates until one stays regular over the full window
     amplitude = _number("amplitude", p.get("amplitude", 0.15 if with_defect else 0.12))
@@ -421,9 +421,10 @@ def _mode_lattice_sim(cfg: RunConfig, report: Report, outdir: Path, with_defect=
     site = _count(p, "defect_site", max(2, n // 2), least=2, most=n - 1) if with_defect else None
 
     def draw():
+        """One candidate: its runs at dt and, as ``.coarse``, at 2 dt."""
         s = lat.random_state(n, rng, amplitude=amplitude)
         if not with_defect:
-            return lambda step: lat.integrate(s, step, t_end, probes)
+            return lambda: lat.integrate(s, dt, t_end, probes, with_coarse=True)
         d = ld.DefectSite(
             site,
             _number("theta", p.get("theta", 0.1), complex),
@@ -431,31 +432,38 @@ def _mode_lattice_sim(cfg: RunConfig, report: Report, outdir: Path, with_defect=
             0.1 * amplitude * complex(rng.normal(), rng.normal()),
             np.exp(0.2 * complex(rng.normal(), rng.normal())),
         )
-        return lambda step: ld.integrate_with_defect(s, d, step, t_end, probes)
+        return lambda: ld.integrate_with_defect(s, d, dt, t_end, probes, with_coarse=True)
 
     low, high = DRIFT_WINDOW
-    fine = coarse = None
+    fine = None
+    aborted = below = above = 0
     for _ in range(CANDIDATE_ATTEMPTS):
         runner = draw()
         try:
-            cand_fine = runner(dt)
-            cand_coarse = runner(dt_coarse)
+            cand = runner()
         except Aborted:
+            aborted += 1
             continue
-        d_fine = cand_fine.drift("2")
-        d_coarse = cand_coarse.drift("2")
+        d_fine, d_coarse = cand.drift("2"), cand.coarse.drift("2")
         # the coarse bound only rejects runs that left the smooth regime
         # entirely (near-singular excursions), not ordinary step error
-        if low <= d_fine <= high and np.isfinite(d_coarse) and d_coarse <= 100.0 * high:
-            fine, coarse = cand_fine, cand_coarse
+        if d_fine < low:
+            below += 1
+        elif d_fine <= high and np.isfinite(d_coarse) and d_coarse <= 100.0 * high:
+            fine, coarse = cand, cand.coarse
             break
+        else:
+            above += 1
     if fine is None:
         report.aborted = True
         report.add("singular-trajectory",
-                   "no regular configuration found at these parameters", 1.0, 0.0)
+                   f"no regular configuration found at these parameters: of "
+                   f"{CANDIDATE_ATTEMPTS} candidates, {aborted} aborted, {below} had a fine "
+                   f"drift below [{low:g}, {high:g}] and {above} one above it or a coarse "
+                   f"drift that is not finite or above {100.0 * high:g}", 1.0, 0.0)
         return
     label = "defect" if with_defect else "bulk"
-    ratio = coarse.drift("2") / max(fine.drift("2"), 1e-300)
+    ratio = d_coarse / max(d_fine, 1e-300)
     report.add(
         f"{label}-charge-drift-ratio",
         "order-2 charge drift ratio under halved step (fourth-order band)",
@@ -679,16 +687,19 @@ def suite(outdir: str | Path = ".", seed: int = 0, tolerance_scale: float = 1.0)
     Aggregates every mode's records, adds the determinism self-check (the
     battery's verify-charges report and one re-run of its config, written to
     determinism/, must serialize identically), and writes suite_report.json,
-    timing.json and per-mode artifacts in subdirectories.
+    timing.json and per-mode artifacts in subdirectories.  timing.json holds
+    the elapsed seconds of the battery and of each mode run, and under
+    ``"steps"`` the RK4 steps each mode run took (``stepping.step_tally``).
     """
     configs = [RunConfig(mode, seed=seed, tolerance_scale=tolerance_scale) for mode in MODES]
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     overall = Report("suite", {"seed": seed, "tolerance_scale": tolerance_scale})
-    start, modes, reports = time.perf_counter(), {}, {}
+    start, modes, steps, reports = time.perf_counter(), {}, {}, {}
     for cfg in configs:
-        sub = reports[cfg.mode] = run(cfg, outdir / cfg.mode)
-        modes[cfg.mode] = sub.elapsed
+        with step_tally() as tally:
+            sub = reports[cfg.mode] = run(cfg, outdir / cfg.mode)
+        modes[cfg.mode], steps[cfg.mode] = sub.elapsed, tally.steps
         for rec in sub.records:
             overall.records.append(
                 CheckRecord(f"{cfg.mode}/{rec.name}", rec.anchor, rec.value,
@@ -699,8 +710,9 @@ def suite(outdir: str | Path = ".", seed: int = 0, tolerance_scale: float = 1.0)
         print(f"[{'pass' if sub.passed else 'FAIL'}] {cfg.mode}", file=sys.stderr)
 
     charges = next(cfg for cfg in configs if cfg.mode == "verify-charges")
-    again = run(charges, outdir / "determinism")
-    modes["determinism"] = again.elapsed
+    with step_tally() as tally:
+        again = run(charges, outdir / "determinism")
+    modes["determinism"], steps["determinism"] = again.elapsed, tally.steps
     overall.add(
         "determinism",
         "identical seed gives byte-identical reports",
@@ -709,7 +721,7 @@ def suite(outdir: str | Path = ".", seed: int = 0, tolerance_scale: float = 1.0)
     )
     overall.elapsed = time.perf_counter() - start
     (outdir / "suite_report.json").write_text(overall.to_json())
-    timing = {"elapsed_s": overall.elapsed, "modes": modes}
+    timing = {"elapsed_s": overall.elapsed, "modes": modes, "steps": steps}
     (outdir / "timing.json").write_text(json.dumps(timing, indent=2) + "\n")
     return overall
 

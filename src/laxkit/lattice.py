@@ -18,7 +18,7 @@ of motion, and a fixed-step integrator with conservation monitoring.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -31,7 +31,7 @@ from .laurent import (
     series_inverse,
 )
 from .rmatrix import _matrices, bracket_lhs, quadratic_rhs
-from .stepping import bound_guard, count_steps, march, read_only
+from .stepping import bound_guard, count_steps, march, march_pair, read_only
 
 __all__ = [
     "LatticeState",
@@ -323,57 +323,85 @@ class LatticeDerivative:
 
 
 class _ChainField:
-    """The bulk flow of an n-site chain on flat states y = (a, abar, v), with
-    its gather indices built once: ``field(t, y)`` is the flat velocity
-    (da, dabar, dv), the rhs of a march.  Raw arrays, unvalidated: the RK
-    stages of a march are never wrapped in a LatticeState."""
+    """The bulk flow of ``copies`` n-site chains side by side on one flat
+    state, each copy (a, abar, v) followed by ``tail`` slots of its own, with
+    the gather indices built once: ``field(t, y)`` is the flat velocity, each
+    copy (da, dabar, dv), the rhs of a march (of :func:`~laxkit.stepping.march_pair`
+    for two copies).  Inside, the copies' fields are stacked field by field,
+    as one chain of copies * n sites whose neighbours wrap within each copy,
+    so every copy costs the same numpy calls as one.  Raw arrays,
+    unvalidated: the RK stages of a march are never wrapped in a
+    LatticeState."""
 
-    def __init__(self, n: int):
-        i = np.arange(n)
-        shift = np.concatenate(((i - 1) % n, n + (i + 1) % n))
-        self.n = n
-        self._tile = np.concatenate((i, i)) + 2 * n  # v under a and under abar
-        # from (q, 2q, y), q = (b, bbar): the left, then the right factors of
+    def __init__(self, n: int, copies: int = 1, tail: int = 0):
+        cn = copies * n
+        k, i = np.divmod(np.arange(cn), n)
+        base = k * n
+        site = base + i  # b_j of each copy in q, bbar_j at cn + site
+        at = k * (3 * n + tail) + i  # a_j of each copy in y
+        bm, bbp = base + (i - 1) % n, cn + base + (i + 1) % n
+        self.n, self.copies, self._cn = n, copies, cn
+        # (a, abar) and (v, v) of every copy, the numerator and denominator
+        # of the hopping fields q = (b, bbar)
+        self._ab = np.concatenate((at, at + n))
+        self._vv = np.concatenate((at, at)) + 2 * n
+        # from (q, 2q, y): the left, then the right factors of
         # (2 b_{j-1}, 2 bbar_{j+1}) (v, v), of (bbar_{j+1} b_j, twice) and
         # (bbar_j b_{j-1}, twice), of bbar_{j+1} a_j and of abar_j b_{j-1}
-        bm, bbp, y = shift[:n], shift[n:], 4 * n
-        self._gather = np.concatenate((shift + 2 * n, bbp, bbp, i + n, i + n, bbp, y + n + i,
-                                       y + self._tile, i, i, bm, bm, y + i, bm))
-        self._tile.setflags(write=False)
-        self._gather.setflags(write=False)
+        q2, y = 2 * cn, 4 * cn
+        self._gather = np.concatenate((q2 + bm, q2 + bbp, bbp, bbp, cn + site, cn + site, bbp,
+                                       y + at + n, y + at + 2 * n, y + at + 2 * n, site, site,
+                                       bm, bm, y + at, bm))
+        for index in (self._ab, self._vv, self._gather):
+            index.setflags(write=False)
+        # from (da, dabar, dv) field by field over the copies, then the
+        # copies' tails, to one copy after the other
+        self._order = None
+        if copies > 1:
+            f, j = np.divmod(np.arange(3 * n), n)
+            self._order = np.concatenate([
+                np.concatenate((f * cn + c * n + j, 3 * cn + c * tail + np.arange(tail)))
+                for c in range(copies)])
+            self._order.setflags(write=False)
 
     def hopping(self, y):
-        """(v, v) and the hopping fields q = (b, bbar) = (a, abar) / v of y."""
-        vv = y.take(self._tile)
-        return vv, y[:2 * self.n] / vv
+        """(a, abar), (v, v) and the hopping fields q = (b, bbar) = (a, abar) / v
+        of y, each field by field over the copies."""
+        ab = y[:2 * self.n] if self.copies == 1 else y.take(self._ab)  # one copy's lead y
+        vv = y.take(self._vv)
+        return ab, vv, ab / vv
 
-    def velocities(self, y, vv, q, tail=()):
-        """Flat (da, dabar, dv, *tail) of y with the hopping fields q passed
-        in: site j reads b_{j-1}, b_j, bbar_j and bbar_{j+1}.
+    def velocities(self, y, ab, vv, q, tail=()):
+        """Flat (da, dabar, dv, *tail) of each copy of y with the hopping
+        fields q passed in, ``tail`` the copies' tails one after the other:
+        site j reads b_{j-1}, b_j, bbar_j and bbar_{j+1}.
 
         One gather and one multiply form every product of two fields, and
         one broadcast multiply both hopping products times (a, abar).  The
-        a and abar rows are one length-2n expression; the abar row comes out
-        as the exact negative of dabar (up to the sign of an exact zero) and
-        is negated once.  Every product keeps its operand order, so the
-        result matches the per-component formulas bit for bit."""
-        n, two = self.n, 2 * self.n
+        a and abar rows are one expression over 2 copies * n sites; the abar
+        row comes out as the exact negative of dabar (up to the sign of an
+        exact zero) and is negated once.  Every product keeps its operand
+        order, so the result matches the per-component formulas, and one
+        copy the same chain alone, bit for bit."""
+        cn = self._cn
+        two = 2 * cn
         q2 = 2.0 * q
         g = np.concatenate((q, q2, y)).take(self._gather)
         prod = g[:4 * two] * g[4 * two:]   # (2p vv, bbp b, bbp b, bbar bm, bbar bm, bbp a, abar bm)
-        hop = prod[two:3 * two].reshape(2, two) * y[:two]
+        hop = prod[two:3 * two].reshape(2, two) * ab
         row = prod[:two] - q2 / vv + hop[0] + hop[1]
-        return np.concatenate((row[:n], -row[n:], prod[3 * two:7 * n] - prod[7 * n:], tail))
+        out = np.concatenate((row[:cn], -row[cn:], prod[3 * two:7 * cn] - prod[7 * cn:], tail))
+        return out if self._order is None else out.take(self._order)
 
     def __call__(self, t, y):
         return self.velocities(y, *self.hopping(y))
 
 
 @functools.lru_cache(maxsize=32)
-def _chain_field(n: int) -> _ChainField:
-    """The :class:`_ChainField` of an n-site chain, shared by every caller:
-    its index arrays are read-only."""
-    return _ChainField(n)
+def _chain_field(n: int, copies: int = 1, tail: int = 0) -> _ChainField:
+    """The :class:`_ChainField` of ``copies`` n-site chains with ``tail``
+    slots each, shared by every caller: its index arrays are read-only."""
+    return _ChainField(n, copies, tail)
 
 
 def bulk_eom(s: LatticeState) -> LatticeDerivative:
@@ -499,13 +527,15 @@ def zero_curvature_residual(s: LatticeState, j: int, mu: complex) -> float:
 class LatticeTrajectory:
     """The recorded states of a march as one stack of shape (T, N), and the
     monitors computed from it: the charges and tr T at each probe point,
-    each an array over the T recorded times."""
+    each an array over the T recorded times.  ``coarse`` is the run of the
+    same start at twice the step, when the integrator was asked for it."""
 
     times: np.ndarray
     stack: LatticeState
     charges0: np.ndarray
     charges2: np.ndarray
     traces: dict[float, np.ndarray]
+    coarse: "LatticeTrajectory | None" = field(default=None, kw_only=True)
 
     @property
     def states(self) -> list[LatticeState]:
@@ -540,6 +570,8 @@ def integrate(
     dt: float,
     t_end: float,
     probes: tuple[float, ...] = (2.0, 3.0),
+    *,
+    with_coarse: bool = False,
 ) -> LatticeTrajectory:
     """Classic fourth-order fixed-step integration of the bulk flow.
 
@@ -551,6 +583,13 @@ def integrate(
     accepted step, the march raises :class:`~laxkit.stepping.Aborted`
     carrying the partial trajectory, monitors included.  t_end must be a
     whole multiple of dt, and N >= 2 as for :func:`charges_closed_form`.
+
+    ``with_coarse=True`` also runs the step 2 dt, in one
+    :func:`~laxkit.stepping.march_pair` with the run at dt, and returns it
+    as ``.coarse`` of the trajectory: both equal bit for bit the results of
+    the calls at dt and at 2 dt, and the march raises what those two calls
+    in sequence would, the abort of the run at dt first.  t_end must then be
+    a whole multiple of 2 dt.
     """
     _require_charges(s.N)
 
@@ -561,5 +600,19 @@ def integrate(
                                  _probe_traces(monodromy_value(stack, probes), probes))
 
     layout = tuple((name, s.N) for name in FIELD_NAMES)
-    return march(_chain_field(s.N), np.concatenate((s.a, s.a_bar, s.v)), dt,
-                 count_steps(dt, t_end), bound_guard(layout, **CHAIN_BOUNDS), finish)
+    return _march(_chain_field(s.N), _chain_field(s.N, 2),
+                  np.concatenate((s.a, s.a_bar, s.v)), dt, t_end,
+                  bound_guard(layout, **CHAIN_BOUNDS), finish, with_coarse)
+
+
+def _march(rhs, pair_rhs, y0, dt, t_end, guard, finish, with_coarse):
+    """The chain integrators' march at dt, with the run at 2 dt as
+    ``.coarse`` when ``with_coarse`` is set; ``pair_rhs`` is the rhs of the
+    two runs' shared state."""
+    steps = count_steps(dt, t_end)
+    if not with_coarse:
+        return march(rhs, y0, dt, steps, guard, finish)
+    fine, coarse = march_pair(rhs, pair_rhs, y0, dt, count_steps(2 * dt, t_end), guard,
+                              finish)
+    fine.coarse = coarse
+    return fine

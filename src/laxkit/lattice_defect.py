@@ -34,6 +34,7 @@ from .lattice import (
     _chain_field,
     _checked_trace,
     _lax_partials,
+    _march,
     _probe_traces,
     _rate,
     _site_stack,
@@ -45,7 +46,7 @@ from .lattice import (
     time_lax_order2,
 )
 from .rmatrix import _matrices, bracket_lhs, quadratic_rhs
-from .stepping import bound_guard, count_steps, march
+from .stepping import bound_guard
 
 __all__ = [
     "DefectSite",
@@ -299,23 +300,34 @@ def _require_interior(s: LatticeState, d: DefectSite):
         )
 
 
-def _defect_vector_field(field, y, n, et, z, zbar, X):
-    """Flat (da, dabar, dv, dz, dzbar, dX) of a defect at site n with fields
-    (z, zbar, X) on ``field``'s chain, whose flat state (a, abar, v) leads y."""
+def _defect_vector_field(field, y, n, et, defects=None):
+    """Flat (da, dabar, dv, dz, dzbar, dX) of each copy of a chain with a
+    defect at site n on ``field``'s copies, each copy's slots in y its
+    (a, abar, v) and then its (z, zbar, X); ``defects`` holds the (z, zbar,
+    X) of each copy in their place, read from y by default."""
     # raw arrays and scalars, unvalidated: the RK stages of a march are never
-    # wrapped in a LatticeState or DefectSite; 2 <= n <= N-1 and et = e^theta
-    n0, N = n - 1, field.n
-    vv, q = field.hopping(y)
-    # the neighbours n-1 and n+1 move by the bulk flow with btilde and
-    # bbartilde at slot n; slot n's b and bbar reach no other site
-    bm, bbp = q[n0 - 1], q[N + n0 + 1]
-    bt, bbt = _tilde(bm, bbp, et, z, zbar, X)
-    q[n0], q[N + n0] = bt, bbt
-    dz = 2.0 * et * bm * X - 2.0 * et * bt / X + bbp * bt * z + bbt * bm * z
-    dzbar = -2.0 * et * bbp * X + 2.0 * et * bbt / X - bbp * bt * zbar - bbt * bm * zbar
-    dX = et * (bbp * z - zbar * bm)
-    out = field.velocities(y, vv, q, (dz, dzbar, dX))
-    out[n0:3 * N:N] = 0.0  # defect site: frozen bulk slot, its own fields move instead
+    # wrapped in a LatticeState or DefectSite; 2 <= n <= N-1 and et = e^theta.
+    # The defect fields stay scalars per copy: an array over the copies
+    # would round differently from one chain alone.
+    n0, N, cn = n - 1, field.n, field.copies * field.n
+    if defects is None:
+        defects = [(y[i], y[i + 1], y[i + 2])
+                   for i in range(3 * N, y.size, y.size // field.copies)]
+    ab, vv, q = field.hopping(y)
+    tail = []
+    for at, (z, zbar, X) in zip(range(n0, cn, N), defects):
+        # the neighbours n-1 and n+1 move by the bulk flow with btilde and
+        # bbartilde at slot n; slot n's b and bbar reach no other site
+        bm, bbp = q[at - 1], q[cn + at + 1]
+        bt, bbt = _tilde(bm, bbp, et, z, zbar, X)
+        q[at], q[cn + at] = bt, bbt
+        tail += (2.0 * et * bm * X - 2.0 * et * bt / X + bbp * bt * z + bbt * bm * z,
+                 -2.0 * et * bbp * X + 2.0 * et * bbt / X - bbp * bt * zbar - bbt * bm * zbar,
+                 et * (bbp * z - zbar * bm))
+    out = field.velocities(y, ab, vv, q, tail)
+    # defect site: frozen bulk slot, its own fields move instead
+    for at in range(n0, out.size, out.size // field.copies):
+        out[at:at + 2 * N + 1:N] = 0.0
     return out
 
 
@@ -330,7 +342,7 @@ def defect_eom(
     """
     _require_interior(s, d)
     out = _defect_vector_field(_chain_field(s.N), np.concatenate((s.a, s.a_bar, s.v)), d.n,
-                               np.exp(d.theta), d.z, d.z_bar, d.X)
+                               np.exp(d.theta), [(d.z, d.z_bar, d.X)])
     return LatticeDerivative(*out[:3 * s.N].reshape(3, s.N)), *out[3 * s.N:]
 
 
@@ -385,6 +397,8 @@ def integrate_with_defect(
     dt: float,
     t_end: float,
     probes: tuple[float, ...] = (2.0, 3.0),
+    *,
+    with_coarse: bool = False,
 ) -> DefectTrajectory:
     """Fourth-order integration of the coupled bulk + defect flow.
 
@@ -392,15 +406,21 @@ def integrate_with_defect(
     call each computes the modified charges and the defect monodromy trace
     at the probe points over the kept stack.  Aborts like
     :func:`~laxkit.lattice.integrate`; the guard covers all six fields
-    (|X| has the floor of |v_j|).
+    (|X| has the floor of |v_j|).  ``with_coarse=True`` also returns the run
+    at 2 dt as ``.coarse``, marched together with the run at dt, as
+    :func:`~laxkit.lattice.integrate` does.
     """
     _require_interior(s, d)
-    bulk, et, field = 3 * s.N, np.exp(d.theta), _chain_field(s.N)
+    bulk, et = 3 * s.N, np.exp(d.theta)
+    field, pair = _chain_field(s.N), _chain_field(s.N, 2, 3)
 
     def rhs(t, y):
-        # z, z_bar and X as numpy scalars: these keep inf semantics on
-        # overflow, so a diverging stage reaches the guard
-        return _defect_vector_field(field, y, d.n, et, *y[bulk:])
+        # z, z_bar and X read from y as numpy scalars: these keep inf
+        # semantics on overflow, so a diverging stage reaches the guard
+        return _defect_vector_field(field, y, d.n, et)
+
+    def pair_rhs(t, y):
+        return _defect_vector_field(pair, y, d.n, et)
 
     def finish(times, ys):
         stack = LatticeState(*ys[:, :bulk].reshape(len(times), 3, s.N).swapaxes(0, 1))
@@ -411,5 +431,5 @@ def integrate_with_defect(
 
     y0 = np.concatenate((s.a, s.a_bar, s.v, (d.z, d.z_bar, d.X)))
     layout = tuple((name, s.N) for name in FIELD_NAMES) + (("z", 1), ("z_bar", 1), ("X", 1))
-    return march(rhs, y0, dt, count_steps(dt, t_end), bound_guard(layout, **CHAIN_BOUNDS),
-                 finish)
+    return _march(rhs, pair_rhs, y0, dt, t_end, bound_guard(layout, **CHAIN_BOUNDS), finish,
+                  with_coarse)

@@ -2,7 +2,8 @@
 
 Every integrator marches one flat state vector, laid out as ((name, length),
 ...), through :func:`march`, which hands the read-only (T, L) stack of
-accepted states to the caller's ``finish``.  A guard sees every RK stage input
+accepted states to the caller's ``finish``; :func:`march_pair` gives the runs
+at dt and at 2 dt of one start together.  A guard sees every RK stage input
 and accepted step, once per step as one stack; if it fires, :class:`Aborted`
 carries an :class:`Abort` and the partial run.
 """
@@ -10,6 +11,8 @@ carries an :class:`Abort` and the partial run.
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass
 
 import numpy as np
@@ -154,22 +157,55 @@ def read_only(x):
     return arr
 
 
+@dataclass
+class StepTally:
+    """RK4 steps taken by :func:`march` and :func:`march_pair` inside a
+    :func:`step_tally` block: one per step whose stages ran, the step that
+    tripped a guard included, counted per run, so a pair step counts two."""
+
+    steps: int = 0
+
+
+_tally: ContextVar[StepTally | None] = ContextVar("laxkit_step_tally", default=None)
+
+
+@contextmanager
+def step_tally():
+    """A fresh :class:`StepTally` that counts the steps of the marches run
+    in the block, in this thread or task; an inner block counts its own."""
+    tally = StepTally()
+    token = _tally.set(tally)
+    try:
+        yield tally
+    finally:
+        _tally.reset(token)
+
+
+def _count(steps: int) -> None:
+    if (tally := _tally.get()) is not None:
+        tally.steps += steps
+
+
 def rk4_step(rhs, t, y, dt, guard, t_next):
     """One classic fourth-order step of y' = rhs(t, y), y a flat vector.
 
-    The inputs of stages 2-4 and the new state, at time ``t_next``, are the
-    rows of one (4, L) stack that ``guard(ts, ys)`` sees once, after every
-    stage has run.  Returns (new state, None), or (None, (stage, time, guard
-    verdict)) for the first row the guard names, where the stage is None for
-    the new state.
+    The step dt may be an array of per-entry steps, the shape of y, for
+    several runs marched as one state; the stage times t + dt/2 and t + dt
+    are then per-entry arrays too, and ``t_next`` should be one.  The inputs
+    of stages 2-4 and the new state, at time ``t_next``, are the rows of one
+    (4, L) stack that ``guard(ts, ys)`` sees once, after every stage has
+    run.  Returns (new state, None), or (None, (stage, time, guard verdict))
+    for the first row the guard names, where the stage is None for the new
+    state.
     """
     k1 = rhs(t, y)
-    t2, t4 = t + 0.5 * dt, t + 1.0 * dt
-    y2 = y + 0.5 * dt * k1
+    half = 0.5 * dt
+    t2, t4 = t + half, t + dt
+    y2 = y + half * k1
     k2 = rhs(t2, y2)
-    y3 = y + 0.5 * dt * k2
+    y3 = y + half * k2
     k3 = rhs(t2, y3)
-    y4 = y + 1.0 * dt * k3
+    y4 = y + dt * k3
     k4 = rhs(t4, y4)
     y_new = y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
     ts = (t2, t2, t4, t_next)
@@ -206,9 +242,89 @@ def march(rhs, y0, dt, steps, guard, finish, t0=0.0):
         for k in range(1, steps + 1):
             y, fault = rk4_step(rhs, times[k - 1], y, dt, guard, times[k])
             if fault is not None:
+                _count(k)
                 stage, ts, verdict = fault
                 raise Aborted(Abort(float(ts), k, stage, *verdict), done(k))
             if y.dtype != kept.dtype:  # a real start whose flow is complex
                 kept = kept.astype(np.result_type(kept, y))
             kept[k] = y
+        _count(steps)
         return done(steps + 1)
+
+
+def march_pair(rhs, pair_rhs, y0, dt, pairs, guard, finish, t0=0.0):
+    """``march`` at dt over 2 ``pairs`` steps and at 2 dt over ``pairs``
+    steps from the same complex y0, as (fine, coarse) ``finish`` results
+    equal bit for bit to those of the two calls.
+
+    The two runs share one flat state, the fine copy then the coarse one,
+    and ``pair_rhs`` is ``rhs`` on both copies at once.  One
+    :func:`rk4_step` with the per-entry step (dt, ..., 2 dt, ...) takes each
+    coarse step and the first of the two fine steps it spans; the second
+    fine step runs alone on ``rhs``.  The guard must judge each row of its
+    stack on its own, as :func:`bound_guard` and :func:`rowwise` guards do:
+    one call sees the eight rows of a pair step, the two copies' rows
+    alternating, and only a coarse fault makes a second call on the fine
+    rows alone.  Raises what the two calls in sequence would raise: the fine
+    run's :class:`Aborted` if its guard fires, else the coarse run's once
+    the fine run has ended; the fine run is not finished in that case.
+    """
+    L, dt2 = y0.shape[0], 2 * dt
+    fine_t = [t0] + [t0 + k * dt for k in range(1, 2 * pairs + 1)]
+    coarse_t = [t0] + [t0 + k * dt2 for k in range(1, pairs + 1)]
+    fine = np.empty((2 * pairs + 1, L), complex)
+    coarse = np.empty((pairs + 1, L), complex)
+    fine[0] = coarse[0] = y0
+    dts = np.repeat((dt, dt2), L)  # the per-entry step of the pair state
+    # the per-entry time at the end of each pair step
+    ends = np.repeat(np.column_stack((fine_t[1::2], coarse_t[1:])), L, axis=1)
+
+    def done(times, kept, count):
+        kept.setflags(write=False)
+        return finish(np.array(times[:count]), kept[:count])
+
+    def both(ts, ys):
+        """The guard of a pair step: (stage row, (copy, verdict)), copy 0
+        the fine run, whose fault comes first."""
+        t2, _, t4, t_new = ts
+        times = (t2[0], t2[L], t2[0], t2[L], t4[0], t4[L], t_new[0], t_new[L])
+        rows = ys.reshape(8, L)
+        if (fault := guard(times, rows)) is None:
+            return None
+        row, verdict = fault
+        if row % 2 and (fine_fault := guard(times[::2], rows[::2])) is not None:
+            row, verdict = 2 * fine_fault[0], fine_fault[1]
+        return row // 2, (row % 2, verdict)
+
+    def fine_step(k, y):
+        y, fault = rk4_step(rhs, fine_t[k - 1], y, dt, guard, fine_t[k])
+        if fault is not None:
+            stage, t, verdict = fault
+            raise Aborted(Abort(float(t), k, stage, *verdict), done(fine_t, fine, k))
+        fine[k] = y
+        return y
+
+    y = np.concatenate((y0, y0))
+    ran_fine = ran_coarse = 0  # steps whose stages ran
+    try:
+        with np.errstate(all="ignore"):
+            for k in range(1, pairs + 1):
+                ran_fine, ran_coarse = 2 * k - 1, k
+                y, fault = rk4_step(pair_rhs, coarse_t[k - 1], y, dts, both, ends[k - 1])
+                if fault is not None:
+                    stage, ts, (copy, verdict) = fault
+                    if not copy:
+                        raise Aborted(Abort(float(ts[0]), 2 * k - 1, stage, *verdict),
+                                      done(fine_t, fine, 2 * k - 1))
+                    y = fine[2 * k - 2]
+                    for j in range(2 * k - 1, 2 * pairs + 1):
+                        ran_fine = j
+                        y = fine_step(j, y)
+                    raise Aborted(Abort(float(ts[L]), k, stage, *verdict),
+                                  done(coarse_t, coarse, k))
+                fine[2 * k - 1], coarse[k] = y[:L], y[L:]
+                ran_fine = 2 * k
+                y = np.concatenate((fine_step(2 * k, y[:L]), coarse[k]))
+            return done(fine_t, fine, 2 * pairs + 1), done(coarse_t, coarse, pairs + 1)
+    finally:
+        _count(ran_fine + ran_coarse)

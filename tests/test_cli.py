@@ -404,6 +404,25 @@ class TestRun:
         report = json.loads((tmp_path / "out" / "report.json").read_text())
         assert report["aborted"] is True
 
+    @pytest.mark.parametrize("seed, params, counts", [
+        # a fixed point drifts by 0: every run is regular, all below the window
+        (1, {"N": 4, "dt": 0.02, "t_end": 0.52, "amplitude": 0.0}, (0, 20, 0)),
+        (0, {"amplitude": 5.0, "t_end": 1.0}, (20, 0, 0)),
+    ])
+    def test_failed_search_counts_why_candidates_were_rejected(self, tmp_path, seed, params,
+                                                               counts):
+        path = write_config(tmp_path, {"mode": "lattice-sim", "seed": seed, "params": params})
+        assert cli.main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 1
+        report = json.loads((tmp_path / "out" / "report.json").read_text())
+        assert report["aborted"] is True
+        [rec] = report["records"]
+        assert (rec["name"], rec["value"], rec["tolerance"]) == ("singular-trajectory", 1.0, 0.0)
+        aborted, below, above = counts
+        assert rec["anchor"] == (
+            "no regular configuration found at these parameters: of 20 candidates, "
+            f"{aborted} aborted, {below} had a fine drift below [1e-10, 0.005] and {above} one "
+            "above it or a coarse drift that is not finite or above 0.5")
+
 
 class TestSuite:
     def test_full_suite_passes(self, tmp_path):
@@ -417,9 +436,16 @@ class TestSuite:
         runs = list(cli.MODES) + ["determinism"]
         assert list(timing["modes"]) == runs
         assert sum(timing["modes"].values()) <= timing["elapsed_s"]
+        # the RK4 steps of each run, the fine and coarse runs of each
+        # candidate counted apart: one lattice candidate takes 1000 + 500
+        assert timing["steps"] == {**dict.fromkeys(runs, 0), "lattice-sim": 1500,
+                                   "lattice-defect-sim": 1500, "liouville-evolve": 375,
+                                   "bt-evolve": 672, "hetero-bt": 384}
+        assert list(timing["steps"]) == runs
         for name in runs:
             assert (tmp_path / "suite" / name / "report.json").exists()
-            assert (tmp_path / "suite" / name / "timing.json").exists()
+            run_timing = json.loads((tmp_path / "suite" / name / "timing.json").read_text())
+            assert list(run_timing) == ["elapsed_s"]
 
     def test_reports_do_not_depend_on_the_clock(self, tmp_path, monkeypatch):
         # the same battery under two clocks ticking 1 s and 250 s per read:

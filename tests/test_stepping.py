@@ -377,7 +377,7 @@ class TestFlatKernelMatchesComponents:
                 et = np.exp(d.theta)
                 y = np.concatenate((s.a, s.a_bar, s.v, (d.z, d.z_bar, d.X)))
                 want = _component_defect_field(s.a, s.a_bar, s.v, n, et, *y[3 * N:])
-                got = ld._defect_vector_field(field, y, n, et, *y[3 * N:])
+                got = ld._defect_vector_field(field, y, n, et)
                 assert np.array_equal(got, np.concatenate((*want[:3], want[3:])))
                 want = _component_defect_field(s.a, s.a_bar, s.v, n, et, d.z, d.z_bar, d.X)
                 bulk, *moves = ld.defect_eom(s, d)
@@ -463,3 +463,131 @@ class TestFlatMatchesTuples:
         want = _tuple_rk4(time_rhs, (pt0, np.exp(0.5j * (pt0 - sol.phi(x, 0.0))), y0, z0),
                           2.5e-3, 100)
         _assert_same((traj.phi_tilde, traj.X, traj.Y, traj.Z), want)
+
+
+def _same_trajectory(got, want):
+    """Bit identity of two chain trajectories: times, stacks, monitors and,
+    with a defect, the defect stack."""
+    assert np.array_equal(got.times, want.times)
+    for name in ("a", "a_bar", "v"):
+        assert np.array_equal(getattr(got.stack, name), getattr(want.stack, name))
+    assert np.array_equal(got.charges0, want.charges0)
+    assert np.array_equal(got.charges2, want.charges2)
+    assert list(got.traces) == list(want.traces)
+    for u in want.traces:
+        assert np.array_equal(got.traces[u], want.traces[u])
+    if hasattr(want, "defect_stack"):
+        for name in ("z", "z_bar", "X"):
+            assert np.array_equal(getattr(got.defect_stack, name),
+                                  getattr(want.defect_stack, name))
+
+
+def _chain_runs(N, seed, amplitude, site=None):
+    """The integrate call of a random chain, or of that chain with a random
+    defect at ``site``, as a function of (dt, t_end, **flags)."""
+    rng = np.random.default_rng(seed)
+    s = lat.random_state(N, rng, amplitude)
+    if site is None:
+        return lambda dt, t_end, **kw: lat.integrate(s, dt, t_end, **kw)
+    d = ld.random_defect(site, rng)
+    return lambda dt, t_end, **kw: ld.integrate_with_defect(s, d, dt, t_end, **kw)
+
+
+class TestMarchPair:
+    """The runs at dt and 2 dt marched as one two-copy state give bit for
+    bit the two marches, results and aborts alike."""
+
+    def test_per_entry_times_reach_a_time_dependent_rhs(self):
+        # y' = -2 t y on three slots: every stage of each copy sees its own time
+        def rhs(t, y):
+            return -2.0 * t * y
+
+        y0 = np.array([1.0, 0.5j, -2.0 + 1.0j])
+        guard = stepping.bound_guard((("y", 3),))
+        finish = lambda times, ys: (times, ys)  # noqa: E731
+        fine, coarse = stepping.march_pair(rhs, rhs, y0, 0.05, 10, guard, finish, t0=0.3)
+        for (times, ys), (want_t, want_ys) in zip(
+                (fine, coarse), (stepping.march(rhs, y0, 0.05, 20, guard, finish, t0=0.3),
+                                 stepping.march(rhs, y0, 0.1, 10, guard, finish, t0=0.3))):
+            assert np.array_equal(times, want_t) and np.array_equal(ys, want_ys)
+            assert not ys.flags.writeable
+
+    @pytest.mark.parametrize("limit, step, stage, t", [
+        # y' = 1 from 0 with dt = 1: the coarse stage 2 input (1.0) trips
+        # first in the row order, the fine stage 4 input of the same step too
+        (0.9, 1, 4, 1.0),
+        # the coarse stage 4 input (2.0) trips in the first pair step, the
+        # fine run only at stage 4 of its second step, which runs alone
+        (1.5, 2, 4, 2.0),
+    ])
+    def test_fine_fault_wins_over_an_earlier_coarse_one(self, limit, step, stage, t):
+        def rhs(t, y):
+            return np.ones_like(y)
+
+        guard = stepping.rowwise(lambda t, y: ("over", "y", 0) if y[0] > limit else None)
+        finish = lambda times, ys: (times, ys)  # noqa: E731
+        y0 = np.zeros(1, complex)
+        with pytest.raises(stepping.Aborted) as want:
+            stepping.march(rhs, y0, 1.0, 4, guard, finish)
+        with pytest.raises(stepping.Aborted) as got:
+            stepping.march_pair(rhs, rhs, y0, 1.0, 2, guard, finish)
+        rec = got.value.record
+        assert rec == want.value.record
+        assert (rec.step, rec.stage, rec.t) == (step, stage, t)
+        for g, w in zip(got.value.trajectory, want.value.trajectory):
+            assert np.array_equal(g, w)
+
+    def test_step_tally_counts_each_run(self):
+        rhs = lambda t, y: -y  # noqa: E731
+        y0, guard = np.ones(2, complex), stepping.bound_guard((("y", 2),))
+        with stepping.step_tally() as tally:
+            stepping.march_pair(rhs, rhs, y0, 0.1, 5, guard, lambda times, ys: None)
+            assert tally.steps == 15
+            with stepping.step_tally() as inner:
+                stepping.march(rhs, y0, 0.1, 4, guard, lambda times, ys: None)
+            with pytest.raises(stepping.Aborted):
+                # |y| falls below 0.9 at the stage 2 input of step 2: two steps ran
+                stepping.march(rhs, y0, 0.1, 4, stepping.rowwise(
+                    lambda t, y: ("low", "y", 0) if abs(y[0]) < 0.9 else None),
+                    lambda times, ys: None)
+        assert (tally.steps, inner.steps) == (17, 4)
+
+    @pytest.mark.parametrize("N", [3, 4, 8, 12])
+    def test_chain_runs_match_two_calls(self, N):
+        for seed in range(20):
+            for site in (None, *range(2, N)):
+                run = _chain_runs(N, seed, 0.3, site)
+                pair = run(0.01, 0.1, with_coarse=True)
+                assert pair.coarse.coarse is None
+                _same_trajectory(pair, run(0.01, 0.1))
+                _same_trajectory(pair.coarse, run(0.02, 0.1))
+
+    def test_aborts_match_two_calls(self):
+        # large fields blow up within t = 2 at one or both steps; the paired
+        # march raises the fine run's abort if it has one, else the coarse's
+        seen = set()
+        for seed in range(40):
+            for site in (None, 3):
+                run = _chain_runs(6, seed, 1.0 + 0.05 * seed, site)
+                faults = []
+                for dt in (0.02, 0.04):
+                    try:
+                        run(dt, 2.0)
+                        faults.append(None)
+                    except stepping.Aborted as err:
+                        faults.append(err)
+                fine, coarse = faults
+                if fine is None and coarse is None:
+                    continue
+                with pytest.raises(stepping.Aborted) as got:
+                    run(0.02, 2.0, with_coarse=True)
+                want = fine or coarse
+                assert str(got.value.record) == str(want.record)
+                assert got.value.record == want.record
+                _same_trajectory(got.value.trajectory, want.trajectory)
+                if fine and coarse:
+                    seen.add("both, coarse first" if coarse.record.t < fine.record.t
+                             else "both, fine first")
+                else:
+                    seen.add("fine only" if fine else "coarse only")
+        assert seen == {"fine only", "coarse only", "both, fine first", "both, coarse first"}

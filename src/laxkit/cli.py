@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import cmath
-import csv
 import json
 import math
 import sys
@@ -79,6 +78,15 @@ class Report:
         ok = value <= tolerance if criterion == "max" else value >= tolerance
         self.records.append(CheckRecord(name, anchor, value, float(tolerance), criterion, ok))
 
+    def add_roundoff(self, name, anchor, value, tolerance):
+        """A "max" record of a residual that is rounding error only: passed
+        or failed on its value, reported as the value's power-of-ten bound
+        (:func:`_decade`), which may lie above a tolerance that is not
+        itself a power of ten."""
+        value = float(value)
+        self.records.append(CheckRecord(name, anchor, _decade(value), float(tolerance), "max",
+                                        value <= tolerance))
+
     def to_json(self) -> str:
         payload = {
             "mode": self.mode,
@@ -100,6 +108,22 @@ def _strict_json(obj):
     if isinstance(obj, (list, tuple)):
         return [_strict_json(v) for v in obj]
     return obj
+
+
+def _decade(value: float) -> float:
+    """A roundoff-level record's value as a bound: the next power of ten at
+    or above it.  The last bits of such a value depend on whether numpy
+    evaluates an expression as an array (with FMA) or as scalars, and a
+    bound does not show them.  No value is lowered; zero, nan and inf are
+    returned unchanged."""
+    if not (math.isfinite(value) and value > 0):
+        return value
+    k = math.ceil(math.log10(value))
+    while float(f"1e{k - 1}") >= value:
+        k -= 1
+    while float(f"1e{k}") < value:
+        k += 1
+    return float(f"1e{k}")
 
 
 CONFIG_KEYS = ("mode", "seed", "tolerance_scale", "params")
@@ -208,10 +232,12 @@ def _complex_columns(label: str) -> list[str]:
 
 
 def write_csv(path: Path, header: list[str], rows) -> None:
+    """A CSV file of plain column names and rows of floats, each written as
+    its repr: the bytes of ``csv.writer``, CRLF line ends included, without
+    its per-field dispatch."""
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)  # a float is written as its repr
+        fh.write(",".join(header) + "\r\n")
+        fh.writelines(",".join(map(repr, row)) + "\r\n" for row in rows)
 
 
 def _time_params(p: dict, dt: float, t_end: float, coarse=lambda dt: dt):
@@ -264,9 +290,10 @@ def _mode_verify_charges(cfg: RunConfig, report: Report, outdir: Path):
             worst_c1 = nan_max(worst_c1, abs(cs[1]) / max(1.0, abs(cs[0])))
             worst_c2 = nan_max(worst_c2, abs(cs[2] - c2) / max(1.0, abs(c2)))
     tol = 1e-12 * cfg.tolerance_scale
-    report.add("charge-order1-vanishes", "u^-1 coefficient of log tr T", worst_c1, tol)
-    report.add("charge-order2-closed-form", "u^-2 coefficient vs hopping sum", worst_c2, tol)
-    report.add("charge-order0-product", "exp(c0) vs product of v_j", worst_c0, tol)
+    report.add_roundoff("charge-order1-vanishes", "u^-1 coefficient of log tr T", worst_c1, tol)
+    report.add_roundoff("charge-order2-closed-form", "u^-2 coefficient vs hopping sum",
+                        worst_c2, tol)
+    report.add_roundoff("charge-order0-product", "exp(c0) vs product of v_j", worst_c0, tol)
 
 
 def _mode_defect_charges(cfg: RunConfig, report: Report, outdir: Path):
@@ -286,13 +313,16 @@ def _mode_defect_charges(cfg: RunConfig, report: Report, outdir: Path):
             worst_c1 = nan_max(worst_c1, abs(cs[1]) / max(1.0, abs(cs[0])))
             worst_c2 = nan_max(worst_c2, abs(cs[2] - c2) / max(1.0, abs(c2)))
     tol = 1e-12 * cfg.tolerance_scale
-    report.add("defect-charge-order1-vanishes", "u^-1 coefficient with defect insertion", worst_c1, tol)
-    report.add("defect-charge-order2-closed-form", "u^-2 coefficient vs deformed hopping sum", worst_c2, tol)
-    report.add("defect-charge-order0-product", "exp(c0) vs product with defect factor", worst_c0, tol)
+    report.add_roundoff("defect-charge-order1-vanishes",
+                        "u^-1 coefficient with defect insertion", worst_c1, tol)
+    report.add_roundoff("defect-charge-order2-closed-form",
+                        "u^-2 coefficient vs deformed hopping sum", worst_c2, tol)
+    report.add_roundoff("defect-charge-order0-product",
+                        "exp(c0) vs product with defect factor", worst_c0, tol)
 
     # continuum defect: sewing discrimination and charge combinations
     glued = cdf.random_split_config(1.0, 0.2, rng, sewing=True)
-    report.add(
+    report.add_roundoff(
         "sewing-imposed-matching",
         "anti-diagonal first-order match at the defect with S1 = 0",
         cdf.sewing_mismatch(glued, 0.3),
@@ -313,7 +343,7 @@ def _mode_defect_charges(cfg: RunConfig, report: Report, outdir: Path):
         i1m = cdf.defect_charge_order1_mirror(c)
         p, h = cdf.defect_momentum_hamiltonian(c)
         worst = nan_max(worst, abs(p + 2.0 * (i1m - i1)), abs(h + 2.0 * (i1m + i1)))
-    report.add(
+    report.add_roundoff(
         "defect-charge-combinations",
         "momentum and energy as -2 times difference/sum of the first charges",
         worst,
@@ -339,60 +369,91 @@ def _probe_pairs(cfg: RunConfig, rng, samples: int):
         yield _spectral_pair(rng)
 
 
+def _by_length(states):
+    """(indices, stack) of each chain length among the drawn states: the
+    draws of that length and their states as one stack, shortest first."""
+    # grouped by a dict: np.unique raised a suite process's peak RSS by
+    # about 1.3 MB
+    groups = {}
+    for k, s in enumerate(states):
+        groups.setdefault(s.N, []).append(k)
+    for n in sorted(groups):
+        idx = np.array(groups[n])
+        yield idx, lat.LatticeState.stack([states[k] for k in idx])
+
+
 def _mode_verify_poisson(cfg: RunConfig, report: Report, outdir: Path):
+    # the inputs are drawn sample by sample, then each identity is
+    # evaluated once over the stack of draws (the bulk one per chain length)
     rng = np.random.default_rng(cfg.seed)
     samples = _count(cfg.params, "samples", 100)
-    worst_bulk = worst_defect = worst_field = 0.0
-    for lam, mu in _probe_pairs(cfg, rng, samples):
+    pairs, states, sites, defects, fields = [], [], [], [], []
+    for pair in _probe_pairs(cfg, rng, samples):
         s = lat.random_state(int(rng.integers(2, 6)), rng)
-        worst_bulk = nan_max(
-            worst_bulk, lat.check_quadratic_algebra(s, lam, mu, int(rng.integers(1, s.N + 1)))
-        )
-        d = ld.random_defect(2, rng)
-        worst_defect = nan_max(worst_defect, ld.check_defect_algebra(d, lam, mu))
-        phi, pi = complex(rng.normal(), rng.normal()), complex(rng.normal(), rng.normal())
-        worst_field = nan_max(worst_field, lv.check_linear_algebra(phi, pi, lam, mu))
+        pairs.append(pair)
+        states.append(s)
+        sites.append(int(rng.integers(1, s.N + 1)))
+        defects.append(ld.random_defect(2, rng))
+        fields.append((complex(rng.normal(), rng.normal()), complex(rng.normal(), rng.normal())))
+    lam, mu = np.array(pairs).T
+    sites = np.array(sites)
+    bulk = np.empty(len(states))
+    for idx, stack in _by_length(states):
+        bulk[idx] = lat.check_quadratic_algebra(stack, lam[idx], mu[idx], sites[idx])
+    defect = ld.check_defect_algebra(ld.DefectSite.stack(defects), lam, mu)
+    field = lv.check_linear_algebra(*np.array(fields).T, lam, mu)
     tol = 1e-10 * cfg.tolerance_scale
-    report.add("quadratic-exchange-bulk", "site-matrix exchange relation", worst_bulk, tol)
-    report.add("quadratic-exchange-defect", "defect-matrix exchange relation", worst_defect, tol)
-    report.add("linear-exchange-field", "spatial operator exchange relation", worst_field, tol)
+    # np.max of the draws' residuals is nan when one of them is
+    report.add_roundoff("quadratic-exchange-bulk", "site-matrix exchange relation",
+                        np.max(bulk), tol)
+    report.add_roundoff("quadratic-exchange-defect", "defect-matrix exchange relation",
+                        np.max(defect), tol)
+    report.add_roundoff("linear-exchange-field", "spatial operator exchange relation",
+                        np.max(field), tol)
 
 
 def _mode_verify_zero_curvature(cfg: RunConfig, report: Report, outdir: Path):
+    # drawn sample by sample, evaluated once per chain length over the stack
+    # of draws; the defect velocities are computed draw by draw
     rng = np.random.default_rng(cfg.seed)
     samples = _count(cfg.params, "samples", 100)
-    worst_bulk = worst_flow = 0.0
-    worst_defect = {"left": 0.0, "defect": 0.0, "right": 0.0}
     probes = _numbers(cfg.params, "mu_probes", [], complex) + [None] * samples
+    states, mus, sites, chains, defects = [], [], [], [], []
     for mu_probe in probes:
         s = lat.random_state(int(rng.integers(2, 7)), rng)
-        mu = mu_probe if mu_probe is not None else complex(
+        mus.append(mu_probe if mu_probe is not None else complex(
             0.5 * rng.normal(), 0.5 * rng.normal()
-        )
-        worst_bulk = nan_max(
-            worst_bulk, lat.zero_curvature_residual(s, int(rng.integers(1, s.N + 1)), mu)
-        )
-        d = lat.bulk_eom(s)
-        bf = lat.bracket_flow(s)
-        for got, want in ((bf.a, d.a), (bf.a_bar, d.a_bar), (bf.v, d.v)):
-            worst_flow = nan_max(worst_flow, float(np.max(np.abs(got - want))))
+        ))
+        states.append(s)
+        sites.append(int(rng.integers(1, s.N + 1)))
         n = int(rng.integers(4, 8))
-        s2 = lat.random_state(n, rng)
-        dd = ld.random_defect(int(rng.integers(2, n)), rng)
-        res = ld.defect_zero_curvature_residuals(s2, dd, mu)
+        chains.append(lat.random_state(n, rng))
+        defects.append(ld.random_defect(int(rng.integers(2, n)), rng))
+    mus, sites = np.array(mus, dtype=complex), np.array(sites)
+    bulk, flow = np.empty(len(mus)), np.empty(len(mus))
+    for idx, stack in _by_length(states):
+        bulk[idx] = lat.zero_curvature_residual(stack, sites[idx], mus[idx])
+        d = lat.bulk_eom(stack)
+        bf = lat.bracket_flow(stack)
+        flow[idx] = np.max(np.abs([bf.a - d.a, bf.a_bar - d.a_bar, bf.v - d.v]), axis=(0, 2))
+    defect = {k: np.empty(len(mus)) for k in ("left", "defect", "right")}
+    for idx, stack in _by_length(chains):
+        res = ld.defect_zero_curvature_residuals(
+            stack, ld.DefectSite.stack([defects[k] for k in idx]), mus[idx])
         for k, v in res.items():
-            worst_defect[k] = nan_max(worst_defect[k], v)
-    report.add("zero-curvature-bulk", "site update vs time-Lax commutator", worst_bulk,
-               1e-10 * cfg.tolerance_scale)
+            defect[k][idx] = v
+    # np.max of the draws' residuals is nan when one of them is
+    report.add_roundoff("zero-curvature-bulk", "site update vs time-Lax commutator",
+                        np.max(bulk), 1e-10 * cfg.tolerance_scale)
     for k in ("left", "defect", "right"):
-        report.add(
+        report.add_roundoff(
             f"zero-curvature-defect-{k}",
             f"deformed stencil at the {k} position",
-            worst_defect[k],
+            np.max(defect[k]),
             1e-10 * cfg.tolerance_scale,
         )
-    report.add("hamiltonian-flow-consistency", "equations of motion vs bracket flow",
-               worst_flow, 1e-12 * cfg.tolerance_scale)
+    report.add_roundoff("hamiltonian-flow-consistency", "equations of motion vs bracket flow",
+                        np.max(flow), 1e-12 * cfg.tolerance_scale)
 
 
 # The lattice modes' criteria.  A candidate is usable when its fine and
@@ -545,10 +606,16 @@ def _mode_monodromy_check(cfg: RunConfig, report: Report, outdir: Path):
     report.add("dual-momentum-identity", "time-like momentum equals the space-like one",
                abs(pt - ch.momentum), tol)
     worst = 0.0
-    for _ in range(count):
+    # a config whose densities or monodromy leave double range ends the mode
+    # as a blow-up (run's "overflow:" record), not in numpy warnings
+    for k in range(count):
         c = lv.random_config(L, n, rng, amplitude=amplitude)
-        i1 = lv.charges(c).order1
-        fit = lv.fit_first_charge(c)
+        try:
+            with np.errstate(over="raise", invalid="raise"):
+                i1 = lv.charges(c).order1
+                fit = lv.fit_first_charge(c)
+        except FloatingPointError as err:
+            raise OverflowError(f"{err} at config {k + 1} of {count}") from err
         worst = nan_max(worst, abs(fit - i1) / abs(i1))
     report.add("monodromy-fit", "first charge from the small-u trace fit",
                worst, 0.01 * cfg.tolerance_scale)

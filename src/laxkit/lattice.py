@@ -30,7 +30,7 @@ from .laurent import (
     matrix_product_chain,
     series_inverse,
 )
-from .rmatrix import _matrices, bracket_lhs, quadratic_rhs
+from .rmatrix import _matrices, _residual, bracket_lhs, quadratic_rhs
 from .stepping import bound_guard, count_steps, march, march_pair, read_only
 
 __all__ = [
@@ -68,9 +68,10 @@ class LatticeState:
     A single site is accepted so the monodromy reduces to its one factor;
     the closed-form charges raise ValueError below N = 2 (N = 3 with a
     defect).  Fields of shape (T, N) make a stack of T snapshots along a
-    leading time axis, as a trajectory keeps them: :func:`monodromy_value`
-    and :func:`charges_closed_form` broadcast over it; the site-by-site
-    functions take single snapshots only.
+    leading axis, the times of a trajectory or the draws of an identity
+    check: :func:`monodromy_value`, :func:`charges_closed_form`,
+    :func:`bulk_eom`, :func:`bracket_flow` and the site-by-site identity
+    checks broadcast over it; the Laurent functions take single snapshots.
     """
 
     a: np.ndarray
@@ -84,7 +85,7 @@ class LatticeState:
             raise ValueError("field arrays must be of equal shape (N,) or (T, N)")
         if self.N < 1:
             raise ValueError("need at least one site")
-        if np.any(np.abs(self.v) == 0.0):
+        if np.equal(self.v, 0).any():
             raise SingularStateError("all v_j must be nonzero")
 
     @property
@@ -100,9 +101,17 @@ class LatticeState:
         return self.a_bar / self.v
 
     def site(self, j: int) -> tuple[complex, complex, complex]:
-        """Fields at 1-based periodic site index j."""
+        """Fields at 1-based periodic site index j; along a stack, arrays over
+        its leading axis, with j one site or one per state."""
         i = (j - 1) % self.N
-        return complex(self.a[i]), complex(self.a_bar[i]), complex(self.v[i])
+        if self.a.ndim == 1:  # Python complex: the Laurent arithmetic runs on it
+            return complex(self.a[i]), complex(self.a_bar[i]), complex(self.v[i])
+        return _at(self.a, i), _at(self.a_bar, i), _at(self.v, i)
+
+    @classmethod
+    def stack(cls, states) -> "LatticeState":
+        """Single states of one chain length as one stack, in their order."""
+        return cls(*(np.stack([getattr(s, name) for s in states]) for name in FIELD_NAMES))
 
     def replace(self, a=None, a_bar=None, v=None) -> "LatticeState":
         return LatticeState(
@@ -110,6 +119,12 @@ class LatticeState:
             self.a_bar if a_bar is None else a_bar,
             self.v if v is None else v,
         )
+
+
+def _at(x: np.ndarray, i):
+    """x at 0-based site i, the sites on the last axis: a numpy scalar for one
+    state, an array over a stack, with i one site or one per state."""
+    return x.T[i] if isinstance(i, (int, np.integer)) else x[np.arange(len(x)), i]
 
 
 def random_state(n: int, rng: np.random.Generator, amplitude: float = 1.0) -> LatticeState:
@@ -147,7 +162,8 @@ def build_lax(s: LatticeState, j: int) -> LaurentMatrix:
 
 
 def lax_value(s: LatticeState, j: int, u: complex) -> np.ndarray:
-    """L_j evaluated numerically at the spectral point u."""
+    """L_j evaluated numerically at the spectral point u; along a stack of
+    states, with j and u shared or one per state, shape (T, 2, 2)."""
     return _lax_values(*s.site(j), u)
 
 
@@ -157,14 +173,17 @@ def _lax_values(a, abar, v, u) -> np.ndarray:
     return _matrices(u * v - 1.0 / (u * v), abar, a, -v / u)
 
 
-def _lax_partials(s: LatticeState, j: int, u: complex) -> dict[str, np.ndarray]:
-    """Derivatives of L_j with respect to its three site fields."""
-    _, _, v = s.site(j)
-    return {
-        "a": np.array([[0, 0], [1, 0]], dtype=complex),
-        "a_bar": np.array([[0, 1], [0, 0]], dtype=complex),
-        "v": np.array([[u + 1.0 / (u * v * v), 0], [0, -1.0 / u]], dtype=complex),
-    }
+# the unit matrices of the lower-left and upper-right slots: the partials of
+# a site or defect matrix with respect to its off-diagonal fields
+_UNIT_LOWER = read_only(np.array([[0, 0], [1, 0]], dtype=complex))
+_UNIT_UPPER = read_only(np.array([[0, 1], [0, 0]], dtype=complex))
+
+
+def _lax_partials(v, u) -> dict[str, np.ndarray]:
+    """Derivatives of a site matrix with respect to its three fields, from
+    its v and the spectral point u (both broadcast over a stack)."""
+    return {"a": _UNIT_LOWER, "a_bar": _UNIT_UPPER,
+            "v": _matrices(u + 1.0 / (u * v * v), 0.0, 0.0, -1.0 / u)}
 
 
 def monodromy(s: LatticeState) -> LaurentMatrix:
@@ -263,7 +282,8 @@ FIELD_NAMES = ("a", "a_bar", "v")
 
 
 def BRACKET_TABLE(s: LatticeState, j: int) -> dict[tuple[str, str], complex]:
-    """Numeric same-site bracket table at site j."""
+    """Numeric same-site bracket table at site j; along a stack of states,
+    each value an array over it."""
     a, abar, v = s.site(j)
     return {pair: rule(a, abar, v) for pair, rule in _TABLE_RULES.items()}
 
@@ -293,13 +313,14 @@ def check_quadratic_algebra(s: LatticeState, lam: complex, mu: complex, j: int) 
     Left side: entrywise brackets of L_j(lambda) with L_j(mu), expanded
     bilinearly through the elementary table.  Right side: the r-matrix
     commutator with the tensor product.  Both are 4x4 complex matrices.
+    A stack of T states, with lam, mu and j each shared or one per state,
+    gives the T residuals as an array.
     """
-    table = BRACKET_TABLE(s, j)
-    lhs = bracket_lhs(
-        _lax_partials(s, j, np.exp(lam)), _lax_partials(s, j, np.exp(mu)), table
-    )
-    rhs = quadratic_rhs(lam - mu, lax_value(s, j, np.exp(lam)), lax_value(s, j, np.exp(mu)))
-    return float(np.max(np.abs(lhs - rhs)))
+    a, abar, v = s.site(j)
+    ul, um = np.exp(lam), np.exp(mu)
+    lhs = bracket_lhs(_lax_partials(v, ul), _lax_partials(v, um), BRACKET_TABLE(s, j))
+    rhs = quadratic_rhs(lam - mu, _lax_values(a, abar, v, ul), _lax_values(a, abar, v, um))
+    return _residual(lhs, rhs)
 
 
 # -- equations of motion -------------------------------------------------------
@@ -312,9 +333,10 @@ class LatticeDerivative:
     v: np.ndarray
 
     def site(self, j: int) -> tuple[complex, complex, complex]:
-        """Velocities at 1-based periodic site index j."""
-        i = (j - 1) % self.a.shape[0]
-        return self.a[i], self.a_bar[i], self.v[i]
+        """Velocities at 1-based periodic site index j; along a stack, arrays
+        over its leading axis, with j one site or one per state."""
+        i = (j - 1) % self.a.shape[-1]
+        return _at(self.a, i), _at(self.a_bar, i), _at(self.v, i)
 
     def max_abs(self) -> float:
         return float(
@@ -405,16 +427,21 @@ def _chain_field(n: int, copies: int = 1, tail: int = 0) -> _ChainField:
 
 
 def bulk_eom(s: LatticeState) -> LatticeDerivative:
-    """Time derivatives of (a, abar, v) generated by the order-2 charge flow."""
-    y = np.concatenate((s.a, s.a_bar, s.v))
-    return LatticeDerivative(*_chain_field(s.N)(0.0, y).reshape(3, s.N))
+    """Time derivatives of (a, abar, v) generated by the order-2 charge flow;
+    a stack of T states gives fields of shape (T, N), from one call of the
+    T-copy chain field, each state bit for bit its own call."""
+    copies = len(s.a) if s.a.ndim == 2 else 1
+    y = np.concatenate((s.a, s.a_bar, s.v), axis=-1).ravel()
+    out = _chain_field(s.N, copies)(0.0, y).reshape(s.a.shape[:-1] + (3, s.N))
+    return LatticeDerivative(*np.moveaxis(out, -2, 0))
 
 
 def charge2_gradient(s: LatticeState) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Analytic partials of the order-2 charge with respect to each field."""
+    """Analytic partials of the order-2 charge with respect to each field (of
+    each state of a stack)."""
     a, abar, v = s.a, s.a_bar, s.v
-    ap, vp = (np.concatenate((x[-1:], x[:-1])) for x in (a, v))        # site j-1
-    abarn, vn = (np.concatenate((x[1:], x[:1])) for x in (abar, v))    # site j+1
+    ap, vp = (np.concatenate((x[..., -1:], x[..., :-1]), axis=-1) for x in (a, v))  # site j-1
+    abarn, vn = (np.concatenate((x[..., 1:], x[..., :1]), axis=-1) for x in (abar, v))  # j+1
     d_a = abarn / (vn * v)
     d_abar = ap / (v * vp)
     d_v = -abarn * a / (vn * v**2) - abar * ap / (v**2 * vp) + 2.0 / v**3
@@ -452,17 +479,22 @@ def time_lax_order2(s: LatticeState, j: int, mu: complex) -> np.ndarray:
 
     [[2 e^{2 mu} - bbar_j b_{j-1}, 2 e^mu bbar_j],
      [2 e^mu b_{j-1},              bbar_j b_{j-1}]]
+
+    Along a stack of states, with j and mu shared or one per state, the
+    matrices have shape (T, 2, 2).
     """
     i = (j - 1) % s.N
-    return _time_lax_matrix(np.exp(mu), s.b_bar[i], s.b[(i - 1) % s.N])
+    return _time_lax_matrix(np.exp(mu), _at(s.b_bar, i), _at(s.b, (i - 1) % s.N))
 
 
 def _time_lax_matrix(w: complex, bbar: complex, b: complex) -> np.ndarray:
     """Order-2 time-Lax matrix [[2 w^2 - bbar b, 2 w bbar], [2 w b, bbar b]],
-    w = e^mu, from the one bbar and the one b it couples."""
+    w = e^mu, from the one bbar and the one b it couples; arrays of equal
+    shape S give shape S + (2, 2)."""
+    # built transposed: .T turns it back and puts a stack's axis first
     return np.array(
-        [[2.0 * w * w - bbar * b, 2.0 * w * bbar], [2.0 * w * b, bbar * b]], dtype=complex
-    )
+        [[2.0 * w * w - bbar * b, 2.0 * w * b], [2.0 * w * bbar, bbar * b]], dtype=complex
+    ).T
 
 
 def time_lax_from_rmatrix(
@@ -506,18 +538,26 @@ def time_lax_from_rmatrix(
 
 def _rate(partials: dict[str, np.ndarray], velocities) -> np.ndarray:
     """d/dt of a site matrix at fixed u: its field partials contracted with
-    the field velocities, given in the order of the partials."""
-    return sum(dm * vel for dm, vel in zip(partials.values(), velocities))
+    the field velocities, given in the order of the partials (each velocity
+    a scalar or an array over a stack)."""
+    return sum(dm * np.asarray(vel)[..., None, None]
+               for dm, vel in zip(partials.values(), velocities))
 
 
 def zero_curvature_residual(s: LatticeState, j: int, mu: complex) -> float:
-    """Max-entry residual of dL_j/dt = A_{j+1} L_j - L_j A_j at u = e^mu."""
+    """Max-entry residual of dL_j/dt = A_{j+1} L_j - L_j A_j at u = e^mu.
+
+    A stack of T states, with j and mu each shared or one per state, gives
+    the T residuals as an array; the velocities come from one
+    :func:`bulk_eom` call on the stack.
+    """
     u = np.exp(mu)
-    ldot = _rate(_lax_partials(s, j, u), bulk_eom(s).site(j))
+    a, abar, v = s.site(j)
+    ldot = _rate(_lax_partials(v, u), bulk_eom(s).site(j))
     aj = time_lax_order2(s, j, mu)
     ajp = time_lax_order2(s, j + 1, mu)
-    lj = lax_value(s, j, u)
-    return float(np.max(np.abs(ldot - (ajp @ lj - lj @ aj))))
+    lj = _lax_values(a, abar, v, u)
+    return _residual(ldot, ajp @ lj - lj @ aj)
 
 
 # -- time integration ----------------------------------------------------------

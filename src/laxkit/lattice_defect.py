@@ -31,9 +31,13 @@ from .lattice import (
     LatticeState,
     LatticeTrajectory,
     SingularStateError,
+    _UNIT_LOWER,
+    _UNIT_UPPER,
+    _at,
     _chain_field,
     _checked_trace,
     _lax_partials,
+    _lax_values,
     _march,
     _probe_traces,
     _rate,
@@ -42,10 +46,9 @@ from .lattice import (
     _time_lax_matrix,
     _value,
     build_lax,
-    lax_value,
     time_lax_order2,
 )
-from .rmatrix import _matrices, bracket_lhs, quadratic_rhs
+from .rmatrix import _matrices, _residual, bracket_lhs, quadratic_rhs
 from .stepping import bound_guard
 
 __all__ = [
@@ -74,7 +77,9 @@ class DefectSite:
     z, z_bar and X may be arrays of shape (T,): a stack of T defect states
     along a leading time axis, as a trajectory keeps them, which
     :func:`defect_charges` and :func:`defect_monodromy_value` take together
-    with a stack of bulk states.
+    with a stack of bulk states.  For a stack of independent draws, which
+    the identity checks and :func:`defect_eom` take, n and theta may be
+    arrays of shape (T,) too.
     """
 
     n: int
@@ -84,9 +89,9 @@ class DefectSite:
     X: complex
 
     def __post_init__(self):
-        if np.any(np.asarray(self.X) == 0):
+        if np.equal(self.X, 0).any():
             raise SingularStateError("defect field X must be nonzero")
-        if self.n < 1:
+        if np.less(self.n, 1).any():
             raise ValueError("defect site index must be positive")
 
     @property
@@ -96,6 +101,11 @@ class DefectSite:
     @property
     def y_bar(self) -> complex:
         return self.z_bar / self.X
+
+    @classmethod
+    def stack(cls, defects) -> "DefectSite":
+        """Single defect draws as one stack of draws, n and theta included."""
+        return cls(*map(np.array, zip(*((d.n, d.theta, d.z, d.z_bar, d.X) for d in defects))))
 
     def replace(self, z=None, z_bar=None, X=None) -> "DefectSite":
         return DefectSite(
@@ -114,16 +124,25 @@ def random_defect(n: int, rng: np.random.Generator) -> DefectSite:
     return DefectSite(n, 0.5 * disks[0], disks[1], disks[2], np.exp(disks[3]))
 
 
-def _require_on_chain(s: LatticeState, d: DefectSite):
-    if not (1 <= d.n <= s.N):
+def _require_one_site(d: DefectSite, per_draw: bool):
+    """Only the identity checks and :func:`defect_eom` take a stack of draws
+    with one n each (per_draw); the monodromy, the charges and the march
+    index by n and need one site."""
+    if not per_draw and np.ndim(d.n):
+        raise ValueError("defect site n must be one index here, not one per draw")
+
+
+def _require_on_chain(s: LatticeState, d: DefectSite, per_draw: bool = False):
+    _require_one_site(d, per_draw)
+    if not np.all((1 <= d.n) & (d.n <= s.N)):
         raise ValueError("defect site outside the chain")
 
 
 def _neighbours(b, bbar, n0):
-    """(b_{n-1}, bbar_{n+1}) of the defect at 0-based slot n0, from raw arrays
-    with the sites on the last axis: numpy scalars for one state (b.T[j] is
-    site j), arrays over the time axis for a stack."""
-    return b.T[n0 - 1], bbar.T[(n0 + 1) % b.shape[-1]]
+    """(b_{n-1}, bbar_{n+1}) of the defect at 0-based slot n0 (one, or one per
+    state of a stack), from raw arrays with the sites on the last axis:
+    numpy scalars for one state, arrays over the leading axis for a stack."""
+    return _at(b, n0 - 1), _at(bbar, (n0 + 1) % b.shape[-1])
 
 
 def _tilde(bm, bbp, et, z, zbar, X):
@@ -137,8 +156,9 @@ def _tilde(bm, bbp, et, z, zbar, X):
 
 
 def _tilde_of(s: LatticeState, d: DefectSite):
-    """(b_{n-1}, bbar_{n+1}, btilde, bbartilde) of a state and a defect on it."""
-    _require_on_chain(s, d)
+    """(b_{n-1}, bbar_{n+1}, btilde, bbartilde) of a state and a defect on it,
+    or of each draw of a stack."""
+    _require_on_chain(s, d, per_draw=True)
     bm, bbp = _neighbours(s.b, s.b_bar, d.n - 1)
     return bm, bbp, *_tilde(bm, bbp, np.exp(d.theta), d.z, d.z_bar, d.X)
 
@@ -199,27 +219,20 @@ def defect_bracket(f: str, g: str, d: DefectSite) -> complex:
 
 def _defect_partials(d: DefectSite, u: complex) -> dict[str, np.ndarray]:
     em, ep = np.exp(-d.theta), np.exp(d.theta)
-    return {
-        "z": np.array([[0, 0], [1, 0]], dtype=complex),
-        "z_bar": np.array([[0, 1], [0, 0]], dtype=complex),
-        "X": np.array(
-            [
-                [u * em + ep / (u * d.X**2), 0],
-                [0, -u * em / d.X**2 - ep / u],
-            ],
-            dtype=complex,
-        ),
-    }
+    return {"z": _UNIT_LOWER, "z_bar": _UNIT_UPPER,
+            "X": _matrices(u * em + ep / (u * d.X**2), 0.0, 0.0, -u * em / d.X**2 - ep / u)}
 
 
 def check_defect_algebra(d: DefectSite, lam: complex, mu: complex) -> float:
-    """Residual of the quadratic exchange relation for the defect matrix."""
+    """Residual of the quadratic exchange relation for the defect matrix; a
+    stack of T defects, with lam and mu shared or one per defect, gives the
+    T residuals as an array."""
     table = {
         pair: rule(d.z, d.z_bar, d.X) for pair, rule in DEFECT_BRACKET_RULES.items()
     }
     lhs = bracket_lhs(_defect_partials(d, np.exp(lam)), _defect_partials(d, np.exp(mu)), table)
     rhs = quadratic_rhs(lam - mu, defect_lax_value(d, np.exp(lam)), defect_lax_value(d, np.exp(mu)))
-    return float(np.max(np.abs(lhs - rhs)))
+    return _residual(lhs, rhs)
 
 
 def defect_monodromy(s: LatticeState, d: DefectSite) -> LaurentMatrix:
@@ -293,8 +306,9 @@ def defect_time_lax(s: LatticeState, d: DefectSite, mu: complex) -> tuple[np.nda
     return _time_lax_matrix(w, bbt, bm), _time_lax_matrix(w, bbp, bt)
 
 
-def _require_interior(s: LatticeState, d: DefectSite):
-    if not (2 <= d.n <= s.N - 1):
+def _require_interior(s: LatticeState, d: DefectSite, per_draw: bool = False):
+    _require_one_site(d, per_draw)
+    if not np.all((2 <= d.n) & (d.n <= s.N - 1)):
         raise ValueError(
             "defect equations of motion need an interior site (2 <= n <= N-1)"
         )
@@ -338,12 +352,21 @@ def defect_eom(
 
     Sites away from n, n-1, n+1 follow the bulk flow; the neighbours use the
     deformed combinations; slot n's bulk derivatives are zero (the defect
-    replaces that site).  Returns (bulk derivative, dz, dzbar, dX).
+    replaces that site).  Returns (bulk derivative, dz, dzbar, dX).  Stacks
+    of T states and T defect draws give each velocity over the leading
+    axis, computed draw by draw: the kernel keeps a draw's defect fields as
+    scalars, as a march does.
     """
-    _require_interior(s, d)
-    out = _defect_vector_field(_chain_field(s.N), np.concatenate((s.a, s.a_bar, s.v)), d.n,
-                               np.exp(d.theta), [(d.z, d.z_bar, d.X)])
-    return LatticeDerivative(*out[:3 * s.N].reshape(3, s.N)), *out[3 * s.N:]
+    _require_interior(s, d, per_draw=True)
+    N = s.N
+    y = np.concatenate((s.a, s.a_bar, s.v), axis=-1)
+    draws = zip(np.atleast_2d(y), *np.broadcast_arrays(
+        *map(np.atleast_1d, (d.n, d.theta, d.z, d.z_bar, d.X))))
+    field = _chain_field(N)
+    out = np.array([_defect_vector_field(field, row, int(n), np.exp(theta), [(z, z_bar, X)])
+                    for row, n, theta, z, z_bar, X in draws]).reshape(y.shape[:-1] + (-1,))
+    bulk = np.moveaxis(out[..., :3 * N].reshape(y.shape[:-1] + (3, N)), -2, 0)
+    return LatticeDerivative(*bulk), *np.moveaxis(out[..., 3 * N:], -1, 0)
 
 
 def defect_zero_curvature_residuals(
@@ -354,18 +377,23 @@ def defect_zero_curvature_residuals(
     left:   dL_{n-1}/dt = Atilde_n L_{n-1} - L_{n-1} A_{n-1}
     defect: dLtilde/dt  = Atilde_{n+1} Ltilde - Ltilde Atilde_n
     right:  dL_{n+1}/dt = A_{n+2} L_{n+1} - L_{n+1} Atilde_{n+1}
+
+    Stacks of T states and T defect draws, with mu shared or one per draw,
+    give the residuals as arrays over the draws; only the velocities are
+    computed draw by draw (:func:`defect_eom`).
     """
-    _require_interior(s, d)
+    _require_interior(s, d, per_draw=True)
     u = np.exp(mu)
     bulk, dz, dzbar, dX = defect_eom(s, d)
     at_n, at_np1 = defect_time_lax(s, d, mu)
 
     def residual(ldot, a_next, lj, a_here):
-        return float(np.max(np.abs(ldot - (a_next @ lj - lj @ a_here))))
+        return _residual(ldot, a_next @ lj - lj @ a_here)
 
     def bulk_stencil(j, a_next, a_here):
-        ldot = _rate(_lax_partials(s, j, u), bulk.site(j))
-        return residual(ldot, a_next, lax_value(s, j, u), a_here)
+        a, abar, v = s.site(j)
+        ldot = _rate(_lax_partials(v, u), bulk.site(j))
+        return residual(ldot, a_next, _lax_values(a, abar, v, u), a_here)
 
     ltdot = _rate(_defect_partials(d, u), (dz, dzbar, dX))
     return {

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .rmatrix import _matrices, bracket_lhs, linear_rhs
+from .rmatrix import _matrices, _residual, bracket_lhs, linear_rhs
 from .stepping import bound_guard, count_steps, march, read_only
 
 __all__ = [
@@ -405,18 +405,13 @@ def fit_first_charge(c: FieldConfig) -> complex:
 # -- linear exchange algebra -------------------------------------------------------
 
 
+_PI_PARTIAL = read_only(np.array([[-0.5j, 0.0], [0.0, 0.5j]], dtype=complex))
+
+
 def _U_partials(phi: complex, pi: complex, lam: complex) -> dict[str, np.ndarray]:
     # pi enters U only linearly on the diagonal, so its partial is constant
-    return {
-        "phi": np.array(
-            [
-                [0.0, 1j * np.exp(-lam - 1j * phi)],
-                [-2j * np.cosh(lam - 1j * phi), 0.0],
-            ],
-            dtype=complex,
-        ),
-        "pi": np.array([[-0.5j, 0.0], [0.0, 0.5j]], dtype=complex),
-    }
+    e, c = np.exp(-lam - 1j * phi), np.cosh(lam - 1j * phi)
+    return {"phi": _matrices(0.0, 1j * e, -2j * c, 0.0), "pi": _PI_PARTIAL}
 
 
 def check_linear_algebra(phi: complex, pi: complex, lam: complex, mu: complex) -> float:
@@ -424,6 +419,8 @@ def check_linear_algebra(phi: complex, pi: complex, lam: complex, mu: complex) -
 
     Left side: (dU_a/dphi x dU_b/dpi - dU_a/dpi x dU_b/dphi) scaled by the
     canonical bracket normalization; right side: [r(lam - mu), U_a + U_b].
+    Arrays of T draws of (phi, pi, lam, mu), broadcast together, give the T
+    residuals as an array.
     """
     table = {
         ("phi", "pi"): CANONICAL_BRACKET_SCALE,
@@ -431,7 +428,7 @@ def check_linear_algebra(phi: complex, pi: complex, lam: complex, mu: complex) -
     }
     lhs = bracket_lhs(_U_partials(phi, pi, lam), _U_partials(phi, pi, mu), table)
     rhs = linear_rhs(lam - mu, lax_U(phi, pi, lam), lax_U(phi, pi, mu))
-    return float(np.max(np.abs(lhs - rhs)))
+    return _residual(lhs, rhs)
 
 
 # -- evolution ---------------------------------------------------------------------

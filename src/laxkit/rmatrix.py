@@ -20,27 +20,28 @@ def _matrices(m00, m01, m10, m11) -> np.ndarray:
 
 
 def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker product of two 2x2 matrices, bit for bit numpy's kron at an
-    eighth of its cost: out[2i + k, 2j + l] = a[i, j] b[k, l]."""
-    return (a[:, None, :, None] * b[None, :, None, :]).reshape(4, 4)
+    """Kronecker products of two stacks of 2x2 matrices, broadcast over their
+    leading axes, bit for bit numpy's kron of each pair at an eighth of its
+    cost: out[..., 2i + k, 2j + l] = a[..., i, j] b[..., k, l]."""
+    out = a[..., :, None, :, None] * b[..., None, :, None, :]
+    return out.reshape(out.shape[:-4] + (4, 4))
 
 
-def r_matrix(separation: complex) -> np.ndarray:
-    """4x4 r-matrix at spectral separation d = lambda - mu.
+def r_matrix(separation) -> np.ndarray:
+    """4x4 r-matrix at spectral separation d = lambda - mu; an array of
+    separations gives shape d.shape + (4, 4).
 
     Entries: cosh(d)/sinh(d) on the (11,11) and (22,22) diagonal slots and
     1/sinh(d) on the (12,21)/(21,12) exchange slots.  Singular when
     sinh(d) = 0, i.e. d = 0 mod i*pi.
     """
     s = np.sinh(separation)
-    if abs(s) < 1e-12:
+    if np.any(np.abs(s) < 1e-12):
         raise ValueError("r-matrix pole: sinh(lambda - mu) vanishes")
     c = np.cosh(separation)
-    r = np.zeros((4, 4), dtype=complex)
-    r[0, 0] = c / s
-    r[3, 3] = c / s
-    r[1, 2] = 1.0 / s
-    r[2, 1] = 1.0 / s
+    r = np.zeros(np.shape(s) + (4, 4), dtype=complex)
+    r[..., 0, 0] = r[..., 3, 3] = c / s
+    r[..., 1, 2] = r[..., 2, 1] = 1.0 / s
     return r
 
 
@@ -55,6 +56,8 @@ def bracket_lhs(
     respect to the named field (at its own spectral point); likewise for b.
     ``table`` holds the elementary brackets {alpha, beta} as ordered pairs.
     The result B[(i,k),(j,l)] = {A_ij, B_kl} is returned as a 4x4 array.
+    Partials may be stacks (..., 2, 2) and table values arrays over the same
+    leading axes: a stack of draws gives a stack of 4x4 brackets.
     """
     out = np.zeros((4, 4), dtype=complex)
     for (alpha, beta), value in table.items():
@@ -62,19 +65,28 @@ def bracket_lhs(
         db = partials_b.get(beta)
         if da is None or db is None:
             continue
-        out += value * _kron(da, db)
+        out = out + np.asarray(value)[..., None, None] * _kron(da, db)
     return out
 
 
-def quadratic_rhs(separation: complex, la: np.ndarray, lb: np.ndarray) -> np.ndarray:
-    """[r(d), L_a L_b] for the quadratic (lattice) exchange relation."""
+def quadratic_rhs(separation, la: np.ndarray, lb: np.ndarray) -> np.ndarray:
+    """[r(d), L_a L_b] for the quadratic (lattice) exchange relation; stacks
+    of separations and matrices give a stack."""
     r = r_matrix(separation)
     p = _kron(la, lb)
     return r @ p - p @ r
 
 
-def linear_rhs(separation: complex, ua: np.ndarray, ub: np.ndarray) -> np.ndarray:
-    """[r(d), U_a + U_b] for the linear (continuum) algebra."""
+def linear_rhs(separation, ua: np.ndarray, ub: np.ndarray) -> np.ndarray:
+    """[r(d), U_a + U_b] for the linear (continuum) algebra; stacks of
+    separations and matrices give a stack."""
     r = r_matrix(separation)
     m = _kron(ua, np.eye(2)) + _kron(np.eye(2), ub)
     return r @ m - m @ r
+
+
+def _residual(lhs: np.ndarray, rhs: np.ndarray):
+    """Max-entry modulus of lhs - rhs: a float for one pair of matrices, an
+    array over the leading axes of a stack (a nan entry gives nan)."""
+    r = np.max(np.abs(lhs - rhs), axis=(-2, -1))
+    return float(r) if r.ndim == 0 else r

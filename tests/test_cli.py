@@ -1,6 +1,9 @@
 import csv
 import itertools
 import json
+import math
+import warnings
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -9,6 +12,19 @@ import pytest
 from laxkit import cli
 from laxkit import lattice as lat
 from laxkit import liouville as lv
+
+
+# (name, tolerance, criterion, power-of-ten bound) of every record of the
+# seed-0 battery, and the lattice modes' criteria: a loosened bound shows
+# in the diff of this table
+RECORD_TABLE = json.loads((Path(__file__).parent / "suite_records.json").read_text())
+
+
+@pytest.fixture(scope="module")
+def battery(tmp_path_factory):
+    """``laxkit suite`` at battery seed 0, run once for the tests that read it."""
+    out = tmp_path_factory.mktemp("suite")
+    return cli.suite(out, seed=0), out
 
 
 def write_config(tmp_path, payload, name="cfg.json"):
@@ -193,19 +209,72 @@ class TestConfig:
         assert cli.main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 0
 
 
+class TestDecade:
+    @pytest.mark.parametrize("value, bound", [
+        (0.0, 0.0), (1e-15, 1e-15), (np.nextafter(1e-15, 1.0), 1e-14),
+        (np.nextafter(1e-15, 0.0), 1e-15), (2.4493442355466893e-14, 1e-13), (1.0, 1.0),
+        (3.0, 10.0), (5e-324, 1e-323), (1.5e308, math.inf)])
+    def test_next_power_of_ten_at_or_above(self, value, bound):
+        assert cli._decade(float(value)) == bound
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -1e-15])
+    def test_nan_inf_and_negatives_unchanged(self, value):
+        got = cli._decade(value)
+        assert got == value or (math.isnan(got) and math.isnan(value))
+
+    def test_never_lowers_and_is_the_smallest_power(self):
+        rng = np.random.default_rng(4)
+        for value in 10.0 ** rng.uniform(-320, 300, 2000):
+            bound = cli._decade(float(value))
+            k = round(math.log10(bound))
+            assert bound == float(f"1e{k}") and float(f"1e{k - 1}") < value <= bound
+
+    @pytest.mark.parametrize("value, passed", [
+        (2.45e-14, True), (5e-14, True), (5.5e-14, False), (math.nan, False)])
+    def test_roundoff_record_passes_on_its_value(self, value, passed):
+        report = cli.Report("verify-poisson", {})
+        report.add_roundoff("quadratic-exchange-bulk", "", value, 5e-14)
+        rec = report.records[0]
+        assert rec.passed is passed and rec.criterion == "max" and rec.tolerance == 5e-14
+        assert rec.value == 1e-13 or (math.isnan(rec.value) and math.isnan(value))
+
+    def test_tolerance_between_powers_of_ten(self, tmp_path):
+        # the seed-0 residuals lie below 5e-14 but above 1e-14: each record
+        # reads 1e-13, above its tolerance, and passes as its value does
+        path = write_config(tmp_path, {"mode": "verify-poisson", "tolerance_scale": 5e-4})
+        assert cli.main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 0
+        records = json.loads((tmp_path / "out" / "report.json").read_text())["records"]
+        bulk, field = (r for r in records if r["name"] != "quadratic-exchange-defect")
+        for rec in (bulk, field):
+            assert rec["value"] == 1e-13 > rec["tolerance"] == 5e-14 and rec["passed"]
+
+
 class TestRun:
     @pytest.mark.parametrize("bad_draw", [1, 6])
     def test_nan_draw_fails_the_record(self, tmp_path, monkeypatch, bad_draw):
-        # a running max from 0.0 drops a nan; the record must read nan and fail
-        draws = []
-        residual = lat.zero_curvature_residual
+        # a running max from 0.0 drops a nan; the record must read nan and
+        # fail.  The draws' residuals come from one call per chain length on
+        # a stack of states, so the poisoned call sets a nan in the row of
+        # the bad draw's state: the first of each draw's two drawn states
+        drawn, poisoned_rows = [], []
+        draw, residual = lat.random_state, lat.zero_curvature_residual
+
+        def recording(n, rng, *args, **kwargs):
+            drawn.append(draw(n, rng, *args, **kwargs))
+            return drawn[-1]
 
         def poisoned(s, j, mu):
-            draws.append(None)
-            return np.nan if len(draws) == bad_draw else residual(s, j, mu)
+            bad = drawn[2 * (bad_draw - 1)]
+            rows = [bad.N == s.N and np.array_equal(bad.a, a) for a in s.a]
+            poisoned_rows.extend(np.flatnonzero(rows))
+            out = residual(s, j, mu)
+            out[rows] = np.nan
+            return out
 
+        monkeypatch.setattr(lat, "random_state", recording)
         monkeypatch.setattr(lat, "zero_curvature_residual", poisoned)
         report = cli.run(cli.RunConfig("verify-zero-curvature", params={"samples": 8}), tmp_path)
+        assert len(drawn) == 16 and len(poisoned_rows) == 1
         rec = next(r for r in report.records if r.name == "zero-curvature-bulk")
         assert np.isnan(rec.value) and not rec.passed and not report.passed
         assert all(r.passed for r in report.records if r is not rec)
@@ -268,6 +337,18 @@ class TestRun:
         assert max(values) - min(values) < 1e-14
         assert len(data) >= 25
 
+    def test_series_csv_bytes_are_csv_writers(self, tmp_path):
+        header = ["t", "c0_re", "c0_im"]
+        rows = [[0.0, -0.0, 5e-324], [1e-300, -2.5e-17, 0.1],
+                [1.7976931348623157e308, -1e22, 1e16], [math.inf, -math.inf, math.nan],
+                [1.0, 2.0, 3.0]]
+        cli.write_csv(tmp_path / "fast.csv", header, rows)
+        with open(tmp_path / "reference.csv", "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(header)
+            writer.writerows(rows)
+        assert (tmp_path / "fast.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
+
     def test_series_csv_is_crlf(self, tmp_path):
         path = write_config(
             tmp_path,
@@ -277,6 +358,22 @@ class TestRun:
         cli.main(["run", "--config", str(path), "--out", str(tmp_path / "out")])
         raw = (tmp_path / "out" / "series.csv").read_bytes()
         assert b"\r\n" in raw
+
+    @pytest.mark.parametrize("action", ["error", "always"])
+    def test_monodromy_overflow_is_a_blow_up(self, tmp_path, action):
+        # exp(-2i phi) of the first config leaves double range at amplitude
+        # 1000: a blow-up report and exit 1, with numpy warnings as errors
+        # (as CI runs the batteries) and without, where none may be printed
+        path = write_config(tmp_path, {"mode": "monodromy-check", "params": {"amplitude": 1000}})
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter(action)
+            code = cli.main(["run", "--config", str(path), "--out", str(tmp_path / "out")])
+        assert code == 1 and caught == []
+        report = json.loads((tmp_path / "out" / "report.json").read_text())
+        assert report["aborted"] is True
+        blow_up = [r for r in report["records"] if r["name"] == "blow-up"]
+        assert [r["anchor"] for r in blow_up] == [
+            "overflow: overflow encountered in exp at config 1 of 10"]
 
     def test_seed_override(self, tmp_path):
         path = write_config(tmp_path, {"mode": "verify-charges", "seed": 1})
@@ -425,14 +522,14 @@ class TestRun:
 
 
 class TestSuite:
-    def test_full_suite_passes(self, tmp_path):
-        report = cli.suite(tmp_path / "suite", seed=0)
+    def test_full_suite_passes(self, battery):
+        report, out = battery
         assert report.passed
-        data = json.loads((tmp_path / "suite" / "suite_report.json").read_text())
+        data = json.loads((out / "suite_report.json").read_text())
         assert data["passed"] is True
         names = {r["name"] for r in data["records"]}
         assert "determinism" in names
-        timing = json.loads((tmp_path / "suite" / "timing.json").read_text())
+        timing = json.loads((out / "timing.json").read_text())
         runs = list(cli.MODES) + ["determinism"]
         assert list(timing["modes"]) == runs
         assert sum(timing["modes"].values()) <= timing["elapsed_s"]
@@ -443,9 +540,25 @@ class TestSuite:
                                    "bt-evolve": 672, "hetero-bt": 384}
         assert list(timing["steps"]) == runs
         for name in runs:
-            assert (tmp_path / "suite" / name / "report.json").exists()
-            run_timing = json.loads((tmp_path / "suite" / name / "timing.json").read_text())
+            assert (out / name / "report.json").exists()
+            run_timing = json.loads((out / name / "timing.json").read_text())
             assert list(run_timing) == ["elapsed_s"]
+
+    def test_record_bounds_are_pinned(self, battery):
+        report, _ = battery
+        assert [[r.name, r.tolerance, r.criterion] for r in report.records] == [
+            row[:3] for row in RECORD_TABLE["records"]]
+        pinned = {name: getattr(cli, name) for name in RECORD_TABLE["constants"]}
+        assert {k: list(v) if isinstance(v, tuple) else v for k, v in pinned.items()} == (
+            RECORD_TABLE["constants"])
+
+    def test_roundoff_records_are_powers_of_ten(self, battery):
+        report, _ = battery
+        bounds = {row[0] for row in RECORD_TABLE["records"] if row[3]}
+        values = {r.name: r.value for r in report.records if r.name in bounds}
+        assert len(values) == len(bounds) == 16
+        for value in values.values():
+            assert value == 0.0 or value == float(f"1e{round(math.log10(value))}")
 
     def test_reports_do_not_depend_on_the_clock(self, tmp_path, monkeypatch):
         # the same battery under two clocks ticking 1 s and 250 s per read:

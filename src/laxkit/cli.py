@@ -607,13 +607,12 @@ def _mode_monodromy_check(cfg: RunConfig, report: Report, outdir: Path):
                abs(pt - ch.momentum), tol)
     worst = 0.0
     # a config whose densities or monodromy leave double range ends the mode
-    # as a blow-up (run's "overflow:" record), not in numpy warnings
+    # as a blow-up (run's "overflow:" record) that names the config
     for k in range(count):
         c = lv.random_config(L, n, rng, amplitude=amplitude)
         try:
-            with np.errstate(over="raise", invalid="raise"):
-                i1 = lv.charges(c).order1
-                fit = lv.fit_first_charge(c)
+            i1 = lv.charges(c).order1
+            fit = lv.fit_first_charge(c)
         except FloatingPointError as err:
             raise OverflowError(f"{err} at config {k + 1} of {count}") from err
         worst = nan_max(worst, abs(fit - i1) / abs(i1))
@@ -727,7 +726,10 @@ def run(config: RunConfig, outdir: str | Path = ".") -> Report:
     report and a failed ``blow-up`` record whose anchor is the abort record,
     e.g. ``non-finite at RK stage 3 of step 1 (t = 0.0025), phi[17]``.  An
     OverflowError (a monodromy or Laurent product leaving double range) ends
-    it the same way, with the anchor ``overflow: <message>``.
+    it the same way, with the anchor ``overflow: <message>``.  The mode runs
+    with numpy overflow, division by zero and invalid operations raised, so
+    one outside a march ends it the same way too, with the anchor
+    ``floating-point: <numpy message>``; a march routes its own to its guard.
     Raises ConfigError on invalid mode parameters.
     """
     outdir = Path(outdir)
@@ -735,13 +737,17 @@ def run(config: RunConfig, outdir: str | Path = ".") -> Report:
     report = Report(config.mode, config.echo())
     start = time.perf_counter()
     try:
-        _HANDLERS[config.mode](config, report, outdir)
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            _HANDLERS[config.mode](config, report, outdir)
     except Aborted as err:
         report.aborted = True
         report.add("blow-up", str(err.record), 1.0, 0.0)
     except OverflowError as err:
         report.aborted = True
         report.add("blow-up", f"overflow: {err}", 1.0, 0.0)
+    except FloatingPointError as err:
+        report.aborted = True
+        report.add("blow-up", f"floating-point: {err}", 1.0, 0.0)
     report.elapsed = time.perf_counter() - start
     (outdir / "report.json").write_text(report.to_json())
     (outdir / "timing.json").write_text(json.dumps({"elapsed_s": report.elapsed}, indent=2) + "\n")

@@ -31,7 +31,7 @@ from .laurent import (
     series_inverse,
 )
 from .rmatrix import _matrices, _residual, bracket_lhs, quadratic_rhs
-from .stepping import bound_guard, count_steps, march, march_pair, read_only
+from .stepping import bound_guard, count_steps, march, read_only
 
 __all__ = [
     "LatticeState",
@@ -348,8 +348,8 @@ class _ChainField:
     """The bulk flow of ``copies`` n-site chains side by side on one flat
     state, each copy (a, abar, v) followed by ``tail`` slots of its own, with
     the gather indices built once: ``field(t, y)`` is the flat velocity, each
-    copy (da, dabar, dv), the rhs of a march (of :func:`~laxkit.stepping.march_pair`
-    for two copies).  Inside, the copies' fields are stacked field by field,
+    copy (da, dabar, dv), the rhs of a march (two copies for the runs at dt
+    and 2 dt marched as one state).  Inside, the copies' fields are stacked field by field,
     as one chain of copies * n sites whose neighbours wrap within each copy,
     so every copy costs the same numpy calls as one.  Raw arrays,
     unvalidated: the RK stages of a march are never wrapped in a
@@ -625,8 +625,8 @@ def integrate(
     whole multiple of dt, and N >= 2 as for :func:`charges_closed_form`.
 
     ``with_coarse=True`` also runs the step 2 dt, in one
-    :func:`~laxkit.stepping.march_pair` with the run at dt, and returns it
-    as ``.coarse`` of the trajectory: both equal bit for bit the results of
+    :func:`~laxkit.stepping.march` with the run at dt, and returns it as
+    ``.coarse`` of the trajectory: both equal bit for bit the results of
     the calls at dt and at 2 dt, and the march raises what those two calls
     in sequence would, the abort of the run at dt first.  t_end must then be
     a whole multiple of 2 dt.
@@ -639,20 +639,20 @@ def integrate(
         return LatticeTrajectory(times, stack, c0, c2,
                                  _probe_traces(monodromy_value(stack, probes), probes))
 
+    fields = {3 * s.N: _chain_field(s.N), 6 * s.N: _chain_field(s.N, 2)}
     layout = tuple((name, s.N) for name in FIELD_NAMES)
-    return _march(_chain_field(s.N), _chain_field(s.N, 2),
-                  np.concatenate((s.a, s.a_bar, s.v)), dt, t_end,
-                  bound_guard(layout, **CHAIN_BOUNDS), finish, with_coarse)
+    return _march(lambda t, y: fields[y.size](t, y), np.concatenate((s.a, s.a_bar, s.v)), dt,
+                  t_end, bound_guard(layout, **CHAIN_BOUNDS), finish, with_coarse)
 
 
-def _march(rhs, pair_rhs, y0, dt, t_end, guard, finish, with_coarse):
+def _march(rhs, y0, dt, t_end, guard, finish, with_coarse):
     """The chain integrators' march at dt, with the run at 2 dt as
-    ``.coarse`` when ``with_coarse`` is set; ``pair_rhs`` is the rhs of the
-    two runs' shared state."""
+    ``.coarse`` when ``with_coarse`` is set, the two runs marched as one
+    state while both go; ``rhs`` takes the state of one copy or of two."""
     steps = count_steps(dt, t_end)
     if not with_coarse:
         return march(rhs, y0, dt, steps, guard, finish)
-    fine, coarse = march_pair(rhs, pair_rhs, y0, dt, count_steps(2 * dt, t_end), guard,
-                              finish)
+    fine, coarse = march(rhs, y0, (dt, 2 * dt), (steps, count_steps(2 * dt, t_end)), guard,
+                         finish)
     fine.coarse = coarse
     return fine

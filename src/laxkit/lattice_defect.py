@@ -314,19 +314,16 @@ def _require_interior(s: LatticeState, d: DefectSite, per_draw: bool = False):
         )
 
 
-def _defect_vector_field(field, y, n, et, defects=None):
+def _defect_vector_field(field, y, n, et):
     """Flat (da, dabar, dv, dz, dzbar, dX) of each copy of a chain with a
     defect at site n on ``field``'s copies, each copy's slots in y its
-    (a, abar, v) and then its (z, zbar, X); ``defects`` holds the (z, zbar,
-    X) of each copy in their place, read from y by default."""
+    (a, abar, v) and then its (z, zbar, X)."""
     # raw arrays and scalars, unvalidated: the RK stages of a march are never
     # wrapped in a LatticeState or DefectSite; 2 <= n <= N-1 and et = e^theta.
     # The defect fields stay scalars per copy: an array over the copies
     # would round differently from one chain alone.
     n0, N, cn = n - 1, field.n, field.copies * field.n
-    if defects is None:
-        defects = [(y[i], y[i + 1], y[i + 2])
-                   for i in range(3 * N, y.size, y.size // field.copies)]
+    defects = [(y[i], y[i + 1], y[i + 2]) for i in range(3 * N, y.size, y.size // field.copies)]
     ab, vv, q = field.hopping(y)
     tail = []
     for at, (z, zbar, X) in zip(range(n0, cn, N), defects):
@@ -354,8 +351,9 @@ def defect_eom(
     deformed combinations; slot n's bulk derivatives are zero (the defect
     replaces that site).  Returns (bulk derivative, dz, dzbar, dX).  Stacks
     of T states and T defect draws give each velocity over the leading
-    axis, computed draw by draw: the kernel keeps a draw's defect fields as
-    scalars, as a march does.
+    axis, computed draw by draw from the draw's flat state, (z, zbar, X)
+    its tail: the kernel reads a draw's defect fields back as scalars, as in
+    a march.
     """
     _require_interior(s, d, per_draw=True)
     N = s.N
@@ -363,7 +361,8 @@ def defect_eom(
     draws = zip(np.atleast_2d(y), *np.broadcast_arrays(
         *map(np.atleast_1d, (d.n, d.theta, d.z, d.z_bar, d.X))))
     field = _chain_field(N)
-    out = np.array([_defect_vector_field(field, row, int(n), np.exp(theta), [(z, z_bar, X)])
+    out = np.array([_defect_vector_field(field, np.concatenate((row, (z, z_bar, X))), int(n),
+                                         np.exp(theta))
                     for row, n, theta, z, z_bar, X in draws]).reshape(y.shape[:-1] + (-1,))
     bulk = np.moveaxis(out[..., :3 * N].reshape(y.shape[:-1] + (3, N)), -2, 0)
     return LatticeDerivative(*bulk), *np.moveaxis(out[..., 3 * N:], -1, 0)
@@ -440,15 +439,12 @@ def integrate_with_defect(
     """
     _require_interior(s, d)
     bulk, et = 3 * s.N, np.exp(d.theta)
-    field, pair = _chain_field(s.N), _chain_field(s.N, 2, 3)
+    fields = {bulk + 3: _chain_field(s.N), 2 * bulk + 6: _chain_field(s.N, 2, 3)}
 
     def rhs(t, y):
         # z, z_bar and X read from y as numpy scalars: these keep inf
         # semantics on overflow, so a diverging stage reaches the guard
-        return _defect_vector_field(field, y, d.n, et)
-
-    def pair_rhs(t, y):
-        return _defect_vector_field(pair, y, d.n, et)
+        return _defect_vector_field(fields[y.size], y, d.n, et)
 
     def finish(times, ys):
         stack = LatticeState(*ys[:, :bulk].reshape(len(times), 3, s.N).swapaxes(0, 1))
@@ -459,5 +455,4 @@ def integrate_with_defect(
 
     y0 = np.concatenate((s.a, s.a_bar, s.v, (d.z, d.z_bar, d.X)))
     layout = tuple((name, s.N) for name in FIELD_NAMES) + (("z", 1), ("z_bar", 1), ("X", 1))
-    return _march(rhs, pair_rhs, y0, dt, t_end, bound_guard(layout, **CHAIN_BOUNDS), finish,
-                  with_coarse)
+    return _march(rhs, y0, dt, t_end, bound_guard(layout, **CHAIN_BOUNDS), finish, with_coarse)

@@ -2,10 +2,11 @@
 
 Every integrator marches one flat state vector, laid out as ((name, length),
 ...), through :func:`march`, which hands the read-only (T, L) stack of
-accepted states to the caller's ``finish``; :func:`march_pair` gives the runs
-at dt and at 2 dt of one start together.  A guard sees every RK stage input
-and accepted step, once per step as one stack; if it fires, :class:`Aborted`
-carries an :class:`Abort` and the partial run.
+accepted states to the caller's ``finish``; given one step and one step
+count per run, it marches several runs of one start, the runs at dt and at
+2 dt say, as one state.  A guard sees every RK stage input and accepted
+step, once per step as one stack; if it fires, :class:`Aborted` carries an
+:class:`Abort` and the partial run.
 """
 
 from __future__ import annotations
@@ -159,9 +160,9 @@ def read_only(x):
 
 @dataclass
 class StepTally:
-    """RK4 steps taken by :func:`march` and :func:`march_pair` inside a
-    :func:`step_tally` block: one per step whose stages ran, the step that
-    tripped a guard included, counted per run, so a pair step counts two."""
+    """RK4 steps taken by :func:`march` inside a :func:`step_tally` block:
+    one per step whose stages ran, the step that tripped a guard included,
+    counted per run, so a step shared by two runs counts two."""
 
     steps: int = 0
 
@@ -190,13 +191,13 @@ def rk4_step(rhs, t, y, dt, guard, t_next):
     """One classic fourth-order step of y' = rhs(t, y), y a flat vector.
 
     The step dt may be an array of per-entry steps, the shape of y, for
-    several runs marched as one state; the stage times t + dt/2 and t + dt
-    are then per-entry arrays too, and ``t_next`` should be one.  The inputs
-    of stages 2-4 and the new state, at time ``t_next``, are the rows of one
-    (4, L) stack that ``guard(ts, ys)`` sees once, after every stage has
-    run.  Returns (new state, None), or (None, (stage, time, guard verdict))
-    for the first row the guard names, where the stage is None for the new
-    state.
+    several runs marched as one state; ``t`` and ``t_next`` are then
+    per-entry arrays too, and so are the stage times t + dt/2 and t + dt.
+    The inputs of stages 2-4 and the new state, at time ``t_next``, are the
+    rows of one (4, L) stack that ``guard(ts, ys)`` sees once, after every
+    stage has run.  Returns (new state, None), or (new state, (stage, time,
+    guard verdict)) for the first row the guard names, where the stage is
+    None for the new state.
     """
     k1 = rhs(t, y)
     half = 0.5 * dt
@@ -211,8 +212,27 @@ def rk4_step(rhs, t, y, dt, guard, t_next):
     ts = (t2, t2, t4, t_next)
     if (fault := guard(ts, np.array((y2, y3, y4, y_new)))) is not None:
         row, verdict = fault
-        return None, (row + 2 if row < 3 else None, ts[row], verdict)
+        return y_new, (row + 2 if row < 3 else None, ts[row], verdict)
     return y_new, None
+
+
+def _runs_guard(guard, runs, L):
+    """The guard of ``runs`` copies of length L side by side: one call of
+    ``guard`` on the stack's rows split copy by copy, so a step that passes
+    costs one call, and only if it fires, one call per copy, in order, on
+    that copy's own four rows at its own times, as its own march makes,
+    until one fires: (row, (copy, verdict)) of that one."""
+
+    def check(ts, ys):
+        if guard([t[c * L] for t in ts for c in range(runs)], ys.reshape(4 * runs, L)) is None:
+            return None
+        for c in range(runs):
+            if (fault := guard([t[c * L] for t in ts], ys[:, c * L:(c + 1) * L])) is not None:
+                row, verdict = fault
+                return row, (c, verdict)
+        return None
+
+    return check
 
 
 def march(rhs, y0, dt, steps, guard, finish, t0=0.0):
@@ -229,102 +249,59 @@ def march(rhs, y0, dt, steps, guard, finish, t0=0.0):
     kept before the fault.  Floating-point warnings are off: ``rhs`` runs on
     every stage input before the guard sees it, and a blow-up reaches the
     guard as inf or nan.
-    """
-    times = [t0] + [t0 + k * dt for k in range(1, steps + 1)]
-    kept = np.empty((steps + 1,) + y0.shape, y0.dtype)
-    kept[0] = y = y0
 
-    def done(count):
-        kept.setflags(write=False)
-        return finish(np.array(times[:count]), kept[:count])
+    With ``dt`` and ``steps`` tuples, one step and one step count per run,
+    the runs of the same y0 march together and the march returns the list
+    of their ``finish`` results.  The runs still going are one flat state,
+    their copies one after the other in run order, so step k of each is one
+    :func:`rk4_step` with per-entry steps and times; ``rhs`` gets as many
+    copies as runs are going and must treat each on its own, as the guard
+    must judge each row of its stack.  Each run then gets bit for bit the
+    states and times of its own march.  A run whose guard fires stops, and
+    so do the runs after it; the march raises what the runs marched one by
+    one would, the abort of the first run that trips, with ``finish`` of its
+    kept states only.
+    """
+    if not isinstance(steps, tuple):
+        return march(rhs, y0, (dt,), (steps,), guard, finish, t0)[0]
+    L = y0.shape[0]
+    times = [[t0] + [t0 + k * h for k in range(1, n + 1)] for h, n in zip(dt, steps)]
+    kept = [np.empty((n + 1, L), y0.dtype) for n in steps]
+    for buf in kept:
+        buf[0] = y0
+    going, fault, k = range(len(steps)), None, 0
+
+    def done(i, count):
+        kept[i].setflags(write=False)
+        return finish(np.array(times[i][:count]), kept[i][:count])
 
     with np.errstate(all="ignore"):
-        for k in range(1, steps + 1):
-            y, fault = rk4_step(rhs, times[k - 1], y, dt, guard, times[k])
-            if fault is not None:
-                _count(k)
-                stage, ts, verdict = fault
-                raise Aborted(Abort(float(ts), k, stage, *verdict), done(k))
-            if y.dtype != kept.dtype:  # a real start whose flow is complex
-                kept = kept.astype(np.result_type(kept, y))
-            kept[k] = y
-        _count(steps)
-        return done(steps + 1)
-
-
-def march_pair(rhs, pair_rhs, y0, dt, pairs, guard, finish, t0=0.0):
-    """``march`` at dt over 2 ``pairs`` steps and at 2 dt over ``pairs``
-    steps from the same complex y0, as (fine, coarse) ``finish`` results
-    equal bit for bit to those of the two calls.
-
-    The two runs share one flat state, the fine copy then the coarse one,
-    and ``pair_rhs`` is ``rhs`` on both copies at once.  One
-    :func:`rk4_step` with the per-entry step (dt, ..., 2 dt, ...) takes each
-    coarse step and the first of the two fine steps it spans; the second
-    fine step runs alone on ``rhs``.  The guard must judge each row of its
-    stack on its own, as :func:`bound_guard` and :func:`rowwise` guards do:
-    one call sees the eight rows of a pair step, the two copies' rows
-    alternating, and only a coarse fault makes a second call on the fine
-    rows alone.  Raises what the two calls in sequence would raise: the fine
-    run's :class:`Aborted` if its guard fires, else the coarse run's once
-    the fine run has ended; the fine run is not finished in that case.
-    """
-    L, dt2 = y0.shape[0], 2 * dt
-    fine_t = [t0] + [t0 + k * dt for k in range(1, 2 * pairs + 1)]
-    coarse_t = [t0] + [t0 + k * dt2 for k in range(1, pairs + 1)]
-    fine = np.empty((2 * pairs + 1, L), complex)
-    coarse = np.empty((pairs + 1, L), complex)
-    fine[0] = coarse[0] = y0
-    dts = np.repeat((dt, dt2), L)  # the per-entry step of the pair state
-    # the per-entry time at the end of each pair step
-    ends = np.repeat(np.column_stack((fine_t[1::2], coarse_t[1:])), L, axis=1)
-
-    def done(times, kept, count):
-        kept.setflags(write=False)
-        return finish(np.array(times[:count]), kept[:count])
-
-    def both(ts, ys):
-        """The guard of a pair step: (stage row, (copy, verdict)), copy 0
-        the fine run, whose fault comes first."""
-        t2, _, t4, t_new = ts
-        times = (t2[0], t2[L], t2[0], t2[L], t4[0], t4[L], t_new[0], t_new[L])
-        rows = ys.reshape(8, L)
-        if (fault := guard(times, rows)) is None:
-            return None
-        row, verdict = fault
-        if row % 2 and (fine_fault := guard(times[::2], rows[::2])) is not None:
-            row, verdict = 2 * fine_fault[0], fine_fault[1]
-        return row // 2, (row % 2, verdict)
-
-    def fine_step(k, y):
-        y, fault = rk4_step(rhs, fine_t[k - 1], y, dt, guard, fine_t[k])
+        while going := [i for i in going if steps[i] > k]:
+            runs, start, end = len(going), k, min(steps[i] for i in going)
+            y = np.concatenate([kept[i][k] for i in going])
+            if runs == 1:
+                ts, h, check = times[going[0]][k:], dt[going[0]], guard
+            else:  # per-entry times and steps of the shared state
+                ts = np.repeat(np.array([times[i][k:end + 1] for i in going]).T, L, axis=1)
+                h, check = np.repeat([dt[i] for i in going], L), _runs_guard(guard, runs, L)
+            for k in range(start + 1, end + 1):
+                y, trip = rk4_step(rhs, ts[k - 1 - start], y, h, check, ts[k - start])
+                if y.dtype != kept[going[0]].dtype:  # a real start whose flow is complex
+                    kept = [buf.astype(y.dtype) for buf in kept]
+                if runs == 1:
+                    kept[going[0]][k] = y
+                else:
+                    for c, i in enumerate(going):
+                        kept[i][k] = y[c * L:(c + 1) * L]
+                if trip is not None:
+                    stage, t, verdict = trip
+                    c = 0
+                    if runs > 1:  # (copy, verdict) at per-entry times
+                        (c, verdict), t = verdict, t[verdict[0] * L]
+                    fault = going[c], Abort(float(t), k, stage, *verdict)
+                    going = going[:c]
+                    break
+            _count(runs * (k - start))
         if fault is not None:
-            stage, t, verdict = fault
-            raise Aborted(Abort(float(t), k, stage, *verdict), done(fine_t, fine, k))
-        fine[k] = y
-        return y
-
-    y = np.concatenate((y0, y0))
-    ran_fine = ran_coarse = 0  # steps whose stages ran
-    try:
-        with np.errstate(all="ignore"):
-            for k in range(1, pairs + 1):
-                ran_fine, ran_coarse = 2 * k - 1, k
-                y, fault = rk4_step(pair_rhs, coarse_t[k - 1], y, dts, both, ends[k - 1])
-                if fault is not None:
-                    stage, ts, (copy, verdict) = fault
-                    if not copy:
-                        raise Aborted(Abort(float(ts[0]), 2 * k - 1, stage, *verdict),
-                                      done(fine_t, fine, 2 * k - 1))
-                    y = fine[2 * k - 2]
-                    for j in range(2 * k - 1, 2 * pairs + 1):
-                        ran_fine = j
-                        y = fine_step(j, y)
-                    raise Aborted(Abort(float(ts[L]), k, stage, *verdict),
-                                  done(coarse_t, coarse, k))
-                fine[2 * k - 1], coarse[k] = y[:L], y[L:]
-                ran_fine = 2 * k
-                y = np.concatenate((fine_step(2 * k, y[:L]), coarse[k]))
-            return done(fine_t, fine, 2 * pairs + 1), done(coarse_t, coarse, pairs + 1)
-    finally:
-        _count(ran_fine + ran_coarse)
+            raise Aborted(fault[1], done(fault[0], fault[1].step))
+        return [done(i, n + 1) for i, n in enumerate(steps)]

@@ -375,6 +375,34 @@ class TestRun:
         assert [r["anchor"] for r in blow_up] == [
             "overflow: overflow encountered in exp at config 1 of 10"]
 
+    @pytest.mark.parametrize("action", ["error", "always"])
+    @pytest.mark.parametrize("mode, params, anchor", [
+        # e^theta of the Backlund rapidity
+        ("bt-evolve", {"theta": "1e5"}, "overflow encountered in exp"),
+        # a log of 0 in the exact solution's phi at this period
+        ("bt-evolve", {"L": 1e300}, "divide by zero encountered in log"),
+        ("hetero-bt", {"Theta": 1e4}, "overflow encountered in exp"),
+        # e^theta of the defect, before its march
+        ("lattice-defect-sim", {"theta": "800"}, "overflow encountered in exp"),
+        ("verify-poisson", {"lambda_probes": ["800"], "mu_probes": ["0"]},
+         "overflow encountered in sinh"),
+        ("verify-zero-curvature", {"mu_probes": ["800"]}, "overflow encountered in exp"),
+    ])
+    def test_float_error_outside_a_march_is_a_blow_up(self, tmp_path, action, mode, params,
+                                                      anchor):
+        # numpy overflow or division by zero outside any march: one blow-up
+        # record and exit 1, with numpy warnings as errors and without, where
+        # none may be printed
+        path = write_config(tmp_path, {"mode": mode, "params": params})
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter(action)
+            code = cli.main(["run", "--config", str(path), "--out", str(tmp_path / "out")])
+        assert code == 1 and caught == []
+        report = json.loads((tmp_path / "out" / "report.json").read_text())
+        assert report["aborted"] is True
+        blow_up = [r for r in report["records"] if r["name"] == "blow-up"]
+        assert [r["anchor"] for r in blow_up] == [f"floating-point: {anchor}"]
+
     def test_seed_override(self, tmp_path):
         path = write_config(tmp_path, {"mode": "verify-charges", "seed": 1})
         cli.main(["run", "--config", str(path), "--seed", "5", "--out", str(tmp_path / "o")])

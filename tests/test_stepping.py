@@ -4,7 +4,7 @@ every integrator's flat march with the tuple-state RK4."""
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from laxkit import backlund as bt
@@ -494,8 +494,9 @@ def _chain_runs(N, seed, amplitude, site=None):
 
 
 class TestMarchPair:
-    """The runs at dt and 2 dt marched as one two-copy state give bit for
-    bit the two marches, results and aborts alike."""
+    """The runs at dt and 2 dt marched as one two-copy state (``march`` with
+    tuple steps) give bit for bit the two marches, results and aborts
+    alike."""
 
     def test_per_entry_times_reach_a_time_dependent_rhs(self):
         # y' = -2 t y on three slots: every stage of each copy sees its own time
@@ -505,7 +506,7 @@ class TestMarchPair:
         y0 = np.array([1.0, 0.5j, -2.0 + 1.0j])
         guard = stepping.bound_guard((("y", 3),))
         finish = lambda times, ys: (times, ys)  # noqa: E731
-        fine, coarse = stepping.march_pair(rhs, rhs, y0, 0.05, 10, guard, finish, t0=0.3)
+        fine, coarse = stepping.march(rhs, y0, (0.05, 0.1), (20, 10), guard, finish, t0=0.3)
         for (times, ys), (want_t, want_ys) in zip(
                 (fine, coarse), (stepping.march(rhs, y0, 0.05, 20, guard, finish, t0=0.3),
                                  stepping.march(rhs, y0, 0.1, 10, guard, finish, t0=0.3))):
@@ -514,10 +515,11 @@ class TestMarchPair:
 
     @pytest.mark.parametrize("limit, step, stage, t", [
         # y' = 1 from 0 with dt = 1: the coarse stage 2 input (1.0) trips
-        # first in the row order, the fine stage 4 input of the same step too
+        # in the first shared step, the fine stage 4 input of that step too
         (0.9, 1, 4, 1.0),
-        # the coarse stage 4 input (2.0) trips in the first pair step, the
-        # fine run only at stage 4 of its second step, which runs alone
+        # the coarse stage 4 input (2.0) trips in the first shared step and
+        # stops the coarse run; the fine run trips at stage 4 of its second
+        # step, which runs alone
         (1.5, 2, 4, 2.0),
     ])
     def test_fine_fault_wins_over_an_earlier_coarse_one(self, limit, step, stage, t):
@@ -530,7 +532,7 @@ class TestMarchPair:
         with pytest.raises(stepping.Aborted) as want:
             stepping.march(rhs, y0, 1.0, 4, guard, finish)
         with pytest.raises(stepping.Aborted) as got:
-            stepping.march_pair(rhs, rhs, y0, 1.0, 2, guard, finish)
+            stepping.march(rhs, y0, (1.0, 2.0), (4, 2), guard, finish)
         rec = got.value.record
         assert rec == want.value.record
         assert (rec.step, rec.stage, rec.t) == (step, stage, t)
@@ -541,7 +543,7 @@ class TestMarchPair:
         rhs = lambda t, y: -y  # noqa: E731
         y0, guard = np.ones(2, complex), stepping.bound_guard((("y", 2),))
         with stepping.step_tally() as tally:
-            stepping.march_pair(rhs, rhs, y0, 0.1, 5, guard, lambda times, ys: None)
+            stepping.march(rhs, y0, (0.1, 0.2), (10, 5), guard, lambda times, ys: None)
             assert tally.steps == 15
             with stepping.step_tally() as inner:
                 stepping.march(rhs, y0, 0.1, 4, guard, lambda times, ys: None)
@@ -591,3 +593,85 @@ class TestMarchPair:
                 else:
                     seen.add("fine only" if fine else "coarse only")
         assert seen == {"fine only", "coarse only", "both, fine first", "both, coarse first"}
+
+
+class TestMarchRuns:
+    """Three runs of one start, steps (dt, 2 dt, 4 dt) over (4P, 2P, P)
+    steps, marched as one state: each run is bit for bit its own march, up
+    to the abort of the first run that trips."""
+
+    Y0 = np.array([1.0, 0.5 + 0.5j, 1.0j])
+
+    @staticmethod
+    def _rhs(stiffness, dt, calls):
+        # slots 0 and 1 blow up near t = 0.73, (1 + t) y^2; slot 2 decays
+        # at a rate that leaves RK4 unstable at the larger steps, so any run
+        # may trip first; ``calls`` records every (t, y) the rhs sees
+        grow, decay = np.array([1.0, 1.0, 0.0]), np.array([0.0, 0.0, stiffness / dt])
+
+        def rhs(t, y):
+            calls.append((t, y))
+            copies = y.size // 3
+            return (1.0 + t) * (np.tile(grow, copies) * y * y - np.tile(decay, copies) * y)
+
+        return rhs
+
+    @staticmethod
+    def _alone(run, joint):
+        """(t, y) of the copy of ``run`` in every joint rhs call that had it:
+        the runs still going are a prefix, as the step counts fall."""
+        return [(t if np.ndim(t) == 0 else t[3 * run], y[3 * run:3 * run + 3])
+                for t, y in joint if y.size > 3 * run]
+
+    @settings(max_examples=60, deadline=None)
+    @given(pairs=st.integers(1, 4), stiffness=st.floats(0.0, 2.0),
+           limit=st.floats(0.1, 4.0).map(lambda e: 10.0 ** e))
+    # no run trips; the run at dt only; the run at dt, after one at 4 dt
+    # tripped earlier; the run at 4 dt only; the run at 2 dt, after the one
+    # at 4 dt tripped earlier
+    @example(pairs=2, stiffness=0.5, limit=30.0)
+    @example(pairs=2, stiffness=0.5, limit=10.0)
+    @example(pairs=2, stiffness=1.0, limit=10.0)
+    @example(pairs=2, stiffness=1.0, limit=100.0)
+    @example(pairs=2, stiffness=1.5, limit=30.0)
+    def test_runs_match_their_own_marches(self, pairs, stiffness, limit):
+        dt = 0.7 / (4 * pairs)
+        steps, counts = (dt, 2 * dt, 4 * dt), (4 * pairs, 2 * pairs, pairs)
+        guard = stepping.rowwise(
+            lambda t, y: ("over", "y", int(np.argmax(np.abs(y)))) if np.abs(y).max() > limit
+            else None)
+        finish = lambda times, ys: (times, ys)  # noqa: E731
+        alone, solo_calls = [], []
+        for h, n in zip(steps, counts):
+            solo_calls.append([])
+            try:
+                alone.append(stepping.march(self._rhs(stiffness, dt, solo_calls[-1]), self.Y0,
+                                            h, n, guard, finish))
+            except stepping.Aborted as err:
+                alone.append(err)
+        joint_calls = []
+        first = next((i for i, out in enumerate(alone) if isinstance(out, stepping.Aborted)),
+                     None)
+        with stepping.step_tally() as tally:
+            if first is None:
+                got = stepping.march(self._rhs(stiffness, dt, joint_calls), self.Y0, steps,
+                                     counts, guard, finish)
+                for (times, ys), (want_t, want_ys) in zip(got, alone):
+                    assert np.array_equal(times, want_t) and np.array_equal(ys, want_ys)
+            else:
+                with pytest.raises(stepping.Aborted) as got:
+                    stepping.march(self._rhs(stiffness, dt, joint_calls), self.Y0, steps,
+                                   counts, guard, finish)
+                want = alone[first]
+                assert got.value.record == want.record
+                for g, w in zip(got.value.trajectory, want.trajectory):
+                    assert np.array_equal(g, w)
+        # the runs before the first that trips go on to their end, that one
+        # to its fault: every stage of each sees its own state and time
+        for run in range(3 if first is None else first + 1):
+            seen = self._alone(run, joint_calls)
+            assert len(seen) == len(solo_calls[run])
+            for (t, y), (want_t, want_y) in zip(seen, solo_calls[run]):
+                assert t == want_t and np.array_equal(y, want_y)
+        # one step per run whose stages ran: four rhs calls per step
+        assert 4 * tally.steps == sum(y.size // 3 for _, y in joint_calls)

@@ -473,10 +473,11 @@ def _pole_guard(reason: str, field: str, phi_tilde):
     """Guard for the pole w -> 0 of the generated solution i log w, where
     |e^{i phi~}| = e^{-Im phi~} passes 1e8 (or phi~ stops being finite when
     a node lands on the pole).  ``phi_tilde(t, y)`` maps one march state to
-    phi~, or the whole (4, L) stack at a (4, 1) column of times.  A stack
-    whose phi~ stays 0.1 % inside the limit passes at once, so the rounding
-    of the stacked evaluation cannot pass a state the per-state check would
-    stop; any other stack goes to the per-state search."""
+    phi~, or the whole (4B, L) stack of a block of steps at a (4B, 1)
+    column of times.  A stack whose phi~ stays 0.1 % inside the limit
+    passes at once, so the rounding of the stacked evaluation cannot pass a
+    state the per-state check would stop; any other stack goes to the
+    per-state search."""
     limit = np.log(1e8)
 
     def clear(pt, bound):
@@ -516,20 +517,23 @@ def hetero_bt_generate(
     solution and raises :class:`~laxkit.stepping.Aborted`, whose t is the
     sweep coordinate and whose index runs over the other axis: the pole is
     near (t, zbar[0]) on the seed line and near (z[index], t) in the fill.
-    f and g must broadcast over arrays, a (4, 1) column of sweep coordinates
-    included: the pole guard evaluates phi at a step's stage coordinates at once.
+    f and g must broadcast over arrays, a (4B, 1) column of sweep
+    coordinates included: the pole guard evaluates phi at the stage
+    coordinates of a block of B steps at once.
     """
     c, th = params.c, params.Theta
     zb0, g0, fz = zbar[0], g(zbar[0]), f(z)
     seed_coef, fill_coef = 2j * c * np.exp(th), 2j * c * np.exp(-th)
 
-    # seed sweep in z for psi = phi~ - phi, from phi~ = 0 at the corner
+    # seed sweep in z for psi = phi~ - phi, from phi~ = 0 at the corner; the
+    # start is complex, as the flow is, also for real f and g
     def seed_rhs(zv, y):
         phi = f(zv) + g0
         return seed_coef * np.exp(1j * (y + 2.0 * phi))
 
     psi_line = march(
-        seed_rhs, 0.0 - (f(z[:1]) + g0), (z[-1] - z[0]) / (len(z) - 1), len(z) - 1,
+        seed_rhs, np.asarray(0.0 - (f(z[:1]) + g0), complex), (z[-1] - z[0]) / (len(z) - 1),
+        len(z) - 1,
         _pole_guard("pole in the z sweep", "phi~ at zbar", lambda t, y: y + (f(t) + g0)),
         lambda zs, ys: ys[:, 0], t0=z[0],
     )

@@ -497,25 +497,32 @@ def _mode_lattice_sim(cfg: RunConfig, report: Report, outdir: Path, with_defect=
 
     low, high = DRIFT_WINDOW
     fine = None
-    aborted = below = above = 0
+    fates = []  # each candidate's fate, written to candidates.json
     for _ in range(CANDIDATE_ATTEMPTS):
         runner = draw()
         try:
             cand = runner()
-        except Aborted:
-            aborted += 1
+        except Aborted as err:
+            fates.append({"verdict": "aborted", **asdict(err.record), "record": str(err.record)})
             continue
         d_fine, d_coarse = cand.drift("2"), cand.coarse.drift("2")
         # the coarse bound only rejects runs that left the smooth regime
         # entirely (near-singular excursions), not ordinary step error
         if d_fine < low:
-            below += 1
+            verdict = "below window"
         elif d_fine <= high and np.isfinite(d_coarse) and d_coarse <= 100.0 * high:
+            verdict = "accepted"
+        else:
+            verdict = "above window"
+        fates.append({"verdict": verdict, "fine_drift": d_fine, "coarse_drift": d_coarse})
+        if verdict == "accepted":
             fine, coarse = cand, cand.coarse
             break
-        else:
-            above += 1
+    (outdir / "candidates.json").write_text(
+        json.dumps(_strict_json({"candidates": fates}), indent=2, allow_nan=False) + "\n")
     if fine is None:
+        aborted, below, above = (sum(f["verdict"] == v for f in fates)
+                                 for v in ("aborted", "below window", "above window"))
         report.aborted = True
         report.add("singular-trajectory",
                    f"no regular configuration found at these parameters: of "

@@ -30,7 +30,7 @@ from .laurent import (
     matrix_product_chain,
     series_inverse,
 )
-from .rmatrix import _matrices, _residual, bracket_lhs, quadratic_rhs
+from .rmatrix import _matrices, _mul2x2, _residual, bracket_lhs, quadratic_rhs
 from .stepping import bound_guard, count_steps, march, read_only
 
 __all__ = [
@@ -194,8 +194,8 @@ def monodromy(s: LatticeState) -> LaurentMatrix:
 def monodromy_value(s: LatticeState, u) -> np.ndarray:
     """T = L_N ... L_1 at the spectral point u, shape (2, 2).  An array of P
     points gives shape u.shape + (2, 2), from one (N, P, 2, 2) stack of site
-    matrices and one batched matmul per site; a stack of T states puts its
-    time axis first, (T,) + u.shape + (2, 2)."""
+    matrices and one entrywise 2x2 product per site; a stack of T states
+    puts its time axis first, (T,) + u.shape + (2, 2)."""
     w = np.asarray(u, dtype=complex).ravel()
     return _stack_product(_site_stack(s, w), s.a.shape[:-1] + np.shape(u))
 
@@ -210,7 +210,7 @@ def _stack_product(stack: np.ndarray, shape: tuple) -> np.ndarray:
     """L_N ... L_1 of a site-major stack (N, ..., 2, 2), as shape + (2, 2)."""
     out = stack[-1]
     for j in range(stack.shape[0] - 2, -1, -1):
-        out = out @ stack[j]
+        out = _mul2x2(out, stack[j])
     return out.reshape(shape + (2, 2))
 
 

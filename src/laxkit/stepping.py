@@ -4,9 +4,12 @@ Every integrator marches one flat state vector, laid out as ((name, length),
 ...), through :func:`march`, which hands the read-only (T, L) stack of
 accepted states to the caller's ``finish``; given one step and one step
 count per run, it marches several runs of one start, the runs at dt and at
-2 dt say, as one state.  A guard sees every RK stage input and accepted
-step, once per step as one stack; if it fires, :class:`Aborted` carries an
-:class:`Abort` and the partial run.
+2 dt say, as one state.  The RK stages of a block of steps write their
+inputs and the accepted states in place into one stack, which a guard
+judges in one call; if it fires, :class:`Aborted` carries an
+:class:`Abort`, at the same step and stage as a guard judging each step
+alone would name, and the partial run; the steps of the block computed
+past the fault are discarded.
 """
 
 from __future__ import annotations
@@ -17,6 +20,12 @@ from contextvars import ContextVar
 from dataclasses import dataclass
 
 import numpy as np
+
+# A march's guard judges up to BLOCK_STEPS steps in one call, fewer where
+# their stage inputs and new states would pass BLOCK_ENTRIES entries, and
+# one step at least.
+BLOCK_STEPS = 32
+BLOCK_ENTRIES = 2**13
 
 
 @dataclass(frozen=True)
@@ -187,64 +196,73 @@ def _count(steps: int) -> None:
         tally.steps += steps
 
 
-def rk4_step(rhs, t, y, dt, guard, t_next):
-    """One classic fourth-order step of y' = rhs(t, y), y a flat vector.
+def rk4_step(rhs, t, y, dt, out):
+    """One classic fourth-order step of y' = rhs(t, y), y a flat vector,
+    written in place: the inputs of stages 2-4 and the new state go to the
+    four rows of ``out``, a (4, L) array of y's dtype or the sequence of its
+    rows, and the new state, the last row, is returned.  ``rhs`` must not
+    keep its input: a march reuses the rows for later steps.
 
     The step dt may be an array of per-entry steps, the shape of y, for
-    several runs marched as one state; ``t`` and ``t_next`` are then
-    per-entry arrays too, and so are the stage times t + dt/2 and t + dt.
-    The inputs of stages 2-4 and the new state, at time ``t_next``, are the
-    rows of one (4, L) stack that ``guard(ts, ys)`` sees once, after every
-    stage has run.  Returns (new state, None), or (new state, (stage, time,
-    guard verdict)) for the first row the guard names, where the stage is
-    None for the new state.
+    several runs marched as one state; ``t`` is then a per-entry array too,
+    and so are the stage times t + dt/2 and t + dt.
     """
     k1 = rhs(t, y)
     half = 0.5 * dt
-    t2, t4 = t + half, t + dt
-    y2 = y + half * k1
+    t2 = t + half
+    y2, y3, y4, y_new = out
+    np.add(y, half * k1, out=y2)
     k2 = rhs(t2, y2)
-    y3 = y + half * k2
+    np.add(y, half * k2, out=y3)
     k3 = rhs(t2, y3)
-    y4 = y + dt * k3
-    k4 = rhs(t4, y4)
-    y_new = y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    ts = (t2, t2, t4, t_next)
-    if (fault := guard(ts, np.array((y2, y3, y4, y_new)))) is not None:
-        row, verdict = fault
-        return y_new, (row + 2 if row < 3 else None, ts[row], verdict)
-    return y_new, None
+    np.add(y, dt * k3, out=y4)
+    k4 = rhs(t + dt, y4)
+    return np.add(y, (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4), out=y_new)
 
 
 def _runs_guard(guard, runs, L):
-    """The guard of ``runs`` copies of length L side by side: one call of
-    ``guard`` on the stack's rows split copy by copy, so a step that passes
-    costs one call, and only if it fires, one call per copy, in order, on
-    that copy's own four rows at its own times, as its own march makes,
-    until one fires: (row, (copy, verdict)) of that one."""
+    """The guard of a block of steps of ``runs`` copies of length L side by
+    side: ``check(ts, ys)`` on the (4B, runs * L) stack of the block's rows
+    and their (4B, runs) times, one column per copy.  One call of ``guard``
+    on the stack's rows split copy by copy, so a block that passes costs
+    one call; only if it fires, one call per copy on that copy's own rows
+    at its own times, as its own march makes.  Returns None or (row, copy,
+    verdict): the first step of the block at which a copy trips, the first
+    such copy in run order, and that copy's first row that trips."""
 
     def check(ts, ys):
-        if guard([t[c * L] for t in ts for c in range(runs)], ys.reshape(4 * runs, L)) is None:
+        if (fault := guard(ts.ravel(), ys.reshape(-1, L))) is None:
             return None
+        if runs == 1:
+            return fault[0], 0, fault[1]
+        faults = []
         for c in range(runs):
-            if (fault := guard([t[c * L] for t in ts], ys[:, c * L:(c + 1) * L])) is not None:
-                row, verdict = fault
-                return row, (c, verdict)
-        return None
+            if (fault := guard(ts[:, c], ys[:, c * L:(c + 1) * L])) is not None:
+                faults.append((fault[0] // 4, c, fault))
+        if not faults:
+            return None
+        _, c, (row, verdict) = min(faults)
+        return row, c, verdict
 
     return check
 
 
 def march(rhs, y0, dt, steps, guard, finish, t0=0.0):
     """Take ``steps`` RK4 steps of y' = rhs(t, y) from y(t0) = y0; step k
-    ends at t0 + k dt.  Every step makes one ``guard(ts, ys)`` call on the
-    (4, L) stack of its stage 2-4 inputs and its new state, at their times
-    ts; the guard returns None or (row, (reason, field, index)) of the first
-    row that trips; :func:`bound_guard` builds one from bounds on the state,
-    :func:`rowwise` from a per-state check.
+    ends at t0 + k dt.  The guard judges the steps in blocks of up to
+    BLOCK_STEPS, fewer where a block would pass BLOCK_ENTRIES entries: one
+    ``guard(ts, ys)`` call on the (4B, L) stack of the block's B steps, each
+    step's stage 2-4 inputs and then its new state, at their times ts, the
+    stage times formed as :func:`rk4_step` forms them.  The guard returns
+    None or (row, (reason, field, index)) of the first row that trips;
+    :func:`bound_guard` builds one from bounds on the state, :func:`rowwise`
+    from a per-state check.  A fault is reported at the same step and stage
+    as a guard called after every step would report it; the up to B - 1
+    steps computed past it are discarded.
     The march keeps y0 and every accepted state and returns ``finish(times,
     ys)``: ``times`` of shape (T,) and ``ys`` their read-only stack of shape
-    (T, L), where y0 and every ``rhs`` output are flat vectors of length L.
+    (T, L), where y0 and every ``rhs`` output are flat vectors of length L,
+    and the flow keeps y0's dtype (a complex flow needs a complex y0).
     A guard that fires raises :class:`Aborted` with ``finish`` of the states
     kept before the fault.  Floating-point warnings are off: ``rhs`` runs on
     every stage input before the guard sees it, and a blow-up reaches the
@@ -278,27 +296,38 @@ def march(rhs, y0, dt, steps, guard, finish, t0=0.0):
     with np.errstate(all="ignore"):
         while going := [i for i in going if steps[i] > k]:
             runs, start, end = len(going), k, min(steps[i] for i in going)
-            y = np.concatenate([kept[i][k] for i in going])
+            width = runs * L
+            block = max(1, min(BLOCK_STEPS, BLOCK_ENTRIES // (4 * width)))
+            rows = np.empty((block, 4, width), y0.dtype)
+            outs = [tuple(r) for r in rows]  # each step's four rows, split once
+            t = np.array([times[i][start:end + 1] for i in going]).T
+            hs = np.array([dt[i] for i in going])
+            # the guard's times of each step and copy: its stage 2-4 times,
+            # formed as rk4_step forms them, then its end
+            stage_t = np.empty((end - start, 4, runs))
+            stage_t[:, 0] = stage_t[:, 1] = t[:-1] + 0.5 * hs
+            stage_t[:, 2] = t[:-1] + hs
+            stage_t[:, 3] = t[1:]
+            y, check = np.concatenate([kept[i][k] for i in going]), _runs_guard(guard, runs, L)
             if runs == 1:
-                ts, h, check = times[going[0]][k:], dt[going[0]], guard
+                ts, h = times[going[0]][start:], dt[going[0]]
             else:  # per-entry times and steps of the shared state
-                ts = np.repeat(np.array([times[i][k:end + 1] for i in going]).T, L, axis=1)
-                h, check = np.repeat([dt[i] for i in going], L), _runs_guard(guard, runs, L)
-            for k in range(start + 1, end + 1):
-                y, trip = rk4_step(rhs, ts[k - 1 - start], y, h, check, ts[k - start])
-                if y.dtype != kept[going[0]].dtype:  # a real start whose flow is complex
-                    kept = [buf.astype(y.dtype) for buf in kept]
-                if runs == 1:
-                    kept[going[0]][k] = y
-                else:
-                    for c, i in enumerate(going):
-                        kept[i][k] = y[c * L:(c + 1) * L]
+                ts, h = np.repeat(t, L, axis=1), np.repeat(hs, L)
+            for b in range(0, end - start, block):
+                n = min(block, end - start - b)
+                for j in range(n):
+                    y = rk4_step(rhs, ts[b + j], y, h, outs[j])
+                trip = check(stage_t[b:b + n].reshape(4 * n, runs), rows[:n].reshape(4 * n, width))
+                if trip is not None:  # keep the states up to the faulting step
+                    row, c, verdict = trip
+                    n = row // 4 + 1
+                k = start + b + n
+                for copy, i in enumerate(going):
+                    kept[i][k - n + 1:k + 1] = rows[:n, 3, copy * L:(copy + 1) * L]
                 if trip is not None:
-                    stage, t, verdict = trip
-                    c = 0
-                    if runs > 1:  # (copy, verdict) at per-entry times
-                        (c, verdict), t = verdict, t[verdict[0] * L]
-                    fault = going[c], Abort(float(t), k, stage, *verdict)
+                    stage = row % 4
+                    fault = going[c], Abort(float(stage_t[b + n - 1, stage, c]), k,
+                                            stage + 2 if stage < 3 else None, *verdict)
                     going = going[:c]
                     break
             _count(runs * (k - start))

@@ -547,6 +547,27 @@ class TestRun:
             "no regular configuration found at these parameters: of 20 candidates, "
             f"{aborted} aborted, {below} had a fine drift below [1e-10, 0.005] and {above} one "
             "above it or a coarse drift that is not finite or above 0.5")
+        fates = json.loads((tmp_path / "out" / "candidates.json").read_text())["candidates"]
+        assert [sum(f["verdict"] == v for f in fates)
+                for v in ("aborted", "below window", "above window")] == list(counts)
+
+    def test_candidate_fates_are_written_beside_the_report(self, tmp_path):
+        # seed 7 draws four defect candidates: two abort, one drifts above
+        # the window and the last is accepted
+        path = write_config(tmp_path, {"mode": "lattice-defect-sim", "seed": 7})
+        assert cli.main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 0
+        fates = json.loads((tmp_path / "out" / "candidates.json").read_text())["candidates"]
+        assert [f["verdict"] for f in fates] == ["aborted", "above window", "aborted", "accepted"]
+        assert fates[0] == {
+            "verdict": "aborted", "t": 3.4625, "step": 693, "stage": 2,
+            "reason": "field above the ceiling", "field": "a_bar", "index": 5,
+            "record": "field above the ceiling at RK stage 2 of step 693 (t = 3.4625), a_bar[5]"}
+        assert fates[1]["fine_drift"] == pytest.approx(1.948, abs=5e-4)
+        assert fates[2]["record"] == (
+            "field above the ceiling at RK stage 4 of step 437 (t = 4.37), z_bar[0]")
+        low, high = cli.DRIFT_WINDOW
+        assert low <= fates[3]["fine_drift"] <= high
+        assert fates[3]["coarse_drift"] <= 100.0 * high
 
 
 class TestSuite:

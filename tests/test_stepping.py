@@ -2,6 +2,8 @@
 bit identity of the flat chain kernels with the per-component ones, and of
 every integrator's flat march with the tuple-state RK4."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -45,11 +47,10 @@ class TestOrder:
 
     def test_rk4_step_is_exact_on_cubics(self):
         # y' = 3 t^2 + 1: RK4 integrates polynomials of degree <= 3 exactly
-        y, fault = stepping.rk4_step(
-            lambda t, y: np.array([3 * t**2 + 1.0]), 0.3, np.array([2.0]), 0.7,
-            lambda ts, ys: None, 1.0
-        )
-        assert fault is None
+        out = np.empty((4, 1))
+        y = stepping.rk4_step(lambda t, y: np.array([3 * t**2 + 1.0]), 0.3, np.array([2.0]),
+                              0.7, out)
+        assert np.shares_memory(y, out[3])
         assert y[0] == pytest.approx(2.0 + (1.0**3 - 0.3**3) + 0.7, abs=1e-14)
 
 
@@ -94,6 +95,14 @@ class TestTrajectory:
         ab_times, ab_ys = err.value.trajectory
         assert list(ab_times) == [0.0, 0.5, 1.0]
         assert np.array_equal(ab_ys, ys[:3])
+
+    def test_a_complex_flow_needs_a_complex_start(self):
+        # the stage rows take y0's dtype: a real start cannot hold a complex
+        # stage, and the march says so rather than drop the imaginary part
+        with pytest.raises(TypeError):
+            _march_scalar(lambda t, y: 1j * y, 1.0, 0.1, 3)
+        _, ys = _march_scalar(lambda t, y: 1j * y, 1.0 + 0j, 0.1, 3)
+        assert ys[-1] == pytest.approx(np.exp(0.3j), abs=1e-6)
 
     def test_count_steps(self):
         assert stepping.count_steps(0.1, 1.0) == 10
@@ -606,11 +615,12 @@ class TestMarchRuns:
     def _rhs(stiffness, dt, calls):
         # slots 0 and 1 blow up near t = 0.73, (1 + t) y^2; slot 2 decays
         # at a rate that leaves RK4 unstable at the larger steps, so any run
-        # may trip first; ``calls`` records every (t, y) the rhs sees
+        # may trip first; ``calls`` records a copy of every (t, y) the rhs
+        # sees, as the march reuses its stage rows
         grow, decay = np.array([1.0, 1.0, 0.0]), np.array([0.0, 0.0, stiffness / dt])
 
         def rhs(t, y):
-            calls.append((t, y))
+            calls.append((t, y.copy()))
             copies = y.size // 3
             return (1.0 + t) * (np.tile(grow, copies) * y * y - np.tile(decay, copies) * y)
 
@@ -666,12 +676,185 @@ class TestMarchRuns:
                 assert got.value.record == want.record
                 for g, w in zip(got.value.trajectory, want.trajectory):
                     assert np.array_equal(g, w)
-        # the runs before the first that trips go on to their end, that one
-        # to its fault: every stage of each sees its own state and time
-        for run in range(3 if first is None else first + 1):
+        # each run stops at its end, at its own fault or at the fault of a
+        # run before it: the steps whose stages ran, one tally count each
+        taken, stop = [], math.inf
+        for n, out in zip(counts, alone):
+            if isinstance(out, stepping.Aborted):
+                stop = min(stop, out.record.step)
+            taken.append(min(n, stop))
+        assert tally.steps == sum(taken)
+        # up to there every stage of each run sees its own state and time;
+        # a step computed past a fault is discarded, and a run that goes on
+        # takes it again from its kept state, with the same calls
+        for run, n in enumerate(taken):
+            steps_seen = {}
             seen = self._alone(run, joint_calls)
-            assert len(seen) == len(solo_calls[run])
-            for (t, y), (want_t, want_y) in zip(seen, solo_calls[run]):
-                assert t == want_t and np.array_equal(y, want_y)
-        # one step per run whose stages ran: four rhs calls per step
-        assert 4 * tally.steps == sum(y.size // 3 for _, y in joint_calls)
+            for k in range(0, len(seen), 4):
+                step = steps_seen.setdefault(seen[k][0], seen[k:k + 4])
+                _same_calls(seen[k:k + 4], step)
+            assert n <= len(steps_seen) < n + stepping.BLOCK_STEPS
+            _same_calls([call for step in list(steps_seen.values())[:n] for call in step],
+                        solo_calls[run][:4 * n])
+
+
+def _same_calls(got, want):
+    """The same rhs calls, (t, y) for (t, y), bit for bit."""
+    assert len(got) == len(want)
+    for (t, y), (want_t, want_y) in zip(got, want):
+        assert t == want_t and np.array_equal(y, want_y)
+
+
+def _per_step_rk4(rhs, t, y, dt, guard, t_next):
+    """The RK4 step that called the guard after every step, kept as the
+    reference of the block march: (new state, None or (stage, time, verdict))."""
+    k1 = rhs(t, y)
+    half = 0.5 * dt
+    t2, t4 = t + half, t + dt
+    y2 = y + half * k1
+    k2 = rhs(t2, y2)
+    y3 = y + half * k2
+    k3 = rhs(t2, y3)
+    y4 = y + dt * k3
+    k4 = rhs(t4, y4)
+    y_new = y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    ts = (t2, t2, t4, t_next)
+    if (fault := guard(ts, np.array((y2, y3, y4, y_new)))) is not None:
+        row, verdict = fault
+        return y_new, (row + 2 if row < 3 else None, ts[row], verdict)
+    return y_new, None
+
+
+def _per_step_runs_guard(guard, runs, L):
+    def check(ts, ys):
+        if guard([t[c * L] for t in ts for c in range(runs)], ys.reshape(4 * runs, L)) is None:
+            return None
+        for c in range(runs):
+            if (fault := guard([t[c * L] for t in ts], ys[:, c * L:(c + 1) * L])) is not None:
+                row, verdict = fault
+                return row, (c, verdict)
+        return None
+
+    return check
+
+
+def _per_step_march(rhs, y0, dt, steps, guard, finish, t0=0.0):
+    """The march that judged every step on its own, kept as the reference of
+    the block march: the same arguments, results, aborts and step tally."""
+    if not isinstance(steps, tuple):
+        return _per_step_march(rhs, y0, (dt,), (steps,), guard, finish, t0)[0]
+    L = y0.shape[0]
+    times = [[t0] + [t0 + k * h for k in range(1, n + 1)] for h, n in zip(dt, steps)]
+    kept = [np.empty((n + 1, L), y0.dtype) for n in steps]
+    for buf in kept:
+        buf[0] = y0
+    going, fault, k = range(len(steps)), None, 0
+
+    def done(i, count):
+        kept[i].setflags(write=False)
+        return finish(np.array(times[i][:count]), kept[i][:count])
+
+    with np.errstate(all="ignore"):
+        while going := [i for i in going if steps[i] > k]:
+            runs, start, end = len(going), k, min(steps[i] for i in going)
+            y = np.concatenate([kept[i][k] for i in going])
+            if runs == 1:
+                ts, h, check = times[going[0]][k:], dt[going[0]], guard
+            else:
+                ts = np.repeat(np.array([times[i][k:end + 1] for i in going]).T, L, axis=1)
+                h = np.repeat([dt[i] for i in going], L)
+                check = _per_step_runs_guard(guard, runs, L)
+            for k in range(start + 1, end + 1):
+                y, trip = _per_step_rk4(rhs, ts[k - 1 - start], y, h, check, ts[k - start])
+                for c, i in enumerate(going):
+                    kept[i][k] = y[c * L:(c + 1) * L]
+                if trip is not None:
+                    stage, t, verdict = trip
+                    c = 0
+                    if runs > 1:
+                        (c, verdict), t = verdict, t[verdict[0] * L]
+                    fault = going[c], stepping.Abort(float(t), k, stage, *verdict)
+                    going = going[:c]
+                    break
+            stepping._count(runs * (k - start))
+        if fault is not None:
+            raise stepping.Aborted(fault[1], done(fault[0], fault[1].step))
+        return [done(i, n + 1) for i, n in enumerate(steps)]
+
+
+class TestBlockBoundaries:
+    """The march that judges blocks of steps against the per-step reference,
+    on a fault placed at one row: the first, a middle or the last step of a
+    block, or in a short final block; at each stage or after the step; of
+    one run, or of one of several marched as one state.  The same Abort,
+    partial trajectory and step tally, and the same rhs calls up to the
+    fault."""
+
+    Y0 = np.array([0.3, 0.2j, -0.1 + 0.1j])
+    DT = 0.01
+    COUNTS = (68, 34, 17)  # 68 steps at dt: blocks of 32, 32 and 4
+
+    @staticmethod
+    def _rhs(calls):
+        def rhs(t, y):
+            calls.append((np.copy(t), y.copy()))
+            return (1.0 + t) * (0.5j * y + 0.2 * y * y)
+
+        return rhs
+
+    def _target(self, runs, run, step, stage):
+        """(t, y) of the row of ``run`` at ``step`` and ``stage``, from each
+        run's own per-step march; no other row of any run equals it."""
+        rows = []  # per run and step, the (t, y) of its four rows
+        for i in range(runs):
+            rows.append([])
+            _per_step_march(self._rhs([]), self.Y0, self.DT * 2**i, self.COUNTS[i],
+                            lambda ts, ys: rows[-1].append(list(zip(ts, ys.copy()))),
+                            lambda times, ys: None)
+        t, y = rows[run][step - 1][3 if stage is None else stage - 2]
+        assert sum(t == u and np.array_equal(y, v)
+                   for run_rows in rows for step_rows in run_rows for u, v in step_rows) == 1
+        return t, y
+
+    @pytest.mark.parametrize("runs, run, step", [
+        # one run: the first, a middle and the last step of a block, the
+        # first of the next, and a step of the short final block; the
+        # middle steps are ones whose stage 4 time, t + dt, is not the
+        # step's end time k dt
+        (1, 0, 1), (1, 0, 15), (1, 0, 32), (1, 0, 33), (1, 0, 66),
+        # dt and 2 dt: steps 1-34 shared (a block of 32, then 2), then
+        # steps 35-68 of the fine run alone (32, then 4)
+        (2, 0, 1), (2, 0, 32), (2, 0, 33), (2, 0, 35), (2, 0, 48), (2, 0, 66), (2, 0, 68),
+        (2, 1, 1), (2, 1, 15), (2, 1, 32), (2, 1, 34),
+        # dt, 2 dt and 4 dt: segments of 17, 17 and 34 steps
+        (3, 2, 10), (3, 1, 17), (3, 1, 21), (3, 0, 42),
+    ])
+    @pytest.mark.parametrize("stage", [2, 3, 4, None])
+    def test_matches_the_per_step_march(self, runs, run, step, stage):
+        t_hit, y_hit = self._target(runs, run, step, stage)
+        guard = stepping.rowwise(
+            lambda t, y: ("hit", "y", 0) if t == t_hit and np.array_equal(y, y_hit) else None)
+        finish = lambda times, ys: (times, ys)  # noqa: E731
+        dts = tuple(self.DT * 2**i for i in range(runs))
+        outcome = []
+        for march in (_per_step_march, stepping.march):
+            calls, trips = [], []
+
+            def judged(ts, ys):
+                # the rhs calls made before the first guard call that fires
+                if (fault := guard(ts, ys)) is not None and not trips:
+                    trips.append(len(calls))
+                return fault
+
+            with stepping.step_tally() as tally, pytest.raises(stepping.Aborted) as err:
+                march(self._rhs(calls), self.Y0, dts, self.COUNTS[:runs], judged, finish)
+            outcome.append((err.value, tally.steps, calls, trips[0]))
+        (want, want_steps, want_calls, upto), (got, got_steps, got_calls, _) = outcome
+        assert (want.record.step, want.record.stage) == (step, stage)
+        assert got.record == want.record
+        for g, w in zip(got.trajectory, want.trajectory):
+            assert np.array_equal(g, w)
+        assert got_steps == want_steps
+        assert len(got_calls) >= upto
+        for (t, y), (want_t, want_y) in zip(got_calls[:upto], want_calls[:upto]):
+            assert np.array_equal(t, want_t) and np.array_equal(y, want_y)

@@ -830,9 +830,11 @@ def main(argv=None) -> int:
     try:
         if args.command == "run":
             try:
-                raw = json.loads(Path(args.config).read_text())
-            except (OSError, json.JSONDecodeError) as err:
+                raw = json.loads(Path(args.config).read_text(encoding="utf-8"))
+            except (OSError, UnicodeDecodeError, json.JSONDecodeError) as err:
                 raise ConfigError(err) from err
+            if not isinstance(raw, dict):
+                raise ConfigError("config must be an object with a 'mode' key")
             if args.seed is not None:
                 raw["seed"] = args.seed
             if args.tolerance_scale is not None:

@@ -456,14 +456,18 @@ FLOW_SIGN = -1
 
 def bracket_flow(s: LatticeState) -> LatticeDerivative:
     """Hamiltonian flow of the order-2 charge through the bracket table,
-    oriented by :data:`FLOW_SIGN` so it reproduces :func:`bulk_eom`."""
-    d_a, d_abar, d_v = charge2_gradient(s)
-    a, abar, v = s.a, s.a_bar, s.v
-    # {a_j, I} = dI/da_bar {a,a_bar} + dI/dv {a,v}, etc., site-diagonal.
-    da = FLOW_SIGN * (d_abar * (-2.0 * v * v) + d_v * (a * v))
-    dabar = FLOW_SIGN * (d_a * (2.0 * v * v) + d_v * (-abar * v))
-    dv = FLOW_SIGN * (d_a * (-a * v) + d_abar * (abar * v))
-    return LatticeDerivative(da, dabar, dv)
+    {f_j, I} = sum over the site's fields g of dI/dg_j {f_j, g_j} in
+    :data:`FIELD_NAMES` order, oriented by :data:`FLOW_SIGN` so it
+    reproduces :func:`bulk_eom`."""
+    grad = dict(zip(FIELD_NAMES, charge2_gradient(s)))
+    fields = (s.a, s.a_bar, s.v)
+
+    def flow(f):
+        terms = [grad[g] * rule(*fields) for g in FIELD_NAMES
+                 if (rule := _TABLE_RULES.get((f, g))) is not None]
+        return FLOW_SIGN * functools.reduce(np.add, terms)
+
+    return LatticeDerivative(*map(flow, FIELD_NAMES))
 
 
 # -- time half of the Lax pair -------------------------------------------------

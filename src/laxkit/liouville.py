@@ -156,13 +156,15 @@ def derivative_closed(arr: np.ndarray, h: float, axis: int = 0) -> np.ndarray:
 
 
 def second_derivative_x(arr: np.ndarray, h: float) -> np.ndarray:
-    """Composition of the central first derivative with itself.
+    """Composition of the central first derivative with itself, on the
+    periodic grid (the last axis).
 
     The wide five-point stencil keeps the semi-discrete energy functional
     exactly conserved (summation by parts pairs it with the central first
     derivative), at the cost of a larger second-order error constant.
     """
-    fwd, back = np.concatenate((arr[2:], arr[:2])), np.concatenate((arr[-2:], arr[:-2]))
+    fwd = np.concatenate((arr[..., 2:], arr[..., :2]), axis=-1)
+    back = np.concatenate((arr[..., -2:], arr[..., :-2]), axis=-1)
     return (fwd - 2.0 * arr + back) / (4.0 * h * h)
 
 

@@ -220,33 +220,6 @@ def rk4_step(rhs, t, y, dt, out):
     return np.add(y, (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4), out=y_new)
 
 
-def _runs_guard(guard, runs, L):
-    """The guard of a block of steps of ``runs`` copies of length L side by
-    side: ``check(ts, ys)`` on the (4B, runs * L) stack of the block's rows
-    and their (4B, runs) times, one column per copy.  One call of ``guard``
-    on the stack's rows split copy by copy, so a block that passes costs
-    one call; only if it fires, one call per copy on that copy's own rows
-    at its own times, as its own march makes.  Returns None or (row, copy,
-    verdict): the first step of the block at which a copy trips, the first
-    such copy in run order, and that copy's first row that trips."""
-
-    def check(ts, ys):
-        if (fault := guard(ts.ravel(), ys.reshape(-1, L))) is None:
-            return None
-        if runs == 1:
-            return fault[0], 0, fault[1]
-        faults = []
-        for c in range(runs):
-            if (fault := guard(ts[:, c], ys[:, c * L:(c + 1) * L])) is not None:
-                faults.append((fault[0] // 4, c, fault))
-        if not faults:
-            return None
-        _, c, (row, verdict) = min(faults)
-        return row, c, verdict
-
-    return check
-
-
 def march(rhs, y0, dt, steps, guard, finish, t0=0.0):
     """Take ``steps`` RK4 steps of y' = rhs(t, y) from y(t0) = y0; step k
     ends at t0 + k dt.  The guard judges the steps in blocks of up to
@@ -278,7 +251,10 @@ def march(rhs, y0, dt, steps, guard, finish, t0=0.0):
     states and times of its own march.  A run whose guard fires stops, and
     so do the runs after it; the march raises what the runs marched one by
     one would, the abort of the first run that trips, with ``finish`` of its
-    kept states only.
+    kept states only.  The guard gets a block's rows of all copies in step,
+    copy, stage order, each copy's rows at its own times, so its first row
+    that trips is in the first faulting step, of the first copy in run
+    order that trips there.
     """
     if not isinstance(steps, tuple):
         return march(rhs, y0, (dt,), (steps,), guard, finish, t0)[0]
@@ -304,11 +280,11 @@ def march(rhs, y0, dt, steps, guard, finish, t0=0.0):
             hs = np.array([dt[i] for i in going])
             # the guard's times of each step and copy: its stage 2-4 times,
             # formed as rk4_step forms them, then its end
-            stage_t = np.empty((end - start, 4, runs))
-            stage_t[:, 0] = stage_t[:, 1] = t[:-1] + 0.5 * hs
-            stage_t[:, 2] = t[:-1] + hs
-            stage_t[:, 3] = t[1:]
-            y, check = np.concatenate([kept[i][k] for i in going]), _runs_guard(guard, runs, L)
+            stage_t = np.empty((end - start, runs, 4))
+            stage_t[..., 0] = stage_t[..., 1] = t[:-1] + 0.5 * hs
+            stage_t[..., 2] = t[:-1] + hs
+            stage_t[..., 3] = t[1:]
+            y = np.concatenate([kept[i][k] for i in going])
             if runs == 1:
                 ts, h = times[going[0]][start:], dt[going[0]]
             else:  # per-entry times and steps of the shared state
@@ -317,16 +293,16 @@ def march(rhs, y0, dt, steps, guard, finish, t0=0.0):
                 n = min(block, end - start - b)
                 for j in range(n):
                     y = rk4_step(rhs, ts[b + j], y, h, outs[j])
-                trip = check(stage_t[b:b + n].reshape(4 * n, runs), rows[:n].reshape(4 * n, width))
+                trip = guard(stage_t[b:b + n].ravel(),
+                             rows[:n].reshape(n, 4, runs, L).swapaxes(1, 2).reshape(-1, L))
                 if trip is not None:  # keep the states up to the faulting step
-                    row, c, verdict = trip
-                    n = row // 4 + 1
+                    row, verdict = trip
+                    n, c, stage = row // (4 * runs) + 1, row // 4 % runs, row % 4
                 k = start + b + n
                 for copy, i in enumerate(going):
                     kept[i][k - n + 1:k + 1] = rows[:n, 3, copy * L:(copy + 1) * L]
                 if trip is not None:
-                    stage = row % 4
-                    fault = going[c], Abort(float(stage_t[b + n - 1, stage, c]), k,
+                    fault = going[c], Abort(float(stage_t[b + n - 1, c, stage]), k,
                                             stage + 2 if stage < 3 else None, *verdict)
                     going = going[:c]
                     break

@@ -34,3 +34,11 @@ def test_declared_bench_spans_resolve(monkeypatch):
         if obj is None:
             missing.append(name)
     assert missing == []
+
+
+def test_readme_quick_start_runs():
+    # the library example in the README runs as printed
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Quick start (library)", 1)[1]
+    code = section.split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(code, "README.md", "exec"), {})

@@ -79,6 +79,14 @@ class TestConfig:
 
     def test_cli_exit_code_2_on_unreadable_config(self, tmp_path):
         assert cli.main(["run", "--config", str(tmp_path / "missing.json")]) == 2
+        # not UTF-8, and JSON that is not an object with an override given
+        for body, flags in ((b'\xff\xfe{"mode": "verify-poisson"}', []),
+                            (b"[1, 2]", ["--seed", "1"]),
+                            (b'"x"', ["--tolerance-scale", "2"])):
+            path, out = tmp_path / "cfg.json", tmp_path / "out"
+            path.write_bytes(body)
+            assert cli.main(["run", "--config", str(path), "--out", str(out), *flags]) == 2
+            assert not out.exists()
 
     def test_infinite_tolerance_scale_rejected(self, tmp_path):
         # JSON Infinity would scale every tolerance to inf and pass every check
@@ -647,3 +655,14 @@ class TestSuite:
         failed = {r.name for r in report.records if not r.passed}
         assert "zero-curvature-bulk" in failed
         assert "hamiltonian-flow-consistency" in failed
+
+    def test_flipped_bracket_table_is_detected(self, tmp_path, monkeypatch):
+        # flip the sign of {a, v} (and of {v, a}) in the bracket table: the
+        # bracket flow reads the table, so it no longer reproduces the
+        # equations of motion
+        monkeypatch.setitem(lat._TABLE_RULES, ("a", "v"), lambda a, abar, v: -(a * v))
+        monkeypatch.setitem(lat._TABLE_RULES, ("v", "a"), lambda a, abar, v: a * v)
+        cfg = cli.RunConfig("verify-zero-curvature", seed=0, params={"samples": 10})
+        report = cli.run(cfg, tmp_path / "mutated")
+        failed = {r.name for r in report.records if not r.passed}
+        assert failed == {"hamiltonian-flow-consistency"}

@@ -146,6 +146,22 @@ class TestRhs:
         r1, r2 = resid(32), resid(64)
         assert 3.5 <= r1 / r2 <= 4.5
 
+    def test_stack_is_differentiated_row_by_row(self):
+        # a (T, n) stack is T configurations: each row's derivatives and
+        # vector field are bit for bit those of the row alone
+        rng = np.random.default_rng(3)
+        configs = [lv.random_config(L, 64, rng, amplitude=0.3) for _ in range(3)]
+        stack = lv.FieldConfig(L, np.stack([c.phi for c in configs]),
+                               np.stack([c.pi for c in configs]))
+        d2 = lv.second_derivative_x(stack.phi, stack.h)
+        d1 = lv.derivative_x(stack.phi, stack.h)
+        dphi, dpi = lv.liouville_rhs(stack)
+        for row, c in enumerate(configs):
+            assert np.array_equal(d2[row], lv.second_derivative_x(c.phi, c.h))
+            assert np.array_equal(d1[row], lv.derivative_x(c.phi, c.h))
+            want_phi, want_pi = lv.liouville_rhs(c)
+            assert np.array_equal(dphi[row], want_phi) and np.array_equal(dpi[row], want_pi)
+
 
 class TestGauge:
     def test_zero_field_gauge_is_identity(self):

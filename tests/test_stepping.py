@@ -548,6 +548,23 @@ class TestMarchPair:
         for g, w in zip(got.value.trajectory, want.value.trajectory):
             assert np.array_equal(g, w)
 
+    def test_a_tripping_block_goes_to_the_guard_once(self):
+        # y' = 1 from 0 at dt, 2 dt and 4 dt with dt = 1: the first block
+        # holds the two steps all three runs share; the fine stage 4 input
+        # (1.0) and the coarser runs' stage 2 inputs trip in its first step
+        check = stepping.rowwise(lambda t, y: ("over", "y", 0) if abs(y[0]) > 0.9 else None)
+        judged = []
+
+        def guard(ts, ys):
+            judged.append(len(ys))
+            return check(ts, ys)
+
+        with pytest.raises(stepping.Aborted) as err:
+            stepping.march(lambda t, y: np.ones_like(y), np.zeros(1, complex), (1.0, 2.0, 4.0),
+                           (8, 4, 2), guard, lambda times, ys: None)
+        assert (err.value.record.step, err.value.record.stage, err.value.record.t) == (1, 4, 1.0)
+        assert judged == [2 * 3 * 4]
+
     def test_step_tally_counts_each_run(self):
         rhs = lambda t, y: -y  # noqa: E731
         y0, guard = np.ones(2, complex), stepping.bound_guard((("y", 2),))

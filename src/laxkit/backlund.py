@@ -42,7 +42,7 @@ import numpy as np
 from .lattice_defect import _type2_matrix
 from .liouville import derivative_closed
 from .rmatrix import _matrices
-from .stepping import bound_guard, count_steps, march, nan_max, rowwise
+from .stepping import bound_guard, count_steps, march, nan_max
 
 __all__ = [
     "DarbouxState",
@@ -472,29 +472,19 @@ def _intertwining_residual(lt: np.ndarray, phi: LightConeField, phi_tilde: Light
 def _pole_guard(reason: str, field: str, phi_tilde):
     """Guard for the pole w -> 0 of the generated solution i log w, where
     |e^{i phi~}| = e^{-Im phi~} passes 1e8 (or phi~ stops being finite when
-    a node lands on the pole).  ``phi_tilde(t, y)`` maps one march state to
-    phi~, or the whole (4B, L) stack of a block of steps at a (4B, 1)
-    column of times.  A stack whose phi~ stays 0.1 % inside the limit
-    passes at once, so the rounding of the stacked evaluation cannot pass a
-    state the per-state check would stop; any other stack goes to the
-    per-state search."""
+    a node lands on the pole).  ``phi_tilde(t, y)`` maps the (4B, L) stack
+    of a block of steps at a (4B, 1) column of times to phi~, evaluated once
+    per call.  The verdict names the first row that trips and, in it, the
+    entry of largest |Im phi~|, a non-finite one counting as infinite."""
     limit = np.log(1e8)
 
-    def clear(pt, bound):
-        return np.abs(pt.imag).max() <= bound and np.isfinite(pt.real).all()
-
-    def check(t, y):
-        pt = phi_tilde(t, y)
-        if clear(pt, limit):
-            return None
-        return reason, field, int(np.argmax(np.where(np.isfinite(pt), np.abs(pt.imag), np.inf)))
-
-    slow = rowwise(check)
-
     def guard(ts, ys):
-        if clear(phi_tilde(np.array(ts)[:, None], ys), 0.999 * limit):
+        pt = phi_tilde(np.array(ts)[:, None], ys)
+        if np.abs(pt.imag).max() <= limit and np.isfinite(pt.real).all():
             return None
-        return slow(ts, ys)
+        size = np.where(np.isfinite(pt), np.abs(pt.imag), np.inf)
+        row = int(np.argmax(size.max(axis=1) > limit))
+        return row, (reason, field, int(np.argmax(size[row])))
 
     return guard
 

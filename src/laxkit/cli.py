@@ -227,6 +227,19 @@ def _sizes(p: dict, default: list[int], least: int) -> list[int]:
     return [_integer("sizes", n, least) for n in sizes]
 
 
+def _draws_per_size(p: dict, sizes: list[int]) -> list[int]:
+    """Chains drawn per size: ``samples`` in all, the first samples % len(sizes) one more."""
+    per, extra = divmod(_count(p, "samples", 100, least=len(sizes)), len(sizes))
+    return [per + (i < extra) for i in range(len(sizes))]
+
+
+def _output(outdir: Path, name: str) -> Path:
+    """outdir / name, outdir made first: a mode makes its directory at the
+    first file it writes, so a config error leaves none."""
+    outdir.mkdir(parents=True, exist_ok=True)
+    return outdir / name
+
+
 def _complex_columns(label: str) -> list[str]:
     return [f"{label}_re", f"{label}_im"]
 
@@ -275,13 +288,11 @@ def _spectral_pair(rng):
 
 def _mode_verify_charges(cfg: RunConfig, report: Report, outdir: Path):
     rng = np.random.default_rng(cfg.seed)
-    samples = _count(cfg.params, "samples", 100)
     # the charge formulas assume N >= 2
     sizes = _sizes(cfg.params, [2, 3, 4, 5, 6], least=2)
     worst_c1 = worst_c2 = worst_c0 = 0.0
-    per = max(1, samples // len(sizes))
-    for n in sizes:
-        for _ in range(per):
+    for n, count in zip(sizes, _draws_per_size(cfg.params, sizes)):
+        for _ in range(count):
             s = lat.random_state(n, rng)
             _, _, c2 = lat.charges_closed_form(s)
             _, cs = lat.charges_from_trace(s)
@@ -298,13 +309,11 @@ def _mode_verify_charges(cfg: RunConfig, report: Report, outdir: Path):
 
 def _mode_defect_charges(cfg: RunConfig, report: Report, outdir: Path):
     rng = np.random.default_rng(cfg.seed)
-    samples = _count(cfg.params, "samples", 100)
     # the deformed closed form needs both neighbours of the defect: N >= 3
     sizes = _sizes(cfg.params, [3, 4, 5, 6], least=3)
     worst_c0 = worst_c1 = worst_c2 = 0.0
-    per = max(1, samples // len(sizes))
-    for n in sizes:
-        for _ in range(per):
+    for n, count in zip(sizes, _draws_per_size(cfg.params, sizes)):
+        for _ in range(count):
             s = lat.random_state(n, rng)
             d = ld.random_defect(int(rng.integers(1, n + 1)), rng)
             c0, c2 = ld.defect_charges(s, d)
@@ -479,6 +488,8 @@ def _mode_lattice_sim(cfg: RunConfig, report: Report, outdir: Path, with_defect=
     # candidates until one stays regular over the full window
     amplitude = _number("amplitude", p.get("amplitude", 0.15 if with_defect else 0.12))
     probes = tuple(_numbers(p, "probes", [2.0, 3.0], least=1))
+    if 0 in probes:  # u = 0 is the pole of the site matrix
+        raise ConfigError(f"probes must be nonzero numbers; got {p['probes']!r}")
     site = _count(p, "defect_site", max(2, n // 2), least=2, most=n - 1) if with_defect else None
 
     def draw():
@@ -518,7 +529,7 @@ def _mode_lattice_sim(cfg: RunConfig, report: Report, outdir: Path, with_defect=
         if verdict == "accepted":
             fine, coarse = cand, cand.coarse
             break
-    (outdir / "candidates.json").write_text(
+    _output(outdir, "candidates.json").write_text(
         json.dumps(_strict_json({"candidates": fates}), indent=2, allow_nan=False) + "\n")
     if fine is None:
         aborted, below, above = (sum(f["verdict"] == v for f in fates)
@@ -561,7 +572,7 @@ def _mode_lattice_sim(cfg: RunConfig, report: Report, outdir: Path, with_defect=
         cols.append(fine.traces[u])
     header.append("c2_drift")
     rows = _series_rows(fine.times, cols, np.abs(fine.charges2 - fine.charges2[0]))
-    write_csv(outdir / "series.csv", header, rows)
+    write_csv(_output(outdir, "series.csv"), header, rows)
 
 
 def _mode_liouville_evolve(cfg: RunConfig, report: Report, outdir: Path):
@@ -589,7 +600,7 @@ def _mode_liouville_evolve(cfg: RunConfig, report: Report, outdir: Path):
     header = ["t", "H_re", "H_im", "P_re", "P_im", "I1_re", "I1_im", "H_drift"]
     cols = [fine.hamiltonians, fine.momenta, fine.first_charges]
     rows = _series_rows(fine.times, cols, np.abs(fine.hamiltonians - fine.hamiltonians[0]))
-    write_csv(outdir / "series.csv", header, rows)
+    write_csv(_output(outdir, "series.csv"), header, rows)
 
 
 def _mode_monodromy_check(cfg: RunConfig, report: Report, outdir: Path):
@@ -737,10 +748,10 @@ def run(config: RunConfig, outdir: str | Path = ".") -> Report:
     with numpy overflow, division by zero and invalid operations raised, so
     one outside a march ends it the same way too, with the anchor
     ``floating-point: <numpy message>``; a march routes its own to its guard.
-    Raises ConfigError on invalid mode parameters.
+    Raises ConfigError on invalid mode parameters, before it writes a file
+    or makes outdir.
     """
     outdir = Path(outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
     report = Report(config.mode, config.echo())
     start = time.perf_counter()
     try:
@@ -756,7 +767,7 @@ def run(config: RunConfig, outdir: str | Path = ".") -> Report:
         report.aborted = True
         report.add("blow-up", f"floating-point: {err}", 1.0, 0.0)
     report.elapsed = time.perf_counter() - start
-    (outdir / "report.json").write_text(report.to_json())
+    _output(outdir, "report.json").write_text(report.to_json())
     (outdir / "timing.json").write_text(json.dumps({"elapsed_s": report.elapsed}, indent=2) + "\n")
     return report
 

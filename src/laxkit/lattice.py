@@ -626,7 +626,8 @@ def integrate(
     FIELD_CEILING, or any |v_j| falls below V_FLOOR, at an RK stage or an
     accepted step, the march raises :class:`~laxkit.stepping.Aborted`
     carrying the partial trajectory, monitors included.  t_end must be a
-    whole multiple of dt, and N >= 2 as for :func:`charges_closed_form`.
+    whole multiple of dt, N >= 2 as for :func:`charges_closed_form`, and no
+    probe u = 0, the pole of the site matrix, or ValueError is raised.
 
     ``with_coarse=True`` also runs the step 2 dt, in one
     :func:`~laxkit.stepping.march` with the run at dt, and returns it as
@@ -636,6 +637,8 @@ def integrate(
     a whole multiple of 2 dt.
     """
     _require_charges(s.N)
+    if 0 in probes:
+        raise ValueError("a probe u = 0 is the pole of the site matrix (its u^-1 terms)")
 
     def finish(times, ys):
         stack = LatticeState(*ys.reshape(len(times), 3, s.N).swapaxes(0, 1))

@@ -431,13 +431,15 @@ def integrate_with_defect(
 
     Keeps the bulk and defect states at every step; after the march, one
     call each computes the modified charges and the defect monodromy trace
-    at the probe points over the kept stack.  Aborts like
-    :func:`~laxkit.lattice.integrate`; the guard covers all six fields
-    (|X| has the floor of |v_j|).  ``with_coarse=True`` also returns the run
-    at 2 dt as ``.coarse``, marched together with the run at dt, as
+    at the probe points over the kept stack.  Aborts, and rejects a probe
+    u = 0, like :func:`~laxkit.lattice.integrate`; the guard covers all six
+    fields (|X| has the floor of |v_j|).  ``with_coarse=True`` also returns
+    the run at 2 dt as ``.coarse``, marched together with the run at dt, as
     :func:`~laxkit.lattice.integrate` does.
     """
     _require_interior(s, d)
+    if 0 in probes:
+        raise ValueError("a probe u = 0 is the pole of the site matrix (its u^-1 terms)")
     bulk, et = 3 * s.N, np.exp(d.theta)
     fields = {bulk + 3: _chain_field(s.N), 2 * bulk + 6: _chain_field(s.N, 2, 3)}
 

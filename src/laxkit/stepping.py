@@ -72,26 +72,6 @@ def count_steps(dt: float, t_end: float) -> int:
     return round(steps)
 
 
-def _field_at(layout, i):
-    """(field, index within the field) of flat index i of a layout."""
-    for name, length in layout:
-        if i < length:
-            return name, i
-        i -= length
-
-
-def locate(layout, y, limit=np.inf, above="above the limit"):
-    """(reason, field, index) of the first non-finite entry of the flat state y,
-    else of its first entry of largest modulus if above ``limit``, else None.
-    ``layout`` is ((name, length), ...) in the order of y."""
-    bad = np.flatnonzero(~np.isfinite(y))
-    if bad.size:
-        return ("non-finite", *_field_at(layout, int(bad[0])))
-    mag = np.abs(y)
-    worst = int(np.argmax(mag))
-    return (above, *_field_at(layout, worst)) if mag[worst] > limit else None
-
-
 def nan_max(*values):
     """The largest of the values, or nan if any of them is nan: the worst case
     of a check, which a nan must fail rather than drop, as ``max(0.0, nan)``
@@ -99,54 +79,37 @@ def nan_max(*values):
     return math.nan if any(math.isnan(v) for v in values) else max(values)
 
 
-def rowwise(check):
-    """The guard ``guard(ts, ys)`` of a per-state ``check(t, y)``: the (row,
-    verdict) of the first row of the stack ys, at its time in ts, for which
-    the check returns a verdict, else None.  A guard with a whole-stack fast
-    test calls it only on a stack that fails the test."""
-
-    def guard(ts, ys):
-        for row, (t, y) in enumerate(zip(ts, ys)):
-            if (verdict := check(t, y)) is not None:
-                return row, verdict
-        return None
-
-    return guard
-
-
 def bound_guard(layout, ceiling=math.inf, above=None, floor=0.0, floored=()):
     """The guard on a stack of flat states of this layout: None, or the (row,
-    verdict) of the first row with a non-finite entry, an entry above
-    ``ceiling`` in modulus (the largest, reason ``above``), or an entry of a
-    field named in ``floored`` below ``floor`` in modulus (the smallest,
-    reason "field below the floor"), checked in that order.  One whole-stack
-    test passes a regular step: finiteness alone when there is neither a
-    ceiling nor a floor, else the largest and smallest moduli, so a floor
-    needs a finite ceiling for an inf entry to fail the test.  Only a stack
-    that fails it is searched row by row, with :func:`locate` and the floor
-    check, for the offending entry."""
-    low = np.flatnonzero([name in floored for name, length in layout for _ in range(length)])
-
-    def check(t, y):
-        verdict = locate(layout, y, ceiling, above)
-        if verdict is None and low.size:
-            mag = np.abs(y[low])
-            i = int(np.argmin(mag))
-            if mag[i] < floor:
-                verdict = ("field below the floor", *_field_at(layout, int(low[i])))
-        return verdict
-
-    slow = rowwise(check)
-    if ceiling == math.inf:
-        if low.size:
-            raise ValueError("a floor needs a finite ceiling")
-        return lambda ts, ys: None if np.isfinite(ys).all() else slow(ts, ys)
+    (reason, field, index)) of the first row with a non-finite entry (the
+    first), an entry above ``ceiling`` in modulus (the largest, reason
+    ``above``), or an entry of a field in ``floored`` below ``floor`` in
+    modulus (the smallest, reason "field below the floor"), in that order.
+    One whole-stack test passes a regular stack: finiteness alone for an
+    infinite ceiling, which allows no floor, else the largest and smallest
+    moduli, in which a stack that fails the test is then searched."""
+    slots = [(name, i) for name, length in layout for i in range(length)]
+    low = np.flatnonzero([name in floored for name, _ in slots])
+    if low.size and ceiling == math.inf:
+        raise ValueError("a floor needs a finite ceiling")
 
     def guard(ts, ys):
-        mag = np.abs(ys)
-        if mag.max() <= ceiling and (not low.size or mag.take(low, axis=1).min() >= floor):
+        if ceiling == math.inf:
+            if np.isfinite(ys).all():
+                return None
+            mag = np.abs(ys)
+        elif (mag := np.abs(ys)).max() <= ceiling and (
+                not low.size or mag.take(low, axis=1).min() >= floor):
             return None
-        return slow(ts, ys)
+        bad = ~np.isfinite(ys)
+        top = mag.max(axis=1)
+        least = mag.take(low, axis=1).min(axis=1) if low.size else np.inf
+        row = int(np.argmax(bad.any(axis=1) | (top > ceiling) | (least < floor)))
+        if bad[row].any():
+            return row, ("non-finite", *slots[np.argmax(bad[row])])
+        if top[row] > ceiling:
+            return row, (above, *slots[np.argmax(mag[row])])
+        return row, ("field below the floor", *slots[low[np.argmin(mag[row].take(low))]])
 
     return guard
 
@@ -227,19 +190,19 @@ def march(rhs, y0, dt, steps, guard, finish, t0=0.0):
     ``guard(ts, ys)`` call on the (4B, L) stack of the block's B steps, each
     step's stage 2-4 inputs and then its new state, at their times ts, the
     stage times formed as :func:`rk4_step` forms them.  The guard returns
-    None or (row, (reason, field, index)) of the first row that trips;
-    :func:`bound_guard` builds one from bounds on the state, :func:`rowwise`
-    from a per-state check.  A fault is reported at the same step and stage
-    as a guard called after every step would report it; the up to B - 1
-    steps computed past it are discarded.
+    None or (row, (reason, field, index)) of the first row that trips, as
+    :func:`bound_guard`'s do.  A fault is reported at the same step and
+    stage as a guard called after every step would report it; the up to
+    B - 1 steps computed past it are discarded.
     The march keeps y0 and every accepted state and returns ``finish(times,
     ys)``: ``times`` of shape (T,) and ``ys`` their read-only stack of shape
     (T, L), where y0 and every ``rhs`` output are flat vectors of length L,
     and the flow keeps y0's dtype (a complex flow needs a complex y0).
     A guard that fires raises :class:`Aborted` with ``finish`` of the states
-    kept before the fault.  Floating-point warnings are off: ``rhs`` runs on
-    every stage input before the guard sees it, and a blow-up reaches the
-    guard as inf or nan.
+    kept before the fault.  ``rhs``, the guard and ``finish`` run with
+    floating-point errors ignored: a blow-up reaches the guard as inf or
+    nan, and a monitor of a partial trajectory that overflows reads inf or
+    nan instead of raising.
 
     With ``dt`` and ``steps`` tuples, one step and one step count per run,
     the runs of the same y0 march together and the march returns the list

@@ -118,7 +118,7 @@ class TestConfig:
         path = write_config(tmp_path, payload)
         assert cli.main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
         assert "config error: " in capsys.readouterr().err
-        assert not (tmp_path / "out" / "report.json").exists()
+        assert not (tmp_path / "out").exists()
 
 
     @pytest.mark.parametrize("payload", [
@@ -142,6 +142,8 @@ class TestConfig:
         {"mode": "bt-evolve", "params": {"L": 0}},
         {"mode": "hetero-bt", "params": {"c": 0}},
         {"mode": "verify-poisson", "params": {"lambda_probes": [0.5], "mu_probes": [0.5]}},
+        {"mode": "lattice-sim", "params": {"probes": [0]}},
+        {"mode": "lattice-defect-sim", "params": {"probes": [2.0, 0.0]}},
     ])
     def test_malformed_numbers_are_config_errors(self, tmp_path, payload, capsys):
         path = write_config(tmp_path, payload)
@@ -149,7 +151,7 @@ class TestConfig:
         err = capsys.readouterr().err
         key = next(iter(payload["params"]))
         assert f"config error: {key} must be" in err and "Traceback" not in err
-        assert not (tmp_path / "out" / "report.json").exists()
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("mode, key", [
         ("verify-poisson", "sampels"),
@@ -182,7 +184,7 @@ class TestConfig:
         path = write_config(tmp_path, {"mode": mode, "params": {key: "not a number"}})
         assert cli.main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
         assert f"config error: {key} must be" in capsys.readouterr().err
-        assert not (tmp_path / "out" / "report.json").exists()
+        assert not (tmp_path / "out").exists()
 
     def test_probe_lists_of_unequal_length_are_config_errors(self, tmp_path, capsys):
         # zip would drop the probes 1.0 and 1.5 without a word
@@ -192,7 +194,7 @@ class TestConfig:
         assert "config error: lambda_probes and mu_probes must be of equal length" in (
             capsys.readouterr().err
         )
-        assert not (tmp_path / "out" / "report.json").exists()
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("payload", [
         # the coarse run (2 dt) would end at 1.002, the fine one at 0.999
@@ -208,7 +210,23 @@ class TestConfig:
         assert "config error: t_end must be a whole multiple of every step" in (
             capsys.readouterr().err
         )
-        assert not (tmp_path / "out" / "report.json").exists()
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("mode, sizes, counts", [
+        ("verify-charges", [2, 3, 4, 5, 6], [2, 2, 1, 1, 1]),
+        ("defect-charges", [3, 4, 5, 6], [2, 2, 2, 1]),
+    ])
+    def test_charge_batteries_draw_samples_chains(self, tmp_path, monkeypatch, mode, sizes,
+                                                  counts):
+        # 7 chains over the default sizes, the first 7 % len(sizes) sizes one more
+        drawn, draw = [], lat.random_state
+        monkeypatch.setattr(lat, "random_state", lambda n, rng: drawn.append(n) or draw(n, rng))
+        cli.run(cli.RunConfig(mode, params={"samples": 7}), tmp_path / "out")
+        assert drawn == [n for n, k in zip(sizes, counts) for _ in range(k)]
+        # fewer samples than sizes would leave a size undrawn
+        path = write_config(tmp_path, {"mode": mode, "params": {"samples": 1}})
+        assert cli.main(["run", "--config", str(path), "--out", str(tmp_path / "bad")]) == 2
+        assert not (tmp_path / "bad").exists()
 
     def test_numeric_strings_still_parse(self, tmp_path):
         # complex parameters arrive from JSON as strings

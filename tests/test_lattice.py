@@ -650,6 +650,16 @@ class TestIntegrate:
         with pytest.raises(ValueError, match="N >= 2"):
             lat.integrate(s, dt=0.1, t_end=1.0)
 
+    def test_zero_probe_rejected_before_the_march(self, monkeypatch):
+        # u = 0 is the pole of the site matrix: its trace would read nan
+        monkeypatch.setattr(lat, "march", lambda *args, **kw: pytest.fail("marched"))
+        s = lat.random_state(4, np.random.default_rng(3), 0.1)
+        d = ld.random_defect(2, np.random.default_rng(4))
+        for integrate in (lambda: lat.integrate(s, 0.1, 1.0, (0.0,)),
+                          lambda: ld.integrate_with_defect(s, d, 0.1, 1.0, (2.0, 0.0))):
+            with pytest.raises(ValueError, match="probe u = 0"):
+                integrate()
+
     def test_fixed_point_stays_constant(self):
         s = zero_amplitude_state(4)
         traj = lat.integrate(s, dt=0.05, t_end=1.0)

@@ -15,6 +15,7 @@ from laxkit import lattice as lat
 from laxkit import lattice_defect as ld
 from laxkit import liouville as lv
 from laxkit import stepping
+from reference_guards import field_at, locate, rowwise
 
 
 def _march_scalar(rhs, y0, dt, steps, guard=None, t0=0.0):
@@ -89,7 +90,7 @@ class TestTrajectory:
 
         with pytest.raises(stepping.Aborted) as err:
             stepping.march(rhs, y0, 0.5, 4,
-                           stepping.rowwise(lambda t, y: ("late", "a", 0) if t > 1.2 else None),
+                           rowwise(lambda t, y: ("late", "a", 0) if t > 1.2 else None),
                            finish)
         assert (err.value.record.step, err.value.record.stage) == (3, 2)
         ab_times, ab_ys = err.value.trajectory
@@ -143,10 +144,10 @@ class TestAbort:
         limit = 1e3
 
         def guard(t, y):
-            return stepping.locate((("y", 1),), y, limit, "above the limit")
+            return locate((("y", 1),), y, limit, "above the limit")
 
         with pytest.raises(stepping.Aborted) as err:
-            _march_scalar(lambda t, y: y * y, 1.0, 1e-3, 2000, guard=stepping.rowwise(guard))
+            _march_scalar(lambda t, y: y * y, 1.0, 1e-3, 2000, guard=rowwise(guard))
         rec = err.value.record
         assert rec.reason == "above the limit"
         assert abs(rec.t - 1.0) <= 2e-3
@@ -160,7 +161,7 @@ class TestAbort:
             return ("late", "y", 0) if t > 0.24 else None
 
         with pytest.raises(stepping.Aborted) as err:
-            _march_scalar(lambda t, y: -y, 1.0, 0.1, 10, guard=stepping.rowwise(guard))
+            _march_scalar(lambda t, y: -y, 1.0, 0.1, 10, guard=rowwise(guard))
         rec = err.value.record
         assert (rec.step, rec.stage) == (3, 2)
         assert rec.t == pytest.approx(0.25)
@@ -176,21 +177,22 @@ class TestAbort:
 
         with pytest.raises(stepping.Aborted) as err:
             _march_scalar(lambda t, y: 3.0 * t**2 + 0.0 * y, 0.0, 1.0, 3,
-                          guard=stepping.rowwise(guard))
+                          guard=rowwise(guard))
         rec = err.value.record
         assert (rec.step, rec.stage, rec.t) == (1, None, 1.0)
         assert str(rec) == "past 0.9 after step 1 (t = 1), y[0]"
 
-    def test_locate_names_the_worst_entry(self):
+    def test_bound_guard_names_the_worst_entry(self):
         layout = (("a", 2), ("b", 3))
         y = np.array([1.0, 2.0, 3.0, -7.0, 5.0])
-        assert stepping.locate(layout, y) is None
-        assert stepping.locate(layout, y, 6.0, "big") == ("big", "b", 1)
+        assert stepping.bound_guard(layout)((0.0,), y[None]) is None
+        assert stepping.bound_guard(layout, 6.0, "big")((0.0,), y[None]) == (0, ("big", "b", 1))
         y = np.array([1.0, np.inf, np.nan, 1e9, 0.0])
-        assert stepping.locate(layout, y, 6.0, "big") == ("non-finite", "a", 1)
+        assert stepping.bound_guard(layout, 6.0, "big")((0.0,), y[None]) == (
+            0, ("non-finite", "a", 1))
         # a tie goes to the first entry, in field order
         y = np.array([1.0, -7.0, 3.0, 7.0, 5.0])
-        assert stepping.locate(layout, y, 6.0, "big") == ("big", "a", 1)
+        assert stepping.bound_guard(layout, 6.0, "big")((0.0,), y[None]) == (0, ("big", "a", 1))
 
     def test_a_floor_needs_a_finite_ceiling(self):
         # the whole-stack test would pass an inf entry under an infinite ceiling
@@ -204,14 +206,14 @@ class TestAbort:
         ys[3, 0], ys[2, 2] = np.nan, np.inf
         assert guard((0.5, 0.5, 1.0, 1.0), ys) == (2, ("non-finite", "b", 0))
 
-    def test_locate_names_a_defect_slot(self):
+    def test_bound_guard_names_a_defect_slot(self):
         # the defect chain's layout ends in three one-slot fields; the worst
         # entry in the last slot is X[0]
         layout = tuple((name, 4) for name in ("a", "a_bar", "v")) + (
             ("z", 1), ("z_bar", 1), ("X", 1))
         y = np.full(15, 0.5 + 0j)
         y[-1] = 3e8j
-        assert stepping.locate(layout, y, 1e8, "big") == ("big", "X", 0)
+        assert stepping.bound_guard(layout, 1e8, "big")((0.0,), y[None]) == (0, ("big", "X", 0))
         assert stepping.bound_guard(layout, **lat.CHAIN_BOUNDS)((0.0,), y[None]) == (
             0, ("field above the ceiling", "X", 0))
 
@@ -226,8 +228,8 @@ def _chain_check(layout):
         if mag.max() <= lat.FIELD_CEILING and mag[floored].min() >= lat.V_FLOOR:
             return None
         lowest = int(floored[np.argmin(mag[floored])])
-        return (stepping.locate(layout, y, lat.FIELD_CEILING, "field above the ceiling")
-                or ("field below the floor", *stepping._field_at(layout, lowest)))
+        return (locate(layout, y, lat.FIELD_CEILING, "field above the ceiling")
+                or ("field below the floor", *field_at(layout, lowest)))
 
     return check
 
@@ -244,11 +246,11 @@ GUARD_CASES = {
     "liouville": lambda n: (
         layout := (("phi", n), ("pi", n)),
         stepping.bound_guard(layout, lv.BLOWUP, "above the blow-up threshold"),
-        lambda t, y: stepping.locate(layout, y, lv.BLOWUP, "above the blow-up threshold")),
+        lambda t, y: locate(layout, y, lv.BLOWUP, "above the blow-up threshold")),
     # bt_evolve's layout: its X has no floor
     "finite only": lambda n: (
         layout := tuple((name, n) for name in ("phi~", "X", "Y", "Z")),
-        stepping.bound_guard(layout), lambda t, y: stepping.locate(layout, y)),
+        stepping.bound_guard(layout), lambda t, y: locate(layout, y)),
 }
 
 # moduli on both sides of, and exactly at, every bound: the chain floor 1e-8
@@ -278,7 +280,7 @@ class TestBoundGuard:
         for row, slot, modulus, phase in injected:
             ys[row, slot % width] = modulus * phase
         ts = (0.5, 0.5, 1.0, 1.0)
-        assert guard(ts, ys) == stepping.rowwise(reference)(ts, ys)
+        assert guard(ts, ys) == rowwise(reference)(ts, ys)
 
 
 class TestReadOnly:
@@ -535,7 +537,7 @@ class TestMarchPair:
         def rhs(t, y):
             return np.ones_like(y)
 
-        guard = stepping.rowwise(lambda t, y: ("over", "y", 0) if y[0] > limit else None)
+        guard = rowwise(lambda t, y: ("over", "y", 0) if y[0] > limit else None)
         finish = lambda times, ys: (times, ys)  # noqa: E731
         y0 = np.zeros(1, complex)
         with pytest.raises(stepping.Aborted) as want:
@@ -552,7 +554,7 @@ class TestMarchPair:
         # y' = 1 from 0 at dt, 2 dt and 4 dt with dt = 1: the first block
         # holds the two steps all three runs share; the fine stage 4 input
         # (1.0) and the coarser runs' stage 2 inputs trip in its first step
-        check = stepping.rowwise(lambda t, y: ("over", "y", 0) if abs(y[0]) > 0.9 else None)
+        check = rowwise(lambda t, y: ("over", "y", 0) if abs(y[0]) > 0.9 else None)
         judged = []
 
         def guard(ts, ys):
@@ -575,7 +577,7 @@ class TestMarchPair:
                 stepping.march(rhs, y0, 0.1, 4, guard, lambda times, ys: None)
             with pytest.raises(stepping.Aborted):
                 # |y| falls below 0.9 at the stage 2 input of step 2: two steps ran
-                stepping.march(rhs, y0, 0.1, 4, stepping.rowwise(
+                stepping.march(rhs, y0, 0.1, 4, rowwise(
                     lambda t, y: ("low", "y", 0) if abs(y[0]) < 0.9 else None),
                     lambda times, ys: None)
         assert (tally.steps, inner.steps) == (17, 4)
@@ -664,7 +666,7 @@ class TestMarchRuns:
     def test_runs_match_their_own_marches(self, pairs, stiffness, limit):
         dt = 0.7 / (4 * pairs)
         steps, counts = (dt, 2 * dt, 4 * dt), (4 * pairs, 2 * pairs, pairs)
-        guard = stepping.rowwise(
+        guard = rowwise(
             lambda t, y: ("over", "y", int(np.argmax(np.abs(y)))) if np.abs(y).max() > limit
             else None)
         finish = lambda times, ys: (times, ys)  # noqa: E731
@@ -849,7 +851,7 @@ class TestBlockBoundaries:
     @pytest.mark.parametrize("stage", [2, 3, 4, None])
     def test_matches_the_per_step_march(self, runs, run, step, stage):
         t_hit, y_hit = self._target(runs, run, step, stage)
-        guard = stepping.rowwise(
+        guard = rowwise(
             lambda t, y: ("hit", "y", 0) if t == t_hit and np.array_equal(y, y_hit) else None)
         finish = lambda times, ys: (times, ys)  # noqa: E731
         dts = tuple(self.DT * 2**i for i in range(runs))

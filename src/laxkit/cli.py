@@ -15,6 +15,7 @@ import argparse
 import cmath
 import json
 import math
+import os
 import sys
 import time
 from dataclasses import dataclass, field, asdict
@@ -557,6 +558,15 @@ def _mode_lattice_sim(cfg: RunConfig, report: Report, outdir: Path, with_defect=
         0.0,
         criterion="min",
     )
+    # a probe far from |u| = 1 overflows the product of the site matrices
+    # (u^N or u^-N) in the monitor, which runs after the march
+    for u in probes:
+        for run_name, traj in (("fine", fine), ("coarse", coarse)):
+            finite = np.isfinite(traj.traces[u])
+            if not finite.all():
+                raise OverflowError(
+                    f"tr T(u) at probe u = {u:g} is not finite from t = "
+                    f"{traj.times[np.argmin(finite)]:g} in the {run_name} run")
     tr_ratio = coarse.trace_drift(probes[0]) / max(fine.trace_drift(probes[0]), 1e-300)
     report.add(
         f"{label}-trace-drift-ratio",
@@ -772,47 +782,115 @@ def run(config: RunConfig, outdir: str | Path = ".") -> Report:
     return report
 
 
+# the code of run: the pool runs only this module's own (see _workers)
+_RUN_CODE = run.__code__
+
+
+def _tally_run(config: RunConfig, outdir: Path):
+    """:func:`run` in a :func:`~laxkit.stepping.step_tally` block: its
+    report, the RK4 steps it took and the peak RSS (MB) of the process that
+    ran it."""
+    with step_tally() as tally:
+        report = run(config, outdir)
+    return report, tally.steps, _peak_rss_mb()
+
+
+def _peak_rss_mb() -> float | None:
+    """This process's peak RSS in MB; None without the ``resource`` module
+    (Windows)."""
+    try:
+        import resource
+    except ImportError:
+        return None
+    # ru_maxrss is in bytes on macOS, in kB elsewhere
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    return peak / (2.0 ** 20 if sys.platform == "darwin" else 2.0 ** 10)
+
+
+def _cpus() -> int:
+    """The CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _workers(runs: int) -> int:
+    """Worker processes for ``runs`` suite runs: one per CPU, at most
+    ``runs``; 0, to run them in process, on one CPU, without the ``fork``
+    start method, or when :func:`run` is not this module's own (a tracer's
+    wrapper records only in the process that calls it)."""
+    workers = min(runs, _cpus())
+    if workers < 2 or getattr(run, "__code__", None) is not _RUN_CODE:
+        return 0
+    import multiprocessing
+
+    return workers if "fork" in multiprocessing.get_all_start_methods() else 0
+
+
 def suite(outdir: str | Path = ".", seed: int = 0, tolerance_scale: float = 1.0) -> Report:
     """Full acceptance battery with default parameters.
 
     Aggregates every mode's records, adds the determinism self-check (the
     battery's verify-charges report and one re-run of its config, written to
     determinism/, must serialize identically), and writes suite_report.json,
-    timing.json and per-mode artifacts in subdirectories.  timing.json holds
-    the elapsed seconds of the battery and of each mode run, and under
-    ``"steps"`` the RK4 steps each mode run took (``stepping.step_tally``).
+    timing.json and per-mode artifacts in subdirectories.  The runs go to
+    one forked worker process per CPU this process may run on, the marching
+    modes (those whose params take ``dt``) first; records, stderr lines and
+    timing.json keep the ``MODES`` order.  They run in process on one CPU or
+    without ``fork``.  timing.json holds the elapsed seconds of the battery
+    and of each mode run (the runs overlap, so these may sum to more than
+    the battery's), under ``"steps"`` the RK4 steps each mode run took
+    (``stepping.step_tally``), under ``"workers"`` the worker processes (0
+    in process) and under ``"peak_rss_mb"`` the largest peak RSS of the
+    processes that ran modes.  No process is left running when it returns
+    or raises.
     """
     configs = [RunConfig(mode, seed=seed, tolerance_scale=tolerance_scale) for mode in MODES]
+    charges = next(cfg for cfg in configs if cfg.mode == "verify-charges")
+    runs = [(cfg.mode, cfg) for cfg in configs] + [("determinism", charges)]
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     overall = Report("suite", {"seed": seed, "tolerance_scale": tolerance_scale})
-    start, modes, steps, reports = time.perf_counter(), {}, {}, {}
-    for cfg in configs:
-        with step_tally() as tally:
-            sub = reports[cfg.mode] = run(cfg, outdir / cfg.mode)
-        modes[cfg.mode], steps[cfg.mode] = sub.elapsed, tally.steps
-        for rec in sub.records:
-            overall.records.append(
-                CheckRecord(f"{cfg.mode}/{rec.name}", rec.anchor, rec.value,
-                            rec.tolerance, rec.criterion, rec.passed)
-            )
-        if sub.aborted:
-            overall.aborted = True
-        print(f"[{'pass' if sub.passed else 'FAIL'}] {cfg.mode}", file=sys.stderr)
+    start, modes, steps, reports, rss = time.perf_counter(), {}, {}, {}, []
+    workers, pool = _workers(len(runs)), None
+    try:
+        if workers:
+            import multiprocessing
+            from concurrent.futures import ProcessPoolExecutor
 
-    charges = next(cfg for cfg in configs if cfg.mode == "verify-charges")
-    with step_tally() as tally:
-        again = run(charges, outdir / "determinism")
-    modes["determinism"], steps["determinism"] = again.elapsed, tally.steps
+            pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
+            pending = {name: pool.submit(_tally_run, cfg, outdir / name)
+                       for name, cfg in sorted(runs, key=lambda r: "dt" not in PARAMS[r[1].mode])}
+            results = (pending[name].result() for name, _ in runs)
+        else:
+            results = (_tally_run(cfg, outdir / name) for name, cfg in runs)
+        for (name, cfg), (sub, steps[name], peak) in zip(runs, results):
+            reports[name], modes[name] = sub, sub.elapsed
+            rss.append(peak)
+            if name == "determinism":
+                continue
+            for rec in sub.records:
+                overall.records.append(
+                    CheckRecord(f"{cfg.mode}/{rec.name}", rec.anchor, rec.value,
+                                rec.tolerance, rec.criterion, rec.passed)
+                )
+            if sub.aborted:
+                overall.aborted = True
+            print(f"[{'pass' if sub.passed else 'FAIL'}] {cfg.mode}", file=sys.stderr)
+    finally:
+        if pool is not None:
+            pool.shutdown(cancel_futures=True)
+
     overall.add(
         "determinism",
         "identical seed gives byte-identical reports",
-        0.0 if again.to_json() == reports[charges.mode].to_json() else 1.0,
+        0.0 if reports["determinism"].to_json() == reports[charges.mode].to_json() else 1.0,
         0.0,
     )
     overall.elapsed = time.perf_counter() - start
     (outdir / "suite_report.json").write_text(overall.to_json())
-    timing = {"elapsed_s": overall.elapsed, "modes": modes, "steps": steps}
+    timing = {"elapsed_s": overall.elapsed, "modes": modes, "steps": steps, "workers": workers,
+              "peak_rss_mb": None if None in rss else max(rss)}
     (outdir / "timing.json").write_text(json.dumps(timing, indent=2) + "\n")
     return overall
 

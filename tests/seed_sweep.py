@@ -1,4 +1,4 @@
-"""The acceptance battery at every seed of a range, in one process.
+"""The acceptance battery at every seed of a range, from one process.
 
     PYTHONPATH=src python -W error::RuntimeWarning tests/seed_sweep.py
 
@@ -6,7 +6,7 @@ Runs ``laxkit suite`` at seeds 0-49 (SEEDS), prints every failing record and
 the five records whose closest pass over the seeds lies nearest their
 bounds, and exits 1 when the failures differ from KNOWN_FAILURES: a seed
 outside it fails, or a listed seed passes or fails in other records.  Not
-collected by pytest (about 30 s on a 2-core host).
+collected by pytest (about 14 s on a 2-core host, 24 s on one core).
 """
 
 from __future__ import annotations

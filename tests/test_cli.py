@@ -2,6 +2,7 @@ import csv
 import itertools
 import json
 import math
+import multiprocessing
 import warnings
 from pathlib import Path
 from types import SimpleNamespace
@@ -429,6 +430,44 @@ class TestRun:
         blow_up = [r for r in report["records"] if r["name"] == "blow-up"]
         assert [r["anchor"] for r in blow_up] == [f"floating-point: {anchor}"]
 
+    @pytest.mark.parametrize("action", ["error", "always"])
+    @pytest.mark.parametrize("probes", [[2.0, 1e200], [1e-200]])
+    @pytest.mark.parametrize("mode", ["lattice-sim", "lattice-defect-sim"])
+    def test_probe_trace_overflow_is_a_blow_up(self, tmp_path, action, probes, mode):
+        # tr T(u) holds u^N and u^-N terms, which leave double range at these
+        # probes from t = 0: a blow-up that names the probe, and exit 1
+        path = write_config(tmp_path, {"mode": mode, "params": {"probes": probes, "t_end": 0.5}})
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter(action)
+            code = cli.main(["run", "--config", str(path), "--out", str(tmp_path / "out")])
+        assert code == 1 and caught == []
+        report = json.loads((tmp_path / "out" / "report.json").read_text())
+        assert report["aborted"] is True
+        assert report["records"][-1]["name"] == "blow-up"
+        assert report["records"][-1]["anchor"] == (
+            f"overflow: tr T(u) at probe u = {probes[-1]:g} is not finite from t = 0 "
+            f"in the fine run")
+        assert not (tmp_path / "out" / "series.csv").exists()
+
+    @pytest.mark.parametrize("run_name, states, t", [("fine", 101, 0.025), ("coarse", 51, 0.05)])
+    def test_probe_trace_names_its_first_non_finite_time(self, tmp_path, monkeypatch, run_name,
+                                                         states, t):
+        original = lat.monodromy_value
+
+        def late_nan(stack, probes):
+            m = original(stack, probes)
+            if len(m) == states:  # the run at dt or at 2 dt only
+                m[5:, 1] = np.nan  # the second probe, from the sixth kept state on
+            return m
+
+        monkeypatch.setattr(lat, "monodromy_value", late_nan)
+        cfg = cli.RunConfig("lattice-sim", params={"t_end": 0.5})
+        report = cli.run(cfg, tmp_path / "out")
+        assert report.aborted
+        assert report.records[-1].anchor == (
+            f"overflow: tr T(u) at probe u = 3 is not finite from t = {t:g} in the "
+            f"{run_name} run")
+
     def test_seed_override(self, tmp_path):
         path = write_config(tmp_path, {"mode": "verify-charges", "seed": 1})
         cli.main(["run", "--config", str(path), "--seed", "5", "--out", str(tmp_path / "o")])
@@ -607,7 +646,8 @@ class TestSuite:
         timing = json.loads((out / "timing.json").read_text())
         runs = list(cli.MODES) + ["determinism"]
         assert list(timing["modes"]) == runs
-        assert sum(timing["modes"].values()) <= timing["elapsed_s"]
+        # the runs may overlap in worker processes: each lies within the battery
+        assert max(timing["modes"].values()) <= timing["elapsed_s"]
         # the RK4 steps of each run, the fine and coarse runs of each
         # candidate counted apart: one lattice candidate takes 1000 + 500
         assert timing["steps"] == {**dict.fromkeys(runs, 0), "lattice-sim": 1500,
@@ -644,8 +684,10 @@ class TestSuite:
             monkeypatch.setattr(cli, "time", SimpleNamespace(perf_counter=lambda: next(clock)))
             cli.suite(tmp_path / str(tick), seed=3)
             timing = json.loads((tmp_path / str(tick) / "timing.json").read_text())
-            # the battery reads the clock 2 times, each of its 3 runs 2 times
-            assert timing["elapsed_s"] == 7 * tick
+            # the battery reads the clock 2 times, and in process each of its
+            # 3 runs 2 times more; a forked worker reads its own copy
+            reads = 2 if timing["workers"] else 8
+            assert timing["elapsed_s"] == (reads - 1) * tick and next(clock) == reads * tick
             assert set(timing["modes"].values()) == {tick}
             run_timing = json.loads((tmp_path / str(tick) / "verify-poisson" / "timing.json")
                                     .read_text())
@@ -656,6 +698,62 @@ class TestSuite:
         for path in reports:
             assert (tmp_path / "1.0" / path).read_bytes() == (
                 tmp_path / "250.0" / path).read_bytes()
+
+    def test_pooled_runs_write_the_files_of_in_process_runs(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(cli, "_cpus", lambda: 2)
+        cli.suite(tmp_path / "suite", seed=0)
+        assert json.loads((tmp_path / "suite" / "timing.json").read_text())["workers"] == 2
+        for mode in cli.MODES:
+            cli.run(cli.RunConfig(mode, seed=0), tmp_path / "run" / mode)
+            files = sorted(path.name for path in (tmp_path / "run" / mode).iterdir()
+                           if path.name != "timing.json")
+            assert "report.json" in files
+            for name in files:
+                assert (tmp_path / "suite" / mode / name).read_bytes() == (
+                    tmp_path / "run" / mode / name).read_bytes()
+
+    def test_one_and_two_cpus_write_the_same_battery(self, tmp_path, monkeypatch):
+        timings = {}
+        for cpus in (1, 2):
+            monkeypatch.setattr(cli, "_cpus", lambda cpus=cpus: cpus)
+            cli.suite(tmp_path / str(cpus), seed=0)
+            timings[cpus] = json.loads((tmp_path / str(cpus) / "timing.json").read_text())
+        assert timings[1]["workers"] == 0 and timings[2]["workers"] == 2
+        assert timings[1]["steps"] == timings[2]["steps"]
+        assert all(timing["peak_rss_mb"] > 0 for timing in timings.values())
+        files = sorted(path.relative_to(tmp_path / "1") for path in (tmp_path / "1").rglob("*")
+                       if path.is_file() and path.name != "timing.json")
+        assert len(files) == 17  # 11 reports, 3 series, 2 candidate lists, the suite report
+        assert files == sorted(path.relative_to(tmp_path / "2") for path in
+                               (tmp_path / "2").rglob("*")
+                               if path.is_file() and path.name != "timing.json")
+        for path in files:
+            assert (tmp_path / "1" / path).read_bytes() == (tmp_path / "2" / path).read_bytes()
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_a_raising_run_leaves_no_process(self, tmp_path, monkeypatch, cpus):
+        def broken(cfg, report, outdir):
+            raise ValueError("broken handler")
+
+        monkeypatch.setattr(cli, "_cpus", lambda: cpus)
+        monkeypatch.setitem(cli._HANDLERS, "hetero-bt", broken)
+        with pytest.raises(ValueError, match="broken handler"):
+            cli.suite(tmp_path / "suite", seed=0)
+        assert multiprocessing.active_children() == []
+
+    def test_a_replaced_run_keeps_the_runs_in_process(self, tmp_path, monkeypatch):
+        # a tracer wraps cli.run and records into this process only
+        calls, original = [], cli.run
+
+        def traced(config, outdir):
+            calls.append(Path(outdir).name)
+            return original(config, outdir)
+
+        monkeypatch.setattr(cli, "_cpus", lambda: 2)
+        monkeypatch.setattr(cli, "run", traced)
+        cli.suite(tmp_path / "suite", seed=0)
+        assert calls == list(cli.MODES) + ["determinism"]
+        assert json.loads((tmp_path / "suite" / "timing.json").read_text())["workers"] == 0
 
     def test_mutation_is_detected(self, tmp_path, monkeypatch):
         # flip a sign in the bulk equations of motion: conservation and

@@ -48,7 +48,6 @@ __all__ = [
     "DarbouxState",
     "HeteroParams",
     "darboux_matrix_type2",
-    "bt_solve_YZ",
     "bt_residual_t",
     "bt_residual_x",
     "bt_initial_data",
@@ -106,28 +105,6 @@ def _exponentials(phi, phi_tilde, rapidity):
     em, ep = np.exp(np.multiply.outer((-0.5j, 0.5j), phi + phi_tilde))
     et, eti = rapidity
     return em, ep, et, eti, et * em + eti * ep
-
-
-def bt_solve_YZ(phi, phi_tilde, phi_t, phi_tilde_t, phi_x, phi_tilde_x, theta):
-    """Solve the diagonal pair for (Y, Z).
-
-    i(phi~_t - phi_t) = -2Y (e^th em + e^-th ep) + 2Z e^-th em
-    i(phi~_x - phi_x) = -2Y (e^th em - e^-th ep) - 2Z e^-th em
-
-    with em/ep the unit exponentials of -+(phi + phi~)/2.  The determinant of
-    the system is 8 em^2, which never vanishes for finite fields; the guard
-    stays for ill-conditioned extreme inputs.
-    """
-    em, ep, et, eti, sum_t = _exponentials(phi, phi_tilde, np.exp((theta, -theta)))
-    rhs_t = 1j * (np.asarray(phi_tilde_t) - np.asarray(phi_t))
-    rhs_x = 1j * (np.asarray(phi_tilde_x) - np.asarray(phi_x))
-    det = 8.0 * em * em
-    if np.any(np.abs(det) < 1e-300):
-        raise ValueError("degenerate configuration: diagonal system is singular")
-    # add the equations to eliminate Z, then back-substitute
-    y = (rhs_t + rhs_x) / (-4.0 * et * em)
-    z = (rhs_t + 2.0 * y * sum_t) / (2.0 * eti * em)
-    return y, z
 
 
 def _tilde_t(phi_t, Y, Z, e):
@@ -189,8 +166,9 @@ def bt_residual_x(phi, phi_tilde, phi_t, phi_tilde_t, Y, Z, Y_x, Z_x, theta):
 # -- auto transformation: evolution ----------------------------------------------
 
 
-# stage times (or recorded rows) per background evaluation: a block of 64 at
-# 129 grid points keeps each background table near 130 KB
+# stage times per background evaluation, and interior rows per masked max of
+# pde_residual: a block of 64 at 129 grid points keeps each background table
+# near 130 KB
 STAGE_BLOCK = 64
 
 
@@ -231,7 +209,8 @@ class BTTrajectory:
     values outside the domain of determinacy of the initial slice (points
     within distance t of an edge, unit characteristic speed) depend on the
     extrapolating edge stencils.  All diagnostics therefore restrict to the
-    causal interior.
+    causal interior.  ``phi`` is the background the march read, at every
+    kept time.
     """
 
     times: np.ndarray
@@ -240,25 +219,18 @@ class BTTrajectory:
     X: np.ndarray              # (nt, nx)
     Y: np.ndarray
     Z: np.ndarray
+    phi: np.ndarray            # (nt, nx)
 
     def _causal(self, t) -> np.ndarray:
         """Mask of the causal interior at time t, or at a (B, 1) column of times."""
         elapsed = t - self.times[0]
         return (self.x >= self.x[0] + elapsed) & (self.x <= self.x[-1] - elapsed)
 
-    def x_relation_error(self, background) -> float:
-        """Max gap between the evolved X and e^{i(phi~ - phi)/2}, with phi read
-        from one ``background.phi`` call per block of STAGE_BLOCK rows."""
-        worst = 0.0
-        for start in range(0, len(self.times), STAGE_BLOCK):
-            rows = slice(start, start + STAGE_BLOCK)
-            ts = self.times[rows, None]
-            keep = self._causal(ts)
-            if not np.any(keep):
-                break
-            target = np.exp(0.5j * (self.phi_tilde[rows] - background.phi(self.x[None, :], ts)))
-            worst = nan_max(worst, float(np.max(np.abs(self.X[rows] - target)[keep])))
-        return worst
+    def x_relation_error(self) -> float:
+        """Max gap over the causal interior between the evolved X and
+        e^{i(phi~ - phi)/2}, phi the background of the march."""
+        target = np.exp(0.5j * (self.phi_tilde - self.phi))
+        return float(np.max(np.abs(self.X - target)[self._causal(self.times[:, None])]))
 
     def pde_residual(self) -> float:
         """Causal-interior finite-difference residual of the field equation,
@@ -277,31 +249,6 @@ class BTTrajectory:
             pxx = (pt[start:stop, 2:] - 2 * inner + pt[start:stop, :-2]) / h**2
             res = np.abs(ptt - pxx - 4j * np.exp(-2j * inner))
             worst = nan_max(worst, float(np.max(res[keep])))
-        return worst
-
-    def x_flow_residual(self, background, theta: complex) -> float:
-        """Causal-interior residual of the space-flow equations."""
-        worst = 0.0
-        h, rapidity = self.x[1] - self.x[0], np.exp((theta, -theta))
-        for k, t in enumerate(self.times):
-            keep = self._causal(t)
-            if not np.any(keep):
-                break
-            phi, phi_t, _ = background.fields(self.x, t)
-            pt = self.phi_tilde[k]
-            ptt = _tilde_t(phi_t, self.Y[k], self.Z[k], _exponentials(phi, pt, rapidity))
-            ry, rz = bt_residual_x(
-                phi, pt, phi_t, ptt,
-                self.Y[k], self.Z[k],
-                derivative_closed(self.Y[k], h),
-                derivative_closed(self.Z[k], h),
-                theta,
-            )
-            worst = nan_max(
-                worst,
-                float(np.max(np.abs(ry[keep]))),
-                float(np.max(np.abs(rz[keep]))),
-            )
         return worst
 
 
@@ -329,11 +276,13 @@ def bt_evolve(
     background is evaluated once per distinct stage time (stages 2 and 3
     share theirs, and stage 4 usually shares the next step's first), in one
     ``fields`` call per block of STAGE_BLOCK stage times, which also gives
-    e^{-i phi} for the X entry.
+    e^{-i phi} for the X entry and the trajectory's phi at each kept time
+    k dt, the first stage time of step k + 1.  Block 0 is evaluated before
+    the march, for the initial X entry, and one ``phi`` call gives the last
+    kept time where it is not a stage time bit for bit.
     """
     steps = count_steps(dt, t_end)
     phi_tilde0, y0, z0 = bt_initial_data(background, x, 0.0, theta, phi_tilde_seed, y_seed, z_seed)
-    x0_rel = np.exp(0.5j * (phi_tilde0 - background.phi(x, 0.0)))
     h, nx = x[1] - x[0], len(x)
     rapidity = np.exp((theta, -theta))
 
@@ -346,15 +295,29 @@ def bt_evolve(
             if not stage_times or ts != stage_times[-1]:
                 stage_times.append(ts)
     slot = {t: i for i, t in enumerate(stage_times)}
-    block = [-1, None]  # (number, (phi, phi_t, phi_x, e^{-i phi})) of the latest block
+    # the stage slot of each kept time k dt, as march forms it, -1 for none
+    kept_slot = np.array([slot.get(k * dt, -1) for k in range(steps + 1)])
+    phi_kept = np.empty((steps + 1, nx), complex)
+
+    def evaluate(b):
+        """(b, (phi, phi_t, phi_x, e^{-i phi})) of block b; copies the phi
+        rows of the kept times among its stage times into phi_kept."""
+        ts = np.array(stage_times[b * STAGE_BLOCK:(b + 1) * STAGE_BLOCK])
+        phi, phi_t, phi_x = background.fields(x[None, :], ts[:, None])
+        mine = kept_slot // STAGE_BLOCK == b
+        phi_kept[mine] = phi[kept_slot[mine] % STAGE_BLOCK]
+        return b, (phi, phi_t, phi_x, np.exp(-1j * phi))
+
+    block = list(evaluate(0))  # the latest block
+    if kept_slot[-1] < 0:
+        phi_kept[-1] = background.phi(x, steps * dt)
+    x0_rel = np.exp(0.5j * (phi_tilde0 - phi_kept[0]))
 
     def rhs(t, y):
         pt, xx, yv, zv = y.reshape(4, nx)
         b, row = divmod(slot[t], STAGE_BLOCK)
         if b != block[0]:
-            ts = np.array(stage_times[b * STAGE_BLOCK:(b + 1) * STAGE_BLOCK])
-            phi, phi_t, phi_x = background.fields(x[None, :], ts[:, None])
-            block[:] = b, (phi, phi_t, phi_x, np.exp(-1j * phi))
+            block[:] = evaluate(b)
         phi, phi_t, phi_x, e_phi = (f[row] for f in block[1])
         e = _exponentials(phi, pt, rapidity)
         pt_x = derivative_closed(pt, h)
@@ -364,7 +327,8 @@ def bt_evolve(
 
     return march(rhs, np.concatenate((phi_tilde0, x0_rel, y0, z0)), dt, steps,
                  bound_guard(tuple((name, nx) for name in ("phi~", "X", "Y", "Z"))),
-                 lambda times, ys: BTTrajectory(times, x, *ys.reshape(-1, 4, nx).swapaxes(0, 1)))
+                 lambda times, ys: BTTrajectory(times, x, *ys.reshape(-1, 4, nx).swapaxes(0, 1),
+                                                phi_kept[:len(times)]))
 
 
 # -- hetero transformation --------------------------------------------------------
@@ -576,21 +540,6 @@ def modified_equation_residual(phi_tilde: LightConeField, c: complex) -> float:
     )
     res = mixed + 4j * c * c * np.exp(2j * v[1:-1, 1:-1])
     return float(np.max(np.abs(res)))
-
-
-def z_equation_residual(phi_tilde: LightConeField, phi: LightConeField,
-                        params: HeteroParams) -> float:
-    """Interior residual of the z-half of the generating relations.
-
-    The fill sweep only integrates the zbar-half, so this measures the
-    compatibility of the pair on the whole rectangle.
-    """
-    dpt = phi_tilde.derivative_z()
-    dphi = phi.derivative_z()
-    res = 1j * (dpt - dphi) + 2.0 * params.c * np.exp(params.Theta) * np.exp(
-        1j * (phi_tilde.values + phi.values)
-    )
-    return float(np.max(np.abs(res[1:-1, 1:-1])))
 
 
 def select_hetero_variant(phi_tilde: LightConeField, phi: LightConeField,

@@ -674,7 +674,7 @@ def _mode_bt_evolve(cfg: RunConfig, report: Report, outdir: Path):
     t1 = run(nx, dt)
     t2 = run(2 * nx - 1, dt / 2)
     r_ratio = t1.pde_residual() / max(t2.pde_residual(), 1e-300)
-    x_ratio = t1.x_relation_error(sol) / max(t2.x_relation_error(sol), 1e-300)
+    x_ratio = t1.x_relation_error() / max(t2.x_relation_error(), 1e-300)
     report.add("transform-image-solves-field-equation",
                "field-equation residual halves at second order", r_ratio, 3.5,
                criterion="min")

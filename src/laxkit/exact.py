@@ -1,46 +1,18 @@
 """Closed-form solutions of the complex Liouville equation.
 
-Both families solve phi_tt - phi_xx - 4i e^{-2i phi} = 0 and expose analytic
-first derivatives, which makes them independent references for the solvers
-and the transformation generators.  The general construction behind them:
-phi = -i log(F + G) + (i/2) log(-F' G' / 4) for any chiral pair F(z), G(zbar)
+The periodic family solves phi_tt - phi_xx - 4i e^{-2i phi} = 0 and exposes
+analytic first derivatives, which makes it an independent reference for the
+solvers and the transformation generators.  The general construction behind
+it: phi = -i log(F + G) + (i/2) log(-F' G' / 4) for any chiral pair F(z), G(zbar)
 in the half-sum light-cone coordinates z = (x + t)/2, zbar = (x - t)/2.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-
-
-@dataclass(frozen=True)
-class LogLinearSolution:
-    """phi = -i log(p t + q x + r) with p^2 - q^2 = 4.
-
-    The simplest exact solution family; not x-periodic.  The argument must
-    stay away from zero on the domain of interest.
-    """
-
-    p: complex
-    q: complex
-    r: complex
-
-    def __post_init__(self):
-        if abs(self.p**2 - self.q**2 - 4.0) > 1e-12:
-            raise ValueError("parameters must satisfy p^2 - q^2 = 4")
-
-    def _w(self, x, t):
-        return self.p * t + self.q * np.asarray(x, dtype=complex) + self.r
-
-    def phi(self, x, t):
-        return -1j * np.log(self._w(x, t))
-
-    def phi_t(self, x, t):
-        return -1j * self.p / self._w(x, t)
-
-    def phi_x(self, x, t):
-        return -1j * self.q / self._w(x, t)
 
 
 @dataclass(frozen=True)
@@ -63,6 +35,11 @@ class PeriodicSolution:
     def __post_init__(self):
         if abs(self.c0) <= abs(self.A) + abs(self.B):
             raise ValueError("need |c0| > |A| + |B| for a branch-safe solution")
+        # phi's constant takes kappa**2, whose overflow would name no cause
+        kappa = float(self.kappa)
+        if not math.isfinite(kappa * kappa):
+            raise OverflowError(f"kappa**2 is out of double range at kappa = {kappa:g} "
+                                f"(L = 2 pi / kappa = {2.0 * math.pi / kappa:g})")
 
     @property
     def period(self) -> float:

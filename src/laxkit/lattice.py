@@ -42,7 +42,6 @@ __all__ = [
     "monodromy_value",
     "charges_closed_form",
     "charges_from_trace",
-    "poisson_bracket",
     "BRACKET_TABLE",
     "check_quadratic_algebra",
     "bulk_eom",
@@ -286,25 +285,6 @@ def BRACKET_TABLE(s: LatticeState, j: int) -> dict[tuple[str, str], complex]:
     each value an array over it."""
     a, abar, v = s.site(j)
     return {pair: rule(a, abar, v) for pair, rule in _TABLE_RULES.items()}
-
-
-def poisson_bracket(f: tuple[str, int], g: tuple[str, int], s: LatticeState) -> complex:
-    """Elementary bracket {f, g} of two stored fields.
-
-    Field references are (species, site) pairs with species in
-    {"a", "a_bar", "v"}.  Off-site and same-species brackets vanish.
-    """
-    (fa, fj), (ga, gj) = f, g
-    for name in (fa, ga):
-        if name not in FIELD_NAMES:
-            raise ValueError(f"unknown field reference {name!r}")
-    if (fj - gj) % s.N != 0:
-        return 0.0j
-    rule = _TABLE_RULES.get((fa, ga))
-    if rule is None:
-        return 0.0j
-    a, abar, v = s.site(fj)
-    return complex(rule(a, abar, v))
 
 
 def check_quadratic_algebra(s: LatticeState, lam: complex, mu: complex, j: int) -> float:

@@ -208,15 +208,6 @@ DEFECT_BRACKET_RULES = {
 }
 
 
-def defect_bracket(f: str, g: str, d: DefectSite) -> complex:
-    rule = DEFECT_BRACKET_RULES.get((f, g))
-    if rule is None:
-        if f not in ("z", "z_bar", "X") or g not in ("z", "z_bar", "X"):
-            raise ValueError(f"unknown defect field reference {f!r}, {g!r}")
-        return 0.0j
-    return complex(rule(d.z, d.z_bar, d.X))
-
-
 def _defect_partials(d: DefectSite, u: complex) -> dict[str, np.ndarray]:
     em, ep = np.exp(-d.theta), np.exp(d.theta)
     return {"z": _UNIT_LOWER, "z_bar": _UNIT_UPPER,
@@ -326,14 +317,17 @@ def _defect_vector_field(field, y, n, et):
     defects = [(y[i], y[i + 1], y[i + 2]) for i in range(3 * N, y.size, y.size // field.copies)]
     ab, vv, q = field.hopping(y)
     tail = []
+    # -2.0 * et is -(2.0 * et) bit for bit
+    two, minus_two = 2.0 * et, -2.0 * et
     for at, (z, zbar, X) in zip(range(n0, cn, N), defects):
         # the neighbours n-1 and n+1 move by the bulk flow with btilde and
         # bbartilde at slot n; slot n's b and bbar reach no other site
         bm, bbp = q[at - 1], q[cn + at + 1]
         bt, bbt = _tilde(bm, bbp, et, z, zbar, X)
         q[at], q[cn + at] = bt, bbt
-        tail += (2.0 * et * bm * X - 2.0 * et * bt / X + bbp * bt * z + bbt * bm * z,
-                 -2.0 * et * bbp * X + 2.0 * et * bbt / X - bbp * bt * zbar - bbt * bm * zbar,
+        hop, hop_t = bbp * bt, bbt * bm
+        tail += (two * bm * X - two * bt / X + hop * z + hop_t * z,
+                 minus_two * bbp * X + two * bbt / X - hop * zbar - hop_t * zbar,
                  et * (bbp * z - zbar * bm))
     out = field.velocities(y, ab, vv, q, tail)
     # defect site: frozen bulk slot, its own fields move instead

@@ -23,7 +23,7 @@ import numpy as np
 
 __all__ = [
     "LaurentSeries", "LaurentMatrix", "matrix_product_chain",
-    "log_expand", "log_reconstruct", "series_exp", "series_inverse",
+    "log_expand", "series_inverse",
 ]
 
 
@@ -184,33 +184,6 @@ def log_expand(p: LaurentSeries, depth: int = 4) -> tuple[int, list[complex]]:
         # which rounds twice
         log1p -= (power.view(float) / k).view(complex)
     return n, [complex(np.log(lead))] + [complex(c) for c in log1p[1:]]
-
-
-def log_reconstruct(n: int, coeffs: list[complex]) -> tuple[int, np.ndarray]:
-    """Inverse of :func:`log_expand` up to the retained order.
-
-    Returns the truncated series ``(n, c)`` of u^n exp(c0) exp(sum c_m u^-m),
-    with as many coefficients as ``coeffs`` has.
-    """
-    tail = np.array(coeffs, dtype=complex)
-    tail[0] = 0.0
-    return n, series_exp(tail) * np.exp(coeffs[0])
-
-
-def series_exp(x: np.ndarray) -> np.ndarray:
-    """exp of the dense series sum_m x[m] u^-m, to len(x) coefficients.
-
-    x[0] must be 0: the series has strictly negative exponents."""
-    x = np.asarray(x, dtype=complex)
-    if x[0] != 0:
-        raise ValueError("series_exp expects strictly negative exponents")
-    out = np.zeros_like(x)
-    out[0] = 1.0
-    fact = 1.0
-    for k, power in enumerate(_powers(x), start=1):
-        fact *= k
-        out += power * (1.0 / fact)
-    return out
 
 
 def series_inverse(p: LaurentSeries, depth: int = 4) -> tuple[int, np.ndarray]:

@@ -1,0 +1,155 @@
+"""Oracles that only the tests read: the log-linear exact solution, the
+elementary brackets of one pair of fields, the inverse of ``log_expand``, the
+z half of the hetero generating relations and the space-flow residual of an
+evolved Backlund trajectory.  The library computes none of these; the tests
+check its results against them."""
+
+from dataclasses import dataclass
+
+import numpy as np
+
+from laxkit.backlund import _exponentials, _tilde_t, bt_residual_x
+from laxkit.lattice import _TABLE_RULES, FIELD_NAMES
+from laxkit.lattice_defect import DEFECT_BRACKET_RULES
+from laxkit.laurent import _powers
+from laxkit.liouville import derivative_closed
+from laxkit.stepping import nan_max
+
+
+# -- exact solutions ------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class LogLinearSolution:
+    """phi = -i log(p t + q x + r) with p^2 - q^2 = 4, a solution of
+    phi_tt - phi_xx - 4i e^{-2i phi} = 0.
+
+    The simplest exact solution family; not x-periodic.  The argument must
+    stay away from zero on the domain of interest.
+    """
+
+    p: complex
+    q: complex
+    r: complex
+
+    def __post_init__(self):
+        if abs(self.p**2 - self.q**2 - 4.0) > 1e-12:
+            raise ValueError("parameters must satisfy p^2 - q^2 = 4")
+
+    def _w(self, x, t):
+        return self.p * t + self.q * np.asarray(x, dtype=complex) + self.r
+
+    def phi(self, x, t):
+        return -1j * np.log(self._w(x, t))
+
+    def phi_t(self, x, t):
+        return -1j * self.p / self._w(x, t)
+
+    def phi_x(self, x, t):
+        return -1j * self.q / self._w(x, t)
+
+
+# -- brackets -------------------------------------------------------------------
+
+
+def poisson_bracket(f, g, s):
+    """Elementary bracket {f, g} of two stored fields of the lattice state s.
+
+    Field references are (species, site) pairs with species in
+    {"a", "a_bar", "v"}.  Off-site and same-species brackets vanish.
+    """
+    (fa, fj), (ga, gj) = f, g
+    for name in (fa, ga):
+        if name not in FIELD_NAMES:
+            raise ValueError(f"unknown field reference {name!r}")
+    if (fj - gj) % s.N != 0:
+        return 0.0j
+    rule = _TABLE_RULES.get((fa, ga))
+    if rule is None:
+        return 0.0j
+    a, abar, v = s.site(fj)
+    return complex(rule(a, abar, v))
+
+
+def defect_bracket(f, g, d):
+    """Elementary bracket {f, g} of two fields of the defect d, each one of
+    "z", "z_bar" and "X"."""
+    rule = DEFECT_BRACKET_RULES.get((f, g))
+    if rule is None:
+        if f not in ("z", "z_bar", "X") or g not in ("z", "z_bar", "X"):
+            raise ValueError(f"unknown defect field reference {f!r}, {g!r}")
+        return 0.0j
+    return complex(rule(d.z, d.z_bar, d.X))
+
+
+# -- truncated series -----------------------------------------------------------
+
+
+def series_exp(x):
+    """exp of the dense series sum_m x[m] u^-m, to len(x) coefficients.
+
+    x[0] must be 0: the series has strictly negative exponents."""
+    x = np.asarray(x, dtype=complex)
+    if x[0] != 0:
+        raise ValueError("series_exp expects strictly negative exponents")
+    out = np.zeros_like(x)
+    out[0] = 1.0
+    fact = 1.0
+    for k, power in enumerate(_powers(x), start=1):
+        fact *= k
+        out += power * (1.0 / fact)
+    return out
+
+
+def log_reconstruct(n, coeffs):
+    """Inverse of ``laurent.log_expand`` up to the retained order: the
+    truncated series ``(n, c)`` of u^n exp(c0) exp(sum c_m u^-m), with as
+    many coefficients as ``coeffs`` has."""
+    tail = np.array(coeffs, dtype=complex)
+    tail[0] = 0.0
+    return n, series_exp(tail) * np.exp(coeffs[0])
+
+
+# -- Backlund relations ---------------------------------------------------------
+
+
+def z_equation_residual(phi_tilde, phi, params):
+    """Interior residual of the z half of the hetero generating relations,
+    i d(phi~ - phi)/dz + 2 c e^Theta e^{i(phi~ + phi)} = 0, on two
+    ``LightConeField`` samples.  The fill sweep of ``hetero_bt_generate``
+    integrates only the zbar half, so this measures the compatibility of the
+    pair on the whole rectangle."""
+    dpt = phi_tilde.derivative_z()
+    dphi = phi.derivative_z()
+    res = 1j * (dpt - dphi) + 2.0 * params.c * np.exp(params.Theta) * np.exp(
+        1j * (phi_tilde.values + phi.values)
+    )
+    return float(np.max(np.abs(res[1:-1, 1:-1])))
+
+
+def x_flow_residual(traj, background, theta):
+    """Causal-interior residual of the space-flow equations on a
+    ``BTTrajectory``, row by row, with (Y_x, Z_x) by closed differences and
+    phi~_t from the t half of the diagonal pair."""
+    worst = 0.0
+    h, rapidity = traj.x[1] - traj.x[0], np.exp((theta, -theta))
+    for k, t in enumerate(traj.times):
+        keep = traj._causal(t)
+        if not np.any(keep):
+            break
+        phi, phi_t, _ = background.fields(traj.x, t)
+        pt = traj.phi_tilde[k]
+        ptt = _tilde_t(phi_t, traj.Y[k], traj.Z[k], _exponentials(phi, pt, rapidity))
+        ry, rz = bt_residual_x(
+            phi, pt, phi_t, ptt,
+            traj.Y[k], traj.Z[k],
+            derivative_closed(traj.Y[k], h),
+            derivative_closed(traj.Z[k], h),
+            theta,
+        )
+        worst = nan_max(
+            worst,
+            float(np.max(np.abs(ry[keep]))),
+            float(np.max(np.abs(rz[keep]))),
+        )
+    return worst

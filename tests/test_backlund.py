@@ -6,6 +6,7 @@ from laxkit import exact
 from laxkit import lattice_defect as ld
 from laxkit import stepping
 from reference_guards import rowwise
+from reference_oracles import x_flow_residual, z_equation_residual
 
 
 L = 1.0
@@ -47,36 +48,6 @@ class TestDarbouxMatrix:
             bt.DarbouxState(0.0, 1.0, 1.0, 0.0)
 
 
-class TestSolveYZ:
-    def test_identity_configuration_gives_zero(self):
-        y, z = bt.bt_solve_YZ(0.3, 0.3, 0.1, 0.1, -0.2, -0.2, THETA)
-        assert abs(y) < 1e-15 and abs(z) < 1e-15
-
-    def test_elimination_oracle_for_Y(self):
-        # adding the equations eliminates Z: Y = -i (sum of gaps) e^-th E+ / 4
-        rng = np.random.default_rng(81)
-        for _ in range(20):
-            vals = [complex(rng.normal(), rng.normal()) for _ in range(6)]
-            phi, pht, phit, phtt, phix, phtx = vals
-            y, _ = bt.bt_solve_YZ(phi, pht, phit, phtt, phix, phtx, THETA)
-            ep = np.exp(0.5j * (phi + pht))
-            hand = -1j * ((phtt - phit) + (phtx - phix)) * np.exp(-THETA) * ep / 4.0
-            assert abs(y - hand) < 1e-13
-
-    def test_back_substitution(self):
-        rng = np.random.default_rng(82)
-        for _ in range(20):
-            vals = [complex(rng.normal(), rng.normal()) for _ in range(6)]
-            phi, pht, phit, phtt, phix, phtx = vals
-            y, z = bt.bt_solve_YZ(phi, pht, phit, phtt, phix, phtx, THETA)
-            em = np.exp(-0.5j * (phi + pht))
-            ep = np.exp(0.5j * (phi + pht))
-            et, eti = np.exp(THETA), np.exp(-THETA)
-            r1 = 1j * (phtt - phit) - (-2 * y * (et * em + eti * ep) + 2 * z * eti * em)
-            r2 = 1j * (phtx - phix) - (-2 * y * (et * em - eti * ep) - 2 * z * eti * em)
-            assert abs(r1) < 1e-12 and abs(r2) < 1e-12
-
-
 class TestResiduals:
     def test_identity_pair_zero_residual(self):
         r_y, r_z = bt.bt_residual_t(0.4, 0.4, 0.1, 0.1, 0.0, 0.0, 0.0, 0.0, THETA)
@@ -101,7 +72,7 @@ class TestResiduals:
                 phi_tilde_seed=sol.phi(x[0], 0.0) + 0.15,
                 y_seed=0.02, z_seed=0.01,
             )
-            return traj.x_flow_residual(sol, THETA)
+            return x_flow_residual(traj, sol, THETA)
 
         r1, r2 = worst(65, 2.5e-3), worst(129, 1.25e-3)
         assert 3.5 <= r1 / r2 <= 4.6
@@ -167,7 +138,7 @@ class TestEvolve:
                 phi_tilde_seed=sol.phi(x[0], 0.0) + 0.15,
                 y_seed=0.02, z_seed=0.01,
             )
-            return traj.x_relation_error(sol)
+            return traj.x_relation_error()
 
         e1, e2 = err(65, 2.5e-3), err(129, 1.25e-3)
         assert 3.5 <= e1 / e2 <= 4.6
@@ -307,16 +278,16 @@ class TestEvolve:
         x = np.linspace(-0.9, 0.9, 33)
         traj = bt.bt_evolve(sol, x, THETA, 2.5e-3, 0.1,
                             phi_tilde_seed=sol.phi(x[0], 0.0) + 0.15, y_seed=0.02, z_seed=0.01)
-        assert np.isfinite(traj.pde_residual()) and np.isfinite(traj.x_relation_error(sol))
+        assert np.isfinite(traj.pde_residual()) and np.isfinite(traj.x_relation_error())
         pt, xx = traj.phi_tilde.copy(), traj.X.copy()
         pt[1, 16] = xx[0, 16] = np.nan
-        broken = bt.BTTrajectory(traj.times, x, pt, xx, traj.Y, traj.Z)
+        broken = bt.BTTrajectory(traj.times, x, pt, xx, traj.Y, traj.Z, traj.phi)
         assert np.isnan(broken.pde_residual())
-        assert np.isnan(broken.x_relation_error(sol))
+        assert np.isnan(broken.x_relation_error())
 
     def test_entry_relation_blocks_match_rows(self):
-        # x_relation_error reads phi in blocks of rows; the per-row loop it
-        # replaced gives the same float
+        # x_relation_error reads the phi that bt_evolve kept from its stage
+        # tables; the per-row loop over sol.phi gives the same float
         sol = exact.periodic_solution_for_length(L)
         x = np.linspace(-0.9, 0.9, 65)
         traj = bt.bt_evolve(sol, x, THETA, 2.5e-3, 0.4,
@@ -329,7 +300,7 @@ class TestEvolve:
                 break
             target = np.exp(0.5j * (traj.phi_tilde[k][keep] - sol.phi(x[keep], t)))
             worst = max(worst, float(np.max(np.abs(traj.X[k][keep] - target))))
-        assert traj.x_relation_error(sol) == worst
+        assert traj.x_relation_error() == worst
 
     def test_t_end_off_the_step_grid_rejected(self):
         sol = exact.periodic_solution_for_length(L)
@@ -450,8 +421,8 @@ class TestHeteroGenerate:
     def test_z_equation_holds_on_whole_rectangle(self):
         pt1, phi1 = generate_pair(49, 41)
         pt2, phi2 = generate_pair(97, 81)
-        r1 = bt.z_equation_residual(pt1, phi1, PARAMS)
-        r2 = bt.z_equation_residual(pt2, phi2, PARAMS)
+        r1 = z_equation_residual(pt1, phi1, PARAMS)
+        r2 = z_equation_residual(pt2, phi2, PARAMS)
         assert r1 / r2 >= 3.5
 
     def test_generated_solution_maps_to_bulk_convention(self):

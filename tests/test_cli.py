@@ -3,12 +3,15 @@ import itertools
 import json
 import math
 import multiprocessing
+import tempfile
 import warnings
 from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from laxkit import cli
 from laxkit import lattice as lat
@@ -431,6 +434,22 @@ class TestRun:
         assert [r["anchor"] for r in blow_up] == [f"floating-point: {anchor}"]
 
     @pytest.mark.parametrize("action", ["error", "always"])
+    def test_exact_solution_overflow_names_kappa_and_L(self, tmp_path, action, capsys):
+        # kappa = 2 pi / L = 6.3e300: kappa**2 in the exact solution's phi
+        # leaves double range; a blow-up that names kappa and L, and exit 1
+        path = write_config(tmp_path, {"mode": "bt-evolve", "params": {"L": 1e-300}})
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter(action)
+            code = cli.main(["run", "--config", str(path), "--out", str(tmp_path / "out")])
+        assert code == 1 and caught == []
+        report = json.loads((tmp_path / "out" / "report.json").read_text())
+        assert report["aborted"] is True
+        assert [(r["name"], r["anchor"]) for r in report["records"]] == [(
+            "blow-up", "overflow: kappa**2 is out of double range at kappa = 6.28319e+300 "
+                       "(L = 2 pi / kappa = 1e-300)")]
+        assert "Traceback" not in capsys.readouterr().err
+
+    @pytest.mark.parametrize("action", ["error", "always"])
     @pytest.mark.parametrize("probes", [[2.0, 1e200], [1e-200]])
     @pytest.mark.parametrize("mode", ["lattice-sim", "lattice-defect-sim"])
     def test_probe_trace_overflow_is_a_blow_up(self, tmp_path, action, probes, mode):
@@ -782,3 +801,118 @@ class TestSuite:
         report = cli.run(cfg, tmp_path / "mutated")
         failed = {r.name for r in report.records if not r.passed}
         assert failed == {"hamiltonian-flow-consistency"}
+
+
+# -- the CLI contract: every config ends in a report or a config error ----------
+
+
+def complexes(lo, hi):
+    """A float in [lo, hi], or a complex string of two such, e.g. "0.1-0.2j"."""
+    part = st.floats(lo, hi)
+    return part | st.builds(lambda re, im: f"{re!r}{im:+}j", part, part)
+
+
+# every param a mode reads but the time params, bounded: a config may ask for
+# any amount of work, so counts stay small
+BOUNDED = {
+    "N": st.integers(2, 6),
+    "amplitude": st.floats(0.0, 0.3),
+    "probes": st.lists(st.floats(0.5, 4.0), min_size=1, max_size=2),
+    "defect_site": st.integers(2, 5),
+    "theta": complexes(-0.5, 0.5),
+    "samples": st.integers(5, 8),
+    "mu_probes": st.lists(complexes(-1.0, 1.0), max_size=2),
+    "sizes": st.lists(st.integers(3, 6), min_size=1, max_size=3),
+    "points": st.integers(3, 17),
+    "L": st.floats(0.5, 2.0),
+    "configs": st.integers(1, 3),
+    "seed_offset": complexes(-0.3, 0.3),
+    "y_seed": complexes(-0.1, 0.1),
+    "z_seed": complexes(-0.1, 0.1),
+    "c": complexes(-0.5, 0.5),
+    "Theta": complexes(-0.3, 0.3),
+    "nz": st.integers(3, 9),
+    "nzbar": st.integers(3, 9),
+}
+# (dt, t_end) of a march of at most 8 steps, at the runs' largest step
+STEPS = st.builds(lambda dt, k: (dt, dt * k), st.sampled_from((0.01, 0.025, 0.05)),
+                  st.integers(1, 8))
+BAD_STEPS = ((1e300, 0.1), (-0.01, 0.1), (0.0, 0.1), (0.03, 0.1), (0.1, 1e-300),
+             (None, 0.1), (0.01, "x"))
+COUNTS = ("N", "defect_site", "samples", "sizes", "points", "configs", "nz", "nzbar")
+LISTS = ("probes", "lambda_probes", "mu_probes", "sizes")
+# numbers at the edges of double range, and values no param takes; a count
+# of 1e300 would ask for that much work, so counts get only the small extremes
+EXTREMES = (1e300, -1e300, 1e-300, -1e-300, 0.0, "1e+300j", "1e-300-1e+300j")
+SMALL_EXTREMES = (-1e300, 1e-300, 0.0)
+MALFORMED = (None, True, "x", {}, -1, 2.5, math.nan, math.inf, "nan+1j")
+
+
+@st.composite
+def contract_configs(draw):
+    """A config of one of the ten modes: each param absent or bounded, the
+    time params a march of at most 16 steps, then at most one param, the
+    seed or the tolerance scale extreme or malformed."""
+    mode = draw(st.sampled_from(cli.MODES))
+    params = draw(st.fixed_dictionaries({}, optional={
+        k: BOUNDED[k] for k in cli.PARAMS[mode] if k in BOUNDED}))
+    if "lambda_probes" in cli.PARAMS[mode] and "mu_probes" in params:
+        # verify-poisson pairs each lambda probe with a mu probe
+        count = len(params["mu_probes"])
+        params["lambda_probes"] = draw(st.lists(complexes(-1.0, 1.0), min_size=count,
+                                                max_size=count))
+    # the lattice and Liouville modes also run at 2 dt
+    runs = 1 if mode == "bt-evolve" else 2
+    if "dt" in cli.PARAMS[mode]:
+        dt, t_end = draw(STEPS)
+        params["dt"], params["t_end"] = dt / runs, t_end
+    config = {"mode": mode, "params": params}
+    if draw(st.booleans()):
+        config["seed"] = draw(st.integers(0, 2**32))
+    kind = draw(st.sampled_from(("bounded", "extreme", "malformed")))
+    if kind != "bounded":
+        key = draw(st.sampled_from(cli.PARAMS[mode] + ("seed", "tolerance_scale")))
+        if key in ("dt", "t_end"):
+            params["dt"], params["t_end"] = draw(st.sampled_from(BAD_STEPS))
+            return config
+        pool = MALFORMED if kind == "malformed" else SMALL_EXTREMES if key in COUNTS else EXTREMES
+        value = draw(st.sampled_from(pool))
+        value = [value] if key in LISTS and kind == "extreme" else value
+        if key in ("seed", "tolerance_scale"):
+            config[key] = value
+        else:
+            params[key] = value
+    return config
+
+
+def contract_settings():
+    """The loaded profile under ``--hypothesis-profile cli-contract`` (see
+    conftest.py), else tier-1's budget: a few fixed examples."""
+    if settings.get_current_profile_name() == "cli-contract":
+        return settings()
+    return settings(max_examples=40, deadline=None, derandomize=True, database=None)
+
+
+class TestContract:
+    @contract_settings()
+    @given(config=contract_configs())
+    @example(config={"mode": "bt-evolve", "params": {"L": 1e-300, "dt": 0.05, "t_end": 0.1}})
+    @example(config={"mode": "lattice-defect-sim",
+                     "params": {"probes": [1e-300], "dt": 0.025, "t_end": 0.1}})
+    @example(config={"mode": "hetero-bt", "params": {"c": "1e+300j"}})
+    def test_every_config_ends_in_a_report_or_a_config_error(self, config):
+        # exit 0 or 1 with a strict-JSON report.json, or exit 2 with no
+        # --out directory; no exception escapes, numpy warnings as errors
+        with tempfile.TemporaryDirectory() as tmp:
+            out = Path(tmp) / "out"
+            path = write_config(Path(tmp), config)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)
+                code = cli.main(["run", "--config", str(path), "--out", str(out)])
+            if code == 2:
+                assert not out.exists()
+            else:
+                assert code in (0, 1)
+                report = json.loads((out / "report.json").read_text(),
+                                    parse_constant=lambda token: pytest.fail(token))
+                assert report["passed"] is (code == 0)

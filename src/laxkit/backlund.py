@@ -24,12 +24,19 @@ z = (x + t)/2, zbar = (x - t)/2 the intertwining relation is equivalent to
     i d(phi~ - phi)/dz    = -2 c e^{Theta}  e^{i(phi~ + phi)},
     i d(phi~ + phi)/dzbar = -2 c e^{-Theta} e^{i(phi~ - phi)},
 
-whose cross-derivatives reproduce both field equations.  The matrix entries
-that realize this are A = X = e^{i(phi~ - phi)/2} and Z = B =
-e^{i(phi~ + phi)/2}, paired with the time-Lax of the modified pair whose
-upper-right sign is fixed by its own zero-curvature relation.
-:func:`select_hetero_variant` measures the intertwining residual of these
-entries against two refuted assignments with the entry roles swapped.
+whose cross-derivatives reproduce both field equations.  For a free field
+phi = f(z) + g(zbar) they are linear in R = e^{-i(phi~ - f + g)}:
+
+    dR/dz = 2 c e^{Theta} e^{2i f(z)},   dR/dzbar = 2 c e^{-Theta} e^{-2i g(zbar)},
+
+with right sides free of R (Liouville's own linearisation, J. Math. Pures
+Appl. 18 (1853) 71), so :func:`hetero_bt_generate` forms R from two 1-D
+integrals.  The matrix entries that realize the relation are A = X =
+e^{i(phi~ - phi)/2} and Z = B = e^{i(phi~ + phi)/2}, paired with the
+time-Lax of the modified pair whose upper-right sign is fixed by its own
+zero-curvature relation.  :func:`select_hetero_variant` measures the
+intertwining residual of these entries against two refuted assignments with
+the entry roles swapped.
 """
 
 from __future__ import annotations
@@ -42,7 +49,7 @@ import numpy as np
 from .lattice_defect import _type2_matrix
 from .liouville import derivative_closed
 from .rmatrix import _matrices
-from .stepping import bound_guard, count_steps, march, nan_max
+from .stepping import Abort, Aborted, bound_guard, count_steps, march, nan_max
 
 __all__ = [
     "DarbouxState",
@@ -360,11 +367,6 @@ class LightConeField:
     def dzbar(self) -> float:
         return float(self.zbar[1] - self.zbar[0])
 
-    @staticmethod
-    def from_function(fn, z: np.ndarray, zbar: np.ndarray) -> "LightConeField":
-        zz, bb = np.meshgrid(z, zbar, indexing="ij")
-        return LightConeField(z, zbar, fn(zz, bb))
-
     def derivative_z(self) -> np.ndarray:
         return derivative_closed(self.values, self.dz, axis=0)
 
@@ -433,83 +435,50 @@ def _intertwining_residual(lt: np.ndarray, phi: LightConeField, phi_tilde: Light
     return float(np.max(np.abs(res[1:-1, 1:-1])))
 
 
-def _pole_guard(reason: str, field: str, phi_tilde):
-    """Guard for the pole w -> 0 of the generated solution i log w, where
-    |e^{i phi~}| = e^{-Im phi~} passes 1e8 (or phi~ stops being finite when
-    a node lands on the pole).  ``phi_tilde(t, y)`` maps the (4B, L) stack
-    of a block of steps at a (4B, 1) column of times to phi~, evaluated once
-    per call.  The verdict names the first row that trips and, in it, the
-    entry of largest |Im phi~|, a non-finite one counting as infinite."""
-    limit = np.log(1e8)
-
-    def guard(ts, ys):
-        pt = phi_tilde(np.array(ts)[:, None], ys)
-        if np.abs(pt.imag).max() <= limit and np.isfinite(pt.real).all():
-            return None
-        size = np.where(np.isfinite(pt), np.abs(pt.imag), np.inf)
-        row = int(np.argmax(size.max(axis=1) > limit))
-        return row, (reason, field, int(np.argmax(size[row])))
-
-    return guard
-
-
-def hetero_bt_generate(
-    f,
-    g,
-    params: HeteroParams,
-    z: np.ndarray,
-    zbar: np.ndarray,
-) -> tuple[LightConeField, LightConeField]:
+def hetero_bt_generate(f, g, params: HeteroParams, z: np.ndarray,
+                       zbar: np.ndarray) -> tuple[LightConeField, LightConeField]:
     """Generate a Liouville solution from a free field phi = f(z) + g(zbar),
-    with phi~ = 0 at the corner (z[0], zbar[0]).
+    with phi~ = 0 at the corner (z[0], zbar[0]); returns (phi~ field, phi
+    field) on the rectangle.  f and g map a 1-D array of coordinates.
 
-    Integrates i d(phi~ - phi)/dz = -2 c e^Theta e^{i(phi~ + phi)} along the
-    seed line zbar = zbar[0], then i d(phi~ + phi)/dzbar = -2 c e^-Theta
-    e^{i(phi~ - phi)} along every zbar characteristic, fourth order in both
-    sweeps over the uniform axes.  Returns (phi~ field, phi field) on the
-    rectangle.  |e^{i phi~}| above 1e8 signals the pole of the generated
-    solution and raises :class:`~laxkit.stepping.Aborted`, whose t is the
-    sweep coordinate and whose index runs over the other axis: the pole is
-    near (t, zbar[0]) on the seed line and near (z[index], t) in the fill.
-    f and g must broadcast over arrays, a (4B, 1) column of sweep
-    coordinates included: the pole guard evaluates phi at the stage
-    coordinates of a block of B steps at once.
+    R = e^{-i(phi~ - f + g)} is e^{i(f(z0) - g(zbar0))} plus 2 c e^Theta and
+    2 c e^-Theta times cumulative Simpson sums of e^{2if} along z and of
+    e^{-2ig} along zbar (module docstring), the RK4 march of a flow free of
+    the state: fourth order.  phi~ = f - g + i log R, log R continued from
+    i(f(z0) - g(zbar0)).  A zero of R is a pole of e^{i phi~} that the grid
+    lines may miss: a cell is flagged where |e^{i phi~}| leaves [1e-8, 1e8]
+    at a corner, or where R winds around it (the argument principle on its
+    corners).  The first flagged cell in z-row order, from (z[i], zbar[j]),
+    raises :class:`~laxkit.stepping.Aborted` with the record "after step i
+    (t = z[i]), cell at z[i], zbar[j]" and phi~ on the rows z[:i].
     """
-    c, th = params.c, params.Theta
-    zb0, g0, fz = zbar[0], g(zbar[0]), f(z)
-    seed_coef, fill_coef = 2j * c * np.exp(th), 2j * c * np.exp(-th)
+    def simpson(fn, axis, sign):
+        """fn on the axis, and the integral of e^{2i sign fn} from axis[0] on."""
+        nodes = fn(axis)
+        e, mid = np.exp(2j * sign * nodes), np.exp(2j * sign * fn(0.5 * (axis[:-1] + axis[1:])))
+        cells = np.diff(axis) / 6.0 * (e[:-1] + 4.0 * mid + e[1:])
+        return nodes, np.concatenate(([0.0], np.cumsum(cells)))
 
-    # seed sweep in z for psi = phi~ - phi, from phi~ = 0 at the corner; the
-    # start is complex, as the flow is, also for real f and g
-    def seed_rhs(zv, y):
-        phi = f(zv) + g0
-        return seed_coef * np.exp(1j * (y + 2.0 * phi))
-
-    psi_line = march(
-        seed_rhs, np.asarray(0.0 - (f(z[:1]) + g0), complex), (z[-1] - z[0]) / (len(z) - 1),
-        len(z) - 1,
-        _pole_guard("pole in the z sweep", "phi~ at zbar", lambda t, y: y + (f(t) + g0)),
-        lambda zs, ys: ys[:, 0], t0=z[0],
-    )
-
-    # fill sweep in zbar for chi = phi~ + phi, all z columns at once
-    def fill_rhs(bv, y):
-        phi = fz + g(bv)
-        return fill_coef * np.exp(1j * (y - 2.0 * phi))
-
-    seed_line = psi_line + (fz + g0)  # phi~ on the seed line
-
-    def fill_finish(bs, ys):
-        # phi~ = chi - phi on each later line; the seed line keeps its own bits
-        columns = [seed_line] + [chi - (fz + g(b)) for chi, b in zip(ys[1:], zbar[1:])]
-        return LightConeField(z, zbar[: len(columns)], np.stack(columns, axis=1))
-
-    phi_tilde = march(
-        fill_rhs, seed_line + (fz + g0), (zbar[-1] - zb0) / (len(zbar) - 1), len(zbar) - 1,
-        _pole_guard("pole in the zbar sweep", "phi~ at z", lambda t, y: y - (fz + g(t))),
-        fill_finish, t0=zb0,
-    )
-    return phi_tilde, LightConeField.from_function(lambda zz, bb: f(zz) + g(bb), z, zbar)
+    (fz, iz), (gb, ib) = simpson(f, z, 1.0), simpson(g, zbar, -1.0)
+    delta = (fz - fz[0])[:, None] - (gb - gb[0])[None, :]
+    # w = R / R(z0, zbar0), so phi~ = delta + i log w with log w continued from 0
+    scale = 2.0 * params.c * np.exp(-1j * (fz[0] - gb[0]))
+    w = 1.0 + scale * np.exp(params.Theta) * iz[:, None] + scale * np.exp(-params.Theta) * ib
+    # continued along row 0, then down each column, arg w turns along a zbar edge
+    # by its wrapped step plus 2 pi per winding of the cells between it and row 0
+    arg = np.angle(w)
+    arg[0] = np.unwrap(arg[0])
+    arg = np.unwrap(arg, axis=0)
+    turns = np.round(np.diff(arg, axis=1) / (2.0 * np.pi))
+    size = np.abs(w) * np.exp(delta.imag)  # e^{Im phi~}, without a log of 0
+    off = ~((1e-8 <= size) & (size <= 1e8))
+    cells = off[:-1, :-1] | off[1:, :-1] | off[:-1, 1:] | off[1:, 1:] | (turns[1:] != turns[:-1])
+    i, j = np.unravel_index(np.argmax(cells), cells.shape) if cells.any() else (len(z), 0)
+    phi_tilde = LightConeField(z[:i], zbar, delta[:i] - arg[:i] + 1j * np.log(np.abs(w[:i])))
+    if i < len(z):
+        raise Aborted(Abort(float(z[i]), int(i), None, "pole of e^{i phi~}",
+                            f"cell at z[{i}], zbar", int(j)), phi_tilde)
+    return phi_tilde, LightConeField(z, zbar, fz[:, None] + gb[None, :])
 
 
 def free_field_closed_form(params: HeteroParams, z, zbar, z0: float, zbar0: float):

@@ -177,16 +177,21 @@ class RunConfig:
         }
 
 
-def _integer(key: str, value, least: int, most: float = math.inf) -> int:
+# the largest count and the most steps of a march a config may ask for: the
+# battery's largest run takes 1000 steps, and count_steps can tell a whole
+# number of steps only below 2^53
+_MAX_COUNT = 10**7
+
+
+def _integer(key: str, value, least: int, most: int = _MAX_COUNT) -> int:
     """A count or index parameter, an integer in [least, most]."""
     if not (isinstance(value, (int, float)) and not isinstance(value, bool)
             and float(value).is_integer() and least <= value <= most):
-        span = f">= {least}" if most == math.inf else f"in [{least}, {most}]"
-        raise ConfigError(f"{key} must be an integer {span}; got {value!r}")
+        raise ConfigError(f"{key} must be an integer in [{least}, {most}]; got {value!r}")
     return int(value)
 
 
-def _count(p: dict, key: str, default: int, least: int = 1, most: float = math.inf) -> int:
+def _count(p: dict, key: str, default: int, least: int = 1, most: int = _MAX_COUNT) -> int:
     return _integer(key, p.get(key, default), least, most)
 
 
@@ -257,8 +262,12 @@ def write_csv(path: Path, header: list[str], rows) -> None:
 def _time_params(p: dict, dt: float, t_end: float, coarse=lambda dt: dt):
     """(dt, coarse step, t_end) from the params; ``coarse(dt)`` is the
     largest step the mode runs at.  Every step must fit in t_end a whole
-    number of times, so that every run of the mode ends at t_end."""
+    number of times, so that every run of the mode ends at t_end, and at
+    most _MAX_COUNT times."""
     dt, t_end = _number("dt", p.get("dt", dt)), _number("t_end", p.get("t_end", t_end))
+    if dt > 0 and t_end / dt > _MAX_COUNT:
+        raise ConfigError(f"dt must be at least t_end / {_MAX_COUNT}, a march of at most "
+                          f"{_MAX_COUNT} steps; got dt = {dt:g} and t_end = {t_end:g}")
     dt_coarse = coarse(dt)
     for step in (dt, dt_coarse):
         try:
@@ -712,9 +721,9 @@ def _mode_hetero_bt(cfg: RunConfig, report: Report, outdir: Path):
     zbar = np.linspace(0.0, 0.5, 57)
     pt0, _ = bt.hetero_bt_generate(lambda w: 0.0 * w, lambda w: 0.0 * w, params, z, zbar)
     closed = bt.free_field_closed_form(params, z, zbar, z[0], zbar[0])
-    report.add("vanishing-free-field-closed-form",
-               "generated field matches the separable solution",
-               float(np.max(np.abs(pt0.values - closed))), 1e-8 * cfg.tolerance_scale)
+    report.add_roundoff("vanishing-free-field-closed-form",
+                        "generated field matches the separable solution",
+                        np.max(np.abs(pt0.values - closed)), 1e-8 * cfg.tolerance_scale)
 
     winner, scores = bt.select_hetero_variant(pt1, phi1, params)
     res_pair = scores["difference-imag"]  # interface_residual(phi1, pt1, params, 0.3)

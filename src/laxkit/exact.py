@@ -9,6 +9,7 @@ in the half-sum light-cone coordinates z = (x + t)/2, zbar = (x - t)/2.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -35,9 +36,11 @@ class PeriodicSolution:
     def __post_init__(self):
         if abs(self.c0) <= abs(self.A) + abs(self.B):
             raise ValueError("need |c0| > |A| + |B| for a branch-safe solution")
-        # phi's constant takes kappa**2, whose overflow would name no cause
+        # phi's constant is the log of -kappa**2 A B / 4, whose overflow, or
+        # underflow to 0, would name no cause
         kappa = float(self.kappa)
-        if not math.isfinite(kappa * kappa):
+        arg = -kappa * kappa * complex(self.A) * complex(self.B) / 4.0
+        if not (cmath.isfinite(arg) and arg != 0):
             raise OverflowError(f"kappa**2 is out of double range at kappa = {kappa:g} "
                                 f"(L = 2 pi / kappa = {2.0 * math.pi / kappa:g})")
 

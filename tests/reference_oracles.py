@@ -1,8 +1,9 @@
 """Oracles that only the tests read: the log-linear exact solution, the
 elementary brackets of one pair of fields, the inverse of ``log_expand``, the
-z half of the hetero generating relations and the space-flow residual of an
-evolved Backlund trajectory.  The library computes none of these; the tests
-check its results against them."""
+z half of the hetero generating relations, the hetero image of any free field
+by Gauss-Legendre quadrature, and the space-flow residual of an evolved
+Backlund trajectory.  The library computes none of these; the tests check its
+results against them."""
 
 from dataclasses import dataclass
 
@@ -116,15 +117,40 @@ def log_reconstruct(n, coeffs):
 def z_equation_residual(phi_tilde, phi, params):
     """Interior residual of the z half of the hetero generating relations,
     i d(phi~ - phi)/dz + 2 c e^Theta e^{i(phi~ + phi)} = 0, on two
-    ``LightConeField`` samples.  The fill sweep of ``hetero_bt_generate``
-    integrates only the zbar half, so this measures the compatibility of the
-    pair on the whole rectangle."""
+    ``LightConeField`` samples, by closed differences of the generated pair
+    rather than by the integrals ``hetero_bt_generate`` sums."""
     dpt = phi_tilde.derivative_z()
     dphi = phi.derivative_z()
     res = 1j * (dpt - dphi) + 2.0 * params.c * np.exp(params.Theta) * np.exp(
         1j * (phi_tilde.values + phi.values)
     )
     return float(np.max(np.abs(res[1:-1, 1:-1])))
+
+
+def _cumulative_gauss(h, axis, nodes=12):
+    """The integral of h from axis[0] to each point of the axis, by
+    Gauss-Legendre quadrature with this many nodes on every cell."""
+    x, weights = np.polynomial.legendre.leggauss(nodes)
+    mid, half = 0.5 * (axis[1:] + axis[:-1]), 0.5 * np.diff(axis)
+    cells = half * (h(mid[:, None] + half[:, None] * x) @ weights)
+    return np.concatenate(([0.0], np.cumsum(cells)))
+
+
+def hetero_R(f, g, params, z, zbar):
+    """R = e^{-i(phi~ - f + g)} of the hetero image of phi = f(z) + g(zbar)
+    with phi~ = 0 at (z[0], zbar[0]), on the grid: its corner value
+    e^{i(f(z0) - g(zbar0))} plus 2 c e^Theta times the integral of e^{2if}
+    from z0 and 2 c e^-Theta times that of e^{-2ig} from zbar0, each by
+    composite Gauss-Legendre quadrature, roundoff on smooth seeds."""
+    c, th = params.c, params.Theta
+    return (np.exp(1j * (f(z[:1]) - g(zbar[:1])))
+            + 2.0 * c * np.exp(th) * _cumulative_gauss(lambda w: np.exp(2j * f(w)), z)[:, None]
+            + 2.0 * c * np.exp(-th) * _cumulative_gauss(lambda w: np.exp(-2j * g(w)), zbar))
+
+
+def hetero_closed_form(f, g, params, z, zbar):
+    """e^{i phi~} = e^{i(f - g)} / R (:func:`hetero_R`) on the grid."""
+    return np.exp(1j * (f(z)[:, None] - g(zbar))) / hetero_R(f, g, params, z, zbar)
 
 
 def x_flow_residual(traj, background, theta):

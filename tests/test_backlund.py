@@ -5,8 +5,8 @@ from laxkit import backlund as bt
 from laxkit import exact
 from laxkit import lattice_defect as ld
 from laxkit import stepping
-from reference_guards import rowwise
-from reference_oracles import x_flow_residual, z_equation_residual
+from reference_oracles import (hetero_closed_form, hetero_R, x_flow_residual,
+                               z_equation_residual)
 
 
 L = 1.0
@@ -391,14 +391,14 @@ class TestHeteroDarboux:
 
 
 PARAMS = bt.HeteroParams(0.35, 0.15)
+# the free field of the hetero-bt mode, phi = f(z) + g(zbar)
+SEED_F, SEED_G = (lambda w: 0.2 * np.sin(w)), (lambda w: 0.15 * np.cos(w))
 
 
 def generate_pair(nz=49, nb=41):
     z = np.linspace(0.0, 0.6, nz)
     zbar = np.linspace(0.0, 0.5, nb)
-    return bt.hetero_bt_generate(
-        lambda w: 0.2 * np.sin(w), lambda w: 0.15 * np.cos(w), PARAMS, z, zbar
-    )
+    return bt.hetero_bt_generate(SEED_F, SEED_G, PARAMS, z, zbar)
 
 
 class TestHeteroGenerate:
@@ -447,9 +447,9 @@ class TestHeteroGenerate:
         assert r1 / r2 >= 3.5
 
     def test_blowup_detection(self):
-        # e^{-i phi~} = 1 + 2c(z + zbar) with c = -2 crosses zero at
-        # z + zbar = 1/4, which the grid hits exactly; on the seed line
-        # zbar = 0 the pole sits at z = 1/4
+        # e^{-i phi~} = 1 + 2c(z + zbar) with c = -2 vanishes on z + zbar =
+        # 1/4, which the grid meets at its points; the first row z = 0 meets
+        # it at zbar = 1/4, so the first flagged cell lies there
         strong = bt.HeteroParams(-2.0, 0.0)
         z = np.linspace(0.0, 1.0, 129)
         zbar = np.linspace(0.0, 0.5, 65)
@@ -457,18 +457,12 @@ class TestHeteroGenerate:
             bt.hetero_bt_generate(
                 lambda w: 0.0 * w, lambda w: 0.0 * w, strong, z, zbar
             )
-        rec = err.value.record
-        assert rec.field == "phi~ at zbar" and rec.index == 0
-        assert abs(rec.t - 0.25) <= z[1] - z[0]
-        # the abort carries psi = phi~ - phi at z[0] .. z[rec.step - 1]; away
-        # from the pole it is the closed-form image (phi vanishes here)
-        psi = err.value.trajectory
-        assert psi.shape == (rec.step,) and np.all(np.isfinite(psi))
-        exact_psi = bt.free_field_closed_form(strong, z[:16], zbar[:1], 0.0, 0.0)[:, 0]
-        assert np.max(np.abs(psi[:16] - exact_psi)) <= 1e-7
+        i, j = assert_cell_record(err.value, z, zbar)
+        # the flagged cell is within one cell of the pole line
+        assert abs(z[i] + zbar[j] - 0.25) <= (z[1] - z[0]) + (zbar[1] - zbar[0])
 
     def test_blowup_detection_in_fill_sweep(self):
-        # short seed line stays regular; the pole is reached while filling
+        # a short z range: the pole line crosses every row, near zbar = 1/4
         strong = bt.HeteroParams(-2.0, 0.0)
         z = np.linspace(0.0, 0.05, 3)
         zbar = np.linspace(0.0, 0.5, 21)
@@ -476,81 +470,85 @@ class TestHeteroGenerate:
             bt.hetero_bt_generate(
                 lambda w: 0.0 * w, lambda w: 0.0 * w, strong, z, zbar
             )
-        rec = err.value.record
-        assert rec.t > 0.0
-        # the light-cone point (z[index], zbar = t) lies on z + zbar = 1/4
-        assert rec.field == "phi~ at z"
-        assert abs(z[rec.index] + rec.t - 0.25) <= zbar[1] - zbar[0]
-        assert err.value.trajectory.values.shape[1] == rec.step
+        i, j = assert_cell_record(err.value, z, zbar)
+        assert abs(z[i] + zbar[j] - 0.25) <= (z[1] - z[0]) + (zbar[1] - zbar[0])
 
+    def test_matches_the_closed_form_at_fourth_order(self):
+        # the mode's seeds and defaults against composite Gauss-Legendre
+        def error(nz, nb):
+            z, zbar = np.linspace(0.0, 0.6, nz), np.linspace(0.0, 0.5, nb)
+            pt, _ = bt.hetero_bt_generate(SEED_F, SEED_G, PARAMS, z, zbar)
+            return relative_error(pt.values, SEED_F, SEED_G, PARAMS, z, zbar)
 
-def rowwise_pole_guard(reason, field, phi_tilde):
-    """The pole guard as a per-state check on every row, without the
-    whole-stack test, kept as the reference for the records."""
-    limit = np.log(1e8)
+        coarse, fine = error(49, 41), error(97, 81)
+        assert coarse <= 1e-10 and coarse / fine >= 12.0
 
-    def check(t, y):
-        pt = phi_tilde(t, y)
-        if np.abs(pt.imag).max() <= limit and np.isfinite(pt.real).all():
-            return None
-        return reason, field, int(np.argmax(np.where(np.isfinite(pt), np.abs(pt.imag), np.inf)))
-
-    return rowwise(check)
-
-
-class TestPoleGuard:
-    LIMIT = np.log(1e8)
-
-    def guard_and_calls(self, im):
-        calls = []
-
-        def phi_tilde(t, y):
-            calls.append(np.shape(t))
-            return y + 0.0 * t
-
-        guard = bt._pole_guard("pole", "phi~", phi_tilde)
-        ys = np.zeros((4, 3), complex)
-        ys[2, 1] = 1j * im
-        return guard((0.1, 0.1, 0.2, 0.2), ys), calls
-
-    def test_stack_inside_the_margin_passes_at_once(self):
-        verdict, calls = self.guard_and_calls(0.998 * self.LIMIT)
-        assert verdict is None and calls == [(4, 1)]
-
-    def test_stack_just_inside_the_limit_passes(self):
-        # within 0.1 % of the limit: the one stacked evaluation decides, and passes
-        verdict, calls = self.guard_and_calls(0.9995 * self.LIMIT)
-        assert verdict is None and calls == [(4, 1)]
-
-    def test_stack_past_the_limit_names_the_first_row(self):
-        verdict, calls = self.guard_and_calls(-1.001 * self.LIMIT)
-        assert verdict == (2, ("pole", "phi~", 1)) and calls == [(4, 1)]
-
-    def test_nan_takes_the_row_path(self):
-        verdict, _ = self.guard_and_calls(np.nan)
-        assert verdict == (2, ("pole", "phi~", 1))
-
-    @pytest.mark.parametrize("c, theta", [(-6.0, 0.15), (-2.0, 0.15), (-3.0, 0.15),
-                                          (-1.2, 0.15), (-5.0, 3.0)])
-    def test_pole_abort_matches_rowwise_guard(self, c, theta, monkeypatch):
-        # a hetero pole in either sweep gives the record and partial field
-        # of the per-state guard
-        z = np.linspace(0.0, 0.6, 49)
-        zbar = np.linspace(0.0, 0.5, 41)
+    @pytest.mark.parametrize("c", [-4.0, -2.0, -1.5, -0.8])
+    @pytest.mark.parametrize("theta", [0.0, 0.15])
+    def test_point_pole_aborts_or_the_field_is_exact(self, c, theta):
+        # for c < 0 R has real zeros inside the rectangle, point poles that
+        # the grid lines miss: each grid either returns the exact field or
+        # aborts at a cell within one cell of a zero, never a wrong field
         params = bt.HeteroParams(c, theta)
+        zeros = real_zeros(SEED_F, SEED_G, params)
+        for nz, nb in ((49, 41), (97, 81), (193, 161), (385, 321)):
+            z, zbar = np.linspace(0.0, 0.6, nz), np.linspace(0.0, 0.5, nb)
+            try:
+                pt, _ = bt.hetero_bt_generate(SEED_F, SEED_G, params, z, zbar)
+            except stepping.Aborted as err:
+                i, j = assert_cell_record(err, z, zbar)
+                dz, db = z[1] - z[0], zbar[1] - zbar[0]
+                assert any(z[i] - dz <= zs <= z[i] + 2 * dz
+                           and zbar[j] - db <= bs <= zbar[j] + 2 * db for zs, bs in zeros)
+                kept = err.trajectory.values
+                assert relative_error(kept, SEED_F, SEED_G, params, z[:i], zbar) <= 1e-6
+            else:
+                assert relative_error(pt.values, SEED_F, SEED_G, params, z, zbar) <= 1e-6
+                # and phi~ itself is continuous: no branch cut runs from a zero
+                for axis in (0, 1):
+                    assert np.max(np.abs(np.diff(pt.values, axis=axis))) < np.pi
 
-        def generate():
-            with pytest.raises(stepping.Aborted) as err:
-                bt.hetero_bt_generate(lambda w: 0.2 * np.sin(w), lambda w: 0.15 * np.cos(w),
-                                      params, z, zbar)
-            return err.value
 
-        got = generate()
-        monkeypatch.setattr(bt, "_pole_guard", rowwise_pole_guard)
-        want = generate()
-        assert got.record == want.record and str(got.record) == str(want.record)
-        traj = getattr(got.trajectory, "values", got.trajectory)
-        assert np.array_equal(traj, getattr(want.trajectory, "values", want.trajectory))
+def relative_error(values, f, g, params, z, zbar):
+    """max |e^{i phi~} - closed form| / |closed form| over the grid."""
+    if not len(z):
+        return 0.0
+    exact_image = hetero_closed_form(f, g, params, z, zbar)
+    return float(np.max(np.abs(np.exp(1j * values) - exact_image) / np.abs(exact_image)))
+
+
+def real_zeros(f, g, params, z_end=0.6, zbar_end=0.5):
+    """The real zeros of R (reference_oracles.hetero_R) in [0, z_end] x
+    [0, zbar_end], by Newton's method on (Re R, Im R) from a lattice of starts."""
+    dz = 2.0 * params.c * np.exp(params.Theta)
+    db = 2.0 * params.c * np.exp(-params.Theta)
+    found = []
+    for p in np.stack(np.meshgrid(np.linspace(0, z_end, 5), np.linspace(0, zbar_end, 5)),
+                      -1).reshape(-1, 2):
+        for _ in range(30):
+            r = hetero_R(f, g, params, np.array([0.0, p[0]]), np.array([0.0, p[1]]))[-1, -1]
+            if abs(r) < 1e-13:
+                break
+            jac = np.array([dz * np.exp(2j * f(p[0])), db * np.exp(-2j * g(p[1]))])
+            p = p - np.linalg.solve(np.array([jac.real, jac.imag]), [r.real, r.imag])
+        inside = 0 <= p[0] <= z_end and 0 <= p[1] <= zbar_end
+        if inside and abs(r) < 1e-13 and not any(np.hypot(*(p - q)) < 1e-8 for q in found):
+            found.append(p)
+    return found
+
+
+def assert_cell_record(err, z, zbar):
+    """The (i, j) of the cell an abort names, after checking its record and
+    that its trajectory holds the rows z[:i]."""
+    rec = err.record
+    i, j = rec.step, rec.index
+    assert (rec.reason, rec.field, rec.stage, rec.t) == (
+        "pole of e^{i phi~}", f"cell at z[{i}], zbar", None, z[i])
+    assert str(rec) == (f"pole of e^{{i phi~}} after step {i} (t = {z[i]:g}), "
+                        f"cell at z[{i}], zbar[{j}]")
+    assert 0 <= j < len(zbar) - 1
+    assert err.trajectory.values.shape == (i, len(zbar))
+    return i, j
 
 
 class TestInterfaceResidual:

@@ -148,6 +148,18 @@ class TestConfig:
         {"mode": "verify-poisson", "params": {"lambda_probes": [0.5], "mu_probes": [0.5]}},
         {"mode": "lattice-sim", "params": {"probes": [0]}},
         {"mode": "lattice-defect-sim", "params": {"probes": [2.0, 0.0]}},
+        # more work than cli._MAX_COUNT allows: 5e299 steps, 1e302 steps (whole
+        # to count_steps, which cannot tell above 2^53), t_end / dt overflowing,
+        # and counts of 1e300
+        {"mode": "lattice-sim", "params": {"dt": 1e-300}},
+        {"mode": "liouville-evolve", "params": {"dt": 0.01, "t_end": 1e300}},
+        {"mode": "lattice-defect-sim", "params": {"dt": 1e-300, "t_end": 1e300}},
+        {"mode": "verify-poisson", "params": {"samples": 1e300}},
+        {"mode": "liouville-evolve", "params": {"points": 1e300}},
+        {"mode": "lattice-sim", "params": {"N": 1e300}},
+        {"mode": "monodromy-check", "params": {"configs": 1e300}},
+        {"mode": "verify-charges", "params": {"sizes": [1e300]}},
+        {"mode": "hetero-bt", "params": {"nz": 10**7 + 1}},
     ])
     def test_malformed_numbers_are_config_errors(self, tmp_path, payload, capsys):
         path = write_config(tmp_path, payload)
@@ -409,8 +421,8 @@ class TestRun:
     @pytest.mark.parametrize("mode, params, anchor", [
         # e^theta of the Backlund rapidity
         ("bt-evolve", {"theta": "1e5"}, "overflow encountered in exp"),
-        # a log of 0 in the exact solution's phi at this period
-        ("bt-evolve", {"L": 1e300}, "divide by zero encountered in log"),
+        # u = e^mu underflows to 0 at mu = -800: 1 / (u v^2) in the site-matrix partials
+        ("verify-zero-curvature", {"mu_probes": ["-800"]}, "divide by zero encountered in divide"),
         ("hetero-bt", {"Theta": 1e4}, "overflow encountered in exp"),
         # e^theta of the defect, before its march
         ("lattice-defect-sim", {"theta": "800"}, "overflow encountered in exp"),
@@ -435,18 +447,21 @@ class TestRun:
 
     @pytest.mark.parametrize("action", ["error", "always"])
     def test_exact_solution_overflow_names_kappa_and_L(self, tmp_path, action, capsys):
-        # kappa = 2 pi / L = 6.3e300: kappa**2 in the exact solution's phi
-        # leaves double range; a blow-up that names kappa and L, and exit 1
-        path = write_config(tmp_path, {"mode": "bt-evolve", "params": {"L": 1e-300}})
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter(action)
-            code = cli.main(["run", "--config", str(path), "--out", str(tmp_path / "out")])
-        assert code == 1 and caught == []
-        report = json.loads((tmp_path / "out" / "report.json").read_text())
-        assert report["aborted"] is True
-        assert [(r["name"], r["anchor"]) for r in report["records"]] == [(
-            "blow-up", "overflow: kappa**2 is out of double range at kappa = 6.28319e+300 "
-                       "(L = 2 pi / kappa = 1e-300)")]
+        # kappa = 2 pi / L = 6.3e300 or 6.3e-300: kappa**2 in the log of the
+        # exact solution's phi overflows, or underflows to a log of 0; a
+        # blow-up that names kappa and L, and exit 1
+        for L, kappa in ((1e-300, "6.28319e+300"), (1e300, "6.28319e-300")):
+            path = write_config(tmp_path, {"mode": "bt-evolve", "params": {"L": L}})
+            out = tmp_path / f"out{L:g}"
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter(action)
+                code = cli.main(["run", "--config", str(path), "--out", str(out)])
+            assert code == 1 and caught == []
+            report = json.loads((out / "report.json").read_text())
+            assert report["aborted"] is True
+            assert [(r["name"], r["anchor"]) for r in report["records"]] == [(
+                "blow-up", f"overflow: kappa**2 is out of double range at kappa = {kappa} "
+                           f"(L = 2 pi / kappa = {L:g})")]
         assert "Traceback" not in capsys.readouterr().err
 
     @pytest.mark.parametrize("action", ["error", "always"])
@@ -560,7 +575,8 @@ class TestRun:
     def test_hetero_pole_reports_failure(self, tmp_path, capsys):
         # c = -2, Theta = 0 puts the pole of the vanishing free field on
         # z + zbar = 1/4 inside the default rectangle; the small free field
-        # of the mode moves it only slightly, to (z[9], zbar) = (0.1125, 0.15)
+        # of the mode turns it into a point pole, a zero of R at (0.1172,
+        # 0.1361), inside the cell from (z[9], zbar[10]) = (0.1125, 0.125)
         path = write_config(tmp_path, {"mode": "hetero-bt", "params": {"c": -2.0, "Theta": 0.0}})
         code = cli.main(["run", "--config", str(path), "--out", str(tmp_path / "out")])
         assert code == 1
@@ -569,7 +585,7 @@ class TestRun:
         [record] = report["records"]
         assert record["name"] == "blow-up"
         assert record["anchor"] == (
-            "pole in the zbar sweep at RK stage 4 of step 12 (t = 0.15), phi~ at z[9]"
+            "pole of e^{i phi~} after step 9 (t = 0.1125), cell at z[9], zbar[10]"
         )
         assert "Traceback" not in capsys.readouterr().err
 
@@ -671,7 +687,7 @@ class TestSuite:
         # candidate counted apart: one lattice candidate takes 1000 + 500
         assert timing["steps"] == {**dict.fromkeys(runs, 0), "lattice-sim": 1500,
                                    "lattice-defect-sim": 1500, "liouville-evolve": 375,
-                                   "bt-evolve": 672, "hetero-bt": 384}
+                                   "bt-evolve": 672}
         assert list(timing["steps"]) == runs
         for name in runs:
             assert (out / name / "report.json").exists()
@@ -690,7 +706,7 @@ class TestSuite:
         report, _ = battery
         bounds = {row[0] for row in RECORD_TABLE["records"] if row[3]}
         values = {r.name: r.value for r in report.records if r.name in bounds}
-        assert len(values) == len(bounds) == 16
+        assert len(values) == len(bounds) == 17
         for value in values.values():
             assert value == 0.0 or value == float(f"1e{round(math.log10(value))}")
 
@@ -813,7 +829,8 @@ def complexes(lo, hi):
 
 
 # every param a mode reads but the time params, bounded: a config may ask for
-# any amount of work, so counts stay small
+# counts and marches of up to 10^7, far more work than a test can run, so
+# counts stay small
 BOUNDED = {
     "N": st.integers(2, 6),
     "amplitude": st.floats(0.0, 0.3),
@@ -838,13 +855,10 @@ BOUNDED = {
 STEPS = st.builds(lambda dt, k: (dt, dt * k), st.sampled_from((0.01, 0.025, 0.05)),
                   st.integers(1, 8))
 BAD_STEPS = ((1e300, 0.1), (-0.01, 0.1), (0.0, 0.1), (0.03, 0.1), (0.1, 1e-300),
-             (None, 0.1), (0.01, "x"))
-COUNTS = ("N", "defect_site", "samples", "sizes", "points", "configs", "nz", "nzbar")
+             (None, 0.1), (0.01, "x"), (1e-300, 0.1), (1e-300, 1e300))
 LISTS = ("probes", "lambda_probes", "mu_probes", "sizes")
-# numbers at the edges of double range, and values no param takes; a count
-# of 1e300 would ask for that much work, so counts get only the small extremes
+# numbers at the edges of double range, and values no param takes
 EXTREMES = (1e300, -1e300, 1e-300, -1e-300, 0.0, "1e+300j", "1e-300-1e+300j")
-SMALL_EXTREMES = (-1e300, 1e-300, 0.0)
 MALFORMED = (None, True, "x", {}, -1, 2.5, math.nan, math.inf, "nan+1j")
 
 
@@ -875,7 +889,7 @@ def contract_configs(draw):
         if key in ("dt", "t_end"):
             params["dt"], params["t_end"] = draw(st.sampled_from(BAD_STEPS))
             return config
-        pool = MALFORMED if kind == "malformed" else SMALL_EXTREMES if key in COUNTS else EXTREMES
+        pool = MALFORMED if kind == "malformed" else EXTREMES
         value = draw(st.sampled_from(pool))
         value = [value] if key in LISTS and kind == "extreme" else value
         if key in ("seed", "tolerance_scale"):
@@ -902,7 +916,9 @@ class TestContract:
     @example(config={"mode": "hetero-bt", "params": {"c": "1e+300j"}})
     def test_every_config_ends_in_a_report_or_a_config_error(self, config):
         # exit 0 or 1 with a strict-JSON report.json, or exit 2 with no
-        # --out directory; no exception escapes, numpy warnings as errors
+        # --out directory; no exception escapes, numpy warnings as errors;
+        # a record whose value is nan comes with a blow-up record, or its
+        # own anchor names what was not finite
         with tempfile.TemporaryDirectory() as tmp:
             out = Path(tmp) / "out"
             path = write_config(Path(tmp), config)
@@ -916,3 +932,7 @@ class TestContract:
                 report = json.loads((out / "report.json").read_text(),
                                     parse_constant=lambda token: pytest.fail(token))
                 assert report["passed"] is (code == 0)
+                records = report["records"]
+                if any(r["value"] == "nan" for r in records):
+                    assert any(r["name"] == "blow-up" for r in records) or all(
+                        "not finite" in r["anchor"] for r in records if r["value"] == "nan")

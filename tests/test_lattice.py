@@ -6,6 +6,7 @@ import pytest
 
 from laxkit import lattice as lat
 from laxkit import lattice_defect as ld
+from laxkit import liouville as lv
 from laxkit import stepping
 from laxkit.laurent import LaurentSeries
 from laxkit.rmatrix import _kron, r_matrix
@@ -136,6 +137,40 @@ class TestBuildLax:
     def test_singular_state_rejected(self):
         with pytest.raises(lat.SingularStateError):
             lat.LatticeState(np.zeros(2), np.zeros(2), np.array([1.0, 0.0]))
+
+
+SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]])
+LAMS = (0.3, -0.7 + 0.4j, 1.1j, 0.5 - 1.3j)
+
+
+def continuum_site(a, abar, v, lam):
+    """sigma_x (lax_U(phi, pi, lam) + s 1) with phi = i log v, pi = i(a - abar)
+    and s = (a + abar) / 2, over any stack of sites and points."""
+    s = np.asarray(0.5 * (a + abar))[..., None, None]
+    return SIGMA_X @ (lv.lax_U(1j * np.log(v), 1j * (a - abar), lam) + s * np.eye(2))
+
+
+class TestSiteMatrixIsTheContinuumLax:
+    # the site matrix at u = e^lam is the continuum spatial Lax operator at a
+    # point, times sigma_x, plus a trace term that goes at abar = -a
+    def test_each_site_of_each_seed(self):
+        for seed in range(50):
+            s = lat.random_state(5, np.random.default_rng(seed))
+            for j in range(1, 6):
+                for lam in LAMS:
+                    got = lat.lax_value(s, j, np.exp(lam))
+                    assert normwise_gap(got, continuum_site(*s.site(j), lam)) <= 1e-14
+
+    def test_stack_of_states(self):
+        states = lat.LatticeState.stack(
+            [lat.random_state(5, np.random.default_rng(seed)) for seed in range(50)])
+        j = np.arange(50) % 5 + 1  # one site per state
+        sites = states.site(j)
+        per_state = np.array(LAMS)[np.arange(50) % len(LAMS)]
+        for lam in (*LAMS, per_state):
+            got = lat.lax_value(states, j, np.exp(lam))
+            assert got.shape == (50, 2, 2)
+            assert normwise_gap(got, continuum_site(*sites, lam)) <= 1e-14
 
 
 PROBES = np.array([2.0, 3.0, 0.7 + 0.3j, -1.1j, 0.5])

@@ -445,24 +445,32 @@ class TestRun:
         blow_up = [r for r in report["records"] if r["name"] == "blow-up"]
         assert [r["anchor"] for r in blow_up] == [f"floating-point: {anchor}"]
 
+    @staticmethod
+    def _assert_kappa_blow_up(tmp_path, action, capsys, L, kappa):
+        # a bt-evolve run at period 2 L: a blow-up that names kappa and L, and exit 1
+        path = write_config(tmp_path, {"mode": "bt-evolve", "params": {"L": L}})
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter(action)
+            code = cli.main(["run", "--config", str(path), "--out", str(tmp_path / "out")])
+        assert code == 1 and caught == []
+        report = json.loads((tmp_path / "out" / "report.json").read_text())
+        assert report["aborted"] is True
+        assert [(r["name"], r["anchor"]) for r in report["records"]] == [(
+            "blow-up", f"overflow: kappa**2 is out of double range at kappa = {kappa} "
+                       f"(L = 2 pi / kappa = {L:g})")]
+        assert "Traceback" not in capsys.readouterr().err
+
     @pytest.mark.parametrize("action", ["error", "always"])
     def test_exact_solution_overflow_names_kappa_and_L(self, tmp_path, action, capsys):
-        # kappa = 2 pi / L = 6.3e300 or 6.3e-300: kappa**2 in the log of the
-        # exact solution's phi overflows, or underflows to a log of 0; a
-        # blow-up that names kappa and L, and exit 1
-        for L, kappa in ((1e-300, "6.28319e+300"), (1e300, "6.28319e-300")):
-            path = write_config(tmp_path, {"mode": "bt-evolve", "params": {"L": L}})
-            out = tmp_path / f"out{L:g}"
-            with warnings.catch_warnings(record=True) as caught:
-                warnings.simplefilter(action)
-                code = cli.main(["run", "--config", str(path), "--out", str(out)])
-            assert code == 1 and caught == []
-            report = json.loads((out / "report.json").read_text())
-            assert report["aborted"] is True
-            assert [(r["name"], r["anchor"]) for r in report["records"]] == [(
-                "blow-up", f"overflow: kappa**2 is out of double range at kappa = {kappa} "
-                           f"(L = 2 pi / kappa = {L:g})")]
-        assert "Traceback" not in capsys.readouterr().err
+        # kappa = 2 pi / L = 6.3e300: kappa**2 in the exact solution's phi
+        # leaves double range
+        self._assert_kappa_blow_up(tmp_path, action, capsys, 1e-300, "6.28319e+300")
+
+    @pytest.mark.parametrize("action", ["error", "always"])
+    def test_exact_solution_underflow_names_kappa_and_L(self, tmp_path, action, capsys):
+        # kappa = 2 pi / L = 6.3e-300: kappa**2 underflows to 0, and the
+        # exact solution's phi would take the log of 0
+        self._assert_kappa_blow_up(tmp_path, action, capsys, 1e300, "6.28319e-300")
 
     @pytest.mark.parametrize("action", ["error", "always"])
     @pytest.mark.parametrize("probes", [[2.0, 1e200], [1e-200]])

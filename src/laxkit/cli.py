@@ -195,6 +195,20 @@ def _count(p: dict, key: str, default: int, least: int = 1, most: int = _MAX_COU
     return _integer(key, p.get(key, default), least, most)
 
 
+# the most entries one array of a mode may hold, which bounds the product of
+# the counts as _MAX_COUNT bounds each: the finer hetero-bt grid, the Magnus
+# cells of one monodromy fit, the states the finest run of a march keeps
+_MAX_ENTRIES = 10**7
+
+
+def _bound_entries(key: str, value: int, what: str, entries: int) -> None:
+    """Raise ConfigError, naming the count ``key``, when ``what``, an array
+    the mode would allocate, holds more than _MAX_ENTRIES entries."""
+    if entries > _MAX_ENTRIES:
+        raise ConfigError(f"{key} must be small enough for {what} to fit in {_MAX_ENTRIES} "
+                          f"entries; got {key} = {value}, {entries} entries")
+
+
 def _number(key: str, value, kind=float):
     """A finite real parameter, or a complex one with ``kind=complex`` (given
     as a number or a string such as "0.1+0.2j")."""
@@ -215,6 +229,21 @@ def _numbers(p: dict, key: str, default: list, kind=float, least: int = 0) -> li
         count = f"at least {least} " if least else ""
         raise ConfigError(f"{key} must be a list of {count}numbers; got {value!r}")
     return [_number(key, x, kind) for x in value]
+
+
+def _spectral_probes(p: dict, key: str) -> list:
+    """A list parameter of spectral points p, each with u = e^p and 1/u
+    finite and nonzero, |Re p| at most the log of the largest double: the
+    site matrices and their partials read both."""
+    probes = _numbers(p, key, [], complex)
+    for probe in probes:
+        try:
+            math.exp(abs(probe.real))
+        except OverflowError:
+            raise ConfigError(f"{key} must be spectral points p with e^p and e^-p finite and "
+                              f"nonzero, |Re p| <= {math.log(sys.float_info.max):.6g}; got the "
+                              f"probe {probe!r}") from None
+    return probes
 
 
 def _half_length(p: dict) -> float:
@@ -372,8 +401,8 @@ def _mode_defect_charges(cfg: RunConfig, report: Report, outdir: Path):
 
 def _probe_pairs(cfg: RunConfig, rng, samples: int):
     """Random spectral pairs, preceded by any explicitly configured probes."""
-    lams = _numbers(cfg.params, "lambda_probes", [], complex)
-    mus = _numbers(cfg.params, "mu_probes", [], complex)
+    lams = _spectral_probes(cfg.params, "lambda_probes")
+    mus = _spectral_probes(cfg.params, "mu_probes")
     if len(lams) != len(mus):
         raise ConfigError(f"lambda_probes and mu_probes must be of equal length "
                           f"(got {len(lams)} and {len(mus)})")
@@ -436,7 +465,7 @@ def _mode_verify_zero_curvature(cfg: RunConfig, report: Report, outdir: Path):
     # of draws; the defect velocities are computed draw by draw
     rng = np.random.default_rng(cfg.seed)
     samples = _count(cfg.params, "samples", 100)
-    probes = _numbers(cfg.params, "mu_probes", [], complex) + [None] * samples
+    probes = _spectral_probes(cfg.params, "mu_probes") + [None] * samples
     states, mus, sites, chains, defects = [], [], [], [], []
     for mu_probe in probes:
         s = lat.random_state(int(rng.integers(2, 7)), rng)
@@ -501,6 +530,9 @@ def _mode_lattice_sim(cfg: RunConfig, report: Report, outdir: Path, with_defect=
     if 0 in probes:  # u = 0 is the pole of the site matrix
         raise ConfigError(f"probes must be nonzero numbers; got {p['probes']!r}")
     site = _count(p, "defect_site", max(2, n // 2), least=2, most=n - 1) if with_defect else None
+    kept, width = count_steps(dt, t_end) + 1, 3 * n + 3 * with_defect
+    _bound_entries("N", n, f"the {kept} states of width {width} the run at dt keeps",
+                   kept * width)
 
     def draw():
         """One candidate: its runs at dt and, as ``.coarse``, at 2 dt."""
@@ -600,6 +632,9 @@ def _mode_liouville_evolve(cfg: RunConfig, report: Report, outdir: Path):
     n = _count(p, "points", 64, least=3)
     L = _half_length(p)
     dt, dt_coarse, t_end = _time_params(p, 2e-3, 0.5, lambda dt: 2 * dt)
+    kept = count_steps(dt, t_end) + 1
+    _bound_entries("points", n, f"the {kept} states of width 2 points the run at dt keeps",
+                   kept * 2 * n)
     amplitude = _number("amplitude", p.get("amplitude", 0.15))
     c = lv.random_config(L, n, rng, amplitude=amplitude)
     fine = lv.evolve(c, dt, t_end)
@@ -628,6 +663,8 @@ def _mode_monodromy_check(cfg: RunConfig, report: Report, outdir: Path):
     n = _count(p, "points", 64, least=3)
     L = _half_length(p)
     count = _count(p, "configs", 10)
+    _bound_entries("points", n, f"the points x {lv.FIT_POINTS} Magnus cells of one fit",
+                   n * lv.FIT_POINTS)
     amplitude = _number("amplitude", p.get("amplitude", 0.2))
     zero = lv.FieldConfig.zero(L, n)
     ch = lv.charges(zero)
@@ -668,6 +705,9 @@ def _mode_bt_evolve(cfg: RunConfig, report: Report, outdir: Path):
         raise ConfigError(f"need t_end < {half:g}, the causal horizon of the grid "
                           f"x in [-{half:g}, {half:g}] (t_end = {t_end:g})")
     nx = _count(p, "points", 65, least=3)
+    kept = 2 * count_steps(dt, t_end) + 1
+    _bound_entries("points", nx, f"the {kept} states of width 4 (2 points - 1) the run "
+                   f"at dt / 2 keeps", kept * 4 * (2 * nx - 1))
     offset = _number("seed_offset", p.get("seed_offset", 0.15), complex)
     y_seed = _number("y_seed", p.get("y_seed", 0.02), complex)
     z_seed = _number("z_seed", p.get("z_seed", 0.01), complex)
@@ -701,6 +741,9 @@ def _mode_hetero_bt(cfg: RunConfig, report: Report, outdir: Path):
     except ValueError as err:
         raise ConfigError(f"c must be nonzero: {err}") from err
     nz, nb = _count(p, "nz", 49, least=3), _count(p, "nzbar", 41, least=3)
+    key, value = ("nz", nz) if nz >= nb else ("nzbar", nb)
+    _bound_entries(key, value, f"the finer grid of (2 nz - 1) x (2 nzbar - 1) points, "
+                   f"nz = {nz} and nzbar = {nb},", (2 * nz - 1) * (2 * nb - 1))
 
     def gen(kz, kb):
         z = np.linspace(0.0, 0.6, kz)

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .rmatrix import _matrices, _mul2x2, _residual, bracket_lhs, linear_rhs
+from .rmatrix import _matrices, _residual, bracket_lhs, linear_rhs
 from .stepping import bound_guard, count_steps, march, read_only
 
 __all__ = [
@@ -291,69 +291,103 @@ def _gauss_node_fields(c: FieldConfig) -> tuple[np.ndarray, np.ndarray, np.ndarr
     return phi, pi, phi_x
 
 
-def _expm_traceless(m: np.ndarray) -> np.ndarray:
-    """Exact exponential of a stack of traceless 2x2 matrices (shape (..., 2, 2))."""
-    mu = np.sqrt(-(m[..., 0, 0] * m[..., 1, 1] - m[..., 0, 1] * m[..., 1, 0]))
+def _cell_exponentials(nodes, h: float, lam: np.ndarray) -> np.ndarray:
+    """exp(Omega_j) of every grid cell j at every spectral point, entries
+    first: shape (2, 2, m, n) for the Gauss-node fields ``nodes`` of
+    :func:`_gauss_node_fields`, cell width h and a 1-d ``lam`` of m points.
+
+    Omega_j = h/2 (A1 + A2) + sqrt(3) h^2 / 12 [A2, A1] is the fourth-order
+    two-node Magnus generator, A_q = [[a_q, b], [c_q, -a_q]] the gauged
+    operator at the Gauss nodes.  Its upper-right entry b = -e^-lambda does
+    not depend on the field, so the commutator is
+    [[b (c1 - c2), 2b (a2 - a1)], [2 (a1 c2 - a2 c1), -b (c1 - c2)]].
+    Omega is traceless, so exp(Omega) = cosh(mu) + sinh(mu) / mu Omega with
+    mu^2 = -det Omega, written straight into the four entries; where
+    |mu| < 1e-12 the series (1 + mu^2 / 2) + Omega takes its place.
+    """
+    phi, pi, phi_x = nodes
+    k = np.sqrt(3.0) * h * h / 12.0
+    lam = lam[:, None]
+    b = -np.exp(-lam)
+    a1, a2 = 0.5j * (phi_x - pi)
+    c1, c2 = np.exp(lam) * np.exp(-2j * phi)[:, None, :] + b
+    w00 = 0.5 * h * (a1 + a2) + (k * b) * (c1 - c2)
+    w01 = b * (h + 2.0 * k * (a2 - a1))
+    w10 = 0.5 * h * (c1 + c2) + 2.0 * k * (a1 * c2 - a2 * c1)
+    mu = np.sqrt(w00 * w00 + w01 * w10)
+    # cosh and sinh from one expm1, which keeps sinh(mu) / mu accurate at
+    # small mu; the series branch also covers mu = 0
+    em1 = np.expm1(mu)
+    inv = 1.0 / (1.0 + em1)
+    cosh = 0.5 * (1.0 + em1 + inv)
     small = np.abs(mu) < 1e-12
-    mu_safe = np.where(small, 1.0, mu)
-    eye = np.eye(2, dtype=complex)
-    out = np.cosh(mu)[..., None, None] * eye + (np.sinh(mu) / mu_safe)[..., None, None] * m
+    sinhc = 0.5 * em1 * (1.0 + inv) / np.where(small, 1.0, mu)
     if np.any(small):
-        ms = m[small]
-        out[small] = eye + ms + 0.5 * (ms @ ms)
-    return out
+        cosh[small] = 1.0 + 0.5 * mu[small] ** 2
+        sinhc[small] = 1.0
+    e = np.empty((2, 2) + mu.shape, dtype=complex)
+    sw00 = sinhc * w00
+    np.add(cosh, sw00, out=e[0, 0])
+    np.subtract(cosh, sw00, out=e[1, 1])
+    np.multiply(sinhc, w01, out=e[0, 1])
+    np.multiply(sinhc, w10, out=e[1, 0])
+    return e
 
 
 def _ordered_product(e: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Ordered products e[..., k-1, :, :] ... e[..., 0, :, :], reduced pairwise.
+    """Ordered products e[..., k-1] ... e[..., 0] of an entries-first stack
+    of shape (2, 2, m, k), reduced pairwise.
 
-    Every level divides each matrix by its largest entry and accumulates the
-    logs of those normalizations; an odd count is padded with the identity.
-    Returns (product normalized, log scale) with the trailing product axis
-    removed.
+    Every level scales each matrix by the inverse of its largest entry
+    modulus, the np.maximum of its four entry moduli, and adds the logs of
+    those scales; an odd last matrix is carried to the next level as it is.
+    Returns (product normalized, log scale) of shapes (2, 2, m) and (m,).
+    A scale that is zero or not finite makes that point's log scale
+    non-finite for good, since a product of non-finite or all-zero matrices
+    stays so under * and +, so one check after the last level raises
+    OverflowError for it.
     """
-    log_scale = np.zeros(e.shape[:-3])
+    log_scale = 0.0
     while True:
-        top = np.max(np.abs(e), axis=(-2, -1))
-        if not np.all(np.isfinite(top)) or np.any(top == 0.0):
-            raise OverflowError("monodromy integration lost normalization")
-        e = e / top[..., None, None]
-        log_scale += np.sum(np.log(top), axis=-1)
-        if e.shape[-3] == 1:
-            return e[..., 0, :, :], log_scale
-        if e.shape[-3] % 2:
-            pad = np.broadcast_to(np.eye(2, dtype=complex), e.shape[:-3] + (1, 2, 2))
-            e = np.concatenate([e, pad], axis=-3)
-        e = _mul2x2(e[..., 1::2, :, :], e[..., 0::2, :, :])
+        mod = np.abs(e)
+        top = np.maximum(np.maximum(mod[0, 0], mod[0, 1]), np.maximum(mod[1, 0], mod[1, 1]))
+        e = e * (1.0 / top)
+        log_scale = log_scale + np.sum(np.log(top), axis=-1)
+        k = e.shape[-1]
+        if k == 1:
+            break
+        lo, hi = e[..., 0:k - 1:2], e[..., 1::2]
+        prod = hi[:, :1] * lo[:1] + hi[:, 1:] * lo[1:]
+        e = np.concatenate([prod, e[..., k - 1:]], axis=-1) if k % 2 else prod
+    if not np.all(np.isfinite(log_scale)):
+        raise OverflowError("monodromy integration lost normalization")
+    return e[..., 0], log_scale
 
 
 def monodromy_ode(c: FieldConfig, lam) -> tuple[np.ndarray, np.ndarray]:
     """Path-ordered integration of T_x = U_gauged T across [-L, L].
 
     Uses the fourth-order two-node Magnus scheme per grid cell with the
-    analytic 2x2 exponential, so the stiff constant part of the gauged
-    operator at small u is propagated exactly.  ``lam`` is a scalar or a 1-d
-    array of spectral points; all cells of all points are exponentiated at
-    once and the ordered product of the cells is reduced pairwise, each
-    level renormalized by its largest entries with the logs of the
-    normalizations accumulated.  Returns (T_normalized, log_scale) with
-    T = T_normalized * exp(log_scale): shapes (2, 2) and () for a scalar
-    ``lam``, (m, 2, 2) and (m,) for m points.  Raises OverflowError when a
+    analytic 2x2 exponential (:func:`_cell_exponentials`), so the stiff
+    constant part of the gauged operator at small u is propagated exactly.
+    ``lam`` is a scalar or a 1-d array of spectral points; all cells of all
+    points are exponentiated at once, as one entries-first stack of shape
+    (2, 2, points, cells), and their ordered product is reduced pairwise by
+    :func:`_ordered_product`, each level renormalized by its largest entry
+    moduli with the logs of the normalizations accumulated.  Returns
+    (T_normalized, log_scale) with T = T_normalized * exp(log_scale):
+    shapes (2, 2) and () for a scalar ``lam``, (m, 2, 2) and (m,) for m
+    points.  Raises OverflowError, with no numpy warning, when a
     normalization is not finite or vanishes.
     """
     lam = np.asarray(lam)
     if lam.ndim > 1:
         raise ValueError("lam must be a scalar or a 1-d array")
-    phi, pi, phi_x = _gauss_node_fields(c)
-    lams = np.atleast_1d(lam)[:, None]
-    h = c.h
-    c2 = np.sqrt(3.0) * h * h / 12.0
-    # an overflow reaches the normalization guard as inf or nan
-    with np.errstate(over="ignore", invalid="ignore"):
-        a1 = gauged_U(phi[0], pi[0], phi_x[0], lams)
-        a2 = gauged_U(phi[1], pi[1], phi_x[1], lams)
-        omega = 0.5 * h * (a1 + a2) + c2 * (_mul2x2(a2, a1) - _mul2x2(a1, a2))
-        t, log_scale = _ordered_product(_expm_traceless(omega))
+    nodes = _gauss_node_fields(c)
+    # an overflow reaches the final normalization check as inf or nan
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        t, log_scale = _ordered_product(_cell_exponentials(nodes, c.h, np.atleast_1d(lam)))
+    t = np.moveaxis(t, -1, 0)
     log_scale = log_scale.astype(complex)
     if lam.ndim == 0:
         return t[0], log_scale[0]

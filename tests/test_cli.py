@@ -160,6 +160,22 @@ class TestConfig:
         {"mode": "monodromy-check", "params": {"configs": 1e300}},
         {"mode": "verify-charges", "params": {"sizes": [1e300]}},
         {"mode": "hetero-bt", "params": {"nz": 10**7 + 1}},
+        # counts each within cli._MAX_COUNT whose product is not within
+        # cli._MAX_ENTRIES: grids of 4e14 and 1.9e7 points, 8e7 Magnus
+        # cells, and marches that keep 251 to 1001 states of 2e5 to 3e7
+        # entries each
+        {"mode": "hetero-bt", "params": {"nz": 10**7, "nzbar": 10**7}},
+        {"mode": "hetero-bt", "params": {"nzbar": 10**5}},
+        {"mode": "monodromy-check", "params": {"points": 10**7}},
+        {"mode": "lattice-sim", "params": {"N": 10**7}},
+        {"mode": "lattice-defect-sim", "params": {"N": 10**5}},
+        {"mode": "liouville-evolve", "params": {"points": 10**5}},
+        {"mode": "bt-evolve", "params": {"points": 10**5}},
+        # a spectral probe whose e^p or e^-p is 0 or not finite
+        {"mode": "verify-zero-curvature", "params": {"mu_probes": ["-800"]}},
+        {"mode": "verify-zero-curvature", "params": {"mu_probes": [0.1, "800+1j"]}},
+        {"mode": "verify-poisson", "params": {"lambda_probes": ["800"], "mu_probes": ["0"]}},
+        {"mode": "verify-poisson", "params": {"mu_probes": ["-1e300"], "lambda_probes": ["0"]}},
     ])
     def test_malformed_numbers_are_config_errors(self, tmp_path, payload, capsys):
         path = write_config(tmp_path, payload)
@@ -167,6 +183,20 @@ class TestConfig:
         err = capsys.readouterr().err
         key = next(iter(payload["params"]))
         assert f"config error: {key} must be" in err and "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("mode, params", [
+        ("verify-zero-curvature", {"mu_probes": [0.1, "-800"]}),
+        ("verify-poisson", {"lambda_probes": [0.1, "-800"], "mu_probes": [0.2, 0.3]}),
+    ])
+    def test_spectral_probe_out_of_exp_range_is_named(self, tmp_path, mode, params, capsys):
+        # u = e^p underflows to 0 at p = -800: the config error names that probe
+        path = write_config(tmp_path, {"mode": mode, "params": params})
+        assert cli.main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        key = next(iter(params))
+        assert f"config error: {key} must be spectral points p with e^p and e^-p finite" in err
+        assert err.rstrip().endswith("got the probe (-800+0j)") and "Traceback" not in err
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("mode, key", [
@@ -421,14 +451,16 @@ class TestRun:
     @pytest.mark.parametrize("mode, params, anchor", [
         # e^theta of the Backlund rapidity
         ("bt-evolve", {"theta": "1e5"}, "overflow encountered in exp"),
-        # u = e^mu underflows to 0 at mu = -800: 1 / (u v^2) in the site-matrix partials
-        ("verify-zero-curvature", {"mu_probes": ["-800"]}, "divide by zero encountered in divide"),
+        # u = e^mu = 1.2e-308 at mu = -709, inside the probe bound: 1 / (u v^2) in the
+        # site-matrix partials
+        ("verify-zero-curvature", {"mu_probes": ["-709"]}, "overflow encountered in divide"),
         ("hetero-bt", {"Theta": 1e4}, "overflow encountered in exp"),
         # e^theta of the defect, before its march
         ("lattice-defect-sim", {"theta": "800"}, "overflow encountered in exp"),
-        ("verify-poisson", {"lambda_probes": ["800"], "mu_probes": ["0"]},
+        # each probe inside the bound, their separation past the r-matrix's sinh
+        ("verify-poisson", {"lambda_probes": ["709"], "mu_probes": ["-709"]},
          "overflow encountered in sinh"),
-        ("verify-zero-curvature", {"mu_probes": ["800"]}, "overflow encountered in exp"),
+        ("verify-zero-curvature", {"mu_probes": ["709"]}, "overflow encountered in multiply"),
     ])
     def test_float_error_outside_a_march_is_a_blow_up(self, tmp_path, action, mode, params,
                                                       anchor):

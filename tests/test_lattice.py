@@ -3,6 +3,7 @@ import warnings
 import mpmath
 import numpy as np
 import pytest
+import sympy as sp
 
 from laxkit import lattice as lat
 from laxkit import lattice_defect as ld
@@ -171,6 +172,41 @@ class TestSiteMatrixIsTheContinuumLax:
             got = lat.lax_value(states, j, np.exp(lam))
             assert got.shape == (50, 2, 2)
             assert normwise_gap(got, continuum_site(*sites, lam)) <= 1e-14
+
+
+A, ABAR, V = sp.symbols("a abar v")
+# the continuum variables of one site, as in continuum_site
+PHI, PI, S = sp.I * sp.log(V), sp.I * (A - ABAR), (A + ABAR) / 2
+
+
+def site_bracket(f, g):
+    """{f, g} of two functions of one site's (a, abar, v), by the chain rule
+    through the elementary table lattice._TABLE_RULES."""
+    fields = dict(zip(lat.FIELD_NAMES, (A, ABAR, V)))
+    return sp.simplify(sum(sp.diff(f, fields[x]) * sp.diff(g, fields[y])
+                           * sp.nsimplify(rule(A, ABAR, V))
+                           for (x, y), rule in lat._TABLE_RULES.items()))
+
+
+class TestBracketsInContinuumVariables:
+    # the site algebra in (phi, pi, s): at s = 1, {phi, pi} = 2 is the
+    # continuum's CANONICAL_BRACKET_SCALE, and the Liouville potential
+    # e^{-2i phi} appears as the bracket {pi, s}
+    @pytest.mark.parametrize("f, g, want", [
+        (PHI, PI, 2 * S),
+        (PHI, S, -PI / 2),
+        (PI, S, -2 * sp.I * sp.exp(-2 * sp.I * PHI)),
+    ])
+    def test_bracket_table(self, f, g, want):
+        assert sp.simplify(site_bracket(f, g) - want) == 0
+        assert sp.simplify(site_bracket(g, f) + want) == 0
+        assert site_bracket(f, f) == 0
+
+    def test_casimir(self):
+        casimir = V**2 + A * ABAR
+        assert sp.simplify(casimir - (sp.exp(-2 * sp.I * PHI) + S**2 + PI**2 / 4)) == 0
+        for x in (PHI, PI, S):
+            assert site_bracket(casimir, x) == 0
 
 
 PROBES = np.array([2.0, 3.0, 0.7 + 0.3j, -1.1j, 0.5])

@@ -306,13 +306,37 @@ class TestMonodromy:
 
     @pytest.mark.parametrize("n", [64, 65, 256])
     def test_batched_matches_sequential_oracle(self, n):
+        # the fit window, u = 1, a complex point, and u far to both sides,
+        # where |log tr T| reaches 2000 (u = 1e-3)
         c = lv.random_config(L, n, np.random.default_rng(75), amplitude=0.2)
         lams = np.concatenate([np.log(np.linspace(*lv.FIT_WINDOW, lv.FIT_POINTS)),
-                               [0.0, 0.3 - 0.2j]])
+                               [0.0, 0.3 - 0.2j], np.log([1e-3, 3e-3, 50.0, 200.0])])
         batched = lv.trace_log(c, lams)
         for lam, value in zip(lams, batched):
-            assert abs(value - sequential_trace_log(c, lam)) <= 1e-12
-            assert abs(value - lv.trace_log(c, lam)) <= 1e-12
+            bound = 1e-12 * max(1.0, abs(value))
+            assert abs(value - sequential_trace_log(c, lam)) <= bound
+            assert abs(value - lv.trace_log(c, lam)) <= bound
+
+    @pytest.mark.parametrize("u", [1e-3, 0.01, 1.0, 200.0, 0.5 + 0.5j])
+    def test_cell_exponentials_match_expm_of_magnus_generator(self, u):
+        # each cell against scipy's expm of the generator built by matrix
+        # products of gauged_U at the Gauss nodes; the vacuum at u = 1 has
+        # the nilpotent generator [[0, -h], [0, 0]] in every cell
+        lam = np.log(complex(u))
+        for c in (lv.random_config(L, 65, np.random.default_rng(78), amplitude=0.3),
+                  lv.FieldConfig.zero(L, 64)):
+            h, k = c.h, np.sqrt(3.0) * c.h * c.h / 12.0
+            phi, pi, phi_x = direct_gauss_node_fields(c)
+            a1 = lv.gauged_U(phi[0], pi[0], phi_x[0], lam)
+            a2 = lv.gauged_U(phi[1], pi[1], phi_x[1], lam)
+            cells = lv._cell_exponentials(lv._gauss_node_fields(c), h, np.array([lam]))
+            assert cells.shape == (2, 2, 1, c.n)
+            for j in range(c.n):
+                omega = 0.5 * h * (a1[j] + a2[j]) + k * (a2[j] @ a1[j] - a1[j] @ a2[j])
+                want = expm(omega)
+                # expm's own error grows with the generator's norm (30 at u = 1e-3)
+                bound = 1e-14 * max(1.0, np.max(np.abs(omega))) * np.max(np.abs(want))
+                assert np.max(np.abs(cells[:, :, 0, j] - want)) <= bound
 
     def test_scalar_and_array_shapes(self):
         c = lv.random_config(L, 33, np.random.default_rng(76))

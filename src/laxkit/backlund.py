@@ -9,12 +9,15 @@ flow equations is (i/2)(phi_x + phi~_x); the factor 1/2 is forced by the
 u-power matching and is what makes the flow compatible with the diagonal
 system (tests drive a full evolution through it).
 
-Each of these equations is written once: the t and x halves of the diagonal
-pair in ``_tilde_t`` and ``_tilde_x``, the (Y, Z) flows in ``_time_flow`` and
-``_space_flow``.  The residuals :func:`bt_residual_t` and
-:func:`bt_residual_x` are derivative minus flow, and :func:`bt_evolve` and
-:func:`bt_initial_data` march the same flows.  The matrix itself is the
-lattice defect matrix, :func:`~laxkit.lattice_defect.defect_lax_value`.
+The t and x halves share one form and differ in a source pair of
+exponentials, (-e^-th em, e^th em + e^-th ep) in time and (e^-th em, e^th em -
+e^-th ep) in space, em, ep = e^{-+i(phi + phi~)/2}: ``_exponentials`` forms
+the pairs, ``_tilde`` the diagonal pair and ``_flow`` the (Y, Z) flows, each
+written once and evaluated on stacked rows, (Y, Z) as one (2, n) array.  The
+residuals :func:`bt_residual_t` and :func:`bt_residual_x` are derivative
+minus flow, and :func:`bt_evolve` and :func:`bt_initial_data` march the same
+flows.  The matrix itself is the lattice defect matrix,
+:func:`~laxkit.lattice_defect.defect_lax_value`.
 
 Hetero picture: a triangular-free Darboux matrix interfaces the Liouville
 theory (coupling c, modified sign convention with potential +4i c^2 e^{2i
@@ -42,7 +45,6 @@ the entry roles swapped.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -105,69 +107,82 @@ def darboux_matrix_type2(d: DarbouxState, u: complex) -> np.ndarray:
 # -- auto transformation: algebraic layer ---------------------------------------
 
 
-def _exponentials(phi, phi_tilde, rapidity):
-    """(em, ep, e^theta, e^-theta, e^theta em + e^-theta ep), the last the
-    term that both :func:`_tilde_t` and :func:`_time_flow` read; rapidity =
-    np.exp((theta, -theta)), once per march.  One np.exp forms em and ep."""
-    em, ep = np.exp(np.multiply.outer((-0.5j, 0.5j), phi + phi_tilde))
+# the exponents of (e^{-i phi~/2}, e^{i phi~/2}), and the drag's factors on (Y, Z)
+_HALF = np.array((-0.5j, 0.5j))
+
+
+def _background_rows(phi, rapidity, signs):
+    """The rows of the background phi that :func:`_exponentials` reads, on
+    new leading axes: per half, sign 1 the time half and -1 the space half,
+    its two pair rows [-sign e^-th h, 0] and [e^th h, sign e^-th / h], then
+    the row [1/h, h], with h = e^{-i phi/2} and rapidity = np.exp((theta,
+    -theta)).  A stage times them by (e^{-i phi~/2}, e^{i phi~/2}), so that
+    it takes no transcendental of phi."""
+    h, h_inv = np.exp(np.multiply.outer(_HALF, phi))
     et, eti = rapidity
-    return em, ep, et, eti, et * em + eti * ep
+    rows = []
+    for sign in signs:
+        rows += [(-sign * eti * h, np.zeros_like(h)), (et * h, sign * eti * h_inv)]
+    return np.array(rows + [(h_inv, h)])
 
 
-def _tilde_t(phi_t, Y, Z, e):
-    """phi~_t from the t half of the diagonal pair,
-    i(phi~_t - phi_t) = -2Y (e^th em + e^-th ep) + 2Z e^-th em,
-    with e = (em, ep, e^th, e^-th, e^th em + e^-th ep) from :func:`_exponentials`."""
-    em, _, _, eti, sum_t = e
-    return np.asarray(phi_t) - 1j * (-2.0 * Y * sum_t + 2.0 * Z * eti * em)
+def _exponentials(rows, phi_tilde):
+    """(pairs, s) of the halves whose rows (:func:`_background_rows`) hold
+    the background: each half's source pair
+    (-sign e^-th em, e^th em + sign e^-th ep), with em, ep =
+    e^{-+i(phi + phi~)/2}, the pairs one after the other on the first axis,
+    and s = sinh(i(phi~ - phi)) = (a^2 - a^-2) / 2, a = e^{i(phi~ - phi)/2}."""
+    p = rows * np.exp(np.multiply.outer(_HALF, phi_tilde))
+    a = p[-1] * p[-1]
+    return p[:-1, 0] + p[:-1, 1], 0.5 * (a[1] - a[0])
 
 
-def _tilde_x(phi_x, Y, Z, e):
-    """phi~_x from the x half of the diagonal pair,
-    i(phi~_x - phi_x) = -2Y (e^th em - e^-th ep) - 2Z e^-th em."""
-    em, ep, et, eti, _ = e
-    return phi_x + (2j * Y * (et * em - eti * ep) + 2j * Z * eti * em)
+def _tilde(phi_d, yz, pair):
+    """phi~ differentiated along a half of the diagonal pair, from the
+    half's source pair (:func:`_exponentials`),
+    phi~_d = phi_d + 2i (Y pair_1 + Z pair_0); that is
+
+        i(phi~_t - phi_t) = -2Y (e^th em + e^-th ep) + 2Z e^-th em,
+        i(phi~_x - phi_x) = -2Y (e^th em - e^-th ep) - 2Z e^-th em,
+
+    with yz = (Y, Z) stacked on the first axis."""
+    w = yz * pair[::-1]
+    return phi_d + 2j * (w[0] + w[1])
 
 
-def _time_flow(phi, phi_tilde, phi_x, phi_tilde_x, Y, Z, e):
-    """(Y_t, Z_t) from the anti-diagonal entries of the time half:
+def _flow(phi_o, phi_tilde_o, yz, pair, s):
+    """(Y, Z) differentiated along a half, from the anti-diagonal entries:
+    the drag (i/2)(phi_o + phi~_o) (-Y, Z), its derivatives taken along the
+    other half, plus the half's source pair times s (:func:`_exponentials`);
+    that is
 
-    Y_t = -(i/2)(phi_x + phi~_x) Y - e^-th em sinh(i(phi~ - phi))
-    Z_t =  (i/2)(phi_x + phi~_x) Z + (e^th em + e^-th ep) sinh(i(phi~ - phi))
+        Y_t = -(i/2)(phi_x + phi~_x) Y - e^-th em sinh(i(phi~ - phi))
+        Z_t =  (i/2)(phi_x + phi~_x) Z + (e^th em + e^-th ep) sinh(i(phi~ - phi))
+        Y_x = -(i/2)(phi_t + phi~_t) Y + e^-th em sinh(i(phi~ - phi))
+        Z_x =  (i/2)(phi_t + phi~_t) Z + (e^th em - e^-th ep) sinh(i(phi~ - phi))
     """
-    em, _, _, eti, sum_t = e
-    s = np.sinh(1j * (phi_tilde - phi))
-    drag = 0.5j * (phi_x + phi_tilde_x)
-    return -drag * Y - eti * em * s, drag * Z + sum_t * s
+    return np.multiply.outer(_HALF, phi_o + phi_tilde_o) * yz + pair * s
 
 
-def _space_flow(phi, phi_tilde, phi_t, phi_tilde_t, Y, Z, e):
-    """(Y_x, Z_x) from the anti-diagonal entries of the space half, where the
-    Y source flips sign and the drag takes time derivatives:
-
-    Y_x = -(i/2)(phi_t + phi~_t) Y + e^-th em sinh(i(phi~ - phi))
-    Z_x =  (i/2)(phi_t + phi~_t) Z + (e^th em - e^-th ep) sinh(i(phi~ - phi))
-    """
-    em, ep, et, eti, _ = e
-    s = np.sinh(1j * (phi_tilde - phi))
-    drag = 0.5j * (phi_t + phi_tilde_t)
-    return -drag * Y + eti * em * s, drag * Z + (et * em - eti * ep) * s
+def _residual(sign, phi, phi_tilde, phi_o, phi_tilde_o, Y, Z, Y_d, Z_d, theta):
+    """(Y_d, Z_d) minus the flow of the half of this sign (:func:`_flow`)."""
+    phi, phi_tilde, phi_o, phi_tilde_o, Y, Z = np.broadcast_arrays(
+        phi, phi_tilde, phi_o, phi_tilde_o, Y, Z)
+    pair, s = _exponentials(_background_rows(phi, np.exp((theta, -theta)), (sign,)), phi_tilde)
+    f_y, f_z = _flow(phi_o, phi_tilde_o, np.array((Y, Z), dtype=complex), pair, s)
+    return np.asarray(Y_d) - f_y, np.asarray(Z_d) - f_z
 
 
 def bt_residual_t(phi, phi_tilde, phi_x, phi_tilde_x, Y, Z, Y_t, Z_t, theta):
     """Residuals (Y_t, Z_t) minus the time flow of the off-diagonal entries
-    (:func:`_time_flow`)."""
-    f_y, f_z = _time_flow(phi, phi_tilde, phi_x, phi_tilde_x, Y, Z,
-                          _exponentials(phi, phi_tilde, np.exp((theta, -theta))))
-    return np.asarray(Y_t) - f_y, np.asarray(Z_t) - f_z
+    (:func:`_flow`)."""
+    return _residual(1, phi, phi_tilde, phi_x, phi_tilde_x, Y, Z, Y_t, Z_t, theta)
 
 
 def bt_residual_x(phi, phi_tilde, phi_t, phi_tilde_t, Y, Z, Y_x, Z_x, theta):
     """Residuals (Y_x, Z_x) minus the space flow of the off-diagonal entries
-    (:func:`_space_flow`, the time-like defect picture)."""
-    f_y, f_z = _space_flow(phi, phi_tilde, phi_t, phi_tilde_t, Y, Z,
-                           _exponentials(phi, phi_tilde, np.exp((theta, -theta))))
-    return np.asarray(Y_x) - f_y, np.asarray(Z_x) - f_z
+    (:func:`_flow`, the time-like defect picture)."""
+    return _residual(-1, phi, phi_tilde, phi_t, phi_tilde_t, Y, Z, Y_x, Z_x, theta)
 
 
 # -- auto transformation: evolution ----------------------------------------------
@@ -177,6 +192,21 @@ def bt_residual_x(phi, phi_tilde, phi_t, phi_tilde_t, Y, Z, Y_x, Z_x, theta):
 # pde_residual: a block of 64 at 129 grid points keeps each background table
 # near 130 KB
 STAGE_BLOCK = 64
+
+
+def _stage_slots(t0: float, dt: float, steps: int):
+    """(slot, times) of a march of ``steps`` steps of dt from t0: its
+    distinct stage times in the order it reaches them, formed as
+    :func:`~laxkit.stepping.march` and ``rk4_step`` form them, so that each
+    rhs call finds its own exactly (stages 2 and 3 share their time, and
+    stage 4 usually shares the next step's first), and the index of each."""
+    times = []
+    for k in range(steps):
+        t = t0 + k * dt if k else t0
+        for ts in (t, t + 0.5 * dt, t + dt):
+            if not times or ts != times[-1]:
+                times.append(ts)
+    return {t: i for i, t in enumerate(times)}, np.array(times)
 
 
 def bt_initial_data(background, x: np.ndarray, t0: float, theta: complex,
@@ -189,23 +219,30 @@ def bt_initial_data(background, x: np.ndarray, t0: float, theta: complex,
     :func:`bt_evolve`; arbitrary profiles are not, because the
     transformation determines its image up to constants only.  A non-finite
     stage raises :class:`~laxkit.stepping.Aborted` (its t is the x position).
-    The background is evaluated by one scalar ``fields(x, t0)`` call per
-    distinct stage position.
+    The background is evaluated by one ``fields(positions, t0)`` call on the
+    1-D array of the march's distinct stage positions, with floating-point
+    errors ignored, so that a non-finite background reaches the guard.
     """
+    h = (x[-1] - x[0]) / (len(x) - 1)
+    slot, positions = _stage_slots(x[0], h, len(x) - 1)
     rapidity = np.exp((theta, -theta))
-    # stages 2 and 3 share their position, stage 4 at times the next step's first
-    fields_at = lru_cache(maxsize=1)(lambda xv: background.fields(xv, t0))
+    with np.errstate(all="ignore"):
+        phi, phi_t, phi_x = background.fields(positions, t0)
+        # the space half's rows, then the time half's, for the drag's phi~_t
+        rows = np.moveaxis(_background_rows(phi, rapidity, (-1, 1)), -1, 0)
 
     def rhs(xv, state):
-        pt, yv, zv = state
-        phi, phi_t, phi_x = fields_at(xv)
-        e = _exponentials(phi, pt, rapidity)
-        pt_t = _tilde_t(phi_t, yv, zv, e)
-        return np.array((_tilde_x(phi_x, yv, zv, e), *_space_flow(phi, pt, phi_t, pt_t, yv, zv, e)))
+        i = slot[xv]
+        yz = state[1:]
+        pairs, s = _exponentials(rows[i], state[0])
+        out = np.empty(3, complex)
+        out[0] = _tilde(phi_x[i], yz, pairs[:2])
+        out[1:] = _flow(phi_t[i], _tilde(phi_t[i], yz, pairs[2:]), yz, pairs[:2], s)
+        return out
 
-    return march(rhs, np.array((phi_tilde_seed, y_seed, z_seed), dtype=complex),
-                 (x[-1] - x[0]) / (len(x) - 1), len(x) - 1,
-                 bound_guard((("phi~", 1), ("Y", 1), ("Z", 1))), lambda xs, ys: ys.T, t0=x[0])
+    return march(rhs, np.array((phi_tilde_seed, y_seed, z_seed), dtype=complex), h,
+                 len(x) - 1, bound_guard((("phi~", 1), ("Y", 1), ("Z", 1))),
+                 lambda xs, ys: ys.T, t0=x[0])
 
 
 @dataclass
@@ -283,8 +320,10 @@ def bt_evolve(
     background is evaluated once per distinct stage time (stages 2 and 3
     share theirs, and stage 4 usually shares the next step's first), in one
     ``fields`` call per block of STAGE_BLOCK stage times, which also gives
-    e^{-i phi} for the X entry and the trajectory's phi at each kept time
-    k dt, the first stage time of step k + 1.  Block 0 is evaluated before
+    the trajectory's phi at each kept time k dt, the first stage time of
+    step k + 1.  Each block holds the rows its stages read, e^{-i phi/2},
+    its inverse and 2 e^th e^{-i phi} for the X entry, so that a stage takes
+    one exponential, of phi~, and none of phi.  Block 0 is evaluated before
     the march, for the initial X entry, and one ``phi`` call gives the last
     kept time where it is not a stage time bit for bit.
     """
@@ -292,28 +331,22 @@ def bt_evolve(
     phi_tilde0, y0, z0 = bt_initial_data(background, x, 0.0, theta, phi_tilde_seed, y_seed, z_seed)
     h, nx = x[1] - x[0], len(x)
     rapidity = np.exp((theta, -theta))
-
-    # the distinct stage times in the order the march reaches them, formed
-    # as rk4_step forms them, so that each rhs call finds its own exactly
-    stage_times = []
-    for k in range(steps):
-        t = k * dt
-        for ts in (t, t + 0.5 * dt, t + 1.0 * dt):
-            if not stage_times or ts != stage_times[-1]:
-                stage_times.append(ts)
-    slot = {t: i for i, t in enumerate(stage_times)}
+    slot, stage_times = _stage_slots(0.0, dt, steps)
     # the stage slot of each kept time k dt, as march forms it, -1 for none
     kept_slot = np.array([slot.get(k * dt, -1) for k in range(steps + 1)])
     phi_kept = np.empty((steps + 1, nx), complex)
 
     def evaluate(b):
-        """(b, (phi, phi_t, phi_x, e^{-i phi})) of block b; copies the phi
-        rows of the kept times among its stage times into phi_kept."""
-        ts = np.array(stage_times[b * STAGE_BLOCK:(b + 1) * STAGE_BLOCK])
+        """(b, (phi_t, phi_x, 2 e^th e^{-i phi}), the rows of the time half)
+        of block b, each indexed by stage first; copies the phi rows of the
+        kept times among its stage times into phi_kept."""
+        ts = stage_times[b * STAGE_BLOCK:(b + 1) * STAGE_BLOCK]
         phi, phi_t, phi_x = background.fields(x[None, :], ts[:, None])
         mine = kept_slot // STAGE_BLOCK == b
         phi_kept[mine] = phi[kept_slot[mine] % STAGE_BLOCK]
-        return b, (phi, phi_t, phi_x, np.exp(-1j * phi))
+        rows = _background_rows(phi, rapidity, (1,))
+        e_phi = rows[-1, 1] * rows[-1, 1]
+        return b, (phi_t, phi_x, 2.0 * rapidity[0] * e_phi), np.moveaxis(rows, 2, 0)
 
     block = list(evaluate(0))  # the latest block
     if kept_slot[-1] < 0:
@@ -321,16 +354,19 @@ def bt_evolve(
     x0_rel = np.exp(0.5j * (phi_tilde0 - phi_kept[0]))
 
     def rhs(t, y):
-        pt, xx, yv, zv = y.reshape(4, nx)
+        state = y.reshape(4, nx)
+        pt, yz = state[0], state[2:]
         b, row = divmod(slot[t], STAGE_BLOCK)
         if b != block[0]:
             block[:] = evaluate(b)
-        phi, phi_t, phi_x, e_phi = (f[row] for f in block[1])
-        e = _exponentials(phi, pt, rapidity)
+        phi_t, phi_x, source_x = (f[row] for f in block[1])
+        pair, s = _exponentials(block[2][row], pt)
         pt_x = derivative_closed(pt, h)
-        dx_entry = -0.5j * (pt_x - phi_x) * xx - 2.0 * yv * rapidity[0] * e_phi
-        dy, dz = _time_flow(phi, pt, phi_x, pt_x, yv, zv, e)
-        return np.concatenate((_tilde_t(phi_t, yv, zv, e), dx_entry, dy, dz))
+        out = np.empty((4, nx), complex)
+        out[0] = _tilde(phi_t, yz, pair)
+        out[1] = -0.5j * (pt_x - phi_x) * state[1] - yz[0] * source_x
+        out[2:] = _flow(phi_x, pt_x, yz, pair, s)
+        return out.ravel()
 
     return march(rhs, np.concatenate((phi_tilde0, x0_rel, y0, z0)), dt, steps,
                  bound_guard(tuple((name, nx) for name in ("phi~", "X", "Y", "Z"))),
@@ -447,10 +483,12 @@ def hetero_bt_generate(f, g, params: HeteroParams, z: np.ndarray,
     the state: fourth order.  phi~ = f - g + i log R, log R continued from
     i(f(z0) - g(zbar0)).  A zero of R is a pole of e^{i phi~} that the grid
     lines may miss: a cell is flagged where |e^{i phi~}| leaves [1e-8, 1e8]
-    at a corner, or where R winds around it (the argument principle on its
-    corners).  The first flagged cell in z-row order, from (z[i], zbar[j]),
-    raises :class:`~laxkit.stepping.Aborted` with the record "after step i
-    (t = z[i]), cell at z[i], zbar[j]" and phi~ on the rows z[:i].
+    at a corner, where R winds around it (the argument principle on its
+    corners), or where arg R turns by pi to roundoff along one of its edges,
+    as a real R does where it changes sign through 0.  The first flagged
+    cell in z-row order, from (z[i], zbar[j]), raises
+    :class:`~laxkit.stepping.Aborted` with the record "after step i (t =
+    z[i]), cell at z[i], zbar[j]" and phi~ on the rows z[:i].
     """
     def simpson(fn, axis, sign):
         """fn on the axis, and the integral of e^{2i sign fn} from axis[0] on."""
@@ -464,15 +502,20 @@ def hetero_bt_generate(f, g, params: HeteroParams, z: np.ndarray,
     # w = R / R(z0, zbar0), so phi~ = delta + i log w with log w continued from 0
     scale = 2.0 * params.c * np.exp(-1j * (fz[0] - gb[0]))
     w = 1.0 + scale * np.exp(params.Theta) * iz[:, None] + scale * np.exp(-params.Theta) * ib
+    arg = np.angle(w)
+    # the edges along z and along zbar across which arg w turns by pi to
+    # roundoff: w changes sign through 0 there, as a real w does on a line of
+    # zeros that may pass between the grid points
+    flip_z, flip_b = (np.abs(np.abs(np.diff(arg, axis=k)) - np.pi) <= 1e-12 for k in (0, 1))
     # continued along row 0, then down each column, arg w turns along a zbar edge
     # by its wrapped step plus 2 pi per winding of the cells between it and row 0
-    arg = np.angle(w)
     arg[0] = np.unwrap(arg[0])
     arg = np.unwrap(arg, axis=0)
     turns = np.round(np.diff(arg, axis=1) / (2.0 * np.pi))
     size = np.abs(w) * np.exp(delta.imag)  # e^{Im phi~}, without a log of 0
     off = ~((1e-8 <= size) & (size <= 1e8))
-    cells = off[:-1, :-1] | off[1:, :-1] | off[:-1, 1:] | off[1:, 1:] | (turns[1:] != turns[:-1])
+    cells = (off[:-1, :-1] | off[1:, :-1] | off[:-1, 1:] | off[1:, 1:] | (turns[1:] != turns[:-1])
+             | flip_z[:, :-1] | flip_z[:, 1:] | flip_b[:-1] | flip_b[1:])
     i, j = np.unravel_index(np.argmax(cells), cells.shape) if cells.any() else (len(z), 0)
     phi_tilde = LightConeField(z[:i], zbar, delta[:i] - arg[:i] + 1j * np.log(np.abs(w[:i])))
     if i < len(z):

@@ -68,7 +68,10 @@ class Report:
     config: dict
     records: list[CheckRecord] = field(default_factory=list)
     aborted: bool = False
-    elapsed: float | None = None  # written to timing.json, never into the report
+    # written to timing.json, never into the report: the run's seconds, and
+    # the perf_counter reading at its start
+    elapsed: float | None = None
+    started: float | None = None
 
     @property
     def passed(self) -> bool:
@@ -325,20 +328,31 @@ def _spectral_pair(rng):
             return lam, mu
 
 
+def _charge_errors(cs, closed_exp_c0, closed_c2):
+    """The worst (order-0, order-1, order-2) errors of a stack of draws, nan
+    when one is: cs the (3, draws) trace charges, against e^{c0} and c2 of
+    the closed form, the order-1 and order-2 ones relative to the larger of
+    1 and the charge."""
+    return (np.max(np.abs(np.exp(cs[0]) - closed_exp_c0) / np.abs(closed_exp_c0)),
+            np.max(np.abs(cs[1]) / np.fmax(1.0, np.abs(cs[0]))),
+            np.max(np.abs(cs[2] - closed_c2) / np.fmax(1.0, np.abs(closed_c2))))
+
+
 def _mode_verify_charges(cfg: RunConfig, report: Report, outdir: Path):
+    # drawn chain by chain and traced one by one; the closed form and the
+    # error ratios are evaluated once per size over the stack of its draws
     rng = np.random.default_rng(cfg.seed)
     # the charge formulas assume N >= 2
     sizes = _sizes(cfg.params, [2, 3, 4, 5, 6], least=2)
-    worst_c1 = worst_c2 = worst_c0 = 0.0
+    worst = (0.0, 0.0, 0.0)
     for n, count in zip(sizes, _draws_per_size(cfg.params, sizes)):
-        for _ in range(count):
-            s = lat.random_state(n, rng)
-            _, _, c2 = lat.charges_closed_form(s)
-            _, cs = lat.charges_from_trace(s)
-            prod = np.prod(s.v)
-            worst_c0 = nan_max(worst_c0, abs(np.exp(cs[0]) - prod) / abs(prod))
-            worst_c1 = nan_max(worst_c1, abs(cs[1]) / max(1.0, abs(cs[0])))
-            worst_c2 = nan_max(worst_c2, abs(cs[2] - c2) / max(1.0, abs(c2)))
+        states = [lat.random_state(n, rng) for _ in range(count)]
+        cs = np.array([lat.charges_from_trace(s)[1][:3] for s in states]).T
+        stack = lat.LatticeState.stack(states)
+        c2 = lat.charges_closed_form(stack)[2]
+        errors = _charge_errors(cs, np.prod(stack.v, axis=-1), c2)
+        worst = tuple(map(nan_max, worst, errors))
+    worst_c0, worst_c1, worst_c2 = worst
     tol = 1e-12 * cfg.tolerance_scale
     report.add_roundoff("charge-order1-vanishes", "u^-1 coefficient of log tr T", worst_c1, tol)
     report.add_roundoff("charge-order2-closed-form", "u^-2 coefficient vs hopping sum",
@@ -347,19 +361,22 @@ def _mode_verify_charges(cfg: RunConfig, report: Report, outdir: Path):
 
 
 def _mode_defect_charges(cfg: RunConfig, report: Report, outdir: Path):
+    # drawn chain by chain and traced one by one; the closed form and the
+    # error ratios are evaluated once per size over the stack of its draws
     rng = np.random.default_rng(cfg.seed)
     # the deformed closed form needs both neighbours of the defect: N >= 3
     sizes = _sizes(cfg.params, [3, 4, 5, 6], least=3)
-    worst_c0 = worst_c1 = worst_c2 = 0.0
+    worst = (0.0, 0.0, 0.0)
     for n, count in zip(sizes, _draws_per_size(cfg.params, sizes)):
+        states, defects = [], []
         for _ in range(count):
-            s = lat.random_state(n, rng)
-            d = ld.random_defect(int(rng.integers(1, n + 1)), rng)
-            c0, c2 = ld.defect_charges(s, d)
-            _, cs = ld.defect_charges_from_trace(s, d)
-            worst_c0 = nan_max(worst_c0, abs(np.exp(cs[0]) - np.exp(c0)) / abs(np.exp(c0)))
-            worst_c1 = nan_max(worst_c1, abs(cs[1]) / max(1.0, abs(cs[0])))
-            worst_c2 = nan_max(worst_c2, abs(cs[2] - c2) / max(1.0, abs(c2)))
+            states.append(lat.random_state(n, rng))
+            defects.append(ld.random_defect(int(rng.integers(1, n + 1)), rng))
+        cs = np.array([ld.defect_charges_from_trace(s, d)[1][:3]
+                       for s, d in zip(states, defects)]).T
+        c0, c2 = ld.defect_charges(lat.LatticeState.stack(states), ld.DefectSite.stack(defects))
+        worst = tuple(map(nan_max, worst, _charge_errors(cs, np.exp(c0), c2)))
+    worst_c0, worst_c1, worst_c2 = worst
     tol = 1e-12 * cfg.tolerance_scale
     report.add_roundoff("defect-charge-order1-vanishes",
                         "u^-1 coefficient with defect insertion", worst_c1, tol)
@@ -815,7 +832,7 @@ def run(config: RunConfig, outdir: str | Path = ".") -> Report:
     """
     outdir = Path(outdir)
     report = Report(config.mode, config.echo())
-    start = time.perf_counter()
+    start = report.started = time.perf_counter()
     try:
         with np.errstate(over="raise", divide="raise", invalid="raise"):
             _HANDLERS[config.mode](config, report, outdir)
@@ -833,6 +850,16 @@ def run(config: RunConfig, outdir: str | Path = ".") -> Report:
     (outdir / "timing.json").write_text(json.dumps({"elapsed_s": report.elapsed}, indent=2) + "\n")
     return report
 
+
+# the order in which suite hands its runs to the worker pool, longest first
+# (Graham's LPT rule, SIAM J. Appl. Math. 17 (1969) 416), so that no long run
+# starts last on a busy worker: by in-process ms at seed 0 on a 2-CPU host,
+# bt-evolve 100, lattice-defect-sim 97, lattice-sim 74, defect-charges 26,
+# liouville-evolve 26, verify-charges and determinism 19 each,
+# verify-zero-curvature 12, hetero-bt 7, monodromy-check and verify-poisson 6.5
+POOL_ORDER = ("bt-evolve", "lattice-defect-sim", "lattice-sim", "defect-charges",
+              "liouville-evolve", "verify-charges", "determinism", "verify-zero-curvature",
+              "hetero-bt", "monodromy-check", "verify-poisson")
 
 # the code of run: the pool runs only this module's own (see _workers)
 _RUN_CODE = run.__code__
@@ -886,12 +913,13 @@ def suite(outdir: str | Path = ".", seed: int = 0, tolerance_scale: float = 1.0)
     battery's verify-charges report and one re-run of its config, written to
     determinism/, must serialize identically), and writes suite_report.json,
     timing.json and per-mode artifacts in subdirectories.  The runs go to
-    one forked worker process per CPU this process may run on, the marching
-    modes (those whose params take ``dt``) first; records, stderr lines and
-    timing.json keep the ``MODES`` order.  They run in process on one CPU or
-    without ``fork``.  timing.json holds the elapsed seconds of the battery
-    and of each mode run (the runs overlap, so these may sum to more than
-    the battery's), under ``"steps"`` the RK4 steps each mode run took
+    one forked worker process per CPU this process may run on, in
+    ``POOL_ORDER``, longest first; records, stderr lines and timing.json
+    keep the ``MODES`` order.  They run in process on one CPU or without
+    ``fork``.  timing.json holds the elapsed seconds of the battery and of
+    each mode run (the runs overlap, so these may sum to more than the
+    battery's), under ``"started_s"`` each run's start in seconds from the
+    battery's, under ``"steps"`` the RK4 steps each mode run took
     (``stepping.step_tally``), under ``"workers"`` the worker processes (0
     in process) and under ``"peak_rss_mb"`` the largest peak RSS of the
     processes that ran modes.  No process is left running when it returns
@@ -903,7 +931,7 @@ def suite(outdir: str | Path = ".", seed: int = 0, tolerance_scale: float = 1.0)
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     overall = Report("suite", {"seed": seed, "tolerance_scale": tolerance_scale})
-    start, modes, steps, reports, rss = time.perf_counter(), {}, {}, {}, []
+    start, modes, started, steps, reports, rss = time.perf_counter(), {}, {}, {}, {}, []
     workers, pool = _workers(len(runs)), None
     try:
         if workers:
@@ -912,12 +940,12 @@ def suite(outdir: str | Path = ".", seed: int = 0, tolerance_scale: float = 1.0)
 
             pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
             pending = {name: pool.submit(_tally_run, cfg, outdir / name)
-                       for name, cfg in sorted(runs, key=lambda r: "dt" not in PARAMS[r[1].mode])}
+                       for name, cfg in sorted(runs, key=lambda r: POOL_ORDER.index(r[0]))}
             results = (pending[name].result() for name, _ in runs)
         else:
             results = (_tally_run(cfg, outdir / name) for name, cfg in runs)
         for (name, cfg), (sub, steps[name], peak) in zip(runs, results):
-            reports[name], modes[name] = sub, sub.elapsed
+            reports[name], modes[name], started[name] = sub, sub.elapsed, sub.started - start
             rss.append(peak)
             if name == "determinism":
                 continue
@@ -941,8 +969,8 @@ def suite(outdir: str | Path = ".", seed: int = 0, tolerance_scale: float = 1.0)
     )
     overall.elapsed = time.perf_counter() - start
     (outdir / "suite_report.json").write_text(overall.to_json())
-    timing = {"elapsed_s": overall.elapsed, "modes": modes, "steps": steps, "workers": workers,
-              "peak_rss_mb": None if None in rss else max(rss)}
+    timing = {"elapsed_s": overall.elapsed, "modes": modes, "started_s": started, "steps": steps,
+              "workers": workers, "peak_rss_mb": None if None in rss else max(rss)}
     (outdir / "timing.json").write_text(json.dumps(timing, indent=2) + "\n")
     return overall
 

@@ -49,19 +49,25 @@ class PeriodicSolution:
         return 4.0 * np.pi / self.kappa
 
     def _parts(self, x, t):
-        x = np.asarray(x, dtype=complex)
-        z = 0.5 * (x + t)
-        zb = 0.5 * (x - t)
+        """(A e^{i kappa z}, B e^{-i kappa zbar}), each exponential the product
+        of an x factor and a t factor: on a (B, 1) column of times against an
+        x row, B + 2 len(x) exponentials instead of 2 B len(x)."""
+        x, half = np.asarray(x), 0.5j * self.kappa
+        et = np.exp(half * t)
         # named, so numpy cannot reuse a large exponential in place as
         # ``exp *= A``, which swaps the operands and changes the last bits
-        ea = np.exp(1j * self.kappa * z)
-        eb = np.exp(-1j * self.kappa * zb)
+        ea = np.exp(half * x) * et
+        eb = np.exp(-half * x) * et
         return self.A * ea, self.B * eb
 
     def _phi(self, w, t):
-        """phi from W = c0 + F + G at time t."""
+        """phi from W = c0 + F + G at time t, the log of W / c0 taken as
+        log |W / c0| + i arg(W / c0), the principal branch: numpy's complex
+        log takes about ten times as long on a block of stage times."""
         const = 0.5j * np.log(-self.kappa**2 * self.A * self.B / 4.0)
-        return -1j * np.log(w / self.c0) - 1j * np.log(self.c0) + const - 0.5 * self.kappa * t
+        q = w / self.c0
+        return (np.angle(q) - 1j * np.log(np.abs(q)) - 1j * np.log(self.c0) + const
+                - 0.5 * self.kappa * t)
 
     def fields(self, x, t):
         """(phi, phi_t, phi_x) at (x, t) from one evaluation of the chiral parts."""

@@ -78,8 +78,8 @@ class DefectSite:
     along a leading time axis, as a trajectory keeps them, which
     :func:`defect_charges` and :func:`defect_monodromy_value` take together
     with a stack of bulk states.  For a stack of independent draws, which
-    the identity checks and :func:`defect_eom` take, n and theta may be
-    arrays of shape (T,) too.
+    the identity checks, :func:`defect_charges` and :func:`defect_eom` take,
+    n and theta may be arrays of shape (T,) too.
     """
 
     n: int
@@ -125,9 +125,9 @@ def random_defect(n: int, rng: np.random.Generator) -> DefectSite:
 
 
 def _require_one_site(d: DefectSite, per_draw: bool):
-    """Only the identity checks and :func:`defect_eom` take a stack of draws
-    with one n each (per_draw); the monodromy, the charges and the march
-    index by n and need one site."""
+    """Only the identity checks, :func:`defect_charges` and
+    :func:`defect_eom` take a stack of draws with one n each (per_draw); the
+    monodromy and the march index by n and need one site."""
     if not per_draw and np.ndim(d.n):
         raise ValueError("defect site n must be one index here, not one per draw")
 
@@ -249,9 +249,18 @@ def defect_monodromy_value(s: LatticeState, d: DefectSite, u) -> np.ndarray:
     return _stack_product(stack, s.a.shape[:-1] + np.shape(u))
 
 
+def _kept(x: np.ndarray, keep: np.ndarray) -> np.ndarray:
+    """The entries of x where keep holds, the sites on the last axis: keep
+    one mask of the sites, or one per state of a stack, each keeping as many."""
+    if keep.ndim == 1:  # the layout of x[..., keep], whose sums stay bit for bit
+        return x[..., keep]
+    return x[keep].reshape(len(keep), -1)
+
+
 def defect_charges(s: LatticeState, d: DefectSite) -> tuple[complex, complex]:
     """Closed-form order-0 and order-2 charges of the chain with defect; stacks
-    of bulk and defect states give two arrays over their time axis.
+    of bulk and defect states give two arrays over their leading axis, the
+    times of a trajectory with one site n, or draws with one n and theta each.
 
     order0 = sum_{j != n} log v_j + log X - theta
     order2 = sum_{j != n, n-1} bbar_{j+1} b_j - sum_{j != n} v_j^-2
@@ -262,18 +271,18 @@ def defect_charges(s: LatticeState, d: DefectSite) -> tuple[complex, complex]:
     """
     if s.N < 3:
         raise ValueError(f"the closed-form defect charges need N >= 3 sites, got N = {s.N}")
-    _require_on_chain(s, d)
+    _require_on_chain(s, d, per_draw=True)
     n0 = d.n - 1
     b, bbar, v = s.b, s.b_bar, s.v
     bm, bbp = _neighbours(b, bbar, n0)
     sites = np.arange(s.N)
-    keep = sites != n0
-    v_kept = v[..., keep]
+    keep = sites != np.asarray(n0)[..., None]
+    v_kept = _kept(v, keep)
     c0 = np.sum(np.log(v_kept), axis=-1) + np.log(d.X) - d.theta
     hop = np.concatenate((bbar[..., 1:], bbar[..., :1]), axis=-1) * b
-    keep_hop = keep & (sites != (n0 - 1) % s.N)
+    keep_hop = keep & (sites != np.asarray((n0 - 1) % s.N)[..., None])
     et = np.exp(d.theta)
-    c2 = (np.sum(hop[..., keep_hop], axis=-1) - np.sum(v_kept**-2, axis=-1)
+    c2 = (np.sum(_kept(hop, keep_hop), axis=-1) - np.sum(v_kept**-2, axis=-1)
           + et * (d.y_bar * bm + bbp * d.y) + bbp * bm / d.X**2 - et**2 / d.X**2)
     return _value(c0), _value(c2)
 

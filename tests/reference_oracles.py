@@ -1,15 +1,15 @@
 """Oracles that only the tests read: the log-linear exact solution, the
 elementary brackets of one pair of fields, the inverse of ``log_expand``, the
 z half of the hetero generating relations, the hetero image of any free field
-by Gauss-Legendre quadrature, and the space-flow residual of an evolved
-Backlund trajectory.  The library computes none of these; the tests check its
+by Gauss-Legendre quadrature, the type-II Backlund relations component by
+component, and the space-flow residual of an evolved Backlund trajectory.  The library computes none of these; the tests check its
 results against them."""
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from laxkit.backlund import _exponentials, _tilde_t, bt_residual_x
+from laxkit.backlund import bt_residual_x
 from laxkit.lattice import _TABLE_RULES, FIELD_NAMES
 from laxkit.lattice_defect import DEFECT_BRACKET_RULES
 from laxkit.laurent import _powers
@@ -153,19 +153,59 @@ def hetero_closed_form(f, g, params, z, zbar):
     return np.exp(1j * (f(z)[:, None] - g(zbar))) / hetero_R(f, g, params, z, zbar)
 
 
+# -- the type-II Backlund relations, component by component ----------------------
+#
+# Each relation as written, one expression per component with
+# em, ep = e^{-+i(phi + phi~)/2} and s = sinh(i(phi~ - phi)); the library
+# evaluates them on stacked rows (backlund._exponentials).
+
+
+def _bt_exponentials(phi, phi_tilde, theta):
+    em, ep = np.exp(-0.5j * (phi + phi_tilde)), np.exp(0.5j * (phi + phi_tilde))
+    return em, ep, np.exp(theta), np.exp(-theta), np.sinh(1j * (phi_tilde - phi))
+
+
+def bt_tilde_t(phi, phi_tilde, phi_t, Y, Z, theta):
+    """phi~_t from i(phi~_t - phi_t) = -2Y (e^th em + e^-th ep) + 2Z e^-th em."""
+    em, ep, et, eti, _ = _bt_exponentials(phi, phi_tilde, theta)
+    return phi_t - 1j * (-2.0 * Y * (et * em + eti * ep) + 2.0 * Z * eti * em)
+
+
+def bt_tilde_x(phi, phi_tilde, phi_x, Y, Z, theta):
+    """phi~_x from i(phi~_x - phi_x) = -2Y (e^th em - e^-th ep) - 2Z e^-th em."""
+    em, ep, et, eti, _ = _bt_exponentials(phi, phi_tilde, theta)
+    return phi_x + (2j * Y * (et * em - eti * ep) + 2j * Z * eti * em)
+
+
+def bt_time_flow(phi, phi_tilde, phi_x, phi_tilde_x, Y, Z, theta):
+    """Y_t = -(i/2)(phi_x + phi~_x) Y - e^-th em s,
+    Z_t = (i/2)(phi_x + phi~_x) Z + (e^th em + e^-th ep) s."""
+    em, ep, et, eti, s = _bt_exponentials(phi, phi_tilde, theta)
+    drag = 0.5j * (phi_x + phi_tilde_x)
+    return -drag * Y - eti * em * s, drag * Z + (et * em + eti * ep) * s
+
+
+def bt_space_flow(phi, phi_tilde, phi_t, phi_tilde_t, Y, Z, theta):
+    """Y_x = -(i/2)(phi_t + phi~_t) Y + e^-th em s,
+    Z_x = (i/2)(phi_t + phi~_t) Z + (e^th em - e^-th ep) s."""
+    em, ep, et, eti, s = _bt_exponentials(phi, phi_tilde, theta)
+    drag = 0.5j * (phi_t + phi_tilde_t)
+    return -drag * Y + eti * em * s, drag * Z + (et * em - eti * ep) * s
+
+
 def x_flow_residual(traj, background, theta):
     """Causal-interior residual of the space-flow equations on a
     ``BTTrajectory``, row by row, with (Y_x, Z_x) by closed differences and
     phi~_t from the t half of the diagonal pair."""
     worst = 0.0
-    h, rapidity = traj.x[1] - traj.x[0], np.exp((theta, -theta))
+    h = traj.x[1] - traj.x[0]
     for k, t in enumerate(traj.times):
         keep = traj._causal(t)
         if not np.any(keep):
             break
         phi, phi_t, _ = background.fields(traj.x, t)
         pt = traj.phi_tilde[k]
-        ptt = _tilde_t(phi_t, traj.Y[k], traj.Z[k], _exponentials(phi, pt, rapidity))
+        ptt = bt_tilde_t(phi, pt, phi_t, traj.Y[k], traj.Z[k], theta)
         ry, rz = bt_residual_x(
             phi, pt, phi_t, ptt,
             traj.Y[k], traj.Z[k],

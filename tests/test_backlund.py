@@ -212,8 +212,9 @@ class TestEvolve:
         traj = bt.bt_evolve(Counting, x, THETA, dt, steps * dt,
                             phi_tilde_seed=sol.phi(x[0], 0.0))
         assert len(traj.times) == steps + 1
-        # the march of the initial slice calls first, at scalar positions
-        calls = seen[next(i for i, (xv, _) in enumerate(seen) if np.ndim(xv)):]
+        # the march of the initial slice calls first, once, at its positions
+        assert np.ndim(seen[0][0]) == 1 and np.ndim(seen[0][1]) == 0
+        calls = seen[1:]
         assert all(np.array_equal(xv, x[None, :]) for xv, _ in calls)
         assert all(t.shape == (bt.STAGE_BLOCK, 1) for _, t in calls[:-1])
         times = [float(v) for _, t in calls for v in t[:, 0]]
@@ -225,7 +226,8 @@ class TestEvolve:
 
     def test_initial_data_evaluates_each_stage_position_once(self):
         # stages 2 and 3 share their position and stage 4 at times the next
-        # step's first: one scalar fields call per distinct position
+        # step's first: one vector fields call covers each distinct position
+        # once, each formed as the march forms it
         sol = exact.periodic_solution_for_length(L)
         x = np.linspace(-0.9, 0.9, 33)
         seen = []
@@ -233,18 +235,20 @@ class TestEvolve:
         class Counting:
             @staticmethod
             def fields(xv, t):
-                seen.append(xv)
+                seen.append((xv, t))
                 return sol.fields(xv, t)
 
         got = bt.bt_initial_data(Counting, x, 0.0, THETA, sol.phi(x[0], 0.0) + 0.15, 0.02, 0.01)
-        assert all(np.ndim(xv) == 0 for xv in seen)
-        assert len(set(seen)) == len(seen)
+        assert len(seen) == 1
+        positions, t = seen[0]
+        assert t == 0.0 and np.ndim(positions) == 1
+        assert len(set(positions)) == len(positions)
         h, x0 = (x[-1] - x[0]) / (len(x) - 1), x[0]
         formed = {t + c * h for t in [x0] + [x0 + k * h for k in range(1, len(x) - 1)]
                   for c in (0.0, 0.5, 1.0)}
-        assert set(seen) == formed
-        assert 2 * (len(x) - 1) < len(seen) < 4 * (len(x) - 1)
-        # and the image is the one of a background without the sharing
+        assert set(positions) == formed
+        assert 2 * (len(x) - 1) < len(positions) < 4 * (len(x) - 1)
+        # and the image is the one of the background itself
         want = bt.bt_initial_data(sol, x, 0.0, THETA, sol.phi(x[0], 0.0) + 0.15, 0.02, 0.01)
         for g, w in zip(got, want):
             assert np.array_equal(g, w)
@@ -334,7 +338,7 @@ class TestEvolve:
         class Poisoned:
             def fields(self, xv, t):
                 phi, phi_t, phi_x = sol.fields(xv, t)
-                return phi, phi_t, phi_x if xv < 0.1 else np.nan
+                return phi, phi_t, np.where(xv < 0.1, phi_x, np.nan)
 
         with pytest.raises(stepping.Aborted) as err:
             bt.bt_initial_data(Poisoned(), x, 0.0, THETA, *seeds)
@@ -472,6 +476,22 @@ class TestHeteroGenerate:
             )
         i, j = assert_cell_record(err.value, z, zbar)
         assert abs(z[i] + zbar[j] - 0.25) <= (z[1] - z[0]) + (zbar[1] - zbar[0])
+
+    def test_line_of_zeros_between_grid_points(self):
+        # the vanishing seed at c = -2 makes R real, e^{-i phi~} = 1 -
+        # 4 (z + zbar - zbar[0]), zero on z + zbar = 1/4 + zbar[0], a line
+        # that passes between the points of this grid: R changes sign
+        # across an edge, where its argument turns by pi
+        strong = bt.HeteroParams(-2.0, 0.0)
+        z = np.linspace(0.0, 0.6, 50)
+        zbar = np.linspace(0.0013, 0.5, 41)
+        line = 0.25 + zbar[0]
+        values = 1.0 - 4.0 * (z[:, None] + zbar[None, :] - zbar[0])
+        assert np.min(np.abs(values)) > 1e-3
+        with pytest.raises(stepping.Aborted) as err:
+            bt.hetero_bt_generate(lambda w: 0.0 * w, lambda w: 0.0 * w, strong, z, zbar)
+        i, j = assert_cell_record(err.value, z, zbar)
+        assert z[i] + zbar[j] < line < z[i + 1] + zbar[j + 1]
 
     def test_matches_the_closed_form_at_fourth_order(self):
         # the mode's seeds and defaults against composite Gauss-Legendre

@@ -733,6 +733,17 @@ class TestSuite:
             assert (out / name / "report.json").exists()
             run_timing = json.loads((out / name / "timing.json").read_text())
             assert list(run_timing) == ["elapsed_s"]
+        # each run's start from the battery's: the run lies within the battery
+        assert list(timing["started_s"]) == runs
+        for name in runs:
+            assert 0.0 <= timing["started_s"][name]
+            assert timing["started_s"][name] + timing["modes"][name] <= timing["elapsed_s"]
+
+    def test_pool_order_holds_every_run_longest_first(self):
+        # a mode missing from the pool order could never run on the pool
+        assert sorted(cli.POOL_ORDER) == sorted(cli.MODES + ("determinism",))
+        assert len(set(cli.POOL_ORDER)) == len(cli.POOL_ORDER)
+        assert cli.POOL_ORDER[0] == "bt-evolve"
 
     def test_record_bounds_are_pinned(self, battery):
         report, _ = battery
@@ -764,6 +775,9 @@ class TestSuite:
             reads = 2 if timing["workers"] else 8
             assert timing["elapsed_s"] == (reads - 1) * tick and next(clock) == reads * tick
             assert set(timing["modes"].values()) == {tick}
+            if not timing["workers"]:  # a run starts at its first read
+                assert timing["started_s"] == {"verify-charges": tick, "verify-poisson": 3 * tick,
+                                               "determinism": 5 * tick}
             run_timing = json.loads((tmp_path / str(tick) / "verify-poisson" / "timing.json")
                                     .read_text())
             assert run_timing == {"elapsed_s": tick}

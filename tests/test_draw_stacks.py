@@ -139,6 +139,19 @@ class TestVelocities:
                 assert np.array_equal(getattr(bulk, f)[k], getattr(one, f))
             assert [m[k] for m in moves] == one_moves
 
+    @pytest.mark.parametrize("n", [3, 4, 6])
+    def test_charges_of_a_stack(self, n):
+        # the closed forms of a stack of draws, each with its own site and
+        # rapidity, at every site of the chain: each row is its draw's own
+        rng = np.random.default_rng(n)
+        states, stack = state_stack(n, rng, DRAWS)
+        defects = [ld.random_defect(int(rng.integers(1, n + 1)), rng) for _ in range(DRAWS)]
+        assert {d.n for d in defects} == set(range(1, n + 1))
+        c0, c2 = ld.defect_charges(stack, ld.DefectSite.stack(defects))
+        for k, (s, d) in enumerate(zip(states, defects)):
+            for got, want in zip((c0[k], c2[k]), ld.defect_charges(s, d)):
+                assert abs(got - want) <= 1e-13 * abs(want)
+
     def test_stacked_defects_are_validated(self):
         s = lat.random_state(5, np.random.default_rng(1))
         stack = lat.LatticeState.stack([s, s])
@@ -150,15 +163,14 @@ class TestVelocities:
             ld.DefectSite(np.array([2, 3]), 0.1, 0.1, 0.1, np.array([1.0, 0.0]))
 
     def test_functions_indexing_by_n_take_one_site(self):
-        # the monodromy, the charges and the march index by n: a stack of
-        # draws with one n each must raise there, not write the defect
-        # matrix into every listed slot
+        # the monodromy and the march index by n: a stack of draws with one
+        # n each must raise there, not write the defect matrix into every
+        # listed slot
         rng = np.random.default_rng(2)
         _, stack = state_stack(4, rng, 4)
         defects = ld.DefectSite.stack([ld.random_defect(n, rng) for n in (2, 3, 2, 3)])
         one = lat.random_state(4, rng)
         calls = [lambda: ld.defect_monodromy_value(stack, defects, 1.5),
-                 lambda: ld.defect_charges(stack, defects),
                  lambda: ld.defect_monodromy(one, defects),
                  lambda: ld.integrate_with_defect(one, defects, 0.01, 0.02)]
         for call in calls:

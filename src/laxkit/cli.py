@@ -13,12 +13,13 @@ from __future__ import annotations
 
 import argparse
 import cmath
+import itertools
 import json
 import math
 import os
 import sys
 import time
-from dataclasses import dataclass, field, asdict
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -32,20 +33,59 @@ from . import liouville as lv
 from .rmatrix import r_matrix
 from .stepping import Aborted, count_steps, nan_max, step_tally
 
-# the params each mode reads, in battery order; any other key is a config error
+# the largest count and the most steps of a march a config may ask for: the
+# battery's largest run takes 1000 steps, and count_steps can tell a whole
+# number of steps only below 2^53
+_MAX_COUNT = 10**7
+
+# the kinds of param, read by _read_value
+COUNT, REAL, COMPLEX, TIME = "count", "real", "complex", "time"
+REALS, PROBES, SIZES = "real list", "spectral-probe list", "sizes"
+
+
+@dataclass(frozen=True)
+class Param:
+    """A param of a mode: its kind, its default (None: worked out by
+    :func:`_read_params`) and the range of a count or of each of the sizes."""
+    kind: str
+    default: object
+    least: int = 1
+    most: int = _MAX_COUNT
+
+
+# the params each mode reads, modes in battery order; any other key is a
+# config error.  A chain has at least 2 sites (the charge formulas), 3 with
+# a defect, which needs both neighbours: 2 <= defect_site <= N - 1
 PARAMS = {
-    "lattice-sim": ("N", "dt", "t_end", "amplitude", "probes"),
-    "lattice-defect-sim": ("N", "dt", "t_end", "amplitude", "probes", "defect_site", "theta"),
-    "verify-poisson": ("samples", "lambda_probes", "mu_probes"),
-    "verify-zero-curvature": ("samples", "mu_probes"),
-    "verify-charges": ("samples", "sizes"),
-    "liouville-evolve": ("points", "L", "dt", "t_end", "amplitude"),
-    "monodromy-check": ("points", "L", "configs", "amplitude"),
-    "bt-evolve": ("theta", "dt", "t_end", "points", "seed_offset", "y_seed", "z_seed", "L"),
-    "hetero-bt": ("c", "Theta", "nz", "nzbar"),
-    "defect-charges": ("samples", "sizes"),
+    "lattice-sim": {"N": Param(COUNT, 8, 2), "dt": Param(TIME, 5e-3), "t_end": Param(TIME, 5.0),
+                    "amplitude": Param(REAL, 0.12), "probes": Param(REALS, [2.0, 3.0])},
+    "lattice-defect-sim": {
+        "N": Param(COUNT, 8, 3), "dt": Param(TIME, 5e-3), "t_end": Param(TIME, 5.0),
+        "amplitude": Param(REAL, 0.15), "probes": Param(REALS, [2.0, 3.0]),
+        "defect_site": Param(COUNT, None, 2, _MAX_COUNT - 1), "theta": Param(COMPLEX, 0.1)},
+    "verify-poisson": {"samples": Param(COUNT, 100), "lambda_probes": Param(PROBES, []),
+                       "mu_probes": Param(PROBES, [])},
+    "verify-zero-curvature": {"samples": Param(COUNT, 100), "mu_probes": Param(PROBES, [])},
+    "verify-charges": {"samples": Param(COUNT, 100), "sizes": Param(SIZES, [2, 3, 4, 5, 6], 2)},
+    "liouville-evolve": {"points": Param(COUNT, 64, 3), "L": Param(REAL, 1.0),
+                         "dt": Param(TIME, 2e-3), "t_end": Param(TIME, 0.5),
+                         "amplitude": Param(REAL, 0.15)},
+    "monodromy-check": {"points": Param(COUNT, 64, 3), "L": Param(REAL, 1.0),
+                        "configs": Param(COUNT, 10), "amplitude": Param(REAL, 0.2)},
+    "bt-evolve": {"theta": Param(COMPLEX, 0.2), "dt": Param(TIME, 2.5e-3),
+                  "t_end": Param(TIME, 0.4), "points": Param(COUNT, 65, 3),
+                  "seed_offset": Param(COMPLEX, 0.15), "y_seed": Param(COMPLEX, 0.02),
+                  "z_seed": Param(COMPLEX, 0.01), "L": Param(REAL, 1.0)},
+    "hetero-bt": {"c": Param(COMPLEX, 0.35), "Theta": Param(COMPLEX, 0.15),
+                  "nz": Param(COUNT, 49, 3), "nzbar": Param(COUNT, 41, 3)},
+    "defect-charges": {"samples": Param(COUNT, 100), "sizes": Param(SIZES, [3, 4, 5, 6], 3)},
 }
 MODES = tuple(PARAMS)
+# |Re p| of a spectral probe p: e^p and e^-p are finite and nonzero
+_PROBE_BOUND = math.log(sys.float_info.max)
+# bt-evolve marches x in [-_BT_HALF, _BT_HALF]: with unit characteristic speed and
+# no boundary conditions, its checks read only the causal interior |x| <= _BT_HALF - t
+_BT_HALF = 0.9
 
 
 class ConfigError(ValueError):
@@ -135,25 +175,23 @@ CONFIG_KEYS = ("mode", "seed", "tolerance_scale", "params")
 
 @dataclass
 class RunConfig:
+    """A run's config, checked when made; ``values`` holds its params as read."""
     mode: str
     seed: int = 0
     tolerance_scale: float = 1.0
     params: dict = field(default_factory=dict)
+    values: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.mode not in MODES:
             raise ConfigError(f"invalid mode {self.mode!r}; choose one of {', '.join(MODES)}")
         if not isinstance(self.params, dict):
             raise ConfigError("params must be an object")
-        # a misspelt or removed key would otherwise run silently on its default
-        unknown = [key for key in self.params if key not in PARAMS[self.mode]]
-        if unknown:
-            raise ConfigError(f"unknown params {', '.join(map(repr, unknown))} for mode "
-                              f"{self.mode}; it reads {', '.join(PARAMS[self.mode])}")
+        self.values = _read_params(self.mode, self.params)
         # an infinite scale would pass every check, a negative one fail them all
         scale = self.tolerance_scale
         if not (isinstance(scale, (int, float)) and not isinstance(scale, bool)
-                and math.isfinite(scale) and scale > 0):
+                and 0 < scale <= sys.float_info.max):
             raise ConfigError(f"tolerance_scale must be finite and positive (got {scale!r})")
         self.tolerance_scale = float(scale)
         # numpy's generators take only non-negative integer seeds
@@ -180,22 +218,94 @@ class RunConfig:
         }
 
 
-# the largest count and the most steps of a march a config may ask for: the
-# battery's largest run takes 1000 steps, and count_steps can tell a whole
-# number of steps only below 2^53
-_MAX_COUNT = 10**7
+def _read_value(key: str, spec: Param, value):
+    """``value`` of the param ``key`` as its kind reads it: a list kind as a
+    list, a complex number also from a string such as "0.1+0.2j"."""
+    kind = spec.kind
+    if kind in (REALS, PROBES, SIZES):
+        if not (isinstance(value, list) and (value or kind == PROBES)):
+            raise ConfigError(f"{key} must be a {'' if kind == PROBES else 'non-empty '}list of "
+                              f"{'integers' if kind == SIZES else 'numbers'}; got {value!r}")
+        entry = replace(spec, kind={REALS: REAL, PROBES: COMPLEX, SIZES: COUNT}[kind])
+        entries = [_read_value(key, entry, x) for x in value]
+        for probe in entries if kind == PROBES else ():
+            if abs(probe.real) > _PROBE_BOUND:
+                raise ConfigError(f"{key} must be spectral points p with e^p and e^-p finite and "
+                                  f"nonzero, |Re p| <= {_PROBE_BOUND:.6g}; got the probe {probe!r}")
+        return entries
+    if kind == COUNT:
+        # an int is compared exactly: float() of one past double range raises
+        if not (isinstance(value, (int, float)) and not isinstance(value, bool)
+                and (isinstance(value, int) or value.is_integer())
+                and spec.least <= value <= spec.most):
+            raise ConfigError(f"{key} must be an integer in [{spec.least}, {spec.most}]; "
+                              f"got {value!r}")
+        return int(value)
+    try:
+        number = None if isinstance(value, bool) else (complex if kind == COMPLEX else float)(value)
+    except (TypeError, ValueError, OverflowError):
+        number = None
+    if number is None or not cmath.isfinite(number):
+        raise ConfigError(f"{key} must be a finite {'complex' if kind == COMPLEX else 'real'} "
+                          f"number; got {value!r}")
+    return number
 
 
-def _integer(key: str, value, least: int, most: int = _MAX_COUNT) -> int:
-    """A count or index parameter, an integer in [least, most]."""
-    if not (isinstance(value, (int, float)) and not isinstance(value, bool)
-            and float(value).is_integer() and least <= value <= most):
-        raise ConfigError(f"{key} must be an integer in [{least}, {most}]; got {value!r}")
-    return int(value)
-
-
-def _count(p: dict, key: str, default: int, least: int = 1, most: int = _MAX_COUNT) -> int:
-    return _integer(key, p.get(key, default), least, most)
+def _read_params(mode: str, params: dict) -> dict:
+    """``params``, defaults filled in, read as :data:`PARAMS` declares and held
+    to the rules that tie params together; ConfigError names a param that fails."""
+    table = PARAMS[mode]
+    # a misspelt or removed key would otherwise run silently on its default
+    unknown = [key for key in params if key not in table]
+    if unknown:
+        raise ConfigError(f"unknown params {', '.join(map(repr, unknown))} for mode "
+                          f"{mode}; it reads {', '.join(table)}")
+    p = {key: _read_value(key, spec, params[key] if key in params else spec.default)
+         for key, spec in table.items() if key in params or spec.default is not None}
+    if "defect_site" in table:
+        n = p["N"]
+        site = p.setdefault("defect_site", max(2, n // 2))
+        if site > n - 1:
+            raise ConfigError(f"defect_site must be an integer in [2, {n - 1}]; got {site!r}")
+    if "sizes" in p and p["samples"] < len(p["sizes"]):
+        # fewer chains than sizes would leave a size undrawn
+        raise ConfigError(f"samples must be an integer in [{len(p['sizes'])}, {_MAX_COUNT}]; "
+                          f"got {p['samples']!r}")
+    if "lambda_probes" in p:
+        lams, mus = p["lambda_probes"], p["mu_probes"]
+        if len(lams) != len(mus):
+            raise ConfigError(f"lambda_probes and mu_probes must be of equal length "
+                              f"(got {len(lams)} and {len(mus)})")
+        for lam, mu in zip(lams, mus):
+            try:
+                with np.errstate(over="raise", divide="raise", invalid="raise"):
+                    r_matrix(lam - mu)
+            except (ValueError, FloatingPointError) as err:
+                raise ConfigError(f"lambda_probes must be off the r-matrix pole of mu_probes, "
+                                  f"with sinh(lambda - mu) finite; {err} at (lambda, mu) = "
+                                  f"({lam}, {mu})") from err
+    if 0 in p.get("probes", ()):  # u = 0 is the pole of the site matrix
+        raise ConfigError(f"probes must be nonzero numbers; got {p['probes']!r}")
+    if p.get("c") == 0:
+        raise ConfigError("c must be nonzero: a vanishing coupling makes the interface trivial")
+    if p.get("L", 1.0) <= 0:
+        raise ConfigError(f"L must be positive; got {p['L']!r}")
+    if "dt" in p:
+        dt, t_end = p["dt"], p["t_end"]
+        if dt > 0 and t_end / dt > _MAX_COUNT:
+            raise ConfigError(f"dt must be at least t_end / {_MAX_COUNT}, a march of at most "
+                              f"{_MAX_COUNT} steps; got dt = {dt:g} and t_end = {t_end:g}")
+        # every run of the mode must end at t_end: the lattice and Liouville
+        # modes also run at 2 dt, and bt-evolve's run at dt / 2 fits where dt does
+        for step in (dt,) if mode == "bt-evolve" else (dt, 2 * dt):
+            try:
+                count_steps(step, t_end)
+            except ValueError as err:
+                raise ConfigError(f"{err}, in a run of the mode") from err
+    if mode == "bt-evolve" and p["t_end"] >= _BT_HALF:
+        raise ConfigError(f"need t_end < {_BT_HALF:g}, the causal horizon of the grid "
+                          f"x in [-{_BT_HALF:g}, {_BT_HALF:g}] (t_end = {p['t_end']:g})")
+    return p
 
 
 # the most entries one array of a mode may hold, which bounds the product of
@@ -212,63 +322,10 @@ def _bound_entries(key: str, value: int, what: str, entries: int) -> None:
                           f"entries; got {key} = {value}, {entries} entries")
 
 
-def _number(key: str, value, kind=float):
-    """A finite real parameter, or a complex one with ``kind=complex`` (given
-    as a number or a string such as "0.1+0.2j")."""
-    try:
-        number = None if isinstance(value, bool) else kind(value)
-    except (TypeError, ValueError):
-        number = None
-    if number is None or not cmath.isfinite(number):
-        kind_name = "real" if kind is float else "complex"
-        raise ConfigError(f"{key} must be a finite {kind_name} number; got {value!r}")
-    return number
-
-
-def _numbers(p: dict, key: str, default: list, kind=float, least: int = 0) -> list:
-    """A list parameter of at least ``least`` numbers, each read by :func:`_number`."""
-    value = p.get(key, default)
-    if not (isinstance(value, list) and len(value) >= least):
-        count = f"at least {least} " if least else ""
-        raise ConfigError(f"{key} must be a list of {count}numbers; got {value!r}")
-    return [_number(key, x, kind) for x in value]
-
-
-def _spectral_probes(p: dict, key: str) -> list:
-    """A list parameter of spectral points p, each with u = e^p and 1/u
-    finite and nonzero, |Re p| at most the log of the largest double: the
-    site matrices and their partials read both."""
-    probes = _numbers(p, key, [], complex)
-    for probe in probes:
-        try:
-            math.exp(abs(probe.real))
-        except OverflowError:
-            raise ConfigError(f"{key} must be spectral points p with e^p and e^-p finite and "
-                              f"nonzero, |Re p| <= {math.log(sys.float_info.max):.6g}; got the "
-                              f"probe {probe!r}") from None
-    return probes
-
-
-def _half_length(p: dict) -> float:
-    """L, the half-length of a periodic grid: a finite positive number."""
-    L = _number("L", p.get("L", 1.0))
-    if L <= 0:
-        raise ConfigError(f"L must be positive; got {L!r}")
-    return L
-
-
-def _sizes(p: dict, default: list[int], least: int) -> list[int]:
-    """The chain sizes of a charge battery: a non-empty list of integers."""
-    sizes = p.get("sizes", default)
-    if not (isinstance(sizes, list) and sizes):
-        raise ConfigError(f"sizes must be a non-empty list of integers; got {sizes!r}")
-    return [_integer("sizes", n, least) for n in sizes]
-
-
-def _draws_per_size(p: dict, sizes: list[int]) -> list[int]:
+def _draws_per_size(p: dict) -> list[int]:
     """Chains drawn per size: ``samples`` in all, the first samples % len(sizes) one more."""
-    per, extra = divmod(_count(p, "samples", 100, least=len(sizes)), len(sizes))
-    return [per + (i < extra) for i in range(len(sizes))]
+    per, extra = divmod(p["samples"], len(p["sizes"]))
+    return [per + (i < extra) for i in range(len(p["sizes"]))]
 
 
 def _output(outdir: Path, name: str) -> Path:
@@ -289,24 +346,6 @@ def write_csv(path: Path, header: list[str], rows) -> None:
     with open(path, "w", newline="") as fh:
         fh.write(",".join(header) + "\r\n")
         fh.writelines(",".join(map(repr, row)) + "\r\n" for row in rows)
-
-
-def _time_params(p: dict, dt: float, t_end: float, coarse=lambda dt: dt):
-    """(dt, coarse step, t_end) from the params; ``coarse(dt)`` is the
-    largest step the mode runs at.  Every step must fit in t_end a whole
-    number of times, so that every run of the mode ends at t_end, and at
-    most _MAX_COUNT times."""
-    dt, t_end = _number("dt", p.get("dt", dt)), _number("t_end", p.get("t_end", t_end))
-    if dt > 0 and t_end / dt > _MAX_COUNT:
-        raise ConfigError(f"dt must be at least t_end / {_MAX_COUNT}, a march of at most "
-                          f"{_MAX_COUNT} steps; got dt = {dt:g} and t_end = {t_end:g}")
-    dt_coarse = coarse(dt)
-    for step in (dt, dt_coarse):
-        try:
-            count_steps(step, t_end)
-        except ValueError as err:
-            raise ConfigError(f"{err}, in a run of the mode") from err
-    return dt, dt_coarse, t_end
 
 
 def _series_rows(times, columns, drift):
@@ -342,10 +381,8 @@ def _mode_verify_charges(cfg: RunConfig, report: Report, outdir: Path):
     # drawn chain by chain and traced one by one; the closed form and the
     # error ratios are evaluated once per size over the stack of its draws
     rng = np.random.default_rng(cfg.seed)
-    # the charge formulas assume N >= 2
-    sizes = _sizes(cfg.params, [2, 3, 4, 5, 6], least=2)
     worst = (0.0, 0.0, 0.0)
-    for n, count in zip(sizes, _draws_per_size(cfg.params, sizes)):
+    for n, count in zip(cfg.values["sizes"], _draws_per_size(cfg.values)):
         states = [lat.random_state(n, rng) for _ in range(count)]
         cs = np.array([lat.charges_from_trace(s)[1][:3] for s in states]).T
         stack = lat.LatticeState.stack(states)
@@ -364,10 +401,8 @@ def _mode_defect_charges(cfg: RunConfig, report: Report, outdir: Path):
     # drawn chain by chain and traced one by one; the closed form and the
     # error ratios are evaluated once per size over the stack of its draws
     rng = np.random.default_rng(cfg.seed)
-    # the deformed closed form needs both neighbours of the defect: N >= 3
-    sizes = _sizes(cfg.params, [3, 4, 5, 6], least=3)
     worst = (0.0, 0.0, 0.0)
-    for n, count in zip(sizes, _draws_per_size(cfg.params, sizes)):
+    for n, count in zip(cfg.values["sizes"], _draws_per_size(cfg.values)):
         states, defects = [], []
         for _ in range(count):
             states.append(lat.random_state(n, rng))
@@ -416,24 +451,6 @@ def _mode_defect_charges(cfg: RunConfig, report: Report, outdir: Path):
     )
 
 
-def _probe_pairs(cfg: RunConfig, rng, samples: int):
-    """Random spectral pairs, preceded by any explicitly configured probes."""
-    lams = _spectral_probes(cfg.params, "lambda_probes")
-    mus = _spectral_probes(cfg.params, "mu_probes")
-    if len(lams) != len(mus):
-        raise ConfigError(f"lambda_probes and mu_probes must be of equal length "
-                          f"(got {len(lams)} and {len(mus)})")
-    for lam, mu in zip(lams, mus):
-        try:
-            r_matrix(lam - mu)
-        except ValueError as err:
-            raise ConfigError(f"lambda_probes must be off the r-matrix pole of mu_probes; "
-                              f"{err} at (lambda, mu) = ({lam}, {mu})") from err
-    yield from zip(lams, mus)
-    for _ in range(samples):
-        yield _spectral_pair(rng)
-
-
 def _by_length(states):
     """(indices, stack) of each chain length among the drawn states: the
     draws of that length and their states as one stack, shortest first."""
@@ -448,12 +465,14 @@ def _by_length(states):
 
 
 def _mode_verify_poisson(cfg: RunConfig, report: Report, outdir: Path):
-    # the inputs are drawn sample by sample, then each identity is
-    # evaluated once over the stack of draws (the bulk one per chain length)
+    # the inputs are drawn sample by sample, the configured probe pairs
+    # first, then each identity is evaluated once over the stack of draws
+    # (the bulk one per chain length)
     rng = np.random.default_rng(cfg.seed)
-    samples = _count(cfg.params, "samples", 100)
+    lams, mus = cfg.values["lambda_probes"], cfg.values["mu_probes"]
+    drawn = (_spectral_pair(rng) for _ in range(cfg.values["samples"]))
     pairs, states, sites, defects, fields = [], [], [], [], []
-    for pair in _probe_pairs(cfg, rng, samples):
+    for pair in itertools.chain(zip(lams, mus), drawn):
         s = lat.random_state(int(rng.integers(2, 6)), rng)
         pairs.append(pair)
         states.append(s)
@@ -481,10 +500,8 @@ def _mode_verify_zero_curvature(cfg: RunConfig, report: Report, outdir: Path):
     # drawn sample by sample, evaluated once per chain length over the stack
     # of draws; the defect velocities are computed draw by draw
     rng = np.random.default_rng(cfg.seed)
-    samples = _count(cfg.params, "samples", 100)
-    probes = _spectral_probes(cfg.params, "mu_probes") + [None] * samples
     states, mus, sites, chains, defects = [], [], [], [], []
-    for mu_probe in probes:
+    for mu_probe in cfg.values["mu_probes"] + [None] * cfg.values["samples"]:
         s = lat.random_state(int(rng.integers(2, 7)), rng)
         mus.append(mu_probe if mu_probe is not None else complex(
             0.5 * rng.normal(), 0.5 * rng.normal()
@@ -536,29 +553,23 @@ CANDIDATE_ATTEMPTS = 20
 
 def _mode_lattice_sim(cfg: RunConfig, report: Report, outdir: Path, with_defect=False):
     rng = np.random.default_rng(cfg.seed)
-    p = cfg.params
-    # a defect needs an interior site, 2 <= defect_site <= N - 1
-    n = _count(p, "N", 8, least=3 if with_defect else 2)
-    dt, _, t_end = _time_params(p, 5e-3, 5.0, lambda dt: 2 * dt)
-    # the complex flow is not globally bounded; keep drawing seeded
-    # candidates until one stays regular over the full window
-    amplitude = _number("amplitude", p.get("amplitude", 0.15 if with_defect else 0.12))
-    probes = tuple(_numbers(p, "probes", [2.0, 3.0], least=1))
-    if 0 in probes:  # u = 0 is the pole of the site matrix
-        raise ConfigError(f"probes must be nonzero numbers; got {p['probes']!r}")
-    site = _count(p, "defect_site", max(2, n // 2), least=2, most=n - 1) if with_defect else None
+    p = cfg.values
+    n, dt, t_end, amplitude = p["N"], p["dt"], p["t_end"], p["amplitude"]
+    probes = tuple(p["probes"])
     kept, width = count_steps(dt, t_end) + 1, 3 * n + 3 * with_defect
     _bound_entries("N", n, f"the {kept} states of width {width} the run at dt keeps",
                    kept * width)
 
+    # the complex flow is not globally bounded; keep drawing seeded
+    # candidates until one stays regular over the full window
     def draw():
         """One candidate: its runs at dt and, as ``.coarse``, at 2 dt."""
         s = lat.random_state(n, rng, amplitude=amplitude)
         if not with_defect:
             return lambda: lat.integrate(s, dt, t_end, probes, with_coarse=True)
         d = ld.DefectSite(
-            site,
-            _number("theta", p.get("theta", 0.1), complex),
+            p["defect_site"],
+            p["theta"],
             0.1 * amplitude * complex(rng.normal(), rng.normal()),
             0.1 * amplitude * complex(rng.normal(), rng.normal()),
             np.exp(0.2 * complex(rng.normal(), rng.normal())),
@@ -645,17 +656,14 @@ def _mode_lattice_sim(cfg: RunConfig, report: Report, outdir: Path, with_defect=
 
 def _mode_liouville_evolve(cfg: RunConfig, report: Report, outdir: Path):
     rng = np.random.default_rng(cfg.seed)
-    p = cfg.params
-    n = _count(p, "points", 64, least=3)
-    L = _half_length(p)
-    dt, dt_coarse, t_end = _time_params(p, 2e-3, 0.5, lambda dt: 2 * dt)
+    p = cfg.values
+    n, dt, t_end = p["points"], p["dt"], p["t_end"]
     kept = count_steps(dt, t_end) + 1
     _bound_entries("points", n, f"the {kept} states of width 2 points the run at dt keeps",
                    kept * 2 * n)
-    amplitude = _number("amplitude", p.get("amplitude", 0.15))
-    c = lv.random_config(L, n, rng, amplitude=amplitude)
+    c = lv.random_config(p["L"], n, rng, amplitude=p["amplitude"])
     fine = lv.evolve(c, dt, t_end)
-    coarse = lv.evolve(c, dt_coarse, t_end)
+    coarse = lv.evolve(c, 2 * dt, t_end)
     scale = max(1.0, abs(fine.hamiltonians[0]))
     report.add("energy-drift", "discrete energy conservation along the flow",
                fine.drift("hamiltonian") / scale, 1e-5 * cfg.tolerance_scale)
@@ -676,13 +684,10 @@ def _mode_liouville_evolve(cfg: RunConfig, report: Report, outdir: Path):
 
 def _mode_monodromy_check(cfg: RunConfig, report: Report, outdir: Path):
     rng = np.random.default_rng(cfg.seed)
-    p = cfg.params
-    n = _count(p, "points", 64, least=3)
-    L = _half_length(p)
-    count = _count(p, "configs", 10)
+    p = cfg.values
+    n, L, count, amplitude = p["points"], p["L"], p["configs"], p["amplitude"]
     _bound_entries("points", n, f"the points x {lv.FIT_POINTS} Magnus cells of one fit",
                    n * lv.FIT_POINTS)
-    amplitude = _number("amplitude", p.get("amplitude", 0.2))
     zero = lv.FieldConfig.zero(L, n)
     ch = lv.charges(zero)
     pt, ht = lv.dual_charges(zero)
@@ -712,26 +717,16 @@ def _mode_monodromy_check(cfg: RunConfig, report: Report, outdir: Path):
 
 
 def _mode_bt_evolve(cfg: RunConfig, report: Report, outdir: Path):
-    p = cfg.params
-    theta = _number("theta", p.get("theta", 0.2), complex)
-    dt, _, t_end = _time_params(p, 2.5e-3, 0.4)
-    # with unit characteristic speed and no boundary conditions, the checks
-    # read only the causal interior |x| <= half - t, which is gone at t = half
-    half = 0.9
-    if t_end >= half:
-        raise ConfigError(f"need t_end < {half:g}, the causal horizon of the grid "
-                          f"x in [-{half:g}, {half:g}] (t_end = {t_end:g})")
-    nx = _count(p, "points", 65, least=3)
+    p = cfg.values
+    theta, dt, t_end, nx = p["theta"], p["dt"], p["t_end"], p["points"]
     kept = 2 * count_steps(dt, t_end) + 1
     _bound_entries("points", nx, f"the {kept} states of width 4 (2 points - 1) the run "
                    f"at dt / 2 keeps", kept * 4 * (2 * nx - 1))
-    offset = _number("seed_offset", p.get("seed_offset", 0.15), complex)
-    y_seed = _number("y_seed", p.get("y_seed", 0.02), complex)
-    z_seed = _number("z_seed", p.get("z_seed", 0.01), complex)
-    sol = exact.periodic_solution_for_length(_half_length(p))
+    offset, y_seed, z_seed = p["seed_offset"], p["y_seed"], p["z_seed"]
+    sol = exact.periodic_solution_for_length(p["L"])
 
     def run(n, step):
-        x = np.linspace(-half, half, n)
+        x = np.linspace(-_BT_HALF, _BT_HALF, n)
         return bt.bt_evolve(
             sol, x, theta, step, t_end,
             phi_tilde_seed=sol.phi(x[0], 0.0) + offset, y_seed=y_seed, z_seed=z_seed,
@@ -750,14 +745,9 @@ def _mode_bt_evolve(cfg: RunConfig, report: Report, outdir: Path):
 
 
 def _mode_hetero_bt(cfg: RunConfig, report: Report, outdir: Path):
-    p = cfg.params
-    c = _number("c", p.get("c", 0.35), complex)
-    theta = _number("Theta", p.get("Theta", 0.15), complex)
-    try:
-        params = bt.HeteroParams(c, theta)
-    except ValueError as err:
-        raise ConfigError(f"c must be nonzero: {err}") from err
-    nz, nb = _count(p, "nz", 49, least=3), _count(p, "nzbar", 41, least=3)
+    p = cfg.values
+    params = bt.HeteroParams(p["c"], p["Theta"])
+    nz, nb = p["nz"], p["nzbar"]
     key, value = ("nz", nz) if nz >= nb else ("nzbar", nb)
     _bound_entries(key, value, f"the finer grid of (2 nz - 1) x (2 nzbar - 1) points, "
                    f"nz = {nz} and nzbar = {nb},", (2 * nz - 1) * (2 * nb - 1))
@@ -826,9 +816,11 @@ def run(config: RunConfig, outdir: str | Path = ".") -> Report:
     it the same way, with the anchor ``overflow: <message>``.  The mode runs
     with numpy overflow, division by zero and invalid operations raised, so
     one outside a march ends it the same way too, with the anchor
-    ``floating-point: <numpy message>``; a march routes its own to its guard.
-    Raises ConfigError on invalid mode parameters, before it writes a file
-    or makes outdir.
+    ``floating-point: <numpy message>``, or ``overflow: <numpy message> at
+    mu_probes [...]`` when spectral probes are configured; a march routes its
+    own to its guard.  Raises ConfigError, before it writes a file or makes
+    outdir, when an array the mode would allocate passes _MAX_ENTRIES;
+    :class:`RunConfig` checks the rest of the config.
     """
     outdir = Path(outdir)
     report = Report(config.mode, config.echo())
@@ -844,7 +836,12 @@ def run(config: RunConfig, outdir: str | Path = ".") -> Report:
         report.add("blow-up", f"overflow: {err}", 1.0, 0.0)
     except FloatingPointError as err:
         report.aborted = True
-        report.add("blow-up", f"floating-point: {err}", 1.0, 0.0)
+        # the verify modes evaluate every draw at once; their spectral probes
+        # are the draws that can leave double range
+        probes = [f"{key} {value}" for key, value in config.values.items()
+                  if PARAMS[config.mode][key].kind == PROBES and value]
+        report.add("blow-up", f"overflow: {err} at {' and '.join(probes)}" if probes
+                   else f"floating-point: {err}", 1.0, 0.0)
     report.elapsed = time.perf_counter() - start
     _output(outdir, "report.json").write_text(report.to_json())
     (outdir / "timing.json").write_text(json.dumps({"elapsed_s": report.elapsed}, indent=2) + "\n")

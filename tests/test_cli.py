@@ -73,6 +73,11 @@ class TestConfig:
         with pytest.raises(cli.ConfigError):
             cli.RunConfig.from_dict({"mode": "verify-poisson", "tolerance_scale": -1})
 
+    def test_tolerance_scale_past_double_range_rejected(self):
+        # an integer float() cannot convert: no OverflowError may escape
+        with pytest.raises(cli.ConfigError, match="finite and positive"):
+            cli.RunConfig.from_dict({"mode": "verify-poisson", "tolerance_scale": 10**400})
+
     def test_bad_params_rejected(self):
         with pytest.raises(cli.ConfigError):
             cli.RunConfig.from_dict({"mode": "verify-poisson", "params": [1, 2]})
@@ -176,6 +181,12 @@ class TestConfig:
         {"mode": "verify-zero-curvature", "params": {"mu_probes": [0.1, "800+1j"]}},
         {"mode": "verify-poisson", "params": {"lambda_probes": ["800"], "mu_probes": ["0"]}},
         {"mode": "verify-poisson", "params": {"mu_probes": ["-1e300"], "lambda_probes": ["0"]}},
+        # probes each inside the bound whose separation overflows sinh in the r-matrix
+        {"mode": "verify-poisson", "params": {"lambda_probes": ["709"], "mu_probes": ["-709"]}},
+        # integers past double range, which float() cannot convert
+        {"mode": "lattice-sim", "params": {"N": 10**400}},
+        {"mode": "lattice-sim", "params": {"amplitude": 10**400}},
+        {"mode": "hetero-bt", "params": {"c": -10**400}},
     ])
     def test_malformed_numbers_are_config_errors(self, tmp_path, payload, capsys):
         path = write_config(tmp_path, payload)
@@ -231,6 +242,43 @@ class TestConfig:
         assert cli.main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
         assert f"config error: {key} must be" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("mode, key", [
+        (mode, key) for mode, table in cli.PARAMS.items() for key, spec in table.items()
+        if spec.kind in (cli.COUNT, cli.SIZES)])
+    def test_count_range_is_read_to_its_ends(self, mode, key):
+        # the least and the most value of a count, or of each of the sizes,
+        # are read; one past either end is a config error that names the count
+        spec = cli.PARAMS[mode][key]
+
+        def read(value):
+            params = {key: [value] if spec.kind == cli.SIZES else value}
+            if "sizes" in cli.PARAMS[mode] and key == "samples":
+                params["sizes"] = [cli.PARAMS[mode]["sizes"].least]  # one chain per size
+            if key == "defect_site":
+                params["N"] = cli._MAX_COUNT  # every site in the range is interior
+            return cli._read_params(mode, params)[key]
+
+        for value in (spec.least, spec.most):
+            assert read(value) == ([value] if spec.kind == cli.SIZES else value)
+        for value in (spec.least - 1, spec.most + 1):
+            with pytest.raises(cli.ConfigError, match=rf"^{key} must be an integer in "
+                                                      rf"\[{spec.least}, {spec.most}\]; got"):
+                read(value)
+
+    def test_readme_param_table_is_the_declared_one(self):
+        # README "Command line" lists every param of every mode with the kind
+        # and default cli.PARAMS declares, in its order; a default worked out
+        # from other params is described in words
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        section = readme.split("\n### Params\n", 1)[1].split("\n#", 1)[0]
+        rows = [[cell.strip() for cell in line.split("|")[1:-1]]
+                for line in section.splitlines() if line.startswith("| `")]
+        assert [(mode, key, kind, default if default.startswith("`") else None)
+                for mode, key, kind, default, _ in rows] == [
+            (f"`{mode}`", f"`{key}`", spec.kind,
+             None if spec.default is None else f"`{json.dumps(spec.default)}`")
+            for mode, table in cli.PARAMS.items() for key, spec in table.items()]
 
     def test_probe_lists_of_unequal_length_are_config_errors(self, tmp_path, capsys):
         # zip would drop the probes 1.0 and 1.5 without a word
@@ -453,20 +501,27 @@ class TestRun:
         ("bt-evolve", {"theta": "1e5"}, "overflow encountered in exp"),
         # u = e^mu = 1.2e-308 at mu = -709, inside the probe bound: 1 / (u v^2) in the
         # site-matrix partials
-        ("verify-zero-curvature", {"mu_probes": ["-709"]}, "overflow encountered in divide"),
+        ("verify-zero-curvature", {"mu_probes": ["-709"]},
+         "overflow encountered in divide at mu_probes [(-709+0j)]"),
         ("hetero-bt", {"Theta": 1e4}, "overflow encountered in exp"),
         # e^theta of the defect, before its march
         ("lattice-defect-sim", {"theta": "800"}, "overflow encountered in exp"),
-        # each probe inside the bound, their separation past the r-matrix's sinh
-        ("verify-poisson", {"lambda_probes": ["709"], "mu_probes": ["-709"]},
-         "overflow encountered in sinh"),
-        ("verify-zero-curvature", {"mu_probes": ["709"]}, "overflow encountered in multiply"),
+        # u = e^lambda = 8.2e307 in the site matrices of the exchange relations
+        ("verify-poisson", {"lambda_probes": ["709"], "mu_probes": ["0"]},
+         "overflow encountered in multiply at lambda_probes [(709+0j)] and mu_probes [0j]"),
+        ("verify-zero-curvature", {"mu_probes": ["709"]},
+         "overflow encountered in multiply at mu_probes [(709+0j)]"),
+        # A_{j+1} L in the time-Lax commutator
+        ("verify-zero-curvature", {"mu_probes": [300]},
+         "overflow encountered in matmul at mu_probes [(300+0j)]"),
     ])
     def test_float_error_outside_a_march_is_a_blow_up(self, tmp_path, action, mode, params,
                                                       anchor):
         # numpy overflow or division by zero outside any march: one blow-up
         # record and exit 1, with numpy warnings as errors and without, where
-        # none may be printed
+        # none may be printed.  A verify mode evaluates its identities over
+        # all draws at once and names the configured probes, the draws that
+        # can overflow, in an "overflow:" anchor
         path = write_config(tmp_path, {"mode": mode, "params": params})
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter(action)
@@ -475,7 +530,22 @@ class TestRun:
         report = json.loads((tmp_path / "out" / "report.json").read_text())
         assert report["aborted"] is True
         blow_up = [r for r in report["records"] if r["name"] == "blow-up"]
-        assert [r["anchor"] for r in blow_up] == [f"floating-point: {anchor}"]
+        kind = "overflow" if mode.startswith("verify-") else "floating-point"
+        assert [r["anchor"] for r in blow_up] == [f"{kind}: {anchor}"]
+
+    @pytest.mark.parametrize("mode, identity", [
+        ("verify-poisson", "check_quadratic_algebra"),
+        ("verify-zero-curvature", "zero_curvature_residual")])
+    def test_verify_float_error_without_probes_keeps_its_anchor(self, tmp_path, monkeypatch,
+                                                                 mode, identity):
+        # no probe to name: the numpy message alone, as in every other mode
+        def overflowing(*args):
+            raise FloatingPointError("overflow encountered in matmul")
+
+        monkeypatch.setattr(lat, identity, overflowing)
+        report = cli.run(cli.RunConfig(mode, params={"samples": 2}), tmp_path)
+        assert report.aborted and [r.anchor for r in report.records] == [
+            "floating-point: overflow encountered in matmul"]
 
     @staticmethod
     def _assert_kappa_blow_up(tmp_path, action, capsys, L, kappa):
@@ -882,70 +952,71 @@ def complexes(lo, hi):
     return part | st.builds(lambda re, im: f"{re!r}{im:+}j", part, part)
 
 
-# every param a mode reads but the time params, bounded: a config may ask for
-# counts and marches of up to 10^7, far more work than a test can run, so
-# counts stay small
-BOUNDED = {
-    "N": st.integers(2, 6),
-    "amplitude": st.floats(0.0, 0.3),
-    "probes": st.lists(st.floats(0.5, 4.0), min_size=1, max_size=2),
-    "defect_site": st.integers(2, 5),
-    "theta": complexes(-0.5, 0.5),
-    "samples": st.integers(5, 8),
-    "mu_probes": st.lists(complexes(-1.0, 1.0), max_size=2),
-    "sizes": st.lists(st.integers(3, 6), min_size=1, max_size=3),
-    "points": st.integers(3, 17),
-    "L": st.floats(0.5, 2.0),
-    "configs": st.integers(1, 3),
-    "seed_offset": complexes(-0.3, 0.3),
-    "y_seed": complexes(-0.1, 0.1),
-    "z_seed": complexes(-0.1, 0.1),
-    "c": complexes(-0.5, 0.5),
-    "Theta": complexes(-0.3, 0.3),
-    "nz": st.integers(3, 9),
-    "nzbar": st.integers(3, 9),
-}
-# (dt, t_end) of a march of at most 8 steps, at the runs' largest step
-STEPS = st.builds(lambda dt, k: (dt, dt * k), st.sampled_from((0.01, 0.025, 0.05)),
+# how far above its least value a drawn count goes: a config may ask for
+# counts and marches of up to 10^7, far more work than a test can run
+COUNT_SPAN = 4
+PROBE = complexes(-cli._PROBE_BOUND, cli._PROBE_BOUND)
+
+
+def declared(spec):
+    """A value of the kind ``spec`` declares, in its range: a count, or each
+    of the sizes, at most COUNT_SPAN above its least value; spectral probes
+    over their whole bound; a real or complex param, or each of a real list,
+    at most twice its default in each part, a real one not negative."""
+    count = st.integers(spec.least, spec.least + COUNT_SPAN)
+    if spec.kind == cli.COUNT:
+        return count
+    if spec.kind == cli.SIZES:
+        return st.lists(count, min_size=1, max_size=3)
+    if spec.kind == cli.PROBES:
+        return st.lists(PROBE, max_size=2)
+    scale = 2.0 * abs(max(spec.default) if spec.kind == cli.REALS else spec.default)
+    if spec.kind == cli.COMPLEX:
+        return complexes(-scale, scale)
+    real = st.floats(0.0, scale)
+    return real if spec.kind == cli.REAL else st.lists(real, min_size=1, max_size=2)
+
+
+# (dt, t_end) of a march of at most 8 steps at the coarse step 2 dt
+STEPS = st.builds(lambda step, k: (step / 2, step * k), st.sampled_from((0.01, 0.025, 0.05)),
                   st.integers(1, 8))
 BAD_STEPS = ((1e300, 0.1), (-0.01, 0.1), (0.0, 0.1), (0.03, 0.1), (0.1, 1e-300),
              (None, 0.1), (0.01, "x"), (1e-300, 0.1), (1e-300, 1e300))
-LISTS = ("probes", "lambda_probes", "mu_probes", "sizes")
-# numbers at the edges of double range, and values no param takes
-EXTREMES = (1e300, -1e300, 1e-300, -1e-300, 0.0, "1e+300j", "1e-300-1e+300j")
+LISTS = (cli.REALS, cli.PROBES, cli.SIZES)
+# numbers at the edges of double range and past it, and values no param takes
+EXTREMES = (1e300, -1e300, 1e-300, -1e-300, 0.0, "1e+300j", "1e-300-1e+300j", 10**400)
 MALFORMED = (None, True, "x", {}, -1, 2.5, math.nan, math.inf, "nan+1j")
 
 
 @st.composite
 def contract_configs(draw):
-    """A config of one of the ten modes: each param absent or bounded, the
-    time params a march of at most 16 steps, then at most one param, the
-    seed or the tolerance scale extreme or malformed."""
+    """A config of one of the ten modes: each param absent or drawn from
+    its declared kind and range, the time params a march of at most 16
+    steps, then at most one param, the seed or the tolerance scale extreme
+    or malformed."""
     mode = draw(st.sampled_from(cli.MODES))
+    table = cli.PARAMS[mode]
     params = draw(st.fixed_dictionaries({}, optional={
-        k: BOUNDED[k] for k in cli.PARAMS[mode] if k in BOUNDED}))
-    if "lambda_probes" in cli.PARAMS[mode] and "mu_probes" in params:
+        k: declared(spec) for k, spec in table.items() if spec.kind != cli.TIME}))
+    if "lambda_probes" in table and "mu_probes" in params:
         # verify-poisson pairs each lambda probe with a mu probe
         count = len(params["mu_probes"])
-        params["lambda_probes"] = draw(st.lists(complexes(-1.0, 1.0), min_size=count,
-                                                max_size=count))
-    # the lattice and Liouville modes also run at 2 dt
-    runs = 1 if mode == "bt-evolve" else 2
-    if "dt" in cli.PARAMS[mode]:
-        dt, t_end = draw(STEPS)
-        params["dt"], params["t_end"] = dt / runs, t_end
+        params["lambda_probes"] = draw(st.lists(PROBE, min_size=count, max_size=count))
+    if "dt" in table:
+        params["dt"], params["t_end"] = draw(STEPS)
     config = {"mode": mode, "params": params}
     if draw(st.booleans()):
         config["seed"] = draw(st.integers(0, 2**32))
     kind = draw(st.sampled_from(("bounded", "extreme", "malformed")))
     if kind != "bounded":
-        key = draw(st.sampled_from(cli.PARAMS[mode] + ("seed", "tolerance_scale")))
-        if key in ("dt", "t_end"):
+        key = draw(st.sampled_from(tuple(table) + ("seed", "tolerance_scale")))
+        if key in table and table[key].kind == cli.TIME:
             params["dt"], params["t_end"] = draw(st.sampled_from(BAD_STEPS))
             return config
         pool = MALFORMED if kind == "malformed" else EXTREMES
         value = draw(st.sampled_from(pool))
-        value = [value] if key in LISTS and kind == "extreme" else value
+        if kind == "extreme" and key in table and table[key].kind in LISTS:
+            value = [value]
         if key in ("seed", "tolerance_scale"):
             config[key] = value
         else:

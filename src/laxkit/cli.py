@@ -37,6 +37,9 @@ from .stepping import Aborted, count_steps, nan_max, step_tally
 # battery's largest run takes 1000 steps, and count_steps can tell a whole
 # number of steps only below 2^53
 _MAX_COUNT = 10**7
+# the most entries an array of a mode may hold (BOUNDS), which bounds the
+# product of its counts as _MAX_COUNT bounds each
+_MAX_ENTRIES = 10**7
 
 # the kinds of param, read by _read_value
 COUNT, REAL, COMPLEX, TIME = "count", "real", "complex", "time"
@@ -81,6 +84,52 @@ PARAMS = {
     "defect-charges": {"samples": Param(COUNT, 100), "sizes": Param(SIZES, [3, 4, 5, 6], 3)},
 }
 MODES = tuple(PARAMS)
+
+
+def _kept(p: dict, key: str, width: str, entries: int, finer=False) -> tuple[str, str, int]:
+    """A march's bound: the states its finest run keeps, at dt, or at dt / 2
+    when ``finer``, each ``entries`` wide (``width`` in words)."""
+    kept = count_steps(p["dt"], p["t_end"]) * (2 if finer else 1) + 1
+    run = "dt / 2" if finer else "dt"
+    return key, f"the {kept} states of width {width} the run at {run} keeps", kept * entries
+
+
+def _chains(p: dict, extra: int) -> tuple[str, str, int]:
+    """A charge battery's bound: for each chain of N sites it draws, the N^2
+    coefficient products of its trace and the 3 N + ``extra`` entries it and
+    its charges take in the stacks.  It names sizes when one chain of each
+    size already passes _MAX_ENTRIES, samples otherwise."""
+    per_chain = [n * n + 3 * n + extra for n in p["sizes"]]
+    return ("sizes" if sum(per_chain) > _MAX_ENTRIES else "samples",
+            f"the chains, N^2 trace products and 3 N + {extra} stacked entries for N sites,",
+            sum(k * entries for k, entries in zip(_draws_per_size(p), per_chain)))
+
+
+# each mode's largest allocation, from the read params p: the count a config
+# error names, what the array holds and its entries, at most _MAX_ENTRIES;
+# for a charge battery also the work of its traces.  By peak RSS and time at
+# 10^5 draws on a 2-CPU host, a verify mode's draw takes 3.3 KB (poisson) or
+# 4.0 KB (zero-curvature), so its largest run peaks near 2-2.5 GB; a charge
+# battery's chain takes at most 1.7 KB and 0.2 ms, and a trace of N sites
+# 4 us N^2, so its largest run ends within 2 minutes
+BOUNDS = {
+    "lattice-sim": lambda p: _kept(p, "N", "3 N", 3 * p["N"]),
+    "lattice-defect-sim": lambda p: _kept(p, "N", "3 N + 3", 3 * p["N"] + 3),
+    "verify-poisson": lambda p: ("samples", "the 4 x 4 exchange matrices of the draws",
+                                 16 * (p["samples"] + len(p["mu_probes"]))),
+    "verify-zero-curvature": lambda p: ("samples", "the 2 x 2 bulk residual matrices of the draws",
+                                        16 * (p["samples"] + len(p["mu_probes"]))),
+    "verify-charges": lambda p: _chains(p, 3),
+    "liouville-evolve": lambda p: _kept(p, "points", "2 points", 2 * p["points"]),
+    "monodromy-check": lambda p: ("points", f"the points x {lv.FIT_POINTS} Magnus cells of one "
+                                  f"fit", p["points"] * lv.FIT_POINTS),
+    "bt-evolve": lambda p: _kept(p, "points", "4 (2 points - 1)", 4 * (2 * p["points"] - 1), True),
+    "hetero-bt": lambda p: (
+        "nz" if p["nz"] >= p["nzbar"] else "nzbar",
+        f"the finer grid of (2 nz - 1) x (2 nzbar - 1) points, nz = {p['nz']} and nzbar = "
+        f"{p['nzbar']},", (2 * p["nz"] - 1) * (2 * p["nzbar"] - 1)),
+    "defect-charges": lambda p: _chains(p, 8),
+}
 # |Re p| of a spectral probe p: e^p and e^-p are finite and nonzero
 _PROBE_BOUND = math.log(sys.float_info.max)
 # bt-evolve marches x in [-_BT_HALF, _BT_HALF]: with unit characteristic speed and
@@ -206,16 +255,10 @@ class RunConfig:
         if unknown:
             raise ConfigError(f"unknown config keys {', '.join(map(repr, unknown))}; "
                               f"a config reads {', '.join(CONFIG_KEYS)}")
-        return RunConfig(raw["mode"], raw.get("seed", 0), raw.get("tolerance_scale", 1.0),
-                         raw.get("params", {}))
+        return RunConfig(**raw)  # CONFIG_KEYS are its fields, their defaults its defaults
 
     def echo(self) -> dict:
-        return {
-            "mode": self.mode,
-            "seed": self.seed,
-            "tolerance_scale": self.tolerance_scale,
-            "params": self.params,
-        }
+        return {key: getattr(self, key) for key in CONFIG_KEYS}
 
 
 def _read_value(key: str, spec: Param, value):
@@ -305,21 +348,11 @@ def _read_params(mode: str, params: dict) -> dict:
     if mode == "bt-evolve" and p["t_end"] >= _BT_HALF:
         raise ConfigError(f"need t_end < {_BT_HALF:g}, the causal horizon of the grid "
                           f"x in [-{_BT_HALF:g}, {_BT_HALF:g}] (t_end = {p['t_end']:g})")
-    return p
-
-
-# the most entries one array of a mode may hold, which bounds the product of
-# the counts as _MAX_COUNT bounds each: the finer hetero-bt grid, the Magnus
-# cells of one monodromy fit, the states the finest run of a march keeps
-_MAX_ENTRIES = 10**7
-
-
-def _bound_entries(key: str, value: int, what: str, entries: int) -> None:
-    """Raise ConfigError, naming the count ``key``, when ``what``, an array
-    the mode would allocate, holds more than _MAX_ENTRIES entries."""
+    key, what, entries = BOUNDS[mode](p)
     if entries > _MAX_ENTRIES:
         raise ConfigError(f"{key} must be small enough for {what} to fit in {_MAX_ENTRIES} "
-                          f"entries; got {key} = {value}, {entries} entries")
+                          f"entries; got {key} = {p[key]}, {entries} entries")
+    return p
 
 
 def _draws_per_size(p: dict) -> list[int]:
@@ -328,15 +361,16 @@ def _draws_per_size(p: dict) -> list[int]:
     return [per + (i < extra) for i in range(len(p["sizes"]))]
 
 
-def _output(outdir: Path, name: str) -> Path:
-    """outdir / name, outdir made first: a mode makes its directory at the
-    first file it writes, so a config error leaves none."""
-    outdir.mkdir(parents=True, exist_ok=True)
-    return outdir / name
-
-
-def _complex_columns(label: str) -> list[str]:
-    return [f"{label}_re", f"{label}_im"]
+def _make_outdir(outdir) -> Path:
+    """outdir as a Path, made as a directory with its parents; ConfigError
+    names it when it cannot be made."""
+    outdir = Path(outdir)
+    try:
+        outdir.mkdir(parents=True, exist_ok=True)
+    except OSError as err:
+        raise ConfigError(f"--out must name a directory; cannot make {str(outdir)!r}: "
+                          f"{err.strerror}") from err
+    return outdir
 
 
 def write_csv(path: Path, header: list[str], rows) -> None:
@@ -348,11 +382,12 @@ def write_csv(path: Path, header: list[str], rows) -> None:
         fh.writelines(",".join(map(repr, row)) + "\r\n" for row in rows)
 
 
-def _series_rows(times, columns, drift):
-    """Rows of t, then the real and imaginary part of each column, then the
-    drift, as Python floats."""
-    parts = [times] + [f(col) for col in columns for f in (np.real, np.imag)] + [drift]
-    return np.column_stack(parts).tolist()
+def _write_series(outdir: Path, times, columns: dict, drift_label: str, drift):
+    """series.csv in outdir: t, then the real and imaginary part of each
+    column (``<label>_re``, ``<label>_im``), then the drift."""
+    header = ["t", *(f"{label}_{part}" for label in columns for part in ("re", "im")), drift_label]
+    parts = [times] + [f(col) for col in columns.values() for f in (np.real, np.imag)] + [drift]
+    write_csv(outdir / "series.csv", header, np.column_stack(parts).tolist())
 
 
 # -- mode handlers ---------------------------------------------------------------
@@ -367,58 +402,52 @@ def _spectral_pair(rng):
             return lam, mu
 
 
-def _charge_errors(cs, closed_exp_c0, closed_c2):
-    """The worst (order-0, order-1, order-2) errors of a stack of draws, nan
-    when one is: cs the (3, draws) trace charges, against e^{c0} and c2 of
-    the closed form, the order-1 and order-2 ones relative to the larger of
-    1 and the charge."""
-    return (np.max(np.abs(np.exp(cs[0]) - closed_exp_c0) / np.abs(closed_exp_c0)),
-            np.max(np.abs(cs[1]) / np.fmax(1.0, np.abs(cs[0]))),
-            np.max(np.abs(cs[2] - closed_c2) / np.fmax(1.0, np.abs(closed_c2))))
+def _charge_battery(cfg: RunConfig, report: Report, rng, draw, trace, closed, records):
+    """Record the worst errors of the trace charges of ``samples`` chains,
+    nan when one is, under the (name, anchor) ``records`` in the order:
+    order 1 against 0, order 2 against the closed form, both relative to
+    the larger of 1 and the charge, then e^{c0} against the closed form's.
+    ``draw(n, rng)`` draws the args of ``trace``, a chain of n sites first;
+    the chains are drawn and traced one by one, and ``closed``, given a
+    size's chains as one stack and each other arg of its draws as one
+    sequence, returns e^{c0} and c2 of the closed form over the stack."""
+    worst = (0.0, 0.0, 0.0)
+    for n, count in zip(cfg.values["sizes"], _draws_per_size(cfg.values)):
+        draws = [draw(n, rng) for _ in range(count)]
+        c0, c1, c2 = np.array([trace(*args)[1][:3] for args in draws]).T
+        states, *rest = zip(*draws)
+        exp_c0, closed_c2 = closed(lat.LatticeState.stack(states), *rest)
+        errors = (np.max(np.abs(c1) / np.fmax(1.0, np.abs(c0))),
+                  np.max(np.abs(c2 - closed_c2) / np.fmax(1.0, np.abs(closed_c2))),
+                  np.max(np.abs(np.exp(c0) - exp_c0) / np.abs(exp_c0)))
+        worst = tuple(map(nan_max, worst, errors))
+    for (name, anchor), value in zip(records, worst):
+        report.add_roundoff(name, anchor, value, 1e-12 * cfg.tolerance_scale)
 
 
 def _mode_verify_charges(cfg: RunConfig, report: Report, outdir: Path):
-    # drawn chain by chain and traced one by one; the closed form and the
-    # error ratios are evaluated once per size over the stack of its draws
-    rng = np.random.default_rng(cfg.seed)
-    worst = (0.0, 0.0, 0.0)
-    for n, count in zip(cfg.values["sizes"], _draws_per_size(cfg.values)):
-        states = [lat.random_state(n, rng) for _ in range(count)]
-        cs = np.array([lat.charges_from_trace(s)[1][:3] for s in states]).T
-        stack = lat.LatticeState.stack(states)
-        c2 = lat.charges_closed_form(stack)[2]
-        errors = _charge_errors(cs, np.prod(stack.v, axis=-1), c2)
-        worst = tuple(map(nan_max, worst, errors))
-    worst_c0, worst_c1, worst_c2 = worst
-    tol = 1e-12 * cfg.tolerance_scale
-    report.add_roundoff("charge-order1-vanishes", "u^-1 coefficient of log tr T", worst_c1, tol)
-    report.add_roundoff("charge-order2-closed-form", "u^-2 coefficient vs hopping sum",
-                        worst_c2, tol)
-    report.add_roundoff("charge-order0-product", "exp(c0) vs product of v_j", worst_c0, tol)
+    _charge_battery(cfg, report, np.random.default_rng(cfg.seed),
+                    lambda n, rng: (lat.random_state(n, rng),), lat.charges_from_trace,
+                    lambda stack: (np.prod(stack.v, axis=-1), lat.charges_closed_form(stack)[2]),
+                    [("charge-order1-vanishes", "u^-1 coefficient of log tr T"),
+                     ("charge-order2-closed-form", "u^-2 coefficient vs hopping sum"),
+                     ("charge-order0-product", "exp(c0) vs product of v_j")])
 
 
 def _mode_defect_charges(cfg: RunConfig, report: Report, outdir: Path):
-    # drawn chain by chain and traced one by one; the closed form and the
-    # error ratios are evaluated once per size over the stack of its draws
+    def draw(n, rng):
+        return lat.random_state(n, rng), ld.random_defect(int(rng.integers(1, n + 1)), rng)
+
+    def closed(stack, defects):
+        c0, c2 = ld.defect_charges(stack, ld.DefectSite.stack(defects))
+        return np.exp(c0), c2
+
     rng = np.random.default_rng(cfg.seed)
-    worst = (0.0, 0.0, 0.0)
-    for n, count in zip(cfg.values["sizes"], _draws_per_size(cfg.values)):
-        states, defects = [], []
-        for _ in range(count):
-            states.append(lat.random_state(n, rng))
-            defects.append(ld.random_defect(int(rng.integers(1, n + 1)), rng))
-        cs = np.array([ld.defect_charges_from_trace(s, d)[1][:3]
-                       for s, d in zip(states, defects)]).T
-        c0, c2 = ld.defect_charges(lat.LatticeState.stack(states), ld.DefectSite.stack(defects))
-        worst = tuple(map(nan_max, worst, _charge_errors(cs, np.exp(c0), c2)))
-    worst_c0, worst_c1, worst_c2 = worst
-    tol = 1e-12 * cfg.tolerance_scale
-    report.add_roundoff("defect-charge-order1-vanishes",
-                        "u^-1 coefficient with defect insertion", worst_c1, tol)
-    report.add_roundoff("defect-charge-order2-closed-form",
-                        "u^-2 coefficient vs deformed hopping sum", worst_c2, tol)
-    report.add_roundoff("defect-charge-order0-product",
-                        "exp(c0) vs product with defect factor", worst_c0, tol)
+    _charge_battery(cfg, report, rng, draw, ld.defect_charges_from_trace, closed,
+                    [("defect-charge-order1-vanishes", "u^-1 coefficient with defect insertion"),
+                     ("defect-charge-order2-closed-form",
+                      "u^-2 coefficient vs deformed hopping sum"),
+                     ("defect-charge-order0-product", "exp(c0) vs product with defect factor")])
 
     # continuum defect: sewing discrimination and charge combinations
     glued = cdf.random_split_config(1.0, 0.2, rng, sewing=True)
@@ -556,17 +585,14 @@ def _mode_lattice_sim(cfg: RunConfig, report: Report, outdir: Path, with_defect=
     p = cfg.values
     n, dt, t_end, amplitude = p["N"], p["dt"], p["t_end"], p["amplitude"]
     probes = tuple(p["probes"])
-    kept, width = count_steps(dt, t_end) + 1, 3 * n + 3 * with_defect
-    _bound_entries("N", n, f"the {kept} states of width {width} the run at dt keeps",
-                   kept * width)
 
     # the complex flow is not globally bounded; keep drawing seeded
     # candidates until one stays regular over the full window
     def draw():
-        """One candidate: its runs at dt and, as ``.coarse``, at 2 dt."""
+        """One candidate, marched at dt and, as ``.coarse``, at 2 dt."""
         s = lat.random_state(n, rng, amplitude=amplitude)
         if not with_defect:
-            return lambda: lat.integrate(s, dt, t_end, probes, with_coarse=True)
+            return lat.integrate(s, dt, t_end, probes, with_coarse=True)
         d = ld.DefectSite(
             p["defect_site"],
             p["theta"],
@@ -574,15 +600,14 @@ def _mode_lattice_sim(cfg: RunConfig, report: Report, outdir: Path, with_defect=
             0.1 * amplitude * complex(rng.normal(), rng.normal()),
             np.exp(0.2 * complex(rng.normal(), rng.normal())),
         )
-        return lambda: ld.integrate_with_defect(s, d, dt, t_end, probes, with_coarse=True)
+        return ld.integrate_with_defect(s, d, dt, t_end, probes, with_coarse=True)
 
     low, high = DRIFT_WINDOW
     fine = None
     fates = []  # each candidate's fate, written to candidates.json
     for _ in range(CANDIDATE_ATTEMPTS):
-        runner = draw()
         try:
-            cand = runner()
+            cand = draw()
         except Aborted as err:
             fates.append({"verdict": "aborted", **asdict(err.record), "record": str(err.record)})
             continue
@@ -599,7 +624,7 @@ def _mode_lattice_sim(cfg: RunConfig, report: Report, outdir: Path, with_defect=
         if verdict == "accepted":
             fine, coarse = cand, cand.coarse
             break
-    _output(outdir, "candidates.json").write_text(
+    (outdir / "candidates.json").write_text(
         json.dumps(_strict_json({"candidates": fates}), indent=2, allow_nan=False) + "\n")
     if fine is None:
         aborted, below, above = (sum(f["verdict"] == v for f in fates)
@@ -644,24 +669,16 @@ def _mode_lattice_sim(cfg: RunConfig, report: Report, outdir: Path, with_defect=
         TRACE_RATIO_MIN,
         criterion="min",
     )
-    header = ["t", "c0_re", "c0_im", "c2_re", "c2_im"]
-    cols = [fine.charges0, fine.charges2]
-    for u in probes:
-        header.extend(_complex_columns(f"trace_u{u:g}"))
-        cols.append(fine.traces[u])
-    header.append("c2_drift")
-    rows = _series_rows(fine.times, cols, np.abs(fine.charges2 - fine.charges2[0]))
-    write_csv(_output(outdir, "series.csv"), header, rows)
+    columns = {"c0": fine.charges0, "c2": fine.charges2,
+               **{f"trace_u{u:g}": fine.traces[u] for u in probes}}
+    _write_series(outdir, fine.times, columns, "c2_drift", np.abs(fine.charges2 - fine.charges2[0]))
 
 
 def _mode_liouville_evolve(cfg: RunConfig, report: Report, outdir: Path):
     rng = np.random.default_rng(cfg.seed)
     p = cfg.values
-    n, dt, t_end = p["points"], p["dt"], p["t_end"]
-    kept = count_steps(dt, t_end) + 1
-    _bound_entries("points", n, f"the {kept} states of width 2 points the run at dt keeps",
-                   kept * 2 * n)
-    c = lv.random_config(p["L"], n, rng, amplitude=p["amplitude"])
+    dt, t_end = p["dt"], p["t_end"]
+    c = lv.random_config(p["L"], p["points"], rng, amplitude=p["amplitude"])
     fine = lv.evolve(c, dt, t_end)
     coarse = lv.evolve(c, 2 * dt, t_end)
     scale = max(1.0, abs(fine.hamiltonians[0]))
@@ -676,18 +693,15 @@ def _mode_liouville_evolve(cfg: RunConfig, report: Report, outdir: Path):
                fine.drift("momentum") / scale, 1e-2 * cfg.tolerance_scale)
     report.add("first-charge-drift", "first charge conservation up to the grid floor",
                fine.drift("order1") / scale, 1e-2 * cfg.tolerance_scale)
-    header = ["t", "H_re", "H_im", "P_re", "P_im", "I1_re", "I1_im", "H_drift"]
-    cols = [fine.hamiltonians, fine.momenta, fine.first_charges]
-    rows = _series_rows(fine.times, cols, np.abs(fine.hamiltonians - fine.hamiltonians[0]))
-    write_csv(_output(outdir, "series.csv"), header, rows)
+    columns = {"H": fine.hamiltonians, "P": fine.momenta, "I1": fine.first_charges}
+    _write_series(outdir, fine.times, columns, "H_drift",
+                  np.abs(fine.hamiltonians - fine.hamiltonians[0]))
 
 
 def _mode_monodromy_check(cfg: RunConfig, report: Report, outdir: Path):
     rng = np.random.default_rng(cfg.seed)
     p = cfg.values
     n, L, count, amplitude = p["points"], p["L"], p["configs"], p["amplitude"]
-    _bound_entries("points", n, f"the points x {lv.FIT_POINTS} Magnus cells of one fit",
-                   n * lv.FIT_POINTS)
     zero = lv.FieldConfig.zero(L, n)
     ch = lv.charges(zero)
     pt, ht = lv.dual_charges(zero)
@@ -719,9 +733,6 @@ def _mode_monodromy_check(cfg: RunConfig, report: Report, outdir: Path):
 def _mode_bt_evolve(cfg: RunConfig, report: Report, outdir: Path):
     p = cfg.values
     theta, dt, t_end, nx = p["theta"], p["dt"], p["t_end"], p["points"]
-    kept = 2 * count_steps(dt, t_end) + 1
-    _bound_entries("points", nx, f"the {kept} states of width 4 (2 points - 1) the run "
-                   f"at dt / 2 keeps", kept * 4 * (2 * nx - 1))
     offset, y_seed, z_seed = p["seed_offset"], p["y_seed"], p["z_seed"]
     sol = exact.periodic_solution_for_length(p["L"])
 
@@ -748,9 +759,6 @@ def _mode_hetero_bt(cfg: RunConfig, report: Report, outdir: Path):
     p = cfg.values
     params = bt.HeteroParams(p["c"], p["Theta"])
     nz, nb = p["nz"], p["nzbar"]
-    key, value = ("nz", nz) if nz >= nb else ("nzbar", nb)
-    _bound_entries(key, value, f"the finer grid of (2 nz - 1) x (2 nzbar - 1) points, "
-                   f"nz = {nz} and nzbar = {nb},", (2 * nz - 1) * (2 * nb - 1))
 
     def gen(kz, kb):
         z = np.linspace(0.0, 0.6, kz)
@@ -818,11 +826,10 @@ def run(config: RunConfig, outdir: str | Path = ".") -> Report:
     one outside a march ends it the same way too, with the anchor
     ``floating-point: <numpy message>``, or ``overflow: <numpy message> at
     mu_probes [...]`` when spectral probes are configured; a march routes its
-    own to its guard.  Raises ConfigError, before it writes a file or makes
-    outdir, when an array the mode would allocate passes _MAX_ENTRIES;
-    :class:`RunConfig` checks the rest of the config.
+    own to its guard.  outdir is made first, with its parents; ConfigError
+    names it when it cannot be.  :class:`RunConfig` checks the config.
     """
-    outdir = Path(outdir)
+    outdir = _make_outdir(outdir)
     report = Report(config.mode, config.echo())
     start = report.started = time.perf_counter()
     try:
@@ -843,7 +850,7 @@ def run(config: RunConfig, outdir: str | Path = ".") -> Report:
         report.add("blow-up", f"overflow: {err} at {' and '.join(probes)}" if probes
                    else f"floating-point: {err}", 1.0, 0.0)
     report.elapsed = time.perf_counter() - start
-    _output(outdir, "report.json").write_text(report.to_json())
+    (outdir / "report.json").write_text(report.to_json())
     (outdir / "timing.json").write_text(json.dumps({"elapsed_s": report.elapsed}, indent=2) + "\n")
     return report
 
@@ -925,8 +932,7 @@ def suite(outdir: str | Path = ".", seed: int = 0, tolerance_scale: float = 1.0)
     configs = [RunConfig(mode, seed=seed, tolerance_scale=tolerance_scale) for mode in MODES]
     charges = next(cfg for cfg in configs if cfg.mode == "verify-charges")
     runs = [(cfg.mode, cfg) for cfg in configs] + [("determinism", charges)]
-    outdir = Path(outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
+    outdir = _make_outdir(outdir)
     overall = Report("suite", {"seed": seed, "tolerance_scale": tolerance_scale})
     start, modes, started, steps, reports, rss = time.perf_counter(), {}, {}, {}, {}, []
     workers, pool = _workers(len(runs)), None
@@ -946,11 +952,7 @@ def suite(outdir: str | Path = ".", seed: int = 0, tolerance_scale: float = 1.0)
             rss.append(peak)
             if name == "determinism":
                 continue
-            for rec in sub.records:
-                overall.records.append(
-                    CheckRecord(f"{cfg.mode}/{rec.name}", rec.anchor, rec.value,
-                                rec.tolerance, rec.criterion, rec.passed)
-                )
+            overall.records += [replace(rec, name=f"{cfg.mode}/{rec.name}") for rec in sub.records]
             if sub.aborted:
                 overall.aborted = True
             print(f"[{'pass' if sub.passed else 'FAIL'}] {cfg.mode}", file=sys.stderr)
@@ -999,12 +1001,9 @@ def main(argv=None) -> int:
                 raw = json.loads(Path(args.config).read_text(encoding="utf-8"))
             except (OSError, UnicodeDecodeError, json.JSONDecodeError) as err:
                 raise ConfigError(err) from err
-            if not isinstance(raw, dict):
-                raise ConfigError("config must be an object with a 'mode' key")
-            if args.seed is not None:
-                raw["seed"] = args.seed
-            if args.tolerance_scale is not None:
-                raw["tolerance_scale"] = args.tolerance_scale
+            overrides = {"seed": args.seed, "tolerance_scale": args.tolerance_scale}
+            if isinstance(raw, dict):  # RunConfig.from_dict rejects any other JSON
+                raw.update((key, value) for key, value in overrides.items() if value is not None)
             report = run(RunConfig.from_dict(raw), args.out)
         else:
             report = suite(args.out, seed=args.seed, tolerance_scale=args.tolerance_scale)

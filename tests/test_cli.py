@@ -3,6 +3,7 @@ import itertools
 import json
 import math
 import multiprocessing
+import re
 import tempfile
 import warnings
 from pathlib import Path
@@ -166,7 +167,7 @@ class TestConfig:
         {"mode": "verify-charges", "params": {"sizes": [1e300]}},
         {"mode": "hetero-bt", "params": {"nz": 10**7 + 1}},
         # counts each within cli._MAX_COUNT whose product is not within
-        # cli._MAX_ENTRIES: grids of 4e14 and 1.9e7 points, 8e7 Magnus
+        # cli._MAX_ENTRIES (cli.BOUNDS): grids of 4e14 and 1.9e7 points, 8e7 Magnus
         # cells, and marches that keep 251 to 1001 states of 2e5 to 3e7
         # entries each
         {"mode": "hetero-bt", "params": {"nz": 10**7, "nzbar": 10**7}},
@@ -176,6 +177,14 @@ class TestConfig:
         {"mode": "lattice-defect-sim", "params": {"N": 10**5}},
         {"mode": "liouville-evolve", "params": {"points": 10**5}},
         {"mode": "bt-evolve", "params": {"points": 10**5}},
+        # draws, chains and traces that no run could hold or finish: 10^7
+        # draws of 3.3-4 KB each, and traces of 10^5 sites at 10^10
+        # coefficient products each
+        {"mode": "verify-poisson", "params": {"samples": 10**7}},
+        {"mode": "verify-zero-curvature", "params": {"samples": 10**7}},
+        {"mode": "verify-charges", "params": {"samples": 10**7}},
+        {"mode": "defect-charges", "params": {"samples": 10**7}},
+        {"mode": "verify-charges", "params": {"sizes": [100000]}},
         # a spectral probe whose e^p or e^-p is 0 or not finite
         {"mode": "verify-zero-curvature", "params": {"mu_probes": ["-800"]}},
         {"mode": "verify-zero-curvature", "params": {"mu_probes": [0.1, "800+1j"]}},
@@ -248,16 +257,13 @@ class TestConfig:
         if spec.kind in (cli.COUNT, cli.SIZES)])
     def test_count_range_is_read_to_its_ends(self, mode, key):
         # the least and the most value of a count, or of each of the sizes,
-        # are read; one past either end is a config error that names the count
+        # are read; one past either end is a config error that names the
+        # count.  Read as one value: the mode's bounds (BOUNDS) stop most
+        # counts' most value when read with the other params
         spec = cli.PARAMS[mode][key]
 
         def read(value):
-            params = {key: [value] if spec.kind == cli.SIZES else value}
-            if "sizes" in cli.PARAMS[mode] and key == "samples":
-                params["sizes"] = [cli.PARAMS[mode]["sizes"].least]  # one chain per size
-            if key == "defect_site":
-                params["N"] = cli._MAX_COUNT  # every site in the range is interior
-            return cli._read_params(mode, params)[key]
+            return cli._read_value(key, spec, [value] if spec.kind == cli.SIZES else value)
 
         for value in (spec.least, spec.most):
             assert read(value) == ([value] if spec.kind == cli.SIZES else value)
@@ -265,6 +271,55 @@ class TestConfig:
             with pytest.raises(cli.ConfigError, match=rf"^{key} must be an integer in "
                                                       rf"\[{spec.least}, {spec.most}\]; got"):
                 read(value)
+
+    # (mode, the count stepped past the mode's bound, the params held): every
+    # count a bound names, a charge battery's other count at one chain
+    BOUND_STEPS = [
+        ("lattice-sim", "N", {}), ("lattice-defect-sim", "N", {}),
+        ("verify-poisson", "samples", {}), ("verify-zero-curvature", "samples", {}),
+        ("verify-charges", "samples", {"sizes": [2]}), ("verify-charges", "sizes", {"samples": 1}),
+        ("liouville-evolve", "points", {}), ("monodromy-check", "points", {}),
+        ("bt-evolve", "points", {}), ("hetero-bt", "nz", {}), ("hetero-bt", "nzbar", {}),
+        ("defect-charges", "samples", {"sizes": [3]}), ("defect-charges", "sizes", {"samples": 1}),
+    ]
+
+    def test_every_mode_declares_its_bound(self):
+        assert tuple(cli.BOUNDS) == tuple(cli.PARAMS) == cli.MODES and len(cli.MODES) == 10
+        assert sorted(cli._HANDLERS) == sorted(cli.MODES)
+        assert sorted({mode for mode, _, _ in self.BOUND_STEPS}) == sorted(cli.MODES)
+        for mode in cli.MODES:  # the defaults, the battery's configs
+            key, _, entries = cli.BOUNDS[mode](cli._read_params(mode, {}))
+            assert key in cli.PARAMS[mode] and entries <= cli._MAX_ENTRIES
+
+    @pytest.mark.parametrize("mode, key, held", BOUND_STEPS)
+    def test_one_step_past_a_bound_is_a_config_error(self, mode, key, held):
+        # the least value of the count, within its range, whose arrays pass
+        # cli._MAX_ENTRIES: read through _read_params, it is a config error
+        # that names the count and the entries past the bound, and one less
+        # is read, its entries within the bound
+        spec = cli.PARAMS[mode][key]
+
+        def read(value):
+            return cli._read_params(mode, {**held, key: [value] if key == "sizes" else value})
+
+        def fails(value):
+            try:
+                read(value)
+            except cli.ConfigError:
+                return True
+            return False
+
+        low, high = spec.least, spec.most  # read(low) passes, read(high) fails
+        assert not fails(low) and fails(high)
+        while high - low > 1:
+            mid = (low + high) // 2
+            low, high = (low, mid) if fails(mid) else (mid, high)
+        assert cli.BOUNDS[mode](read(low))[2] <= cli._MAX_ENTRIES
+        with pytest.raises(cli.ConfigError) as err:
+            read(high)
+        got = re.fullmatch(rf"{key} must be small enough for .* to fit in {cli._MAX_ENTRIES} "
+                           rf"entries; got {key} = .*, (\d+) entries", str(err.value))
+        assert got and int(got[1]) > cli._MAX_ENTRIES
 
     def test_readme_param_table_is_the_declared_one(self):
         # README "Command line" lists every param of every mode with the kind
@@ -321,6 +376,26 @@ class TestConfig:
         path = write_config(tmp_path, {"mode": mode, "params": {"samples": 1}})
         assert cli.main(["run", "--config", str(path), "--out", str(tmp_path / "bad")]) == 2
         assert not (tmp_path / "bad").exists()
+
+    def test_out_naming_a_file_is_config_error(self, tmp_path, capsys):
+        # the mode does not run: no report, and the file is left as it was
+        path = write_config(tmp_path, {"mode": "verify-poisson", "params": {"samples": 3}})
+        afile = tmp_path / "afile"
+        afile.write_text("kept")
+        assert cli.main(["run", "--config", str(path), "--out", str(afile)]) == 2
+        err = capsys.readouterr().err
+        assert f"config error: --out must name a directory; cannot make {str(afile)!r}" in err
+        assert "Traceback" not in err and afile.read_text() == "kept"
+
+    def test_suite_out_naming_a_file_is_config_error(self, tmp_path, monkeypatch, capsys):
+        ran = []
+        monkeypatch.setattr(cli, "_tally_run", lambda *args: ran.append(args))
+        afile = tmp_path / "afile"
+        afile.write_text("kept")
+        assert cli.main(["suite", "--out", str(afile)]) == 2
+        err = capsys.readouterr().err
+        assert f"config error: --out must name a directory; cannot make {str(afile)!r}" in err
+        assert "Traceback" not in err and ran == [] and afile.read_text() == "kept"
 
     def test_numeric_strings_still_parse(self, tmp_path):
         # complex parameters arrive from JSON as strings

@@ -41,6 +41,21 @@ _MAX_COUNT = 10**7
 # product of its counts as _MAX_COUNT bounds each
 _MAX_ENTRIES = 10**7
 
+# the entries a chain of a charge battery takes in the stacks beside its 3 N
+# fields: its three charges, and the five fields of its defect
+_CHAIN_EXTRA = {"verify-charges": 3, "defect-charges": 8}
+# a charge battery draws and traces each size in chunks of at most this many
+# stacked entries (3 N + _CHAIN_EXTRA a chain of N sites), one chain at
+# least: 1820 chains of 2 sites, 89 of 60.  By peak RSS at 10^5 chains of 2
+# or 3 sites on a 2-CPU host, 2^12 to 2^17 entries take 37 to 65 MB in the
+# same time, and a run at the default params peaks at 36.5 MB
+_CHUNK_ENTRIES = 2**14
+# the fewest chains of a chunk traced as one stack: by in-process min-of-k
+# timings on a 2-CPU host, a stack of k chains costs more than k single
+# traces below k = 3 or 4 at N <= 12, 5 at N = 40 and 6 at N = 100 and 200,
+# and from 6 chains on the stack is 1.2-2 times faster at every N measured
+_STACK_MIN_DRAWS = 6
+
 # the kinds of param, read by _read_value
 COUNT, REAL, COMPLEX, TIME = "count", "real", "complex", "time"
 REALS, PROBES, SIZES = "real list", "spectral-probe list", "sizes"
@@ -94,11 +109,12 @@ def _kept(p: dict, key: str, width: str, entries: int, finer=False) -> tuple[str
     return key, f"the {kept} states of width {width} the run at {run} keeps", kept * entries
 
 
-def _chains(p: dict, extra: int) -> tuple[str, str, int]:
+def _chains(p: dict, mode: str) -> tuple[str, str, int]:
     """A charge battery's bound: for each chain of N sites it draws, the N^2
-    coefficient products of its trace and the 3 N + ``extra`` entries it and
-    its charges take in the stacks.  It names sizes when one chain of each
-    size already passes _MAX_ENTRIES, samples otherwise."""
+    coefficient products of its trace and the 3 N + _CHAIN_EXTRA entries it
+    and its charges take in the stacks.  It names sizes when one chain of
+    each size already passes _MAX_ENTRIES, samples otherwise."""
+    extra = _CHAIN_EXTRA[mode]
     per_chain = [n * n + 3 * n + extra for n in p["sizes"]]
     return ("sizes" if sum(per_chain) > _MAX_ENTRIES else "samples",
             f"the chains, N^2 trace products and 3 N + {extra} stacked entries for N sites,",
@@ -110,8 +126,9 @@ def _chains(p: dict, extra: int) -> tuple[str, str, int]:
 # for a charge battery also the work of its traces.  By peak RSS and time at
 # 10^5 draws on a 2-CPU host, a verify mode's draw takes 3.3 KB (poisson) or
 # 4.0 KB (zero-curvature), so its largest run peaks near 2-2.5 GB; a charge
-# battery's chain takes at most 1.7 KB and 0.2 ms, and a trace of N sites
-# 4 us N^2, so its largest run ends within 2 minutes
+# battery holds one chunk of chains at a time (_CHUNK_ENTRIES, 40 MB), and a
+# chain costs no more in a stack than alone, about 4 us N^2 for N sites, so
+# its largest run ends within a minute
 BOUNDS = {
     "lattice-sim": lambda p: _kept(p, "N", "3 N", 3 * p["N"]),
     "lattice-defect-sim": lambda p: _kept(p, "N", "3 N + 3", 3 * p["N"] + 3),
@@ -119,7 +136,7 @@ BOUNDS = {
                                  16 * (p["samples"] + len(p["mu_probes"]))),
     "verify-zero-curvature": lambda p: ("samples", "the 2 x 2 bulk residual matrices of the draws",
                                         16 * (p["samples"] + len(p["mu_probes"]))),
-    "verify-charges": lambda p: _chains(p, 3),
+    "verify-charges": lambda p: _chains(p, "verify-charges"),
     "liouville-evolve": lambda p: _kept(p, "points", "2 points", 2 * p["points"]),
     "monodromy-check": lambda p: ("points", f"the points x {lv.FIT_POINTS} Magnus cells of one "
                                   f"fit", p["points"] * lv.FIT_POINTS),
@@ -128,7 +145,7 @@ BOUNDS = {
         "nz" if p["nz"] >= p["nzbar"] else "nzbar",
         f"the finer grid of (2 nz - 1) x (2 nzbar - 1) points, nz = {p['nz']} and nzbar = "
         f"{p['nzbar']},", (2 * p["nz"] - 1) * (2 * p["nzbar"] - 1)),
-    "defect-charges": lambda p: _chains(p, 8),
+    "defect-charges": lambda p: _chains(p, "defect-charges"),
 }
 # |Re p| of a spectral probe p: e^p and e^-p are finite and nonzero
 _PROBE_BOUND = math.log(sys.float_info.max)
@@ -361,15 +378,14 @@ def _draws_per_size(p: dict) -> list[int]:
     return [per + (i < extra) for i in range(len(p["sizes"]))]
 
 
-def _make_outdir(outdir) -> Path:
+def _make_outdir(outdir, what: str = "--out must name a directory; cannot make") -> Path:
     """outdir as a Path, made as a directory with its parents; ConfigError
-    names it when it cannot be made."""
+    names it, after ``what``, when it cannot be made."""
     outdir = Path(outdir)
     try:
         outdir.mkdir(parents=True, exist_ok=True)
     except OSError as err:
-        raise ConfigError(f"--out must name a directory; cannot make {str(outdir)!r}: "
-                          f"{err.strerror}") from err
+        raise ConfigError(f"{what} {str(outdir)!r}: {err.strerror}") from err
     return outdir
 
 
@@ -407,22 +423,40 @@ def _charge_battery(cfg: RunConfig, report: Report, rng, draw, trace, closed, re
     nan when one is, under the (name, anchor) ``records`` in the order:
     order 1 against 0, order 2 against the closed form, both relative to
     the larger of 1 and the charge, then e^{c0} against the closed form's.
-    ``draw(n, rng)`` draws the args of ``trace``, a chain of n sites first;
-    the chains are drawn and traced one by one, and ``closed``, given a
-    size's chains as one stack and each other arg of its draws as one
-    sequence, returns e^{c0} and c2 of the closed form over the stack."""
+    ``draw(n, rng)`` draws the args of ``trace``, a chain of n sites first,
+    each of a type with a ``stack`` classmethod.  Each size's chains are
+    drawn in chunks of at most _CHUNK_ENTRIES stacked entries, one chain at
+    least, and each chunk is traced (:func:`_trace_chunk`); ``closed``,
+    given a chunk's args each as one stack, returns e^{c0} and c2 of the
+    closed form over the chunk."""
     worst = (0.0, 0.0, 0.0)
     for n, count in zip(cfg.values["sizes"], _draws_per_size(cfg.values)):
-        draws = [draw(n, rng) for _ in range(count)]
-        c0, c1, c2 = np.array([trace(*args)[1][:3] for args in draws]).T
-        states, *rest = zip(*draws)
-        exp_c0, closed_c2 = closed(lat.LatticeState.stack(states), *rest)
-        errors = (np.max(np.abs(c1) / np.fmax(1.0, np.abs(c0))),
-                  np.max(np.abs(c2 - closed_c2) / np.fmax(1.0, np.abs(closed_c2))),
-                  np.max(np.abs(np.exp(c0) - exp_c0) / np.abs(exp_c0)))
-        worst = tuple(map(nan_max, worst, errors))
+        chunk = max(1, _CHUNK_ENTRIES // (3 * n + _CHAIN_EXTRA[cfg.mode]))
+        for start in range(0, count, chunk):
+            draws = [draw(n, rng) for _ in range(min(chunk, count - start))]
+            stacks = [type(args[0]).stack(args) for args in zip(*draws)]
+            c0, c1, c2 = _trace_chunk(trace, draws, stacks)
+            exp_c0, closed_c2 = closed(*stacks)
+            errors = (np.max(np.abs(c1) / np.fmax(1.0, np.abs(c0))),
+                      np.max(np.abs(c2 - closed_c2) / np.fmax(1.0, np.abs(closed_c2))),
+                      np.max(np.abs(np.exp(c0) - exp_c0) / np.abs(exp_c0)))
+            worst = tuple(map(nan_max, worst, errors))
     for (name, anchor), value in zip(records, worst):
         report.add_roundoff(name, anchor, value, 1e-12 * cfg.tolerance_scale)
+
+
+def _trace_chunk(trace, draws, stacks):
+    """c0, c1 and c2 of each of the ``draws``, arrays over them: from one
+    trace of their ``stacks`` from _STACK_MIN_DRAWS draws on, chain by chain
+    below that.  When the stacked trace leaves double range (OverflowError
+    or a numpy float error), the chunk is traced chain by chain too, which
+    raises what the first such chain's own trace raises."""
+    if len(draws) >= _STACK_MIN_DRAWS:
+        try:
+            return trace(*stacks)[1][:3]
+        except (OverflowError, FloatingPointError):
+            pass
+    return np.array([trace(*args)[1][:3] for args in draws]).T
 
 
 def _mode_verify_charges(cfg: RunConfig, report: Report, outdir: Path):
@@ -439,7 +473,7 @@ def _mode_defect_charges(cfg: RunConfig, report: Report, outdir: Path):
         return lat.random_state(n, rng), ld.random_defect(int(rng.integers(1, n + 1)), rng)
 
     def closed(stack, defects):
-        c0, c2 = ld.defect_charges(stack, ld.DefectSite.stack(defects))
+        c0, c2 = ld.defect_charges(stack, defects)
         return np.exp(c0), c2
 
     rng = np.random.default_rng(cfg.seed)
@@ -857,13 +891,14 @@ def run(config: RunConfig, outdir: str | Path = ".") -> Report:
 
 # the order in which suite hands its runs to the worker pool, longest first
 # (Graham's LPT rule, SIAM J. Appl. Math. 17 (1969) 416), so that no long run
-# starts last on a busy worker: by in-process ms at seed 0 on a 2-CPU host,
-# bt-evolve 100, lattice-defect-sim 97, lattice-sim 74, defect-charges 26,
-# liouville-evolve 26, verify-charges and determinism 19 each,
-# verify-zero-curvature 12, hetero-bt 7, monodromy-check and verify-poisson 6.5
-POOL_ORDER = ("bt-evolve", "lattice-defect-sim", "lattice-sim", "defect-charges",
-              "liouville-evolve", "verify-charges", "determinism", "verify-zero-curvature",
-              "hetero-bt", "monodromy-check", "verify-poisson")
+# starts last on a busy worker: by in-process ms at seed 0 on a 2-CPU host
+# (the battery pinned to one CPU, min of 5), bt-evolve 101,
+# lattice-defect-sim 94, lattice-sim 83, liouville-evolve 26,
+# verify-zero-curvature 12, defect-charges 10, monodromy-check 7, hetero-bt
+# and verify-poisson 6.4 each, verify-charges 5.4 and determinism 5.2
+POOL_ORDER = ("bt-evolve", "lattice-defect-sim", "lattice-sim", "liouville-evolve",
+              "verify-zero-curvature", "defect-charges", "monodromy-check", "hetero-bt",
+              "verify-poisson", "verify-charges", "determinism")
 
 # the code of run: the pool runs only this module's own (see _workers)
 _RUN_CODE = run.__code__
@@ -927,12 +962,15 @@ def suite(outdir: str | Path = ".", seed: int = 0, tolerance_scale: float = 1.0)
     (``stepping.step_tally``), under ``"workers"`` the worker processes (0
     in process) and under ``"peak_rss_mb"`` the largest peak RSS of the
     processes that ran modes.  No process is left running when it returns
-    or raises.
+    or raises.  ``outdir`` and every run's subdirectory are made before the
+    first run starts; ConfigError names the one that cannot be made.
     """
     configs = [RunConfig(mode, seed=seed, tolerance_scale=tolerance_scale) for mode in MODES]
     charges = next(cfg for cfg in configs if cfg.mode == "verify-charges")
     runs = [(cfg.mode, cfg) for cfg in configs] + [("determinism", charges)]
     outdir = _make_outdir(outdir)
+    for name, _ in runs:  # before any run starts, so that none can fail on its directory
+        _make_outdir(outdir / name, "cannot make the run directory")
     overall = Report("suite", {"seed": seed, "tolerance_scale": tolerance_scale})
     start, modes, started, steps, reports, rss = time.perf_counter(), {}, {}, {}, {}, []
     workers, pool = _workers(len(runs)), None

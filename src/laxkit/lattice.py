@@ -25,6 +25,7 @@ import numpy as np
 from .laurent import (
     LaurentMatrix,
     LaurentSeries,
+    _require_in_range,
     _tconv,
     log_expand,
     matrix_product_chain,
@@ -70,7 +71,10 @@ class LatticeState:
     leading axis, the times of a trajectory or the draws of an identity
     check: :func:`monodromy_value`, :func:`charges_closed_form`,
     :func:`bulk_eom`, :func:`bracket_flow` and the site-by-site identity
-    checks broadcast over it; the Laurent functions take single snapshots.
+    checks broadcast over it, and the Laurent functions (:func:`build_lax`,
+    :func:`monodromy`, :func:`charges_from_trace`) carry one coefficient
+    per snapshot, an array over the stack.  :func:`time_lax_from_rmatrix`
+    takes single snapshots.
     """
 
     a: np.ndarray
@@ -148,10 +152,10 @@ def random_state(n: int, rng: np.random.Generator, amplitude: float = 1.0) -> La
 
 
 def build_lax(s: LatticeState, j: int) -> LaurentMatrix:
-    """Site matrix L_j as an exact Laurent matrix."""
+    """Site matrix L_j as an exact Laurent matrix; for a stack of states,
+    each coefficient an array over the stack.  v_j != 0 holds, since
+    :class:`LatticeState` rejects a zero v."""
     a, abar, v = s.site(j)
-    if v == 0:
-        raise SingularStateError("v_j = 0")
     return LaurentMatrix.from_rows(
         [
             [LaurentSeries({1: v, -1: -1.0 / v}), LaurentSeries({0: abar})],
@@ -185,9 +189,17 @@ def _lax_partials(v, u) -> dict[str, np.ndarray]:
             "v": _matrices(u + 1.0 / (u * v * v), 0.0, 0.0, -1.0 / u)}
 
 
+# the numpy error state of a Laurent product: a stack's array arithmetic
+# overflows to inf and nan silently, as one chain's Python complex arithmetic
+# does, for _checked_trace and log_expand to report
+_SILENT_OVERFLOW = dict(over="ignore", invalid="ignore")
+
+
 def monodromy(s: LatticeState) -> LaurentMatrix:
-    """Ordered product T = L_N L_{N-1} ... L_1 (highest site leftmost)."""
-    return matrix_product_chain([build_lax(s, j) for j in range(s.N, 0, -1)])
+    """Ordered product T = L_N L_{N-1} ... L_1 (highest site leftmost); for a
+    stack of states, each coefficient an array over the stack."""
+    with np.errstate(**_SILENT_OVERFLOW):
+        return matrix_product_chain([build_lax(s, j) for j in range(s.N, 0, -1)])
 
 
 def monodromy_value(s: LatticeState, u) -> np.ndarray:
@@ -247,8 +259,10 @@ def charges_from_trace(s: LatticeState, depth: int = 4) -> tuple[int, list[compl
     """Charges read off the log-trace expansion of the monodromy.
 
     Returns (leading exponent, [c0, ..., c_depth]); the leading exponent is
-    the site count and exp(c0) equals the product of the v_j.  Raises
-    OverflowError when that product or the coefficients read leave double range.
+    the site count and exp(c0) equals the product of the v_j.  A stack of
+    states gives each c_m as an array over the stack, from one product of
+    array coefficients.  Raises OverflowError when that product or the
+    coefficients read leave double range, in any state of a stack.
     """
     if depth < 2:
         raise ValueError("depth must be at least 2")
@@ -256,10 +270,13 @@ def charges_from_trace(s: LatticeState, depth: int = 4) -> tuple[int, list[compl
 
 
 def _checked_trace(t: LaurentMatrix, n: int) -> LaurentSeries:
-    """tr t of an n-site monodromy, which must lead with u^n times a product of site fields."""
+    """tr t of an n-site monodromy, which must lead with u^n times a product
+    of site fields, in each draw of a stack."""
     tr = t.trace
+    message = f"tr T does not lead with u^{n}: site fields out of double range"
     if tr.is_zero() or tr.degree != n:
-        raise OverflowError(f"tr T does not lead with u^{n}: site fields out of double range")
+        raise OverflowError(message)
+    _require_in_range(tr.coeffs[n] != 0, message)
     return tr
 
 
@@ -568,6 +585,10 @@ class LatticeTrajectory:
         return [LatticeState(*row) for row in zip(st.a, st.a_bar, st.v)]
 
     def drift(self, which: str = "2") -> float:
+        """The largest move of the order-``which`` charge, "0" or "2", from
+        its first value."""
+        if which not in ("0", "2"):
+            raise ValueError(f"which must be '0' or '2' (the charge order); got {which!r}")
         series = self.charges2 if which == "2" else self.charges0
         return float(np.max(np.abs(series - series[0])))
 

@@ -31,6 +31,7 @@ from .lattice import (
     LatticeState,
     LatticeTrajectory,
     SingularStateError,
+    _SILENT_OVERFLOW,
     _UNIT_LOWER,
     _UNIT_UPPER,
     _at,
@@ -125,9 +126,10 @@ def random_defect(n: int, rng: np.random.Generator) -> DefectSite:
 
 
 def _require_one_site(d: DefectSite, per_draw: bool):
-    """Only the identity checks, :func:`defect_charges` and
-    :func:`defect_eom` take a stack of draws with one n each (per_draw); the
-    monodromy and the march index by n and need one site."""
+    """Only the identity checks, :func:`defect_charges`, :func:`defect_eom`
+    and the Laurent monodromy of a stack of states take a stack of draws with
+    one n each (per_draw); the monodromy values and the march index by n and
+    need one site."""
     if not per_draw and np.ndim(d.n):
         raise ValueError("defect site n must be one index here, not one per draw")
 
@@ -174,7 +176,8 @@ def tilde_b_bar(s: LatticeState, d: DefectSite) -> complex:
 
 
 def build_defect_lax(d: DefectSite) -> LaurentMatrix:
-    """Defect site matrix as an exact Laurent matrix in u."""
+    """Defect site matrix as an exact Laurent matrix in u; for a stack of
+    defect draws, each coefficient an array over the draws."""
     em, ep = np.exp(-d.theta), np.exp(d.theta)
     return LaurentMatrix.from_rows(
         [
@@ -227,12 +230,22 @@ def check_defect_algebra(d: DefectSite, lam: complex, mu: complex) -> float:
 
 
 def defect_monodromy(s: LatticeState, d: DefectSite) -> LaurentMatrix:
-    """Ordered product with Ltilde in place of L at the defect site."""
-    _require_on_chain(s, d)
-    factors = []
-    for j in range(s.N, 0, -1):
-        factors.append(build_defect_lax(d) if j == d.n else build_lax(s, j))
-    return matrix_product_chain(factors)
+    """Ordered product with Ltilde in place of L at the defect site.
+
+    A stack of T states takes a stack of T defect draws, each with its own
+    site n and rapidity theta: in each draw, site j has Ltilde where n == j
+    and L elsewhere, and each coefficient is an array over the draws.  A
+    single state needs one site n."""
+    _require_on_chain(s, d, per_draw=s.a.ndim == 2)
+    with np.errstate(**_SILENT_OVERFLOW):
+        defect, factors = build_defect_lax(d), []
+        for j in range(s.N, 0, -1):
+            at = d.n == j  # one bool, or one per draw
+            if np.ndim(at):
+                factors.append(defect.where(at, build_lax(s, j)) if at.any() else build_lax(s, j))
+            else:
+                factors.append(defect if at else build_lax(s, j))
+        return matrix_product_chain(factors)
 
 
 def defect_monodromy_value(s: LatticeState, d: DefectSite, u) -> np.ndarray:
@@ -290,6 +303,9 @@ def defect_charges(s: LatticeState, d: DefectSite) -> tuple[complex, complex]:
 def defect_charges_from_trace(
     s: LatticeState, d: DefectSite, depth: int = 4
 ) -> tuple[int, list[complex]]:
+    """Like :func:`~laxkit.lattice.charges_from_trace`, from the trace of
+    :func:`defect_monodromy`: a stack of states and of defect draws, one n
+    and theta each, gives each c_m as an array over the draws."""
     if depth < 2:
         raise ValueError("depth must be at least 2")
     return log_expand(_checked_trace(defect_monodromy(s, d), s.N), depth)

@@ -478,11 +478,16 @@ class LiouvilleTrajectory:
         return [FieldConfig(st.L, phi, pi) for phi, pi in zip(st.phi, st.pi)]
 
     def drift(self, which: str = "hamiltonian") -> float:
-        series = {
+        """The largest move of the monitor ``which`` from its first value."""
+        monitors = {
             "hamiltonian": self.hamiltonians,
             "momentum": self.momenta,
             "order1": self.first_charges,
-        }[which]
+        }
+        if which not in monitors:
+            raise ValueError(f"which must be one of {', '.join(map(repr, monitors))}; "
+                             f"got {which!r}")
+        series = monitors[which]
         return float(np.max(np.abs(series - series[0])))
 
 

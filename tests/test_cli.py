@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 from laxkit import cli
 from laxkit import lattice as lat
+from laxkit import lattice_defect as ld
 from laxkit import liouville as lv
 
 
@@ -397,6 +398,20 @@ class TestConfig:
         assert f"config error: --out must name a directory; cannot make {str(afile)!r}" in err
         assert "Traceback" not in err and ran == [] and afile.read_text() == "kept"
 
+    def test_suite_run_directory_naming_a_file_is_config_error(self, tmp_path, monkeypatch,
+                                                                capsys):
+        # every run directory is made before the first run starts: no mode runs
+        ran = []
+        monkeypatch.setattr(cli, "_tally_run", lambda *args: ran.append(args))
+        afile = tmp_path / "out" / "verify-poisson"
+        afile.parent.mkdir()
+        afile.write_text("kept")
+        assert cli.main(["suite", "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert f"config error: cannot make the run directory {str(afile)!r}: " in err
+        assert "--out" not in err and "[pass]" not in err and "Traceback" not in err
+        assert ran == [] and afile.read_text() == "kept"
+
     def test_numeric_strings_still_parse(self, tmp_path):
         # complex parameters arrive from JSON as strings
         path = write_config(tmp_path, {"mode": "verify-zero-curvature",
@@ -478,6 +493,55 @@ class TestRun:
                              parse_constant=lambda token: pytest.fail(f"{token} in report.json"))
         assert written["passed"] is False
         assert next(r for r in written["records"] if r["name"] == rec.name)["value"] == "nan"
+
+    @pytest.mark.parametrize("scale", [1e80, 1e-80])
+    @pytest.mark.parametrize("mode", ["verify-charges", "defect-charges"])
+    def test_out_of_range_draw_keeps_its_own_anchor(self, tmp_path, monkeypatch, mode, scale):
+        # the third of 12 chains of 6 sites leads with a product of v_j past
+        # double range (inf, or 0 and a lower leading power): the battery
+        # traces the 12 as one stack first, and ends with the anchor of that
+        # chain's own trace
+        draw, draw_defect = lat.random_state, ld.random_defect
+        states, defects, stacked = [], [], []
+
+        def scaled(n, rng):
+            s = draw(n, rng)
+            states.append(s.replace(v=s.v * scale) if len(states) == 2 else s)
+            return states[-1]
+
+        monkeypatch.setattr(lat, "random_state", scaled)
+        monkeypatch.setattr(ld, "random_defect",
+                            lambda n, rng: defects.append(draw_defect(n, rng)) or defects[-1])
+        for module, name in ((lat, "charges_from_trace"), (ld, "defect_charges_from_trace")):
+            monkeypatch.setattr(module, name, lambda s, *rest, trace=getattr(module, name):
+                                stacked.append(s.a.ndim == 2) or trace(s, *rest))
+        report = cli.run(cli.RunConfig(mode, params={"sizes": [6], "samples": 12}), tmp_path)
+        assert stacked == [True] + [False] * 3
+        args = (states[2], defects[2]) if defects else (states[2],)
+        with pytest.raises(OverflowError) as alone:
+            (ld.defect_charges_from_trace if defects else lat.charges_from_trace)(*args)
+        assert "in draw" not in str(alone.value)
+        rec = report.records[-1]
+        assert report.aborted and rec.name == "blow-up" and rec.anchor == f"overflow: {alone.value}"
+
+    @pytest.mark.parametrize("mode", ["verify-charges", "defect-charges"])
+    def test_chunks_keep_the_draws_and_the_report(self, tmp_path, monkeypatch, mode):
+        # chunks of one chain, traced chain by chain, of 7 chains of 6 sites,
+        # and the default chunks, which hold the 20 chains whole: the same
+        # draws in the same order, and the same report
+        draw, trace_chunk = lat.random_state, cli._trace_chunk
+        runs = []
+        for entries in (1, 7 * (18 + cli._CHAIN_EXTRA[mode]), cli._CHUNK_ENTRIES):
+            drawn, chunks = [], []
+            monkeypatch.setattr(cli, "_CHUNK_ENTRIES", entries)
+            monkeypatch.setattr(lat, "random_state",
+                                lambda n, rng: drawn.append(draw(n, rng)) or drawn[-1])
+            monkeypatch.setattr(cli, "_trace_chunk", lambda trace, draws, stacks:
+                                chunks.append(len(draws)) or trace_chunk(trace, draws, stacks))
+            report = cli.run(cli.RunConfig(mode, params={"sizes": [6], "samples": 20}), tmp_path)
+            runs.append((chunks, report.to_json(), [s.a.tobytes() for s in drawn]))
+        assert [chunks for chunks, *_ in runs] == [[1] * 20, [7, 7, 6], [20]]
+        assert runs[0][1:] == runs[1][1:] == runs[2][1:]
 
     def test_non_finite_values_are_strict_json(self):
         report = cli.Report("m", {"scale": float("inf"), "grid": (1.0, float("-inf"))})

@@ -1,6 +1,7 @@
 """The identity checks on a stack of draws: each row of the stack gives the
 sides of its draw checked alone, to 1e-13 relative, and the velocities the
-checks read give the draw's own bit for bit."""
+checks read give the draw's own bit for bit.  The trace charges of a stack
+give each draw's own to 1e-13 of the size of the log series' terms."""
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ import pytest
 from laxkit import lattice as lat
 from laxkit import lattice_defect as ld
 from laxkit import liouville as lv
+from laxkit.laurent import _leading, _powers
 from laxkit.rmatrix import _residual
 
 DRAWS = 24
@@ -190,3 +192,75 @@ class TestStack:
                 assert np.array_equal(getattr(stack, f)[k], getattr(s, f))
             for f in ("n", "theta", "z", "z_bar", "X"):
                 assert getattr(dstack, f)[k] == getattr(d, f)
+
+
+def log_term_scales(trace, depth):
+    """The largest modulus of a term of log(1 + x) = -sum_k (-x)^k / k at each
+    order u^-m of the log-trace expansion, m = 0..depth, from one chain's
+    trace: the size that rounding in the expansion is relative to."""
+    _, _, x = _leading(trace, depth)
+    return np.max([np.abs(power) / k for k, power in enumerate(_powers(-x), start=1)], axis=0)
+
+
+class TestTraces:
+    @pytest.mark.parametrize("n", [2, 3, 6, 12, 24])
+    def test_stack_gives_each_draws_charges(self, n):
+        # bulk and with a defect at every site, 1 and N included, each draw
+        # with its own rapidity: c0..c4 of each draw against its own trace,
+        # relative to the larger of 1, the charge and the largest term of
+        # the log series at its order.  The stack's numpy products round
+        # differently from a chain's Python complex ones, and at N = 24 c4
+        # sums terms typically 20 and up to 140 times itself
+        rng = np.random.default_rng(n)
+        draws = max(DRAWS, n)
+        states, stack = state_stack(n, rng, draws)
+        defects = [ld.random_defect(k % n + 1, rng) for k in range(draws)]
+        assert len({d.theta for d in defects}) == draws
+        dstack = ld.DefectSite.stack(defects)
+        lead, cs = lat.charges_from_trace(stack)
+        dlead, dcs = ld.defect_charges_from_trace(stack, dstack)
+        assert lead == dlead == n
+        for got, alone, trace in (
+                (cs, lambda k: lat.charges_from_trace(states[k]),
+                 lambda k: lat.monodromy(states[k]).trace),
+                (dcs, lambda k: ld.defect_charges_from_trace(states[k], defects[k]),
+                 lambda k: ld.defect_monodromy(states[k], defects[k]).trace)):
+            assert len(got) == 5 and all(c.shape == (draws,) for c in got)
+            for k in range(draws):
+                one_lead, want = alone(k)
+                scale = np.fmax(np.fmax(1.0, np.abs(want)), log_term_scales(trace(k), 4))
+                assert one_lead == n
+                assert np.all(np.abs([c[k] for c in got] - np.array(want)) <= 1e-13 * scale)
+
+    def test_one_chain_keeps_python_complex_arithmetic(self):
+        # a single chain's product and charges stay on Python complex numbers,
+        # the path whose results do not move; a stack carries arrays
+        rng = np.random.default_rng(8)
+        s, d = lat.random_state(5, rng), ld.random_defect(3, rng)
+        for t in (lat.monodromy(s), ld.defect_monodromy(s, d)):
+            coeffs = [c for row in t.entries for entry in row for c in entry.coeffs.values()]
+            assert coeffs and all(type(c) is complex for c in coeffs)
+        for _, cs in (lat.charges_from_trace(s), ld.defect_charges_from_trace(s, d)):
+            assert all(type(c) is complex for c in cs)
+        _, stack = state_stack(5, rng, 3)
+        t = lat.monodromy(stack)
+        assert all(c.shape == (3,) for c in t[0, 0].coeffs.values())
+
+    def test_defect_at_one_site_of_a_stack(self):
+        # one n and theta for every draw of a stack, the trajectory layout
+        rng = np.random.default_rng(9)
+        states, stack = state_stack(4, rng, 6)
+        d = ld.random_defect(2, rng)
+        _, cs = ld.defect_charges_from_trace(stack, d)
+        for k, s in enumerate(states):
+            _, want = ld.defect_charges_from_trace(s, d)
+            assert np.allclose([c[k] for c in cs], want, rtol=1e-13, atol=1e-13)
+
+    @pytest.mark.parametrize("scale", [1e80, 1e-80])
+    def test_out_of_range_draw_is_named(self, scale):
+        # inf, or a leading power lost to underflow, in one draw of a stack
+        rng = np.random.default_rng(10)
+        states = [lat.random_state(6, rng) for _ in range(4)]
+        states[2] = states[2].replace(v=states[2].v * scale)
+        with pytest.raises(OverflowError, match="in draw 2$"):
+            lat.charges_from_trace(lat.LatticeState.stack(states))

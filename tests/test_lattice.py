@@ -740,6 +740,13 @@ class TestIntegrate:
         final = traj.states[-1]
         assert np.max(np.abs(final.a)) < 1e-14
 
+    @pytest.mark.parametrize("which", ["c2", "c0", "1", 2, ""])
+    def test_drift_of_an_unknown_order_raises(self, which):
+        # "c2" used to read the order-0 drift silently
+        traj = lat.integrate(zero_amplitude_state(3), dt=0.05, t_end=0.1)
+        with pytest.raises(ValueError, match="'0' or '2'"):
+            traj.drift(which)
+
     def test_fourth_order_charge_drift(self):
         rng = np.random.default_rng(31)
         s = lat.random_state(6, rng, amplitude=0.3)

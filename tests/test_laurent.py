@@ -266,3 +266,61 @@ def test_matrix_det_and_trace():
     num = m.evaluate(u)
     assert abs(m.trace.evaluate(u) - np.trace(num)) < 1e-12
     assert abs(m.det.evaluate(u) - np.linalg.det(num)) < 1e-12
+
+
+class TestDrawStacks:
+    """Array coefficients, one per draw: every operation acts draw by draw."""
+
+    def draws(self, seed, count=5):
+        rng = np.random.default_rng(seed)
+        return [random_poly(rng) + LaurentSeries({5: 1.0 + complex(rng.normal(), rng.normal())})
+                for _ in range(count)]
+
+    def stack(self, polys):
+        exponents = set().union(*(p.coeffs for p in polys))
+        return LaurentSeries({e: np.array([p.coefficient(e) for p in polys]) for e in exponents})
+
+    def test_normal_form_drops_an_array_only_when_zero_in_every_draw(self):
+        p = LaurentSeries({2: np.array([0.0, 1.0]), 1: np.zeros(2), 0: 0j, -1: 2})
+        assert sorted(p.coeffs) == [-1, 2]
+        assert p.coeffs[2].dtype == complex and type(p.coeffs[-1]) is complex
+        assert p.degree == 2 and (p - p).is_zero()
+        assert "u^2: [0.+0.j 1.+0.j]" in repr(p)
+
+    def test_arithmetic_acts_draw_by_draw(self):
+        left, right = self.draws(1), self.draws(2)
+        a, b = self.stack(left), self.stack(right)
+        mixed = LaurentSeries({1: 0.5j, -2: 3.0})
+        for k, (p, q) in enumerate(zip(left, right)):
+            for got, want in ((a * b, p * q), (a + b, p + q), (a - b, p - q),
+                              (a * mixed, p * mixed), (mixed - a, mixed - p), (2.0 * a, 2.0 * p)):
+                row = LaurentSeries({e: c if np.ndim(c) == 0 else c[k]
+                                     for e, c in got.coeffs.items()})
+                assert_series_close(row, want)
+
+    def test_log_expand_and_inverse_act_draw_by_draw(self):
+        polys = self.draws(3)
+        stack = self.stack(polys)
+        n, cs = log_expand(stack, depth=4)
+        top, q = series_inverse(stack, depth=4)
+        assert n == 5 and top == -5 and q.shape == (5, 5)
+        for k, p in enumerate(polys):
+            assert np.max(np.abs([c[k] for c in cs] - np.array(log_expand(p, 4)[1]))) < 1e-14
+            assert np.max(np.abs(q[k] - series_inverse(p, 4)[1])) < 1e-14
+
+    def test_out_of_range_draw_is_named(self):
+        # the first draw whose leading or lower coefficients are not finite,
+        # or whose leading one is subnormal
+        for bad in ({5: np.array([1.0, np.inf, 1.0])}, {5: np.ones(3), 4: np.array([1, 1, np.nan])},
+                    {5: np.array([1.0, 1.0, 1e-308])}):
+            with pytest.raises(OverflowError, match=r"out of double range in draw [12]$"):
+                log_expand(LaurentSeries(bad), depth=2)
+
+    def test_where_picks_each_draw(self):
+        a = LaurentMatrix.from_rows([[LaurentSeries({1: 2.0}), 1.0], [0.0, 3.0]])
+        b = LaurentMatrix.from_rows([[LaurentSeries({-1: 5.0}), 0.0], [4.0, 3.0]])
+        m = a.where(np.array([True, False]), b)
+        for entry, exponent, want in ((m[0, 0], 1, [2, 0]), (m[0, 0], -1, [0, 5]),
+                                      (m[0, 1], 0, [1, 0]), (m[1, 0], 0, [0, 4]),
+                                      (m[1, 1], 0, [3, 3])):
+            assert np.array_equal(entry.coeffs[exponent], want)

@@ -449,6 +449,13 @@ class TestLinearAlgebra:
 
 
 class TestEvolve:
+    def test_drift_of_an_unknown_monitor_raises(self):
+        c = lv.random_config(L, 16, np.random.default_rng(70), amplitude=0.1)
+        traj = lv.evolve(c, dt=2e-3, t_end=4e-3)
+        assert traj.drift("momentum") >= 0.0
+        with pytest.raises(ValueError, match="'hamiltonian', 'momentum', 'order1'"):
+            traj.drift("energy")
+
     def test_hamiltonian_drift_fourth_order_in_dt(self):
         rng = np.random.default_rng(71)
         c = lv.random_config(L, 64, rng, amplitude=0.15)

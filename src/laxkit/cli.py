@@ -109,6 +109,16 @@ def _kept(p: dict, key: str, width: str, entries: int, finer=False) -> tuple[str
     return key, f"the {kept} states of width {width} the run at {run} keeps", kept * entries
 
 
+def _probe_monitors(p: dict) -> tuple[str, str, int]:
+    """A lattice mode's bound: its probe monitors stack the 2 x 2 site
+    matrices of each kept state at each probe, 4 N P entries a state for N
+    sites and P probes, more than the march's 3 N (3 N + 3 with a defect)
+    at every N and P the modes accept.  It names the larger of N and P."""
+    n, probes = p["N"], len(p["probes"])
+    return _kept(p, "probes" if probes > n else "N", "4 N x probes (their site matrices at "
+                 "the probes)", 4 * n * probes)
+
+
 def _chains(p: dict, mode: str) -> tuple[str, str, int]:
     """A charge battery's bound: for each chain of N sites it draws, the N^2
     coefficient products of its trace and the 3 N + _CHAIN_EXTRA entries it
@@ -124,22 +134,23 @@ def _chains(p: dict, mode: str) -> tuple[str, str, int]:
 # each mode's largest allocation, from the read params p: the count a config
 # error names, what the array holds and its entries, at most _MAX_ENTRIES;
 # for a charge battery also the work of its traces.  By peak RSS and time at
-# 10^5 draws on a 2-CPU host, a verify mode's draw takes 3.3 KB (poisson) or
-# 4.0 KB (zero-curvature), so its largest run peaks near 2-2.5 GB; a charge
+# 10^5 draws on a 2-CPU host, a verify mode's draw takes 2.7 KB (poisson) or
+# 4.1 KB (zero-curvature), so its largest run peaks near 1.7-2.5 GB; a charge
 # battery holds one chunk of chains at a time (_CHUNK_ENTRIES, 40 MB), and a
 # chain costs no more in a stack than alone, about 4 us N^2 for N sites, so
 # its largest run ends within a minute
 BOUNDS = {
-    "lattice-sim": lambda p: _kept(p, "N", "3 N", 3 * p["N"]),
-    "lattice-defect-sim": lambda p: _kept(p, "N", "3 N + 3", 3 * p["N"] + 3),
+    "lattice-sim": _probe_monitors,
+    "lattice-defect-sim": _probe_monitors,
     "verify-poisson": lambda p: ("samples", "the 4 x 4 exchange matrices of the draws",
                                  16 * (p["samples"] + len(p["mu_probes"]))),
     "verify-zero-curvature": lambda p: ("samples", "the 2 x 2 bulk residual matrices of the draws",
                                         16 * (p["samples"] + len(p["mu_probes"]))),
     "verify-charges": lambda p: _chains(p, "verify-charges"),
     "liouville-evolve": lambda p: _kept(p, "points", "2 points", 2 * p["points"]),
-    "monodromy-check": lambda p: ("points", f"the points x {lv.FIT_POINTS} Magnus cells of one "
-                                  f"fit", p["points"] * lv.FIT_POINTS),
+    "monodromy-check": lambda p: ("points", f"the 2 x 2 exponentials of the points x "
+                                  f"{lv.FIT_POINTS} Magnus cells of one fit",
+                                  4 * p["points"] * lv.FIT_POINTS),
     "bt-evolve": lambda p: _kept(p, "points", "4 (2 points - 1)", 4 * (2 * p["points"] - 1), True),
     "hetero-bt": lambda p: (
         "nz" if p["nz"] >= p["nzbar"] else "nzbar",
@@ -367,8 +378,10 @@ def _read_params(mode: str, params: dict) -> dict:
                           f"x in [-{_BT_HALF:g}, {_BT_HALF:g}] (t_end = {p['t_end']:g})")
     key, what, entries = BOUNDS[mode](p)
     if entries > _MAX_ENTRIES:
+        # a list of numbers is named by its length, which the bound counts
+        got = f"{len(p[key])} {key}" if table[key].kind == REALS else f"{key} = {p[key]}"
         raise ConfigError(f"{key} must be small enough for {what} to fit in {_MAX_ENTRIES} "
-                          f"entries; got {key} = {p[key]}, {entries} entries")
+                          f"entries; got {got}, {entries} entries")
     return p
 
 
@@ -529,24 +542,22 @@ def _by_length(states):
 
 def _mode_verify_poisson(cfg: RunConfig, report: Report, outdir: Path):
     # the inputs are drawn sample by sample, the configured probe pairs
-    # first, then each identity is evaluated once over the stack of draws
-    # (the bulk one per chain length)
+    # first, then each identity is evaluated once over the stack of draws.
+    # The exchange relation is ultralocal, so a draw keeps only the fields
+    # of its drawn site, and the bulk draws are one stack of one-site states
     rng = np.random.default_rng(cfg.seed)
     lams, mus = cfg.values["lambda_probes"], cfg.values["mu_probes"]
     drawn = (_spectral_pair(rng) for _ in range(cfg.values["samples"]))
-    pairs, states, sites, defects, fields = [], [], [], [], []
+    pairs, sites, defects, fields = [], [], [], []
     for pair in itertools.chain(zip(lams, mus), drawn):
         s = lat.random_state(int(rng.integers(2, 6)), rng)
         pairs.append(pair)
-        states.append(s)
-        sites.append(int(rng.integers(1, s.N + 1)))
+        sites.append(s.site(int(rng.integers(1, s.N + 1))))
         defects.append(ld.random_defect(2, rng))
         fields.append((complex(rng.normal(), rng.normal()), complex(rng.normal(), rng.normal())))
     lam, mu = np.array(pairs).T
-    sites = np.array(sites)
-    bulk = np.empty(len(states))
-    for idx, stack in _by_length(states):
-        bulk[idx] = lat.check_quadratic_algebra(stack, lam[idx], mu[idx], sites[idx])
+    one_site = lat.LatticeState(*np.array(sites).T[..., None])
+    bulk = lat.check_quadratic_algebra(one_site, lam, mu, 1)
     defect = ld.check_defect_algebra(ld.DefectSite.stack(defects), lam, mu)
     field = lv.check_linear_algebra(*np.array(fields).T, lam, mu)
     tol = 1e-10 * cfg.tolerance_scale
@@ -561,7 +572,8 @@ def _mode_verify_poisson(cfg: RunConfig, report: Report, outdir: Path):
 
 def _mode_verify_zero_curvature(cfg: RunConfig, report: Report, outdir: Path):
     # drawn sample by sample, evaluated once per chain length over the stack
-    # of draws; the defect velocities are computed draw by draw
+    # of draws, since a stencil reads neighbours across the chain's periodic
+    # wrap; the defect velocities are computed draw by draw
     rng = np.random.default_rng(cfg.seed)
     states, mus, sites, chains, defects = [], [], [], [], []
     for mu_probe in cfg.values["mu_probes"] + [None] * cfg.values["samples"]:

@@ -537,12 +537,22 @@ def time_lax_from_rmatrix(
     return list(np.moveaxis(ratios, -1, 0))
 
 
-def _rate(partials: dict[str, np.ndarray], velocities) -> np.ndarray:
-    """d/dt of a site matrix at fixed u: its field partials contracted with
-    the field velocities, given in the order of the partials (each velocity
-    a scalar or an array over a stack)."""
-    return sum(dm * np.asarray(vel)[..., None, None]
+def _zero_curvature(m, partials: dict[str, np.ndarray], velocities, a_next, a_here):
+    """Max-entry residual of dM/dt = A_next M - M A_here at fixed u, the
+    zero-curvature stencil of a bulk site and of the defect site: dM/dt is
+    the field partials of M contracted with the field velocities, given in
+    the order of the partials (each velocity a scalar or an array over a
+    stack)."""
+    rate = sum(dm * np.asarray(vel)[..., None, None]
                for dm, vel in zip(partials.values(), velocities))
+    return _residual(rate, a_next @ m - m @ a_here)
+
+
+def _site_terms(s: LatticeState, velocity: LatticeDerivative, j, u):
+    """L_j of s at u, its field partials and the velocities of its fields,
+    the site's first three arguments of :func:`_zero_curvature`."""
+    a, abar, v = s.site(j)
+    return _lax_values(a, abar, v, u), _lax_partials(v, u), velocity.site(j)
 
 
 def zero_curvature_residual(s: LatticeState, j: int, mu: complex) -> float:
@@ -552,13 +562,8 @@ def zero_curvature_residual(s: LatticeState, j: int, mu: complex) -> float:
     the T residuals as an array; the velocities come from one
     :func:`bulk_eom` call on the stack.
     """
-    u = np.exp(mu)
-    a, abar, v = s.site(j)
-    ldot = _rate(_lax_partials(v, u), bulk_eom(s).site(j))
-    aj = time_lax_order2(s, j, mu)
-    ajp = time_lax_order2(s, j + 1, mu)
-    lj = _lax_values(a, abar, v, u)
-    return _residual(ldot, ajp @ lj - lj @ aj)
+    return _zero_curvature(*_site_terms(s, bulk_eom(s), j, np.exp(mu)),
+                           time_lax_order2(s, j + 1, mu), time_lax_order2(s, j, mu))
 
 
 # -- time integration ----------------------------------------------------------

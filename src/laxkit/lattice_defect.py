@@ -37,15 +37,14 @@ from .lattice import (
     _at,
     _chain_field,
     _checked_trace,
-    _lax_partials,
-    _lax_values,
     _march,
     _probe_traces,
-    _rate,
     _site_stack,
+    _site_terms,
     _stack_product,
     _time_lax_matrix,
     _value,
+    _zero_curvature,
     build_lax,
     time_lax_order2,
 )
@@ -404,20 +403,13 @@ def defect_zero_curvature_residuals(
     u = np.exp(mu)
     bulk, dz, dzbar, dX = defect_eom(s, d)
     at_n, at_np1 = defect_time_lax(s, d, mu)
-
-    def residual(ldot, a_next, lj, a_here):
-        return _residual(ldot, a_next @ lj - lj @ a_here)
-
-    def bulk_stencil(j, a_next, a_here):
-        a, abar, v = s.site(j)
-        ldot = _rate(_lax_partials(v, u), bulk.site(j))
-        return residual(ldot, a_next, _lax_values(a, abar, v, u), a_here)
-
-    ltdot = _rate(_defect_partials(d, u), (dz, dzbar, dX))
     return {
-        "left": bulk_stencil(d.n - 1, at_n, time_lax_order2(s, d.n - 1, mu)),
-        "defect": residual(ltdot, at_np1, defect_lax_value(d, u), at_n),
-        "right": bulk_stencil(d.n + 1, time_lax_order2(s, d.n + 2, mu), at_np1),
+        "left": _zero_curvature(*_site_terms(s, bulk, d.n - 1, u), at_n,
+                                time_lax_order2(s, d.n - 1, mu)),
+        "defect": _zero_curvature(defect_lax_value(d, u), _defect_partials(d, u),
+                                  (dz, dzbar, dX), at_np1, at_n),
+        "right": _zero_curvature(*_site_terms(s, bulk, d.n + 1, u),
+                                 time_lax_order2(s, d.n + 2, mu), at_np1),
     }
 
 

@@ -282,6 +282,7 @@ class TestConfig:
         ("liouville-evolve", "points", {}), ("monodromy-check", "points", {}),
         ("bt-evolve", "points", {}), ("hetero-bt", "nz", {}), ("hetero-bt", "nzbar", {}),
         ("defect-charges", "samples", {"sizes": [3]}), ("defect-charges", "sizes", {"samples": 1}),
+        ("lattice-sim", "probes", {}), ("lattice-defect-sim", "probes", {}),
     ]
 
     def test_every_mode_declares_its_bound(self):
@@ -301,7 +302,9 @@ class TestConfig:
         spec = cli.PARAMS[mode][key]
 
         def read(value):
-            return cli._read_params(mode, {**held, key: [value] if key == "sizes" else value})
+            if key in ("sizes", "probes"):
+                value = [value] if key == "sizes" else [2.0] * value
+            return cli._read_params(mode, {**held, key: value})
 
         def fails(value):
             try:
@@ -310,7 +313,9 @@ class TestConfig:
                 return True
             return False
 
-        low, high = spec.least, spec.most  # read(low) passes, read(high) fails
+        # read(low) passes, read(high) fails; a list of probes is read entry
+        # by entry, and 1000 of them already fail at the defaults
+        low, high = spec.least, 1000 if key == "probes" else spec.most
         assert not fails(low) and fails(high)
         while high - low > 1:
             mid = (low + high) // 2
@@ -319,8 +324,18 @@ class TestConfig:
         with pytest.raises(cli.ConfigError) as err:
             read(high)
         got = re.fullmatch(rf"{key} must be small enough for .* to fit in {cli._MAX_ENTRIES} "
-                           rf"entries; got {key} = .*, (\d+) entries", str(err.value))
-        assert got and int(got[1]) > cli._MAX_ENTRIES
+                           rf"entries; got ({key} = .*|\d+ {key}), (\d+) entries", str(err.value))
+        assert got and int(got[2]) > cli._MAX_ENTRIES
+
+    def test_probe_monitors_bound_the_probes(self):
+        # a lattice mode's probe monitors hold 4 N entries per probe and kept
+        # state: at the defaults, 1001 states of 8 sites, 312 probes fit in
+        # cli._MAX_ENTRIES and 313 do not, and the error counts the probes
+        for mode in ("lattice-sim", "lattice-defect-sim"):
+            assert cli.BOUNDS[mode](cli._read_params(mode, {"probes": [2.0] * 312}))[2] == (
+                1001 * 4 * 8 * 312)
+            with pytest.raises(cli.ConfigError, match=r"got 313 probes, 10026016 entries$"):
+                cli.RunConfig(mode, params={"probes": [2.0] * 313})
 
     def test_readme_param_table_is_the_declared_one(self):
         # README "Command line" lists every param of every mode with the kind
@@ -961,6 +976,20 @@ class TestSuite:
         pinned = {name: getattr(cli, name) for name in RECORD_TABLE["constants"]}
         assert {k: list(v) if isinstance(v, tuple) else v for k, v in pinned.items()} == (
             RECORD_TABLE["constants"])
+
+    def test_tolerance_scale_scales_the_max_bounds_but_a_margin(self, tmp_path):
+        # tolerance_scale multiplies the tolerance of every "max" record but
+        # darboux-variant-selection, a margin between two residuals, and of
+        # no "min" record: refinement ratios, discrimination and negative
+        # controls keep their floors
+        table = {row[0]: row[1:3] for row in RECORD_TABLE["records"]}
+        for mode in ("hetero-bt", "monodromy-check", "defect-charges"):
+            report = cli.run(cli.RunConfig(mode, tolerance_scale=2.0), tmp_path / mode)
+            assert len(report.records) == sum(name.startswith(f"{mode}/") for name in table)
+            for r in report.records:
+                tolerance, criterion = table[f"{mode}/{r.name}"]
+                scale = 2.0 if criterion == "max" and r.name != "darboux-variant-selection" else 1.0
+                assert (r.criterion, r.tolerance) == (criterion, scale * tolerance)
 
     def test_roundoff_records_are_powers_of_ten(self, battery):
         report, _ = battery

@@ -446,6 +446,26 @@ class TestQuadraticAlgebra:
             for g in lat.FIELD_NAMES:
                 assert poisson_bracket((f, 2), (g, 3), s) == 0
 
+    def test_exchange_relation_reads_only_its_site(self):
+        # at every site j of chains of 2-6 sites, alone and stacked, the
+        # residual equals that of the one-site state of site j's fields bit
+        # for bit: a relation that read a neighbour would differ on the chain.
+        # verify-poisson keeps only the drawn site's fields on this ground
+        rng = np.random.default_rng(24)
+        for n in range(2, 7):
+            states = [lat.random_state(n, rng) for _ in range(8)]
+            stack = lat.LatticeState.stack(states)
+            lam, mu = np.array([random_spectral_pair(rng) for _ in states]).T
+            for j in range(1, n + 1):
+                one_site = lat.LatticeState(*(f[:, None] for f in np.array(
+                    [s.site(j) for s in states]).T))
+                for k, s in enumerate(states):
+                    alone = lat.LatticeState(*(np.array([f]) for f in s.site(j)))
+                    assert (lat.check_quadratic_algebra(s, lam[k], mu[k], j).hex()
+                            == lat.check_quadratic_algebra(alone, lam[k], mu[k], 1).hex())
+                assert (lat.check_quadratic_algebra(stack, lam, mu, j).tobytes()
+                        == lat.check_quadratic_algebra(one_site, lam, mu, 1).tobytes())
+
     def test_r_matrix_structure(self):
         d = 0.7 - 0.4j
         r = r_matrix(d)

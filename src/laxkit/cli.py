@@ -357,6 +357,13 @@ def _read_params(mode: str, params: dict) -> dict:
                                   f"({lam}, {mu})") from err
     if 0 in p.get("probes", ()):  # u = 0 is the pole of the site matrix
         raise ConfigError(f"probes must be nonzero numbers; got {p['probes']!r}")
+    labels = {}  # each probe names its series.csv columns trace_u{u:g}
+    for u in p.get("probes", ()):
+        label = f"trace_u{u:g}"
+        if label in labels:
+            raise ConfigError(f"probes must print apart as series.csv columns; {labels[label]!r} "
+                              f"and {u!r} both name {label}")
+        labels[label] = u
     if p.get("c") == 0:
         raise ConfigError("c must be nonzero: a vanishing coupling makes the interface trivial")
     if p.get("L", 1.0) <= 0:

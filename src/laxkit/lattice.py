@@ -610,6 +610,16 @@ CHAIN_BOUNDS = dict(ceiling=FIELD_CEILING, above="field above the ceiling",
                     floor=V_FLOOR, floored=("v", "X"))
 
 
+def _require_probes(probes) -> None:
+    """ValueError for a probe u = 0, the pole of the site matrix, and for a
+    repeated probe, whose trace :func:`_probe_traces` would keep once."""
+    if 0 in probes:
+        raise ValueError("a probe u = 0 is the pole of the site matrix (its u^-1 terms)")
+    if len(set(probes)) < len(probes):
+        raise ValueError(f"probes must be distinct, as the traces are keyed by probe; "
+                         f"got {tuple(probes)!r}")
+
+
 def _probe_traces(monodromies: np.ndarray, probes) -> dict[float, np.ndarray]:
     """{u: tr T(u) over time} from monodromies of shape (T, len(probes), 2, 2)."""
     return dict(zip(probes, np.trace(monodromies, axis1=-2, axis2=-1).T))
@@ -632,8 +642,9 @@ def integrate(
     FIELD_CEILING, or any |v_j| falls below V_FLOOR, at an RK stage or an
     accepted step, the march raises :class:`~laxkit.stepping.Aborted`
     carrying the partial trajectory, monitors included.  t_end must be a
-    whole multiple of dt, N >= 2 as for :func:`charges_closed_form`, and no
-    probe u = 0, the pole of the site matrix, or ValueError is raised.
+    whole multiple of dt, N >= 2 as for :func:`charges_closed_form`, and the
+    probes distinct and none u = 0, the pole of the site matrix, or
+    ValueError is raised.
 
     ``with_coarse=True`` also runs the step 2 dt, in one
     :func:`~laxkit.stepping.march` with the run at dt, and returns it as
@@ -643,8 +654,7 @@ def integrate(
     a whole multiple of 2 dt.
     """
     _require_charges(s.N)
-    if 0 in probes:
-        raise ValueError("a probe u = 0 is the pole of the site matrix (its u^-1 terms)")
+    _require_probes(probes)
 
     def finish(times, ys):
         stack = LatticeState(*ys.reshape(len(times), 3, s.N).swapaxes(0, 1))

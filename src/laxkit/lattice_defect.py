@@ -39,6 +39,7 @@ from .lattice import (
     _checked_trace,
     _march,
     _probe_traces,
+    _require_probes,
     _site_stack,
     _site_terms,
     _stack_product,
@@ -443,14 +444,14 @@ def integrate_with_defect(
     Keeps the bulk and defect states at every step; after the march, one
     call each computes the modified charges and the defect monodromy trace
     at the probe points over the kept stack.  Aborts, and rejects a probe
-    u = 0, like :func:`~laxkit.lattice.integrate`; the guard covers all six
-    fields (|X| has the floor of |v_j|).  ``with_coarse=True`` also returns
-    the run at 2 dt as ``.coarse``, marched together with the run at dt, as
+    u = 0 or a repeated probe, like :func:`~laxkit.lattice.integrate`; the
+    guard covers all six fields (|X| has the floor of |v_j|).
+    ``with_coarse=True`` also returns the run at 2 dt as ``.coarse``,
+    marched together with the run at dt, as
     :func:`~laxkit.lattice.integrate` does.
     """
     _require_interior(s, d)
-    if 0 in probes:
-        raise ValueError("a probe u = 0 is the pole of the site matrix (its u^-1 terms)")
+    _require_probes(probes)
     bulk, et = 3 * s.N, np.exp(d.theta)
     fields = {bulk + 3: _chain_field(s.N), 2 * bulk + 6: _chain_field(s.N, 2, 3)}
 

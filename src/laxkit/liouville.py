@@ -17,6 +17,7 @@ nontrivial one.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -273,21 +274,29 @@ def dual_charges(c: FieldConfig) -> tuple[complex, complex]:
 _GAUSS_OFFSETS = (0.5 - np.sqrt(3.0) / 6.0, 0.5 + np.sqrt(3.0) / 6.0)
 
 
-def _gauss_node_fields(c: FieldConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """phi, pi, phi_x interpolated at the two Gauss nodes of every cell.
-
-    Each result has shape (2, n); row q holds the trigonometric interpolant
-    at x_j + off_q h.  The shift is a spectral phase e^{2 pi i k off / n}
-    followed by an inverse FFT; for even n the Nyquist mode is split
-    symmetrically between k = +-n/2, which makes its factor cos(pi off).
-    """
-    n = c.n
+@functools.lru_cache(maxsize=8)
+def _gauss_shift(n: int) -> np.ndarray:
+    """The read-only spectral phase of :func:`_gauss_node_fields` on n
+    points, shape (2, n), shared by every caller: row q is e^{2 pi i k
+    off_q / n} over the FFT frequencies k, and for even n the Nyquist mode,
+    split symmetrically between k = +-n/2, has the factor cos(pi off_q)."""
     offs = np.array(_GAUSS_OFFSETS)[:, None]
     shift = np.exp(2j * np.pi * offs * np.fft.fftfreq(n))
     if n % 2 == 0:
         shift[:, n // 2] = np.cos(np.pi * offs[:, 0])
+    shift.setflags(write=False)
+    return shift
+
+
+def _gauss_node_fields(c: FieldConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """phi, pi, phi_x interpolated at the two Gauss nodes of every cell.
+
+    Each result has shape (2, n); row q holds the trigonometric interpolant
+    at x_j + off_q h: the spectrum times the phase :func:`_gauss_shift`,
+    followed by an inverse FFT.
+    """
     spec = np.fft.fft(np.stack([c.phi, c.pi, derivative_x(c.phi, c.h)]), axis=-1)
-    phi, pi, phi_x = np.fft.ifft(spec[:, None, :] * shift, axis=-1)
+    phi, pi, phi_x = np.fft.ifft(spec[:, None, :] * _gauss_shift(c.n), axis=-1)
     return phi, pi, phi_x
 
 
@@ -352,7 +361,7 @@ def _ordered_product(e: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         mod = np.abs(e)
         top = np.maximum(np.maximum(mod[0, 0], mod[0, 1]), np.maximum(mod[1, 0], mod[1, 1]))
         e = e * (1.0 / top)
-        log_scale = log_scale + np.sum(np.log(top), axis=-1)
+        log_scale = log_scale + np.log(top).sum(axis=-1)
         k = e.shape[-1]
         if k == 1:
             break
@@ -401,31 +410,53 @@ def trace_log(c: FieldConfig, lam):
     covers every point.
     """
     t, log_scale = monodromy_ode(c, lam)
-    return np.log(np.trace(t, axis1=-2, axis2=-1)) + log_scale
+    return np.log(t[..., 0, 0] + t[..., 1, 1]) + log_scale
 
 
 FIT_WINDOW = (0.01, 0.04)
 FIT_POINTS = 8
 
 
+# the spectral points lambda = log u of the FIT_POINTS samples u across FIT_WINDOW
+_FIT_LAMBDAS = np.log(np.linspace(FIT_WINDOW[0], FIT_WINDOW[1], FIT_POINTS))
+_FIT_LAMBDAS.setflags(write=False)
+
+
+@functools.cache
+def _fit_row() -> np.ndarray:
+    """The read-only weight row that maps log tr T at :data:`_FIT_LAMBDAS`
+    to the u-coefficient of its least-squares fit against {u^-1, 1, u, u^2,
+    u^3}: row 2 of the basis's pseudo-inverse.
+
+    It is taken in the scaled variable s = u / u_mid, u_mid the window's
+    midpoint, whose basis has condition number 1.5e3 against 2.5e8 in u,
+    and divided by u_mid.  It is made on the first fit, not at import: its
+    SVD is a process's first LAPACK call, whose workspace adds about 1.5 MB
+    of resident memory to every process that imports this module.
+    """
+    us = np.linspace(FIT_WINDOW[0], FIT_WINDOW[1], FIT_POINTS)
+    mid = 0.5 * (FIT_WINDOW[0] + FIT_WINDOW[1])
+    s = us / mid
+    basis = np.stack([1.0 / s, np.ones_like(s), s, s**2, s**3], axis=1)
+    row = np.linalg.pinv(basis)[2] / mid
+    row.setflags(write=False)
+    return row
+
+
 def fit_first_charge(c: FieldConfig) -> complex:
     """First charge extracted from the small-u behaviour of log tr T.
 
-    Samples u at FIT_POINTS points across FIT_WINDOW, evaluates log tr T at
-    every sample with one batched ``monodromy_ode`` call (lambda = log u as
-    an array, ordered product reduced pairwise), fits it against {u^-1, 1,
-    u, u^2, u^3} by least squares and returns the u-coefficient.  The cubic
-    term guards the linear coefficient against truncation bias, and the
-    window sits deep enough in the small-u regime that the neglected orders
-    stay below the percent level for moderate field amplitudes (the Magnus
-    propagation is exact on the stiff part, so small u costs nothing in
-    accuracy).
+    Evaluates log tr T at the FIT_POINTS samples u across FIT_WINDOW with
+    one batched ``monodromy_ode`` call (lambda = log u as an array, ordered
+    product reduced pairwise) and returns the u-coefficient of its least-
+    squares fit against {u^-1, 1, u, u^2, u^3}: one dot product with the
+    constant weight row :func:`_fit_row`.  The cubic term guards
+    the linear coefficient against truncation bias, and the window sits
+    deep enough in the small-u regime that the neglected orders stay below
+    the percent level for moderate field amplitudes (the Magnus propagation
+    is exact on the stiff part, so small u costs nothing in accuracy).
     """
-    us = np.linspace(FIT_WINDOW[0], FIT_WINDOW[1], FIT_POINTS)
-    values = trace_log(c, np.log(us))
-    basis = np.stack([1.0 / us, np.ones_like(us), us, us**2, us**3], axis=1)
-    coeff, *_ = np.linalg.lstsq(basis, values, rcond=None)
-    return complex(coeff[2])
+    return complex(_fit_row() @ trace_log(c, _FIT_LAMBDAS))
 
 
 # -- linear exchange algebra -------------------------------------------------------

@@ -302,8 +302,8 @@ class TestConfig:
         spec = cli.PARAMS[mode][key]
 
         def read(value):
-            if key in ("sizes", "probes"):
-                value = [value] if key == "sizes" else [2.0] * value
+            if key in ("sizes", "probes"):  # distinct probes, which print apart
+                value = [value] if key == "sizes" else [1 + k / 1000 for k in range(value)]
             return cli._read_params(mode, {**held, key: value})
 
         def fails(value):
@@ -331,11 +331,27 @@ class TestConfig:
         # a lattice mode's probe monitors hold 4 N entries per probe and kept
         # state: at the defaults, 1001 states of 8 sites, 312 probes fit in
         # cli._MAX_ENTRIES and 313 do not, and the error counts the probes
+        def probes(count):
+            return [1 + k / 1000 for k in range(count)]
+
         for mode in ("lattice-sim", "lattice-defect-sim"):
-            assert cli.BOUNDS[mode](cli._read_params(mode, {"probes": [2.0] * 312}))[2] == (
+            assert cli.BOUNDS[mode](cli._read_params(mode, {"probes": probes(312)}))[2] == (
                 1001 * 4 * 8 * 312)
             with pytest.raises(cli.ConfigError, match=r"got 313 probes, 10026016 entries$"):
-                cli.RunConfig(mode, params={"probes": [2.0] * 313})
+                cli.RunConfig(mode, params={"probes": probes(313)})
+
+    @pytest.mark.parametrize("probes", [[2.0, 2.0000001, 3.0], [2.0, 2.0]])
+    def test_probes_that_print_alike_are_config_errors(self, tmp_path, probes, capsys):
+        # each probe names its series.csv columns trace_u{u:g}: two probes
+        # that print alike would share them, the later trace silently
+        # replacing the earlier one, so the error names both
+        for mode in ("lattice-sim", "lattice-defect-sim"):
+            path = write_config(tmp_path, {"mode": mode, "params": {"probes": probes}})
+            assert cli.main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+            err = capsys.readouterr().err
+            assert (f"config error: probes must print apart as series.csv columns; 2.0 and "
+                    f"{probes[1]!r} both name trace_u2\n") in err and "Traceback" not in err
+            assert not (tmp_path / "out").exists()
 
     def test_readme_param_table_is_the_declared_one(self):
         # README "Command line" lists every param of every mode with the kind

@@ -384,6 +384,30 @@ class TestMonodromy:
                 fit = lv.fit_first_charge(c)
                 assert abs(fit - i1) <= 0.01 * abs(i1)
 
+    @pytest.mark.parametrize("n", [64, 65, 256])
+    def test_fit_is_the_least_squares_fit(self, n):
+        # the constant weight row gives the u-coefficient of the least-squares
+        # fit of log tr T at FIT_POINTS samples across FIT_WINDOW against
+        # {u^-1, 1, u, u^2, u^3}, solved here per field in u itself
+        rng = np.random.default_rng(81)
+        us = np.linspace(*lv.FIT_WINDOW, lv.FIT_POINTS)
+        basis = np.stack([1.0 / us, np.ones_like(us), us, us**2, us**3], axis=1)
+        for amplitude in np.linspace(0.1, 0.5, 20):
+            c = lv.random_config(L, n, rng, amplitude=amplitude)
+            want = np.linalg.lstsq(basis, lv.trace_log(c, np.log(us)), rcond=None)[0][2]
+            assert abs(lv.fit_first_charge(c) - want) <= 1e-8 * abs(want)
+
+    def test_fit_constants_and_gauss_shift_are_read_only(self):
+        # shared by every call: the cached phase is one array per n, and the
+        # cache is small, so no run keeps many large shifts
+        shift = lv._gauss_shift(64)
+        assert lv._gauss_shift(64) is shift and lv._gauss_shift.cache_info().maxsize <= 8
+        assert lv._fit_row() is lv._fit_row()
+        for arr in (lv._FIT_LAMBDAS, lv._fit_row(), shift, lv._gauss_shift(65)):
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                arr[..., 0] = 0.0
+
     def test_trace_conserved_along_evolution(self):
         # the monodromy trace at fixed spectral point is a conserved
         # functional; its drift under evolution shrinks with the grid
